@@ -21,7 +21,7 @@ from .lambda_system import (
     couplings_from_angles,
 )
 from .effective import h_eff_couplings
-from .linalg import UnitaryOperator, expm_hermitian
+from .linalg import UnitaryOperator, _expm_hermitian_stack, _ordered_product, expm_hermitian
 from .propagators import evolve_time_ordered
 
 COORDINATES = ("theta1", "theta2", "phi2", "phi3")
@@ -61,9 +61,6 @@ class ParameterPath:
     @property
     def segment_count(self) -> int:
         return self.samples.shape[0] - 1
-
-    def angles_at(self, index: int) -> SphericalAngles:
-        return SphericalAngles(*self.samples[index])
 
     def check_resolution(self, bound: float = SEGMENT_BOUND) -> None:
         if self.segment_count == 0:
@@ -156,17 +153,12 @@ def holonomy(path: ParameterPath) -> UnitaryOperator:
     so the result is unitary by construction.
     """
     path.check_resolution()
-    u = np.eye(2, dtype=complex)
-    for i in range(path.segment_count):
-        start, end = path.samples[i], path.samples[i + 1]
-        mid = SphericalAngles(*(0.5 * (start + end)))
-        delta = end - start
-        exponent = np.zeros((2, 2), dtype=complex)
-        for a_k, d_k in zip(connection_at(mid).as_list(), delta):
-            exponent += a_k * d_k
-        # exp(-exponent) with anti-Hermitian exponent == exp(-i (-i exponent))
-        u = expm_hermitian(-1j * exponent, 1.0).matrix @ u
-    return UnitaryOperator(u)
+    mids = 0.5 * (path.samples[:-1] + path.samples[1:])
+    deltas = np.diff(path.samples, axis=0)
+    connections = np.array([connection_at(SphericalAngles(*m)).as_list() for m in mids], dtype=complex)
+    exponents = np.sum(connections.reshape(-1, 4, 2, 2) * deltas[:, :, None, None], axis=1)
+    # exp(-exponent) with anti-Hermitian exponent == exp(-i (-i exponent))
+    return UnitaryOperator(_ordered_product(_expm_hermitian_stack(-1j * exponents, 1.0)))
 
 
 def _require_constant(path: ParameterPath, coords: Sequence[str]) -> None:

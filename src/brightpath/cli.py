@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Any
@@ -127,6 +128,7 @@ def pairs_to_complex(data, field: str) -> np.ndarray:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{field}: expected nested [re, im] arrays") from exc
+    _require(bool(np.all(np.isfinite(arr))), field, "entries must be finite")
     if arr.ndim == 2 and arr.shape[1] == 2:
         return arr[:, 0] + 1j * arr[:, 1]
     if arr.ndim == 3 and arr.shape[2] == 2:
@@ -141,9 +143,14 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise ConfigError(f"{field}: {message}")
 
 
+def _is_finite_number(value) -> bool:
+    """An int or a finite float; bools and JSON's NaN and Infinity are not."""
+    return not isinstance(value, bool) and (isinstance(value, int) or isinstance(value, float) and math.isfinite(value))
+
+
 def _number(params: dict, field: str, lo=None, hi=None, integer=False):
     value = params[field]
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), field, "must be a number")
+    _require(_is_finite_number(value), field, "must be a finite number")
     if integer:
         _require(float(value).is_integer(), field, "must be an integer")
         value = int(value)
@@ -207,7 +214,9 @@ class ScenarioConfig:
             _number(p, "phase")
             times = p["stage_times"]
             _require(
-                isinstance(times, (list, tuple)) and len(times) == 3, "stage_times", "must be [t1, t2, t3]"
+                isinstance(times, (list, tuple)) and len(times) == 3 and all(map(_is_finite_number, times)),
+                "stage_times",
+                "must be [t1, t2, t3] of finite numbers",
             )
             _require(0 < times[0] < times[1] < times[2], "stage_times", "must satisfy 0 < t1 < t2 < t3")
             for field in ("theta_schedule", "phi_schedule"):
@@ -229,7 +238,7 @@ class ScenarioConfig:
                 "must list at least two omega_T values",
             )
             for value in p["omega_T_list"]:
-                _require(isinstance(value, (int, float)) and value > 0, "omega_T_list", "entries must be > 0")
+                _require(_is_finite_number(value) and value > 0, "omega_T_list", "entries must be finite and > 0")
         if self.kind == "loop":
             if p.get("samples") is None:
                 _require(
@@ -243,6 +252,7 @@ class ScenarioConfig:
             else:
                 samples = np.asarray(p["samples"], dtype=float)
                 _require(samples.ndim == 2 and samples.shape[1] == 4, "samples", "must be an (m, 4) array")
+                _require(bool(np.all(np.isfinite(samples))), "samples", "entries must be finite")
             _number(p, "steps", lo=1, integer=True)
             for method in p["methods"]:
                 _require(method in ("effective", "berry"), "methods", f"unsupported method {method!r}")
@@ -280,6 +290,13 @@ def _jsonable(value):
 # scenario execution
 
 
+def _diagnostics(**fields) -> dict:
+    """The diagnostics block every report carries; a kind leaves 0 in the
+    fields it has no such quantity for."""
+    zero = {"unitarity_error": 0.0, "leakage": 0.0, "dark_block_distance_exact": 0.0, "dark_block_distance_phase": 0.0}
+    return {**zero, "steps": 0, **fields}
+
+
 def _gate_spec(p: dict) -> GateSpec:
     t1, t2, t3 = (float(x) for x in p["stage_times"])
     return GateSpec(
@@ -295,10 +312,7 @@ def _gate_spec(p: dict) -> GateSpec:
 
 
 def _logical_frame(n: int, embedded_dim: int) -> np.ndarray:
-    frame = np.zeros((n - 1, embedded_dim), dtype=complex)
-    for i in range(n - 1):
-        frame[i, i] = 1.0
-    return frame
+    return np.eye(n - 1, embedded_dim, dtype=complex)
 
 
 def _run_gate(config: ScenarioConfig) -> dict:
@@ -309,7 +323,7 @@ def _run_gate(config: ScenarioConfig) -> dict:
     unitaries = {"analytic": analytic.matrix}
     blocks = {"analytic": geo_block}
     comparisons: dict[str, float] = {}
-    diag = {"unitarity_error": 0.0, "leakage": 0.0, "steps": int(p["steps"])}
+    diag = _diagnostics(steps=int(p["steps"]))
 
     if "effective" in p["methods"]:
         report = simulate_gate(spec, steps=int(p["steps"]))
@@ -387,16 +401,14 @@ def _run_loop(config: ScenarioConfig) -> dict:
         )
     tolerance = float(p["tolerance"])
     primary = max(comparisons.values()) if comparisons else 0.0
-    diag = {
-        "unitarity_error": 0.0,
-        "leakage": 0.0,
-        "dark_block_distance_exact": primary,
-        "dark_block_distance_phase": min(
+    diag = _diagnostics(
+        dark_block_distance_exact=primary,
+        dark_block_distance_phase=min(
             (matrix_distance(blocks[a], blocks[b], "up_to_global_phase") for a in blocks for b in blocks if a < b),
             default=0.0,
         ),
-        "steps": int(p["steps"]),
-    }
+        steps=int(p["steps"]),
+    )
     return {
         "unitaries": unitaries,
         "dark_blocks": blocks,
@@ -433,13 +445,12 @@ def _run_compare(config: ScenarioConfig) -> dict:
     decreasing = all(a > b for a, b in zip(distances, distances[1:]))
     tolerance = float(p["tolerance"])
     passed = distances[-1] <= tolerance and (decreasing or not p["require_decreasing"])
-    diag = {
-        "unitarity_error": worst_unitarity,
-        "leakage": max(entry["leakage"] for entry in sweep),
-        "dark_block_distance_exact": 0.0,
-        "dark_block_distance_phase": distances[-1],
-        "steps": int(p["full_steps"]),
-    }
+    diag = _diagnostics(
+        unitarity_error=worst_unitarity,
+        leakage=max(entry["leakage"] for entry in sweep),
+        dark_block_distance_phase=distances[-1],
+        steps=int(p["full_steps"]),
+    )
     return {
         "unitaries": {},
         "dark_blocks": {"analytic": geo_block},
@@ -466,13 +477,7 @@ def _run_morris_shore(config: ScenarioConfig) -> dict:
     rebuilt = to_general_hamiltonian(decomposition).hamiltonian(0.0).matrix
     drive_err = float(np.max(np.abs(rebuilt - sys_.drive_hamiltonian()))) / scale
     tolerance = float(p["tolerance"])
-    diag = {
-        "unitarity_error": 0.0,
-        "leakage": 0.0,
-        "dark_block_distance_exact": recon,
-        "dark_block_distance_phase": drive_err,
-        "steps": 0,
-    }
+    diag = _diagnostics(dark_block_distance_exact=recon, dark_block_distance_phase=drive_err)
     return {
         "unitaries": {},
         "dark_blocks": {},
@@ -493,13 +498,11 @@ def _run_stirap(config: ScenarioConfig) -> dict:
     p = config.parameters
     report = stirap_transfer(float(p["theta_end"]), steps=int(p["steps"]), ramp=p["ramp"])
     tolerance = float(p["tolerance"])
-    diag = {
-        "unitarity_error": 0.0,
-        "leakage": 0.0,
-        "dark_block_distance_exact": report.deviation,
-        "dark_block_distance_phase": report.deviation,
-        "steps": int(p["steps"]),
-    }
+    diag = _diagnostics(
+        dark_block_distance_exact=report.deviation,
+        dark_block_distance_phase=report.deviation,
+        steps=int(p["steps"]),
+    )
     return {
         "unitaries": {},
         "dark_blocks": {},
@@ -526,18 +529,11 @@ def _run_selftest(config: ScenarioConfig) -> dict:
         }
         for r in results
     ]
-    diag = {
-        "unitarity_error": 0.0,
-        "leakage": 0.0,
-        "dark_block_distance_exact": 0.0,
-        "dark_block_distance_phase": 0.0,
-        "steps": 0,
-    }
     return {
         "unitaries": {},
         "dark_blocks": {},
         "comparisons": {"criteria": lines},
-        "diagnostics": diag,
+        "diagnostics": _diagnostics(),
         "passed": bool(all(r.passed for r in results)),
         "tolerance": 0.0,
     }

@@ -48,18 +48,26 @@ class CouplingSet:
         object.__setattr__(self, "phi", phi)
         if r.ndim != 1 or phi.shape != r.shape or r.size < 1:
             raise ValueError(f"r and phi must be equal-length 1-D arrays, got {r.shape}, {phi.shape}")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if np.any(r < -1e-12):
-            raise ValueError("amplitude fractions r_i must be non-negative")
-        deviation = abs(float(np.sum(r * r)) - 1.0)
-        if deviation >= COUPLING_NORM_TOL:
-            raise ValueError(f"|sum(r_i^2) - 1| = {deviation:.3e} exceeds {COUPLING_NORM_TOL:.1e}")
+        _check_drive(self.omega, r)
 
     @property
     def n(self) -> int:
         """Number of ground levels."""
         return self.r.size
+
+
+def _check_drive(omega, r: np.ndarray) -> None:
+    """The coupling-set invariants Omega > 0, r_i >= 0 and sum(r_i^2) = 1,
+    for one set (``r`` of shape (n,)) or per step (``omega`` (M,), ``r``
+    (M, n)).  Written so that non-finite values fail."""
+    omega = np.asarray(omega, dtype=float)
+    if not (omega > 0).all():
+        raise ValueError(f"omega must be positive, got {np.min(omega)}")
+    if (r < -1e-12).any():
+        raise ValueError("amplitude fractions r_i must be non-negative")
+    deviation = abs((r * r).sum(axis=-1) - 1.0)
+    if not (deviation < COUPLING_NORM_TOL).all():
+        raise ValueError(f"|sum(r_i^2) - 1| = {np.max(deviation):.3e} exceeds {COUPLING_NORM_TOL:.1e}")
 
 
 @dataclass(frozen=True)
@@ -74,9 +82,6 @@ class SphericalAngles:
     theta2: float = 0.0
     phi2: float = 0.0
     phi3: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta1, self.theta2, self.phi2, self.phi3], dtype=float)
 
 
 def bright_state(c: CouplingSet) -> np.ndarray:

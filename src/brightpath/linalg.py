@@ -61,6 +61,20 @@ def check_orthonormal(frame: np.ndarray, tol: float = INPUT_ORTHONORMALITY_TOL) 
         raise NotOrthonormal(f"max |<v_i|v_j> - delta_ij| = {deviation:.3e} exceeds {tol:.1e}")
 
 
+def _hermiticity_failure(stack: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[int, str] | None:
+    """Index and description of the first matrix in a (k, d, d) stack that
+    fails the relative check ||M - M^dag||_F < tol * max(1, ||M||_F), or
+    None if all pass.  Written so that non-finite entries fail."""
+    skew = stack - stack.conj().transpose(0, 2, 1)
+    deviation2 = (skew.conj() * skew).real.sum(axis=(1, 2))  # squared Frobenius norms
+    scale2 = np.maximum(1.0, (stack.conj() * stack).real.sum(axis=(1, 2)))
+    passed = deviation2 < tol * tol * scale2
+    if passed.all():
+        return None
+    j = int(np.argmin(passed))
+    return j, f"||M - M^dag||_F = {np.sqrt(deviation2[j]):.3e} exceeds {tol:.1e} * {np.sqrt(scale2[j]):.3e}"
+
+
 class HermitianOperator:
     """A square complex matrix verified to be Hermitian at construction.
 
@@ -74,10 +88,9 @@ class HermitianOperator:
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        scale = max(1.0, float(np.linalg.norm(m)))
-        deviation = float(np.linalg.norm(m - m.conj().T))
-        if deviation >= tol * scale:
-            raise NotHermitian(f"||M - M^dag||_F = {deviation:.3e} exceeds {tol:.1e} * {scale:.3e}")
+        failure = _hermiticity_failure(m[None], tol)
+        if failure is not None:
+            raise NotHermitian(failure[1])
         m.setflags(write=False)
         self._matrix = m
 
@@ -88,10 +101,6 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self._matrix.shape[0]
-
-    def eigh(self):
-        """Eigenvalues (ascending) and eigenvector columns."""
-        return np.linalg.eigh(self._matrix)
 
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim})"
@@ -107,7 +116,7 @@ class UnitaryOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         deviation = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
-        if deviation >= tol:
+        if not deviation < tol:
             raise NotUnitary(f"||U^dag U - 1||_F = {deviation:.3e} exceeds {tol:.1e}")
         m.setflags(write=False)
         self._matrix = m
@@ -130,10 +139,6 @@ class UnitaryOperator:
 
     def __repr__(self) -> str:
         return f"UnitaryOperator(dim={self.dim})"
-
-
-def identity(dim: int) -> UnitaryOperator:
-    return UnitaryOperator(np.eye(dim, dtype=complex))
 
 
 def gram_schmidt(vectors: Sequence[np.ndarray], *, independence_tol: float = 1e-10) -> list[np.ndarray]:
@@ -196,9 +201,31 @@ def expm_hermitian(hamiltonian: HermitianOperator | np.ndarray, t: float) -> Uni
     """
     if not isinstance(hamiltonian, HermitianOperator):
         hamiltonian = HermitianOperator(hamiltonian)
-    evals, evecs = hamiltonian.eigh()
+    return UnitaryOperator(_expm_hermitian_stack(hamiltonian.matrix[None], t)[0])
+
+
+def _expm_hermitian_stack(stack: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H_j t) for every matrix of a (k, d, d) Hermitian stack, from one
+    stacked eigendecomposition.  The caller has checked hermiticity."""
+    evals, evecs = np.linalg.eigh(stack)
     phases = np.exp(-1j * evals * t)
-    return UnitaryOperator((evecs * phases) @ evecs.conj().T)
+    return (evecs * phases[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+
+
+def _ordered_product(factors: np.ndarray) -> np.ndarray:
+    """Product F_{k-1} @ ... @ F_0 of a (k, d, d) stack (later factors to the
+    left) via pairwise tree reduction; the identity for an empty stack."""
+    if factors.shape[0] == 0:
+        return np.eye(factors.shape[-1], dtype=complex)
+    while factors.shape[0] > 1:
+        m = factors.shape[0]
+        even = factors[0 : m - m % 2 : 2]
+        odd = factors[1 : m : 2]
+        merged = np.einsum("mij,mjk->mik", odd, even)
+        if m % 2:
+            merged = np.concatenate([merged, factors[-1:]], axis=0)
+        factors = merged
+    return factors[0]
 
 
 DistanceMode = Literal["exact", "up_to_global_phase"]

@@ -1,9 +1,12 @@
 """Unitary propagation of time-dependent Hamiltonians.
 
-Two integrators share the exponential midpoint rule (second order, unitary
-by construction): a generic time-ordered product for geometric generators,
-and a full Schroedinger integrator for Lambda-system drives that serves as
-the brute-force oracle the geometric methods are checked against.
+Every propagator is one pipeline: step grid -> factors -> reducer.  The grid
+splits [t0, t1] into equal steps.  A factor builder turns it into an
+(M, d, d) array of one-step exponentials: the exponential midpoint rule
+(second order, unitary by construction) for a caller's generator, or the
+closed-form Lambda step of the full (n+1)-level drive, the brute-force
+oracle the geometric methods are checked against.  A reducer then forms the
+ordered product (a unitary) or applies the factors to one state (snapshots).
 """
 
 from __future__ import annotations
@@ -13,13 +16,16 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import NonHermitianSample, NonMonotoneMap, NotHermitian
-from .lambda_system import CouplingSet, bright_state
+from .errors import DimensionMismatch, NonHermitianSample, NonMonotoneMap
+from .lambda_system import CouplingSet, _check_drive
 from .linalg import (
     HermitianOperator,
     UnitaryOperator,
+    _expm_hermitian_stack,
+    _hermiticity_failure,
+    _ordered_product,
     as_frame,
-    expm_hermitian,
+    expm_hermitian,  # noqa: F401 -- kept importable as brightpath.propagators.expm_hermitian
 )
 from .ramps import ramp_value
 
@@ -57,54 +63,53 @@ class AdiabaticRunConfig:
             raise ValueError(f"steps must be >= 10, got {self.steps}")
 
 
-def _renormalize(u: np.ndarray) -> tuple[UnitaryOperator, float]:
-    """Project the accumulated product back onto the unitary group (polar
-    decomposition) and report the pre-projection drift."""
-    w, _, vh = np.linalg.svd(u)
-    clean = w @ vh
-    drift = float(np.linalg.norm(clean.conj().T @ u - np.eye(u.shape[0])))
-    return UnitaryOperator(clean), drift
-
-
-def evolve_time_ordered(
-    hamiltonian: Callable[[float], HermitianOperator | np.ndarray],
-    t0: float,
-    t1: float,
-    steps: int = DEFAULT_GEOMETRIC_STEPS,
-) -> PropagationResult:
-    """Time-ordered product of midpoint-rule exponentials.
-
-    U = exp(-i H(m_M) dt) ... exp(-i H(m_1) dt) with m_j the midpoint of the
-    j-th subinterval; later factors multiply from the left.
-    """
+def _step_grid(t0: float, t1: float, steps: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Midpoints (M,), edges (M+1,) and width of ``steps`` equal subintervals
+    of [t0, t1]."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    dt = (t1 - t0) / steps
-    dim = None
-    u = None
-    for j in range(steps):
-        mid = t0 + (j + 0.5) * dt
-        sample = hamiltonian(mid)
-        if not isinstance(sample, HermitianOperator):
-            try:
-                sample = HermitianOperator(sample)
-            except NotHermitian as exc:
-                raise NonHermitianSample(f"H({mid:.6g}) failed the hermiticity check: {exc}") from exc
-        if u is None:
-            dim = sample.dim
-            u = np.eye(dim, dtype=complex)
-        u = expm_hermitian(sample, dt).matrix @ u
-    unitary, drift = _renormalize(u)
-    return PropagationResult(unitary=unitary, steps=steps, unitarity_error=drift, method="effective")
+    span = t1 - t0
+    k = np.arange(steps + 1)
+    return t0 + span * (k[:-1] + 0.5) / steps, t0 + span * k / steps, span / steps
 
 
-def evolve_trajectory(trajectory, t0=None, t1=None, steps: int = DEFAULT_GEOMETRIC_STEPS) -> PropagationResult:
-    """Propagate the geometric generator carried by a bright trajectory."""
-    t0 = trajectory.t_start if t0 is None else t0
-    t1 = trajectory.t_end if t1 is None else t1
-    return evolve_time_ordered(trajectory.h_eff, t0, t1, steps)
+def _midpoint_factors(
+    hamiltonian: Callable[[float], HermitianOperator | np.ndarray], mids: np.ndarray, dt: float
+) -> np.ndarray:
+    """exp(-i H(m_j) dt) for every midpoint m_j; every sample must pass the
+    hermiticity check, and the first that fails is named."""
+    samples = [hamiltonian(float(m)) for m in mids]
+    stack = np.array([h.matrix if isinstance(h, HermitianOperator) else h for h in samples], dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatch(f"H(t) must be square matrices of one size, got stack shape {stack.shape}")
+    failure = _hermiticity_failure(stack)
+    if failure is not None:
+        j, why = failure
+        raise NonHermitianSample(f"H({mids[j]:.6g}) failed the hermiticity check: {why}")
+    return _expm_hermitian_stack(stack, dt)
+
+
+def _sample_drive(
+    schedule: Callable[[float], CouplingSet], config: AdiabaticRunConfig, mids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bright states (M, n) and step phases Omega * dt (M,) of a drive read at
+    the ramped progress midpoints, through ``schedule.sample`` when it has
+    one.  Every step must satisfy the ``CouplingSet`` invariants."""
+    shaped = ramp_value(config.ramp, mids)
+    if hasattr(schedule, "sample"):
+        r, phi, omega = schedule.sample(shaped)
+    else:
+        sets = [schedule(float(s)) for s in shaped]
+        r = [c.r for c in sets]
+        phi = [c.phi for c in sets]
+        omega = [c.omega for c in sets]
+    r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
+    omega = np.broadcast_to(np.asarray(omega, dtype=float), (config.steps,))
+    _check_drive(omega, r)
+    duration = config.omega_T / omega[0]
+    return r * np.exp(1j * phi), omega * (duration / config.steps)
 
 
 def _lambda_step_factors(b: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -127,17 +132,54 @@ def _lambda_step_factors(b: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return factors
 
 
-def _ordered_product(factors: np.ndarray) -> np.ndarray:
-    """Product F_{M-1} @ ... @ F_0 via pairwise tree reduction."""
-    while factors.shape[0] > 1:
-        m = factors.shape[0]
-        even = factors[0 : m - m % 2 : 2]
-        odd = factors[1 : m : 2]
-        merged = np.einsum("mij,mjk->mik", odd, even)
-        if m % 2:
-            merged = np.concatenate([merged, factors[-1:]], axis=0)
-        factors = merged
-    return factors[0]
+def _unitary_product(factors: np.ndarray) -> tuple[UnitaryOperator, float]:
+    """Ordered product of the factors, projected back onto the unitary group
+    (polar decomposition), with the pre-projection drift."""
+    u = _ordered_product(factors)
+    w, _, vh = np.linalg.svd(u)
+    clean = w @ vh
+    drift = float(np.linalg.norm(clean.conj().T @ u - np.eye(u.shape[0])))
+    return UnitaryOperator(clean), drift
+
+
+def _snapshots(
+    factors: np.ndarray, state: np.ndarray, edges: np.ndarray, record_every: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the factors to ``state`` in order, keeping the initial state,
+    every ``record_every``-th step and the last step, with their edge times."""
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    psi = np.asarray(state, dtype=complex)
+    marks, rows = [0], [psi]
+    for j, factor in enumerate(factors, 1):
+        psi = factor @ psi
+        if j % record_every == 0 or j == len(factors):
+            marks.append(j)
+            rows.append(psi)
+    return edges[marks], np.array(rows)
+
+
+def evolve_time_ordered(
+    hamiltonian: Callable[[float], HermitianOperator | np.ndarray],
+    t0: float,
+    t1: float,
+    steps: int = DEFAULT_GEOMETRIC_STEPS,
+) -> PropagationResult:
+    """Time-ordered product of midpoint-rule exponentials.
+
+    U = exp(-i H(m_M) dt) ... exp(-i H(m_1) dt) with m_j the midpoint of the
+    j-th subinterval; later factors multiply from the left.
+    """
+    mids, _, dt = _step_grid(t0, t1, steps)
+    unitary, drift = _unitary_product(_midpoint_factors(hamiltonian, mids, dt))
+    return PropagationResult(unitary=unitary, steps=steps, unitarity_error=drift, method="effective")
+
+
+def evolve_trajectory(trajectory, t0=None, t1=None, steps: int = DEFAULT_GEOMETRIC_STEPS) -> PropagationResult:
+    """Propagate the geometric generator carried by a bright trajectory."""
+    t0 = trajectory.t_start if t0 is None else t0
+    t1 = trajectory.t_end if t1 is None else t1
+    return evolve_time_ordered(trajectory.h_eff, t0, t1, steps)
 
 
 def evolve_full_adiabatic(
@@ -151,26 +193,8 @@ def evolve_full_adiabatic(
     the exact exponential of the sampled Lambda Hamiltonian.  This is the
     ground-truth oracle the geometric methods are compared against.
     """
-    mids = (np.arange(config.steps) + 0.5) / config.steps
-    shaped = ramp_value(config.ramp, mids)
-    sample = getattr(schedule, "sample", None)
-    if sample is not None:
-        r, phi, omega = sample(shaped)
-        r = np.asarray(r, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        omega = np.broadcast_to(np.asarray(omega, dtype=float), (config.steps,))
-    else:
-        sets = [schedule(float(s)) for s in shaped]
-        r = np.array([c.r for c in sets])
-        phi = np.array([c.phi for c in sets])
-        omega = np.array([c.omega for c in sets])
-    if np.any(omega <= 0):
-        raise ValueError("the drive must keep Omega > 0 throughout the run")
-    omega0 = omega[0]
-    duration = config.omega_T / omega0
-    b = r * np.exp(1j * phi)
-    factors = _lambda_step_factors(b, omega * (duration / config.steps))
-    unitary, drift = _renormalize(_ordered_product(factors))
+    mids, _, _ = _step_grid(0.0, 1.0, config.steps)
+    unitary, drift = _unitary_product(_lambda_step_factors(*_sample_drive(schedule, config, mids)))
     return PropagationResult(unitary=unitary, steps=config.steps, unitarity_error=drift, method="full")
 
 
@@ -185,28 +209,9 @@ def evolve_state_full(
     Returns (times, states) with ``times`` in normalized progress units and
     ``states`` of shape (len(times), n+1); row 0 is the initial state.
     """
-    mids = (np.arange(config.steps) + 0.5) / config.steps
-    shaped = ramp_value(config.ramp, mids)
-    psi = np.asarray(state, dtype=complex).copy()
-    c0 = schedule(float(shaped[0]))
-    duration = config.omega_T / c0.omega
-    dt = duration / config.steps
-    times = [0.0]
-    snapshots = [psi.copy()]
-    n = c0.n
-    for j, s in enumerate(shaped):
-        c = schedule(float(s))
-        bvec = bright_state(c)
-        p = c.omega * dt
-        amp_b = bvec.conj() @ psi[:n]
-        amp_e = psi[n]
-        cosem, sin = np.cos(p) - 1.0, np.sin(p)
-        psi[:n] += (cosem * amp_b - 1j * sin * amp_e) * bvec
-        psi[n] += cosem * amp_e - 1j * sin * amp_b
-        if (j + 1) % record_every == 0 or j == config.steps - 1:
-            times.append((j + 1) / config.steps)
-            snapshots.append(psi.copy())
-    return np.asarray(times), np.asarray(snapshots)
+    mids, edges, _ = _step_grid(0.0, 1.0, config.steps)
+    factors = _lambda_step_factors(*_sample_drive(schedule, config, mids))
+    return _snapshots(factors, state, edges, record_every)
 
 
 def evolve_state_time_ordered(
@@ -221,23 +226,8 @@ def evolve_state_time_ordered(
 
     Returns (times, states); row 0 is the initial state at t0.
     """
-    dt = (t1 - t0) / steps
-    psi = np.asarray(state, dtype=complex).copy()
-    times = [t0]
-    snapshots = [psi.copy()]
-    for j in range(steps):
-        mid = t0 + (j + 0.5) * dt
-        sample = hamiltonian(mid)
-        if not isinstance(sample, HermitianOperator):
-            try:
-                sample = HermitianOperator(sample)
-            except NotHermitian as exc:
-                raise NonHermitianSample(f"H({mid:.6g}) failed the hermiticity check: {exc}") from exc
-        psi = expm_hermitian(sample, dt).matrix @ psi
-        if (j + 1) % record_every == 0 or j == steps - 1:
-            times.append(t0 + (j + 1) * dt)
-            snapshots.append(psi.copy())
-    return np.asarray(times), np.asarray(snapshots)
+    mids, edges, dt = _step_grid(t0, t1, steps)
+    return _snapshots(_midpoint_factors(hamiltonian, mids, dt), state, edges, record_every)
 
 
 def dark_block(u: UnitaryOperator | np.ndarray, frame_start, frame_end) -> np.ndarray:

@@ -243,6 +243,24 @@ class TestMainExitCodes:
         cfg.write_text(json.dumps(coarse))
         assert main(["loop", "--config", str(cfg)]) == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize(
+        "kind, parameters",
+        [
+            ("gate", {"phase": float("nan")}),
+            ("stirap", {"theta_end": float("inf")}),
+            ("compare", {"omega_T_list": [1, float("inf")]}),
+            ("gate", {"stage_times": [0.25, 0.5, float("inf")]}),
+            ("loop", {"side_a": float("inf")}),
+            ("loop", {"samples": [[0.0] * 4, [float("nan"), 0.0, 0.0, 0.0], [0.0] * 4]}),
+            ("morris-shore", {"matrix": [[[float("nan"), 0.0], [1.0, 0.0]]]}),
+        ],
+    )
+    def test_non_finite_number_is_three(self, kind, parameters, tmp_path, capsys):
+        cfg = tmp_path / "nonfinite.json"
+        cfg.write_text(json.dumps({"kind": kind, "parameters": parameters}))  # NaN / Infinity literals
+        assert main([kind, "--config", str(cfg)]) == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+
     def test_report_written_to_out(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["morris-shore", "--out", str(out)]) == EXIT_OK

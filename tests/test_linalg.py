@@ -33,8 +33,9 @@ class TestOperatorTypes:
             h.matrix[0, 0] = 5.0
 
     def test_hermitian_rejects_asymmetric(self):
-        with pytest.raises(NotHermitian):
-            HermitianOperator([[0.0, 1.0], [0.5, 0.0]])
+        for matrix in ([[0.0, 1.0], [0.5, 0.0]], np.full((2, 2), np.nan)):
+            with pytest.raises(NotHermitian):
+                HermitianOperator(matrix)
 
     def test_hermitian_relative_tolerance(self):
         # A large matrix with a proportionally small asymmetry still passes.
@@ -43,8 +44,9 @@ class TestOperatorTypes:
         HermitianOperator(m)
 
     def test_unitary_rejects_contraction(self):
-        with pytest.raises(NotUnitary):
-            UnitaryOperator(0.5 * np.eye(3))
+        for matrix in (0.5 * np.eye(3), np.full((3, 3), np.nan)):
+            with pytest.raises(NotUnitary):
+                UnitaryOperator(matrix)
 
     def test_unitary_composition_and_dagger(self, rng):
         u = UnitaryOperator(random_unitary(rng, 4))

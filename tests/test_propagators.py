@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from brightpath.effective import BrightTrajectory
-from brightpath.errors import NonHermitianSample, NonMonotoneMap
+from brightpath.errors import DimensionMismatch, NonHermitianSample, NonMonotoneMap
 from brightpath.lambda_system import CouplingSet, bright_state
 from brightpath.linalg import (
     HermitianOperator,
@@ -15,6 +15,7 @@ from brightpath.propagators import (
     dark_block,
     evolve_full_adiabatic,
     evolve_state_full,
+    evolve_state_time_ordered,
     evolve_time_ordered,
     evolve_trajectory,
     leakage,
@@ -40,6 +41,15 @@ def smooth_noncommuting(t):
     return HermitianOperator(np.sin(t) * SIGMA_X + (0.5 + 0.3 * np.cos(2 * t)) * SIGMA_Z)
 
 
+def constant_lambda_schedule(n=3):
+    r = np.zeros(n)
+    r[0] = 0.6
+    r[1] = 0.8
+    phi = np.zeros(n)
+    phi[1] = 0.7
+    return lambda s: CouplingSet(omega=1.0, r=r, phi=phi)
+
+
 class TestEvolveTimeOrdered:
     def test_zero_hamiltonian(self):
         res = evolve_time_ordered(lambda t: np.zeros((3, 3)), 0.0, 1.0, 17)
@@ -63,8 +73,30 @@ class TestEvolveTimeOrdered:
         assert np.linalg.norm(res.unitary.matrix - exact) < 1e-10
 
     def test_rejects_nonhermitian_sample(self):
-        with pytest.raises(NonHermitianSample):
-            evolve_time_ordered(lambda t: np.array([[0, 1], [0, 0]]), 0.0, 1.0, 4)
+        # The error names the first failing midpoint of the 4-step grid.
+        for sample, first_bad in (
+            (lambda t: np.array([[0, 1], [0, 0]]), "0.125"),
+            (lambda t: np.full((2, 2), np.nan), "0.125"),
+            (lambda t: np.full((2, 2), np.nan) if t > 0.5 else np.zeros((2, 2)), "0.625"),
+        ):
+            with pytest.raises(NonHermitianSample, match=rf"H\({first_bad}\)"):
+                evolve_time_ordered(sample, 0.0, 1.0, 4)
+
+    def test_rejects_nonsquare_sample(self):
+        with pytest.raises(DimensionMismatch):
+            evolve_time_ordered(lambda t: np.zeros((2, 3)), 0.0, 1.0, 4)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 257])
+    def test_matches_left_multiplied_loop(self, steps):
+        # Pins the factor order (later steps to the left) and the odd-length
+        # tail of the tree product against the plain sequential product.
+        t0, t1 = 0.0, 2.0
+        dt = (t1 - t0) / steps
+        u = np.eye(2, dtype=complex)
+        for j in range(steps):
+            u = expm_hermitian(smooth_noncommuting(t0 + (j + 0.5) * dt), dt).matrix @ u
+        res = evolve_time_ordered(smooth_noncommuting, t0, t1, steps)
+        assert np.linalg.norm(res.unitary.matrix - u) < 1e-12
 
     def test_composition(self):
         full = evolve_time_ordered(smooth_noncommuting, 0.0, 2.0, 4096)
@@ -98,16 +130,8 @@ class TestEvolveTimeOrdered:
 
 
 class TestEvolveFullAdiabatic:
-    def constant_schedule(self, n=3):
-        r = np.zeros(n)
-        r[0] = 0.6
-        r[1] = 0.8
-        phi = np.zeros(n)
-        phi[1] = 0.7
-        return lambda s: CouplingSet(omega=1.0, r=r, phi=phi)
-
     def test_constant_drive_matches_rabi_closed_form(self):
-        schedule = self.constant_schedule()
+        schedule = constant_lambda_schedule()
         omega_T = 2.3
         res = evolve_full_adiabatic(schedule, AdiabaticRunConfig(omega_T=omega_T, steps=64))
         c = schedule(0.0)
@@ -121,7 +145,7 @@ class TestEvolveFullAdiabatic:
         assert np.linalg.norm(res.unitary.matrix - exact) < 1e-8
 
     def test_dark_state_is_stationary(self):
-        schedule = self.constant_schedule()
+        schedule = constant_lambda_schedule()
         res = evolve_full_adiabatic(schedule, AdiabaticRunConfig(omega_T=5.0, steps=256))
         c = schedule(0.0)
         b = bright_state(c)
@@ -129,7 +153,7 @@ class TestEvolveFullAdiabatic:
         np.testing.assert_allclose(res.unitary.matrix @ d, d, atol=1e-12)
 
     def test_bright_state_rabi_flops_to_excited(self):
-        schedule = self.constant_schedule()
+        schedule = constant_lambda_schedule()
         res = evolve_full_adiabatic(schedule, AdiabaticRunConfig(omega_T=np.pi / 2, steps=64))
         c = schedule(0.0)
         start = np.zeros(4, dtype=complex)
@@ -138,14 +162,6 @@ class TestEvolveFullAdiabatic:
         expected = np.zeros(4, dtype=complex)
         expected[3] = -1j
         assert np.linalg.norm(final - expected) < 1e-8
-
-    def test_state_propagation_matches_unitary(self):
-        schedule = self.constant_schedule()
-        config = AdiabaticRunConfig(omega_T=1.9, steps=128)
-        res = evolve_full_adiabatic(schedule, config)
-        start = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
-        _, states = evolve_state_full(schedule, config, start)
-        np.testing.assert_allclose(states[-1], res.unitary.matrix @ start, atol=1e-10)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -175,6 +191,48 @@ class TestEvolveFullAdiabatic:
             defects[ramp] = np.linalg.norm(blk.conj().T @ blk - np.eye(2))
         assert defects["smooth"] < 1e-6
         assert defects["smooth"] < defects["linear"] / 50.0
+
+
+class TestStatePropagation:
+    def full(self):
+        schedule = constant_lambda_schedule()
+        config = AdiabaticRunConfig(omega_T=1.9, steps=128)
+        start = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
+        unitary = evolve_full_adiabatic(schedule, config).unitary
+        _, states = evolve_state_full(schedule, config, start)
+        return unitary, start, states, 1e-10
+
+    def time_ordered(self):
+        start = np.array([0.6, 0.8j], dtype=complex)
+        unitary = evolve_time_ordered(smooth_noncommuting, 0.0, 2.0, 257).unitary
+        _, states = evolve_state_time_ordered(smooth_noncommuting, 0.0, 2.0, 257, start)
+        return unitary, start, states, 1e-12
+
+    @pytest.mark.parametrize("route", ["full", "time_ordered"])
+    def test_state_propagation_matches_unitary(self, route):
+        unitary, start, states, bound = getattr(self, route)()
+        np.testing.assert_allclose(states[-1], unitary.matrix @ start, rtol=0, atol=bound)
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_time_ordered_rejects_empty_grid(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            evolve_state_time_ordered(smooth_noncommuting, 0.0, 1.0, steps, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("t0, t1", [(1.0, 1.0), (1.0, 0.0)])
+    def test_time_ordered_rejects_reversed_interval(self, t0, t1):
+        with pytest.raises(ValueError, match="t1 > t0"):
+            evolve_state_time_ordered(smooth_noncommuting, t0, t1, 8, np.array([1.0, 0.0]))
+
+    def test_record_every_keeps_recorded_steps_and_last(self):
+        start = np.array([1.0, 0.0], dtype=complex)
+        all_times, all_states = evolve_state_time_ordered(smooth_noncommuting, 0.5, 1.5, 10, start)
+        times, states = evolve_state_time_ordered(smooth_noncommuting, 0.5, 1.5, 10, start, record_every=4)
+        assert len(all_times) == 11
+        np.testing.assert_allclose(all_times, 0.5 + 0.1 * np.arange(11), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(times, all_times[[0, 4, 8, 10]])
+        np.testing.assert_array_equal(states, all_states[[0, 4, 8, 10]])
+        with pytest.raises(ValueError, match="record_every"):
+            evolve_state_time_ordered(smooth_noncommuting, 0.5, 1.5, 10, start, record_every=0)
 
 
 class TestDarkBlockAndLeakage:
