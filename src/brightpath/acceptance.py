@@ -213,7 +213,7 @@ def criterion_7_reparametrization(seed: int = DEFAULT_SEED) -> CriterionResult:
     """A t -> t^2 time remap leaves the propagated gate unchanged."""
     spec = _reference_gate(theta_schedule="smooth", phi_schedule="smooth")
     trajectory = stage_trajectory(spec)
-    base = evolve_time_ordered(trajectory.h_eff, 0.0, spec.t3, 10_000).unitary
+    base = evolve_time_ordered(trajectory, 0.0, spec.t3, 10_000).unitary
     remapped = reparametrize(trajectory.h_eff, lambda t: t * t, 0.0, 1.0, fprime=lambda t: 2.0 * t)
     warped = evolve_time_ordered(remapped, 0.0, 1.0, 10_000).unitary
     distance = float(np.linalg.norm(base.matrix - warped.matrix))

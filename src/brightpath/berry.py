@@ -50,12 +50,14 @@ class ParameterPath:
             pts = pts[None, :]
         if pts.ndim != 2 or pts.shape[1] != 4 or pts.shape[0] < 1:
             raise ValueError(f"samples must be an (m, 4) array, got shape {pts.shape}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("samples must be finite")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "samples", pts)
         if self.closed:
             gap = float(np.max(np.abs(pts[0] - pts[-1])))
-            if gap >= CLOSURE_TOL:
+            if not gap < CLOSURE_TOL:
                 raise ValueError(f"closed path endpoints differ by {gap:.3e}")
 
     @property

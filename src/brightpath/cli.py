@@ -250,9 +250,12 @@ class ScenarioConfig:
                 _number(p, "side_b", lo=1e-12)
                 _number(p, "points_per_edge", lo=2, integer=True)
             else:
-                samples = np.asarray(p["samples"], dtype=float)
-                _require(samples.ndim == 2 and samples.shape[1] == 4, "samples", "must be an (m, 4) array")
-                _require(bool(np.all(np.isfinite(samples))), "samples", "entries must be finite")
+                try:
+                    samples = np.asarray(p["samples"], dtype=float)
+                    _require(samples.ndim == 2, "samples", "must be an (m, 4) array")
+                    ParameterPath(samples, closed=True)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"samples: {exc}") from exc
             _number(p, "steps", lo=1, integer=True)
             for method in p["methods"]:
                 _require(method in ("effective", "berry"), "methods", f"unsupported method {method!r}")
@@ -583,57 +586,38 @@ def emit_timeseries(config: ScenarioConfig, path: str, record_every: int = 1) ->
     if config.kind == "stirap":
         trajectory = stirap_trajectory(float(p["theta_end"]), p["ramp"])
         start = np.array([1.0, 0.0], dtype=complex)
-        times, states = evolve_state_time_ordered(
-            trajectory.h_eff, 0.0, 1.0, int(p["steps"]), start, record_every
-        )
+        times, states = evolve_state_time_ordered(trajectory, 0.0, 1.0, int(p["steps"]), start, record_every)
         reference = start
-
-        def dark_population(t, state):
-            frame = trajectory.value(t)[0]
-            bright_amp = np.vdot(frame, state)
-            return float(np.vdot(state, state).real - abs(bright_amp) ** 2)
-
+        bright = trajectory.sample(times)[0]
     elif config.kind == "gate":
         spec = _gate_spec(p)
-        reference = spec.psi
+        trajectory = stage_trajectory(spec)
         if "full" in p["methods"]:
             schedule = gate_coupling_schedule(spec)
             start = np.zeros(spec.n + 1, dtype=complex)
             start[: spec.n] = spec.psi
             run_config = AdiabaticRunConfig(omega_T=float(p["omega_T"]), steps=int(p["full_steps"]))
             times, states = evolve_state_full(schedule, run_config, start, record_every)
-            trajectory = stage_trajectory(spec)
             reference = start
-
-            def dark_population(t, state):
-                frame = np.zeros(spec.n + 1, dtype=complex)
-                frame[: spec.n] = trajectory.value(t * spec.t3)[0]
-                bright_amp = np.vdot(frame, state)
-                excited_amp = state[spec.n]
-                return float(
-                    np.vdot(state, state).real - abs(bright_amp) ** 2 - abs(excited_amp) ** 2
-                )
-
+            # The bright state embedded in n+1 levels, and the excited level.
+            bright = np.zeros((len(times), 2, spec.n + 1), dtype=complex)
+            bright[:, 0, : spec.n] = trajectory.sample(times * spec.t3)[0][:, 0]
+            bright[:, 1, spec.n] = 1.0
         else:
-            trajectory = stage_trajectory(spec)
-            start = spec.psi
-            times, states = evolve_state_time_ordered(
-                trajectory.h_eff, 0.0, spec.t3, int(p["steps"]), start, record_every
-            )
-
-            def dark_population(t, state):
-                frame = trajectory.value(t)[0]
-                bright_amp = np.vdot(frame, state)
-                return float(np.vdot(state, state).real - abs(bright_amp) ** 2)
-
+            start = reference = spec.psi
+            times, states = evolve_state_time_ordered(trajectory, 0.0, spec.t3, int(p["steps"]), start, record_every)
+            bright = trajectory.sample(times)[0]
     else:
         raise ConfigError(f"kind: scenario {config.kind!r} does not support time series")
 
+    # Population outside the bright (and excited) states: the dark subspace.
+    amplitudes = np.einsum("rkd,rd->rk", bright.conj(), states)
+    dark = (states.conj() * states).real.sum(axis=1) - (np.abs(amplitudes) ** 2).sum(axis=1)
     dim = states.shape[1]
     header = "t,leakage," + ",".join(f"pop_{i + 1}" for i in range(dim)) + ",phase_psi"
     lines = [header]
-    for t, state in zip(times, states):
-        leak = max(0.0, 1.0 - dark_population(t, state))
+    for t, state, dark_t in zip(times, states, dark):
+        leak = max(0.0, 1.0 - float(dark_t))
         pops = ",".join(repr(float(abs(amp) ** 2)) for amp in state)
         overlap = complex(np.vdot(reference, state))
         phase = float(np.angle(overlap)) if abs(overlap) > 1e-12 else 0.0

@@ -13,7 +13,6 @@ without ever constructing a dark basis.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -24,16 +23,49 @@ from .errors import (
     DimensionMismatch,
     NormalizationDriftError,
     NotNormalized,
+    NotOrthonormal,
 )
 from .lambda_system import CouplingSet
 from .linalg import (
     INPUT_ORTHONORMALITY_TOL,
     HermitianOperator,
+    _orthonormality_failure,
     check_orthonormal,
 )
 
 DERIVATIVE_TANGENCY_TOL = 1e-8
 NORMALIZATION_DRIFT_TOL = 1e-8
+
+
+def _h_eff_stack(values: np.ndarray, derivatives: np.ndarray, *, times: np.ndarray | None = None) -> np.ndarray:
+    """H_eff = sum_i i(|Bdot_i><B_i| - |B_i><Bdot_i|) for every sample of an
+    (M, k, dim) stack of bright frames and their derivatives, as (M, dim, dim).
+
+    Every frame must be orthonormal (``INPUT_ORTHONORMALITY_TOL``) and every
+    derivative tangent, |Re <Bdot_i|B_i>| < DERIVATIVE_TANGENCY_TOL *
+    max(1, ||Bdot_i||).  The first failing sample is named, by its time when
+    ``times`` is given.  Written so that non-finite entries fail.
+    """
+    values = np.asarray(values, dtype=complex)
+    derivatives = np.asarray(derivatives, dtype=complex)
+    if values.shape != derivatives.shape or values.ndim != 3:
+        raise DimensionMismatch(f"values {values.shape} and derivatives {derivatives.shape} must share an (M, k, dim) shape")
+
+    def at(j: int) -> str:
+        return "" if times is None else f" at t={times[j]:.6g}"
+
+    failure = _orthonormality_failure(values)
+    if failure is not None:
+        j, why = failure
+        raise NotOrthonormal(why + at(j))
+    tangency = np.abs((derivatives.conj() * values).real.sum(axis=2))
+    scale = np.maximum(1.0, np.linalg.norm(derivatives, axis=2))
+    passed = (tangency < DERIVATIVE_TANGENCY_TOL * scale).all(axis=1)
+    if not passed.all():
+        j = int(np.argmin(passed))
+        raise DerivativeInconsistent(f"Re <Bdot_i|B_i> = {tangency[j].max():.3e} is not ~0{at(j)}")
+    cross = np.einsum("mki,mkj->mij", derivatives, values.conj())
+    return 1j * (cross - cross.conj().transpose(0, 2, 1))
 
 
 def h_eff_single(b: np.ndarray, bdot: np.ndarray) -> HermitianOperator:
@@ -47,28 +79,17 @@ def h_eff_single(b: np.ndarray, bdot: np.ndarray) -> HermitianOperator:
     if b.shape != bdot.shape or b.ndim != 1:
         raise DimensionMismatch(f"state and derivative shapes differ: {b.shape} vs {bdot.shape}")
     deviation = abs(np.vdot(b, b).real - 1.0)
-    if deviation >= 1e-8:
+    if not deviation < 1e-8:
         raise NotNormalized(f"|<B|B> - 1| = {deviation:.3e}")
-    tangency = abs(np.vdot(bdot, b).real)
-    if tangency >= DERIVATIVE_TANGENCY_TOL * max(1.0, float(np.linalg.norm(bdot))):
-        raise DerivativeInconsistent(f"Re <Bdot|B> = {tangency:.3e} is not ~0")
-    cross = np.outer(bdot, b.conj())
-    return HermitianOperator(1j * (cross - cross.conj().T))
+    return HermitianOperator(_h_eff_stack(b[None, None], bdot[None, None])[0])
 
 
 def h_eff_multi(values: Sequence[np.ndarray] | np.ndarray, derivatives: Sequence[np.ndarray] | np.ndarray) -> HermitianOperator:
-    """Sum of single-bright-state generators for an orthonormal bright set."""
+    """Sum of single-bright-state generators for an orthonormal bright set
+    (the one-sample case of the batched build)."""
     frame = np.atleast_2d(np.asarray(values, dtype=complex))
     dframe = np.atleast_2d(np.asarray(derivatives, dtype=complex))
-    if frame.shape != dframe.shape:
-        raise DimensionMismatch(f"value/derivative shapes differ: {frame.shape} vs {dframe.shape}")
-    check_orthonormal(frame)
-    for bdot, b in zip(dframe, frame):
-        tangency = abs(np.vdot(bdot, b).real)
-        if tangency >= DERIVATIVE_TANGENCY_TOL * max(1.0, float(np.linalg.norm(bdot))):
-            raise DerivativeInconsistent(f"Re <Bdot_i|B_i> = {tangency:.3e} is not ~0")
-    cross = dframe.T @ frame.conj()
-    return HermitianOperator(1j * (cross - cross.conj().T))
+    return HermitianOperator(_h_eff_stack(frame[None], dframe[None])[0])
 
 
 def h_eff_couplings(c: CouplingSet, rdot, phidot) -> HermitianOperator:
@@ -83,7 +104,7 @@ def h_eff_couplings(c: CouplingSet, rdot, phidot) -> HermitianOperator:
     if rdot.shape != c.r.shape or phidot.shape != c.r.shape:
         raise DimensionMismatch("rdot/phidot must match the coupling set size")
     drift = abs(float(np.sum(c.r * rdot)))
-    if drift >= NORMALIZATION_DRIFT_TOL * max(1.0, float(np.linalg.norm(rdot))):
+    if not drift < NORMALIZATION_DRIFT_TOL * max(1.0, float(np.linalg.norm(rdot))):
         raise NormalizationDriftError(f"sum(r_i rdot_i) = {drift:.3e} is not ~0")
     gauge = -np.add.outer(phidot, phidot) * np.outer(c.r, c.r)
     twist = 1j * (np.outer(rdot, c.r) - np.outer(c.r, rdot))
@@ -96,9 +117,13 @@ class BrightTrajectory:
     """Time-dependent orthonormal bright frame with analytic derivatives.
 
     ``value(t)`` returns a (k, dim) array of bright states, ``derivative(t)``
-    their time derivatives.  ``breakpoints`` lists interior times where the
-    derivative may jump (piecewise schedules); value stays continuous there.
-    Evaluation must be pure: the same t always yields the same output.
+    their time derivatives.  ``sample(times)`` evaluates a whole array of
+    times at once as (values, derivatives), each (M, k, dim): through
+    ``sampler`` when the trajectory has one (see :meth:`from_sampler`),
+    otherwise by stacking the scalar calls.  ``breakpoints`` lists interior
+    times where the derivative may jump (piecewise schedules); value stays
+    continuous there.  Evaluation must be pure: the same t always yields the
+    same output.
     """
 
     dim: int
@@ -108,22 +133,56 @@ class BrightTrajectory:
     value: Callable[[float], np.ndarray]
     derivative: Callable[[float], np.ndarray]
     breakpoints: tuple[float, ...] = ()
+    sampler: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_sampler(
+        cls,
+        dim: int,
+        k: int,
+        t_start: float,
+        t_end: float,
+        sampler: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+        breakpoints: tuple[float, ...] = (),
+    ) -> "BrightTrajectory":
+        """A trajectory written once, vectorized: ``sampler(times)`` returns
+        (values, derivatives) of shape (M, k, dim), and the scalar ``value``
+        and ``derivative`` are its one-element case."""
+        return cls(
+            dim=dim,
+            k=k,
+            t_start=t_start,
+            t_end=t_end,
+            value=lambda t: sampler(np.array([t], dtype=float))[0][0],
+            derivative=lambda t: sampler(np.array([t], dtype=float))[1][0],
+            breakpoints=breakpoints,
+            sampler=sampler,
+        )
+
+    def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """Values and derivatives at every time of a 1-D array, each (M, k, dim)."""
+        times = np.asarray(times, dtype=float)
+        if self.sampler is not None:
+            return self.sampler(times)
+        values = np.array([np.atleast_2d(self.value(float(t))) for t in times], dtype=complex)
+        derivatives = np.array([np.atleast_2d(self.derivative(float(t))) for t in times], dtype=complex)
+        return values, derivatives
 
     def h_eff(self, t: float) -> HermitianOperator:
         """The geometric generator carried by this trajectory at time ``t``."""
-        return h_eff_multi(self.value(t), self.derivative(t))
+        values, derivatives = self.sample(np.array([t], dtype=float))
+        return h_eff_multi(values[0], derivatives[0])
 
     def reversed(self) -> "BrightTrajectory":
         """The same bright path traversed backwards in time."""
         t0, t1 = self.t_start, self.t_end
-        return BrightTrajectory(
-            dim=self.dim,
-            k=self.k,
-            t_start=t0,
-            t_end=t1,
-            value=lambda t: self.value(t0 + t1 - t),
-            derivative=lambda t: -self.derivative(t0 + t1 - t),
-            breakpoints=tuple(sorted(t0 + t1 - b for b in self.breakpoints)),
+
+        def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            values, derivatives = self.sample(t0 + t1 - times)
+            return values, -derivatives
+
+        return BrightTrajectory.from_sampler(
+            self.dim, self.k, t0, t1, sampler, tuple(sorted(t0 + t1 - b for b in self.breakpoints))
         )
 
     def validate(self, times: Sequence[float] | None = None, steps_h: tuple[float, float] = (1e-4, 1e-5)) -> None:
@@ -183,19 +242,18 @@ class BrightTrajectory:
         edges = [p.t_start for p in pieces[1:]]
         interior = tuple(sorted(set(edges).union(b for p in pieces for b in p.breakpoints)))
 
-        def locate(t: float) -> "BrightTrajectory":
-            idx = bisect.bisect_right(edges, t)
-            return pieces[idx]
+        def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # A time on a shared edge belongs to the piece on its right.
+            which = np.searchsorted(edges, times, side="right")
+            values = np.empty((times.size, k, dim), dtype=complex)
+            derivatives = np.empty_like(values)
+            for i, piece in enumerate(pieces):
+                mine = which == i
+                if mine.any():
+                    values[mine], derivatives[mine] = piece.sample(times[mine])
+            return values, derivatives
 
-        return BrightTrajectory(
-            dim=dim,
-            k=k,
-            t_start=pieces[0].t_start,
-            t_end=pieces[-1].t_end,
-            value=lambda t: locate(t).value(t),
-            derivative=lambda t: locate(t).derivative(t),
-            breakpoints=interior,
-        )
+        return BrightTrajectory.from_sampler(dim, k, pieces[0].t_start, pieces[-1].t_end, sampler, interior)
 
 
 def finite_difference_adapter(

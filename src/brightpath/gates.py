@@ -56,9 +56,9 @@ class GateSpec:
         if psi.shape != (self.n,):
             raise ValueError(f"psi must have shape ({self.n},), got {psi.shape}")
         deviation = abs(np.vdot(psi, psi).real - 1.0)
-        if deviation >= 1e-10:
+        if not deviation < 1e-10:
             raise NotNormalized(f"|<psi|psi> - 1| = {deviation:.3e}")
-        if abs(psi[self.n - 1]) >= 1e-12:
+        if not abs(psi[self.n - 1]) < 1e-12:
             raise ValueError("psi must have no component on the auxiliary level")
         if not (0.0 < self.t1 < self.t2 < self.t3):
             raise ValueError(f"need 0 < t1 < t2 < t3, got {(self.t1, self.t2, self.t3)}")
@@ -84,15 +84,13 @@ def stage_trajectory(spec: GateSpec) -> BrightTrajectory:
     psi, aux, twist = spec.psi, spec.auxiliary, spec.phase_twist
 
     def rotation_piece(t_lo: float, t_hi: float, theta_of, theta_rate, phase: complex) -> BrightTrajectory:
-        def value(t: float) -> np.ndarray:
-            th = theta_of(t)
-            return np.atleast_2d(phase * np.sin(th / 2) * psi + np.cos(th / 2) * aux)
+        def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            th, rate = theta_of(times)[:, None], theta_rate(times)[:, None]
+            values = phase * np.sin(th / 2) * psi + np.cos(th / 2) * aux
+            derivatives = (rate / 2) * (phase * np.cos(th / 2) * psi - np.sin(th / 2) * aux)
+            return values[:, None, :], derivatives[:, None, :]
 
-        def derivative(t: float) -> np.ndarray:
-            th, rate = theta_of(t), theta_rate(t)
-            return np.atleast_2d((rate / 2) * (phase * np.cos(th / 2) * psi - np.sin(th / 2) * aux))
-
-        return BrightTrajectory(dim=spec.n, k=1, t_start=t_lo, t_end=t_hi, value=value, derivative=derivative)
+        return BrightTrajectory.from_sampler(spec.n, 1, t_lo, t_hi, sampler)
 
     span1 = spec.t1
     stage1 = rotation_piece(
@@ -105,20 +103,15 @@ def stage_trajectory(spec: GateSpec) -> BrightTrajectory:
 
     span2 = spec.t2 - spec.t1
 
-    def phi_of(t: float) -> float:
-        return twist * ramp_value(spec.phi_schedule, (t - spec.t1) / span2)
+    def twist_sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        progress = (times - spec.t1) / span2
+        phi = twist * ramp_value(spec.phi_schedule, progress)
+        rate = twist * ramp_rate(spec.phi_schedule, progress) / span2
+        values = np.exp(1j * phi)[:, None] * psi
+        derivatives = (1j * rate * np.exp(1j * phi))[:, None] * psi
+        return values[:, None, :], derivatives[:, None, :]
 
-    def phi_rate(t: float) -> float:
-        return twist * ramp_rate(spec.phi_schedule, (t - spec.t1) / span2) / span2
-
-    stage2 = BrightTrajectory(
-        dim=spec.n,
-        k=1,
-        t_start=spec.t1,
-        t_end=spec.t2,
-        value=lambda t: np.atleast_2d(np.exp(1j * phi_of(t)) * psi),
-        derivative=lambda t: np.atleast_2d(1j * phi_rate(t) * np.exp(1j * phi_of(t)) * psi),
-    )
+    stage2 = BrightTrajectory.from_sampler(spec.n, 1, spec.t1, spec.t2, twist_sampler)
 
     span3 = spec.t3 - spec.t2
     stage3 = rotation_piece(
@@ -241,7 +234,7 @@ def simulate_gate(spec: GateSpec, steps: int = 10_000) -> GateReport:
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
     trajectory = stage_trajectory(spec)
-    propagation = evolve_time_ordered(trajectory.h_eff, 0.0, spec.t3, steps)
+    propagation = evolve_time_ordered(trajectory, 0.0, spec.t3, steps)
     analytic = compose_gate(spec)
     sim_block = logical_block(propagation.unitary, spec.n)
     ana_block = logical_block(analytic, spec.n)
@@ -268,20 +261,14 @@ class StirapReport:
 def stirap_trajectory(theta_end: float, ramp: str = "linear") -> BrightTrajectory:
     """Two-level bright path B = sin(theta)|1> + cos(theta)|2>, theta 0 -> end."""
 
-    def theta(t: float) -> float:
-        return theta_end * ramp_value(ramp, t)
+    def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        theta = theta_end * ramp_value(ramp, times)
+        rate = theta_end * ramp_rate(ramp, times)
+        values = np.stack([np.sin(theta), np.cos(theta)], axis=-1)
+        derivatives = np.stack([rate * np.cos(theta), -rate * np.sin(theta)], axis=-1)
+        return values[:, None, :].astype(complex), derivatives[:, None, :].astype(complex)
 
-    def rate(t: float) -> float:
-        return theta_end * ramp_rate(ramp, t)
-
-    return BrightTrajectory(
-        dim=2,
-        k=1,
-        t_start=0.0,
-        t_end=1.0,
-        value=lambda t: np.atleast_2d([np.sin(theta(t)), np.cos(theta(t))]).astype(complex),
-        derivative=lambda t: np.atleast_2d([rate(t) * np.cos(theta(t)), -rate(t) * np.sin(theta(t))]).astype(complex),
-    )
+    return BrightTrajectory.from_sampler(2, 1, 0.0, 1.0, sampler)
 
 
 def stirap_transfer(theta_end: float = np.pi / 2, steps: int = DEFAULT_GEOMETRIC_STEPS, ramp: str = "linear") -> StirapReport:
@@ -296,7 +283,7 @@ def stirap_transfer(theta_end: float = np.pi / 2, steps: int = DEFAULT_GEOMETRIC
         start = np.array([1.0, 0.0], dtype=complex)
         return StirapReport(start, start.copy(), 0.0, 0.0)
     trajectory = stirap_trajectory(theta_end, ramp)
-    result = evolve_time_ordered(trajectory.h_eff, 0.0, 1.0, steps)
+    result = evolve_time_ordered(trajectory, 0.0, 1.0, steps)
     start = np.array([1.0, 0.0], dtype=complex)
     final = result.unitary.matrix @ start
     expected = np.array([np.cos(theta_end), -np.sin(theta_end)], dtype=complex)

@@ -37,7 +37,7 @@ def as_state(v, *, require_normalized: bool = False, tol: float = NORMALIZATION_
         raise DimensionMismatch(f"expected a 1-D vector, got shape {vec.shape}")
     if require_normalized:
         deviation = abs(np.vdot(vec, vec).real - 1.0)
-        if deviation >= tol:
+        if not deviation < tol:
             raise NotNormalized(f"|<v|v> - 1| = {deviation:.3e} exceeds {tol:.1e}")
     return vec
 
@@ -53,12 +53,22 @@ def as_frame(vectors, *, tol: float = INPUT_ORTHONORMALITY_TOL) -> np.ndarray:
 
 def check_orthonormal(frame: np.ndarray, tol: float = INPUT_ORTHONORMALITY_TOL) -> None:
     """Raise ``NotOrthonormal`` unless ``frame`` rows satisfy <v_i|v_j> = delta_ij."""
-    if len(frame) == 0:
-        return
-    gram = frame.conj() @ frame.T
-    deviation = np.max(np.abs(gram - np.eye(len(frame))))
-    if deviation >= tol:
-        raise NotOrthonormal(f"max |<v_i|v_j> - delta_ij| = {deviation:.3e} exceeds {tol:.1e}")
+    failure = _orthonormality_failure(np.asarray(frame)[None], tol)
+    if failure is not None:
+        raise NotOrthonormal(failure[1])
+
+
+def _orthonormality_failure(frames: np.ndarray, tol: float = INPUT_ORTHONORMALITY_TOL) -> tuple[int, str] | None:
+    """Index and description of the first (k, n) frame of an (M, k, n) stack
+    whose rows fail max |<v_i|v_j> - delta_ij| < tol, or None if all pass.
+    Written so that non-finite entries fail."""
+    gram = frames.conj() @ frames.transpose(0, 2, 1)
+    deviation = np.abs(gram - np.eye(frames.shape[1])).max(axis=(1, 2), initial=0.0)
+    passed = deviation < tol
+    if passed.all():
+        return None
+    j = int(np.argmin(passed))
+    return j, f"max |<v_i|v_j> - delta_ij| = {deviation[j]:.3e} exceeds {tol:.1e}"
 
 
 def _hermiticity_failure(stack: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[int, str] | None:

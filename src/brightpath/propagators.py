@@ -16,6 +16,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
+from .effective import BrightTrajectory, _h_eff_stack
 from .errors import DimensionMismatch, NonHermitianSample, NonMonotoneMap
 from .lambda_system import CouplingSet, _check_drive
 from .linalg import (
@@ -31,6 +32,10 @@ from .ramps import ramp_value
 
 DEFAULT_GEOMETRIC_STEPS = 4096
 DEFAULT_FULL_STEPS = 65536
+
+# What the midpoint rule propagates: a bright trajectory (its geometric
+# generator) or any callable t -> H(t).
+Hamiltonian = BrightTrajectory | Callable[[float], HermitianOperator | np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -75,13 +80,15 @@ def _step_grid(t0: float, t1: float, steps: int) -> tuple[np.ndarray, np.ndarray
     return t0 + span * (k[:-1] + 0.5) / steps, t0 + span * k / steps, span / steps
 
 
-def _midpoint_factors(
-    hamiltonian: Callable[[float], HermitianOperator | np.ndarray], mids: np.ndarray, dt: float
-) -> np.ndarray:
+def _midpoint_factors(hamiltonian: Hamiltonian, mids: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i H(m_j) dt) for every midpoint m_j; every sample must pass the
-    hermiticity check, and the first that fails is named."""
-    samples = [hamiltonian(float(m)) for m in mids]
-    stack = np.array([h.matrix if isinstance(h, HermitianOperator) else h for h in samples], dtype=complex)
+    hermiticity check, and the first that fails is named.  A trajectory's
+    generators are built from one ``sample`` of all midpoints."""
+    if isinstance(hamiltonian, BrightTrajectory):
+        stack = _h_eff_stack(*hamiltonian.sample(mids), times=mids)
+    else:
+        samples = [hamiltonian(float(m)) for m in mids]
+        stack = np.array([h.matrix if isinstance(h, HermitianOperator) else h for h in samples], dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise DimensionMismatch(f"H(t) must be square matrices of one size, got stack shape {stack.shape}")
     failure = _hermiticity_failure(stack)
@@ -160,7 +167,7 @@ def _snapshots(
 
 
 def evolve_time_ordered(
-    hamiltonian: Callable[[float], HermitianOperator | np.ndarray],
+    hamiltonian: Hamiltonian,
     t0: float,
     t1: float,
     steps: int = DEFAULT_GEOMETRIC_STEPS,
@@ -168,7 +175,9 @@ def evolve_time_ordered(
     """Time-ordered product of midpoint-rule exponentials.
 
     U = exp(-i H(m_M) dt) ... exp(-i H(m_1) dt) with m_j the midpoint of the
-    j-th subinterval; later factors multiply from the left.
+    j-th subinterval; later factors multiply from the left.  ``hamiltonian``
+    is a :class:`BrightTrajectory`, whose generator H_eff is built for all
+    midpoints at once, or a callable t -> H(t).
     """
     mids, _, dt = _step_grid(t0, t1, steps)
     unitary, drift = _unitary_product(_midpoint_factors(hamiltonian, mids, dt))
@@ -179,7 +188,7 @@ def evolve_trajectory(trajectory, t0=None, t1=None, steps: int = DEFAULT_GEOMETR
     """Propagate the geometric generator carried by a bright trajectory."""
     t0 = trajectory.t_start if t0 is None else t0
     t1 = trajectory.t_end if t1 is None else t1
-    return evolve_time_ordered(trajectory.h_eff, t0, t1, steps)
+    return evolve_time_ordered(trajectory, t0, t1, steps)
 
 
 def evolve_full_adiabatic(
@@ -215,14 +224,15 @@ def evolve_state_full(
 
 
 def evolve_state_time_ordered(
-    hamiltonian: Callable[[float], HermitianOperator | np.ndarray],
+    hamiltonian: Hamiltonian,
     t0: float,
     t1: float,
     steps: int,
     state: np.ndarray,
     record_every: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint-rule propagation of one state, with snapshots.
+    """Midpoint-rule propagation of one state, with snapshots;
+    ``hamiltonian`` as for :func:`evolve_time_ordered`.
 
     Returns (times, states); row 0 is the initial state at t0.
     """

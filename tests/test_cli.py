@@ -243,6 +243,13 @@ class TestMainExitCodes:
         cfg.write_text(json.dumps(coarse))
         assert main(["loop", "--config", str(cfg)]) == EXIT_NUMERICAL
 
+    def test_open_samples_polyline_is_three(self, tmp_path, capsys):
+        open_path = {"samples": [[0.1, 0.1, 0.0, 0.0], [0.15, 0.1, 0.0, 0.0], [0.15, 0.15, 0.0, 0.0]]}
+        cfg = tmp_path / "open.json"
+        cfg.write_text(json.dumps({"kind": "loop", "parameters": open_path}))
+        assert main(["loop", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "samples: closed path endpoints differ" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "kind, parameters",
         [

@@ -17,6 +17,7 @@ from brightpath.errors import (
     NotNormalized,
     NotOrthonormal,
 )
+from brightpath.gates import GateSpec, stage_trajectory, stirap_trajectory
 from brightpath.lambda_system import CouplingSet, bright_state
 
 
@@ -53,12 +54,14 @@ class TestHEffSingle:
         np.testing.assert_allclose(h, -2 * w * np.outer(v, v.conj()), atol=1e-13)
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(NotNormalized):
-            h_eff_single(np.array([1.0, 1.0]), np.zeros(2))
+        for b in (np.array([1.0, 1.0]), np.array([np.nan, 0.0])):
+            with pytest.raises(NotNormalized):
+                h_eff_single(b, np.zeros(2))
 
     def test_rejects_radial_derivative(self):
-        with pytest.raises(DerivativeInconsistent):
-            h_eff_single(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        for bdot in (np.array([1.0, 0.0]), np.array([np.nan, 0.0])):
+            with pytest.raises(DerivativeInconsistent):
+                h_eff_single(np.array([1.0, 0.0]), bdot)
 
     def test_hermitian_and_dark_sandwich(self, rng):
         b = rng.normal(size=5) + 1j * rng.normal(size=5)
@@ -113,8 +116,9 @@ class TestHEffMulti:
         np.testing.assert_allclose(total, summed, atol=1e-13)
 
     def test_rejects_nonorthonormal_frame(self):
-        with pytest.raises(NotOrthonormal):
-            h_eff_multi([np.array([1.0, 0]), np.array([1.0, 0])], np.zeros((2, 2)))
+        for frame in ([np.array([1.0, 0]), np.array([1.0, 0])], [np.array([np.nan, 0]), np.array([0, 1.0])]):
+            with pytest.raises(NotOrthonormal):
+                h_eff_multi(frame, np.zeros((2, 2)))
 
 
 class TestHEffCouplings:
@@ -145,8 +149,9 @@ class TestHEffCouplings:
 
     def test_normalization_drift_rejected(self):
         c = CouplingSet(omega=1.0, r=np.array([0.6, 0.8]), phi=np.zeros(2))
-        with pytest.raises(NormalizationDriftError):
-            h_eff_couplings(c, np.array([1.0, 1.0]), np.zeros(2))
+        for rdot in (np.array([1.0, 1.0]), np.array([np.nan, 0.0])):
+            with pytest.raises(NormalizationDriftError):
+                h_eff_couplings(c, rdot, np.zeros(2))
 
     def test_vanishing_amplitude_is_finite(self):
         c = CouplingSet(omega=1.0, r=np.array([0.0, 1.0]), phi=np.array([0.3, 0.0]))
@@ -234,6 +239,86 @@ class TestBrightTrajectory:
         )
         with pytest.raises(ValueError):
             BrightTrajectory.concatenate([first, second])
+
+
+def stacked_scalar_calls(traj, times):
+    return (
+        np.array([traj.value(float(t)) for t in times]),
+        np.array([traj.derivative(float(t)) for t in times]),
+    )
+
+
+def off_grid_gate(theta_schedule="smooth"):
+    psi = np.array([0.6, 0.8j, 0.0])
+    return GateSpec(n=3, psi=psi, phase_twist=0.9, t1=0.3137, t2=0.5711, t3=1.0, theta_schedule=theta_schedule)
+
+
+class TestSample:
+    """``sample(times)`` against the stacked scalar calls of the same trajectory."""
+
+    # The 8-step midpoints put no time on the default stage edges 0.25 and
+    # 0.5 or on the off-grid ones; the edges themselves are appended.
+    @pytest.mark.parametrize(
+        "spec",
+        [GateSpec(n=3, psi=np.array([1, 1, 0]) / np.sqrt(2), phase_twist=np.pi / 3), off_grid_gate()],
+        ids=["on_grid", "off_grid"],
+    )
+    def test_stage_trajectory(self, spec):
+        traj = stage_trajectory(spec)
+        times = np.concatenate([(np.arange(8) + 0.5) / 8 * spec.t3, np.linspace(0.0, spec.t3, 17), [spec.t1, spec.t2]])
+        for got, want in zip(traj.sample(times), stacked_scalar_calls(traj, times)):
+            assert got.shape == (times.size, 1, 3)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_stage_edges_go_to_the_right_hand_piece(self):
+        spec = off_grid_gate("linear")
+        _, derivatives = stage_trajectory(spec).sample(np.array([spec.t1, spec.t2]))
+        # At t1 the twist stage moves the bright state along i psi; at t2
+        # the return rotation moves it towards the auxiliary level, at rate
+        # pi / (2 (t3 - t2)).
+        twist_rate = 0.9 / (spec.t2 - spec.t1)
+        np.testing.assert_allclose(derivatives[0, 0], 1j * twist_rate * spec.psi, rtol=0, atol=1e-12)
+        assert abs(derivatives[1, 0, 2]) == pytest.approx(np.pi / (2 * (spec.t3 - spec.t2)))
+
+    @pytest.mark.parametrize("ramp", ["linear", "smooth"])
+    def test_stirap_and_reversed(self, ramp):
+        times = np.linspace(0.0, 1.0, 33)
+        for traj in (stirap_trajectory(1.3, ramp), stirap_trajectory(1.3, ramp).reversed()):
+            for got, want in zip(traj.sample(times), stacked_scalar_calls(traj, times)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        forward = stirap_trajectory(1.3, ramp).sample(times)
+        backward = stirap_trajectory(1.3, ramp).reversed().sample(times[::-1])
+        np.testing.assert_array_equal(backward[0], forward[0])
+        np.testing.assert_array_equal(backward[1], -forward[1])
+
+    def test_concatenate_of_scalar_pieces(self):
+        pieces = [
+            BrightTrajectory(
+                dim=2,
+                k=1,
+                t_start=lo,
+                t_end=hi,
+                value=lambda t: np.atleast_2d(rotating_pair(t)[0]),
+                derivative=lambda t, w=w: np.atleast_2d(w * rotating_pair(t)[1]),
+            )
+            for lo, hi, w in ((0.0, 0.5, 1.0), (0.5, 1.0, 2.0), (1.0, 1.5, 3.0))
+        ]
+        traj = BrightTrajectory.concatenate(pieces)
+        times = np.array([0.0, 0.2, 0.5, 0.7, 1.0, 1.3, 1.5])
+        values, derivatives = traj.sample(times)
+        for got, want in zip((values, derivatives), stacked_scalar_calls(traj, times)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        # bisect_right: a time on an edge belongs to the piece that starts there.
+        owner = [pieces[min(int(t // 0.5), 2)] for t in times]
+        np.testing.assert_array_equal(derivatives, [p.derivative(t) for p, t in zip(owner, times)])
+        reversed_values, _ = traj.reversed().sample(1.5 - times)
+        np.testing.assert_allclose(reversed_values, values, rtol=0, atol=1e-15)
+
+    def test_finite_difference_adapter(self):
+        traj = finite_difference_adapter(lambda t: np.atleast_2d(rotating_pair(t)[0]), 0.0, 2.0, dim=2, h=1e-5)
+        times = np.linspace(0.0, 2.0, 9)
+        for got, want in zip(traj.sample(times), stacked_scalar_calls(traj, times)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 class TestFiniteDifferenceAdapter:

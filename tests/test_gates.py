@@ -12,6 +12,7 @@ from brightpath.gates import (
     stage_trajectory,
     stirap_transfer,
 )
+from brightpath.errors import NotNormalized
 from brightpath.linalg import matrix_distance, unitary_distance
 
 
@@ -23,8 +24,9 @@ def spec_pi3(n=3, **kwargs):
 
 class TestGateSpec:
     def test_rejects_unnormalized_psi(self):
-        with pytest.raises(Exception):
-            GateSpec(n=3, psi=np.array([1.0, 1.0, 0.0]), phase_twist=0.1)
+        for psi in (np.array([1.0, 1.0, 0.0]), np.array([np.nan, 0.0, 0.0])):
+            with pytest.raises(NotNormalized):
+                GateSpec(n=3, psi=psi, phase_twist=0.1)
 
     def test_rejects_auxiliary_support(self):
         psi = np.array([0.6, 0.0, 0.8], dtype=complex)

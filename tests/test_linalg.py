@@ -7,12 +7,14 @@ from brightpath.errors import (
     DimensionMismatch,
     LinearlyDependentInput,
     NotHermitian,
+    NotNormalized,
     NotOrthonormal,
     NotUnitary,
 )
 from brightpath.linalg import (
     HermitianOperator,
     UnitaryOperator,
+    as_state,
     expm_hermitian,
     gram_schmidt,
     matrix_distance,
@@ -53,6 +55,11 @@ class TestOperatorTypes:
         v = UnitaryOperator(random_unitary(rng, 4))
         np.testing.assert_allclose((u @ v).matrix, u.matrix @ v.matrix, atol=1e-14)
         np.testing.assert_allclose((u @ u.dagger()).matrix, np.eye(4), atol=1e-12)
+
+    def test_state_rejects_unnormalized(self):
+        for vector in ([1.0, 1.0], [np.nan, 0.0]):
+            with pytest.raises(NotNormalized):
+                as_state(vector, require_normalized=True)
 
     def test_rectangular_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -115,8 +122,9 @@ class TestProjectorFromFrame:
         assert abs(np.trace(p).real - 3.0) < 1e-12
 
     def test_rejects_non_orthonormal(self):
-        with pytest.raises(NotOrthonormal):
-            projector_from_frame([np.array([1.0, 0.0]), np.array([0.9, 0.1])])
+        for frame in ([np.array([1.0, 0.0]), np.array([0.9, 0.1])], [np.array([np.nan, 0.0])]):
+            with pytest.raises(NotOrthonormal):
+                projector_from_frame(frame)
 
 
 class TestExpmHermitian:

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from brightpath.effective import BrightTrajectory
-from brightpath.errors import DimensionMismatch, NonHermitianSample, NonMonotoneMap
+from brightpath.errors import (
+    DerivativeInconsistent,
+    DimensionMismatch,
+    NonHermitianSample,
+    NonMonotoneMap,
+    NotOrthonormal,
+)
+from brightpath.gates import GateSpec, stage_trajectory
 from brightpath.lambda_system import CouplingSet, bright_state
 from brightpath.linalg import (
     HermitianOperator,
@@ -97,6 +104,43 @@ class TestEvolveTimeOrdered:
             u = expm_hermitian(smooth_noncommuting(t0 + (j + 0.5) * dt), dt).matrix @ u
         res = evolve_time_ordered(smooth_noncommuting, t0, t1, steps)
         assert np.linalg.norm(res.unitary.matrix - u) < 1e-12
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 257, 10_000])
+    def test_trajectory_matches_its_scalar_generator(self, steps):
+        # The batched build from one sample of all midpoints against one
+        # h_eff call per midpoint, on a piecewise gate path.
+        psi = np.array([0.6, 0.8j, 0.0])
+        spec = GateSpec(n=3, psi=psi, phase_twist=0.9, t1=0.3137, t2=0.5711, theta_schedule="smooth")
+        traj = stage_trajectory(spec)
+        batched = evolve_time_ordered(traj, 0.0, spec.t3, steps).unitary.matrix
+        scalar = evolve_time_ordered(traj.h_eff, 0.0, spec.t3, steps).unitary.matrix
+        assert np.linalg.norm(batched - scalar) < 1e-12
+
+    def test_rejects_broken_trajectory_sample(self):
+        # A vectorized sampler that breaks one rule at exactly one midpoint
+        # of the 4-step grid; the error names that time.
+        def broken(rule, at):
+            def sampler(times):
+                values = np.stack([np.cos(times), np.sin(times)], axis=-1)[:, None, :].astype(complex)
+                derivatives = np.stack([-np.sin(times), np.cos(times)], axis=-1)[:, None, :].astype(complex)
+                hit = times == at
+                if rule == "scale":
+                    values[hit] *= 1.1
+                elif rule == "nan":
+                    values[hit] = np.nan
+                else:
+                    derivatives[hit] += values[hit]
+                return values, derivatives
+
+            return BrightTrajectory.from_sampler(2, 1, 0.0, 1.0, sampler)
+
+        for rule, at, error in (
+            ("scale", 0.625, NotOrthonormal),
+            ("nan", 0.125, NotOrthonormal),
+            ("radial", 0.375, DerivativeInconsistent),
+        ):
+            with pytest.raises(error, match=rf"at t={at}$"):
+                evolve_time_ordered(broken(rule, at), 0.0, 1.0, 4)
 
     def test_composition(self):
         full = evolve_time_ordered(smooth_noncommuting, 0.0, 2.0, 4096)
