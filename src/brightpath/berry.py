@@ -27,6 +27,7 @@ from .propagators import evolve_time_ordered
 COORDINATES = ("theta1", "theta2", "phi2", "phi3")
 SEGMENT_BOUND = 0.1
 CLOSURE_TOL = 1e-12
+MAX_EDGE_POINTS = 10_000
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 
@@ -81,16 +82,22 @@ def rectangle_loop(coord_a: str, coord_b: str, side_a: float, side_b: float, poi
 
     Runs coord_a from 0 to ``side_a``, then coord_b to ``side_b``, then both
     back, sampling each edge densely enough for the discretization bound.
+    Edges of more than ``MAX_EDGE_POINTS`` points are refused up front.
     """
     ia, ib = COORDINATES.index(coord_a), COORDINATES.index(coord_b)
     if ia == ib:
         raise ValueError("rectangle needs two distinct coordinates")
-    pts_a = max(points_per_edge, int(np.ceil(abs(side_a) / 0.05)) + 1)
-    pts_b = max(points_per_edge, int(np.ceil(abs(side_b) / 0.05)) + 1)
+    if points_per_edge > MAX_EDGE_POINTS:
+        raise ValueError(f"points_per_edge must be <= {MAX_EDGE_POINTS}, got {points_per_edge}")
+    side_pts = []
+    for name, side in (("side_a", side_a), ("side_b", side_b)):
+        spacings = abs(side) / 0.05
+        if not spacings + 1 <= MAX_EDGE_POINTS:  # NaN and inf fail too
+            raise ValueError(f"{name} must be finite and need at most {MAX_EDGE_POINTS} points per edge, got {side}")
+        side_pts.append(max(points_per_edge, int(np.ceil(spacings)) + 1))
     corners = [(0.0, 0.0), (side_a, 0.0), (side_a, side_b), (0.0, side_b), (0.0, 0.0)]
-    edge_pts = [pts_a, pts_b, pts_a, pts_b]
     rows = [np.zeros(4)]
-    for (xa, ya), (xb, yb), pts in zip(corners, corners[1:], edge_pts):
+    for (xa, ya), (xb, yb), pts in zip(corners, corners[1:], 2 * side_pts):
         for frac in np.linspace(0.0, 1.0, pts + 1)[1:]:
             row = np.zeros(4)
             row[ia] = xa + (xb - xa) * frac
@@ -117,7 +124,7 @@ class ConnectionMatrices:
             m = np.asarray(getattr(self, name), dtype=complex)
             if m.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2, got {m.shape}")
-            if np.max(np.abs(m + m.conj().T)) >= 1e-12:
+            if not np.max(np.abs(m + m.conj().T)) < 1e-12:
                 raise ValueError(f"{name} is not anti-Hermitian")
             m.setflags(write=False)
             object.__setattr__(self, name, m)

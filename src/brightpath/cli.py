@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from typing import Any
@@ -34,6 +35,7 @@ from .berry import (
 )
 from .errors import BrightpathError, ConfigError
 from .gates import (
+    MIN_GATE_STEPS,
     GateSpec,
     compose_gate,
     gate_coupling_schedule,
@@ -112,6 +114,10 @@ DEFAULT_PARAMETERS: dict[str, dict[str, Any]] = {
     "selftest": {},
 }
 
+# Keys a kind accepts beyond its defaults; they are echoed only when given.
+OPTIONAL_PARAMETERS = {"loop": {"samples"}}
+LOOP_PLANES = ("theta1-theta2", "theta2-phi3")
+
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -126,7 +132,7 @@ def complex_to_pairs(matrix: np.ndarray) -> list:
 def pairs_to_complex(data, field: str) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{field}: expected nested [re, im] arrays") from exc
     _require(bool(np.all(np.isfinite(arr))), field, "entries must be finite")
     if arr.ndim == 2 and arr.shape[1] == 2:
@@ -143,21 +149,26 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise ConfigError(f"{field}: {message}")
 
 
-def _is_finite_number(value) -> bool:
-    """An int or a finite float; bools and JSON's NaN and Infinity are not."""
-    return not isinstance(value, bool) and (isinstance(value, int) or isinstance(value, float) and math.isfinite(value))
-
-
-def _number(params: dict, field: str, lo=None, hi=None, integer=False):
-    value = params[field]
-    _require(_is_finite_number(value), field, "must be a finite number")
+def _number(value, field: str, lo=None, integer=False):
+    """A finite number as an int (``integer``) or a float.  JSON's NaN and
+    Infinity, bools and integers beyond the double range are not numbers."""
+    try:
+        finite = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    _require(finite, field, "must be a finite number")
     if integer:
-        _require(float(value).is_integer(), field, "must be an integer")
-        value = int(value)
+        _require(isinstance(value, int) or value.is_integer(), field, "must be an integer")
+    value = int(value) if integer else float(value)
     if lo is not None:
         _require(value >= lo, field, f"must be >= {lo}")
-    if hi is not None:
-        _require(value <= hi, field, f"must be <= {hi}")
+    return value
+
+
+def _methods(value, allowed: tuple[str, ...]) -> list:
+    _require(isinstance(value, list) and value, "methods", "must be a non-empty list")
+    for method in value:
+        _require(method in allowed, "methods", f"unsupported method {method!r}")
     return value
 
 
@@ -166,19 +177,30 @@ def _number(params: dict, field: str, lo=None, hi=None, integer=False):
 
 
 class ScenarioConfig:
-    """A validated scenario: kind, parameter map, and RNG seed."""
+    """A scenario parsed once: kind, the parameter map it echoes, the RNG
+    seed, and the domain objects and numbers its runner reads.
+
+    Parsing checks JSON types, finiteness and the CLI's own minima; each
+    domain rule is checked by the constructor that owns it (``GateSpec``,
+    ``AdiabaticRunConfig``, ``rectangle_loop``, ``ParameterPath``,
+    ``TwoManifoldSystem``, ``stirap_trajectory``).  Nothing proportional to
+    a step count is built here.
+    """
 
     def __init__(self, kind: str, parameters: dict[str, Any] | None = None, seed: int = 7):
         if kind not in KINDS:
             raise ConfigError(f"kind: unknown scenario kind {kind!r}; expected one of {KINDS}")
-        merged = dict(DEFAULT_PARAMETERS[kind])
-        merged.update(parameters or {})
+        _require(parameters is None or isinstance(parameters, dict), "parameters", "must be an object")
+        known = set(DEFAULT_PARAMETERS[kind]) | OPTIONAL_PARAMETERS.get(kind, set())
+        unknown = sorted(map(str, set(parameters or {}) - known))
+        if unknown:
+            raise ConfigError(f"{', '.join(unknown)}: unknown parameter for kind {kind!r}; expected {sorted(known)}")
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError("seed: must be an integer")
         self.kind = kind
-        self.parameters = merged
+        self.parameters = {**DEFAULT_PARAMETERS[kind], **(parameters or {})}
         self.seed = seed
-        self._validate()
+        self._parse()
 
     @classmethod
     def from_file(cls, path: str) -> "ScenarioConfig":
@@ -201,78 +223,91 @@ class ScenarioConfig:
     def echo(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "parameters": _jsonable(self.parameters)}
 
-    # -- validation against the owning modules' preconditions ----------------
+    def _build(self, renamed: dict[str, str], make, **arguments):
+        """``make(**arguments)``: a domain constructor, the one place its rules
+        are checked.  An error it raises becomes a ConfigError led by the field
+        of the argument its message starts with: the ``renamed`` field, the
+        argument itself when it is a config field, else the first renamed one."""
+        try:
+            return make(**arguments)
+        except (ValueError, BrightpathError) as exc:
+            named = re.match(r"\w*", str(exc)).group()
+            field = renamed.get(named, named if named in self.parameters else next(iter(renamed.values())))
+            raise ConfigError(f"{field}: {exc}") from exc
 
-    def _validate(self) -> None:
+    def _parse(self) -> None:
         p = self.parameters
+        self.tolerance = _number(p["tolerance"], "tolerance", lo=0.0) if "tolerance" in p else 0.0
         if self.kind in ("gate", "compare"):
-            n = _number(p, "n", lo=2, integer=True)
-            psi = pairs_to_complex(p["psi"], "psi")
-            _require(psi.shape == (n,), "psi", f"must have {n} components")
-            _require(abs(np.vdot(psi, psi).real - 1.0) < 1e-10, "psi", "must be normalized")
-            _require(abs(psi[n - 1]) < 1e-12, "psi", "must not touch the auxiliary level")
-            _number(p, "phase")
             times = p["stage_times"]
-            _require(
-                isinstance(times, (list, tuple)) and len(times) == 3 and all(map(_is_finite_number, times)),
-                "stage_times",
-                "must be [t1, t2, t3] of finite numbers",
+            _require(isinstance(times, (list, tuple)) and len(times) == 3, "stage_times", "must be [t1, t2, t3]")
+            t1, t2, t3 = (_number(t, "stage_times") for t in times)
+            self.spec = self._build(
+                {"phase_twist": "phase", "t1": "stage_times"},
+                GateSpec,
+                n=_number(p["n"], "n", integer=True),
+                psi=pairs_to_complex(p["psi"], "psi"),
+                phase_twist=_number(p["phase"], "phase"),
+                t1=t1,
+                t2=t2,
+                t3=t3,
+                theta_schedule=p["theta_schedule"],
+                phi_schedule=p["phi_schedule"],
             )
-            _require(0 < times[0] < times[1] < times[2], "stage_times", "must satisfy 0 < t1 < t2 < t3")
-            for field in ("theta_schedule", "phi_schedule"):
-                _require(p[field] in ("linear", "smooth"), field, "must be 'linear' or 'smooth'")
+            full_steps = _number(p["full_steps"], "full_steps", integer=True)
+            if self.kind == "gate":
+                omega_field, omegas = "omega_T", [p["omega_T"]]
+            else:
+                omega_field, omegas = "omega_T_list", p["omega_T_list"]
+                _require(isinstance(omegas, list) and len(omegas) >= 2, omega_field, "must list at least two omega_T values")
+            run_fields = {"omega_T": omega_field, "steps": "full_steps"}
+            self.full_runs = [
+                self._build(run_fields, AdiabaticRunConfig, omega_T=_number(omega_T, omega_field), steps=full_steps)
+                for omega_T in omegas
+            ]
         if self.kind == "gate":
-            _number(p, "steps", lo=100, integer=True)
-            _number(p, "full_steps", lo=10, integer=True)
-            _number(p, "omega_T", lo=np.finfo(float).tiny)
-            _require(
-                isinstance(p["methods"], list) and p["methods"], "methods", "must be a non-empty list"
-            )
-            for method in p["methods"]:
-                _require(method in ("effective", "full"), "methods", f"unsupported method {method!r}")
+            self.steps = _number(p["steps"], "steps", lo=MIN_GATE_STEPS, integer=True)
+            self.methods = _methods(p["methods"], ("effective", "full"))
         if self.kind == "compare":
-            _number(p, "full_steps", lo=10, integer=True)
-            _require(
-                isinstance(p["omega_T_list"], list) and len(p["omega_T_list"]) >= 2,
-                "omega_T_list",
-                "must list at least two omega_T values",
-            )
-            for value in p["omega_T_list"]:
-                _require(_is_finite_number(value) and value > 0, "omega_T_list", "entries must be finite and > 0")
+            self.require_decreasing = p["require_decreasing"]
+            _require(isinstance(self.require_decreasing, bool), "require_decreasing", "must be true or false")
         if self.kind == "loop":
             if p.get("samples") is None:
-                _require(
-                    p["plane"] in ("theta1-theta2", "theta2-phi3"),
-                    "plane",
-                    "must be 'theta1-theta2' or 'theta2-phi3'",
+                self.plane = p["plane"]
+                _require(self.plane in LOOP_PLANES, "plane", f"must be one of {LOOP_PLANES}")
+                coord_a, coord_b = self.plane.split("-")
+                self.path = self._build(
+                    {"coord_a": "plane"},
+                    rectangle_loop,
+                    coord_a=coord_a,
+                    coord_b=coord_b,
+                    side_a=_number(p["side_a"], "side_a", lo=1e-12),
+                    side_b=_number(p["side_b"], "side_b", lo=1e-12),
+                    points_per_edge=_number(p["points_per_edge"], "points_per_edge", lo=2, integer=True),
                 )
-                _number(p, "side_a", lo=1e-12)
-                _number(p, "side_b", lo=1e-12)
-                _number(p, "points_per_edge", lo=2, integer=True)
             else:
+                self.plane = None
                 try:
                     samples = np.asarray(p["samples"], dtype=float)
-                    _require(samples.ndim == 2, "samples", "must be an (m, 4) array")
-                    ParameterPath(samples, closed=True)
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(f"samples: {exc}") from exc
-            _number(p, "steps", lo=1, integer=True)
-            for method in p["methods"]:
-                _require(method in ("effective", "berry"), "methods", f"unsupported method {method!r}")
+                _require(samples.ndim == 2, "samples", "must be an (m, 4) array")
+                self.path = self._build({"samples": "samples"}, ParameterPath, samples=samples, closed=True)
+            self.steps = _number(p["steps"], "steps", lo=1, integer=True)
+            self.methods = _methods(p["methods"], ("effective", "berry"))
         if self.kind == "morris-shore":
-            if p.get("matrix") is not None:
-                matrix = pairs_to_complex(p["matrix"], "matrix")
-                _require(matrix.ndim == 2, "matrix", "must be a 2-D coupling matrix")
+            if p["matrix"] is not None:
+                self.system = self._build({"v": "matrix"}, TwoManifoldSystem, v=pairs_to_complex(p["matrix"], "matrix"))
             else:
-                _number(p, "rows", lo=1, integer=True)
-                _number(p, "cols", lo=1, integer=True)
-            _number(p, "rank_tol", lo=0.0)
+                # The seeded random matrix is drawn at run time.
+                self.system = None
+                self.shape = (_number(p["rows"], "rows", lo=1, integer=True), _number(p["cols"], "cols", lo=1, integer=True))
+            self.rank_tol = _number(p["rank_tol"], "rank_tol", lo=0.0)
         if self.kind == "stirap":
-            _number(p, "theta_end", lo=0.0)
-            _number(p, "steps", lo=10, integer=True)
-            _require(p["ramp"] in ("linear", "smooth"), "ramp", "must be 'linear' or 'smooth'")
-        if "tolerance" in p:
-            _number(p, "tolerance", lo=0.0)
+            self.theta_end = _number(p["theta_end"], "theta_end", lo=0.0)
+            self.steps = _number(p["steps"], "steps", lo=10, integer=True)
+            self.ramp = p["ramp"]
+            self.trajectory = self._build({"ramp": "ramp"}, stirap_trajectory, theta_end=self.theta_end, ramp=self.ramp)
 
 
 def _jsonable(value):
@@ -300,36 +335,17 @@ def _diagnostics(**fields) -> dict:
     return {**zero, "steps": 0, **fields}
 
 
-def _gate_spec(p: dict) -> GateSpec:
-    t1, t2, t3 = (float(x) for x in p["stage_times"])
-    return GateSpec(
-        n=int(p["n"]),
-        psi=pairs_to_complex(p["psi"], "psi"),
-        phase_twist=float(p["phase"]),
-        t1=t1,
-        t2=t2,
-        t3=t3,
-        theta_schedule=p["theta_schedule"],
-        phi_schedule=p["phi_schedule"],
-    )
-
-
-def _logical_frame(n: int, embedded_dim: int) -> np.ndarray:
-    return np.eye(n - 1, embedded_dim, dtype=complex)
-
-
 def _run_gate(config: ScenarioConfig) -> dict:
-    p = config.parameters
-    spec = _gate_spec(p)
+    spec = config.spec
     analytic = compose_gate(spec)
     geo_block = logical_block(analytic, spec.n)
     unitaries = {"analytic": analytic.matrix}
     blocks = {"analytic": geo_block}
     comparisons: dict[str, float] = {}
-    diag = _diagnostics(steps=int(p["steps"]))
+    diag = _diagnostics(steps=config.steps)
 
-    if "effective" in p["methods"]:
-        report = simulate_gate(spec, steps=int(p["steps"]))
+    if "effective" in config.methods:
+        report = simulate_gate(spec, steps=config.steps)
         unitaries["effective"] = report.simulated_unitary.matrix
         blocks["effective"] = logical_block(report.simulated_unitary, spec.n)
         comparisons["effective_vs_analytic_exact"] = report.distance_exact
@@ -337,11 +353,9 @@ def _run_gate(config: ScenarioConfig) -> dict:
         diag["geometric_phase"] = report.geometric_phase
         diag["unitarity_error"] = max(diag["unitarity_error"], report.propagation.unitarity_error)
 
-    if "full" in p["methods"]:
-        schedule = gate_coupling_schedule(spec)
-        run_config = AdiabaticRunConfig(omega_T=float(p["omega_T"]), steps=int(p["full_steps"]))
-        result = evolve_full_adiabatic(schedule, run_config)
-        logical = _logical_frame(spec.n, spec.n + 1)
+    if "full" in config.methods:
+        result = evolve_full_adiabatic(gate_coupling_schedule(spec), config.full_runs[0])
+        logical = np.eye(spec.n - 1, spec.n + 1, dtype=complex)
         blk = dark_block(result.unitary, logical, logical)
         unitaries["full"] = result.unitary.matrix
         blocks["full"] = blk
@@ -355,9 +369,9 @@ def _run_gate(config: ScenarioConfig) -> dict:
     )
     diag["dark_block_distance_exact"] = primary_exact
     diag["dark_block_distance_phase"] = primary_phase
-    tolerance = float(p["tolerance"])
+    tolerance = config.tolerance
     checks = [primary_exact <= tolerance]
-    if "full" in p["methods"]:
+    if "full" in config.methods:
         checks.append(comparisons["full_vs_analytic_phase"] <= max(tolerance, 1e-2))
     return {
         "unitaries": unitaries,
@@ -369,40 +383,27 @@ def _run_gate(config: ScenarioConfig) -> dict:
     }
 
 
-def _loop_path(p: dict) -> ParameterPath:
-    if p.get("samples") is not None:
-        return ParameterPath(np.asarray(p["samples"], dtype=float), closed=True)
-    coord_a, coord_b = p["plane"].split("-")
-    return rectangle_loop(coord_a, coord_b, float(p["side_a"]), float(p["side_b"]), int(p["points_per_edge"]))
-
-
 def _run_loop(config: ScenarioConfig) -> dict:
-    p = config.parameters
-    path = _loop_path(p)
+    path = config.path
     unitaries: dict[str, np.ndarray] = {}
     blocks: dict[str, np.ndarray] = {}
     comparisons: dict[str, float] = {}
-    if "berry" in p["methods"]:
+    if "berry" in config.methods:
         hol = holonomy(path)
         unitaries["berry"] = hol.matrix
         blocks["berry"] = hol.matrix
-    if "effective" in p["methods"]:
-        blk = effective_dark_block(path, steps_per_segment=int(p["steps"]))
+    if "effective" in config.methods:
+        blk = effective_dark_block(path, steps_per_segment=config.steps)
         blocks["effective"] = blk
-    if p.get("samples") is None and "berry" in blocks:
-        analytic = None
-        if p["plane"] == "theta1-theta2":
-            analytic = u_y_analytic(path).matrix
-        elif p["plane"] == "theta2-phi3":
-            analytic = u_z_analytic(path).matrix
-        if analytic is not None:
-            blocks["analytic"] = analytic
-            comparisons["berry_vs_analytic_exact"] = matrix_distance(blocks["berry"], analytic, "exact")
+    if config.plane is not None and "berry" in blocks:
+        analytic = {"theta1-theta2": u_y_analytic, "theta2-phi3": u_z_analytic}[config.plane](path).matrix
+        blocks["analytic"] = analytic
+        comparisons["berry_vs_analytic_exact"] = matrix_distance(blocks["berry"], analytic, "exact")
     if "berry" in blocks and "effective" in blocks:
         comparisons["berry_vs_effective_exact"] = matrix_distance(
             blocks["berry"], blocks["effective"], "exact"
         )
-    tolerance = float(p["tolerance"])
+    tolerance = config.tolerance
     primary = max(comparisons.values()) if comparisons else 0.0
     diag = _diagnostics(
         dark_block_distance_exact=primary,
@@ -410,7 +411,7 @@ def _run_loop(config: ScenarioConfig) -> dict:
             (matrix_distance(blocks[a], blocks[b], "up_to_global_phase") for a in blocks for b in blocks if a < b),
             default=0.0,
         ),
-        steps=int(p["steps"]),
+        steps=config.steps,
     )
     return {
         "unitaries": unitaries,
@@ -423,22 +424,19 @@ def _run_loop(config: ScenarioConfig) -> dict:
 
 
 def _run_compare(config: ScenarioConfig) -> dict:
-    p = config.parameters
-    spec = _gate_spec(p)
+    spec = config.spec
     schedule = gate_coupling_schedule(spec)
     geo_block = logical_block(compose_gate(spec), spec.n)
-    logical = _logical_frame(spec.n, spec.n + 1)
+    logical = np.eye(spec.n - 1, spec.n + 1, dtype=complex)
     p_logical = projector_from_frame(logical)
     sweep = []
     worst_unitarity = 0.0
-    for omega_T in p["omega_T_list"]:
-        result = evolve_full_adiabatic(
-            schedule, AdiabaticRunConfig(omega_T=float(omega_T), steps=int(p["full_steps"]))
-        )
+    for run_config in config.full_runs:
+        result = evolve_full_adiabatic(schedule, run_config)
         blk = dark_block(result.unitary, logical, logical)
         sweep.append(
             {
-                "omega_T": float(omega_T),
+                "omega_T": run_config.omega_T,
                 "distance_phase": matrix_distance(blk, geo_block, "up_to_global_phase"),
                 "leakage": leakage(result.unitary, logical, p_logical),
             }
@@ -446,13 +444,13 @@ def _run_compare(config: ScenarioConfig) -> dict:
         worst_unitarity = max(worst_unitarity, result.unitarity_error)
     distances = [entry["distance_phase"] for entry in sweep]
     decreasing = all(a > b for a, b in zip(distances, distances[1:]))
-    tolerance = float(p["tolerance"])
-    passed = distances[-1] <= tolerance and (decreasing or not p["require_decreasing"])
+    tolerance = config.tolerance
+    passed = distances[-1] <= tolerance and (decreasing or not config.require_decreasing)
     diag = _diagnostics(
         unitarity_error=worst_unitarity,
         leakage=max(entry["leakage"] for entry in sweep),
         dark_block_distance_phase=distances[-1],
-        steps=int(p["full_steps"]),
+        steps=config.full_runs[0].steps,
     )
     return {
         "unitaries": {},
@@ -465,21 +463,16 @@ def _run_compare(config: ScenarioConfig) -> dict:
 
 
 def _run_morris_shore(config: ScenarioConfig) -> dict:
-    p = config.parameters
-    if p.get("matrix") is not None:
-        v = pairs_to_complex(p["matrix"], "matrix")
-    else:
+    sys_ = config.system
+    if sys_ is None:
         rng = np.random.default_rng(config.seed)
-        v = rng.normal(size=(int(p["rows"]), int(p["cols"]))) + 1j * rng.normal(
-            size=(int(p["rows"]), int(p["cols"]))
-        )
-    sys_ = TwoManifoldSystem(v)
-    decomposition = morris_shore_transform(sys_, rank_tol=float(p["rank_tol"]))
+        sys_ = TwoManifoldSystem(rng.normal(size=config.shape) + 1j * rng.normal(size=config.shape))
+    decomposition = morris_shore_transform(sys_, rank_tol=config.rank_tol)
     scale = float(np.linalg.norm(sys_.v))
     recon = float(np.linalg.norm(decomposition.reconstruct() - sys_.v)) / scale
     rebuilt = to_general_hamiltonian(decomposition).hamiltonian(0.0).matrix
     drive_err = float(np.max(np.abs(rebuilt - sys_.drive_hamiltonian()))) / scale
-    tolerance = float(p["tolerance"])
+    tolerance = config.tolerance
     diag = _diagnostics(dark_block_distance_exact=recon, dark_block_distance_phase=drive_err)
     return {
         "unitaries": {},
@@ -498,13 +491,12 @@ def _run_morris_shore(config: ScenarioConfig) -> dict:
 
 
 def _run_stirap(config: ScenarioConfig) -> dict:
-    p = config.parameters
-    report = stirap_transfer(float(p["theta_end"]), steps=int(p["steps"]), ramp=p["ramp"])
-    tolerance = float(p["tolerance"])
+    report = stirap_transfer(config.theta_end, steps=config.steps, ramp=config.ramp)
+    tolerance = config.tolerance
     diag = _diagnostics(
         dark_block_distance_exact=report.deviation,
         dark_block_distance_phase=report.deviation,
-        steps=int(p["steps"]),
+        steps=config.steps,
     )
     return {
         "unitaries": {},
@@ -523,15 +515,7 @@ def _run_stirap(config: ScenarioConfig) -> dict:
 
 def _run_selftest(config: ScenarioConfig) -> dict:
     results = acceptance.run_all(config.seed)
-    lines = [
-        {
-            "criterion": r.number,
-            "name": r.name,
-            "passed": r.passed,
-            "detail": r.detail,
-        }
-        for r in results
-    ]
+    lines = [{"criterion": r.number, "name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
     return {
         "unitaries": {},
         "dark_blocks": {},
@@ -582,22 +566,19 @@ def emit_timeseries(config: ScenarioConfig, path: str, record_every: int = 1) ->
     effective method (state starts in psi) and ``gate`` with the full method
     (psi embedded in the n+1-level system).
     """
-    p = config.parameters
     if config.kind == "stirap":
-        trajectory = stirap_trajectory(float(p["theta_end"]), p["ramp"])
+        trajectory = config.trajectory
         start = np.array([1.0, 0.0], dtype=complex)
-        times, states = evolve_state_time_ordered(trajectory, 0.0, 1.0, int(p["steps"]), start, record_every)
+        times, states = evolve_state_time_ordered(trajectory, 0.0, 1.0, config.steps, start, record_every)
         reference = start
         bright = trajectory.sample(times)[0]
     elif config.kind == "gate":
-        spec = _gate_spec(p)
+        spec = config.spec
         trajectory = stage_trajectory(spec)
-        if "full" in p["methods"]:
-            schedule = gate_coupling_schedule(spec)
+        if "full" in config.methods:
             start = np.zeros(spec.n + 1, dtype=complex)
             start[: spec.n] = spec.psi
-            run_config = AdiabaticRunConfig(omega_T=float(p["omega_T"]), steps=int(p["full_steps"]))
-            times, states = evolve_state_full(schedule, run_config, start, record_every)
+            times, states = evolve_state_full(gate_coupling_schedule(spec), config.full_runs[0], start, record_every)
             reference = start
             # The bright state embedded in n+1 levels, and the excited level.
             bright = np.zeros((len(times), 2, spec.n + 1), dtype=complex)
@@ -605,7 +586,7 @@ def emit_timeseries(config: ScenarioConfig, path: str, record_every: int = 1) ->
             bright[:, 1, spec.n] = 1.0
         else:
             start = reference = spec.psi
-            times, states = evolve_state_time_ordered(trajectory, 0.0, spec.t3, int(p["steps"]), start, record_every)
+            times, states = evolve_state_time_ordered(trajectory, 0.0, spec.t3, config.steps, start, record_every)
             bright = trajectory.sample(times)[0]
     else:
         raise ConfigError(f"kind: scenario {config.kind!r} does not support time series")
@@ -709,10 +690,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BrightpathError as exc:
-        print(f"numerical precondition failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (BrightpathError, ValueError) as exc:
         print(f"numerical precondition failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

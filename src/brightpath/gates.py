@@ -28,9 +28,10 @@ from .propagators import (
     PropagationResult,
     evolve_time_ordered,
 )
-from .ramps import ramp_rate, ramp_value
+from .ramps import check_ramp, ramp_rate, ramp_value
 
 PHASE_EXTRACTION_FLOOR = 0.5
+MIN_GATE_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -52,16 +53,23 @@ class GateSpec:
     phi_schedule: Literal["linear", "smooth"] = "linear"
 
     def __post_init__(self):
+        if not self.n >= 2:
+            raise ValueError(f"n must be >= 2, got {self.n}")
         psi = np.asarray(self.psi, dtype=complex)
         if psi.shape != (self.n,):
             raise ValueError(f"psi must have shape ({self.n},), got {psi.shape}")
         deviation = abs(np.vdot(psi, psi).real - 1.0)
         if not deviation < 1e-10:
-            raise NotNormalized(f"|<psi|psi> - 1| = {deviation:.3e}")
+            raise NotNormalized(f"psi is not normalized: |<psi|psi> - 1| = {deviation:.3e}")
         if not abs(psi[self.n - 1]) < 1e-12:
             raise ValueError("psi must have no component on the auxiliary level")
-        if not (0.0 < self.t1 < self.t2 < self.t3):
-            raise ValueError(f"need 0 < t1 < t2 < t3, got {(self.t1, self.t2, self.t3)}")
+        if not np.isfinite(self.phase_twist):
+            raise ValueError(f"phase_twist must be finite, got {self.phase_twist}")
+        times = (self.t1, self.t2, self.t3)
+        if not (np.all(np.isfinite(times)) and 0.0 < self.t1 < self.t2 < self.t3):
+            raise ValueError(f"t1, t2, t3 must be finite with 0 < t1 < t2 < t3, got {times}")
+        check_ramp(self.theta_schedule, "theta_schedule")
+        check_ramp(self.phi_schedule, "phi_schedule")
         psi = psi.copy()
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
@@ -231,8 +239,8 @@ def extract_geometric_phase(u: UnitaryOperator | np.ndarray, psi: np.ndarray) ->
 def simulate_gate(spec: GateSpec, steps: int = 10_000) -> GateReport:
     """Propagate the gate's effective generator and compare to the analytic
     composed gate on the logical dark block (exact-mode distance)."""
-    if steps < 100:
-        raise ValueError(f"steps must be >= 100, got {steps}")
+    if steps < MIN_GATE_STEPS:
+        raise ValueError(f"steps must be >= {MIN_GATE_STEPS}, got {steps}")
     trajectory = stage_trajectory(spec)
     propagation = evolve_time_ordered(trajectory, 0.0, spec.t3, steps)
     analytic = compose_gate(spec)
@@ -260,6 +268,7 @@ class StirapReport:
 
 def stirap_trajectory(theta_end: float, ramp: str = "linear") -> BrightTrajectory:
     """Two-level bright path B = sin(theta)|1> + cos(theta)|2>, theta 0 -> end."""
+    check_ramp(ramp)
 
     def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta = theta_end * ramp_value(ramp, times)

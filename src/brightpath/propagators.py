@@ -28,7 +28,7 @@ from .linalg import (
     as_frame,
     expm_hermitian,  # noqa: F401 -- kept importable as brightpath.propagators.expm_hermitian
 )
-from .ramps import ramp_value
+from .ramps import check_ramp, ramp_value
 
 DEFAULT_GEOMETRIC_STEPS = 4096
 DEFAULT_FULL_STEPS = 65536
@@ -62,10 +62,11 @@ class AdiabaticRunConfig:
     ramp: Literal["linear", "smooth"] = "linear"
 
     def __post_init__(self):
-        if self.omega_T <= 0:
-            raise ValueError(f"omega_T must be positive, got {self.omega_T}")
+        if not (self.omega_T > 0 and np.isfinite(self.omega_T)):
+            raise ValueError(f"omega_T must be positive and finite, got {self.omega_T}")
         if self.steps < 10:
             raise ValueError(f"steps must be >= 10, got {self.steps}")
+        check_ramp(self.ramp)
 
 
 def _step_grid(t0: float, t1: float, steps: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -273,12 +274,14 @@ def reparametrize(
     t1: float,
     fprime: Callable[[float], float] | None = None,
     check_points: int = 65,
-) -> Callable[[float], HermitianOperator]:
+) -> Callable[[float], np.ndarray]:
     """Rewrite a geometric generator under the time substitution tau = f(t).
 
     The returned schedule t -> H(f(t)) * f'(t) over [t0, t1] propagates to
     the same unitary as the original (geometric evolution depends on the
     path, not on its parametrization).  ``f`` must be strictly increasing.
+    The samples are plain matrices: the propagator that steps through them
+    checks their hermiticity, all midpoints at once.
     """
     grid = np.linspace(t0, t1, check_points)
     values = np.array([f(float(t)) for t in grid])
@@ -292,10 +295,8 @@ def reparametrize(
         lo, hi = max(t - h, t0), min(t + h, t1)
         return (f(hi) - f(lo)) / (hi - lo)
 
-    def remapped(t: float) -> HermitianOperator:
+    def remapped(t: float) -> np.ndarray:
         base = hamiltonian(f(t))
-        if not isinstance(base, HermitianOperator):
-            base = HermitianOperator(base)
-        return HermitianOperator(base.matrix * rate(t))
+        return (base.matrix if isinstance(base, HermitianOperator) else np.asarray(base, dtype=complex)) * rate(t)
 
     return remapped

@@ -12,25 +12,24 @@ import numpy as np
 RAMP_NAMES = ("linear", "smooth")
 
 
+def check_ramp(name, argument: str = "ramp") -> None:
+    """Reject a ramp name outside ``RAMP_NAMES``; the message starts with
+    the name of the caller's ``argument``."""
+    if name not in RAMP_NAMES:
+        raise ValueError(f"{argument} must be one of {RAMP_NAMES}, got {name!r}")
+
+
 def ramp_value(name: str, s):
     """Ramp profile, elementwise; scalars in, scalars out."""
+    check_ramp(name)
     s = np.asarray(s, dtype=float)
-    if name == "linear":
-        out = s
-    elif name == "smooth":
-        out = np.sin(np.pi * s / 2.0) ** 2
-    else:
-        raise ValueError(f"unknown ramp {name!r}; expected one of {RAMP_NAMES}")
+    out = s if name == "linear" else np.sin(np.pi * s / 2.0) ** 2
     return out if out.ndim else float(out)
 
 
 def ramp_rate(name: str, s):
     """Derivative of the ramp profile with respect to s."""
+    check_ramp(name)
     s = np.asarray(s, dtype=float)
-    if name == "linear":
-        out = np.ones_like(s)
-    elif name == "smooth":
-        out = (np.pi / 2.0) * np.sin(np.pi * s)
-    else:
-        raise ValueError(f"unknown ramp {name!r}; expected one of {RAMP_NAMES}")
+    out = np.ones_like(s) if name == "linear" else (np.pi / 2.0) * np.sin(np.pi * s)
     return out if out.ndim else float(out)

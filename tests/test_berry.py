@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from brightpath.berry import (
+    MAX_EDGE_POINTS,
     SIGMA_Y,
     ConnectionMatrices,
     ParameterPath,
@@ -51,6 +52,25 @@ class TestParameterPath:
         assert path.closed
         path.check_resolution()
 
+    @pytest.mark.parametrize(
+        "side_a, points_per_edge, named",
+        [
+            (np.nan, 32, "side_a"),
+            (np.inf, 32, "side_a"),
+            (1e7, 32, "side_a"),
+            (1e300, 32, "side_a"),
+            (1.0, 10**12, "points_per_edge"),
+        ],
+    )
+    def test_rectangle_rejects_unbounded_edges_before_building(self, side_a, points_per_edge, named):
+        with pytest.raises(ValueError, match=f"^{named} must"):
+            rectangle_loop("theta1", "theta2", side_a, 0.8, points_per_edge)
+
+    def test_rectangle_edge_limit_is_inclusive(self):
+        side = 0.05 * (MAX_EDGE_POINTS - 1)
+        path = rectangle_loop("theta2", "phi3", side, 0.1)
+        assert path.samples.shape[0] == 1 + 2 * (MAX_EDGE_POINTS + 32)
+
 
 class TestConnectionAt:
     def test_theta1_component_vanishes(self, rng):
@@ -82,6 +102,13 @@ class TestConnectionAt:
             for a_c, a_o in zip(closed, oracle):
                 worst = max(worst, float(np.max(np.abs(a_c - a_o))))
         assert worst < 1e-6
+
+    def test_constructor_rejects_nan(self):
+        nan = np.array([[0.0, np.nan], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="a_theta2 is not anti-Hermitian"):
+            ConnectionMatrices(np.zeros((2, 2)), nan, np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="not anti-Hermitian"):
+            connection_at(SphericalAngles(0.1, np.nan))
 
     def test_constructor_rejects_nonzero_theta1_component(self):
         with pytest.raises(ValueError):

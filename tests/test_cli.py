@@ -1,9 +1,13 @@
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from brightpath.cli import (
+    DEFAULT_PARAMETERS,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -57,6 +61,50 @@ class TestScenarioConfig:
             ScenarioConfig("gate", {"methods": ["berry"]})
         with pytest.raises(ConfigError, match="omega_T"):
             ScenarioConfig("gate", {"omega_T": -1.0})
+
+    @pytest.mark.parametrize(
+        "kind, parameters, field",
+        [
+            ("gate", {"n": 1}, "n"),
+            ("gate", {"psi": [[1.0, 0.0], [0.0, 0.0]]}, "psi"),
+            ("gate", {"psi": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}, "psi"),
+            ("gate", {"stage_times": [0.5, 0.25, 1.0]}, "stage_times"),
+            ("gate", {"theta_schedule": "bogus"}, "theta_schedule"),
+            ("compare", {"phi_schedule": "bogus"}, "phi_schedule"),
+            ("gate", {"full_steps": 5}, "full_steps"),
+            ("compare", {"omega_T_list": [250.0, -1.0]}, "omega_T_list"),
+            ("loop", {"side_b": 1e7}, "side_b"),
+            ("morris-shore", {"matrix": [[1.0, 0.0]]}, "matrix"),
+            ("stirap", {"ramp": "bogus"}, "ramp"),
+        ],
+    )
+    def test_domain_errors_lead_with_the_field(self, kind, parameters, field):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            ScenarioConfig(kind, parameters)
+
+    def test_parsed_objects(self):
+        gate = ScenarioConfig("gate", {"methods": ["full"], "omega_T": 500, "stage_times": [1, 2, 3]})
+        assert (gate.spec.t1, gate.spec.t3, gate.steps, gate.methods) == (1.0, 3.0, 10000, ["full"])
+        assert [(run.omega_T, run.steps) for run in gate.full_runs] == [(500.0, 65536)]
+        compare = ScenarioConfig("compare", {"full_steps": 4096})
+        assert [(run.omega_T, run.steps) for run in compare.full_runs] == [(250.0, 4096), (1000.0, 4096), (4000.0, 4096)]
+        loop = ScenarioConfig("loop", {"points_per_edge": 40})
+        assert loop.plane == "theta1-theta2" and loop.path.samples.shape == (161, 4)
+        assert ScenarioConfig("loop", {"samples": [[0.0] * 4] * 3}).plane is None
+        assert ScenarioConfig("morris-shore").system is None
+        assert ScenarioConfig("morris-shore", {"matrix": [[[1.0, 0.0]], [[0.0, 1.0]]]}).system.v.shape == (2, 1)
+
+    @pytest.mark.parametrize(
+        "kind, parameters",
+        [("gate", {"step": 50}), ("loop", {"side_c": 1.0}), ("morris-shore", {"steps": 5})],
+    )
+    def test_unknown_parameter_rejected(self, kind, parameters):
+        (key,) = parameters
+        with pytest.raises(ConfigError, match=f"^{key}: unknown parameter for kind '{kind}'"):
+            ScenarioConfig(kind, parameters)
+
+    def test_optional_samples_not_echoed(self):
+        assert "samples" not in ScenarioConfig("loop").echo()["parameters"]
 
     def test_from_file_schema(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -268,6 +316,38 @@ class TestMainExitCodes:
         assert main([kind, "--config", str(cfg)]) == EXIT_CONFIG
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"kind": "loop", "parameters": {"methods": 5}}', "methods"),
+            ('{"kind": "gate", "parameters": [1]}', "parameters"),
+            ('{"kind": "gate", "parameters": {"steps": 1%s}}' % ("0" * 400), "steps"),
+        ],
+    )
+    def test_malformed_config_is_three(self, text, field, tmp_path, capsys):
+        cfg = tmp_path / "malformed.json"
+        cfg.write_text(text)
+        kind = json.loads(text)["kind"]
+        assert main([kind, "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(["stirap", "--method", "full"], "methods"), (["selftest", "--steps", "5"], "steps")],
+    )
+    def test_override_of_unknown_parameter_is_three(self, argv, key, capsys):
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {key}: unknown parameter")
+
+    @pytest.mark.parametrize("parameters", [{"side_a": 1e7}, {"side_a": 1e300}, {"points_per_edge": 10**12}])
+    def test_oversized_rectangle_is_three_and_quick(self, parameters, tmp_path, capsys):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"kind": "loop", "parameters": parameters}))
+        started = time.perf_counter()
+        assert main(["loop", "--config", str(cfg)]) == EXIT_CONFIG
+        assert time.perf_counter() - started < 1.0
+        assert capsys.readouterr().err.startswith(f"config error: {next(iter(parameters))}: ")
+
     def test_report_written_to_out(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["morris-shore", "--out", str(out)]) == EXIT_OK
@@ -279,3 +359,36 @@ class TestMainExitCodes:
         assert main(["loop", "--method", "berry"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert "effective" not in report["dark_blocks"]
+
+
+# JSON-shaped values: every type a decoded config can hold, with ints beyond
+# the double range and JSON's NaN and Infinity among the numbers.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**308, max_value=10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def parameters_of(draw, kind):
+    """A subset of the kind's own keys, maybe with one unknown key, each
+    holding any JSON value."""
+    keys = sorted(DEFAULT_PARAMETERS[kind]) + (["samples"] if kind == "loop" else []) + ["unknown_key"]
+    return {key: draw(JSON_VALUES) for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=4))}
+
+
+@pytest.mark.parametrize("kind", sorted(DEFAULT_PARAMETERS))
+@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_config_loader_raises_only_config_errors(kind, data):
+    """Any parameter map of JSON values is either a scenario or a ConfigError."""
+    try:
+        ScenarioConfig(kind, data.draw(parameters_of(kind)))
+    except ConfigError:
+        pass

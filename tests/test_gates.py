@@ -38,6 +38,25 @@ class TestGateSpec:
         with pytest.raises(ValueError):
             GateSpec(n=3, psi=psi, phase_twist=0.1, t1=0.5, t2=0.4)
 
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            ({"n": 1, "psi": np.array([1.0])}, "n"),
+            ({"phase_twist": np.nan}, "phase_twist"),
+            ({"phase_twist": np.inf}, "phase_twist"),
+            ({"phase_twist": -np.inf}, "phase_twist"),
+            ({"t1": np.nan}, "t1"),
+            ({"t3": np.inf}, "t1"),
+            ({"t2": -np.inf}, "t1"),
+            ({"theta_schedule": "bogus"}, "theta_schedule"),
+            ({"phi_schedule": None}, "phi_schedule"),
+        ],
+    )
+    def test_rejects_non_finite_and_unknown_inputs(self, changes, named):
+        arguments = {"n": 3, "psi": np.array([1.0, 0.0, 0.0]), "phase_twist": 0.1, **changes}
+        with pytest.raises(ValueError, match=f"^{named}"):
+            GateSpec(**arguments)
+
 
 class TestStageTrajectory:
     @pytest.mark.parametrize("ramps", [("linear", "linear"), ("smooth", "smooth")])

@@ -208,10 +208,13 @@ class TestEvolveFullAdiabatic:
         assert np.linalg.norm(final - expected) < 1e-8
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AdiabaticRunConfig(omega_T=0.0)
+        for omega_T in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^omega_T"):
+                AdiabaticRunConfig(omega_T=omega_T)
         with pytest.raises(ValueError):
             AdiabaticRunConfig(omega_T=1.0, steps=5)
+        with pytest.raises(ValueError, match="^ramp"):
+            AdiabaticRunConfig(omega_T=1.0, ramp="bogus")
 
     def test_smooth_ramp_suppresses_diabatic_leakage(self):
         # A bright sweep |3> -> |1> driven at constant speed starts and
@@ -336,6 +339,11 @@ class TestReparametrize:
         remapped = reparametrize(traj.h_eff, lambda t: t * t, 0.0, 1.0, fprime=lambda t: 2 * t)
         warped = evolve_time_ordered(remapped, 0.0, 1.0, 10_000).unitary
         assert unitary_distance(base, warped, "exact") < 1e-6
+
+    def test_non_hermitian_base_is_named_at_its_midpoint(self):
+        remapped = reparametrize(lambda t: SIGMA_X + 1j * SIGMA_Z, lambda t: t, 0.0, 1.0, fprime=lambda t: 1.0)
+        with pytest.raises(NonHermitianSample, match=r"H\(0\.125\)"):
+            evolve_time_ordered(remapped, 0.0, 1.0, 4)
 
     def test_orientation_reversal_rejected(self):
         with pytest.raises(NonMonotoneMap):
