@@ -19,15 +19,18 @@ from .lambda_system import (
     SphericalAngles,
     coupling_rates_from_angles,
     couplings_from_angles,
+    dark_basis_parametrized,
 )
 from .effective import h_eff_couplings
 from .linalg import UnitaryOperator, _expm_hermitian_stack, _ordered_product, expm_hermitian
-from .propagators import evolve_time_ordered
+from .propagators import dark_block, evolve_time_ordered
 
 COORDINATES = ("theta1", "theta2", "phi2", "phi3")
 SEGMENT_BOUND = 0.1
 CLOSURE_TOL = 1e-12
 MAX_EDGE_POINTS = 10_000
+# Gauss-Legendre nodes of a segment, as fractions of its length.
+GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 
@@ -157,15 +160,23 @@ def connection_at(a: SphericalAngles) -> ConnectionMatrices:
 def holonomy(path: ParameterPath) -> UnitaryOperator:
     """Path-ordered product of connection exponentials along a polyline.
 
-    Each segment contributes exp(-sum_k A_k(midpoint) dlambda_k), applied in
-    path order (later segments to the left).  The exponent is anti-Hermitian,
-    so the result is unitary by construction.
+    Each straight segment contributes its fourth-order Magnus exponential
+    exp(-(E_1 + E_2) / 2 + sqrt(3)/12 [E_2, E_1]), with E_g = sum_k
+    A_k(lambda_g) dlambda_k at the segment's two Gauss-Legendre points;
+    segments are applied in path order (later segments to the left).  Where
+    the connection is constant along a segment this is exp(-E) exactly.
+    The exponent is anti-Hermitian, so the result is unitary by construction.
     """
     path.check_resolution()
-    mids = 0.5 * (path.samples[:-1] + path.samples[1:])
     deltas = np.diff(path.samples, axis=0)
-    connections = np.array([connection_at(SphericalAngles(*m)).as_list() for m in mids], dtype=complex)
-    exponents = np.sum(connections.reshape(-1, 4, 2, 2) * deltas[:, :, None, None], axis=1)
+
+    def exponents_at(node: float) -> np.ndarray:
+        points = path.samples[:-1] + node * deltas
+        connections = np.array([connection_at(SphericalAngles(*p)).as_list() for p in points], dtype=complex)
+        return np.sum(connections.reshape(-1, 4, 2, 2) * deltas[:, :, None, None], axis=1)
+
+    e1, e2 = (exponents_at(node) for node in GAUSS_NODES)
+    exponents = 0.5 * (e1 + e2) - (np.sqrt(3.0) / 12.0) * (e2 @ e1 - e1 @ e2)
     # exp(-exponent) with anti-Hermitian exponent == exp(-i (-i exponent))
     return UnitaryOperator(_ordered_product(_expm_hermitian_stack(-1j * exponents, 1.0)))
 
@@ -232,7 +243,8 @@ def effective_dark_block(path: ParameterPath, steps_per_segment: int = 64) -> np
 
     Integrates h_eff_couplings along the polyline (midpoint rule, steps
     aligned to the segment corners) and restricts the propagated unitary to
-    the {|1>, |2>} dark frame of the parameter origin.
+    the parametrized dark frames at the path's ends, d(end)^* U d(start)^T:
+    the frame :func:`holonomy` is written in.
     """
     path.check_resolution()
     u = np.eye(3, dtype=complex)
@@ -243,4 +255,5 @@ def effective_dark_block(path: ParameterPath, steps_per_segment: int = 64) -> np
         generator = effective_generator_on_segment(start, end)
         result = evolve_time_ordered(generator, 0.0, 1.0, steps_per_segment)
         u = result.unitary.matrix @ u
-    return u[:2, :2].copy()
+    start, end = (dark_basis_parametrized(SphericalAngles(*path.samples[i])) for i in (0, -1))
+    return dark_block(u, start, end)

@@ -48,6 +48,7 @@ from .gates import (
 from .linalg import matrix_distance, projector_from_frame
 from .morris_shore import TwoManifoldSystem, morris_shore_transform, to_general_hamiltonian
 from .propagators import (
+    MAX_STEPS,
     AdiabaticRunConfig,
     dark_block,
     evolve_full_adiabatic,
@@ -57,6 +58,10 @@ from .propagators import (
 )
 
 KINDS = ("gate", "loop", "compare", "morris-shore", "stirap", "selftest")
+# The most levels (rows + cols) of a seeded random Morris-Shore matrix: this
+# bounds both the rows x cols draw and the (rows + cols)^2 drive Hamiltonian
+# before anything is allocated.
+MAX_MORRIS_SHORE_LEVELS = 1024
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 2
@@ -149,7 +154,7 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise ConfigError(f"{field}: {message}")
 
 
-def _number(value, field: str, lo=None, integer=False):
+def _number(value, field: str, lo=None, hi=None, integer=False):
     """A finite number as an int (``integer``) or a float.  JSON's NaN and
     Infinity, bools and integers beyond the double range are not numbers."""
     try:
@@ -162,6 +167,8 @@ def _number(value, field: str, lo=None, integer=False):
     value = int(value) if integer else float(value)
     if lo is not None:
         _require(value >= lo, field, f"must be >= {lo}")
+    if hi is not None:
+        _require(value <= hi, field, f"must be <= {hi}")
     return value
 
 
@@ -266,7 +273,7 @@ class ScenarioConfig:
                 for omega_T in omegas
             ]
         if self.kind == "gate":
-            self.steps = _number(p["steps"], "steps", lo=MIN_GATE_STEPS, integer=True)
+            self.steps = _number(p["steps"], "steps", lo=MIN_GATE_STEPS, hi=MAX_STEPS, integer=True)
             self.methods = _methods(p["methods"], ("effective", "full"))
         if self.kind == "compare":
             self.require_decreasing = p["require_decreasing"]
@@ -293,7 +300,7 @@ class ScenarioConfig:
                     raise ConfigError(f"samples: {exc}") from exc
                 _require(samples.ndim == 2, "samples", "must be an (m, 4) array")
                 self.path = self._build({"samples": "samples"}, ParameterPath, samples=samples, closed=True)
-            self.steps = _number(p["steps"], "steps", lo=1, integer=True)
+            self.steps = _number(p["steps"], "steps", lo=1, hi=MAX_STEPS, integer=True)
             self.methods = _methods(p["methods"], ("effective", "berry"))
         if self.kind == "morris-shore":
             if p["matrix"] is not None:
@@ -302,10 +309,12 @@ class ScenarioConfig:
                 # The seeded random matrix is drawn at run time.
                 self.system = None
                 self.shape = (_number(p["rows"], "rows", lo=1, integer=True), _number(p["cols"], "cols", lo=1, integer=True))
+                levels = sum(self.shape)
+                _require(levels <= MAX_MORRIS_SHORE_LEVELS, "rows", f"rows + cols must be <= {MAX_MORRIS_SHORE_LEVELS}, got {levels}")
             self.rank_tol = _number(p["rank_tol"], "rank_tol", lo=0.0)
         if self.kind == "stirap":
             self.theta_end = _number(p["theta_end"], "theta_end", lo=0.0)
-            self.steps = _number(p["steps"], "steps", lo=10, integer=True)
+            self.steps = _number(p["steps"], "steps", lo=10, hi=MAX_STEPS, integer=True)
             self.ramp = p["ramp"]
             self.trajectory = self._build({"ramp": "ramp"}, stirap_trajectory, theta_end=self.theta_end, ramp=self.ramp)
 

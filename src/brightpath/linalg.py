@@ -231,7 +231,7 @@ def _ordered_product(factors: np.ndarray) -> np.ndarray:
         m = factors.shape[0]
         even = factors[0 : m - m % 2 : 2]
         odd = factors[1 : m : 2]
-        merged = np.einsum("mij,mjk->mik", odd, even)
+        merged = odd @ even
         if m % 2:
             merged = np.concatenate([merged, factors[-1:]], axis=0)
         factors = merged

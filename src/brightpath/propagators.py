@@ -1,18 +1,22 @@
 """Unitary propagation of time-dependent Hamiltonians.
 
-Every propagator is one pipeline: step grid -> factors -> reducer.  The grid
-splits [t0, t1] into equal steps.  A factor builder turns it into an
-(M, d, d) array of one-step exponentials: the exponential midpoint rule
-(second order, unitary by construction) for a caller's generator, or the
-closed-form Lambda step of the full (n+1)-level drive, the brute-force
-oracle the geometric methods are checked against.  A reducer then forms the
-ordered product (a unitary) or applies the factors to one state (snapshots).
+Every propagator is one pipeline: step grid -> factors -> reducer, streamed
+in blocks of ``FULL_BLOCK`` steps.  The grid splits [t0, t1] into equal
+steps and hands out their midpoints one block at a time.  A factor builder
+samples and checks each block and turns it into an (m, d, d) array of
+one-step exponentials: the exponential midpoint rule (second order, unitary
+by construction) for a caller's generator, or the closed-form Lambda step
+of the full (n+1)-level drive, the brute-force oracle the geometric methods
+are checked against.  A reducer consumes the blocks in order: it forms the
+ordered product (each block by a pairwise tree, then the block products by
+the same tree) or applies the factors to one state (snapshots).  No array
+longer than one block is built, so memory stays flat in the step count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Iterable, Iterator, Literal
 
 import numpy as np
 
@@ -32,6 +36,12 @@ from .ramps import check_ramp, ramp_value
 
 DEFAULT_GEOMETRIC_STEPS = 4096
 DEFAULT_FULL_STEPS = 65536
+# Steps per block: every propagator samples, checks, builds and reduces its
+# factors FULL_BLOCK steps at a time, so its memory does not grow with the
+# step count.
+FULL_BLOCK = 4096
+# The most steps a full run (or a CLI step count) may ask for.
+MAX_STEPS = 2**24
 
 # What the midpoint rule propagates: a bright trajectory (its geometric
 # generator) or any callable t -> H(t).
@@ -64,48 +74,52 @@ class AdiabaticRunConfig:
     def __post_init__(self):
         if not (self.omega_T > 0 and np.isfinite(self.omega_T)):
             raise ValueError(f"omega_T must be positive and finite, got {self.omega_T}")
-        if self.steps < 10:
-            raise ValueError(f"steps must be >= 10, got {self.steps}")
+        if not 10 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"steps must be in [10, {MAX_STEPS}], got {self.steps}")
         check_ramp(self.ramp)
 
 
-def _step_grid(t0: float, t1: float, steps: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Midpoints (M,), edges (M+1,) and width of ``steps`` equal subintervals
-    of [t0, t1]."""
+def _step_grid(t0: float, t1: float, steps: int) -> tuple[Iterator[np.ndarray], float]:
+    """Midpoints of ``steps`` equal subintervals of [t0, t1], as a stream of
+    blocks of at most ``FULL_BLOCK``, and the subinterval width."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     span = t1 - t0
-    k = np.arange(steps + 1)
-    return t0 + span * (k[:-1] + 0.5) / steps, t0 + span * k / steps, span / steps
+    blocks = (
+        t0 + span * (np.arange(lo, min(lo + FULL_BLOCK, steps)) + 0.5) / steps
+        for lo in range(0, steps, FULL_BLOCK)
+    )
+    return blocks, span / steps
 
 
-def _midpoint_factors(hamiltonian: Hamiltonian, mids: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H(m_j) dt) for every midpoint m_j; every sample must pass the
-    hermiticity check, and the first that fails is named.  A trajectory's
-    generators are built from one ``sample`` of all midpoints."""
-    if isinstance(hamiltonian, BrightTrajectory):
-        stack = _h_eff_stack(*hamiltonian.sample(mids), times=mids)
-    else:
-        samples = [hamiltonian(float(m)) for m in mids]
-        stack = np.array([h.matrix if isinstance(h, HermitianOperator) else h for h in samples], dtype=complex)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise DimensionMismatch(f"H(t) must be square matrices of one size, got stack shape {stack.shape}")
-    failure = _hermiticity_failure(stack)
-    if failure is not None:
-        j, why = failure
-        raise NonHermitianSample(f"H({mids[j]:.6g}) failed the hermiticity check: {why}")
-    return _expm_hermitian_stack(stack, dt)
+def _midpoint_factors(hamiltonian: Hamiltonian, t0: float, t1: float, steps: int) -> Iterator[np.ndarray]:
+    """exp(-i H(m_j) dt) for every midpoint m_j of the grid, one block at a
+    time; every sample must pass the hermiticity check, and the first that
+    fails is named.  A trajectory's generators are built from one
+    ``sample`` of each block."""
+    blocks, dt = _step_grid(t0, t1, steps)
+    for mids in blocks:
+        if isinstance(hamiltonian, BrightTrajectory):
+            stack = _h_eff_stack(*hamiltonian.sample(mids), times=mids)
+        else:
+            samples = [hamiltonian(float(m)) for m in mids]
+            stack = np.array([h.matrix if isinstance(h, HermitianOperator) else h for h in samples], dtype=complex)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise DimensionMismatch(f"H(t) must be square matrices of one size, got stack shape {stack.shape}")
+        failure = _hermiticity_failure(stack)
+        if failure is not None:
+            j, why = failure
+            raise NonHermitianSample(f"H({mids[j]:.6g}) failed the hermiticity check: {why}")
+        yield _expm_hermitian_stack(stack, dt)
 
 
-def _sample_drive(
-    schedule: Callable[[float], CouplingSet], config: AdiabaticRunConfig, mids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bright states (M, n) and step phases Omega * dt (M,) of a drive read at
-    the ramped progress midpoints, through ``schedule.sample`` when it has
-    one.  Every step must satisfy the ``CouplingSet`` invariants."""
-    shaped = ramp_value(config.ramp, mids)
+def _sample_drive(schedule: Callable[[float], CouplingSet], ramp: str, mids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bright states (M, n) and Rabi frequencies (M,) of a drive read at the
+    ramped progress midpoints of one block, through ``schedule.sample`` when
+    it has one.  Every step must satisfy the ``CouplingSet`` invariants."""
+    shaped = ramp_value(ramp, mids)
     if hasattr(schedule, "sample"):
         r, phi, omega = schedule.sample(shaped)
     else:
@@ -114,36 +128,49 @@ def _sample_drive(
         phi = [c.phi for c in sets]
         omega = [c.omega for c in sets]
     r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
-    omega = np.broadcast_to(np.asarray(omega, dtype=float), (config.steps,))
+    omega = np.broadcast_to(np.asarray(omega, dtype=float), mids.shape)
     _check_drive(omega, r)
-    duration = config.omega_T / omega[0]
-    return r * np.exp(1j * phi), omega * (duration / config.steps)
+    return r * np.exp(1j * phi), omega
+
+
+def _drive_factors(schedule: Callable[[float], CouplingSet], config: AdiabaticRunConfig) -> Iterator[np.ndarray]:
+    """Exact step factors of the full drive, one block at a time.  The step
+    phase is Omega * dt with the run's duration omega_T / Omega fixed by its
+    first sample."""
+    blocks, _ = _step_grid(0.0, 1.0, config.steps)
+    dt = None
+    for mids in blocks:
+        b, omega = _sample_drive(schedule, config.ramp, mids)
+        if dt is None:
+            dt = config.omega_T / omega[0] / config.steps
+        yield _lambda_step_factors(b, omega * dt)
 
 
 def _lambda_step_factors(b: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """Exact one-step propagators exp(-i H dt) for Lambda Hamiltonians.
 
     ``b``: (M, n) bright states per step, ``phase``: (M,) values of
-    Omega * dt.  Each factor acts on n+1 levels and is assembled from the
-    closed form  1 + (cos p - 1)(P_B + P_e) - i sin p (|B><e| + |e><B|).
+    Omega * dt.  Each factor acts on n+1 levels and is the closed form
+    1 + (cos p - 1)(P_B + P_e) - i sin p (|B><e| + |e><B|), written block by
+    block into one uninitialized stack.
     """
     m, n = b.shape
-    dim = n + 1
-    factors = np.zeros((m, dim, dim), dtype=complex)
-    factors[:, range(dim), range(dim)] = 1.0
+    factors = np.empty((m, n + 1, n + 1), dtype=complex)
     cosem = np.cos(phase) - 1.0
-    sine = 1j * np.sin(phase)
-    factors[:, :n, :n] += cosem[:, None, None] * np.einsum("mi,mj->mij", b, b.conj())
-    factors[:, n, n] += cosem
-    factors[:, :n, n] -= sine[:, None] * b
-    factors[:, n, :n] -= sine[:, None] * b.conj()
+    sine = -1j * np.sin(phase)
+    np.multiply((cosem[:, None] * b)[:, :, None], b.conj()[:, None, :], out=factors[:, :n, :n])
+    factors.reshape(m, -1)[:, : n * (n + 2) : n + 2] += 1.0  # the diagonal of the ground block
+    np.multiply(sine[:, None], b, out=factors[:, :n, n])
+    np.multiply(sine[:, None], b.conj(), out=factors[:, n, :n])
+    factors[:, n, n] = cosem + 1.0
     return factors
 
 
-def _unitary_product(factors: np.ndarray) -> tuple[UnitaryOperator, float]:
-    """Ordered product of the factors, projected back onto the unitary group
-    (polar decomposition), with the pre-projection drift."""
-    u = _ordered_product(factors)
+def _unitary_product(blocks: Iterable[np.ndarray]) -> tuple[UnitaryOperator, float]:
+    """Ordered product of a stream of factor blocks (each block by the tree
+    product, then the block products the same way), projected back onto the
+    unitary group (polar decomposition), with the pre-projection drift."""
+    u = _ordered_product(np.array([_ordered_product(block) for block in blocks]))
     w, _, vh = np.linalg.svd(u)
     clean = w @ vh
     drift = float(np.linalg.norm(clean.conj().T @ u - np.eye(u.shape[0])))
@@ -151,20 +178,24 @@ def _unitary_product(factors: np.ndarray) -> tuple[UnitaryOperator, float]:
 
 
 def _snapshots(
-    factors: np.ndarray, state: np.ndarray, edges: np.ndarray, record_every: int
+    blocks: Iterable[np.ndarray], state: np.ndarray, t0: float, t1: float, steps: int, record_every: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the factors to ``state`` in order, keeping the initial state,
-    every ``record_every``-th step and the last step, with their edge times."""
+    """Apply a stream of factor blocks to ``state`` in order, keeping the
+    initial state, every ``record_every``-th step and the last of ``steps``,
+    with their grid times in [t0, t1]."""
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     psi = np.asarray(state, dtype=complex)
     marks, rows = [0], [psi]
-    for j, factor in enumerate(factors, 1):
-        psi = factor @ psi
-        if j % record_every == 0 or j == len(factors):
-            marks.append(j)
-            rows.append(psi)
-    return edges[marks], np.array(rows)
+    j = 0
+    for block in blocks:
+        for factor in block:
+            psi = factor @ psi
+            j += 1
+            if j % record_every == 0 or j == steps:
+                marks.append(j)
+                rows.append(psi)
+    return t0 + (t1 - t0) * np.array(marks) / steps, np.array(rows)
 
 
 def evolve_time_ordered(
@@ -177,11 +208,10 @@ def evolve_time_ordered(
 
     U = exp(-i H(m_M) dt) ... exp(-i H(m_1) dt) with m_j the midpoint of the
     j-th subinterval; later factors multiply from the left.  ``hamiltonian``
-    is a :class:`BrightTrajectory`, whose generator H_eff is built for all
-    midpoints at once, or a callable t -> H(t).
+    is a :class:`BrightTrajectory`, whose generator H_eff is built for a
+    whole block of midpoints at once, or a callable t -> H(t).
     """
-    mids, _, dt = _step_grid(t0, t1, steps)
-    unitary, drift = _unitary_product(_midpoint_factors(hamiltonian, mids, dt))
+    unitary, drift = _unitary_product(_midpoint_factors(hamiltonian, t0, t1, steps))
     return PropagationResult(unitary=unitary, steps=steps, unitarity_error=drift, method="effective")
 
 
@@ -200,11 +230,11 @@ def evolve_full_adiabatic(
 
     The coupling schedule is sampled at subinterval midpoints of the
     normalized progress axis (reshaped by ``config.ramp``) and each step is
-    the exact exponential of the sampled Lambda Hamiltonian.  This is the
-    ground-truth oracle the geometric methods are compared against.
+    the exact exponential of the sampled Lambda Hamiltonian, built and
+    multiplied ``FULL_BLOCK`` steps at a time.  This is the ground-truth
+    oracle the geometric methods are compared against.
     """
-    mids, _, _ = _step_grid(0.0, 1.0, config.steps)
-    unitary, drift = _unitary_product(_lambda_step_factors(*_sample_drive(schedule, config, mids)))
+    unitary, drift = _unitary_product(_drive_factors(schedule, config))
     return PropagationResult(unitary=unitary, steps=config.steps, unitarity_error=drift, method="full")
 
 
@@ -219,9 +249,7 @@ def evolve_state_full(
     Returns (times, states) with ``times`` in normalized progress units and
     ``states`` of shape (len(times), n+1); row 0 is the initial state.
     """
-    mids, edges, _ = _step_grid(0.0, 1.0, config.steps)
-    factors = _lambda_step_factors(*_sample_drive(schedule, config, mids))
-    return _snapshots(factors, state, edges, record_every)
+    return _snapshots(_drive_factors(schedule, config), state, 0.0, 1.0, config.steps, record_every)
 
 
 def evolve_state_time_ordered(
@@ -237,8 +265,7 @@ def evolve_state_time_ordered(
 
     Returns (times, states); row 0 is the initial state at t0.
     """
-    mids, edges, dt = _step_grid(t0, t1, steps)
-    return _snapshots(_midpoint_factors(hamiltonian, mids, dt), state, edges, record_every)
+    return _snapshots(_midpoint_factors(hamiltonian, t0, t1, steps), state, t0, t1, steps, record_every)
 
 
 def dark_block(u: UnitaryOperator | np.ndarray, frame_start, frame_end) -> np.ndarray:
@@ -281,7 +308,7 @@ def reparametrize(
     the same unitary as the original (geometric evolution depends on the
     path, not on its parametrization).  ``f`` must be strictly increasing.
     The samples are plain matrices: the propagator that steps through them
-    checks their hermiticity, all midpoints at once.
+    checks their hermiticity, a block of midpoints at once.
     """
     grid = np.linspace(t0, t1, check_points)
     values = np.array([f(float(t)) for t in grid])

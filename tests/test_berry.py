@@ -144,6 +144,25 @@ class TestHolonomy:
         product = holonomy(second).matrix @ holonomy(first).matrix
         assert np.linalg.norm(holonomy(joined).matrix - product) < 1e-12
 
+    def test_fourth_order_in_the_segment_length(self):
+        # Each halving of every segment of a smooth loop that moves all four
+        # coordinates cuts the error against a fine reference about 16x.
+        t = np.linspace(0.0, 2 * np.pi, 21)
+        corners = np.stack(
+            [0.7 + 0.3 * np.cos(t), 0.6 + 0.3 * np.sin(t), 0.2 + 0.15 * np.sin(2 * t), 0.4 + 0.3 * np.sin(t + 0.5)], axis=1
+        )
+        corners[-1] = corners[0]
+
+        def subdivided(k):
+            fractions = np.arange(k) / k
+            inner = corners[:-1, None, :] + fractions[None, :, None] * np.diff(corners, axis=0)[:, None, :]
+            return ParameterPath(np.vstack([inner.reshape(-1, 4), corners[-1:]]), closed=True)
+
+        reference = holonomy(subdivided(64)).matrix
+        errors = [np.linalg.norm(holonomy(subdivided(k)).matrix - reference) for k in (2, 4, 8)]
+        for coarse, halved in zip(errors, errors[1:]):
+            assert 12.0 < coarse / halved < 20.0
+
     def test_reversed_loop_is_inverse(self):
         path = rectangle_loop("theta1", "theta2", 1.0, 0.8)
         u = holonomy(path).matrix
@@ -219,4 +238,25 @@ class TestCrossMethod:
         bump = np.sin(np.pi * t) ** 2
         samples = np.stack([0.6 * bump, 0.5 * np.sin(2 * np.pi * t) ** 2, 0.8 * bump, 1.1 * bump], axis=1)
         path = ParameterPath(samples, closed=True)
+        assert np.linalg.norm(holonomy(path).matrix - effective_dark_block(path, steps_per_segment=8)) < 1e-6
+
+    @staticmethod
+    def off_origin_loop():
+        # All four coordinates move on a loop whose first sample is not the
+        # parameter origin, so the dark frames at its ends are not unit vectors.
+        t = np.linspace(0.0, 2 * np.pi, 201)
+        samples = np.stack(
+            [0.7 + 0.15 * np.cos(t), 0.6 + 0.15 * np.sin(t), 0.2 + 0.075 * np.sin(2 * t), 0.4 + 0.15 * np.sin(t + 0.5)],
+            axis=1,
+        )
+        samples[-1] = samples[0]
+        return samples
+
+    def test_master_property_closed_loop_off_the_origin(self):
+        path = ParameterPath(self.off_origin_loop(), closed=True)
+        assert np.linalg.norm(holonomy(path).matrix - effective_dark_block(path, steps_per_segment=8)) < 1e-6
+
+    def test_master_property_open_path(self):
+        # An open path ends in a different dark frame than it starts in.
+        path = ParameterPath(self.off_origin_loop()[:100])
         assert np.linalg.norm(holonomy(path).matrix - effective_dark_block(path, steps_per_segment=8)) < 1e-6

@@ -348,6 +348,31 @@ class TestMainExitCodes:
         assert time.perf_counter() - started < 1.0
         assert capsys.readouterr().err.startswith(f"config error: {next(iter(parameters))}: ")
 
+    @pytest.mark.parametrize(
+        "kind, parameters, field",
+        [
+            ("gate", {"steps": 10**12}, "steps"),
+            ("gate", {"full_steps": 10**12}, "full_steps"),
+            ("compare", {"full_steps": 10**12}, "full_steps"),
+            ("loop", {"steps": 10**12}, "steps"),
+            ("stirap", {"steps": 10**12}, "steps"),
+            ("morris-shore", {"rows": 10**6, "cols": 10**6}, "rows"),
+            ("morris-shore", {"rows": 10**6, "cols": 1}, "rows"),
+        ],
+    )
+    def test_oversized_run_is_three_and_quick(self, kind, parameters, field, tmp_path, capsys):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"kind": kind, "parameters": parameters}))
+        started = time.perf_counter()
+        assert main([kind, "--config", str(cfg)]) == EXIT_CONFIG
+        assert time.perf_counter() - started < 1.0
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+    @pytest.mark.parametrize("kind, field", [("gate", "steps"), ("compare", "full_steps")])
+    def test_oversized_steps_override_is_three(self, kind, field, capsys):
+        assert main([kind, "--steps", str(10**12)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
     def test_report_written_to_out(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["morris-shore", "--out", str(out)]) == EXIT_OK

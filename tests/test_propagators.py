@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from brightpath.errors import (
     NonMonotoneMap,
     NotOrthonormal,
 )
-from brightpath.gates import GateSpec, stage_trajectory
+from brightpath.gates import GateSpec, gate_coupling_schedule, stage_trajectory
 from brightpath.lambda_system import CouplingSet, bright_state
 from brightpath.linalg import (
     HermitianOperator,
@@ -18,7 +20,10 @@ from brightpath.linalg import (
     unitary_distance,
 )
 from brightpath.propagators import (
+    FULL_BLOCK,
+    MAX_STEPS,
     AdiabaticRunConfig,
+    _lambda_step_factors,
     dark_block,
     evolve_full_adiabatic,
     evolve_state_full,
@@ -28,6 +33,7 @@ from brightpath.propagators import (
     leakage,
     reparametrize,
 )
+from brightpath.ramps import ramp_value
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -211,8 +217,9 @@ class TestEvolveFullAdiabatic:
         for omega_T in (0.0, np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="^omega_T"):
                 AdiabaticRunConfig(omega_T=omega_T)
-        with pytest.raises(ValueError):
-            AdiabaticRunConfig(omega_T=1.0, steps=5)
+        for steps in (5, MAX_STEPS + 1):
+            with pytest.raises(ValueError, match="^steps"):
+                AdiabaticRunConfig(omega_T=1.0, steps=steps)
         with pytest.raises(ValueError, match="^ramp"):
             AdiabaticRunConfig(omega_T=1.0, ramp="bogus")
 
@@ -238,6 +245,93 @@ class TestEvolveFullAdiabatic:
             defects[ramp] = np.linalg.norm(blk.conj().T @ blk - np.eye(2))
         assert defects["smooth"] < 1e-6
         assert defects["smooth"] < defects["linear"] / 50.0
+
+
+def gate_schedule(n=3):
+    psi = np.zeros(n, dtype=complex)
+    psi[0], psi[1] = 0.6, 0.8j
+    spec = GateSpec(n=n, psi=psi, phase_twist=0.9, t1=0.3137, t2=0.5711, theta_schedule="smooth")
+    return gate_coupling_schedule(spec)
+
+
+class TestBlockedOracle:
+    """The full oracle streams its steps in blocks of FULL_BLOCK."""
+
+    def test_matches_whole_grid_sequential_product(self):
+        # Two full blocks and a ragged tail, against every factor of the run
+        # built at once and multiplied one by one, later steps to the left.
+        schedule = gate_schedule()
+        config = AdiabaticRunConfig(omega_T=40.0, steps=2 * FULL_BLOCK + 37, ramp="smooth")
+        mids = (np.arange(config.steps) + 0.5) / config.steps
+        r, phi, omega = schedule.sample(ramp_value(config.ramp, mids))
+        factors = _lambda_step_factors(r * np.exp(1j * phi), omega * (config.omega_T / omega[0] / config.steps))
+        u = np.eye(4, dtype=complex)
+        for factor in factors:
+            u = factor @ u
+        assert np.linalg.norm(evolve_full_adiabatic(schedule, config).unitary.matrix - u) < 1e-12
+        start = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
+        times, states = evolve_state_full(schedule, config, start, record_every=FULL_BLOCK - 1)
+        marks = np.array([0, FULL_BLOCK - 1, 2 * FULL_BLOCK - 2, config.steps])
+        np.testing.assert_array_equal(times, marks / config.steps)
+        assert np.linalg.norm(states[-1] - u @ start) < 1e-12
+
+    def test_duration_comes_from_the_run_first_sample(self):
+        # A scalar schedule whose Rabi frequency doubles at the block
+        # boundary: with the duration omega_T / Omega(first sample), the
+        # second block turns the bright state twice as fast as the first.
+        c = CouplingSet(omega=1.0, r=np.array([0.6, 0.8]), phi=np.array([0.0, 0.7]))
+        fast = CouplingSet(omega=2.0, r=c.r, phi=c.phi)
+
+        def schedule(s):
+            return c if s < 0.5 else fast
+
+        omega_T = 2.1
+        res = evolve_full_adiabatic(schedule, AdiabaticRunConfig(omega_T=omega_T, steps=2 * FULL_BLOCK))
+        b = np.zeros(3, dtype=complex)
+        b[:2] = bright_state(c)
+        e = np.eye(3)[2]
+        angle = 1.5 * omega_T
+        p_bright = np.outer(b, b.conj()) + np.outer(e, e)
+        cross = np.outer(b, e) + np.outer(e, b.conj())
+        exact = np.eye(3) + (np.cos(angle) - 1.0) * p_bright - 1j * np.sin(angle) * cross
+        assert np.linalg.norm(res.unitary.matrix - exact) < 1e-10
+
+    @pytest.mark.parametrize("rule, message", [("norm", r"sum\(r_i\^2\)"), ("omega", "omega must be positive")])
+    def test_a_bad_step_in_a_later_block_is_rejected(self, rule, message):
+        # One step of the second block breaks a drive invariant.
+        base = gate_schedule()
+        config = AdiabaticRunConfig(omega_T=10.0, steps=2 * FULL_BLOCK)
+        bad = (FULL_BLOCK + 100 + 0.5) / config.steps  # a midpoint; the linear ramp keeps it
+        blocks = []
+
+        class Broken:
+            def sample(self, progress):
+                blocks.append(progress.size)
+                r, phi, omega = base.sample(progress)
+                hit = progress == bad
+                if rule == "norm":
+                    r[hit] *= 1.001
+                else:
+                    omega[hit] = 0.0
+                return r, phi, omega
+
+        for run in (evolve_full_adiabatic, lambda sch, cfg: evolve_state_full(sch, cfg, np.eye(4)[0])):
+            blocks.clear()
+            with pytest.raises(ValueError, match=message):
+                run(Broken(), config)
+            assert blocks == [FULL_BLOCK, FULL_BLOCK]
+
+    def test_memory_stays_flat_in_the_step_count(self):
+        # 2^18 steps on 6 levels would need 144 MiB for the factors alone.
+        schedule = gate_schedule(n=5)
+        config = AdiabaticRunConfig(omega_T=2000.0, steps=2**18)
+        tracemalloc.start()
+        try:
+            evolve_full_adiabatic(schedule, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestStatePropagation:
