@@ -48,6 +48,7 @@ from .gates import (
 from .linalg import matrix_distance, projector_from_frame
 from .morris_shore import TwoManifoldSystem, morris_shore_transform, to_general_hamiltonian
 from .propagators import (
+    FULL_BLOCK,
     MAX_STEPS,
     AdiabaticRunConfig,
     dark_block,
@@ -58,6 +59,8 @@ from .propagators import (
 )
 
 KINDS = ("gate", "loop", "compare", "morris-shore", "stirap", "selftest")
+# The kinds whose runs have a state trajectory to write with --timeseries.
+TIMESERIES_KINDS = ("stirap", "gate")
 # The most levels (rows + cols) of a seeded random Morris-Shore matrix: this
 # bounds both the rows x cols draw and the (rows + cols)^2 drive Hamiltonian
 # before anything is allocated.
@@ -568,52 +571,79 @@ def run_scenario(config: ScenarioConfig) -> dict:
 # time series
 
 
+def check_timeseries_kind(kind: str) -> None:
+    """Reject a scenario kind that has no time series to write."""
+    if kind not in TIMESERIES_KINDS:
+        raise ConfigError(f"kind: scenario {kind!r} does not support time series; expected one of {TIMESERIES_KINDS}")
+
+
 def emit_timeseries(config: ScenarioConfig, path: str, record_every: int = 1) -> None:
     """Write a ``t,leakage,pop_1..pop_N,phase_psi`` CSV for one scenario.
 
-    Supported kinds: ``stirap`` (state starts in level 1), ``gate`` with the
-    effective method (state starts in psi) and ``gate`` with the full method
-    (psi embedded in the n+1-level system).
+    Supported kinds (``TIMESERIES_KINDS``): ``stirap`` (state starts in
+    level 1), ``gate`` with the effective method (state starts in psi) and
+    ``gate`` with the full method (psi embedded in the n+1-level system).
     """
+    write_timeseries(path, *_timeseries_states(config, record_every))
+
+
+def _timeseries_states(config: ScenarioConfig, record_every: int):
+    """(times, states, reference, bright_at) of one scenario: the recorded
+    states, the state the phase is measured against, and a function giving
+    the bright (and excited) states at an array of times, shape (M, k, dim)."""
+    check_timeseries_kind(config.kind)
     if config.kind == "stirap":
         trajectory = config.trajectory
-        start = np.array([1.0, 0.0], dtype=complex)
-        times, states = evolve_state_time_ordered(trajectory, 0.0, 1.0, config.steps, start, record_every)
-        reference = start
-        bright = trajectory.sample(times)[0]
-    elif config.kind == "gate":
-        spec = config.spec
-        trajectory = stage_trajectory(spec)
-        if "full" in config.methods:
-            start = np.zeros(spec.n + 1, dtype=complex)
-            start[: spec.n] = spec.psi
-            times, states = evolve_state_full(gate_coupling_schedule(spec), config.full_runs[0], start, record_every)
-            reference = start
-            # The bright state embedded in n+1 levels, and the excited level.
-            bright = np.zeros((len(times), 2, spec.n + 1), dtype=complex)
-            bright[:, 0, : spec.n] = trajectory.sample(times * spec.t3)[0][:, 0]
-            bright[:, 1, spec.n] = 1.0
-        else:
-            start = reference = spec.psi
-            times, states = evolve_state_time_ordered(trajectory, 0.0, spec.t3, config.steps, start, record_every)
-            bright = trajectory.sample(times)[0]
-    else:
-        raise ConfigError(f"kind: scenario {config.kind!r} does not support time series")
+        reference = np.array([1.0, 0.0], dtype=complex)
+        times, states = evolve_state_time_ordered(trajectory, 0.0, 1.0, config.steps, reference, record_every)
+        return times, states, reference, lambda t: trajectory.sample(t)[0]
+    spec = config.spec
+    trajectory = stage_trajectory(spec)
+    if "full" not in config.methods:
+        times, states = evolve_state_time_ordered(trajectory, 0.0, spec.t3, config.steps, spec.psi, record_every)
+        return times, states, spec.psi, lambda t: trajectory.sample(t)[0]
+    reference = np.zeros(spec.n + 1, dtype=complex)
+    reference[: spec.n] = spec.psi
+    times, states = evolve_state_full(gate_coupling_schedule(spec), config.full_runs[0], reference, record_every)
 
-    # Population outside the bright (and excited) states: the dark subspace.
-    amplitudes = np.einsum("rkd,rd->rk", bright.conj(), states)
-    dark = (states.conj() * states).real.sum(axis=1) - (np.abs(amplitudes) ** 2).sum(axis=1)
+    def bright_at(t: np.ndarray) -> np.ndarray:
+        # The bright state embedded in n+1 levels, and the excited level.
+        bright = np.zeros((len(t), 2, spec.n + 1), dtype=complex)
+        bright[:, 0, : spec.n] = trajectory.sample(t * spec.t3)[0][:, 0]
+        bright[:, 1, spec.n] = 1.0
+        return bright
+
+    return times, states, reference, bright_at
+
+
+def write_timeseries(path: str, times: np.ndarray, states: np.ndarray, reference: np.ndarray, bright_at) -> None:
+    """Write one row per recorded state, ``FULL_BLOCK`` rows at a time.
+
+    Columns: the time; the leakage, 1 minus the population outside
+    ``bright_at(times)``; each level's population; and the phase of the
+    overlap with ``reference`` (0.0 when that overlap is below 1e-12).
+    Every field is the shortest round-trip ``repr`` of the float that the
+    scalar formulas give: a population is libm ``hypot`` then ``pow``, and
+    each overlap is one ``np.vdot``, because the array forms of both
+    (``np.abs``, ``**2``, ``einsum``, ``@``) can differ in the last bit.
+    """
     dim = states.shape[1]
-    header = "t,leakage," + ",".join(f"pop_{i + 1}" for i in range(dim)) + ",phase_psi"
-    lines = [header]
-    for t, state, dark_t in zip(times, states, dark):
-        leak = max(0.0, 1.0 - float(dark_t))
-        pops = ",".join(repr(float(abs(amp) ** 2)) for amp in state)
-        overlap = complex(np.vdot(reference, state))
-        phase = float(np.angle(overlap)) if abs(overlap) > 1e-12 else 0.0
-        lines.append(f"{float(t)!r},{leak!r},{pops},{phase!r}")
+    header = "t,leakage," + ",".join(f"pop_{i + 1}" for i in range(dim)) + ",phase_psi\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(header)
+        for lo in range(0, len(times), FULL_BLOCK):
+            t, psi = times[lo : lo + FULL_BLOCK], states[lo : lo + FULL_BLOCK]
+            # Population outside the bright (and excited) states: the dark subspace.
+            amplitudes = np.einsum("rkd,rd->rk", bright_at(t).conj(), psi)
+            dark = (psi.conj() * psi).real.sum(axis=1) - (np.abs(amplitudes) ** 2).sum(axis=1)
+            overlap = np.array([np.vdot(reference, row) for row in psi])
+            table = np.empty((len(t), dim + 3))
+            table[:, 0] = t
+            table[:, 1] = np.maximum(0.0, 1.0 - dark)
+            magnitudes = np.hypot(psi.real, psi.imag).ravel().tolist()
+            table[:, 2:-1] = np.reshape([math.pow(m, 2.0) for m in magnitudes], psi.shape)
+            table[:, -1] = np.where(np.hypot(overlap.real, overlap.imag) > 1e-12, np.angle(overlap), 0.0)
+            handle.write(repr(table.tolist())[2:-2].replace("], [", "\n").replace(", ", ",") + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +701,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
+        if args.timeseries:
+            check_timeseries_kind(config.kind)
         report = run_scenario(config)
         if args.timeseries:
             try:

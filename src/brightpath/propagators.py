@@ -190,7 +190,7 @@ def _snapshots(
     j = 0
     for block in blocks:
         for factor in block:
-            psi = factor @ psi
+            psi = factor.dot(psi)
             j += 1
             if j % record_every == 0 or j == steps:
                 marks.append(j)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from brightpath import cli
 from brightpath.cli import (
     DEFAULT_PARAMETERS,
     EXIT_CONFIG,
@@ -18,8 +19,10 @@ from brightpath.cli import (
     main,
     pairs_to_complex,
     run_scenario,
+    write_timeseries,
 )
 from brightpath.errors import ConfigError
+from brightpath.propagators import FULL_BLOCK
 
 
 def strip_timing(report):
@@ -253,6 +256,86 @@ class TestTimeseries:
     def test_unsupported_kind(self, tmp_path):
         with pytest.raises(ConfigError):
             emit_timeseries(ScenarioConfig("morris-shore"), str(tmp_path / "x.csv"))
+
+    @pytest.mark.parametrize("kind", ["compare", "loop", "morris-shore", "selftest"])
+    def test_unsupported_kind_rejected_before_the_run(self, kind, tmp_path, monkeypatch, capsys):
+        def must_not_run(config):
+            raise AssertionError(f"{config.kind} ran before its --timeseries was rejected")
+
+        monkeypatch.setattr(cli, "run_scenario", must_not_run)
+        path = tmp_path / "x.csv"
+        assert main([kind, "--timeseries", str(path)]) == EXIT_CONFIG
+        assert "kind" in capsys.readouterr().err
+        assert not path.exists()
+
+
+def per_row_csv(path, times, states, reference, bright):
+    """The row-by-row writer that the chunked one must match byte for byte."""
+    amplitudes = np.einsum("rkd,rd->rk", bright.conj(), states)
+    dark = (states.conj() * states).real.sum(axis=1) - (np.abs(amplitudes) ** 2).sum(axis=1)
+    dim = states.shape[1]
+    header = "t,leakage," + ",".join(f"pop_{i + 1}" for i in range(dim)) + ",phase_psi"
+    lines = [header]
+    for t, state, dark_t in zip(times, states, dark):
+        leak = max(0.0, 1.0 - float(dark_t))
+        pops = ",".join(repr(float(abs(amp) ** 2)) for amp in state)
+        overlap = complex(np.vdot(reference, state))
+        phase = float(np.angle(overlap)) if abs(overlap) > 1e-12 else 0.0
+        lines.append(f"{float(t)!r},{leak!r},{pops},{phase!r}")
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+FIVE_LEVEL_GATE = {
+    "n": 5,
+    "psi": [[0.5, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [0.0, 0.0]],
+    "methods": ["full"],
+    "full_steps": FULL_BLOCK + 37,
+    "omega_T": 2000.0,
+    "theta_schedule": "smooth",
+    "phi_schedule": "smooth",
+}
+
+
+class TestChunkedTimeseriesBytes:
+    """write_timeseries formats FULL_BLOCK rows at a time, byte-identical to per_row_csv."""
+
+    def assert_same_bytes(self, tmp_path, times, states, reference, bright_at):
+        chunked, per_row = tmp_path / "chunked.csv", tmp_path / "per_row.csv"
+        write_timeseries(str(chunked), times, states, reference, bright_at)
+        per_row_csv(str(per_row), times, states, reference, bright_at(times))
+        text = chunked.read_text()
+        assert chunked.read_bytes() == per_row.read_bytes()
+        assert text.endswith("\n") and "\n\n" not in text
+        assert text.count("\n") == len(times) + 1
+
+    @pytest.mark.parametrize(
+        "kind, parameters, record_every",
+        [
+            ("stirap", {"steps": FULL_BLOCK + 37}, 1),
+            ("stirap", {"steps": 4096, "ramp": "smooth"}, 64),
+            ("gate", {"methods": ["effective"], "steps": FULL_BLOCK + 37}, 1),
+            ("gate", {"methods": ["effective"], "steps": 4096}, 64),
+            ("gate", FIVE_LEVEL_GATE, 1),
+            ("gate", FIVE_LEVEL_GATE, 64),
+        ],
+    )
+    def test_scenarios(self, tmp_path, kind, parameters, record_every):
+        source = cli._timeseries_states(ScenarioConfig(kind, parameters), record_every)
+        self.assert_same_bytes(tmp_path, *source)
+
+    def test_zero_overlap_and_zero_populations(self, tmp_path):
+        times, states, reference, bright_at = cli._timeseries_states(
+            ScenarioConfig("stirap", {"steps": FULL_BLOCK + 37}), 1
+        )
+        states = states.copy()
+        states[FULL_BLOCK - 1] = [0.0, 1.0]  # overlap exactly 0: phase 0.0, pop_1 0.0
+        states[FULL_BLOCK] = [0.0, -1j]
+        states[-1] = [1e-13, 1.0]  # overlap below the phase threshold
+        self.assert_same_bytes(tmp_path, times, states, reference, bright_at)
+        rows = (tmp_path / "chunked.csv").read_text().splitlines()
+        assert rows[FULL_BLOCK].split(",")[2:] == ["0.0", "1.0", "0.0"]
+        assert rows[-1].endswith(",1.0,0.0")
 
 
 class TestMainExitCodes:

@@ -23,6 +23,7 @@ from brightpath.propagators import (
     FULL_BLOCK,
     MAX_STEPS,
     AdiabaticRunConfig,
+    _drive_factors,
     _lambda_step_factors,
     dark_block,
     evolve_full_adiabatic,
@@ -274,6 +275,25 @@ class TestBlockedOracle:
         marks = np.array([0, FULL_BLOCK - 1, 2 * FULL_BLOCK - 2, config.steps])
         np.testing.assert_array_equal(times, marks / config.steps)
         assert np.linalg.norm(states[-1] - u @ start) < 1e-12
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_snapshots_match_a_matmul_loop_bit_for_bit(self, record_every):
+        # The snapshot reducer against the same factor stream applied one
+        # `factor @ psi` at a time: equal bits, not a tolerance.
+        schedule = gate_schedule()
+        config = AdiabaticRunConfig(omega_T=40.0, steps=2 * FULL_BLOCK + 5, ramp="smooth")
+        psi = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
+        rows = [psi]
+        j = 0
+        for block in _drive_factors(schedule, config):
+            for factor in block:
+                psi = factor @ psi
+                j += 1
+                if j % record_every == 0 or j == config.steps:
+                    rows.append(psi)
+        times, states = evolve_state_full(schedule, config, rows[0], record_every)
+        assert len(times) == len(rows)
+        assert np.array_equal(states, np.array(rows))
 
     def test_duration_comes_from_the_run_first_sample(self):
         # A scalar schedule whose Rabi frequency doubles at the block
