@@ -160,12 +160,19 @@ class BrightTrajectory:
         )
 
     def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """Values and derivatives at every time of a 1-D array, each (M, k, dim)."""
+        """Values and derivatives at every time of a 1-D array, each (M, k, dim);
+        ``DimensionMismatch`` names both shapes when either is not."""
         times = np.asarray(times, dtype=float)
         if self.sampler is not None:
-            return self.sampler(times)
-        values = np.array([np.atleast_2d(self.value(float(t))) for t in times], dtype=complex)
-        derivatives = np.array([np.atleast_2d(self.derivative(float(t))) for t in times], dtype=complex)
+            values, derivatives = self.sampler(times)
+        else:
+            values = np.array([np.atleast_2d(self.value(float(t))) for t in times], dtype=complex)
+            derivatives = np.array([np.atleast_2d(self.derivative(float(t))) for t in times], dtype=complex)
+        expected = (times.size, self.k, self.dim)
+        if np.shape(values) != expected or np.shape(derivatives) != expected:
+            raise DimensionMismatch(
+                f"sampled values {np.shape(values)} and derivatives {np.shape(derivatives)} must both be {expected}"
+            )
         return values, derivatives
 
     def h_eff(self, t: float) -> HermitianOperator:

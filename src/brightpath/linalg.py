@@ -222,6 +222,37 @@ def _expm_hermitian_stack(stack: np.ndarray, t: float) -> np.ndarray:
     return (evecs * phases[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
 
 
+def _expm_rank2_stack(stack: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H_j t) for every matrix of an (m, d, d) Hermitian stack of rank
+    <= 2 whose two eigenvalues off the null space have opposite signs (the
+    one-bright-state generator i(|Bdot><B| - |B><Bdot|)), in closed form.
+
+    With A = t H, s = tr A and q = tr A^2, the eigenvalues of A are 0 and
+    lam_1,2 = (s +- sqrt(2q - s^2)) / 2, and exp(-iA) = 1 + c1 A + c2 A^2
+    is the polynomial that interpolates e^{-ix} at {0, lam_1, lam_2}:
+    c2 = (phi(lam_1) - phi(lam_2)) / (lam_1 - lam_2) (-1/2 for lam_1 = lam_2
+    = 0), c1 = phi(lam_1) - c2 lam_1, phi(x) = (e^{-ix} - 1) / x.  Only the
+    scaled exponent A is squared, so H may be as large as t is small.  The
+    caller has checked hermiticity and the rank.
+    """
+    m, d, _ = stack.shape
+    a = stack * t
+    s = np.trace(a, axis1=1, axis2=2).real
+    q = (a.conj() * a).real.sum(axis=(1, 2))  # tr A^2 = ||A||_F^2 for Hermitian A
+    root = np.sqrt(np.maximum(0.0, 2.0 * q - s * s))
+    lam1, lam2 = (s + root) / 2, (s - root) / 2
+    # phi(x) = -i e^{-ix/2} sinc(x/2), finite at x = 0; np.sinc(y) = sin(pi y) / (pi y).
+    phi1, phi2 = (-1j * np.exp(-0.5j * lam) * np.sinc(lam / (2 * np.pi)) for lam in (lam1, lam2))
+    gap = lam1 - lam2
+    split = gap > 0
+    c2 = np.where(split, (phi1 - phi2) / np.where(split, gap, 1.0), -0.5)
+    c1 = phi1 - c2 * lam1
+    out = c2[:, None, None] * (a @ a)
+    out += c1[:, None, None] * a
+    out.reshape(m, -1)[:, :: d + 1] += 1.0
+    return out
+
+
 def _ordered_product(factors: np.ndarray) -> np.ndarray:
     """Product F_{k-1} @ ... @ F_0 of a (k, d, d) stack (later factors to the
     left) via pairwise tree reduction; the identity for an empty stack."""

@@ -5,12 +5,13 @@ in blocks of ``FULL_BLOCK`` steps.  The grid splits [t0, t1] into equal
 steps and hands out their midpoints one block at a time.  A factor builder
 samples and checks each block and turns it into an (m, d, d) array of
 one-step exponentials: the exponential midpoint rule (second order, unitary
-by construction) for a caller's generator, or the closed-form Lambda step
-of the full (n+1)-level drive, the brute-force oracle the geometric methods
-are checked against.  A reducer consumes the blocks in order: it forms the
-ordered product (each block by a pairwise tree, then the block products by
-the same tree) or applies the factors to one state (snapshots).  No array
-longer than one block is built, so memory stays flat in the step count.
+by construction) for a caller's generator, in closed form for a
+one-bright-state trajectory, or the closed-form Lambda step of the full
+(n+1)-level drive, the brute-force oracle the geometric methods are checked
+against.  A reducer consumes the blocks in order: it forms the ordered
+product (each block by a pairwise tree, then the block products by the same
+tree) or applies the factors to one state (snapshots).  No array longer
+than one block is built, so memory stays flat in the step count.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .linalg import (
     HermitianOperator,
     UnitaryOperator,
     _expm_hermitian_stack,
+    _expm_rank2_stack,
     _hermiticity_failure,
     _ordered_product,
     as_frame,
@@ -96,16 +98,19 @@ def _step_grid(t0: float, t1: float, steps: int) -> tuple[Iterator[np.ndarray], 
 
 def _midpoint_factors(hamiltonian: Hamiltonian, t0: float, t1: float, steps: int) -> Iterator[np.ndarray]:
     """exp(-i H(m_j) dt) for every midpoint m_j of the grid, one block at a
-    time; every sample must pass the hermiticity check, and the first that
-    fails is named.  A trajectory's generators are built from one
-    ``sample`` of each block."""
+    time.  A trajectory's generators are built from one ``sample`` of each
+    block (Hermitian by construction); with one bright state they have rank
+    <= 2 and take the closed-form exponential.  A callable's samples must
+    pass the hermiticity check, and the first that fails is named."""
     blocks, dt = _step_grid(t0, t1, steps)
+    if isinstance(hamiltonian, BrightTrajectory):
+        expm = _expm_rank2_stack if hamiltonian.k == 1 else _expm_hermitian_stack
+        for mids in blocks:
+            yield expm(_h_eff_stack(*hamiltonian.sample(mids), times=mids), dt)
+        return
     for mids in blocks:
-        if isinstance(hamiltonian, BrightTrajectory):
-            stack = _h_eff_stack(*hamiltonian.sample(mids), times=mids)
-        else:
-            samples = [hamiltonian(float(m)) for m in mids]
-            stack = np.array([h.matrix if isinstance(h, HermitianOperator) else h for h in samples], dtype=complex)
+        samples = [hamiltonian(float(m)) for m in mids]
+        stack = np.array([h.matrix if isinstance(h, HermitianOperator) else h for h in samples], dtype=complex)
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise DimensionMismatch(f"H(t) must be square matrices of one size, got stack shape {stack.shape}")
         failure = _hermiticity_failure(stack)

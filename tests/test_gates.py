@@ -229,6 +229,15 @@ class TestSimulateGate:
         report = simulate_gate(spec, steps=4000)
         assert abs(abs(report.geometric_phase) - solid_angle / 2.0) < 1e-6
 
+    @pytest.mark.parametrize("steps", [100, 10_000])
+    def test_linear_schedule_on_grid_is_exact(self, steps):
+        # Each stage's generator is constant under linear ramps, and the
+        # stage times 0.25, 0.5, 1 fall on the step grid, so the midpoint
+        # rule is exact up to rounding at any step count.
+        report = simulate_gate(spec_pi3(t1=0.25, t2=0.5, t3=1.0), steps=steps)
+        assert report.distance_exact <= 1e-12
+        assert report.distance_phase <= 1e-12
+
     def test_phase_extraction_floor(self):
         low_modulus = np.array([[0.3, 0.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError):
@@ -282,3 +291,13 @@ class TestStirap:
         linear = stirap_transfer(np.pi / 2, steps=4096, ramp="linear")
         smooth = stirap_transfer(np.pi / 2, steps=4096, ramp="smooth")
         assert np.linalg.norm(linear.final_state - smooth.final_state) < 1e-7
+
+    def test_smooth_ramp_observed_order_is_two(self):
+        deviations = [stirap_transfer(np.pi / 2, steps=steps, ramp="smooth").deviation for steps in (256, 512, 1024)]
+        orders = np.log2(np.array(deviations[:-1]) / deviations[1:])
+        assert np.all(np.abs(orders - 2.0) <= 0.05), orders
+
+    @pytest.mark.parametrize("steps", [7, 1024])
+    def test_linear_ramp_is_exact(self, steps):
+        # A linear ramp has a constant generator: one exponential is exact.
+        assert stirap_transfer(np.pi / 2, steps=steps, ramp="linear").deviation <= 1e-14

@@ -14,6 +14,8 @@ from brightpath.errors import (
 from brightpath.linalg import (
     HermitianOperator,
     UnitaryOperator,
+    _expm_hermitian_stack,
+    _expm_rank2_stack,
     as_state,
     expm_hermitian,
     gram_schmidt,
@@ -150,6 +152,51 @@ class TestExpmHermitian:
         lhs = expm_hermitian(h, t1).matrix @ expm_hermitian(h, t2).matrix
         rhs = expm_hermitian(h, t1 + t2).matrix
         assert np.linalg.norm(lhs - rhs) < 1e-10
+
+
+def one_bright_generators(rng, dim, speeds, pure_gauge=False):
+    """i(|Bdot><B| - |B><Bdot|) for random unit B and tangent Bdot with
+    ||Bdot|| = speeds; with ``pure_gauge``, Bdot = i a B."""
+    count = len(speeds)
+    b = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    if pure_gauge:
+        v = 1j * rng.choice([-1.0, 1.0], size=(count, 1)) * b
+    else:
+        v = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+        v -= (b.conj() * v).sum(axis=1).real[:, None] * b
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    cross = (v * np.asarray(speeds)[:, None])[:, :, None] * b.conj()[:, None, :]
+    return 1j * (cross - cross.conj().transpose(0, 2, 1))
+
+
+def unitarity_defect(stack):
+    return np.abs(stack.conj().transpose(0, 2, 1) @ stack - np.eye(stack.shape[1])).max()
+
+
+class TestExpmRank2:
+    """The closed-form one-bright-state step against the eigh route."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("pure_gauge", [False, True])
+    @pytest.mark.parametrize("t", [1e-3, 0.25, 1.0])
+    def test_matches_eigh(self, rng, dim, pure_gauge, t):
+        h = one_bright_generators(rng, dim, np.logspace(-10, 1, 400), pure_gauge)
+        u = _expm_rank2_stack(h, t)
+        assert np.abs(u - _expm_hermitian_stack(h, t)).max() <= 1e-13
+        assert unitarity_defect(u) <= 1e-13
+
+    def test_zero_generator_is_identity(self):
+        u = _expm_rank2_stack(np.zeros((3, 4, 4), dtype=complex), 0.7)
+        np.testing.assert_array_equal(u, np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+    @pytest.mark.parametrize("speed, t", [(1e300, 3e-301), (1e-200, 4e199)])
+    def test_only_the_scaled_exponent_is_squared(self, rng, speed, t):
+        # H^2 overflows (or underflows) here; (t H)^2 is of order one.
+        h = one_bright_generators(rng, 3, np.full(50, speed))
+        u = _expm_rank2_stack(h, t)
+        assert np.abs(u - _expm_hermitian_stack(h * t, 1.0)).max() <= 1e-13
+        assert unitarity_defect(u) <= 1e-13
 
 
 class TestUnitaryDistance:

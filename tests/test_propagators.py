@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -133,21 +134,52 @@ class TestEvolveTimeOrdered:
                 hit = times == at
                 if rule == "scale":
                     values[hit] *= 1.1
-                elif rule == "nan":
-                    values[hit] = np.nan
-                else:
+                elif rule == "radial":
                     derivatives[hit] += values[hit]
+                else:
+                    target, bad = rule
+                    (values if target == "value" else derivatives)[hit] = bad
                 return values, derivatives
 
             return BrightTrajectory.from_sampler(2, 1, 0.0, 1.0, sampler)
 
+        # The generator is Hermitian by construction, so these two checks
+        # are all that stands between a non-finite sample and the kernel.
         for rule, at, error in (
             ("scale", 0.625, NotOrthonormal),
-            ("nan", 0.125, NotOrthonormal),
+            (("value", np.nan), 0.125, NotOrthonormal),
+            (("value", np.inf), 0.875, NotOrthonormal),
+            (("value", -np.inf), 0.375, NotOrthonormal),
             ("radial", 0.375, DerivativeInconsistent),
+            (("derivative", np.inf), 0.625, DerivativeInconsistent),
+            (("derivative", -np.inf), 0.125, DerivativeInconsistent),
         ):
-            with pytest.raises(error, match=rf"at t={at}$"):
+            # inf * 0 = nan inside the checks is expected here, not a warning.
+            with pytest.raises(error, match=rf"at t={at}$"), np.errstate(invalid="ignore"):
                 evolve_time_ordered(broken(rule, at), 0.0, 1.0, 4)
+
+    @pytest.mark.parametrize(
+        "values_shape, derivatives_shape",
+        [((1, 3), (1, 3)), ((2, 2), (2, 2)), ((1, 2), (1, 3)), ((1, 3), (1, 2))],
+    )
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_rejects_misshapen_trajectory_sample(self, values_shape, derivatives_shape, vectorized):
+        # Declared k = 1, dim = 2; an orthonormal sample of another shape
+        # would otherwise be propagated as if it were declared.
+        frame = np.eye(*values_shape, dtype=complex)
+
+        def sampler(times):
+            return np.broadcast_to(frame, (times.size, *values_shape)), np.zeros((times.size, *derivatives_shape))
+
+        if vectorized:
+            traj = BrightTrajectory.from_sampler(2, 1, 0.0, 1.0, sampler)
+        else:
+            traj = BrightTrajectory(2, 1, 0.0, 1.0, lambda t: frame, lambda t: np.zeros(derivatives_shape))
+        named = "values {} and derivatives {} must both be \\(4, 1, 2\\)".format(
+            *(re.escape(str((4, *shape))) for shape in (values_shape, derivatives_shape))
+        )
+        with pytest.raises(DimensionMismatch, match=named):
+            evolve_time_ordered(traj, 0.0, 1.0, 4)
 
     def test_composition(self):
         full = evolve_time_ordered(smooth_noncommuting, 0.0, 2.0, 4096)
