@@ -3,8 +3,9 @@
 Closed-form connection matrices for the angle-parametrized dark frame,
 path-ordered holonomies of polyline parameter loops, and the analytic
 single-axis loop formulas used as oracles.  The companion
-:func:`effective_dark_block` integrates the coupling-coefficient effective
-Hamiltonian along the same path so both methods can be compared directly.
+:func:`effective_dark_block` propagates the effective Hamiltonian of the
+angle-parametrized bright state along the same path so both methods can be
+compared directly.
 """
 
 from __future__ import annotations
@@ -14,16 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .effective import BrightTrajectory
 from .errors import PathVariesFixedCoordinates, SegmentTooCoarse
-from .lambda_system import (
-    SphericalAngles,
-    coupling_rates_from_angles,
-    couplings_from_angles,
-    dark_basis_parametrized,
-)
-from .effective import h_eff_couplings
+from .lambda_system import SphericalAngles, _angle_couplings, _angle_row, _check_drive, dark_basis_parametrized
 from .linalg import UnitaryOperator, _expm_hermitian_stack, _ordered_product, expm_hermitian
-from .propagators import dark_block, evolve_time_ordered
+from .propagators import _midpoint_factors, _unitary_product, dark_block
 
 COORDINATES = ("theta1", "theta2", "phi2", "phi3")
 SEGMENT_BOUND = 0.1
@@ -138,23 +134,28 @@ class ConnectionMatrices:
         return [self.a_theta1, self.a_theta2, self.a_phi2, self.a_phi3]
 
 
+def _connections(points: np.ndarray) -> np.ndarray:
+    """The connection components (A_theta1, A_theta2, A_phi2, A_phi3) at every
+    row of an (M, 4) stack of parameter points, as (M, 4, 2, 2)."""
+    s1 = np.sin(points[:, 0])
+    s2, c2 = np.sin(points[:, 1]), np.cos(points[:, 1])
+    out = np.zeros((points.shape[0], 4, 2, 2), dtype=complex)
+    out[:, 1, 0, 1] = s1
+    out[:, 1, 1, 0] = -s1
+    mixed = -s1 * s2 * c2
+    out[:, 2] = 1j * np.array([[s1 * s1 * s2 * s2, mixed], [mixed, c2 * c2]], dtype=complex).transpose(2, 0, 1)
+    out[:, 3] = 1j * np.array([[s1 * s1 * c2 * c2, -mixed], [-mixed, s2 * s2]], dtype=complex).transpose(2, 0, 1)
+    return out
+
+
 def connection_at(a: SphericalAngles) -> ConnectionMatrices:
-    """Closed-form connection components at one parameter point.
+    """Closed-form connection components at one parameter point (the one-row
+    case of the stacked formulas).
 
     Obtained by differentiating the parametrized dark frame; every entry is
     cross-checked against central differences in the test suite.
     """
-    s1, c1 = np.sin(a.theta1), np.cos(a.theta1)
-    s2, c2 = np.sin(a.theta2), np.cos(a.theta2)
-    a_theta1 = np.zeros((2, 2), dtype=complex)
-    a_theta2 = np.array([[0.0, s1], [-s1, 0.0]], dtype=complex)
-    a_phi2 = 1j * np.array(
-        [[s1 * s1 * s2 * s2, -s1 * s2 * c2], [-s1 * s2 * c2, c2 * c2]], dtype=complex
-    )
-    a_phi3 = 1j * np.array(
-        [[s1 * s1 * c2 * c2, s1 * s2 * c2], [s1 * s2 * c2, s2 * s2]], dtype=complex
-    )
-    return ConnectionMatrices(a_theta1, a_theta2, a_phi2, a_phi3)
+    return ConnectionMatrices(*_connections(_angle_row(a))[0])
 
 
 def holonomy(path: ParameterPath) -> UnitaryOperator:
@@ -169,13 +170,9 @@ def holonomy(path: ParameterPath) -> UnitaryOperator:
     """
     path.check_resolution()
     deltas = np.diff(path.samples, axis=0)
-
-    def exponents_at(node: float) -> np.ndarray:
-        points = path.samples[:-1] + node * deltas
-        connections = np.array([connection_at(SphericalAngles(*p)).as_list() for p in points], dtype=complex)
-        return np.sum(connections.reshape(-1, 4, 2, 2) * deltas[:, :, None, None], axis=1)
-
-    e1, e2 = (exponents_at(node) for node in GAUSS_NODES)
+    e1, e2 = (
+        np.sum(_connections(path.samples[:-1] + node * deltas) * deltas[:, :, None, None], axis=1) for node in GAUSS_NODES
+    )
     exponents = 0.5 * (e1 + e2) - (np.sqrt(3.0) / 12.0) * (e2 @ e1 - e1 @ e2)
     # exp(-exponent) with anti-Hermitian exponent == exp(-i (-i exponent))
     return UnitaryOperator(_ordered_product(_expm_hermitian_stack(-1j * exponents, 1.0)))
@@ -224,36 +221,39 @@ def u_z_analytic(path: ParameterPath) -> UnitaryOperator:
     return expm_hermitian(np.diag([0.0, integral]), 1.0)
 
 
-def effective_generator_on_segment(start: np.ndarray, end: np.ndarray):
-    """Effective Hamiltonian along one linearly traversed parameter segment,
-    as a function of local time in [0, 1]."""
-    delta = end - start
-
-    def generator(t: float):
-        angles = SphericalAngles(*(start + t * delta))
-        c = couplings_from_angles(angles)
-        rdot, phidot = coupling_rates_from_angles(angles, delta)
-        return h_eff_couplings(c, rdot, phidot)
-
-    return generator
-
-
 def effective_dark_block(path: ParameterPath, steps_per_segment: int = 64) -> np.ndarray:
-    """Dark-space action of the coupling-built effective Hamiltonian.
+    """Dark-space action of the effective Hamiltonian along a polyline.
 
-    Integrates h_eff_couplings along the polyline (midpoint rule, steps
-    aligned to the segment corners) and restricts the propagated unitary to
-    the parametrized dark frames at the path's ends, d(end)^* U d(start)^T:
-    the frame :func:`holonomy` is written in.
+    The path's bright state B = r e^{i phi} (the angle-parametrized drive)
+    runs through segment i, traversed linearly, in local time [i, i+1];
+    segments of zero length are skipped.  Its generator
+    i(|Bdot><B| - |B><Bdot|), which equals h_eff_couplings entry by entry,
+    is propagated by the midpoint rule with ``steps_per_segment`` steps per
+    segment (aligned to the corners), one streamed run over the whole path.
+    Every sampled block must satisfy the coupling-set rules (r_i >= 0).  The
+    propagated unitary is restricted to the parametrized dark frames at the
+    path's ends, d(end)^* U d(start)^T: the frame :func:`holonomy` is
+    written in.
     """
     path.check_resolution()
+    deltas = np.diff(path.samples, axis=0)
+    moving = np.max(np.abs(deltas), axis=1) > 0.0
+    starts, deltas = path.samples[:-1][moving], deltas[moving]
+    segments = deltas.shape[0]
+
+    def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        segment = times.astype(int)  # midpoints lie strictly inside [0, segments)
+        rates = deltas[segment]
+        r, phi, rdot, phidot = _angle_couplings(starts[segment] + (times - segment)[:, None] * rates, rates)
+        _check_drive(1.0, r)
+        phase = np.exp(1j * phi)
+        return (r * phase)[:, None], ((rdot + 1j * r * phidot) * phase)[:, None]
+
     u = np.eye(3, dtype=complex)
-    for i in range(path.segment_count):
-        start, end = path.samples[i], path.samples[i + 1]
-        if np.max(np.abs(end - start)) == 0.0:
-            continue
-        generator = effective_generator_on_segment(start, end)
-        result = evolve_time_ordered(generator, 0.0, 1.0, steps_per_segment)
-        u = result.unitary.matrix @ u
+    if segments:
+        corners = tuple(map(float, range(1, segments)))
+        trajectory = BrightTrajectory.from_sampler(3, 1, 0.0, float(segments), sampler, corners)
+        unitary, _ = _unitary_product(_midpoint_factors(trajectory, 0.0, float(segments), segments * steps_per_segment))
+        u = unitary.matrix
     start, end = (dark_basis_parametrized(SphericalAngles(*path.samples[i])) for i in (0, -1))
     return dark_block(u, start, end)

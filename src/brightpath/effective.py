@@ -59,7 +59,8 @@ def _h_eff_stack(values: np.ndarray, derivatives: np.ndarray, *, times: np.ndarr
         j, why = failure
         raise NotOrthonormal(why + at(j))
     tangency = np.abs((derivatives.conj() * values).real.sum(axis=2))
-    scale = np.maximum(1.0, np.linalg.norm(derivatives, axis=2))
+    # ||Bdot_i|| as a hypot reduction, which does not overflow for huge Bdot.
+    scale = np.maximum(1.0, np.hypot.reduce(np.abs(derivatives), axis=2))
     passed = (tangency < DERIVATIVE_TANGENCY_TOL * scale).all(axis=1)
     if not passed.all():
         j = int(np.argmin(passed))

@@ -111,23 +111,41 @@ def dark_projector(b: np.ndarray) -> HermitianOperator:
     return HermitianOperator((proj + proj.conj().T) / 2.0)
 
 
+def _angle_couplings(angles: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Amplitudes, phases and their chain-rule rates (r, phi, rdot, phidot),
+    each (M, 3), for (M, 4) stacks of angles (theta1, theta2, phi2, phi3)
+    and of their time derivatives.
+
+    r = (sin(theta1), cos(theta1) sin(theta2), cos(theta1) cos(theta2)) and
+    phi = (0, phi2, phi3); rdot and phidot follow by the chain rule.
+    """
+    t1d, t2d, p2d, p3d = rates.T
+    s1, c1 = np.sin(angles[:, 0]), np.cos(angles[:, 0])
+    s2, c2 = np.sin(angles[:, 1]), np.cos(angles[:, 1])
+    zero = np.zeros_like(s1)
+    r = np.stack([s1, c1 * s2, c1 * c2], axis=1)
+    phi = np.stack([zero, angles[:, 2], angles[:, 3]], axis=1)
+    rdot = np.stack([c1 * t1d, -s1 * s2 * t1d + c1 * c2 * t2d, -s1 * c2 * t1d - c1 * s2 * t2d], axis=1)
+    phidot = np.stack([zero, p2d, p3d], axis=1)
+    return r, phi, rdot, phidot
+
+
+def _angle_row(a: SphericalAngles) -> np.ndarray:
+    """The angles as the one row of a (1, 4) stack."""
+    return np.array([[a.theta1, a.theta2, a.phi2, a.phi3]], dtype=float)
+
+
 def couplings_from_angles(a: SphericalAngles, omega: float = 1.0) -> CouplingSet:
-    """Three-level coupling set from spherical angles.
+    """Three-level coupling set from spherical angles (the one-row case of
+    the stacked angle formulas).
 
     r = (sin(theta1), cos(theta1) sin(theta2), cos(theta1) cos(theta2)) and
     phi = (0, phi2, phi3).  The first drive phase is fixed to zero: the
     parametrization carries no phi1, and the global phase of the bright
     state does not affect the dark subspace.
     """
-    r = np.array(
-        [
-            np.sin(a.theta1),
-            np.cos(a.theta1) * np.sin(a.theta2),
-            np.cos(a.theta1) * np.cos(a.theta2),
-        ]
-    )
-    phi = np.array([0.0, a.phi2, a.phi3])
-    return CouplingSet(omega=omega, r=r, phi=phi)
+    r, phi, _, _ = _angle_couplings(_angle_row(a), np.zeros((1, 4)))
+    return CouplingSet(omega=omega, r=r[0], phi=phi[0])
 
 
 def coupling_rates_from_angles(a: SphericalAngles, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,18 +153,8 @@ def coupling_rates_from_angles(a: SphericalAngles, rates: np.ndarray) -> tuple[n
 
     ``rates`` holds (theta1_dot, theta2_dot, phi2_dot, phi3_dot).
     """
-    t1d, t2d, p2d, p3d = np.asarray(rates, dtype=float)
-    s1, c1 = np.sin(a.theta1), np.cos(a.theta1)
-    s2, c2 = np.sin(a.theta2), np.cos(a.theta2)
-    rdot = np.array(
-        [
-            c1 * t1d,
-            -s1 * s2 * t1d + c1 * c2 * t2d,
-            -s1 * c2 * t1d - c1 * s2 * t2d,
-        ]
-    )
-    phidot = np.array([0.0, p2d, p3d])
-    return rdot, phidot
+    _, _, rdot, phidot = _angle_couplings(_angle_row(a), np.asarray(rates, dtype=float).reshape(1, 4))
+    return rdot[0], phidot[0]
 
 
 def dark_basis_parametrized(a: SphericalAngles) -> tuple[np.ndarray, np.ndarray]:

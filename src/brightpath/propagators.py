@@ -175,7 +175,8 @@ def _unitary_product(blocks: Iterable[np.ndarray]) -> tuple[UnitaryOperator, flo
     """Ordered product of a stream of factor blocks (each block by the tree
     product, then the block products the same way), projected back onto the
     unitary group (polar decomposition), with the pre-projection drift."""
-    u = _ordered_product(np.array([_ordered_product(block) for block in blocks]))
+    # map() holds no block, so each is released before the next is built.
+    u = _ordered_product(np.array(list(map(_ordered_product, blocks))))
     w, _, vh = np.linalg.svd(u)
     clean = w @ vh
     drift = float(np.linalg.norm(clean.conj().T @ u - np.eye(u.shape[0])))

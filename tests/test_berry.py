@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from brightpath.berry import (
+    GAUSS_NODES,
     MAX_EDGE_POINTS,
     SIGMA_Y,
     ConnectionMatrices,
     ParameterPath,
+    _connections,
     connection_at,
     effective_dark_block,
     holonomy,
@@ -13,9 +15,16 @@ from brightpath.berry import (
     u_y_analytic,
     u_z_analytic,
 )
+from brightpath.effective import h_eff_couplings
 from brightpath.errors import PathVariesFixedCoordinates, SegmentTooCoarse
-from brightpath.lambda_system import SphericalAngles, dark_basis_parametrized
-from brightpath.linalg import expm_hermitian
+from brightpath.lambda_system import (
+    SphericalAngles,
+    coupling_rates_from_angles,
+    couplings_from_angles,
+    dark_basis_parametrized,
+)
+from brightpath.linalg import _expm_hermitian_stack, _ordered_product, expm_hermitian
+from brightpath.propagators import FULL_BLOCK, dark_block, evolve_time_ordered
 
 
 def finite_difference_connection(angles: np.ndarray, h: float = 1e-5) -> list[np.ndarray]:
@@ -35,6 +44,54 @@ def finite_difference_connection(angles: np.ndarray, h: float = 1e-5) -> list[np
                 a_k[i, j] = np.vdot(base[i], (dp[j] - dm[j]) / (2 * h))
         out.append(a_k)
     return out
+
+
+def per_point_holonomy(path: ParameterPath) -> np.ndarray:
+    """Reference holonomy built from one ``connection_at`` call per Gauss point."""
+    deltas = np.diff(path.samples, axis=0)
+
+    def exponents_at(node: float) -> np.ndarray:
+        points = path.samples[:-1] + node * deltas
+        connections = np.array([connection_at(SphericalAngles(*p)).as_list() for p in points], dtype=complex)
+        return np.sum(connections.reshape(-1, 4, 2, 2) * deltas[:, :, None, None], axis=1)
+
+    e1, e2 = (exponents_at(node) for node in GAUSS_NODES)
+    exponents = 0.5 * (e1 + e2) - (np.sqrt(3.0) / 12.0) * (e2 @ e1 - e1 @ e2)
+    return _ordered_product(_expm_hermitian_stack(-1j * exponents, 1.0))
+
+
+def per_segment_dark_block(path: ParameterPath, steps_per_segment: int) -> np.ndarray:
+    """Reference effective route: one scalar midpoint run of h_eff_couplings
+    per segment, in local time [0, 1], skipping segments of zero length."""
+    u = np.eye(3, dtype=complex)
+    for start, end in zip(path.samples[:-1], path.samples[1:]):
+        delta = end - start
+        if np.max(np.abs(delta)) == 0.0:
+            continue
+
+        def generator(t, start=start, delta=delta):
+            angles = SphericalAngles(*(start + t * delta))
+            rdot, phidot = coupling_rates_from_angles(angles, delta)
+            return h_eff_couplings(couplings_from_angles(angles), rdot, phidot)
+
+        u = evolve_time_ordered(generator, 0.0, 1.0, steps_per_segment).unitary.matrix @ u
+    start, end = (dark_basis_parametrized(SphericalAngles(*path.samples[i])) for i in (0, -1))
+    return dark_block(u, start, end)
+
+
+def circle_path(c1: float, c2: float, radius: float, segments: int) -> ParameterPath:
+    """Closed polyline around (theta1, theta2) = (c1, c2) with a phi2/phi3 wobble."""
+    s = np.linspace(0.0, 2 * np.pi, segments + 1)
+    samples = np.stack([c1 + radius * np.cos(s), c2 + radius * np.sin(s), 0.1 * np.sin(2 * s), 0.3 * np.sin(s)], axis=1)
+    samples[-1] = samples[0]
+    return ParameterPath(samples, closed=True)
+
+
+def repeated_samples() -> ParameterPath:
+    """A closed polyline with every fifth sample taken three times, so it has
+    segments of zero length (its first and last samples among them)."""
+    rows = circle_path(0.6, 0.7, 0.15, 30).samples
+    return ParameterPath(np.repeat(rows, np.where(np.arange(len(rows)) % 5 == 0, 3, 1), axis=0), closed=True)
 
 
 class TestParameterPath:
@@ -110,6 +167,12 @@ class TestConnectionAt:
         with pytest.raises(ValueError, match="not anti-Hermitian"):
             connection_at(SphericalAngles(0.1, np.nan))
 
+    def test_scalar_is_the_stacked_row(self, rng):
+        points = np.vstack([rng.uniform(-2, 2, size=(61, 4)), [[0.0, 0.0, 0.0, 0.0], [np.pi / 2, -np.pi / 2, 1.0, -1.0]]])
+        stacked = _connections(points)
+        for point, row in zip(points, stacked):
+            assert np.array_equal(np.array(connection_at(SphericalAngles(*point)).as_list()), row)
+
     def test_constructor_rejects_nonzero_theta1_component(self):
         with pytest.raises(ValueError):
             ConnectionMatrices(
@@ -162,6 +225,14 @@ class TestHolonomy:
         errors = [np.linalg.norm(holonomy(subdivided(k)).matrix - reference) for k in (2, 4, 8)]
         for coarse, halved in zip(errors, errors[1:]):
             assert 12.0 < coarse / halved < 20.0
+
+    @pytest.mark.parametrize(
+        "path",
+        [rectangle_loop("theta1", "theta2", 1.0, 0.8), rectangle_loop("theta2", "phi3", 0.9, 1.1), circle_path(0.7, 0.6, 0.2, 67)],
+        ids=["theta-rectangle", "phi3-rectangle", "polyline"],
+    )
+    def test_matches_per_point_connections(self, path):
+        assert np.array_equal(holonomy(path).matrix, per_point_holonomy(path))
 
     def test_reversed_loop_is_inverse(self):
         path = rectangle_loop("theta1", "theta2", 1.0, 0.8)
@@ -260,3 +331,37 @@ class TestCrossMethod:
         # An open path ends in a different dark frame than it starts in.
         path = ParameterPath(self.off_origin_loop()[:100])
         assert np.linalg.norm(holonomy(path).matrix - effective_dark_block(path, steps_per_segment=8)) < 1e-6
+
+
+class TestBatchedEffectiveRoute:
+    """The one streamed run over the whole path against the per-segment route."""
+
+    @pytest.mark.parametrize("steps", [1, 8, 64])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            rectangle_loop("theta1", "theta2", 0.3, 0.2, points_per_edge=4),
+            rectangle_loop("theta2", "phi3", 0.25, 0.4, points_per_edge=5),
+            circle_path(0.7, 0.6, 0.15, 24),
+            ParameterPath(circle_path(0.5, 0.9, 0.15, 24).samples[:15]),
+            repeated_samples(),
+        ],
+        ids=["theta-rectangle", "phi3-rectangle", "polyline", "open-polyline", "repeated-samples"],
+    )
+    def test_matches_per_segment_route(self, path, steps):
+        assert np.max(np.abs(effective_dark_block(path, steps) - per_segment_dark_block(path, steps))) <= 1e-12
+
+    def test_step_count_crossing_a_block_at_a_non_multiple(self):
+        path = circle_path(0.7, 0.6, 0.2, 67)
+        assert 67 * 64 > FULL_BLOCK and (67 * 64) % FULL_BLOCK
+        assert np.max(np.abs(effective_dark_block(path, 64) - per_segment_dark_block(path, 64))) <= 1e-12
+
+    def test_point_path_is_identity(self):
+        for samples in (np.zeros((1, 4)), np.full((3, 4), 0.3)):
+            block = effective_dark_block(ParameterPath(samples, closed=True))
+            np.testing.assert_allclose(block, np.eye(2), atol=1e-15)
+
+    @pytest.mark.parametrize("centre", [(-0.2, 0.8), (1.5, 1.6)])
+    def test_negative_amplitudes_rejected(self, centre):
+        with pytest.raises(ValueError, match="amplitude fractions r_i must be non-negative"):
+            effective_dark_block(circle_path(*centre, 0.15, 64))

@@ -374,6 +374,30 @@ class TestMainExitCodes:
         cfg.write_text(json.dumps(coarse))
         assert main(["loop", "--config", str(cfg)]) == EXIT_NUMERICAL
 
+    @staticmethod
+    def circle_samples(c1, c2, radius=0.15, segments=64):
+        s = np.linspace(0.0, 2 * np.pi, segments + 1)
+        rows = np.stack([c1 + radius * np.cos(s), c2 + radius * np.sin(s), 0 * s, 0.2 * np.sin(s)], axis=1)
+        rows[-1] = rows[0]
+        return rows.tolist()
+
+    @pytest.mark.parametrize("centre", [(-0.2, 0.8), (1.5, 1.6)], ids=["theta1-negative", "theta2-past-pole"])
+    def test_polyline_with_negative_amplitudes_is_four(self, centre, tmp_path, capsys):
+        # Outside 0 <= theta1, theta2 <= pi/2 some r_i < 0, which the
+        # effective route refuses (the holonomy alone does not need r_i >= 0).
+        cfg = tmp_path / "negative.json"
+        cfg.write_text(json.dumps({"kind": "loop", "parameters": {"samples": self.circle_samples(*centre)}}))
+        assert main(["loop", "--config", str(cfg)]) == EXIT_NUMERICAL
+        assert "amplitude fractions r_i must be non-negative" in capsys.readouterr().err
+        assert main(["loop", "--config", str(cfg), "--method", "berry"]) == EXIT_OK
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_stage_times_gate_passes_without_warnings(self, tmp_path, capsys):
+        # ||Bdot|| ~ 1e300 here: the tangency check must not overflow.
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({"kind": "gate", "parameters": {"stage_times": [1e-300, 2e-300, 3e-300]}}))
+        assert main(["gate", "--config", str(cfg)]) == EXIT_OK
+
     def test_open_samples_polyline_is_three(self, tmp_path, capsys):
         open_path = {"samples": [[0.1, 0.1, 0.0, 0.0], [0.15, 0.1, 0.0, 0.0], [0.15, 0.15, 0.0, 0.0]]}
         cfg = tmp_path / "open.json"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from brightpath.effective import (
     BrightTrajectory,
     GeneralBrightHamiltonian,
+    _h_eff_stack,
     finite_difference_adapter,
     h_eff_couplings,
     h_eff_multi,
@@ -62,6 +63,18 @@ class TestHEffSingle:
         for bdot in (np.array([1.0, 0.0]), np.array([np.nan, 0.0])):
             with pytest.raises(DerivativeInconsistent):
                 h_eff_single(np.array([1.0, 0.0]), bdot)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("size", [1e155, 1e200, 1e300])
+    def test_tangency_scale_does_not_overflow(self, size):
+        # Squaring the entries of ||Bdot|| overflows past ~1e154; the
+        # tangency test must still reject a radial Bdot of that size and
+        # accept a tangent one.
+        b = np.array([[[1.0, 0.0]]])
+        with pytest.raises(DerivativeInconsistent):
+            _h_eff_stack(b, np.array([[[size, 0.0]]]))
+        h = _h_eff_stack(b, np.array([[[0.0, size]]]))
+        np.testing.assert_array_equal(h, np.array([[[0.0, -1j * size], [1j * size, 0.0]]]))
 
     def test_hermitian_and_dark_sandwich(self, rng):
         b = rng.normal(size=5) + 1j * rng.normal(size=5)

@@ -5,6 +5,7 @@ from brightpath.errors import NotNormalized
 from brightpath.lambda_system import (
     CouplingSet,
     SphericalAngles,
+    _angle_couplings,
     bright_state,
     coupling_rates_from_angles,
     couplings_from_angles,
@@ -128,6 +129,19 @@ class TestAngleParametrization:
             c = couplings_from_angles(a, omega=2.0)
             assert abs(np.sum(c.r**2) - 1.0) < 1e-14
             np.testing.assert_allclose(c.phi, [0.0, a.phi2, a.phi3], atol=0)
+
+    def test_scalar_is_the_stacked_row(self, rng):
+        # theta1, theta2 in [0, pi/2]: every r_i >= 0, as a CouplingSet requires.
+        angles = rng.uniform(-2, 2, size=(63, 4))
+        angles[:, :2] = rng.uniform(0.0, np.pi / 2, size=(63, 2))
+        angles[-2:] = [[0.0, 0.0, 0.0, 0.0], [np.pi / 2, np.pi / 2, 1.0, -1.0]]
+        rates = rng.normal(size=angles.shape)
+        r, phi, rdot, phidot = _angle_couplings(angles, rates)
+        for j, row in enumerate(angles):
+            c = couplings_from_angles(SphericalAngles(*row))
+            row_rdot, row_phidot = coupling_rates_from_angles(SphericalAngles(*row), rates[j])
+            for scalar, stacked in ((c.r, r), (c.phi, phi), (row_rdot, rdot), (row_phidot, phidot)):
+                assert np.array_equal(scalar, stacked[j])
 
     def test_rates_match_finite_differences(self, rng):
         h = 1e-6
