@@ -68,7 +68,6 @@ from .propagators import (
     dark_block,
     evolve_full_adiabatic,
     evolve_time_ordered,
-    evolve_trajectory,
     leakage,
     reparametrize,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "effective_dark_block",
     "evolve_full_adiabatic",
     "evolve_time_ordered",
-    "evolve_trajectory",
     "expm_hermitian",
     "extract_geometric_phase",
     "finite_difference_adapter",

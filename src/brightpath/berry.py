@@ -252,7 +252,7 @@ def effective_dark_block(path: ParameterPath, steps_per_segment: int = 64) -> np
     u = np.eye(3, dtype=complex)
     if segments:
         corners = tuple(map(float, range(1, segments)))
-        trajectory = BrightTrajectory.from_sampler(3, 1, 0.0, float(segments), sampler, corners)
+        trajectory = BrightTrajectory(3, 1, 0.0, float(segments), sampler, corners)
         unitary, _ = _unitary_product(_midpoint_factors(trajectory, 0.0, float(segments), segments * steps_per_segment))
         u = unitary.matrix
     start, end = (dark_basis_parametrized(SphericalAngles(*path.samples[i])) for i in (0, -1))

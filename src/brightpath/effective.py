@@ -117,64 +117,40 @@ def h_eff_couplings(c: CouplingSet, rdot, phidot) -> HermitianOperator:
 class BrightTrajectory:
     """Time-dependent orthonormal bright frame with analytic derivatives.
 
-    ``value(t)`` returns a (k, dim) array of bright states, ``derivative(t)``
-    their time derivatives.  ``sample(times)`` evaluates a whole array of
-    times at once as (values, derivatives), each (M, k, dim): through
-    ``sampler`` when the trajectory has one (see :meth:`from_sampler`),
-    otherwise by stacking the scalar calls.  ``breakpoints`` lists interior
-    times where the derivative may jump (piecewise schedules); value stays
-    continuous there.  Evaluation must be pure: the same t always yields the
-    same output.
+    ``sampler(times)`` evaluates a 1-D array of times at once as (values,
+    derivatives), each (M, k, dim): the bright states and their time
+    derivatives.  ``value(t)`` and ``derivative(t)`` are its one-element
+    case.  ``breakpoints`` lists interior times where the derivative may
+    jump (piecewise schedules); value stays continuous there.  Evaluation
+    must be pure: the same t always yields the same output.
     """
 
     dim: int
     k: int
     t_start: float
     t_end: float
-    value: Callable[[float], np.ndarray]
-    derivative: Callable[[float], np.ndarray]
+    sampler: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
     breakpoints: tuple[float, ...] = ()
-    sampler: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_sampler(
-        cls,
-        dim: int,
-        k: int,
-        t_start: float,
-        t_end: float,
-        sampler: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-        breakpoints: tuple[float, ...] = (),
-    ) -> "BrightTrajectory":
-        """A trajectory written once, vectorized: ``sampler(times)`` returns
-        (values, derivatives) of shape (M, k, dim), and the scalar ``value``
-        and ``derivative`` are its one-element case."""
-        return cls(
-            dim=dim,
-            k=k,
-            t_start=t_start,
-            t_end=t_end,
-            value=lambda t: sampler(np.array([t], dtype=float))[0][0],
-            derivative=lambda t: sampler(np.array([t], dtype=float))[1][0],
-            breakpoints=breakpoints,
-            sampler=sampler,
-        )
 
     def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
         """Values and derivatives at every time of a 1-D array, each (M, k, dim);
         ``DimensionMismatch`` names both shapes when either is not."""
         times = np.asarray(times, dtype=float)
-        if self.sampler is not None:
-            values, derivatives = self.sampler(times)
-        else:
-            values = np.array([np.atleast_2d(self.value(float(t))) for t in times], dtype=complex)
-            derivatives = np.array([np.atleast_2d(self.derivative(float(t))) for t in times], dtype=complex)
+        values, derivatives = self.sampler(times)
         expected = (times.size, self.k, self.dim)
         if np.shape(values) != expected or np.shape(derivatives) != expected:
             raise DimensionMismatch(
                 f"sampled values {np.shape(values)} and derivatives {np.shape(derivatives)} must both be {expected}"
             )
         return values, derivatives
+
+    def value(self, t: float) -> np.ndarray:
+        """The (k, dim) bright frame at time ``t``."""
+        return self.sample(np.array([t], dtype=float))[0][0]
+
+    def derivative(self, t: float) -> np.ndarray:
+        """The (k, dim) time derivative of the bright frame at ``t``."""
+        return self.sample(np.array([t], dtype=float))[1][0]
 
     def h_eff(self, t: float) -> HermitianOperator:
         """The geometric generator carried by this trajectory at time ``t``."""
@@ -189,9 +165,7 @@ class BrightTrajectory:
             values, derivatives = self.sample(t0 + t1 - times)
             return values, -derivatives
 
-        return BrightTrajectory.from_sampler(
-            self.dim, self.k, t0, t1, sampler, tuple(sorted(t0 + t1 - b for b in self.breakpoints))
-        )
+        return BrightTrajectory(self.dim, self.k, t0, t1, sampler, tuple(sorted(t0 + t1 - b for b in self.breakpoints)))
 
     def validate(self, times: Sequence[float] | None = None, steps_h: tuple[float, float] = (1e-4, 1e-5)) -> None:
         """Check orthonormality and derivative consistency at probe times.
@@ -204,16 +178,15 @@ class BrightTrajectory:
             times = self._default_probe_times()
         h_big, h_small = steps_h
         for t in times:
-            frame = np.atleast_2d(self.value(t))
-            check_orthonormal(frame, tol=INPUT_ORTHONORMALITY_TOL)
+            check_orthonormal(self.value(t), tol=INPUT_ORTHONORMALITY_TOL)
             if t - h_big < self.t_start or t + h_big > self.t_end:
                 continue
             if any(abs(t - b) < 2 * h_big for b in self.breakpoints):
                 continue
-            deriv = np.atleast_2d(self.derivative(t))
+            deriv = self.derivative(t)
             err = []
             for h in (h_big, h_small):
-                fd = (np.atleast_2d(self.value(t + h)) - np.atleast_2d(self.value(t - h))) / (2 * h)
+                fd = (self.value(t + h) - self.value(t - h)) / (2 * h)
                 err.append(float(np.linalg.norm(fd - deriv)))
             # Second-order decrease, with an absolute floor for trajectories
             # whose finite-difference error already sits at roundoff.
@@ -244,7 +217,7 @@ class BrightTrajectory:
                 raise DimensionMismatch("pieces act on different spaces")
             if abs(right.t_start - left.t_end) > 1e-12:
                 raise ValueError("pieces must tile the time axis contiguously")
-            mismatch = float(np.linalg.norm(np.atleast_2d(left.value(left.t_end)) - np.atleast_2d(right.value(right.t_start))))
+            mismatch = float(np.linalg.norm(left.value(left.t_end) - right.value(right.t_start)))
             if mismatch > continuity_tol:
                 raise ValueError(f"discontinuity {mismatch:.3e} at t={left.t_end!r}")
         edges = [p.t_start for p in pieces[1:]]
@@ -261,7 +234,7 @@ class BrightTrajectory:
                     values[mine], derivatives[mine] = piece.sample(times[mine])
             return values, derivatives
 
-        return BrightTrajectory.from_sampler(dim, k, pieces[0].t_start, pieces[-1].t_end, sampler, interior)
+        return BrightTrajectory(dim, k, pieces[0].t_start, pieces[-1].t_end, sampler, interior)
 
 
 def finite_difference_adapter(
@@ -277,7 +250,8 @@ def finite_difference_adapter(
     Central differences in the interior, one-sided second-order stencils at
     the domain endpoints.  Values are passed through unchanged (no
     re-orthonormalization) and are orthonormality-checked at every
-    evaluation; the default step is 1e-6 * max(1, |t|).
+    evaluation; the default step is 1e-6 * max(1, |t|).  This is the one
+    place a scalar frame function enters: the sampler calls it time by time.
     """
 
     def step(t: float) -> float:
@@ -296,7 +270,11 @@ def finite_difference_adapter(
             return (3 * value(t) - 4 * value(t - dt) + value(t - 2 * dt)) / (2 * dt)
         return (-3 * value(t) + 4 * value(t + dt) - value(t + 2 * dt)) / (2 * dt)
 
-    return BrightTrajectory(dim=dim, k=k, t_start=t_start, t_end=t_end, value=value, derivative=derivative)
+    def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values = np.array([value(float(t)) for t in times], dtype=complex)
+        return values, np.array([derivative(float(t)) for t in times], dtype=complex)
+
+    return BrightTrajectory(dim, k, t_start, t_end, sampler)
 
 
 @dataclass(frozen=True)
@@ -327,11 +305,7 @@ class GeneralBrightHamiltonian:
 
     def hamiltonian(self, t: float) -> HermitianOperator:
         """Assemble the full drive Hamiltonian at time ``t``."""
-        frame = np.atleast_2d(self.frames.value(t))
+        frame = self.frames.value(t)
         g = np.asarray(self.g(t), dtype=complex)
         half = frame.T @ g @ frame.conj()
         return HermitianOperator(half + half.conj().T)
-
-    def h_eff(self, t: float) -> HermitianOperator:
-        """Geometric generator of the dark subspace of this drive."""
-        return self.frames.h_eff(t)

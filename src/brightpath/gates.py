@@ -98,7 +98,7 @@ def stage_trajectory(spec: GateSpec) -> BrightTrajectory:
             derivatives = (rate / 2) * (phase * np.cos(th / 2) * psi - np.sin(th / 2) * aux)
             return values[:, None, :], derivatives[:, None, :]
 
-        return BrightTrajectory.from_sampler(spec.n, 1, t_lo, t_hi, sampler)
+        return BrightTrajectory(spec.n, 1, t_lo, t_hi, sampler)
 
     span1 = spec.t1
     stage1 = rotation_piece(
@@ -119,7 +119,7 @@ def stage_trajectory(spec: GateSpec) -> BrightTrajectory:
         derivatives = (1j * rate * np.exp(1j * phi))[:, None] * psi
         return values[:, None, :], derivatives[:, None, :]
 
-    stage2 = BrightTrajectory.from_sampler(spec.n, 1, spec.t1, spec.t2, twist_sampler)
+    stage2 = BrightTrajectory(spec.n, 1, spec.t1, spec.t2, twist_sampler)
 
     span3 = spec.t3 - spec.t2
     stage3 = rotation_piece(
@@ -164,10 +164,11 @@ def compose_gate(spec: GateSpec) -> UnitaryOperator:
 def gate_coupling_schedule(spec: GateSpec, omega: float = 1.0):
     """The gate's bright path expressed as Lambda drive couplings.
 
-    Returns a callable progress -> CouplingSet for the full-dynamics oracle.
-    Amplitude fractions are |psi_i| scaled by the mixing angle (always
-    non-negative); the drive phases carry arg(psi_i) plus the accumulated
-    twist.  The ``sample`` attribute evaluates whole progress arrays at once.
+    Returns a callable progress -> CouplingSet whose ``sample`` attribute,
+    the form the full-dynamics oracle reads, evaluates whole progress arrays
+    at once as (r, phi, omega).  Amplitude fractions are |psi_i| scaled by
+    the mixing angle (always non-negative); the drive phases carry
+    arg(psi_i) plus the accumulated twist.
     """
     psi, twist = spec.psi, spec.phase_twist
     amp = np.abs(psi)
@@ -277,7 +278,7 @@ def stirap_trajectory(theta_end: float, ramp: str = "linear") -> BrightTrajector
         derivatives = np.stack([rate * np.cos(theta), -rate * np.sin(theta)], axis=-1)
         return values[:, None, :].astype(complex), derivatives[:, None, :].astype(complex)
 
-    return BrightTrajectory.from_sampler(2, 1, 0.0, 1.0, sampler)
+    return BrightTrajectory(2, 1, 0.0, 1.0, sampler)
 
 
 def stirap_transfer(theta_end: float = np.pi / 2, steps: int = DEFAULT_GEOMETRIC_STEPS, ramp: str = "linear") -> StirapReport:

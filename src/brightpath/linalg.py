@@ -76,13 +76,15 @@ def _hermiticity_failure(stack: np.ndarray, tol: float = HERMITICITY_TOL) -> tup
     fails the relative check ||M - M^dag||_F < tol * max(1, ||M||_F), or
     None if all pass.  Written so that non-finite entries fail."""
     skew = stack - stack.conj().transpose(0, 2, 1)
-    deviation2 = (skew.conj() * skew).real.sum(axis=(1, 2))  # squared Frobenius norms
-    scale2 = np.maximum(1.0, (stack.conj() * stack).real.sum(axis=(1, 2)))
-    passed = deviation2 < tol * tol * scale2
+    # Frobenius norms as hypot reductions of |entries|, which do not overflow
+    # for entries past 1e154 the way a sum of squares does.
+    deviation = np.hypot.reduce(np.abs(skew), axis=(1, 2))
+    scale = np.maximum(1.0, np.hypot.reduce(np.abs(stack), axis=(1, 2)))
+    passed = deviation < tol * scale
     if passed.all():
         return None
     j = int(np.argmin(passed))
-    return j, f"||M - M^dag||_F = {np.sqrt(deviation2[j]):.3e} exceeds {tol:.1e} * {np.sqrt(scale2[j]):.3e}"
+    return j, f"||M - M^dag||_F = {deviation[j]:.3e} exceeds {tol:.1e} * {scale[j]:.3e}"
 
 
 class HermitianOperator:

@@ -190,16 +190,12 @@ def to_general_hamiltonian(d: MorrisShoreDecomposition, r: int | None = None, m:
     g = np.zeros((k, k), dtype=complex)
     for a in range(pairs):
         g[a, pairs + a] = d.couplings[a]
-    frame.setflags(write=False)
-    trajectory = BrightTrajectory(
-        dim=dim,
-        k=k,
-        t_start=0.0,
-        t_end=1.0,
-        value=lambda t: frame,
-        derivative=lambda t: np.zeros_like(frame),
-    )
-    return GeneralBrightHamiltonian(frames=trajectory, g=lambda t: g)
+
+    def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values = np.broadcast_to(frame, (times.size, k, dim))
+        return values, np.zeros_like(values)
+
+    return GeneralBrightHamiltonian(frames=BrightTrajectory(dim, k, 0.0, 1.0, sampler), g=lambda t: g)
 
 
 def align_to_previous(previous: MorrisShoreDecomposition, current: MorrisShoreDecomposition) -> MorrisShoreDecomposition:

@@ -17,13 +17,13 @@ than one block is built, so memory stays flat in the step count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Literal
+from typing import Callable, Iterable, Iterator, Literal, Protocol
 
 import numpy as np
 
 from .effective import BrightTrajectory, _h_eff_stack
 from .errors import DimensionMismatch, NonHermitianSample, NonMonotoneMap
-from .lambda_system import CouplingSet, _check_drive
+from .lambda_system import _check_drive
 from .linalg import (
     HermitianOperator,
     UnitaryOperator,
@@ -45,9 +45,20 @@ FULL_BLOCK = 4096
 # The most steps a full run (or a CLI step count) may ask for.
 MAX_STEPS = 2**24
 
+# Points of [t0, t1] at which reparametrize checks that a time map increases.
+MONOTONICITY_CHECK_POINTS = 65
+
 # What the midpoint rule propagates: a bright trajectory (its geometric
 # generator) or any callable t -> H(t).
 Hamiltonian = BrightTrajectory | Callable[[float], HermitianOperator | np.ndarray]
+
+
+class DriveSchedule(Protocol):
+    """A Lambda drive over normalized progress: ``sample(progress)`` returns
+    the amplitude fractions r (M, n), phases phi (M, n) and Rabi frequencies
+    omega (M,) at a 1-D array of progress values in [0, 1]."""
+
+    def sample(self, progress: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
 
 @dataclass(frozen=True)
@@ -120,25 +131,18 @@ def _midpoint_factors(hamiltonian: Hamiltonian, t0: float, t1: float, steps: int
         yield _expm_hermitian_stack(stack, dt)
 
 
-def _sample_drive(schedule: Callable[[float], CouplingSet], ramp: str, mids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sample_drive(schedule: DriveSchedule, ramp: str, mids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bright states (M, n) and Rabi frequencies (M,) of a drive read at the
-    ramped progress midpoints of one block, through ``schedule.sample`` when
-    it has one.  Every step must satisfy the ``CouplingSet`` invariants."""
-    shaped = ramp_value(ramp, mids)
-    if hasattr(schedule, "sample"):
-        r, phi, omega = schedule.sample(shaped)
-    else:
-        sets = [schedule(float(s)) for s in shaped]
-        r = [c.r for c in sets]
-        phi = [c.phi for c in sets]
-        omega = [c.omega for c in sets]
+    ramped progress midpoints of one block, through ``schedule.sample``.
+    Every step must satisfy the ``CouplingSet`` invariants."""
+    r, phi, omega = schedule.sample(ramp_value(ramp, mids))
     r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
     omega = np.broadcast_to(np.asarray(omega, dtype=float), mids.shape)
     _check_drive(omega, r)
     return r * np.exp(1j * phi), omega
 
 
-def _drive_factors(schedule: Callable[[float], CouplingSet], config: AdiabaticRunConfig) -> Iterator[np.ndarray]:
+def _drive_factors(schedule: DriveSchedule, config: AdiabaticRunConfig) -> Iterator[np.ndarray]:
     """Exact step factors of the full drive, one block at a time.  The step
     phase is Omega * dt with the run's duration omega_T / Omega fixed by its
     first sample."""
@@ -221,15 +225,8 @@ def evolve_time_ordered(
     return PropagationResult(unitary=unitary, steps=steps, unitarity_error=drift, method="effective")
 
 
-def evolve_trajectory(trajectory, t0=None, t1=None, steps: int = DEFAULT_GEOMETRIC_STEPS) -> PropagationResult:
-    """Propagate the geometric generator carried by a bright trajectory."""
-    t0 = trajectory.t_start if t0 is None else t0
-    t1 = trajectory.t_end if t1 is None else t1
-    return evolve_time_ordered(trajectory, t0, t1, steps)
-
-
 def evolve_full_adiabatic(
-    schedule: Callable[[float], CouplingSet],
+    schedule: DriveSchedule,
     config: AdiabaticRunConfig,
 ) -> PropagationResult:
     """Integrate the full (n+1)-level Schroedinger equation for a drive.
@@ -245,7 +242,7 @@ def evolve_full_adiabatic(
 
 
 def evolve_state_full(
-    schedule: Callable[[float], CouplingSet],
+    schedule: DriveSchedule,
     config: AdiabaticRunConfig,
     state: np.ndarray,
     record_every: int = 1,
@@ -301,35 +298,37 @@ def leakage(u: UnitaryOperator | np.ndarray, dark_start, p_dark_end: HermitianOp
 
 
 def reparametrize(
-    hamiltonian: Callable[[float], HermitianOperator],
-    f: Callable[[float], float],
+    trajectory: BrightTrajectory,
+    f: Callable[[np.ndarray], np.ndarray],
+    fprime: Callable[[np.ndarray], np.ndarray],
     t0: float,
     t1: float,
-    fprime: Callable[[float], float] | None = None,
-    check_points: int = 65,
-) -> Callable[[float], np.ndarray]:
-    """Rewrite a geometric generator under the time substitution tau = f(t).
+) -> BrightTrajectory:
+    """The same bright path traversed on the new clock tau = f(t), t in [t0, t1].
 
-    The returned schedule t -> H(f(t)) * f'(t) over [t0, t1] propagates to
-    the same unitary as the original (geometric evolution depends on the
-    path, not on its parametrization).  ``f`` must be strictly increasing.
-    The samples are plain matrices: the propagator that steps through them
-    checks their hermiticity, a block of midpoints at once.
+    The remapped trajectory samples (B(f(t)), f'(t) Bdot(f(t))); H_eff is
+    linear in Bdot, so its generator is f'(t) H_eff(f(t)) and it propagates
+    to the same unitary (geometric evolution depends on the path, not on its
+    parametrization).  ``f`` and ``fprime`` act on arrays of times; ``f``
+    must be strictly increasing.  The base breakpoints inside (f(t0), f(t1))
+    move to their preimages, found by bisection.
     """
-    grid = np.linspace(t0, t1, check_points)
-    values = np.array([f(float(t)) for t in grid])
-    if np.any(np.diff(values) <= 0):
+    mapped = np.asarray(f(np.linspace(t0, t1, MONOTONICITY_CHECK_POINTS)), dtype=float)
+    if np.any(np.diff(mapped) <= 0):
         raise NonMonotoneMap("f must be strictly increasing on the new domain")
 
-    def rate(t: float) -> float:
-        if fprime is not None:
-            return fprime(t)
-        h = 1e-6 * max(1.0, abs(t))
-        lo, hi = max(t - h, t0), min(t + h, t1)
-        return (f(hi) - f(lo)) / (hi - lo)
+    def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values, derivatives = trajectory.sample(f(times))
+        rate = np.broadcast_to(np.asarray(fprime(times), dtype=float), times.shape)
+        return values, rate[:, None, None] * derivatives
 
-    def remapped(t: float) -> np.ndarray:
-        base = hamiltonian(f(t))
-        return (base.matrix if isinstance(base, HermitianOperator) else np.asarray(base, dtype=complex)) * rate(t)
-
-    return remapped
+    targets = np.array([b for b in trajectory.breakpoints if mapped[0] < b < mapped[-1]])
+    lo, hi = np.full(targets.shape, float(t0)), np.full(targets.shape, float(t1))
+    while True:  # each pass halves every bracket until it is one float wide
+        mid = 0.5 * (lo + hi)
+        wide = (lo < mid) & (mid < hi)
+        if not wide.any():
+            break
+        below = np.asarray(f(mid), dtype=float) < targets
+        lo, hi = np.where(wide & below, mid, lo), np.where(wide & ~below, mid, hi)
+    return BrightTrajectory(trajectory.dim, trajectory.k, t0, t1, sampler, tuple(map(float, hi)))

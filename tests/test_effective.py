@@ -28,6 +28,19 @@ def rotating_pair(t):
     return value, rate
 
 
+def rotating(t_start, t_end, shift=0.0, rate_factor=1.0):
+    """B(t) = (cos, sin)(t + shift) on [t_start, t_end], with its derivative
+    scaled by ``rate_factor`` (1 is the exact derivative)."""
+
+    def sampler(times):
+        angle = times + shift
+        values = np.stack([np.cos(angle), np.sin(angle)], axis=-1)[:, None, :].astype(complex)
+        rates = rate_factor * np.stack([-np.sin(angle), np.cos(angle)], axis=-1)[:, None, :]
+        return values, rates.astype(complex)
+
+    return BrightTrajectory(2, 1, t_start, t_end, sampler)
+
+
 class TestHEffSingle:
     def test_static_state_gives_zero(self, rng):
         b = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -194,43 +207,23 @@ class TestHEffCouplings:
 
 class TestBrightTrajectory:
     def make_rotating(self):
-        return BrightTrajectory(
-            dim=2,
-            k=1,
-            t_start=0.0,
-            t_end=np.pi,
-            value=lambda t: np.atleast_2d(rotating_pair(t)[0]),
-            derivative=lambda t: np.atleast_2d(rotating_pair(t)[1]),
-        )
+        return rotating(0.0, np.pi)
 
     def test_validate_accepts_consistent_trajectory(self):
         self.make_rotating().validate()
 
     def test_validate_flags_wrong_derivative(self):
-        bad = BrightTrajectory(
-            dim=2,
-            k=1,
-            t_start=0.0,
-            t_end=np.pi,
-            value=lambda t: np.atleast_2d(rotating_pair(t)[0]),
-            derivative=lambda t: np.atleast_2d(1.05 * rotating_pair(t)[1]),
-        )
         with pytest.raises(DerivativeInconsistent):
-            bad.validate()
+            rotating(0.0, np.pi, rate_factor=1.05).validate()
 
     def test_validate_flags_jump(self):
-        def value(t):
-            v = rotating_pair(t)[0] if t < 1.5 else rotating_pair(t + 0.3)[0]
-            return np.atleast_2d(v)
+        def sampler(times):
+            values, derivatives = smooth.sample(times)
+            jumped, _ = smooth.sample(times + 0.3)
+            return np.where((times < 1.5)[:, None, None], values, jumped), derivatives
 
-        jumpy = BrightTrajectory(
-            dim=2,
-            k=1,
-            t_start=0.0,
-            t_end=np.pi,
-            value=value,
-            derivative=lambda t: np.atleast_2d(rotating_pair(t)[1]),
-        )
+        smooth = self.make_rotating()
+        jumpy = BrightTrajectory(2, 1, 0.0, np.pi, sampler)
         with pytest.raises(DerivativeInconsistent):
             jumpy.validate(times=[1.5 - 5e-6])
 
@@ -242,14 +235,7 @@ class TestBrightTrajectory:
 
     def test_concatenate_rejects_discontinuity(self):
         first = self.make_rotating()
-        second = BrightTrajectory(
-            dim=2,
-            k=1,
-            t_start=np.pi,
-            t_end=2 * np.pi,
-            value=lambda t: np.atleast_2d(rotating_pair(t + 0.2)[0]),
-            derivative=lambda t: np.atleast_2d(rotating_pair(t + 0.2)[1]),
-        )
+        second = rotating(np.pi, 2 * np.pi, shift=0.2)
         with pytest.raises(ValueError):
             BrightTrajectory.concatenate([first, second])
 
@@ -267,7 +253,7 @@ def off_grid_gate(theta_schedule="smooth"):
 
 
 class TestSample:
-    """``sample(times)`` against the stacked scalar calls of the same trajectory."""
+    """``sample(times)`` against one ``value``/``derivative`` call per time."""
 
     # The 8-step midpoints put no time on the default stage edges 0.25 and
     # 0.5 or on the off-grid ones; the edges themselves are appended.
@@ -305,17 +291,7 @@ class TestSample:
         np.testing.assert_array_equal(backward[1], -forward[1])
 
     def test_concatenate_of_scalar_pieces(self):
-        pieces = [
-            BrightTrajectory(
-                dim=2,
-                k=1,
-                t_start=lo,
-                t_end=hi,
-                value=lambda t: np.atleast_2d(rotating_pair(t)[0]),
-                derivative=lambda t, w=w: np.atleast_2d(w * rotating_pair(t)[1]),
-            )
-            for lo, hi, w in ((0.0, 0.5, 1.0), (0.5, 1.0, 2.0), (1.0, 1.5, 3.0))
-        ]
+        pieces = [rotating(lo, hi, rate_factor=w) for lo, hi, w in ((0.0, 0.5, 1.0), (0.5, 1.0, 2.0), (1.0, 1.5, 3.0))]
         traj = BrightTrajectory.concatenate(pieces)
         times = np.array([0.0, 0.2, 0.5, 0.7, 1.0, 1.3, 1.5])
         values, derivatives = traj.sample(times)
@@ -403,19 +379,16 @@ class TestMultiBrightTransport:
         return self._expm(1j * self.gen, self.angle(t)).matrix.real
 
     def trajectory(self):
-        def value(t):
-            out = np.zeros((4, self.DIM), dtype=complex)
-            out[:2, : self.R_DIM] = (self.u_ground(t) @ self.u0.T).T
-            out[2:, self.R_DIM :] = self.w0
-            return out
+        def sampler(times):
+            values = np.zeros((times.size, 4, self.DIM), dtype=complex)
+            derivatives = np.zeros_like(values)
+            for frame, rate, t in zip(values, derivatives, times):
+                frame[:2, : self.R_DIM] = (self.u_ground(t) @ self.u0.T).T
+                frame[2:, self.R_DIM :] = self.w0
+                rate[:2, : self.R_DIM] = (self.angle_rate(t) * (self.gen @ self.u_ground(t)) @ self.u0.T).T
+            return values, derivatives
 
-        def derivative(t):
-            out = np.zeros((4, self.DIM), dtype=complex)
-            rotated = self.angle_rate(t) * (self.gen @ self.u_ground(t))
-            out[:2, : self.R_DIM] = (rotated @ self.u0.T).T
-            return out
-
-        return BrightTrajectory(dim=self.DIM, k=4, t_start=0.0, t_end=1.0, value=value, derivative=derivative)
+        return BrightTrajectory(self.DIM, 4, 0.0, 1.0, sampler)
 
     def full_drive(self, omega):
         def h(t):
@@ -442,7 +415,10 @@ class TestMultiBrightTransport:
         from brightpath.propagators import dark_block, evolve_time_ordered
 
         traj = self.trajectory()
-        geo = evolve_time_ordered(traj.h_eff, 0.0, 1.0, 4096).unitary
+        # The batched k >= 2 route against one h_eff call per midpoint.
+        geo = evolve_time_ordered(traj, 0.0, 1.0, 4096).unitary
+        reference = evolve_time_ordered(traj.h_eff, 0.0, 1.0, 4096).unitary
+        assert np.linalg.norm(geo.matrix - reference.matrix) < 1e-12
         start, end = self.dark_frames()
         block_geo = dark_block(geo, start, end)
         # Geometric propagation stays exactly on the dark bundle.
@@ -459,14 +435,7 @@ class TestMultiBrightTransport:
 class TestGeneralBrightHamiltonian:
     def static_pair(self, g_matrix):
         frame = np.array([[1, 0, 0, 0], [0, 0, 1, 0]], dtype=complex)
-        traj = BrightTrajectory(
-            dim=4,
-            k=2,
-            t_start=0.0,
-            t_end=1.0,
-            value=lambda t: frame,
-            derivative=lambda t: np.zeros_like(frame),
-        )
+        traj = BrightTrajectory(4, 2, 0.0, 1.0, lambda times: (np.tile(frame, (times.size, 1, 1)), np.zeros((times.size, 2, 4))))
         return GeneralBrightHamiltonian(frames=traj, g=lambda t: np.asarray(g_matrix, complex))
 
     def test_assembles_pair_hamiltonian(self):

@@ -47,6 +47,16 @@ class TestOperatorTypes:
         m = scale * np.array([[1.0, 1.0], [1.0 + 1e-12, 1.0]])
         HermitianOperator(m)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("size", [1e160, 1e200, 1e300])
+    def test_hermiticity_scale_does_not_overflow(self, size):
+        # Squaring the entries of ||M||_F overflows past ~1e154, and an
+        # infinite scale would wave through a skew part 1e-7 of the size.
+        hermitian = size * np.array([[1.0, 2.0 - 1j], [2.0 + 1j, -0.5]])
+        HermitianOperator(hermitian)
+        with pytest.raises(NotHermitian):
+            HermitianOperator(hermitian + 1e-7 * size * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
     def test_unitary_rejects_contraction(self):
         for matrix in (0.5 * np.eye(3), np.full((3, 3), np.nan)):
             with pytest.raises(NotUnitary):

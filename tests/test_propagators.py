@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from brightpath.propagators import (
     evolve_state_full,
     evolve_state_time_ordered,
     evolve_time_ordered,
-    evolve_trajectory,
     leakage,
     reparametrize,
 )
@@ -41,28 +41,31 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
+def rotating_sampler(times):
+    values = np.stack([np.cos(times), np.sin(times)], axis=-1)[:, None, :].astype(complex)
+    derivatives = np.stack([-np.sin(times), np.cos(times)], axis=-1)[:, None, :].astype(complex)
+    return values, derivatives
+
+
 def rotating_trajectory(t_end=np.pi / 2):
-    return BrightTrajectory(
-        dim=2,
-        k=1,
-        t_start=0.0,
-        t_end=t_end,
-        value=lambda t: np.atleast_2d([np.cos(t), np.sin(t)]).astype(complex),
-        derivative=lambda t: np.atleast_2d([-np.sin(t), np.cos(t)]).astype(complex),
-    )
+    return BrightTrajectory(2, 1, 0.0, t_end, rotating_sampler)
 
 
 def smooth_noncommuting(t):
     return HermitianOperator(np.sin(t) * SIGMA_X + (0.5 + 0.3 * np.cos(2 * t)) * SIGMA_Z)
 
 
-def constant_lambda_schedule(n=3):
-    r = np.zeros(n)
-    r[0] = 0.6
-    r[1] = 0.8
-    phi = np.zeros(n)
-    phi[1] = 0.7
-    return lambda s: CouplingSet(omega=1.0, r=r, phi=phi)
+def drive(sample):
+    """A drive schedule given by its sampler progress -> (r, phi, omega)."""
+    return SimpleNamespace(sample=sample)
+
+
+def held(c):
+    """The drive that holds the coupling set ``c`` at every progress value."""
+    return drive(lambda s: (np.tile(c.r, (s.size, 1)), np.tile(c.phi, (s.size, 1)), np.full(s.size, c.omega)))
+
+
+CONSTANT_LAMBDA = CouplingSet(omega=1.0, r=np.array([0.6, 0.8, 0.0]), phi=np.array([0.0, 0.7, 0.0]))
 
 
 class TestEvolveTimeOrdered:
@@ -82,7 +85,7 @@ class TestEvolveTimeOrdered:
         # The generator of the planar rotation is constant (sigma_y), so the
         # propagated unitary has the closed form exp(-i sigma_y T).
         traj = rotating_trajectory()
-        res = evolve_trajectory(traj, steps=10_000)
+        res = evolve_time_ordered(traj, traj.t_start, traj.t_end, 10_000)
         sigma_y = np.array([[0, -1j], [1j, 0]])
         exact = expm_hermitian(sigma_y, np.pi / 2).matrix
         assert np.linalg.norm(res.unitary.matrix - exact) < 1e-10
@@ -96,6 +99,16 @@ class TestEvolveTimeOrdered:
         ):
             with pytest.raises(NonHermitianSample, match=rf"H\({first_bad}\)"):
                 evolve_time_ordered(sample, 0.0, 1.0, 4)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_huge_nonhermitian_sample_without_overflow(self):
+        # Entries of 1e200: the check must neither overflow nor let the
+        # skew part that appears after t = 0.5 through.
+        hermitian = 1e200 * SIGMA_X
+        skew = 1e193 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        evolve_time_ordered(lambda t: hermitian, 0.0, 1e-200, 4)
+        with pytest.raises(NonHermitianSample, match=r"H\(0\.625\)"):
+            evolve_time_ordered(lambda t: hermitian + skew if t > 0.5 else hermitian, 0.0, 1.0, 4)
 
     def test_rejects_nonsquare_sample(self):
         with pytest.raises(DimensionMismatch):
@@ -141,7 +154,7 @@ class TestEvolveTimeOrdered:
                     (values if target == "value" else derivatives)[hit] = bad
                 return values, derivatives
 
-            return BrightTrajectory.from_sampler(2, 1, 0.0, 1.0, sampler)
+            return BrightTrajectory(2, 1, 0.0, 1.0, sampler)
 
         # The generator is Hermitian by construction, so these two checks
         # are all that stands between a non-finite sample and the kernel.
@@ -165,21 +178,21 @@ class TestEvolveTimeOrdered:
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_rejects_misshapen_trajectory_sample(self, values_shape, derivatives_shape, vectorized):
         # Declared k = 1, dim = 2; an orthonormal sample of another shape
-        # would otherwise be propagated as if it were declared.
+        # would otherwise be propagated as if it were declared.  The block
+        # route samples 4 midpoints at once; the scalar route (through
+        # ``h_eff``) samples one at a time and meets the same check.
         frame = np.eye(*values_shape, dtype=complex)
 
         def sampler(times):
             return np.broadcast_to(frame, (times.size, *values_shape)), np.zeros((times.size, *derivatives_shape))
 
-        if vectorized:
-            traj = BrightTrajectory.from_sampler(2, 1, 0.0, 1.0, sampler)
-        else:
-            traj = BrightTrajectory(2, 1, 0.0, 1.0, lambda t: frame, lambda t: np.zeros(derivatives_shape))
-        named = "values {} and derivatives {} must both be \\(4, 1, 2\\)".format(
-            *(re.escape(str((4, *shape))) for shape in (values_shape, derivatives_shape))
+        traj = BrightTrajectory(2, 1, 0.0, 1.0, sampler)
+        m = 4 if vectorized else 1
+        named = "values {} and derivatives {} must both be {}".format(
+            *(re.escape(str((m, *shape))) for shape in (values_shape, derivatives_shape, (1, 2)))
         )
         with pytest.raises(DimensionMismatch, match=named):
-            evolve_time_ordered(traj, 0.0, 1.0, 4)
+            evolve_time_ordered(traj if vectorized else traj.h_eff, 0.0, 1.0, 4)
 
     def test_composition(self):
         full = evolve_time_ordered(smooth_noncommuting, 0.0, 2.0, 4096)
@@ -203,8 +216,8 @@ class TestEvolveTimeOrdered:
 
     def test_time_reversal_gives_inverse(self):
         traj = rotating_trajectory(1.3)
-        forward = evolve_trajectory(traj, steps=2048).unitary
-        backward = evolve_trajectory(traj.reversed(), steps=2048).unitary
+        forward = evolve_time_ordered(traj, traj.t_start, traj.t_end, 2048).unitary
+        backward = evolve_time_ordered(traj.reversed(), traj.t_start, traj.t_end, 2048).unitary
         assert unitary_distance(backward, forward.dagger(), "exact") < 1e-8
 
     def test_unitarity_error_reported_small(self):
@@ -214,10 +227,9 @@ class TestEvolveTimeOrdered:
 
 class TestEvolveFullAdiabatic:
     def test_constant_drive_matches_rabi_closed_form(self):
-        schedule = constant_lambda_schedule()
+        c = CONSTANT_LAMBDA
         omega_T = 2.3
-        res = evolve_full_adiabatic(schedule, AdiabaticRunConfig(omega_T=omega_T, steps=64))
-        c = schedule(0.0)
+        res = evolve_full_adiabatic(held(c), AdiabaticRunConfig(omega_T=omega_T, steps=64))
         b = np.zeros(4, dtype=complex)
         b[:3] = bright_state(c)
         e = np.zeros(4, dtype=complex)
@@ -228,19 +240,15 @@ class TestEvolveFullAdiabatic:
         assert np.linalg.norm(res.unitary.matrix - exact) < 1e-8
 
     def test_dark_state_is_stationary(self):
-        schedule = constant_lambda_schedule()
-        res = evolve_full_adiabatic(schedule, AdiabaticRunConfig(omega_T=5.0, steps=256))
-        c = schedule(0.0)
-        b = bright_state(c)
+        res = evolve_full_adiabatic(held(CONSTANT_LAMBDA), AdiabaticRunConfig(omega_T=5.0, steps=256))
+        b = bright_state(CONSTANT_LAMBDA)
         d = np.array([b[1].conj(), -b[0].conj(), 0.0, 0.0])
         np.testing.assert_allclose(res.unitary.matrix @ d, d, atol=1e-12)
 
     def test_bright_state_rabi_flops_to_excited(self):
-        schedule = constant_lambda_schedule()
-        res = evolve_full_adiabatic(schedule, AdiabaticRunConfig(omega_T=np.pi / 2, steps=64))
-        c = schedule(0.0)
+        res = evolve_full_adiabatic(held(CONSTANT_LAMBDA), AdiabaticRunConfig(omega_T=np.pi / 2, steps=64))
         start = np.zeros(4, dtype=complex)
-        start[:3] = bright_state(c)
+        start[:3] = bright_state(CONSTANT_LAMBDA)
         final = res.unitary.matrix @ start
         expected = np.zeros(4, dtype=complex)
         expected[3] = -1j
@@ -261,10 +269,15 @@ class TestEvolveFullAdiabatic:
         # stops abruptly; the sin^2 progress shaping removes the endpoint
         # velocity kinks and cuts the dark-block unitarity defect by orders
         # of magnitude at the same Omega*T.
-        from brightpath.lambda_system import SphericalAngles, couplings_from_angles, dark_basis_parametrized
+        from brightpath.lambda_system import SphericalAngles, dark_basis_parametrized
 
-        def schedule(s):
-            return couplings_from_angles(SphericalAngles(theta1=(np.pi / 2) * s), omega=1.0)
+        def sample(s):
+            # The angle couplings at theta1 = (pi/2) s, theta2 = phi2 = phi3 = 0.
+            theta1 = (np.pi / 2) * s
+            r = np.stack([np.sin(theta1), np.zeros_like(s), np.cos(theta1)], axis=1)
+            return r, np.zeros_like(r), np.ones_like(s)
+
+        schedule = drive(sample)
 
         start = np.zeros((2, 4), dtype=complex)
         start[0, 0] = start[1, 1] = 1.0
@@ -280,11 +293,14 @@ class TestEvolveFullAdiabatic:
         assert defects["smooth"] < defects["linear"] / 50.0
 
 
-def gate_schedule(n=3):
+def off_grid_gate(n=3):
     psi = np.zeros(n, dtype=complex)
     psi[0], psi[1] = 0.6, 0.8j
-    spec = GateSpec(n=n, psi=psi, phase_twist=0.9, t1=0.3137, t2=0.5711, theta_schedule="smooth")
-    return gate_coupling_schedule(spec)
+    return GateSpec(n=n, psi=psi, phase_twist=0.9, t1=0.3137, t2=0.5711, theta_schedule="smooth")
+
+
+def gate_schedule(n=3):
+    return gate_coupling_schedule(off_grid_gate(n))
 
 
 class TestBlockedOracle:
@@ -328,14 +344,11 @@ class TestBlockedOracle:
         assert np.array_equal(states, np.array(rows))
 
     def test_duration_comes_from_the_run_first_sample(self):
-        # A scalar schedule whose Rabi frequency doubles at the block
-        # boundary: with the duration omega_T / Omega(first sample), the
-        # second block turns the bright state twice as fast as the first.
+        # A schedule whose Rabi frequency doubles at the block boundary:
+        # with the duration omega_T / Omega(first sample), the second block
+        # turns the bright state twice as fast as the first.
         c = CouplingSet(omega=1.0, r=np.array([0.6, 0.8]), phi=np.array([0.0, 0.7]))
-        fast = CouplingSet(omega=2.0, r=c.r, phi=c.phi)
-
-        def schedule(s):
-            return c if s < 0.5 else fast
+        schedule = drive(lambda s: (np.tile(c.r, (s.size, 1)), np.tile(c.phi, (s.size, 1)), np.where(s < 0.5, 1.0, 2.0)))
 
         omega_T = 2.1
         res = evolve_full_adiabatic(schedule, AdiabaticRunConfig(omega_T=omega_T, steps=2 * FULL_BLOCK))
@@ -388,7 +401,7 @@ class TestBlockedOracle:
 
 class TestStatePropagation:
     def full(self):
-        schedule = constant_lambda_schedule()
+        schedule = held(CONSTANT_LAMBDA)
         config = AdiabaticRunConfig(omega_T=1.9, steps=128)
         start = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
         unitary = evolve_full_adiabatic(schedule, config).unitary
@@ -455,7 +468,7 @@ class TestDarkBlockAndLeakage:
 
     def test_leakage_zero_for_geometric_propagation(self):
         traj = rotating_trajectory(0.9)
-        res = evolve_trajectory(traj, steps=512)
+        res = evolve_time_ordered(traj, traj.t_start, traj.t_end, 512)
         # The dark ray follows (-sin t, cos t); the full 2-dim space splits
         # into bright + dark, so transporting the dark start must land in
         # the dark end ray.
@@ -466,31 +479,56 @@ class TestDarkBlockAndLeakage:
 
     def test_leakage_constant_full_hamiltonian(self):
         c = CouplingSet(omega=1.0, r=np.array([0.6, 0.8]), phi=np.zeros(2))
-        res = evolve_full_adiabatic(lambda s: c, AdiabaticRunConfig(omega_T=7.7, steps=512))
+        res = evolve_full_adiabatic(held(c), AdiabaticRunConfig(omega_T=7.7, steps=512))
         d = np.array([0.8, -0.6, 0.0], dtype=complex)
         p_end = projector_from_frame([d])
         assert leakage(res.unitary, [d], p_end) < 1e-12
 
 
 class TestReparametrize:
+    """A time remap tau = f(t) of a bright trajectory, as a trajectory."""
+
+    @staticmethod
+    def square(t):
+        return t * t
+
+    @staticmethod
+    def square_rate(t):
+        return 2.0 * t
+
+    def test_samples_the_base_at_the_mapped_times(self):
+        traj = stage_trajectory(off_grid_gate())
+        remapped = reparametrize(traj, self.square, self.square_rate, 0.0, 1.0)
+        times = np.linspace(0.0, 1.0, 37)
+        values, derivatives = remapped.sample(times)
+        base_values, base_derivatives = traj.sample(times * times)
+        assert np.array_equal(values, base_values)
+        assert np.array_equal(derivatives, (2.0 * times)[:, None, None] * base_derivatives)
+
+    def test_breakpoints_move_to_their_preimages(self):
+        spec = off_grid_gate()
+        traj = stage_trajectory(spec)
+        assert traj.breakpoints == (spec.t1, spec.t2)
+        remapped = reparametrize(traj, self.square, self.square_rate, 0.0, 1.0)
+        np.testing.assert_allclose(remapped.breakpoints, np.sqrt([spec.t1, spec.t2]), rtol=0, atol=1e-12)
+        # Only breakpoints inside (f(t0), f(t1)) are kept.
+        assert reparametrize(traj, self.square, self.square_rate, 0.0, 0.7).breakpoints == pytest.approx((np.sqrt(spec.t1),))
+
     def test_identity_map_is_noop(self):
-        base = evolve_time_ordered(smooth_noncommuting, 0.0, 2.0, 2048).unitary
-        remapped = reparametrize(smooth_noncommuting, lambda t: t, 0.0, 2.0, fprime=lambda t: 1.0)
-        again = evolve_time_ordered(remapped, 0.0, 2.0, 2048).unitary
-        assert unitary_distance(base, again, "exact") < 1e-12
+        traj = stage_trajectory(off_grid_gate())
+        base = evolve_time_ordered(traj, 0.0, 1.0, 2048).unitary
+        remapped = reparametrize(traj, lambda t: t, lambda t: 1.0, 0.0, 1.0)
+        again = evolve_time_ordered(remapped, 0.0, 1.0, 2048).unitary
+        assert np.array_equal(base.matrix, again.matrix)
 
     def test_quadratic_map_preserves_geometric_unitary(self):
-        traj = rotating_trajectory(1.0)
-        base = evolve_trajectory(traj, steps=10_000).unitary
-        remapped = reparametrize(traj.h_eff, lambda t: t * t, 0.0, 1.0, fprime=lambda t: 2 * t)
+        # f = 1.5 t^2 maps [0, 1] onto the base's [0, 1.5].
+        traj = rotating_trajectory(1.5)
+        base = evolve_time_ordered(traj, traj.t_start, traj.t_end, 10_000).unitary
+        remapped = reparametrize(traj, lambda t: 1.5 * t * t, lambda t: 3.0 * t, 0.0, 1.0)
         warped = evolve_time_ordered(remapped, 0.0, 1.0, 10_000).unitary
         assert unitary_distance(base, warped, "exact") < 1e-6
 
-    def test_non_hermitian_base_is_named_at_its_midpoint(self):
-        remapped = reparametrize(lambda t: SIGMA_X + 1j * SIGMA_Z, lambda t: t, 0.0, 1.0, fprime=lambda t: 1.0)
-        with pytest.raises(NonHermitianSample, match=r"H\(0\.125\)"):
-            evolve_time_ordered(remapped, 0.0, 1.0, 4)
-
     def test_orientation_reversal_rejected(self):
         with pytest.raises(NonMonotoneMap):
-            reparametrize(smooth_noncommuting, lambda t: -t, 0.0, 1.0)
+            reparametrize(rotating_trajectory(1.0), lambda t: 1.0 - t, lambda t: -1.0, 0.0, 1.0)
