@@ -8,7 +8,6 @@ holonomy, and full Schroedinger integration.
 
 from .effective import (
     BrightTrajectory,
-    GeneralBrightHamiltonian,
     finite_difference_adapter,
     h_eff_couplings,
     h_eff_multi,
@@ -42,17 +41,14 @@ from .lambda_system import (
     bright_state,
     couplings_from_angles,
     dark_basis_parametrized,
-    dark_projector,
     lambda_hamiltonian,
 )
 from .linalg import (
     HermitianOperator,
     UnitaryOperator,
     expm_hermitian,
-    gram_schmidt,
     matrix_distance,
     projector_from_frame,
-    unitary_distance,
 )
 from .morris_shore import (
     AdiabaticityReport,
@@ -60,7 +56,6 @@ from .morris_shore import (
     TwoManifoldSystem,
     adiabaticity_report,
     morris_shore_transform,
-    to_general_hamiltonian,
 )
 from .propagators import (
     AdiabaticRunConfig,
@@ -82,7 +77,6 @@ __all__ = [
     "CouplingSet",
     "GateReport",
     "GateSpec",
-    "GeneralBrightHamiltonian",
     "HermitianOperator",
     "MorrisShoreDecomposition",
     "ParameterPath",
@@ -99,7 +93,6 @@ __all__ = [
     "couplings_from_angles",
     "dark_basis_parametrized",
     "dark_block",
-    "dark_projector",
     "effective_dark_block",
     "evolve_full_adiabatic",
     "evolve_time_ordered",
@@ -107,7 +100,6 @@ __all__ = [
     "extract_geometric_phase",
     "finite_difference_adapter",
     "gate_coupling_schedule",
-    "gram_schmidt",
     "h_eff_couplings",
     "h_eff_multi",
     "h_eff_single",
@@ -122,8 +114,6 @@ __all__ = [
     "simulate_gate",
     "stage_trajectory",
     "stirap_transfer",
-    "to_general_hamiltonian",
-    "unitary_distance",
     "u_y_analytic",
     "u_z_analytic",
     "__version__",

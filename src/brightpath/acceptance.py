@@ -39,7 +39,7 @@ from .lambda_system import (
     lambda_hamiltonian,
 )
 from .linalg import expm_hermitian, matrix_distance, projector_from_frame
-from .morris_shore import TwoManifoldSystem, morris_shore_transform, to_general_hamiltonian
+from .morris_shore import TwoManifoldSystem, morris_shore_transform
 from .propagators import (
     AdiabaticRunConfig,
     dark_block,
@@ -238,7 +238,7 @@ def criterion_8_morris_shore(seed: int = DEFAULT_SEED) -> CriterionResult:
         counts_ok = counts_ok and d.rank == 2 and d.dark_ground.shape[0] == 3
         scale = float(np.linalg.norm(v))
         worst_recon = max(worst_recon, float(np.linalg.norm(d.reconstruct() - v)) / scale)
-        h = to_general_hamiltonian(d).hamiltonian(0.0).matrix
+        h = TwoManifoldSystem(d.reconstruct()).drive_hamiltonian()
         for dark in d.dark_ground:
             embedded = np.concatenate([dark, np.zeros(2)])
             worst_kernel = max(worst_kernel, float(np.linalg.norm(h @ embedded)) / scale)
@@ -248,8 +248,8 @@ def criterion_8_morris_shore(seed: int = DEFAULT_SEED) -> CriterionResult:
         phi=np.array([0.0, 0.9, -1.2]),
     )
     column = (1.4 * bright_state(c))[:, None]
-    rebuilt = to_general_hamiltonian(morris_shore_transform(TwoManifoldSystem(column)))
-    lambda_err = float(np.max(np.abs(rebuilt.hamiltonian(0.0).matrix - lambda_hamiltonian(c).matrix)))
+    rebuilt = TwoManifoldSystem(morris_shore_transform(TwoManifoldSystem(column)).reconstruct()).drive_hamiltonian()
+    lambda_err = float(np.max(np.abs(rebuilt - lambda_hamiltonian(c).matrix)))
     passed = counts_ok and worst_recon < 1e-12 and worst_kernel < 1e-10 and lambda_err < 1e-12
     return CriterionResult(
         8,

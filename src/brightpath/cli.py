@@ -46,7 +46,7 @@ from .gates import (
     stirap_transfer,
 )
 from .linalg import matrix_distance, projector_from_frame
-from .morris_shore import TwoManifoldSystem, morris_shore_transform, to_general_hamiltonian
+from .morris_shore import TwoManifoldSystem, morris_shore_transform
 from .propagators import (
     FULL_BLOCK,
     MAX_STEPS,
@@ -482,7 +482,7 @@ def _run_morris_shore(config: ScenarioConfig) -> dict:
     decomposition = morris_shore_transform(sys_, rank_tol=config.rank_tol)
     scale = float(np.linalg.norm(sys_.v))
     recon = float(np.linalg.norm(decomposition.reconstruct() - sys_.v)) / scale
-    rebuilt = to_general_hamiltonian(decomposition).hamiltonian(0.0).matrix
+    rebuilt = TwoManifoldSystem(decomposition.reconstruct()).drive_hamiltonian()
     drive_err = float(np.max(np.abs(rebuilt - sys_.drive_hamiltonian()))) / scale
     tolerance = config.tolerance
     diag = _diagnostics(dark_block_distance_exact=recon, dark_block_distance_phase=drive_err)

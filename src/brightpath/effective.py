@@ -66,7 +66,11 @@ def _h_eff_stack(values: np.ndarray, derivatives: np.ndarray, *, times: np.ndarr
         j = int(np.argmin(passed))
         raise DerivativeInconsistent(f"Re <Bdot_i|B_i> = {tangency[j].max():.3e} is not ~0{at(j)}")
     cross = np.einsum("mki,mkj->mij", derivatives, values.conj())
-    return 1j * (cross - cross.conj().transpose(0, 2, 1))
+    # In place, one (M, dim, dim) temporary fewer: conj() copies, so the
+    # subtraction reads no entry it has written, and 1j stays the left
+    # operand, as in 1j * (cross - cross^dag).
+    cross -= cross.conj().transpose(0, 2, 1)
+    return np.multiply(1j, cross, out=cross)
 
 
 def h_eff_single(b: np.ndarray, bdot: np.ndarray) -> HermitianOperator:
@@ -275,37 +279,3 @@ def finite_difference_adapter(
         return values, np.array([derivative(float(t)) for t in times], dtype=complex)
 
     return BrightTrajectory(dim, k, t_start, t_end, sampler)
-
-
-@dataclass(frozen=True)
-class GeneralBrightHamiltonian:
-    """Drive Hamiltonian expressed through an orthonormal bright set.
-
-    ``H(t) = sum_ij g_ij(t) |B_i><B_j| + g_ij(t)* |B_j><B_i|``; note the
-    double sum counts diagonal terms twice, so a diagonal entry g_ii
-    contributes 2 Re(g_ii) |B_i><B_i|.  The restriction of H to the bright
-    span must stay gapped away from zero over the whole domain.
-    """
-
-    frames: BrightTrajectory
-    g: Callable[[float], np.ndarray]
-    validation_samples: int = field(default=9, repr=False)
-
-    def __post_init__(self):
-        t0, t1 = self.frames.t_start, self.frames.t_end
-        for i in range(self.validation_samples):
-            t = t0 + (t1 - t0) * (i + 0.5) / self.validation_samples
-            g = np.asarray(self.g(t), dtype=complex)
-            if g.shape != (self.frames.k, self.frames.k):
-                raise DimensionMismatch(f"g(t) must be {self.frames.k}x{self.frames.k}, got {g.shape}")
-            restriction = g + g.conj().T
-            gap = float(np.min(np.abs(np.linalg.eigvalsh(restriction))))
-            if gap <= 1e-8 * max(np.linalg.norm(g), 1e-300):
-                raise ValueError(f"bright-span eigenvalue {gap:.3e} too close to zero at t={t:.6g}")
-
-    def hamiltonian(self, t: float) -> HermitianOperator:
-        """Assemble the full drive Hamiltonian at time ``t``."""
-        frame = self.frames.value(t)
-        g = np.asarray(self.g(t), dtype=complex)
-        half = frame.T @ g @ frame.conj()
-        return HermitianOperator(half + half.conj().T)

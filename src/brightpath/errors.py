@@ -9,10 +9,6 @@ class DimensionMismatch(BrightpathError):
     """Operands act on Hilbert spaces of different dimension."""
 
 
-class LinearlyDependentInput(BrightpathError):
-    """Vector set is (numerically) linearly dependent."""
-
-
 class NotNormalized(BrightpathError):
     """A state vector fails its normalization check."""
 

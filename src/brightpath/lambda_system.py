@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator, as_state
+from .linalg import HermitianOperator
 
 COUPLING_NORM_TOL = 1e-10
 
@@ -102,13 +102,6 @@ def lambda_hamiltonian(c: CouplingSet) -> HermitianOperator:
     h[:n, n] = c.omega * b
     h[n, :n] = c.omega * b.conj()
     return HermitianOperator(h)
-
-
-def dark_projector(b: np.ndarray) -> HermitianOperator:
-    """Projector 1 - |B><B| onto the dark complement of a bright state."""
-    b = as_state(b, require_normalized=True)
-    proj = np.eye(b.size, dtype=complex) - np.outer(b, b.conj())
-    return HermitianOperator((proj + proj.conj().T) / 2.0)
 
 
 def _angle_couplings(angles: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -8,38 +8,17 @@ evolution result in the package is checked the moment it is produced.
 
 from __future__ import annotations
 
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    LinearlyDependentInput,
-    NotHermitian,
-    NotNormalized,
-    NotOrthonormal,
-    NotUnitary,
-)
+from .errors import DimensionMismatch, NotHermitian, NotOrthonormal, NotUnitary
 
 # Input frames may come out of finite-difference pipelines, so they get a
 # looser tolerance than anything this package produces itself.
 INPUT_ORTHONORMALITY_TOL = 1e-8
-OUTPUT_ORTHONORMALITY_TOL = 1e-10
-NORMALIZATION_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-9
-
-
-def as_state(v, *, require_normalized: bool = False, tol: float = NORMALIZATION_TOL) -> np.ndarray:
-    """Coerce ``v`` to a 1-D complex vector, optionally checking its norm."""
-    vec = np.asarray(v, dtype=complex)
-    if vec.ndim != 1 or vec.size < 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {vec.shape}")
-    if require_normalized:
-        deviation = abs(np.vdot(vec, vec).real - 1.0)
-        if not deviation < tol:
-            raise NotNormalized(f"|<v|v> - 1| = {deviation:.3e} exceeds {tol:.1e}")
-    return vec
 
 
 def as_frame(vectors, *, tol: float = INPUT_ORTHONORMALITY_TOL) -> np.ndarray:
@@ -141,9 +120,6 @@ class UnitaryOperator:
     def dim(self) -> int:
         return self._matrix.shape[0]
 
-    def dagger(self) -> "UnitaryOperator":
-        return UnitaryOperator(self._matrix.conj().T)
-
     def __matmul__(self, other: "UnitaryOperator") -> "UnitaryOperator":
         if self.dim != other.dim:
             raise DimensionMismatch(f"dims {self.dim} and {other.dim} differ")
@@ -151,40 +127,6 @@ class UnitaryOperator:
 
     def __repr__(self) -> str:
         return f"UnitaryOperator(dim={self.dim})"
-
-
-def gram_schmidt(vectors: Sequence[np.ndarray], *, independence_tol: float = 1e-10) -> list[np.ndarray]:
-    """Orthonormalize a linearly independent set of vectors.
-
-    The first output vector is the normalized first input; the returned set
-    spans the same space as the inputs.  Raises ``LinearlyDependentInput``
-    when the smallest singular value of the stacked inputs falls below
-    ``independence_tol`` relative to the largest.
-    """
-    stacked = np.atleast_2d(np.asarray(list(vectors), dtype=complex))
-    if stacked.size == 0:
-        return []
-    dims = {v.shape for v in stacked}
-    if len(dims) != 1:
-        raise DimensionMismatch("input vectors have mixed dimensions")
-    singular = np.linalg.svd(stacked, compute_uv=False)
-    if singular[-1] <= independence_tol * singular[0]:
-        raise LinearlyDependentInput(
-            f"smallest relative singular value {singular[-1] / singular[0]:.3e} "
-            f"below {independence_tol:.1e}"
-        )
-    # Modified Gram-Schmidt with a second orthogonalization pass per vector
-    # keeps the output at the 1e-10 self-consistency tolerance.
-    basis: list[np.ndarray] = []
-    for v in stacked:
-        w = v.copy()
-        for _ in range(2):
-            for b in basis:
-                w = w - np.vdot(b, w) * b
-        norm = np.linalg.norm(w)
-        basis.append(w / norm)
-    check_orthonormal(np.asarray(basis), tol=OUTPUT_ORTHONORMALITY_TOL)
-    return basis
 
 
 def projector_from_frame(vectors: Iterable[np.ndarray], dim: int | None = None) -> HermitianOperator:
@@ -249,8 +191,13 @@ def _expm_rank2_stack(stack: np.ndarray, t: float) -> np.ndarray:
     split = gap > 0
     c2 = np.where(split, (phi1 - phi2) / np.where(split, gap, 1.0), -0.5)
     c1 = phi1 - c2 * lam1
-    out = c2[:, None, None] * (a @ a)
-    out += c1[:, None, None] * a
+    # In place on a @ a and on a, one (m, d, d) temporary fewer per stage;
+    # the coefficient stays the left operand, which keeps every bit of
+    # c * x (complex products are not bitwise commutative).
+    out = a @ a
+    np.multiply(c2[:, None, None], out, out=out)
+    np.multiply(c1[:, None, None], a, out=a)
+    out += a
     out.reshape(m, -1)[:, :: d + 1] += 1.0
     return out
 
@@ -288,10 +235,3 @@ def matrix_distance(a: np.ndarray, b: np.ndarray, mode: DistanceMode = "exact") 
         gamma = np.angle(overlap) if overlap != 0 else 0.0
         return float(np.linalg.norm(a - np.exp(1j * gamma) * b))
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def unitary_distance(u: UnitaryOperator, v: UnitaryOperator, mode: DistanceMode = "exact") -> float:
-    """Frobenius distance between unitaries, exact or up to a global phase."""
-    if u.dim != v.dim:
-        raise DimensionMismatch(f"dims {u.dim} and {v.dim} differ")
-    return matrix_distance(u.matrix, v.matrix, mode)

@@ -3,9 +3,9 @@
 A system whose r-fold degenerate ground manifold couples resonantly to an
 m-fold degenerate excited manifold is reduced, via the singular value
 decomposition of its coupling matrix, to independent driven two-level pairs
-and decoupled dark states.  The retained pairs assemble into a
-:class:`~brightpath.effective.GeneralBrightHamiltonian` whose dark subspace
-evolves geometrically.
+and decoupled dark states.  The pairs reproduce the coupling matrix
+exactly (``reconstruct``), so the drive rebuilt from them is the original
+one, and its dark space is the kernel of V^dag in the ground manifold.
 """
 
 from __future__ import annotations
@@ -15,27 +15,23 @@ from typing import Callable
 
 import numpy as np
 
-from .effective import BrightTrajectory, GeneralBrightHamiltonian
 from .errors import ZeroCoupling
 from .linalg import check_orthonormal
 
 RANK_TOL_DEFAULT = 1e-12
-RECONSTRUCTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class TwoManifoldSystem:
     """An r x m complex coupling matrix between degenerate manifolds.
 
-    ``v[g, a]`` couples ground state g to excited state a; the resonant
-    (zero-detuning) case is the only one supported, which keeps the dark
-    space an exact kernel.  When built from a matrix with fewer rows than
-    columns the constructor transposes it and flags ``swapped``.
+    ``v[g, a]`` couples ground state g to excited state a.  The drive is
+    resonant (zero detuning), which keeps the dark space an exact kernel.
+    When built from a matrix with fewer rows than columns the constructor
+    transposes it, so the ground manifold is always the larger one.
     """
 
     v: np.ndarray
-    detuning: float = 0.0
-    swapped: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=complex)
@@ -43,16 +39,9 @@ class TwoManifoldSystem:
             raise ValueError(f"coupling matrix must be 2-D, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("coupling matrix contains non-finite entries")
-        if self.detuning != 0.0:
-            raise ValueError("only resonant (zero-detuning) drives are supported")
-        swapped = self.swapped
-        if v.shape[0] < v.shape[1]:
-            v = v.T.copy()
-            swapped = True
-        v = v.copy()
+        v = v.T.copy() if v.shape[0] < v.shape[1] else v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "swapped", swapped)
 
     @property
     def r(self) -> int:
@@ -95,14 +84,6 @@ class MorrisShoreDecomposition:
         check_orthonormal(self.excited_bright, tol=1e-10)
         if len(self.dark_ground):
             check_orthonormal(self.dark_ground, tol=1e-10)
-
-    @property
-    def pairs(self) -> list[tuple[np.ndarray, np.ndarray, float]]:
-        """(ground vector, excited vector, coupling strength) per pair."""
-        return [
-            (g, e, float(s))
-            for g, e, s in zip(self.ground_bright, self.excited_bright, self.couplings)
-        ]
 
     def reconstruct(self) -> np.ndarray:
         """sum_a g_a |B_a^g><B_a^e|, which must reproduce V."""
@@ -170,32 +151,6 @@ def morris_shore_transform(sys: TwoManifoldSystem, rank_tol: float = RANK_TOL_DE
         dark_ground=dark,
         rank=rank,
     )
-
-
-def to_general_hamiltonian(d: MorrisShoreDecomposition, r: int | None = None, m: int | None = None) -> GeneralBrightHamiltonian:
-    """Embed the retained pairs as a bright-set Hamiltonian on r+m levels.
-
-    The bright set is {ground brights} + {excited brights}; the coupling
-    matrix g carries each pair strength in its ground-excited block, so the
-    assembled operator reproduces the original drive Hamiltonian exactly.
-    """
-    pairs = d.rank
-    r = d.ground_bright.shape[1] if r is None else r
-    m = d.excited_bright.shape[1] if m is None else m
-    dim = r + m
-    k = 2 * pairs
-    frame = np.zeros((k, dim), dtype=complex)
-    frame[:pairs, :r] = d.ground_bright
-    frame[pairs:, r:] = d.excited_bright
-    g = np.zeros((k, k), dtype=complex)
-    for a in range(pairs):
-        g[a, pairs + a] = d.couplings[a]
-
-    def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values = np.broadcast_to(frame, (times.size, k, dim))
-        return values, np.zeros_like(values)
-
-    return GeneralBrightHamiltonian(frames=BrightTrajectory(dim, k, 0.0, 1.0, sampler), g=lambda t: g)
 
 
 def align_to_previous(previous: MorrisShoreDecomposition, current: MorrisShoreDecomposition) -> MorrisShoreDecomposition:

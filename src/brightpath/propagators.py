@@ -310,12 +310,19 @@ def reparametrize(
     linear in Bdot, so its generator is f'(t) H_eff(f(t)) and it propagates
     to the same unitary (geometric evolution depends on the path, not on its
     parametrization).  ``f`` and ``fprime`` act on arrays of times; ``f``
-    must be strictly increasing.  The base breakpoints inside (f(t0), f(t1))
-    move to their preimages, found by bisection.
+    must be strictly increasing (else ``NonMonotoneMap``) and map [t0, t1]
+    into the base's [t_start, t_end] (else ``ValueError`` naming both
+    intervals).  The base breakpoints inside (f(t0), f(t1)) move to their
+    preimages, found by bisection.
     """
     mapped = np.asarray(f(np.linspace(t0, t1, MONOTONICITY_CHECK_POINTS)), dtype=float)
     if np.any(np.diff(mapped) <= 0):
         raise NonMonotoneMap("f must be strictly increasing on the new domain")
+    if not (trajectory.t_start <= mapped[0] and mapped[-1] <= trajectory.t_end):  # NaN fails too
+        raise ValueError(
+            f"f maps [{t0:.6g}, {t1:.6g}] onto [{mapped[0]:.6g}, {mapped[-1]:.6g}], "
+            f"outside the trajectory's [{trajectory.t_start:.6g}, {trajectory.t_end:.6g}]"
+        )
 
     def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values, derivatives = trajectory.sample(f(times))

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from brightpath.effective import (
     BrightTrajectory,
-    GeneralBrightHamiltonian,
     _h_eff_stack,
     finite_difference_adapter,
     h_eff_couplings,
@@ -145,6 +144,16 @@ class TestHEffMulti:
         for frame in ([np.array([1.0, 0]), np.array([1.0, 0])], [np.array([np.nan, 0]), np.array([0, 1.0])]):
             with pytest.raises(NotOrthonormal):
                 h_eff_multi(frame, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_in_place_stack_build_is_bit_identical(self, rng, k):
+        # The out-of-place 1j * (cross - cross^dag), as first written.
+        z = rng.normal(size=(300, 5, k)) + 1j * rng.normal(size=(300, 5, k))
+        values = np.linalg.qr(z)[0].transpose(0, 2, 1)
+        derivatives = rng.normal(size=values.shape) + 1j * rng.normal(size=values.shape)
+        derivatives -= (derivatives.conj() * values).real.sum(axis=2)[:, :, None] * values
+        cross = np.einsum("mki,mkj->mij", derivatives, values.conj())
+        assert np.array_equal(_h_eff_stack(values, derivatives), 1j * (cross - cross.conj().transpose(0, 2, 1)))
 
 
 class TestHEffCouplings:
@@ -431,26 +440,3 @@ class TestMultiBrightTransport:
         assert distances[0] < 2e-4
         assert distances[1] < distances[0] / 3.0
 
-
-class TestGeneralBrightHamiltonian:
-    def static_pair(self, g_matrix):
-        frame = np.array([[1, 0, 0, 0], [0, 0, 1, 0]], dtype=complex)
-        traj = BrightTrajectory(4, 2, 0.0, 1.0, lambda times: (np.tile(frame, (times.size, 1, 1)), np.zeros((times.size, 2, 4))))
-        return GeneralBrightHamiltonian(frames=traj, g=lambda t: np.asarray(g_matrix, complex))
-
-    def test_assembles_pair_hamiltonian(self):
-        gbh = self.static_pair([[0.0, 1.3], [0.0, 0.0]])
-        h = gbh.hamiltonian(0.5).matrix
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 2] = expected[2, 0] = 1.3
-        np.testing.assert_allclose(h, expected, atol=0)
-
-    def test_diagonal_g_counts_twice(self):
-        gbh = self.static_pair([[0.7 + 0.2j, 1.0], [0.0, 0.0]])
-        h = gbh.hamiltonian(0.0).matrix
-        # The double sum puts g_ii + g_ii^* = 2 Re(g_ii) on |B_i><B_i|.
-        assert abs(h[0, 0] - 1.4) < 1e-14
-
-    def test_rejects_gapless_bright_block(self):
-        with pytest.raises(ValueError):
-            self.static_pair([[0.0, 0.0], [0.0, 0.0]])

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from brightpath.errors import NotNormalized
 from brightpath.lambda_system import (
     CouplingSet,
     SphericalAngles,
@@ -10,7 +9,6 @@ from brightpath.lambda_system import (
     coupling_rates_from_angles,
     couplings_from_angles,
     dark_basis_parametrized,
-    dark_projector,
     lambda_hamiltonian,
 )
 
@@ -88,26 +86,10 @@ class TestLambdaHamiltonian:
         r /= np.linalg.norm(r)
         c = coupling(1.0, r, rng.uniform(-np.pi, np.pi, size=3))
         b = bright_state(c)
-        p = dark_projector(b).matrix
-        h_ground = lambda_hamiltonian(c).matrix[:3, :3]
-        assert np.linalg.norm(p @ h_ground @ p) < 1e-12
-
-
-class TestDarkProjector:
-    def test_basis_bright_state(self):
-        p = dark_projector(np.array([1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(p.matrix, np.diag([0.0, 1.0, 1.0]), atol=1e-15)
-
-    def test_annihilates_bright_and_has_right_rank(self, rng):
-        b = rng.normal(size=5) + 1j * rng.normal(size=5)
-        b /= np.linalg.norm(b)
-        p = dark_projector(b).matrix
-        assert np.linalg.norm(p @ b) < 1e-12
-        assert abs(np.trace(p).real - 4.0) < 1e-12
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(NotNormalized):
-            dark_projector(np.array([1.0, 1.0]))
+        # The projector 1 - |B><B| onto the ground-space dark states, embedded.
+        p = np.zeros((4, 4), dtype=complex)
+        p[:3, :3] = np.eye(3) - np.outer(b, b.conj())
+        assert np.linalg.norm(lambda_hamiltonian(c).matrix @ p) < 1e-12
 
 
 class TestAngleParametrization:

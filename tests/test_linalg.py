@@ -3,25 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brightpath.errors import (
-    DimensionMismatch,
-    LinearlyDependentInput,
-    NotHermitian,
-    NotNormalized,
-    NotOrthonormal,
-    NotUnitary,
-)
+from brightpath.errors import DimensionMismatch, NotHermitian, NotOrthonormal, NotUnitary
 from brightpath.linalg import (
     HermitianOperator,
     UnitaryOperator,
     _expm_hermitian_stack,
     _expm_rank2_stack,
-    as_state,
     expm_hermitian,
-    gram_schmidt,
     matrix_distance,
     projector_from_frame,
-    unitary_distance,
 )
 
 from conftest import random_unitary
@@ -62,56 +52,15 @@ class TestOperatorTypes:
             with pytest.raises(NotUnitary):
                 UnitaryOperator(matrix)
 
-    def test_unitary_composition_and_dagger(self, rng):
+    def test_unitary_composition_and_adjoint(self, rng):
         u = UnitaryOperator(random_unitary(rng, 4))
         v = UnitaryOperator(random_unitary(rng, 4))
         np.testing.assert_allclose((u @ v).matrix, u.matrix @ v.matrix, atol=1e-14)
-        np.testing.assert_allclose((u @ u.dagger()).matrix, np.eye(4), atol=1e-12)
-
-    def test_state_rejects_unnormalized(self):
-        for vector in ([1.0, 1.0], [np.nan, 0.0]):
-            with pytest.raises(NotNormalized):
-                as_state(vector, require_normalized=True)
+        np.testing.assert_allclose((u @ UnitaryOperator(u.matrix.conj().T)).matrix, np.eye(4), atol=1e-12)
 
     def test_rectangular_rejected(self):
         with pytest.raises(DimensionMismatch):
             HermitianOperator(np.zeros((2, 3)))
-
-
-class TestGramSchmidt:
-    def test_forced_two_vector_case(self):
-        out = gram_schmidt([np.array([1.0, 0.0]), np.array([1.0, 1.0])])
-        np.testing.assert_allclose(out[0], [1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(out[1], [0.0, 1.0], atol=1e-15)
-
-    def test_orthonormal_input_is_fixed_point(self, rng):
-        u = random_unitary(rng, 5)
-        out = gram_schmidt(list(u.T))
-        np.testing.assert_allclose(np.asarray(out), u.T, atol=1e-12)
-
-    def test_dependent_input_rejected(self):
-        with pytest.raises(LinearlyDependentInput):
-            gram_schmidt([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
-
-    def test_first_vector_is_normalized_first_input(self, rng):
-        vecs = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(3)]
-        out = gram_schmidt(vecs)
-        np.testing.assert_allclose(out[0], vecs[0] / np.linalg.norm(vecs[0]), atol=1e-13)
-
-    def test_output_passes_orthonormality_check(self, rng):
-        vecs = [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(4)]
-        out = gram_schmidt(vecs)
-        gram = np.asarray(out).conj() @ np.asarray(out).T
-        assert np.max(np.abs(gram - np.eye(4))) < 1e-10
-
-    def test_span_is_preserved(self, rng):
-        vecs = [rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(3)]
-        out = gram_schmidt(vecs)
-        # Same span iff the two projectors agree.
-        q = np.linalg.qr(np.asarray(vecs).T)[0]
-        p_input = q @ q.conj().T
-        p_output = np.asarray(out).T @ np.asarray(out).conj()
-        np.testing.assert_allclose(p_input, p_output, atol=1e-10)
 
 
 class TestProjectorFromFrame:
@@ -200,6 +149,24 @@ class TestExpmRank2:
         u = _expm_rank2_stack(np.zeros((3, 4, 4), dtype=complex), 0.7)
         np.testing.assert_array_equal(u, np.broadcast_to(np.eye(4), (3, 4, 4)))
 
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_in_place_build_is_bit_identical(self, rng, dim):
+        # The out-of-place polynomial 1 + c2 A^2 + c1 A, as first written.
+        h = one_bright_generators(rng, dim, rng.uniform(1e-3, 10.0, size=300))
+        a = h * 0.37
+        s = np.trace(a, axis1=1, axis2=2).real
+        q = (a.conj() * a).real.sum(axis=(1, 2))
+        root = np.sqrt(np.maximum(0.0, 2.0 * q - s * s))
+        lam1, lam2 = (s + root) / 2, (s - root) / 2
+        phi1, phi2 = (-1j * np.exp(-0.5j * lam) * np.sinc(lam / (2 * np.pi)) for lam in (lam1, lam2))
+        gap = lam1 - lam2
+        c2 = np.where(gap > 0, (phi1 - phi2) / np.where(gap > 0, gap, 1.0), -0.5)
+        c1 = phi1 - c2 * lam1
+        expected = c2[:, None, None] * (a @ a)
+        expected += c1[:, None, None] * a
+        expected.reshape(len(h), -1)[:, :: dim + 1] += 1.0
+        assert np.array_equal(_expm_rank2_stack(h, 0.37), expected)
+
     @pytest.mark.parametrize("speed, t", [(1e300, 3e-301), (1e-200, 4e199)])
     def test_only_the_scaled_exponent_is_squared(self, rng, speed, t):
         # H^2 overflows (or underflows) here; (t H)^2 is of order one.
@@ -211,41 +178,38 @@ class TestExpmRank2:
 
 class TestUnitaryDistance:
     def test_zero_on_equal(self, rng):
-        u = UnitaryOperator(random_unitary(rng, 3))
-        assert unitary_distance(u, u, "exact") == 0.0
-        assert unitary_distance(u, u, "up_to_global_phase") < 1e-12
+        u = random_unitary(rng, 3)
+        assert matrix_distance(u, u, "exact") == 0.0
+        assert matrix_distance(u, u, "up_to_global_phase") < 1e-12
 
     def test_global_phase_closed_form(self, rng):
         gamma = 0.813
-        u = UnitaryOperator(random_unitary(rng, 5))
-        v = UnitaryOperator(np.exp(1j * gamma) * u.matrix)
-        assert unitary_distance(u, v, "up_to_global_phase") < 1e-12
+        u = random_unitary(rng, 5)
+        v = np.exp(1j * gamma) * u
+        assert matrix_distance(u, v, "up_to_global_phase") < 1e-12
         expected = 2.0 * abs(np.sin(gamma / 2.0)) * np.sqrt(5)
-        assert abs(unitary_distance(u, v, "exact") - expected) < 1e-12
+        assert abs(matrix_distance(u, v, "exact") - expected) < 1e-12
 
     def test_traceless_target_makes_phase_mode_vacuous(self):
-        u = UnitaryOperator(np.eye(2))
-        v = UnitaryOperator(SIGMA_X)
-        assert abs(unitary_distance(u, v, "exact") - 2.0) < 1e-14
-        assert abs(unitary_distance(u, v, "up_to_global_phase") - 2.0) < 1e-14
+        u, v = np.eye(2), SIGMA_X
+        assert abs(matrix_distance(u, v, "exact") - 2.0) < 1e-14
+        assert abs(matrix_distance(u, v, "up_to_global_phase") - 2.0) < 1e-14
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
-            unitary_distance(
-                UnitaryOperator(np.eye(2)), UnitaryOperator(np.eye(3)), "exact"
-            )
+            matrix_distance(np.eye(2), np.eye(3), "exact")
 
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5))
     @settings(max_examples=40, deadline=None)
     def test_symmetry_and_triangle_inequality(self, seed, dim):
         rng = np.random.default_rng(seed)
-        u, v, w = (UnitaryOperator(random_unitary(rng, dim)) for _ in range(3))
+        u, v, w = (random_unitary(rng, dim) for _ in range(3))
         for mode in ("exact", "up_to_global_phase"):
-            duv = unitary_distance(u, v, mode)
-            dvu = unitary_distance(v, u, mode)
+            duv = matrix_distance(u, v, mode)
+            dvu = matrix_distance(v, u, mode)
             assert abs(duv - dvu) < 1e-10
-            duw = unitary_distance(u, w, mode)
-            dwv = unitary_distance(w, v, mode)
+            duw = matrix_distance(u, w, mode)
+            dwv = matrix_distance(w, v, mode)
             assert duv <= duw + dwv + 1e-10
 
     def test_matrix_distance_on_nonsquare_blocks(self):

@@ -8,7 +8,6 @@ from brightpath.morris_shore import (
     adiabaticity_report,
     align_to_previous,
     morris_shore_transform,
-    to_general_hamiltonian,
 )
 
 
@@ -16,15 +15,17 @@ def random_coupling_matrix(rng, r, m):
     return rng.normal(size=(r, m)) + 1j * rng.normal(size=(r, m))
 
 
+def rebuilt_drive(d):
+    """The (r+m)-level drive rebuilt from the bright pairs alone."""
+    return TwoManifoldSystem(d.reconstruct()).drive_hamiltonian()
+
+
 class TestTwoManifoldSystem:
     def test_transposes_when_ground_is_smaller(self, rng):
-        sys = TwoManifoldSystem(random_coupling_matrix(rng, 2, 5))
+        v = random_coupling_matrix(rng, 2, 5)
+        sys = TwoManifoldSystem(v)
         assert (sys.r, sys.m) == (5, 2)
-        assert sys.swapped
-
-    def test_rejects_detuning(self, rng):
-        with pytest.raises(ValueError):
-            TwoManifoldSystem(random_coupling_matrix(rng, 3, 2), detuning=0.5)
+        np.testing.assert_array_equal(sys.v, v.T)
 
     def test_drive_hamiltonian_layout(self):
         v = np.array([[1.0], [2.0]])
@@ -89,23 +90,21 @@ class TestMorrisShoreTransform:
             assert abs(pivot.imag) < 1e-12 and pivot.real > 0
 
 
-class TestToGeneralHamiltonian:
+class TestDriveRebuiltFromPairs:
     def test_rank_one_reproduces_lambda_hamiltonian(self):
         c = CouplingSet(omega=1.0, r=np.array([0.8, 0.36, np.sqrt(1 - 0.64 - 0.1296)]), phi=np.array([0.0, 1.1, -0.3]))
         v = bright_state(c)[:, None]
         d = morris_shore_transform(TwoManifoldSystem(v))
-        gbh = to_general_hamiltonian(d)
-        np.testing.assert_allclose(gbh.hamiltonian(0.0).matrix, lambda_hamiltonian(c).matrix, atol=1e-12)
+        np.testing.assert_allclose(rebuilt_drive(d), lambda_hamiltonian(c).matrix, atol=1e-12)
 
     def test_rebuilt_operator_matches_drive(self, rng):
         sys = TwoManifoldSystem(random_coupling_matrix(rng, 5, 2))
-        gbh = to_general_hamiltonian(morris_shore_transform(sys))
-        np.testing.assert_allclose(gbh.hamiltonian(0.3).matrix, sys.drive_hamiltonian(), atol=1e-12)
+        np.testing.assert_allclose(rebuilt_drive(morris_shore_transform(sys)), sys.drive_hamiltonian(), atol=1e-12)
 
     def test_spectrum_is_plus_minus_couplings(self, rng):
         sys = TwoManifoldSystem(random_coupling_matrix(rng, 4, 2))
         d = morris_shore_transform(sys)
-        h = to_general_hamiltonian(d).hamiltonian(0.0).matrix
+        h = rebuilt_drive(d)
         evals = np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1]
         nonzero = np.sort(np.concatenate([d.couplings, d.couplings]))[::-1]
         np.testing.assert_allclose(evals[: len(nonzero)], nonzero, atol=1e-10)
@@ -114,7 +113,7 @@ class TestToGeneralHamiltonian:
     def test_dark_states_in_rebuilt_kernel(self, rng):
         sys = TwoManifoldSystem(random_coupling_matrix(rng, 5, 2))
         d = morris_shore_transform(sys)
-        h = to_general_hamiltonian(d).hamiltonian(0.0).matrix
+        h = rebuilt_drive(d)
         for dark in d.dark_ground:
             embedded = np.concatenate([dark, np.zeros(2)])
             assert np.linalg.norm(h @ embedded) < 1e-10 * np.linalg.norm(sys.v)

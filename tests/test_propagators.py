@@ -18,8 +18,8 @@ from brightpath.lambda_system import CouplingSet, bright_state
 from brightpath.linalg import (
     HermitianOperator,
     expm_hermitian,
+    matrix_distance,
     projector_from_frame,
-    unitary_distance,
 )
 from brightpath.propagators import (
     FULL_BLOCK,
@@ -218,7 +218,7 @@ class TestEvolveTimeOrdered:
         traj = rotating_trajectory(1.3)
         forward = evolve_time_ordered(traj, traj.t_start, traj.t_end, 2048).unitary
         backward = evolve_time_ordered(traj.reversed(), traj.t_start, traj.t_end, 2048).unitary
-        assert unitary_distance(backward, forward.dagger(), "exact") < 1e-8
+        assert matrix_distance(backward.matrix, forward.matrix.conj().T, "exact") < 1e-8
 
     def test_unitarity_error_reported_small(self):
         res = evolve_time_ordered(smooth_noncommuting, 0.0, 2.0, 4096)
@@ -527,8 +527,24 @@ class TestReparametrize:
         base = evolve_time_ordered(traj, traj.t_start, traj.t_end, 10_000).unitary
         remapped = reparametrize(traj, lambda t: 1.5 * t * t, lambda t: 3.0 * t, 0.0, 1.0)
         warped = evolve_time_ordered(remapped, 0.0, 1.0, 10_000).unitary
-        assert unitary_distance(base, warped, "exact") < 1e-6
+        assert matrix_distance(base.matrix, warped.matrix, "exact") < 1e-6
 
     def test_orientation_reversal_rejected(self):
         with pytest.raises(NonMonotoneMap):
             reparametrize(rotating_trajectory(1.0), lambda t: 1.0 - t, lambda t: -1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "f, fprime, t0, t1",
+        [
+            (lambda t: 2.0 * t * t, lambda t: 4.0 * t, 0.0, 1.0),  # f(1) = 2 > t_end
+            (lambda t: t - 0.5, lambda t: 1.0 + 0.0 * t, 0.0, 1.0),  # f(0) < t_start
+            (lambda t: np.where(t > 0.5, np.nan, t), lambda t: 1.0 + 0.0 * t, 0.0, 1.0),
+        ],
+        ids=["past_t_end", "before_t_start", "nan"],
+    )
+    def test_map_leaving_the_base_domain_rejected(self, f, fprime, t0, t1):
+        traj = stage_trajectory(off_grid_gate())
+        with pytest.raises(ValueError, match=r"outside the trajectory's \[0, 1\]"):
+            reparametrize(traj, f, fprime, t0, t1)
+        # The map onto exactly [t_start, t_end] stays accepted.
+        reparametrize(traj, self.square, self.square_rate, 0.0, 1.0)
