@@ -62,6 +62,7 @@ from .propagators import (
     PropagationResult,
     dark_block,
     evolve_full_adiabatic,
+    evolve_full_sweep,
     evolve_time_ordered,
     leakage,
     reparametrize,
@@ -95,6 +96,7 @@ __all__ = [
     "dark_block",
     "effective_dark_block",
     "evolve_full_adiabatic",
+    "evolve_full_sweep",
     "evolve_time_ordered",
     "expm_hermitian",
     "extract_geometric_phase",

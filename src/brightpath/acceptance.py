@@ -43,7 +43,7 @@ from .morris_shore import TwoManifoldSystem, morris_shore_transform
 from .propagators import (
     AdiabaticRunConfig,
     dark_block,
-    evolve_full_adiabatic,
+    evolve_full_sweep,
     evolve_time_ordered,
     leakage,
     reparametrize,
@@ -163,14 +163,14 @@ def criterion_5_full_dynamics(seed: int = DEFAULT_SEED) -> CriterionResult:
     logical[0, 0] = logical[1, 1] = 1.0
     p_logical = projector_from_frame(logical)
 
-    def run(omega_T):
-        result = evolve_full_adiabatic(schedule, AdiabaticRunConfig(omega_T=omega_T, steps=65536))
+    def measure(result):
         block = dark_block(result.unitary, logical, logical)
         distance = matrix_distance(block, geometric, "up_to_global_phase")
         return distance, leakage(result.unitary, logical, p_logical)
 
-    dist_2000, leak_2000 = run(2000)
-    sweep = [run(omega_T)[0] for omega_T in (250, 1000, 4000)]
+    runs = [AdiabaticRunConfig(omega_T=omega_T, steps=65536) for omega_T in (2000, 250, 1000, 4000)]
+    (dist_2000, leak_2000), *rest = map(measure, evolve_full_sweep(schedule, runs))
+    sweep = [distance for distance, _ in rest]
     decreasing = sweep[0] > sweep[1] > sweep[2]
     passed = leak_2000 < 1e-3 and dist_2000 < 1e-2 and decreasing
     return CriterionResult(

@@ -53,6 +53,7 @@ from .propagators import (
     AdiabaticRunConfig,
     dark_block,
     evolve_full_adiabatic,
+    evolve_full_sweep,
     evolve_state_full,
     evolve_state_time_ordered,
     leakage,
@@ -443,8 +444,7 @@ def _run_compare(config: ScenarioConfig) -> dict:
     p_logical = projector_from_frame(logical)
     sweep = []
     worst_unitarity = 0.0
-    for run_config in config.full_runs:
-        result = evolve_full_adiabatic(schedule, run_config)
+    for run_config, result in zip(config.full_runs, evolve_full_sweep(schedule, config.full_runs)):
         blk = dark_block(result.unitary, logical, logical)
         sweep.append(
             {

@@ -138,8 +138,15 @@ class BrightTrajectory:
 
     def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
         """Values and derivatives at every time of a 1-D array, each (M, k, dim);
-        ``DimensionMismatch`` names both shapes when either is not."""
+        ``DimensionMismatch`` names both shapes when either is not.  Every
+        time must lie in [t_start, t_end] (else ``ValueError`` naming both
+        intervals): a sampler's formulas do not hold off the domain."""
         times = np.asarray(times, dtype=float)
+        if times.size and not (self.t_start <= times.min() and times.max() <= self.t_end):  # NaN fails too
+            raise ValueError(
+                f"sample times span [{times.min():.6g}, {times.max():.6g}], "
+                f"outside the trajectory's [{self.t_start:.6g}, {self.t_end:.6g}]"
+            )
         values, derivatives = self.sampler(times)
         expected = (times.size, self.k, self.dim)
         if np.shape(values) != expected or np.shape(derivatives) != expected:
@@ -166,7 +173,8 @@ class BrightTrajectory:
         t0, t1 = self.t_start, self.t_end
 
         def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            values, derivatives = self.sample(t0 + t1 - times)
+            # t0 + t1 - t can round one ulp past an end; the clip keeps it in.
+            values, derivatives = self.sample(np.clip(t0 + t1 - times, t0, t1))
             return values, -derivatives
 
         return BrightTrajectory(self.dim, self.k, t0, t1, sampler, tuple(sorted(t0 + t1 - b for b in self.breakpoints)))

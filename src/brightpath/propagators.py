@@ -11,13 +11,16 @@ one-bright-state trajectory, or the closed-form Lambda step of the full
 against.  A reducer consumes the blocks in order: it forms the ordered
 product (each block by a pairwise tree, then the block products by the same
 tree) or applies the factors to one state (snapshots).  No array longer
-than one block is built, so memory stays flat in the step count.
+than one block is built, so memory stays flat in the step count.  A sweep
+of full runs that differ only in Omega*T shares one step grid, so one
+sampled and checked drive per block feeds every run's factors; a single
+full run is the sweep of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Literal, Protocol
+from typing import Callable, Iterable, Iterator, Literal, Protocol, Sequence
 
 import numpy as np
 
@@ -142,17 +145,25 @@ def _sample_drive(schedule: DriveSchedule, ramp: str, mids: np.ndarray) -> tuple
     return r * np.exp(1j * phi), omega
 
 
-def _drive_factors(schedule: DriveSchedule, config: AdiabaticRunConfig) -> Iterator[np.ndarray]:
-    """Exact step factors of the full drive, one block at a time.  The step
-    phase is Omega * dt with the run's duration omega_T / Omega fixed by its
-    first sample."""
-    blocks, _ = _step_grid(0.0, 1.0, config.steps)
-    dt = None
+def _drive_phases(schedule: DriveSchedule, runs: Sequence[AdiabaticRunConfig]) -> Iterator[tuple[np.ndarray, list]]:
+    """The full drive of runs that share one step grid and ramp, sampled and
+    checked once per block: the block's bright states (M, n) and each run's
+    step phases Omega * dt (M,), with the run's duration omega_T / Omega
+    fixed by the first sample."""
+    steps, ramp = runs[0].steps, runs[0].ramp
+    blocks, _ = _step_grid(0.0, 1.0, steps)
+    dts = None
     for mids in blocks:
-        b, omega = _sample_drive(schedule, config.ramp, mids)
-        if dt is None:
-            dt = config.omega_T / omega[0] / config.steps
-        yield _lambda_step_factors(b, omega * dt)
+        b, omega = _sample_drive(schedule, ramp, mids)
+        if dts is None:
+            dts = [run.omega_T / omega[0] / steps for run in runs]
+        yield b, [omega * dt for dt in dts]
+
+
+def _drive_factors(schedule: DriveSchedule, config: AdiabaticRunConfig) -> Iterator[np.ndarray]:
+    """Exact step factors of one full run, one block at a time."""
+    for b, (phase,) in _drive_phases(schedule, [config]):
+        yield _lambda_step_factors(b, phase)
 
 
 def _lambda_step_factors(b: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -175,16 +186,20 @@ def _lambda_step_factors(b: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return factors
 
 
-def _unitary_product(blocks: Iterable[np.ndarray]) -> tuple[UnitaryOperator, float]:
-    """Ordered product of a stream of factor blocks (each block by the tree
-    product, then the block products the same way), projected back onto the
-    unitary group (polar decomposition), with the pre-projection drift."""
-    # map() holds no block, so each is released before the next is built.
-    u = _ordered_product(np.array(list(map(_ordered_product, blocks))))
+def _polar(u: np.ndarray) -> tuple[UnitaryOperator, float]:
+    """``u`` projected back onto the unitary group (polar decomposition),
+    with the pre-projection drift."""
     w, _, vh = np.linalg.svd(u)
     clean = w @ vh
     drift = float(np.linalg.norm(clean.conj().T @ u - np.eye(u.shape[0])))
     return UnitaryOperator(clean), drift
+
+
+def _unitary_product(blocks: Iterable[np.ndarray]) -> tuple[UnitaryOperator, float]:
+    """Ordered product of a stream of factor blocks (each block by the tree
+    product, then the block products the same way), through ``_polar``."""
+    # map() holds no block, so each is released before the next is built.
+    return _polar(_ordered_product(np.array(list(map(_ordered_product, blocks)))))
 
 
 def _snapshots(
@@ -205,7 +220,8 @@ def _snapshots(
             if j % record_every == 0 or j == steps:
                 marks.append(j)
                 rows.append(psi)
-    return t0 + (t1 - t0) * np.array(marks) / steps, np.array(rows)
+    # The last mark is t1 itself; the grid formula can round one ulp past it.
+    return np.minimum(t0 + (t1 - t0) * np.array(marks) / steps, t1), np.array(rows)
 
 
 def evolve_time_ordered(
@@ -225,6 +241,32 @@ def evolve_time_ordered(
     return PropagationResult(unitary=unitary, steps=steps, unitarity_error=drift, method="effective")
 
 
+def evolve_full_sweep(schedule: DriveSchedule, configs: Sequence[AdiabaticRunConfig]) -> list[PropagationResult]:
+    """Integrate the full (n+1)-level Schroedinger equation for a drive, once
+    per run of a sweep over Omega*T.
+
+    The runs must share ``steps`` and ``ramp`` (else ``ValueError``), so the
+    drive is sampled and checked once per block for all of them; each run
+    builds that block's exact Lambda step factors at its own Omega * dt and
+    reduces them at once to its block product.  Every run carries the same
+    bits as its own :func:`evolve_full_adiabatic`.
+    """
+    if not configs:
+        raise ValueError("a sweep needs at least one run")
+    grids = sorted({(run.steps, run.ramp) for run in configs})
+    if len(grids) > 1:
+        raise ValueError(f"the runs of a sweep must share steps and ramp, got (steps, ramp) = {grids}")
+    products = [[] for _ in configs]
+    for b, phases in _drive_phases(schedule, configs):
+        for run_products, phase in zip(products, phases):
+            run_products.append(_ordered_product(_lambda_step_factors(b, phase)))
+    results = []
+    for run, run_products in zip(configs, products):
+        unitary, drift = _polar(_ordered_product(np.array(run_products)))
+        results.append(PropagationResult(unitary=unitary, steps=run.steps, unitarity_error=drift, method="full"))
+    return results
+
+
 def evolve_full_adiabatic(
     schedule: DriveSchedule,
     config: AdiabaticRunConfig,
@@ -235,10 +277,11 @@ def evolve_full_adiabatic(
     normalized progress axis (reshaped by ``config.ramp``) and each step is
     the exact exponential of the sampled Lambda Hamiltonian, built and
     multiplied ``FULL_BLOCK`` steps at a time.  This is the ground-truth
-    oracle the geometric methods are compared against.
+    oracle the geometric methods are compared against; it is the one-run
+    case of :func:`evolve_full_sweep`.
     """
-    unitary, drift = _unitary_product(_drive_factors(schedule, config))
-    return PropagationResult(unitary=unitary, steps=config.steps, unitarity_error=drift, method="full")
+    (result,) = evolve_full_sweep(schedule, [config])
+    return result
 
 
 def evolve_state_full(

@@ -247,6 +247,18 @@ class TestTimeseries:
         leak = [float(row.split(",")[1]) for row in rows[1:]]
         assert max(leak) < 1e-3
 
+    @pytest.mark.parametrize("methods", [["effective"], ["full"]])
+    def test_grid_ends_on_the_last_stage_time(self, tmp_path, methods):
+        # The grid formula gives 0.79 * 120 / 120, one ulp above t3 = 0.79;
+        # the trajectory must accept every recorded time.
+        assert 0.79 * np.array([120]) / 120 > 0.79
+        parameters = {"methods": methods, "steps": 120, "full_steps": 120, "stage_times": [0.2, 0.5, 0.79]}
+        path = tmp_path / "gate.csv"
+        emit_timeseries(ScenarioConfig("gate", parameters), str(path))
+        rows = path.read_text().splitlines()
+        assert len(rows) == 122
+        assert rows[-1].startswith("0.79," if methods == ["effective"] else "1.0,")
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_timeseries(ScenarioConfig("stirap", {"steps": 128}), str(a))

@@ -299,6 +299,24 @@ class TestSample:
         np.testing.assert_array_equal(backward[0], forward[0])
         np.testing.assert_array_equal(backward[1], -forward[1])
 
+    @pytest.mark.parametrize(
+        "times, span",
+        [([-0.5, 1.5], r"\[-0.5, 1.5\]"), ([0.5, 1.0 + 1e-12], r"\[0.5, 1\]"), ([np.nan], r"\[nan, nan\]")],
+        ids=["both_ends", "past_t_end", "nan"],
+    )
+    def test_times_off_the_domain_rejected(self, times, span):
+        # The stage formulas would otherwise extrapolate (-|aux> at t = -0.5).
+        with pytest.raises(ValueError, match=span + r".*outside the trajectory's \[0, 1\]"):
+            stage_trajectory(off_grid_gate()).sample(times)
+
+    def test_reversed_accepts_its_own_endpoints(self):
+        # On [0.1, 0.7] the reflection 0.1 + 0.7 - 0.7 rounds below 0.1.
+        traj = rotating(0.1, 0.7)
+        assert 0.1 + 0.7 - 0.7 < 0.1
+        values, derivatives = traj.reversed().sample(np.array([0.1, 0.7]))
+        np.testing.assert_array_equal(values, [traj.value(0.7), traj.value(0.1)])
+        np.testing.assert_array_equal(derivatives, [-traj.derivative(0.7), -traj.derivative(0.1)])
+
     def test_concatenate_of_scalar_pieces(self):
         pieces = [rotating(lo, hi, rate_factor=w) for lo, hi, w in ((0.0, 0.5, 1.0), (0.5, 1.0, 2.0), (1.0, 1.5, 3.0))]
         traj = BrightTrajectory.concatenate(pieces)

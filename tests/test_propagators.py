@@ -29,6 +29,7 @@ from brightpath.propagators import (
     _lambda_step_factors,
     dark_block,
     evolve_full_adiabatic,
+    evolve_full_sweep,
     evolve_state_full,
     evolve_state_time_ordered,
     evolve_time_ordered,
@@ -397,6 +398,49 @@ class TestBlockedOracle:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestFullSweep:
+    """One sampled drive per block feeds every Omega*T run of a sweep."""
+
+    STEPS = 2 * FULL_BLOCK + 5  # the last block is partial
+
+    @pytest.mark.parametrize("omega_Ts", [(40.0,), (40.0, 7.5, 130.0)], ids=["K1", "K3"])
+    def test_equals_separate_runs_bit_for_bit(self, omega_Ts):
+        schedule = gate_schedule()
+        configs = [AdiabaticRunConfig(omega_T=w, steps=self.STEPS, ramp="smooth") for w in omega_Ts]
+        results = evolve_full_sweep(schedule, configs)
+        assert len(results) == len(configs)
+        for config, got in zip(configs, results):
+            want = evolve_full_adiabatic(schedule, config)
+            assert np.array_equal(got.unitary.matrix, want.unitary.matrix)
+            assert got.unitarity_error == want.unitarity_error
+            assert (got.steps, got.method) == (config.steps, "full")
+
+    def test_samples_the_drive_once_per_block(self):
+        base = gate_schedule()
+        sizes = []
+
+        def counting(progress):
+            sizes.append(progress.size)
+            return base.sample(progress)
+
+        configs = [AdiabaticRunConfig(omega_T=w, steps=self.STEPS) for w in (40.0, 7.5, 130.0)]
+        evolve_full_sweep(drive(counting), configs)
+        assert sizes == [FULL_BLOCK, FULL_BLOCK, 5]
+
+    @pytest.mark.parametrize("second", [{"steps": STEPS + 1}, {"ramp": "smooth"}], ids=["steps", "ramp"])
+    def test_runs_on_different_grids_rejected(self, second):
+        configs = [
+            AdiabaticRunConfig(omega_T=40.0, steps=self.STEPS),
+            AdiabaticRunConfig(omega_T=7.5, **{"steps": self.STEPS, **second}),
+        ]
+        with pytest.raises(ValueError, match="must share steps and ramp"):
+            evolve_full_sweep(gate_schedule(), configs)
+
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ValueError, match="at least one run"):
+            evolve_full_sweep(gate_schedule(), [])
 
 
 class TestStatePropagation:
