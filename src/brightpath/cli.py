@@ -62,6 +62,9 @@ from .propagators import (
 KINDS = ("gate", "loop", "compare", "morris-shore", "stirap", "selftest")
 # The kinds whose runs have a state trajectory to write with --timeseries.
 TIMESERIES_KINDS = ("stirap", "gate")
+# A time series writes arg<psi|state> as 0.0 at or below this overlap, on
+# the scale of the amplitude error, where the angle carries no digits.
+PHASE_OVERLAP_FLOOR = 1e-6
 # The most levels (rows + cols) of a seeded random Morris-Shore matrix: this
 # bounds both the rows x cols draw and the (rows + cols)^2 drive Hamiltonian
 # before anything is allocated.
@@ -621,7 +624,7 @@ def write_timeseries(path: str, times: np.ndarray, states: np.ndarray, reference
 
     Columns: the time; the leakage, 1 minus the population outside
     ``bright_at(times)``; each level's population; and the phase of the
-    overlap with ``reference`` (0.0 when that overlap is below 1e-12).
+    overlap with ``reference`` (0.0 when |overlap| <= ``PHASE_OVERLAP_FLOOR``).
     Every field is the shortest round-trip ``repr`` of the float that the
     scalar formulas give: a population is libm ``hypot`` then ``pow``, and
     each overlap is one ``np.vdot``, because the array forms of both
@@ -642,7 +645,7 @@ def write_timeseries(path: str, times: np.ndarray, states: np.ndarray, reference
             table[:, 1] = np.maximum(0.0, 1.0 - dark)
             magnitudes = np.hypot(psi.real, psi.imag).ravel().tolist()
             table[:, 2:-1] = np.reshape([math.pow(m, 2.0) for m in magnitudes], psi.shape)
-            table[:, -1] = np.where(np.hypot(overlap.real, overlap.imag) > 1e-12, np.angle(overlap), 0.0)
+            table[:, -1] = np.where(np.hypot(overlap.real, overlap.imag) > PHASE_OVERLAP_FLOOR, np.angle(overlap), 0.0)
             handle.write(repr(table.tolist())[2:-2].replace("], [", "\n").replace(", ", ",") + "\n")
 
 

@@ -37,15 +37,13 @@ DERIVATIVE_TANGENCY_TOL = 1e-8
 NORMALIZATION_DRIFT_TOL = 1e-8
 
 
-def _h_eff_stack(values: np.ndarray, derivatives: np.ndarray, *, times: np.ndarray | None = None) -> np.ndarray:
-    """H_eff = sum_i i(|Bdot_i><B_i| - |B_i><Bdot_i|) for every sample of an
-    (M, k, dim) stack of bright frames and their derivatives, as (M, dim, dim).
-
-    Every frame must be orthonormal (``INPUT_ORTHONORMALITY_TOL``) and every
-    derivative tangent, |Re <Bdot_i|B_i>| < DERIVATIVE_TANGENCY_TOL *
-    max(1, ||Bdot_i||).  The first failing sample is named, by its time when
-    ``times`` is given.  Written so that non-finite entries fail.
-    """
+def _checked_frames(values, derivatives, *, times: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """An (M, k, dim) stack of bright frames and their derivatives, as complex
+    arrays, once every frame is orthonormal (``INPUT_ORTHONORMALITY_TOL``)
+    and every derivative tangent, |Re <Bdot_i|B_i>| <
+    DERIVATIVE_TANGENCY_TOL * max(1, ||Bdot_i||).  The first failing sample
+    is named, by its time when ``times`` is given.  Written so that
+    non-finite entries fail."""
     values = np.asarray(values, dtype=complex)
     derivatives = np.asarray(derivatives, dtype=complex)
     if values.shape != derivatives.shape or values.ndim != 3:
@@ -65,6 +63,13 @@ def _h_eff_stack(values: np.ndarray, derivatives: np.ndarray, *, times: np.ndarr
     if not passed.all():
         j = int(np.argmin(passed))
         raise DerivativeInconsistent(f"Re <Bdot_i|B_i> = {tangency[j].max():.3e} is not ~0{at(j)}")
+    return values, derivatives
+
+
+def _h_eff_stack(values: np.ndarray, derivatives: np.ndarray, *, times: np.ndarray | None = None) -> np.ndarray:
+    """H_eff = sum_i i(|Bdot_i><B_i| - |B_i><Bdot_i|) for every sample of an
+    (M, k, dim) stack that passes ``_checked_frames``, as (M, dim, dim)."""
+    values, derivatives = _checked_frames(values, derivatives, times=times)
     cross = np.einsum("mki,mkj->mij", derivatives, values.conj())
     # In place, one (M, dim, dim) temporary fewer: conj() copies, so the
     # subtraction reads no entry it has written, and 1j stays the left

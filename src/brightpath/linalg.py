@@ -166,38 +166,39 @@ def _expm_hermitian_stack(stack: np.ndarray, t: float) -> np.ndarray:
     return (evecs * phases[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
 
 
-def _expm_rank2_stack(stack: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H_j t) for every matrix of an (m, d, d) Hermitian stack of rank
-    <= 2 whose two eigenvalues off the null space have opposite signs (the
-    one-bright-state generator i(|Bdot><B| - |B><Bdot|)), in closed form.
+def _expm_bright_stack(b: np.ndarray, bdot: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t H_j) for the one-bright-state generator
+    H_j = i(|Bdot_j><B_j| - |B_j><Bdot_j|) of every row of (m, d) stacks of
+    bright states and their derivatives, in closed form, without forming H.
 
-    With A = t H, s = tr A and q = tr A^2, the eigenvalues of A are 0 and
-    lam_1,2 = (s +- sqrt(2q - s^2)) / 2, and exp(-iA) = 1 + c1 A + c2 A^2
-    is the polynomial that interpolates e^{-ix} at {0, lam_1, lam_2}:
-    c2 = (phi(lam_1) - phi(lam_2)) / (lam_1 - lam_2) (-1/2 for lam_1 = lam_2
-    = 0), c1 = phi(lam_1) - c2 lam_1, phi(x) = (e^{-ix} - 1) / x.  Only the
-    scaled exponent A is squared, so H may be as large as t is small.  The
-    caller has checked hermiticity and the rank.
+    With e = t Bdot and X = [B, e], t H = X J X^dag for J = [[0, -i], [i, 0]],
+    so t H is fixed by the Gram entries g = <B|B>, beta = <B|e> and
+    gamma = <e|e>.  Its nonzero eigenvalues are
+    lam_1,2 = -Im beta +- sqrt(gamma g - (Re beta)^2), and
+    exp(-i t H) = 1 + c1 t H + c2 (t H)^2 interpolates e^{-ix} at
+    {0, lam_1, lam_2}: c2 = (phi(lam_1) - phi(lam_2)) / (lam_1 - lam_2)
+    (-1/2 for lam_1 = lam_2 = 0), c1 = phi(lam_1) - c2 lam_1 and
+    phi(x) = (e^{-ix} - 1) / x.  In X form that is 1 + |y1><B| + |y2><e|,
+    y1 = c2 gamma B + (i c1 - c2 beta) e, y2 = (-i c1 - c2 conj(beta)) B + c2 g e.
+    Bdot is scaled by t before any product, so it may be as large as t is small.
+    The caller has checked the frames (``effective._checked_frames``).
     """
-    m, d, _ = stack.shape
-    a = stack * t
-    s = np.trace(a, axis1=1, axis2=2).real
-    q = (a.conj() * a).real.sum(axis=(1, 2))  # tr A^2 = ||A||_F^2 for Hermitian A
-    root = np.sqrt(np.maximum(0.0, 2.0 * q - s * s))
-    lam1, lam2 = (s + root) / 2, (s - root) / 2
+    m, d = b.shape
+    e = bdot * t
+    g = np.einsum("mi,mi->m", b.conj(), b).real
+    beta = np.einsum("mi,mi->m", b.conj(), e)
+    gamma = np.einsum("mi,mi->m", e.conj(), e).real
+    root = np.sqrt(np.maximum(0.0, gamma * g - beta.real * beta.real))
+    lam1, lam2 = root - beta.imag, -root - beta.imag
     # phi(x) = -i e^{-ix/2} sinc(x/2), finite at x = 0; np.sinc(y) = sin(pi y) / (pi y).
     phi1, phi2 = (-1j * np.exp(-0.5j * lam) * np.sinc(lam / (2 * np.pi)) for lam in (lam1, lam2))
-    gap = lam1 - lam2
-    split = gap > 0
-    c2 = np.where(split, (phi1 - phi2) / np.where(split, gap, 1.0), -0.5)
+    split = root > 0
+    c2 = np.where(split, (phi1 - phi2) / np.where(split, 2.0 * root, 1.0), -0.5)
     c1 = phi1 - c2 * lam1
-    # In place on a @ a and on a, one (m, d, d) temporary fewer per stage;
-    # the coefficient stays the left operand, which keeps every bit of
-    # c * x (complex products are not bitwise commutative).
-    out = a @ a
-    np.multiply(c2[:, None, None], out, out=out)
-    np.multiply(c1[:, None, None], a, out=a)
-    out += a
+    y1 = (c2 * gamma)[:, None] * b + (1j * c1 - c2 * beta)[:, None] * e
+    y2 = (-1j * c1 - c2 * beta.conj())[:, None] * b + (c2 * g)[:, None] * e
+    out = np.multiply(y1[:, :, None], b.conj()[:, None, :], out=np.empty((m, d, d), dtype=complex))
+    out += y2[:, :, None] * e.conj()[:, None, :]
     out.reshape(m, -1)[:, :: d + 1] += 1.0
     return out
 

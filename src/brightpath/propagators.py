@@ -5,16 +5,17 @@ in blocks of ``FULL_BLOCK`` steps.  The grid splits [t0, t1] into equal
 steps and hands out their midpoints one block at a time.  A factor builder
 samples and checks each block and turns it into an (m, d, d) array of
 one-step exponentials: the exponential midpoint rule (second order, unitary
-by construction) for a caller's generator, in closed form for a
-one-bright-state trajectory, or the closed-form Lambda step of the full
-(n+1)-level drive, the brute-force oracle the geometric methods are checked
-against.  A reducer consumes the blocks in order: it forms the ordered
-product (each block by a pairwise tree, then the block products by the same
-tree) or applies the factors to one state (snapshots).  No array longer
-than one block is built, so memory stays flat in the step count.  A sweep
-of full runs that differ only in Omega*T shares one step grid, so one
-sampled and checked drive per block feeds every run's factors; a single
-full run is the sweep of one.
+by construction) for a caller's generator, in closed form from the Gram
+matrix of (B, dt Bdot) for a one-bright-state trajectory (no d x d H_eff
+is formed), or the closed-form Lambda step of the full (n+1)-level drive,
+the brute-force oracle the geometric methods are checked against.  A
+reducer consumes the blocks in order: it forms the ordered product (each
+block by a pairwise tree, then the block products by the same tree) or
+applies the factors to one state (snapshots).  No array longer than one
+block is built, so memory stays flat in the step count.  A sweep of full
+runs that differ only in Omega*T shares one step grid, so one sampled and
+checked drive per block feeds every run's factors; a single full run is the
+sweep of one.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from typing import Callable, Iterable, Iterator, Literal, Protocol, Sequence
 
 import numpy as np
 
-from .effective import BrightTrajectory, _h_eff_stack
+from .effective import BrightTrajectory, _checked_frames, _h_eff_stack
 from .errors import DimensionMismatch, NonHermitianSample, NonMonotoneMap
 from .lambda_system import _check_drive
 from .linalg import (
     HermitianOperator,
     UnitaryOperator,
+    _expm_bright_stack,
     _expm_hermitian_stack,
-    _expm_rank2_stack,
     _hermiticity_failure,
     _ordered_product,
     as_frame,
@@ -112,15 +113,19 @@ def _step_grid(t0: float, t1: float, steps: int) -> tuple[Iterator[np.ndarray], 
 
 def _midpoint_factors(hamiltonian: Hamiltonian, t0: float, t1: float, steps: int) -> Iterator[np.ndarray]:
     """exp(-i H(m_j) dt) for every midpoint m_j of the grid, one block at a
-    time.  A trajectory's generators are built from one ``sample`` of each
-    block (Hermitian by construction); with one bright state they have rank
-    <= 2 and take the closed-form exponential.  A callable's samples must
-    pass the hermiticity check, and the first that fails is named."""
+    time.  A trajectory is sampled once per block and its frames checked
+    (``_checked_frames``); one bright state takes the closed-form step of
+    ``_expm_bright_stack``, k >= 2 the ``eigh`` of the H_eff stack.  A
+    callable's samples must pass the hermiticity check, and the first that
+    fails is named."""
     blocks, dt = _step_grid(t0, t1, steps)
     if isinstance(hamiltonian, BrightTrajectory):
-        expm = _expm_rank2_stack if hamiltonian.k == 1 else _expm_hermitian_stack
         for mids in blocks:
-            yield expm(_h_eff_stack(*hamiltonian.sample(mids), times=mids), dt)
+            if hamiltonian.k == 1:
+                values, derivatives = _checked_frames(*hamiltonian.sample(mids), times=mids)
+                yield _expm_bright_stack(values[:, 0], derivatives[:, 0], dt)
+            else:
+                yield _expm_hermitian_stack(_h_eff_stack(*hamiltonian.sample(mids), times=mids), dt)
         return
     for mids in blocks:
         samples = [hamiltonian(float(m)) for m in mids]

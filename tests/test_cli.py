@@ -13,6 +13,7 @@ from brightpath.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_TOLERANCE,
+    PHASE_OVERLAP_FLOOR,
     ScenarioConfig,
     complex_to_pairs,
     emit_timeseries,
@@ -292,7 +293,7 @@ def per_row_csv(path, times, states, reference, bright):
         leak = max(0.0, 1.0 - float(dark_t))
         pops = ",".join(repr(float(abs(amp) ** 2)) for amp in state)
         overlap = complex(np.vdot(reference, state))
-        phase = float(np.angle(overlap)) if abs(overlap) > 1e-12 else 0.0
+        phase = float(np.angle(overlap)) if abs(overlap) > PHASE_OVERLAP_FLOOR else 0.0
         lines.append(f"{float(t)!r},{leak!r},{pops},{phase!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -348,6 +349,17 @@ class TestChunkedTimeseriesBytes:
         rows = (tmp_path / "chunked.csv").read_text().splitlines()
         assert rows[FULL_BLOCK].split(",")[2:] == ["0.0", "1.0", "0.0"]
         assert rows[-1].endswith(",1.0,0.0")
+
+    def test_phase_floor(self, tmp_path):
+        # |<psi|state>| = 1e-8 has an angle with no digits and writes 0.0;
+        # 1e-3 writes its angle.
+        reference = np.array([1.0, 0.0], dtype=complex)
+        states = np.array([[1e-8 * np.exp(0.5j), 1.0], [1e-3 * np.exp(0.5j), 1.0]])
+        path = tmp_path / "rows.csv"
+        write_timeseries(str(path), np.array([0.0, 1.0]), states, reference, lambda t: np.zeros((len(t), 1, 2)))
+        phases = [float(row.rsplit(",", 1)[1]) for row in path.read_text().splitlines()[1:]]
+        assert phases == [0.0, float(np.angle(np.vdot(reference, states[1])))]
+        assert abs(phases[1] - 0.5) < 1e-12
 
 
 class TestMainExitCodes:

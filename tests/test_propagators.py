@@ -13,7 +13,7 @@ from brightpath.errors import (
     NonMonotoneMap,
     NotOrthonormal,
 )
-from brightpath.gates import GateSpec, gate_coupling_schedule, stage_trajectory
+from brightpath.gates import GateSpec, gate_coupling_schedule, stage_trajectory, stirap_trajectory
 from brightpath.lambda_system import CouplingSet, bright_state
 from brightpath.linalg import (
     HermitianOperator,
@@ -54,6 +54,34 @@ def rotating_trajectory(t_end=np.pi / 2):
 
 def smooth_noncommuting(t):
     return HermitianOperator(np.sin(t) * SIGMA_X + (0.5 + 0.3 * np.cos(2 * t)) * SIGMA_Z)
+
+
+def twisted_sampler(times):
+    """B = (cos a, sin a cos c e^{i phi}, sin a sin c) with a = t, c = 0.7 t^2
+    and phi = 2 sin t: a complex three-level path whose one-bright
+    generators do not commute."""
+    a, c, phi = times, 0.7 * times**2, 2.0 * np.sin(times)
+    da, dc, dphi = np.ones_like(times), 1.4 * times, 2.0 * np.cos(times)
+    twist = np.exp(1j * phi)
+    values = np.stack([np.cos(a), np.sin(a) * np.cos(c) * twist, np.sin(a) * np.sin(c)], axis=-1)
+    derivatives = np.stack(
+        [
+            -da * np.sin(a),
+            (da * np.cos(a) * np.cos(c) - dc * np.sin(a) * np.sin(c) + 1j * dphi * np.sin(a) * np.cos(c)) * twist,
+            da * np.cos(a) * np.sin(c) + dc * np.sin(a) * np.cos(c),
+        ],
+        axis=-1,
+    )
+    return values[:, None, :].astype(complex), derivatives[:, None, :]
+
+
+def halving_ratios(propagate):
+    """Error ratios of ``propagate(steps)`` at 512 -> 1024 -> 2048 steps
+    against a Richardson-extrapolated reference from 8192 and 16384 steps."""
+    fine, finer = propagate(8192), propagate(16384)
+    reference = finer + (finer - fine) / 3.0
+    errors = [np.linalg.norm(propagate(steps) - reference) for steps in (512, 1024, 2048)]
+    return [coarse / halved for coarse, halved in zip(errors, errors[1:])]
 
 
 def drive(sample):
@@ -203,17 +231,35 @@ class TestEvolveTimeOrdered:
         assert np.linalg.norm(full.unitary.matrix - glued) < 1e-9
 
     def test_second_order_convergence(self):
-        # Richardson-extrapolated reference; halving dt should reduce the
-        # error by ~4x for the midpoint rule.
-        fine = evolve_time_ordered(smooth_noncommuting, 0.0, 2.0, 8192).unitary.matrix
-        finer = evolve_time_ordered(smooth_noncommuting, 0.0, 2.0, 16384).unitary.matrix
-        reference = finer + (finer - fine) / 3.0
-        errors = []
-        for steps in (512, 1024, 2048):
-            u = evolve_time_ordered(smooth_noncommuting, 0.0, 2.0, steps).unitary.matrix
-            errors.append(np.linalg.norm(u - reference))
-        for coarse, halved in zip(errors, errors[1:]):
-            assert 3.0 < coarse / halved < 5.0
+        # Halving dt should reduce the error by ~4x for the midpoint rule.
+        def unitary(steps):
+            return evolve_time_ordered(smooth_noncommuting, 0.0, 2.0, steps).unitary.matrix
+
+        for ratio in halving_ratios(unitary):
+            assert 3.0 < ratio < 5.0
+
+    @pytest.mark.parametrize(
+        "trajectory",
+        [stirap_trajectory(1.3, "smooth"), BrightTrajectory(3, 1, 0.0, 1.5, twisted_sampler)],
+        ids=["stirap-smooth", "twisted"],
+    )
+    def test_second_order_convergence_of_the_trajectory_route(self, trajectory):
+        # The closed-form one-bright-state step keeps the rule's order.  The
+        # unitary is projected onto the unitary group at the end, which hides
+        # a step that is unitary only to first order; the state route applies
+        # the steps with no projection, so such a step shows there.
+        t0, t1 = trajectory.t_start, trajectory.t_end
+
+        def unitary(steps):
+            return evolve_time_ordered(trajectory, t0, t1, steps).unitary.matrix
+
+        def columns(steps):
+            basis = np.eye(trajectory.dim, dtype=complex)
+            return np.array([evolve_state_time_ordered(trajectory, t0, t1, steps, e, steps)[1][-1] for e in basis])
+
+        for propagate in (unitary, columns):
+            for ratio in halving_ratios(propagate):
+                assert 3.0 < ratio < 5.0
 
     def test_time_reversal_gives_inverse(self):
         traj = rotating_trajectory(1.3)
