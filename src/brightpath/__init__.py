@@ -51,10 +51,8 @@ from .linalg import (
     projector_from_frame,
 )
 from .morris_shore import (
-    AdiabaticityReport,
     MorrisShoreDecomposition,
     TwoManifoldSystem,
-    adiabaticity_report,
     morris_shore_transform,
 )
 from .propagators import (
@@ -72,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdiabaticRunConfig",
-    "AdiabaticityReport",
     "BrightTrajectory",
     "ConnectionMatrices",
     "CouplingSet",
@@ -86,7 +83,6 @@ __all__ = [
     "StirapReport",
     "TwoManifoldSystem",
     "UnitaryOperator",
-    "adiabaticity_report",
     "analytic_stage_unitaries",
     "bright_state",
     "compose_gate",

@@ -15,8 +15,10 @@ precondition failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -48,14 +50,12 @@ from .gates import (
 from .linalg import matrix_distance, projector_from_frame
 from .morris_shore import TwoManifoldSystem, morris_shore_transform
 from .propagators import (
-    FULL_BLOCK,
     MAX_STEPS,
     AdiabaticRunConfig,
+    StateTrace,
     dark_block,
     evolve_full_adiabatic,
     evolve_full_sweep,
-    evolve_state_full,
-    evolve_state_time_ordered,
     leakage,
 )
 
@@ -65,6 +65,9 @@ TIMESERIES_KINDS = ("stirap", "gate")
 # A time series writes arg<psi|state> as 0.0 at or below this overlap, on
 # the scale of the amplitude error, where the angle carries no digits.
 PHASE_OVERLAP_FLOOR = 1e-6
+# The most CSV rows formatted by one string operation: bounds the row
+# format and the tuple of floats it takes.
+ROWS_PER_WRITE = 1024
 # The most levels (rows + cols) of a seeded random Morris-Shore matrix: this
 # bounds both the rows x cols draw and the (rows + cols)^2 drive Hamiltonian
 # before anything is allocated.
@@ -351,7 +354,7 @@ def _diagnostics(**fields) -> dict:
     return {**zero, "steps": 0, **fields}
 
 
-def _run_gate(config: ScenarioConfig) -> dict:
+def _run_gate(config: ScenarioConfig, trace: StateTrace | None = None) -> dict:
     spec = config.spec
     analytic = compose_gate(spec)
     geo_block = logical_block(analytic, spec.n)
@@ -361,7 +364,8 @@ def _run_gate(config: ScenarioConfig) -> dict:
     diag = _diagnostics(steps=config.steps)
 
     if "effective" in config.methods:
-        report = simulate_gate(spec, steps=config.steps)
+        # A time series follows the full method when it runs.
+        report = simulate_gate(spec, steps=config.steps, trace=None if "full" in config.methods else trace)
         unitaries["effective"] = report.simulated_unitary.matrix
         blocks["effective"] = logical_block(report.simulated_unitary, spec.n)
         comparisons["effective_vs_analytic_exact"] = report.distance_exact
@@ -370,7 +374,7 @@ def _run_gate(config: ScenarioConfig) -> dict:
         diag["unitarity_error"] = max(diag["unitarity_error"], report.propagation.unitarity_error)
 
     if "full" in config.methods:
-        result = evolve_full_adiabatic(gate_coupling_schedule(spec), config.full_runs[0])
+        result = evolve_full_adiabatic(gate_coupling_schedule(spec), config.full_runs[0], trace)
         logical = np.eye(spec.n - 1, spec.n + 1, dtype=complex)
         blk = dark_block(result.unitary, logical, logical)
         unitaries["full"] = result.unitary.matrix
@@ -505,8 +509,8 @@ def _run_morris_shore(config: ScenarioConfig) -> dict:
     }
 
 
-def _run_stirap(config: ScenarioConfig) -> dict:
-    report = stirap_transfer(config.theta_end, steps=config.steps, ramp=config.ramp)
+def _run_stirap(config: ScenarioConfig, trace: StateTrace | None = None) -> dict:
+    report = stirap_transfer(config.theta_end, steps=config.steps, ramp=config.ramp, trace=trace)
     tolerance = config.tolerance
     diag = _diagnostics(
         dark_block_distance_exact=report.deviation,
@@ -551,10 +555,12 @@ _RUNNERS = {
 }
 
 
-def run_scenario(config: ScenarioConfig) -> dict:
-    """Execute one scenario and assemble the report dictionary."""
+def run_scenario(config: ScenarioConfig, trace: StateTrace | None = None) -> dict:
+    """Execute one scenario and assemble the report dictionary.  A ``trace``
+    (``TIMESERIES_KINDS`` only) rides along the scenario's propagation."""
     started = time.perf_counter()
-    body = _RUNNERS[config.kind](config)
+    runner = _RUNNERS[config.kind]
+    body = runner(config) if trace is None else runner(config, trace)
     wall_ms = (time.perf_counter() - started) * 1000.0
     report = {
         "schema": "brightpath.report.v1",
@@ -580,34 +586,46 @@ def check_timeseries_kind(kind: str) -> None:
         raise ConfigError(f"kind: scenario {kind!r} does not support time series; expected one of {TIMESERIES_KINDS}")
 
 
-def emit_timeseries(config: ScenarioConfig, path: str, record_every: int = 1) -> None:
-    """Write a ``t,leakage,pop_1..pop_N,phase_psi`` CSV for one scenario.
+def emit_timeseries(config: ScenarioConfig, path: str, record_every: int = 1) -> dict:
+    """Run one scenario and write its ``t,leakage,pop_1..pop_N,phase_psi``
+    CSV in the same pass; return the report.
 
-    Supported kinds (``TIMESERIES_KINDS``): ``stirap`` (state starts in
-    level 1), ``gate`` with the effective method (state starts in psi) and
-    ``gate`` with the full method (psi embedded in the n+1-level system).
+    The state starts in level 1 (``stirap``) or in psi (``gate``, embedded
+    in the n+1 levels when the full method runs, whose route and progress
+    clock the CSV then follows).  Each block's rows are written before the
+    next block is built.  A path that cannot be opened is a ``ConfigError``
+    before the run; a run that fails leaves no CSV behind.
     """
-    write_timeseries(path, *_timeseries_states(config, record_every))
-
-
-def _timeseries_states(config: ScenarioConfig, record_every: int):
-    """(times, states, reference, bright_at) of one scenario: the recorded
-    states, the state the phase is measured against, and a function giving
-    the bright (and excited) states at an array of times, shape (M, k, dim)."""
     check_timeseries_kind(config.kind)
+    reference, bright_at = _timeseries_frame(config)
+    try:
+        handle = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"timeseries: cannot write {path}: {exc}") from exc
+    with handle:
+        try:
+            return run_scenario(config, StateTrace(reference, TimeseriesWriter(handle, reference, bright_at), record_every))
+        except BaseException as exc:
+            handle.close()
+            if os.path.isfile(path):
+                os.remove(path)
+            if isinstance(exc, OSError):
+                raise ConfigError(f"timeseries: cannot write {path}: {exc}") from exc
+            raise
+
+
+def _timeseries_frame(config: ScenarioConfig):
+    """The state a scenario's time series starts in, which its phase is
+    measured against, and a function giving the bright (and excited) states
+    at an array of times, shape (M, k, dim)."""
     if config.kind == "stirap":
-        trajectory = config.trajectory
-        reference = np.array([1.0, 0.0], dtype=complex)
-        times, states = evolve_state_time_ordered(trajectory, 0.0, 1.0, config.steps, reference, record_every)
-        return times, states, reference, lambda t: trajectory.sample(t)[0]
+        return np.array([1.0, 0.0], dtype=complex), lambda t: config.trajectory.sample(t)[0]
     spec = config.spec
     trajectory = stage_trajectory(spec)
     if "full" not in config.methods:
-        times, states = evolve_state_time_ordered(trajectory, 0.0, spec.t3, config.steps, spec.psi, record_every)
-        return times, states, spec.psi, lambda t: trajectory.sample(t)[0]
+        return spec.psi, lambda t: trajectory.sample(t)[0]
     reference = np.zeros(spec.n + 1, dtype=complex)
     reference[: spec.n] = spec.psi
-    times, states = evolve_state_full(gate_coupling_schedule(spec), config.full_runs[0], reference, record_every)
 
     def bright_at(t: np.ndarray) -> np.ndarray:
         # The bright state embedded in n+1 levels, and the excited level.
@@ -616,37 +634,42 @@ def _timeseries_states(config: ScenarioConfig, record_every: int):
         bright[:, 1, spec.n] = 1.0
         return bright
 
-    return times, states, reference, bright_at
+    return reference, bright_at
 
 
-def write_timeseries(path: str, times: np.ndarray, states: np.ndarray, reference: np.ndarray, bright_at) -> None:
-    """Write one row per recorded state, ``FULL_BLOCK`` rows at a time.
+class TimeseriesWriter:
+    """A ``StateTrace`` sink that writes CSV: the header when made, then one
+    row per recorded state of each ``(times, states)`` block it is given.
 
     Columns: the time; the leakage, 1 minus the population outside
     ``bright_at(times)``; each level's population; and the phase of the
     overlap with ``reference`` (0.0 when |overlap| <= ``PHASE_OVERLAP_FLOOR``).
     Every field is the shortest round-trip ``repr`` of the float that the
-    scalar formulas give: a population is libm ``hypot`` then ``pow``, and
-    each overlap is one ``np.vdot``, because the array forms of both
-    (``np.abs``, ``**2``, ``einsum``, ``@``) can differ in the last bit.
+    scalar formulas give: a population is libm ``hypot`` then ``pow``
+    (``np.float_power`` with the scalar exponent 2.0 calls that ``pow``),
+    and each overlap is one ``np.vdot``, because ``np.abs``, ``np.square``,
+    ``einsum`` and ``@`` can differ in the last bit.
     """
-    dim = states.shape[1]
-    header = "t,leakage," + ",".join(f"pop_{i + 1}" for i in range(dim)) + ",phase_psi\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(header)
-        for lo in range(0, len(times), FULL_BLOCK):
-            t, psi = times[lo : lo + FULL_BLOCK], states[lo : lo + FULL_BLOCK]
-            # Population outside the bright (and excited) states: the dark subspace.
-            amplitudes = np.einsum("rkd,rd->rk", bright_at(t).conj(), psi)
-            dark = (psi.conj() * psi).real.sum(axis=1) - (np.abs(amplitudes) ** 2).sum(axis=1)
-            overlap = np.array([np.vdot(reference, row) for row in psi])
-            table = np.empty((len(t), dim + 3))
-            table[:, 0] = t
-            table[:, 1] = np.maximum(0.0, 1.0 - dark)
-            magnitudes = np.hypot(psi.real, psi.imag).ravel().tolist()
-            table[:, 2:-1] = np.reshape([math.pow(m, 2.0) for m in magnitudes], psi.shape)
-            table[:, -1] = np.where(np.hypot(overlap.real, overlap.imag) > PHASE_OVERLAP_FLOOR, np.angle(overlap), 0.0)
-            handle.write(repr(table.tolist())[2:-2].replace("], [", "\n").replace(", ", ",") + "\n")
+
+    def __init__(self, handle, reference: np.ndarray, bright_at):
+        self.handle, self.reference, self.bright_at = handle, reference, bright_at
+        dim = len(reference)
+        handle.write("t,leakage," + ",".join(f"pop_{i + 1}" for i in range(dim)) + ",phase_psi\n")
+        self.row = ",".join(["%r"] * (dim + 3)) + "\n"
+
+    def __call__(self, times: np.ndarray, states: np.ndarray) -> None:
+        # Population outside the bright (and excited) states: the dark subspace.
+        amplitudes = np.einsum("rkd,rd->rk", self.bright_at(times).conj(), states)
+        dark = (states.conj() * states).real.sum(axis=1) - (np.abs(amplitudes) ** 2).sum(axis=1)
+        overlap = np.array([np.vdot(self.reference, row) for row in states])
+        table = np.empty((len(times), states.shape[1] + 3))
+        table[:, 0] = times
+        table[:, 1] = np.maximum(0.0, 1.0 - dark)
+        table[:, 2:-1] = np.float_power(np.hypot(states.real, states.imag), 2.0)
+        table[:, -1] = np.where(np.hypot(overlap.real, overlap.imag) > PHASE_OVERLAP_FLOOR, np.angle(overlap), 0.0)
+        for lo in range(0, len(table), ROWS_PER_WRITE):
+            piece = table[lo : lo + ROWS_PER_WRITE]
+            self.handle.write(self.row * len(piece) % tuple(piece.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -659,21 +682,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Holonomic dark-subspace evolution: gates, loops, and cross-method checks.",
     )
     parser.add_argument("--version", action="version", version=f"brightpath {__version__}")
+    # Every kind takes the same options: one set of actions shared by all.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON scenario config file")
+    common.add_argument("--steps", type=int, help="override the scenario step count")
+    common.add_argument(
+        "--method",
+        action="append",
+        choices=("effective", "berry", "full"),
+        help="restrict to one or more methods (repeatable)",
+    )
+    common.add_argument("--out", help="write the JSON report here instead of stdout")
+    common.add_argument("--timeseries", help="write a CSV time series to this path")
+    common.add_argument("--tolerance", type=float, help="override the pass/fail tolerance")
+    common.add_argument("--seed", type=int, help="override the scenario seed")
     sub = parser.add_subparsers(dest="kind", required=True, metavar="|".join(KINDS))
     for kind in KINDS:
-        one = sub.add_parser(kind, help=f"run a {kind} scenario")
-        one.add_argument("--config", help="JSON scenario config file")
-        one.add_argument("--steps", type=int, help="override the scenario step count")
-        one.add_argument(
-            "--method",
-            action="append",
-            choices=("effective", "berry", "full"),
-            help="restrict to one or more methods (repeatable)",
-        )
-        one.add_argument("--out", help="write the JSON report here instead of stdout")
-        one.add_argument("--timeseries", help="write a CSV time series to this path")
-        one.add_argument("--tolerance", type=float, help="override the pass/fail tolerance")
-        one.add_argument("--seed", type=int, help="override the scenario seed")
+        sub.add_parser(kind, help=f"run a {kind} scenario", parents=[common])
     return parser
 
 
@@ -700,18 +725,15 @@ def _config_from_args(args) -> ScenarioConfig:
     return config
 
 
+# One parser per process, built on the first call to main, not at import.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        if args.timeseries:
-            check_timeseries_kind(config.kind)
-        report = run_scenario(config)
-        if args.timeseries:
-            try:
-                emit_timeseries(config, args.timeseries)
-            except OSError as exc:
-                raise ConfigError(f"timeseries: cannot write {args.timeseries}: {exc}") from exc
+        report = emit_timeseries(config, args.timeseries) if args.timeseries else run_scenario(config)
         payload = json.dumps(report, indent=2, sort_keys=True)
         if args.out:
             try:

@@ -26,6 +26,7 @@ from .linalg import UnitaryOperator, matrix_distance
 from .propagators import (
     DEFAULT_GEOMETRIC_STEPS,
     PropagationResult,
+    StateTrace,
     evolve_time_ordered,
 )
 from .ramps import check_ramp, ramp_rate, ramp_value
@@ -237,13 +238,14 @@ def extract_geometric_phase(u: UnitaryOperator | np.ndarray, psi: np.ndarray) ->
     return float(-np.angle(element))
 
 
-def simulate_gate(spec: GateSpec, steps: int = 10_000) -> GateReport:
+def simulate_gate(spec: GateSpec, steps: int = 10_000, trace: StateTrace | None = None) -> GateReport:
     """Propagate the gate's effective generator and compare to the analytic
-    composed gate on the logical dark block (exact-mode distance)."""
+    composed gate on the logical dark block (exact-mode distance).  A
+    ``trace`` carries its state along the same steps, over [0, t3]."""
     if steps < MIN_GATE_STEPS:
         raise ValueError(f"steps must be >= {MIN_GATE_STEPS}, got {steps}")
     trajectory = stage_trajectory(spec)
-    propagation = evolve_time_ordered(trajectory, 0.0, spec.t3, steps)
+    propagation = evolve_time_ordered(trajectory, 0.0, spec.t3, steps, trace)
     analytic = compose_gate(spec)
     sim_block = logical_block(propagation.unitary, spec.n)
     ana_block = logical_block(analytic, spec.n)
@@ -281,20 +283,28 @@ def stirap_trajectory(theta_end: float, ramp: str = "linear") -> BrightTrajector
     return BrightTrajectory(2, 1, 0.0, 1.0, sampler)
 
 
-def stirap_transfer(theta_end: float = np.pi / 2, steps: int = DEFAULT_GEOMETRIC_STEPS, ramp: str = "linear") -> StirapReport:
+def stirap_transfer(
+    theta_end: float = np.pi / 2,
+    steps: int = DEFAULT_GEOMETRIC_STEPS,
+    ramp: str = "linear",
+    trace: StateTrace | None = None,
+) -> StirapReport:
     """Adiabatic population transfer by dragging the dark state.
 
     The system starts in |1>, the instantaneous dark state at theta = 0,
     and follows cos(theta)|1> - sin(theta)|2> as theta ramps up; at
     theta = pi/2 the population has moved entirely to level 2 (with the
-    transported state equal to -|2>).
+    transported state equal to -|2>).  A ``trace`` carries its state along
+    the same steps; it runs even for theta_end = 0, whose report needs no
+    propagation.
     """
+    start = np.array([1.0, 0.0], dtype=complex)
     if theta_end == 0.0:
-        start = np.array([1.0, 0.0], dtype=complex)
+        if trace is not None:
+            evolve_time_ordered(stirap_trajectory(theta_end, ramp), 0.0, 1.0, steps, trace)
         return StirapReport(start, start.copy(), 0.0, 0.0)
     trajectory = stirap_trajectory(theta_end, ramp)
-    result = evolve_time_ordered(trajectory, 0.0, 1.0, steps)
-    start = np.array([1.0, 0.0], dtype=complex)
+    result = evolve_time_ordered(trajectory, 0.0, 1.0, steps, trace)
     final = result.unitary.matrix @ start
     expected = np.array([np.cos(theta_end), -np.sin(theta_end)], dtype=complex)
     return StirapReport(

@@ -11,8 +11,6 @@ one, and its dark space is the kernel of V^dag in the ground manifold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .errors import ZeroCoupling
@@ -150,98 +148,4 @@ def morris_shore_transform(sys: TwoManifoldSystem, rank_tol: float = RANK_TOL_DE
         couplings=strengths,
         dark_ground=dark,
         rank=rank,
-    )
-
-
-def align_to_previous(previous: MorrisShoreDecomposition, current: MorrisShoreDecomposition) -> MorrisShoreDecomposition:
-    """Re-phase (and re-order) pairs so frames vary continuously in time.
-
-    Each current pair is matched to the previous pair of largest ground
-    overlap and rotated so <B_prev | B_curr> is real positive, preventing
-    spurious derivative spikes when decompositions are strung into a
-    trajectory.
-    """
-    if current.rank != previous.rank:
-        return current
-    overlap = np.abs(previous.ground_bright.conj() @ current.ground_bright.T)
-    order: list[int] = []
-    free = list(range(current.rank))
-    for row in overlap:
-        pick = max(free, key=lambda j: row[j])
-        order.append(pick)
-        free.remove(pick)
-    ground = current.ground_bright[order].copy()
-    excited = current.excited_bright[order].copy()
-    strengths = current.couplings[order].copy()
-    for a in range(current.rank):
-        inner = np.vdot(previous.ground_bright[a], ground[a])
-        if inner != 0:
-            phase = np.exp(-1j * np.angle(inner))
-            ground[a] = ground[a] * phase
-            excited[a] = excited[a] * phase
-    dark = current.dark_ground.copy()
-    if len(dark) and len(previous.dark_ground) == len(dark):
-        for i in range(len(dark)):
-            inner = np.vdot(previous.dark_ground[i], dark[i])
-            if inner != 0:
-                dark[i] = dark[i] * np.exp(-1j * np.angle(inner))
-    return MorrisShoreDecomposition(
-        ground_bright=ground,
-        excited_bright=excited,
-        couplings=strengths,
-        dark_ground=dark,
-        rank=current.rank,
-    )
-
-
-@dataclass(frozen=True)
-class AdiabaticityReport:
-    """Slowness diagnostics for a scheduled two-manifold drive."""
-
-    g_min: float
-    slowness_ratio: float
-    pair_count_constant: bool
-    pair_counts: tuple[int, ...]
-
-
-def adiabaticity_report(
-    schedule: Callable[[float], TwoManifoldSystem],
-    samples: int,
-    t0: float = 0.0,
-    t1: float = 1.0,
-    rank_tol: float = RANK_TOL_DEFAULT,
-) -> AdiabaticityReport:
-    """Scan a schedule for the two adiabaticity criteria of the reduction.
-
-    Reports the smallest retained coupling over the scan, the worst
-    dimensionless rate ||dV/dt|| / g_min(t)^2, and whether the number of
-    retained pairs stays constant (a pair whose coupling crosses zero breaks
-    the reduction).
-    """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    times = np.linspace(t0, t1, samples)
-    matrices = [np.asarray(schedule(float(t)).v, dtype=complex) for t in times]
-    g_min = np.inf
-    counts = []
-    ratios = [0.0]
-    sig_max_global = 0.0
-    for v in matrices:
-        sigma = np.linalg.svd(v, compute_uv=False)
-        sig_max_global = max(sig_max_global, float(sigma[0]) if sigma.size else 0.0)
-    for idx, v in enumerate(matrices):
-        sigma = np.linalg.svd(v, compute_uv=False)
-        retained = sigma[sigma > rank_tol * sig_max_global]
-        counts.append(int(retained.size))
-        if retained.size:
-            local_min = float(retained[-1])
-            g_min = min(g_min, local_min)
-            if 0 < idx < samples - 1:
-                rate = np.linalg.norm(matrices[idx + 1] - matrices[idx - 1]) / (times[idx + 1] - times[idx - 1])
-                ratios.append(float(rate) / local_min**2)
-    return AdiabaticityReport(
-        g_min=float(g_min) if np.isfinite(g_min) else 0.0,
-        slowness_ratio=float(max(ratios)),
-        pair_count_constant=len(set(counts)) == 1,
-        pair_counts=tuple(counts),
     )

@@ -10,12 +10,14 @@ matrix of (B, dt Bdot) for a one-bright-state trajectory (no d x d H_eff
 is formed), or the closed-form Lambda step of the full (n+1)-level drive,
 the brute-force oracle the geometric methods are checked against.  A
 reducer consumes the blocks in order: it forms the ordered product (each
-block by a pairwise tree, then the block products by the same tree) or
-applies the factors to one state (snapshots).  No array longer than one
-block is built, so memory stays flat in the step count.  A sweep of full
-runs that differ only in Omega*T shares one step grid, so one sampled and
-checked drive per block feeds every run's factors; a single full run is the
-sweep of one.
+block by a pairwise tree, then the block products by the same tree) and,
+given a ``StateTrace``, applies the same factors to one state and hands
+each block's recorded rows to the trace's sink, so a run's unitary and its
+state trajectory come from one pass.  No array longer than one block is
+built, so memory stays flat in the step count.  A sweep of full runs that
+differ only in Omega*T shares one step grid, so one sampled and checked
+drive per block feeds every run's factors; a single full run carries the
+bits of the sweep of one.
 """
 
 from __future__ import annotations
@@ -207,26 +209,52 @@ def _unitary_product(blocks: Iterable[np.ndarray]) -> tuple[UnitaryOperator, flo
     return _polar(_ordered_product(np.array(list(map(_ordered_product, blocks)))))
 
 
-def _snapshots(
-    blocks: Iterable[np.ndarray], state: np.ndarray, t0: float, t1: float, steps: int, record_every: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a stream of factor blocks to ``state`` in order, keeping the
-    initial state, every ``record_every``-th step and the last of ``steps``,
-    with their grid times in [t0, t1]."""
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
-    psi = np.asarray(state, dtype=complex)
-    marks, rows = [0], [psi]
-    j = 0
+@dataclass(frozen=True)
+class StateTrace:
+    """A start state for a propagation to carry along its factor stream.
+
+    ``sink(times, states)`` receives each block's recorded rows before the
+    next block is built: the start state (with the first block), every
+    ``record_every``-th step and the last, at their grid times.  So one pass
+    gives both the unitary and the state trajectory, and at most one block
+    of states is held.
+    """
+
+    state: np.ndarray
+    sink: Callable[[np.ndarray, np.ndarray], None]
+    record_every: int = 1
+
+    def __post_init__(self):
+        if self.record_every < 1:
+            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+
+
+def _traced(blocks: Iterable[np.ndarray], trace: StateTrace, t0: float, t1: float, steps: int) -> Iterator[np.ndarray]:
+    """Pass a stream of factor blocks through, applying each factor in order
+    to the trace's state and handing each block's recorded rows to its sink."""
+    psi = np.asarray(trace.state, dtype=complex)
+    marks, rows, j = [0], [psi], 0
     for block in blocks:
         for factor in block:
             psi = factor.dot(psi)
             j += 1
-            if j % record_every == 0 or j == steps:
+            if j % trace.record_every == 0 or j == steps:
                 marks.append(j)
                 rows.append(psi)
-    # The last mark is t1 itself; the grid formula can round one ulp past it.
-    return np.minimum(t0 + (t1 - t0) * np.array(marks) / steps, t1), np.array(rows)
+        if marks:
+            # The last mark is t1 itself; the grid formula can round one ulp past it.
+            trace.sink(np.minimum(t0 + (t1 - t0) * np.array(marks) / steps, t1), np.array(rows))
+            marks, rows = [], []
+        yield block
+
+
+def _recorded(propagate, state: np.ndarray, record_every: int) -> tuple[np.ndarray, np.ndarray]:
+    """All rows that ``propagate(trace)`` hands a trace of ``state``, as
+    (times, states)."""
+    blocks = []
+    propagate(StateTrace(state, lambda *rows: blocks.append(rows), record_every))
+    times, states = zip(*blocks)
+    return np.concatenate(times), np.concatenate(states)
 
 
 def evolve_time_ordered(
@@ -234,15 +262,18 @@ def evolve_time_ordered(
     t0: float,
     t1: float,
     steps: int = DEFAULT_GEOMETRIC_STEPS,
+    trace: StateTrace | None = None,
 ) -> PropagationResult:
     """Time-ordered product of midpoint-rule exponentials.
 
     U = exp(-i H(m_M) dt) ... exp(-i H(m_1) dt) with m_j the midpoint of the
     j-th subinterval; later factors multiply from the left.  ``hamiltonian``
     is a :class:`BrightTrajectory`, whose generator H_eff is built for a
-    whole block of midpoints at once, or a callable t -> H(t).
+    whole block of midpoints at once, or a callable t -> H(t).  A ``trace``
+    carries its state along the same factors, with times in [t0, t1].
     """
-    unitary, drift = _unitary_product(_midpoint_factors(hamiltonian, t0, t1, steps))
+    blocks = _midpoint_factors(hamiltonian, t0, t1, steps)
+    unitary, drift = _unitary_product(blocks if trace is None else _traced(blocks, trace, t0, t1, steps))
     return PropagationResult(unitary=unitary, steps=steps, unitarity_error=drift, method="effective")
 
 
@@ -275,6 +306,7 @@ def evolve_full_sweep(schedule: DriveSchedule, configs: Sequence[AdiabaticRunCon
 def evolve_full_adiabatic(
     schedule: DriveSchedule,
     config: AdiabaticRunConfig,
+    trace: StateTrace | None = None,
 ) -> PropagationResult:
     """Integrate the full (n+1)-level Schroedinger equation for a drive.
 
@@ -282,11 +314,13 @@ def evolve_full_adiabatic(
     normalized progress axis (reshaped by ``config.ramp``) and each step is
     the exact exponential of the sampled Lambda Hamiltonian, built and
     multiplied ``FULL_BLOCK`` steps at a time.  This is the ground-truth
-    oracle the geometric methods are compared against; it is the one-run
-    case of :func:`evolve_full_sweep`.
+    oracle the geometric methods are compared against, with the bits of the
+    one-run :func:`evolve_full_sweep`.  A ``trace`` carries its state along
+    the same factors, with times in normalized progress units.
     """
-    (result,) = evolve_full_sweep(schedule, [config])
-    return result
+    blocks = _drive_factors(schedule, config)
+    unitary, drift = _unitary_product(blocks if trace is None else _traced(blocks, trace, 0.0, 1.0, config.steps))
+    return PropagationResult(unitary=unitary, steps=config.steps, unitarity_error=drift, method="full")
 
 
 def evolve_state_full(
@@ -298,9 +332,10 @@ def evolve_state_full(
     """Propagate one state through the full dynamics, recording snapshots.
 
     Returns (times, states) with ``times`` in normalized progress units and
-    ``states`` of shape (len(times), n+1); row 0 is the initial state.
+    ``states`` of shape (len(times), n+1); row 0 is the initial state.  The
+    rows a :class:`StateTrace` of :func:`evolve_full_adiabatic` receives.
     """
-    return _snapshots(_drive_factors(schedule, config), state, 0.0, 1.0, config.steps, record_every)
+    return _recorded(lambda trace: evolve_full_adiabatic(schedule, config, trace), state, record_every)
 
 
 def evolve_state_time_ordered(
@@ -314,9 +349,10 @@ def evolve_state_time_ordered(
     """Midpoint-rule propagation of one state, with snapshots;
     ``hamiltonian`` as for :func:`evolve_time_ordered`.
 
-    Returns (times, states); row 0 is the initial state at t0.
+    Returns (times, states); row 0 is the initial state at t0.  The rows a
+    :class:`StateTrace` of :func:`evolve_time_ordered` receives.
     """
-    return _snapshots(_midpoint_factors(hamiltonian, t0, t1, steps), state, t0, t1, steps, record_every)
+    return _recorded(lambda trace: evolve_time_ordered(hamiltonian, t0, t1, steps, trace), state, record_every)
 
 
 def dark_block(u: UnitaryOperator | np.ndarray, frame_start, frame_end) -> np.ndarray:

@@ -1,5 +1,8 @@
 import json
+import math
 import time
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,15 +18,16 @@ from brightpath.cli import (
     EXIT_TOLERANCE,
     PHASE_OVERLAP_FLOOR,
     ScenarioConfig,
+    TimeseriesWriter,
     complex_to_pairs,
     emit_timeseries,
     main,
     pairs_to_complex,
     run_scenario,
-    write_timeseries,
 )
 from brightpath.errors import ConfigError
-from brightpath.propagators import FULL_BLOCK
+from brightpath.gates import gate_coupling_schedule, stage_trajectory
+from brightpath.propagators import FULL_BLOCK, evolve_state_full, evolve_state_time_ordered
 
 
 def strip_timing(report):
@@ -281,6 +285,52 @@ class TestTimeseries:
         assert "kind" in capsys.readouterr().err
         assert not path.exists()
 
+    def test_unwritable_path_rejected_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def must_not_run(config, trace=None):
+            raise AssertionError("the scenario ran before its CSV path was opened")
+
+        monkeypatch.setattr(cli, "run_scenario", must_not_run)
+        assert main(["stirap", "--timeseries", str(tmp_path / "missing" / "x.csv")]) == EXIT_CONFIG
+        assert "timeseries: cannot write" in capsys.readouterr().err
+
+    def test_failed_run_leaves_no_partial_csv(self, tmp_path, monkeypatch, capsys):
+        # The drive breaks in the second block, after the first block's rows
+        # have gone to the CSV.
+        path = tmp_path / "gate.csv"
+        written = []
+
+        def breaking_schedule(spec):
+            schedule = gate_coupling_schedule(spec)
+
+            def sample(progress):
+                if progress[0] > 0.05:
+                    written.append(path.stat().st_size)
+                    raise ValueError("omega must be positive")
+                return schedule.sample(progress)
+
+            return SimpleNamespace(sample=sample)
+
+        monkeypatch.setattr(cli, "gate_coupling_schedule", breaking_schedule)
+        path.write_text("a stale series\n")
+        assert main(["gate", "--method", "full", "--timeseries", str(path)]) == EXIT_NUMERICAL
+        assert "omega must be positive" in capsys.readouterr().err
+        assert written and written[0] > 100 * FULL_BLOCK
+        assert not path.exists()
+
+    def test_memory_stays_flat_in_the_step_count(self, tmp_path):
+        # The rows of each block are written before the next block is built,
+        # so no state or row outlives its block.
+        def peak(steps):
+            config = ScenarioConfig("stirap", {"steps": steps})
+            tracemalloc.start()
+            try:
+                emit_timeseries(config, str(tmp_path / f"{steps}.csv"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16 * FULL_BLOCK) - peak(4 * FULL_BLOCK) < 2**20
+
 
 def per_row_csv(path, times, states, reference, bright):
     """The row-by-row writer that the chunked one must match byte for byte."""
@@ -310,17 +360,37 @@ FIVE_LEVEL_GATE = {
 }
 
 
-class TestChunkedTimeseriesBytes:
-    """write_timeseries formats FULL_BLOCK rows at a time, byte-identical to per_row_csv."""
+def recorded_states(config, record_every):
+    """The rows of a scenario's time series from the state-route wrappers, a
+    run of their own, with the start state and bright states of its CSV."""
+    reference, bright_at = cli._timeseries_frame(config)
+    if config.kind == "stirap":
+        times, states = evolve_state_time_ordered(config.trajectory, 0.0, 1.0, config.steps, reference, record_every)
+    elif "full" in config.methods:
+        schedule = gate_coupling_schedule(config.spec)
+        times, states = evolve_state_full(schedule, config.full_runs[0], reference, record_every)
+    else:
+        trajectory = stage_trajectory(config.spec)
+        times, states = evolve_state_time_ordered(trajectory, 0.0, config.spec.t3, config.steps, reference, record_every)
+    return times, states, reference, bright_at
 
-    def assert_same_bytes(self, tmp_path, times, states, reference, bright_at):
-        chunked, per_row = tmp_path / "chunked.csv", tmp_path / "per_row.csv"
-        write_timeseries(str(chunked), times, states, reference, bright_at)
+
+class TestChunkedTimeseriesBytes:
+    """The streamed CSV, formatted block by block, is byte-identical to per_row_csv."""
+
+    def assert_same_bytes(self, tmp_path, written, times, states, reference, bright_at):
+        per_row = tmp_path / "per_row.csv"
         per_row_csv(str(per_row), times, states, reference, bright_at(times))
-        text = chunked.read_text()
-        assert chunked.read_bytes() == per_row.read_bytes()
+        text = written.read_text()
+        assert written.read_bytes() == per_row.read_bytes()
         assert text.endswith("\n") and "\n\n" not in text
         assert text.count("\n") == len(times) + 1
+
+    def write_blocks(self, path, times, states, reference, bright_at):
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            sink = TimeseriesWriter(handle, reference, bright_at)
+            for lo in range(0, len(times), FULL_BLOCK):
+                sink(times[lo : lo + FULL_BLOCK], states[lo : lo + FULL_BLOCK])
 
     @pytest.mark.parametrize(
         "kind, parameters, record_every",
@@ -334,19 +404,21 @@ class TestChunkedTimeseriesBytes:
         ],
     )
     def test_scenarios(self, tmp_path, kind, parameters, record_every):
-        source = cli._timeseries_states(ScenarioConfig(kind, parameters), record_every)
-        self.assert_same_bytes(tmp_path, *source)
+        config = ScenarioConfig(kind, parameters)
+        streamed = tmp_path / "streamed.csv"
+        emit_timeseries(config, str(streamed), record_every)
+        self.assert_same_bytes(tmp_path, streamed, *recorded_states(config, record_every))
 
     def test_zero_overlap_and_zero_populations(self, tmp_path):
-        times, states, reference, bright_at = cli._timeseries_states(
-            ScenarioConfig("stirap", {"steps": FULL_BLOCK + 37}), 1
-        )
+        times, states, reference, bright_at = recorded_states(ScenarioConfig("stirap", {"steps": FULL_BLOCK + 37}), 1)
         states = states.copy()
         states[FULL_BLOCK - 1] = [0.0, 1.0]  # overlap exactly 0: phase 0.0, pop_1 0.0
         states[FULL_BLOCK] = [0.0, -1j]
         states[-1] = [1e-13, 1.0]  # overlap below the phase threshold
-        self.assert_same_bytes(tmp_path, times, states, reference, bright_at)
-        rows = (tmp_path / "chunked.csv").read_text().splitlines()
+        chunked = tmp_path / "chunked.csv"
+        self.write_blocks(chunked, times, states, reference, bright_at)
+        self.assert_same_bytes(tmp_path, chunked, times, states, reference, bright_at)
+        rows = chunked.read_text().splitlines()
         assert rows[FULL_BLOCK].split(",")[2:] == ["0.0", "1.0", "0.0"]
         assert rows[-1].endswith(",1.0,0.0")
 
@@ -356,10 +428,20 @@ class TestChunkedTimeseriesBytes:
         reference = np.array([1.0, 0.0], dtype=complex)
         states = np.array([[1e-8 * np.exp(0.5j), 1.0], [1e-3 * np.exp(0.5j), 1.0]])
         path = tmp_path / "rows.csv"
-        write_timeseries(str(path), np.array([0.0, 1.0]), states, reference, lambda t: np.zeros((len(t), 1, 2)))
+        self.write_blocks(path, np.array([0.0, 1.0]), states, reference, lambda t: np.zeros((len(t), 1, 2)))
         phases = [float(row.rsplit(",", 1)[1]) for row in path.read_text().splitlines()[1:]]
         assert phases == [0.0, float(np.angle(np.vdot(reference, states[1])))]
         assert abs(phases[1] - 0.5) < 1e-12
+
+    def test_float_power_is_libm_pow(self, rng):
+        # The writer squares magnitudes with np.float_power(x, 2.0), which
+        # must give the bits of math.pow(x, 2.0) (the per-row float ** 2).
+        normal = np.abs(rng.normal(size=50_000)) * 10.0 ** rng.uniform(-150, 150, size=50_000)
+        subnormal = rng.uniform(0.0, 2.0**-1022, size=50_000)
+        edges = [0.0, 5e-324, 2.0**-1022, 1e-162, 1e154, 1.3e154, 1.0, 0.5]
+        values = np.concatenate([normal, subnormal, edges])
+        expected = np.array([math.pow(x, 2.0) for x in values.tolist()])
+        assert np.array_equal(np.float_power(values, 2.0), expected)
 
 
 class TestMainExitCodes:

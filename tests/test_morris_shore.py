@@ -5,8 +5,6 @@ from brightpath.errors import ZeroCoupling
 from brightpath.lambda_system import CouplingSet, bright_state, lambda_hamiltonian
 from brightpath.morris_shore import (
     TwoManifoldSystem,
-    adiabaticity_report,
-    align_to_previous,
     morris_shore_transform,
 )
 
@@ -117,51 +115,3 @@ class TestDriveRebuiltFromPairs:
         for dark in d.dark_ground:
             embedded = np.concatenate([dark, np.zeros(2)])
             assert np.linalg.norm(h @ embedded) < 1e-10 * np.linalg.norm(sys.v)
-
-
-class TestPhaseContinuity:
-    def test_alignment_removes_phase_flips(self, rng):
-        v = random_coupling_matrix(rng, 4, 2)
-        base = morris_shore_transform(TwoManifoldSystem(v))
-        # A small perturbation can flip SVD phases; alignment restores
-        # positive overlap with the previous frame.
-        wobble = morris_shore_transform(TwoManifoldSystem(v * np.exp(0.02j) + 0.01 * random_coupling_matrix(rng, 4, 2)))
-        aligned = align_to_previous(base, wobble)
-        for prev, curr in zip(base.ground_bright, aligned.ground_bright):
-            inner = np.vdot(prev, curr)
-            assert inner.real > 0.9
-            assert abs(inner.imag) < 1e-10
-
-
-class TestAdiabaticityReport:
-    def test_constant_schedule(self, rng):
-        v = random_coupling_matrix(rng, 4, 2)
-        report = adiabaticity_report(lambda t: TwoManifoldSystem(v), samples=16)
-        assert report.slowness_ratio == 0.0
-        assert report.pair_count_constant
-        sigma = np.linalg.svd(v, compute_uv=False)
-        assert abs(report.g_min - sigma[-1]) < 1e-12
-
-    def test_rank_drop_flagged(self):
-        def schedule(t):
-            v = np.array([[np.cos(np.pi * t), 0.0], [0.0, 1.0], [0.0, 0.0]])
-            return TwoManifoldSystem(v)
-
-        report = adiabaticity_report(schedule, samples=21)
-        assert not report.pair_count_constant
-
-    def test_rank_one_gate_stage(self):
-        # theta sweep at constant mean Rabi frequency: single singular value
-        # Omega, slowness ratio proportional to theta_dot / Omega.
-        omega = 2.0
-
-        def schedule(t):
-            theta = np.pi * t
-            column = omega * np.array([np.sin(theta / 2), 0.0, np.cos(theta / 2)])[:, None]
-            return TwoManifoldSystem(column)
-
-        report = adiabaticity_report(schedule, samples=101)
-        assert abs(report.g_min - omega) < 1e-10
-        assert report.pair_count_constant
-        # ||dV/dt|| = omega * pi/2, g_min^2 = omega^2.
-        assert abs(report.slowness_ratio - (np.pi / 2) / omega) < 1e-3

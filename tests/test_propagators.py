@@ -13,7 +13,7 @@ from brightpath.errors import (
     NonMonotoneMap,
     NotOrthonormal,
 )
-from brightpath.gates import GateSpec, gate_coupling_schedule, stage_trajectory, stirap_trajectory
+from brightpath.gates import GateSpec, gate_coupling_schedule, simulate_gate, stage_trajectory, stirap_trajectory
 from brightpath.lambda_system import CouplingSet, bright_state
 from brightpath.linalg import (
     HermitianOperator,
@@ -25,6 +25,7 @@ from brightpath.propagators import (
     FULL_BLOCK,
     MAX_STEPS,
     AdiabaticRunConfig,
+    StateTrace,
     _drive_factors,
     _lambda_step_factors,
     dark_block,
@@ -529,6 +530,45 @@ class TestStatePropagation:
         np.testing.assert_array_equal(states, all_states[[0, 4, 8, 10]])
         with pytest.raises(ValueError, match="record_every"):
             evolve_state_time_ordered(smooth_noncommuting, 0.5, 1.5, 10, start, record_every=0)
+
+
+class TestOnePass:
+    """One pass over the factor stream gives the unitary and the states."""
+
+    DIMS = {"stirap-linear": 2, "stirap-smooth": 2, "gate-effective": 3, "gate-full": 4}
+
+    def run(self, route, sink, start):
+        trace = StateTrace(start, sink)
+        if route.startswith("stirap"):
+            trajectory = stirap_trajectory(np.pi / 2, route.split("-")[1])
+            return evolve_time_ordered(trajectory, 0.0, 1.0, 4096, trace)
+        spec = off_grid_gate()
+        if route == "gate-effective":
+            return simulate_gate(spec, 10_000, trace).propagation
+        return evolve_full_adiabatic(gate_coupling_schedule(spec), AdiabaticRunConfig(omega_T=2000.0, steps=65536), trace)
+
+    @pytest.mark.parametrize("route", sorted(DIMS))
+    def test_last_state_is_the_unitary_applied_to_the_start(self, route):
+        # The state is never projected; the unitary is, through _polar, whose
+        # drift unitarity_error reports.  A step that is unitary only to low
+        # order moves both apart.
+        start = np.zeros(self.DIMS[route], dtype=complex)
+        start[:2] = 0.6, 0.8j
+        blocks = []
+        result = self.run(route, lambda times, states: blocks.append((times, states)), start)
+        steps = result.steps
+        assert [len(times) for times, _ in blocks] == [min(FULL_BLOCK, steps - lo) + (lo == 0) for lo in range(0, steps, FULL_BLOCK)]
+        assert np.array_equal(blocks[0][1][0], start)
+        assert np.linalg.norm(blocks[-1][1][-1] - result.unitary.matrix @ start) <= 1e-12
+        assert result.unitarity_error <= 1e-12
+
+    def test_a_block_with_no_recorded_step_is_not_handed_on(self):
+        blocks = []
+        start = np.array([1.0, 0.0], dtype=complex)
+        trace = StateTrace(start, lambda times, states: blocks.append(times), record_every=2 * FULL_BLOCK + 1)
+        evolve_time_ordered(rotating_trajectory(), 0.0, np.pi / 2, 3 * FULL_BLOCK, trace)
+        marks = [np.rint(times / (np.pi / 2) * 3 * FULL_BLOCK).astype(int).tolist() for times in blocks]
+        assert marks == [[0], [2 * FULL_BLOCK + 1, 3 * FULL_BLOCK]]
 
 
 class TestDarkBlockAndLeakage:
