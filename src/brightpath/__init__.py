@@ -6,13 +6,7 @@ cross-checking routes: effective-Hamiltonian propagation, Berry-connection
 holonomy, and full Schroedinger integration.
 """
 
-from .effective import (
-    BrightTrajectory,
-    finite_difference_adapter,
-    h_eff_couplings,
-    h_eff_multi,
-    h_eff_single,
-)
+from .effective import BrightTrajectory, h_eff_couplings, h_eff_multi
 from .berry import (
     ConnectionMatrices,
     ParameterPath,
@@ -96,11 +90,9 @@ __all__ = [
     "evolve_time_ordered",
     "expm_hermitian",
     "extract_geometric_phase",
-    "finite_difference_adapter",
     "gate_coupling_schedule",
     "h_eff_couplings",
     "h_eff_multi",
-    "h_eff_single",
     "holonomy",
     "lambda_hamiltonian",
     "leakage",

@@ -21,7 +21,7 @@ from .berry import (
     holonomy,
     rectangle_loop,
 )
-from .effective import h_eff_couplings, h_eff_single
+from .effective import h_eff_couplings, h_eff_multi
 from .gates import (
     GateSpec,
     compose_gate,
@@ -199,7 +199,7 @@ def criterion_6_form_equivalence(seed: int = DEFAULT_SEED) -> CriterionResult:
         b = bright_state(c)
         bdot = (rdot + 1j * r * phidot) * np.exp(1j * phi)
         lhs = h_eff_couplings(c, rdot, phidot).matrix
-        rhs = h_eff_single(b, bdot).matrix
+        rhs = h_eff_multi(b, bdot).matrix
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return CriterionResult(
         6,

@@ -19,20 +19,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DerivativeInconsistent,
-    DimensionMismatch,
-    NormalizationDriftError,
-    NotNormalized,
-    NotOrthonormal,
-)
+from .errors import DerivativeInconsistent, DimensionMismatch, NormalizationDriftError, NotOrthonormal
 from .lambda_system import CouplingSet
-from .linalg import (
-    INPUT_ORTHONORMALITY_TOL,
-    HermitianOperator,
-    _orthonormality_failure,
-    check_orthonormal,
-)
+from .linalg import HermitianOperator, _orthonormality_failure
 
 DERIVATIVE_TANGENCY_TOL = 1e-8
 NORMALIZATION_DRIFT_TOL = 1e-8
@@ -81,25 +70,10 @@ def _h_eff_stack(values: np.ndarray, derivatives: np.ndarray, *, times: np.ndarr
     return np.multiply(1j, cross, out=cross)
 
 
-def h_eff_single(b: np.ndarray, bdot: np.ndarray) -> HermitianOperator:
-    """Effective generator i(|Bdot><B| - |B><Bdot|) for one bright state.
-
-    ``b`` must be normalized and ``Re <Bdot|B>`` must vanish (any derivative
-    of a normalized trajectory is tangent to the unit sphere).
-    """
-    b = np.asarray(b, dtype=complex)
-    bdot = np.asarray(bdot, dtype=complex)
-    if b.shape != bdot.shape or b.ndim != 1:
-        raise DimensionMismatch(f"state and derivative shapes differ: {b.shape} vs {bdot.shape}")
-    deviation = abs(np.vdot(b, b).real - 1.0)
-    if not deviation < 1e-8:
-        raise NotNormalized(f"|<B|B> - 1| = {deviation:.3e}")
-    return HermitianOperator(_h_eff_stack(b[None, None], bdot[None, None])[0])
-
-
 def h_eff_multi(values: Sequence[np.ndarray] | np.ndarray, derivatives: Sequence[np.ndarray] | np.ndarray) -> HermitianOperator:
-    """Sum of single-bright-state generators for an orthonormal bright set
-    (the one-sample case of the batched build)."""
+    """Sum of single-bright-state generators for an orthonormal bright set:
+    a (k, dim) frame, or one bright state as a 1-D array (the one-sample
+    case of the batched build)."""
     frame = np.atleast_2d(np.asarray(values, dtype=complex))
     dframe = np.atleast_2d(np.asarray(derivatives, dtype=complex))
     return HermitianOperator(_h_eff_stack(frame[None], dframe[None])[0])
@@ -187,41 +161,6 @@ class BrightTrajectory:
 
         return BrightTrajectory(self.dim, self.k, t0, t1, sampler, tuple(sorted(t0 + t1 - b for b in self.breakpoints)))
 
-    def validate(self, times: Sequence[float] | None = None, steps_h: tuple[float, float] = (1e-4, 1e-5)) -> None:
-        """Check orthonormality and derivative consistency at probe times.
-
-        The derivative check requires the central-difference error to fall
-        at second order between the two probe steps (a jump in the frame
-        shows up as a stagnating error and is flagged).
-        """
-        if times is None:
-            times = self._default_probe_times()
-        h_big, h_small = steps_h
-        for t in times:
-            check_orthonormal(self.value(t), tol=INPUT_ORTHONORMALITY_TOL)
-            if t - h_big < self.t_start or t + h_big > self.t_end:
-                continue
-            if any(abs(t - b) < 2 * h_big for b in self.breakpoints):
-                continue
-            deriv = self.derivative(t)
-            err = []
-            for h in (h_big, h_small):
-                fd = (self.value(t + h) - self.value(t - h)) / (2 * h)
-                err.append(float(np.linalg.norm(fd - deriv)))
-            # Second-order decrease, with an absolute floor for trajectories
-            # whose finite-difference error already sits at roundoff.
-            if err[1] > 1e-9 and err[1] > 0.05 * err[0]:
-                raise DerivativeInconsistent(
-                    f"central-difference error at t={t:.6g} fell from {err[0]:.3e} "
-                    f"to {err[1]:.3e} only; expected second-order decrease"
-                )
-
-    def _default_probe_times(self, count: int = 9) -> list[float]:
-        span = self.t_end - self.t_start
-        raw = [self.t_start + span * (i + 0.5) / count for i in range(count)]
-        # Nudge probes off derivative breakpoints.
-        return [t + 1e-3 * span if any(abs(t - b) < 1e-6 * span for b in self.breakpoints) else t for t in raw]
-
     @staticmethod
     def concatenate(pieces: Sequence["BrightTrajectory"], continuity_tol: float = 1e-12) -> "BrightTrajectory":
         """Join consecutive trajectory pieces into one piecewise trajectory.
@@ -256,42 +195,3 @@ class BrightTrajectory:
 
         return BrightTrajectory(dim, k, pieces[0].t_start, pieces[-1].t_end, sampler, interior)
 
-
-def finite_difference_adapter(
-    value_only: Callable[[float], np.ndarray],
-    t_start: float,
-    t_end: float,
-    dim: int,
-    k: int = 1,
-    h: float | None = None,
-) -> BrightTrajectory:
-    """Wrap a value-only frame schedule with numerical derivatives.
-
-    Central differences in the interior, one-sided second-order stencils at
-    the domain endpoints.  Values are passed through unchanged (no
-    re-orthonormalization) and are orthonormality-checked at every
-    evaluation; the default step is 1e-6 * max(1, |t|).  This is the one
-    place a scalar frame function enters: the sampler calls it time by time.
-    """
-
-    def step(t: float) -> float:
-        return h if h is not None else 1e-6 * max(1.0, abs(t))
-
-    def value(t: float) -> np.ndarray:
-        frame = np.atleast_2d(np.asarray(value_only(t), dtype=complex))
-        check_orthonormal(frame)
-        return frame
-
-    def derivative(t: float) -> np.ndarray:
-        dt = step(t)
-        if t - dt >= t_start and t + dt <= t_end:
-            return (value(t + dt) - value(t - dt)) / (2 * dt)
-        if t + dt > t_end:
-            return (3 * value(t) - 4 * value(t - dt) + value(t - 2 * dt)) / (2 * dt)
-        return (-3 * value(t) + 4 * value(t + dt) - value(t + 2 * dt)) / (2 * dt)
-
-    def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values = np.array([value(float(t)) for t in times], dtype=complex)
-        return values, np.array([derivative(float(t)) for t in times], dtype=complex)
-
-    return BrightTrajectory(dim, k, t_start, t_end, sampler)

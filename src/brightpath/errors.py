@@ -21,10 +21,6 @@ class NotHermitian(BrightpathError):
     """A matrix fails the hermiticity check."""
 
 
-class NonHermitianSample(NotHermitian):
-    """A time-sampled Hamiltonian returned a non-Hermitian matrix."""
-
-
 class NotUnitary(BrightpathError):
     """A matrix fails the unitarity check."""
 

@@ -50,22 +50,6 @@ def _orthonormality_failure(frames: np.ndarray, tol: float = INPUT_ORTHONORMALIT
     return j, f"max |<v_i|v_j> - delta_ij| = {deviation[j]:.3e} exceeds {tol:.1e}"
 
 
-def _hermiticity_failure(stack: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[int, str] | None:
-    """Index and description of the first matrix in a (k, d, d) stack that
-    fails the relative check ||M - M^dag||_F < tol * max(1, ||M||_F), or
-    None if all pass.  Written so that non-finite entries fail."""
-    skew = stack - stack.conj().transpose(0, 2, 1)
-    # Frobenius norms as hypot reductions of |entries|, which do not overflow
-    # for entries past 1e154 the way a sum of squares does.
-    deviation = np.hypot.reduce(np.abs(skew), axis=(1, 2))
-    scale = np.maximum(1.0, np.hypot.reduce(np.abs(stack), axis=(1, 2)))
-    passed = deviation < tol * scale
-    if passed.all():
-        return None
-    j = int(np.argmin(passed))
-    return j, f"||M - M^dag||_F = {deviation[j]:.3e} exceeds {tol:.1e} * {scale[j]:.3e}"
-
-
 class HermitianOperator:
     """A square complex matrix verified to be Hermitian at construction.
 
@@ -79,9 +63,13 @@ class HermitianOperator:
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        failure = _hermiticity_failure(m[None], tol)
-        if failure is not None:
-            raise NotHermitian(failure[1])
+        # Frobenius norms as hypot reductions of |entries|, which do not
+        # overflow for entries past 1e154 the way a sum of squares does.
+        # Written so that non-finite entries fail.
+        deviation = np.hypot.reduce(np.abs(m - m.conj().T), axis=(0, 1))
+        scale = np.maximum(1.0, np.hypot.reduce(np.abs(m), axis=(0, 1)))
+        if not deviation < tol * scale:
+            raise NotHermitian(f"||M - M^dag||_F = {deviation:.3e} exceeds {tol:.1e} * {scale:.3e}")
         m.setflags(write=False)
         self._matrix = m
 

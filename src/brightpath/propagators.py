@@ -5,10 +5,10 @@ in blocks of ``FULL_BLOCK`` steps.  The grid splits [t0, t1] into equal
 steps and hands out their midpoints one block at a time.  A factor builder
 samples and checks each block and turns it into an (m, d, d) array of
 one-step exponentials: the exponential midpoint rule (second order, unitary
-by construction) for a caller's generator, in closed form from the Gram
-matrix of (B, dt Bdot) for a one-bright-state trajectory (no d x d H_eff
-is formed), or the closed-form Lambda step of the full (n+1)-level drive,
-the brute-force oracle the geometric methods are checked against.  A
+by construction) for the generator H_eff of a bright trajectory, in closed
+form from the Gram matrix of (B, dt Bdot) for one bright state (no d x d
+H_eff is formed), or the closed-form Lambda step of the full (n+1)-level
+drive, the brute-force oracle the geometric methods are checked against.  A
 reducer consumes the blocks in order: it forms the ordered product (each
 block by a pairwise tree, then the block products by the same tree) and,
 given a ``StateTrace``, applies the same factors to one state and hands
@@ -28,14 +28,13 @@ from typing import Callable, Iterable, Iterator, Literal, Protocol, Sequence
 import numpy as np
 
 from .effective import BrightTrajectory, _checked_frames, _h_eff_stack
-from .errors import DimensionMismatch, NonHermitianSample, NonMonotoneMap
+from .errors import NonMonotoneMap
 from .lambda_system import _check_drive
 from .linalg import (
     HermitianOperator,
     UnitaryOperator,
     _expm_bright_stack,
     _expm_hermitian_stack,
-    _hermiticity_failure,
     _ordered_product,
     as_frame,
     expm_hermitian,  # noqa: F401 -- kept importable as brightpath.propagators.expm_hermitian
@@ -53,10 +52,6 @@ MAX_STEPS = 2**24
 
 # Points of [t0, t1] at which reparametrize checks that a time map increases.
 MONOTONICITY_CHECK_POINTS = 65
-
-# What the midpoint rule propagates: a bright trajectory (its geometric
-# generator) or any callable t -> H(t).
-Hamiltonian = BrightTrajectory | Callable[[float], HermitianOperator | np.ndarray]
 
 
 class DriveSchedule(Protocol):
@@ -113,32 +108,21 @@ def _step_grid(t0: float, t1: float, steps: int) -> tuple[Iterator[np.ndarray], 
     return blocks, span / steps
 
 
-def _midpoint_factors(hamiltonian: Hamiltonian, t0: float, t1: float, steps: int) -> Iterator[np.ndarray]:
-    """exp(-i H(m_j) dt) for every midpoint m_j of the grid, one block at a
-    time.  A trajectory is sampled once per block and its frames checked
+def _midpoint_factors(trajectory: BrightTrajectory, t0: float, t1: float, steps: int) -> Iterator[np.ndarray]:
+    """exp(-i H_eff(m_j) dt) for every midpoint m_j of the grid, one block at
+    a time.  The trajectory is sampled once per block and its frames checked
     (``_checked_frames``); one bright state takes the closed-form step of
-    ``_expm_bright_stack``, k >= 2 the ``eigh`` of the H_eff stack.  A
-    callable's samples must pass the hermiticity check, and the first that
-    fails is named."""
+    ``_expm_bright_stack``, k >= 2 the ``eigh`` of the H_eff stack.  Any
+    other input raises ``TypeError`` naming its type."""
+    if not isinstance(trajectory, BrightTrajectory):
+        raise TypeError(f"the midpoint route propagates a BrightTrajectory, got {type(trajectory).__name__}")
     blocks, dt = _step_grid(t0, t1, steps)
-    if isinstance(hamiltonian, BrightTrajectory):
-        for mids in blocks:
-            if hamiltonian.k == 1:
-                values, derivatives = _checked_frames(*hamiltonian.sample(mids), times=mids)
-                yield _expm_bright_stack(values[:, 0], derivatives[:, 0], dt)
-            else:
-                yield _expm_hermitian_stack(_h_eff_stack(*hamiltonian.sample(mids), times=mids), dt)
-        return
     for mids in blocks:
-        samples = [hamiltonian(float(m)) for m in mids]
-        stack = np.array([h.matrix if isinstance(h, HermitianOperator) else h for h in samples], dtype=complex)
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            raise DimensionMismatch(f"H(t) must be square matrices of one size, got stack shape {stack.shape}")
-        failure = _hermiticity_failure(stack)
-        if failure is not None:
-            j, why = failure
-            raise NonHermitianSample(f"H({mids[j]:.6g}) failed the hermiticity check: {why}")
-        yield _expm_hermitian_stack(stack, dt)
+        if trajectory.k == 1:
+            values, derivatives = _checked_frames(*trajectory.sample(mids), times=mids)
+            yield _expm_bright_stack(values[:, 0], derivatives[:, 0], dt)
+        else:
+            yield _expm_hermitian_stack(_h_eff_stack(*trajectory.sample(mids), times=mids), dt)
 
 
 def _sample_drive(schedule: DriveSchedule, ramp: str, mids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +242,7 @@ def _recorded(propagate, state: np.ndarray, record_every: int) -> tuple[np.ndarr
 
 
 def evolve_time_ordered(
-    hamiltonian: Hamiltonian,
+    trajectory: BrightTrajectory,
     t0: float,
     t1: float,
     steps: int = DEFAULT_GEOMETRIC_STEPS,
@@ -267,12 +251,12 @@ def evolve_time_ordered(
     """Time-ordered product of midpoint-rule exponentials.
 
     U = exp(-i H(m_M) dt) ... exp(-i H(m_1) dt) with m_j the midpoint of the
-    j-th subinterval; later factors multiply from the left.  ``hamiltonian``
-    is a :class:`BrightTrajectory`, whose generator H_eff is built for a
-    whole block of midpoints at once, or a callable t -> H(t).  A ``trace``
-    carries its state along the same factors, with times in [t0, t1].
+    j-th subinterval; later factors multiply from the left, and H is the
+    generator H_eff of the bright ``trajectory``, sampled a whole block of
+    midpoints at once.  A ``trace`` carries its state along the same
+    factors, with times in [t0, t1].
     """
-    blocks = _midpoint_factors(hamiltonian, t0, t1, steps)
+    blocks = _midpoint_factors(trajectory, t0, t1, steps)
     unitary, drift = _unitary_product(blocks if trace is None else _traced(blocks, trace, t0, t1, steps))
     return PropagationResult(unitary=unitary, steps=steps, unitarity_error=drift, method="effective")
 
@@ -339,20 +323,20 @@ def evolve_state_full(
 
 
 def evolve_state_time_ordered(
-    hamiltonian: Hamiltonian,
+    trajectory: BrightTrajectory,
     t0: float,
     t1: float,
     steps: int,
     state: np.ndarray,
     record_every: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint-rule propagation of one state, with snapshots;
-    ``hamiltonian`` as for :func:`evolve_time_ordered`.
+    """Midpoint-rule propagation of one state along a bright ``trajectory``,
+    with snapshots.
 
     Returns (times, states); row 0 is the initial state at t0.  The rows a
     :class:`StateTrace` of :func:`evolve_time_ordered` receives.
     """
-    return _recorded(lambda trace: evolve_time_ordered(hamiltonian, t0, t1, steps, trace), state, record_every)
+    return _recorded(lambda trace: evolve_time_ordered(trajectory, t0, t1, steps, trace), state, record_every)
 
 
 def dark_block(u: UnitaryOperator | np.ndarray, frame_start, frame_end) -> np.ndarray:

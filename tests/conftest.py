@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from brightpath.linalg import HermitianOperator, _expm_hermitian_stack, check_orthonormal
+from brightpath.propagators import _step_grid, _unitary_product
+
 
 @pytest.fixture
 def rng():
@@ -17,3 +20,52 @@ def random_unitary(rng, dim):
 def random_state(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def midpoint_reference(generator, t0, t1, steps):
+    """Exponential-midpoint unitary of a scalar generator t -> H(t), as a
+    matrix: H (a matrix or a ``HermitianOperator``) is called once at every
+    midpoint of the propagators' step grid, each block of samples is
+    exponentiated as one stack, and the blocks go through the propagators'
+    ordered product.  A reference for the trajectory routes, which never
+    call a scalar H."""
+    blocks, dt = _step_grid(t0, t1, steps)
+
+    def factors(mids):
+        samples = [generator(float(t)) for t in mids]
+        stack = np.array([h.matrix if isinstance(h, HermitianOperator) else h for h in samples], dtype=complex)
+        return _expm_hermitian_stack(stack, dt)
+
+    return _unitary_product(map(factors, blocks))[0].matrix
+
+
+def validate_trajectory(trajectory, times=None):
+    """Check a trajectory's frames for orthonormality at probe times and
+    assert that its analytic derivative is the one its values have: the
+    central-difference error must fall at second order from step 1e-4 to
+    1e-5 (a jump in the frame shows up as a stagnating error).  Probes
+    within a step of an end or two of a breakpoint skip the
+    derivative check; the default probes are nine interior times, nudged
+    off the breakpoints."""
+    span = trajectory.t_end - trajectory.t_start
+    if times is None:
+        raw = [trajectory.t_start + span * (i + 0.5) / 9 for i in range(9)]
+        times = [t + 1e-3 * span if any(abs(t - b) < 1e-6 * span for b in trajectory.breakpoints) else t for t in raw]
+    h_big, h_small = 1e-4, 1e-5
+    for t in times:
+        check_orthonormal(trajectory.value(t))
+        if t - h_big < trajectory.t_start or t + h_big > trajectory.t_end:
+            continue
+        if any(abs(t - b) < 2 * h_big for b in trajectory.breakpoints):
+            continue
+        derivative = trajectory.derivative(t)
+        err = [
+            float(np.linalg.norm((trajectory.value(t + h) - trajectory.value(t - h)) / (2 * h) - derivative))
+            for h in (h_big, h_small)
+        ]
+        # Second-order decrease, with an absolute floor for trajectories
+        # whose finite-difference error already sits at roundoff.
+        assert err[1] <= 1e-9 or err[1] <= 0.05 * err[0], (
+            f"central-difference error at t={t:.6g} fell from {err[0]:.3e} to {err[1]:.3e} only; "
+            "expected second-order decrease"
+        )

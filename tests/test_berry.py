@@ -24,7 +24,8 @@ from brightpath.lambda_system import (
     dark_basis_parametrized,
 )
 from brightpath.linalg import _expm_hermitian_stack, _ordered_product, expm_hermitian
-from brightpath.propagators import FULL_BLOCK, dark_block, evolve_time_ordered
+from brightpath.propagators import FULL_BLOCK, dark_block
+from conftest import midpoint_reference
 
 
 def finite_difference_connection(angles: np.ndarray, h: float = 1e-5) -> list[np.ndarray]:
@@ -74,7 +75,7 @@ def per_segment_dark_block(path: ParameterPath, steps_per_segment: int) -> np.nd
             rdot, phidot = coupling_rates_from_angles(angles, delta)
             return h_eff_couplings(couplings_from_angles(angles), rdot, phidot)
 
-        u = evolve_time_ordered(generator, 0.0, 1.0, steps_per_segment).unitary.matrix @ u
+        u = midpoint_reference(generator, 0.0, 1.0, steps_per_segment) @ u
     start, end = (dark_basis_parametrized(SphericalAngles(*path.samples[i])) for i in (0, -1))
     return dark_block(u, start, end)
 

@@ -3,22 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brightpath.effective import (
-    BrightTrajectory,
-    _h_eff_stack,
-    finite_difference_adapter,
-    h_eff_couplings,
-    h_eff_multi,
-    h_eff_single,
-)
-from brightpath.errors import (
-    DerivativeInconsistent,
-    NormalizationDriftError,
-    NotNormalized,
-    NotOrthonormal,
-)
+from brightpath.effective import BrightTrajectory, _h_eff_stack, h_eff_couplings, h_eff_multi
+from brightpath.errors import DerivativeInconsistent, NormalizationDriftError, NotOrthonormal
 from brightpath.gates import GateSpec, stage_trajectory, stirap_trajectory
 from brightpath.lambda_system import CouplingSet, bright_state
+from conftest import midpoint_reference, validate_trajectory
 
 
 def rotating_pair(t):
@@ -41,10 +30,12 @@ def rotating(t_start, t_end, shift=0.0, rate_factor=1.0):
 
 
 class TestHEffSingle:
+    """The one-bright-state generator: ``h_eff_multi`` of a bare state."""
+
     def test_static_state_gives_zero(self, rng):
         b = rng.normal(size=4) + 1j * rng.normal(size=4)
         b /= np.linalg.norm(b)
-        h = h_eff_single(b, np.zeros(4))
+        h = h_eff_multi(b, np.zeros(4))
         np.testing.assert_allclose(h.matrix, np.zeros((4, 4)), atol=0)
 
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.2])
@@ -52,7 +43,7 @@ class TestHEffSingle:
         # Hand evaluation: i(|Bdot><B| - |B><Bdot|) for B = (cos t, sin t)
         # collapses to the constant matrix with entries (1,2) = -i, (2,1) = +i.
         b, bdot = rotating_pair(t)
-        h = h_eff_single(b, bdot).matrix
+        h = h_eff_multi(b, bdot).matrix
         np.testing.assert_allclose(h, np.array([[0, -1j], [1j, 0]]), atol=1e-14)
 
     def test_pure_phase_rotation(self, rng):
@@ -63,18 +54,19 @@ class TestHEffSingle:
         w, t = 1.7, 0.4
         b = np.exp(1j * w * t) * v
         bdot = 1j * w * b
-        h = h_eff_single(b, bdot).matrix
+        h = h_eff_multi(b, bdot).matrix
         np.testing.assert_allclose(h, -2 * w * np.outer(v, v.conj()), atol=1e-13)
 
     def test_rejects_unnormalized(self):
+        # A bare state is a one-row frame, held to the same 1e-8 rule.
         for b in (np.array([1.0, 1.0]), np.array([np.nan, 0.0])):
-            with pytest.raises(NotNormalized):
-                h_eff_single(b, np.zeros(2))
+            with pytest.raises(NotOrthonormal):
+                h_eff_multi(b, np.zeros(2))
 
     def test_rejects_radial_derivative(self):
         for bdot in (np.array([1.0, 0.0]), np.array([np.nan, 0.0])):
             with pytest.raises(DerivativeInconsistent):
-                h_eff_single(np.array([1.0, 0.0]), bdot)
+                h_eff_multi(np.array([1.0, 0.0]), bdot)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("size", [1e155, 1e200, 1e300])
@@ -93,7 +85,7 @@ class TestHEffSingle:
         b /= np.linalg.norm(b)
         bdot = rng.normal(size=5) + 1j * rng.normal(size=5)
         bdot -= np.vdot(b, bdot).real * b
-        h = h_eff_single(b, bdot).matrix
+        h = h_eff_multi(b, bdot).matrix
         # <d|H|d'> = 0 for dark directions orthogonal to both B and Bdot.
         q, _ = np.linalg.qr(np.stack([b, bdot]).T)
         comp = np.eye(5) - q @ q.conj().T
@@ -101,7 +93,7 @@ class TestHEffSingle:
 
     def test_real_trajectory_has_no_bright_diagonal(self):
         b, bdot = rotating_pair(0.81)
-        h = h_eff_single(b, bdot).matrix
+        h = h_eff_multi(b, bdot).matrix
         assert abs(b.conj() @ h @ b) < 1e-14
 
 
@@ -111,11 +103,9 @@ class TestHEffMulti:
         h = h_eff_multi(frame, np.zeros_like(frame))
         np.testing.assert_allclose(h.matrix, np.zeros((4, 4)), atol=0)
 
-    def test_single_state_reduces_to_h_eff_single(self):
+    def test_one_state_frame_equals_the_bare_state(self):
         b, bdot = rotating_pair(0.51)
-        multi = h_eff_multi([b], [bdot]).matrix
-        single = h_eff_single(b, bdot).matrix
-        np.testing.assert_allclose(multi, single, atol=0)
+        assert np.array_equal(h_eff_multi([b], [bdot]).matrix, h_eff_multi(b, bdot).matrix)
 
     def test_additivity_with_embedded_rotation(self):
         # A rotating state in the first plane plus a static one elsewhere
@@ -137,7 +127,7 @@ class TestHEffMulti:
             d -= np.vdot(b, d).real * b
             derivs.append(d)
         total = h_eff_multi(frame, derivs).matrix
-        summed = sum(h_eff_single(b, d).matrix for b, d in zip(frame, derivs))
+        summed = sum(h_eff_multi(b, d).matrix for b, d in zip(frame, derivs))
         np.testing.assert_allclose(total, summed, atol=1e-13)
 
     def test_rejects_nonorthonormal_frame(self):
@@ -210,7 +200,7 @@ class TestHEffCouplings:
         b = bright_state(c)
         bdot = (rdot + 1j * r * phidot) * np.exp(1j * phi)
         lhs = h_eff_couplings(c, rdot, phidot).matrix
-        rhs = h_eff_single(b, bdot).matrix
+        rhs = h_eff_multi(b, bdot).matrix
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -219,11 +209,11 @@ class TestBrightTrajectory:
         return rotating(0.0, np.pi)
 
     def test_validate_accepts_consistent_trajectory(self):
-        self.make_rotating().validate()
+        validate_trajectory(self.make_rotating())
 
     def test_validate_flags_wrong_derivative(self):
-        with pytest.raises(DerivativeInconsistent):
-            rotating(0.0, np.pi, rate_factor=1.05).validate()
+        with pytest.raises(AssertionError, match="expected second-order decrease"):
+            validate_trajectory(rotating(0.0, np.pi, rate_factor=1.05))
 
     def test_validate_flags_jump(self):
         def sampler(times):
@@ -233,14 +223,14 @@ class TestBrightTrajectory:
 
         smooth = self.make_rotating()
         jumpy = BrightTrajectory(2, 1, 0.0, np.pi, sampler)
-        with pytest.raises(DerivativeInconsistent):
-            jumpy.validate(times=[1.5 - 5e-6])
+        with pytest.raises(AssertionError, match="expected second-order decrease"):
+            validate_trajectory(jumpy, times=[1.5 - 5e-6])
 
     def test_reversed_swaps_endpoints_and_flips_rates(self):
         traj = self.make_rotating().reversed()
         np.testing.assert_allclose(traj.value(0.0), np.atleast_2d(rotating_pair(np.pi)[0]), atol=1e-15)
         np.testing.assert_allclose(traj.derivative(0.0), -np.atleast_2d(rotating_pair(np.pi)[1]), atol=1e-15)
-        traj.validate()
+        validate_trajectory(traj)
 
     def test_concatenate_rejects_discontinuity(self):
         first = self.make_rotating()
@@ -330,42 +320,6 @@ class TestSample:
         reversed_values, _ = traj.reversed().sample(1.5 - times)
         np.testing.assert_allclose(reversed_values, values, rtol=0, atol=1e-15)
 
-    def test_finite_difference_adapter(self):
-        traj = finite_difference_adapter(lambda t: np.atleast_2d(rotating_pair(t)[0]), 0.0, 2.0, dim=2, h=1e-5)
-        times = np.linspace(0.0, 2.0, 9)
-        for got, want in zip(traj.sample(times), stacked_scalar_calls(traj, times)):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-
-
-class TestFiniteDifferenceAdapter:
-    def test_constant_frame(self):
-        frame = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=complex)
-        traj = finite_difference_adapter(lambda t: frame, 0.0, 1.0, dim=3, k=2)
-        assert np.linalg.norm(traj.derivative(0.5)) < 1e-12
-
-    def test_rotating_frame_accuracy(self):
-        traj = finite_difference_adapter(
-            lambda t: np.atleast_2d(rotating_pair(t)[0]), 0.0, 2.0, dim=2, h=1e-5
-        )
-        for t in (0.3, 1.0, 1.7):
-            exact = np.atleast_2d(rotating_pair(t)[1])
-            assert np.linalg.norm(traj.derivative(t) - exact) < 1e-9
-
-    def test_endpoint_stencils_are_second_order(self):
-        traj = finite_difference_adapter(
-            lambda t: np.atleast_2d(rotating_pair(t)[0]), 0.0, 2.0, dim=2, h=1e-5
-        )
-        for t in (0.0, 2.0):
-            exact = np.atleast_2d(rotating_pair(t)[1])
-            assert np.linalg.norm(traj.derivative(t) - exact) < 1e-8
-
-    def test_rejects_nonorthonormal_values(self):
-        traj = finite_difference_adapter(
-            lambda t: np.atleast_2d([np.cos(t), np.sin(t) + 0.01]), 0.0, 1.0, dim=2
-        )
-        with pytest.raises(NotOrthonormal):
-            traj.derivative(0.5)
-
 
 class TestMultiBrightTransport:
     """Two bright pairs rotating at once, checked against the full drive.
@@ -435,7 +389,7 @@ class TestMultiBrightTransport:
         return start, end
 
     def test_trajectory_validates(self):
-        self.trajectory().validate()
+        validate_trajectory(self.trajectory())
 
     def test_geometric_transport_matches_full_drive(self):
         from brightpath.linalg import matrix_distance
@@ -444,16 +398,14 @@ class TestMultiBrightTransport:
         traj = self.trajectory()
         # The batched k >= 2 route against one h_eff call per midpoint.
         geo = evolve_time_ordered(traj, 0.0, 1.0, 4096).unitary
-        reference = evolve_time_ordered(traj.h_eff, 0.0, 1.0, 4096).unitary
-        assert np.linalg.norm(geo.matrix - reference.matrix) < 1e-12
+        assert np.linalg.norm(geo.matrix - midpoint_reference(traj.h_eff, 0.0, 1.0, 4096)) < 1e-12
         start, end = self.dark_frames()
         block_geo = dark_block(geo, start, end)
         # Geometric propagation stays exactly on the dark bundle.
         assert np.linalg.norm(block_geo.conj().T @ block_geo - np.eye(2)) < 1e-12
         distances = []
         for omega, steps in ((100.0, 16384), (300.0, 32768)):
-            full = evolve_time_ordered(self.full_drive(omega), 0.0, 1.0, steps).unitary
-            block_full = dark_block(full, start, end)
+            block_full = dark_block(midpoint_reference(self.full_drive(omega), 0.0, 1.0, steps), start, end)
             distances.append(matrix_distance(block_full, block_geo, "up_to_global_phase"))
         assert distances[0] < 2e-4
         assert distances[1] < distances[0] / 3.0

@@ -14,6 +14,8 @@ from brightpath.gates import (
 )
 from brightpath.errors import NotNormalized
 from brightpath.linalg import matrix_distance
+from brightpath.propagators import evolve_time_ordered
+from conftest import validate_trajectory
 
 
 def spec_pi3(n=3, **kwargs):
@@ -81,7 +83,7 @@ class TestStageTrajectory:
         traj = stage_trajectory(spec)
         for t in np.linspace(0.001, 0.999, 23):
             assert abs(np.linalg.norm(traj.value(t)) - 1.0) < 1e-12
-        traj.validate()
+        validate_trajectory(traj)
 
 
 class TestAnalyticStageUnitaries:
@@ -114,14 +116,12 @@ class TestAnalyticStageUnitaries:
 
     def test_each_stage_matches_its_propagated_generator(self):
         # The closed forms are the time-ordered exponentials of the stage
-        # generators; propagate each stage separately and compare.
-        from brightpath.propagators import evolve_time_ordered
-
+        # generators; propagate the gate path over each stage and compare.
         spec = spec_pi3()
         traj = stage_trajectory(spec)
         stages = [(0.0, spec.t1), (spec.t1, spec.t2), (spec.t2, spec.t3)]
         for (t0, t1), expected in zip(stages, analytic_stage_unitaries(spec)):
-            res = evolve_time_ordered(traj.h_eff, t0, t1, 4000)
+            res = evolve_time_ordered(traj, t0, t1, 4000)
             assert matrix_distance(res.unitary.matrix, expected.matrix, "exact") < 1e-9
 
 

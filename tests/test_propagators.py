@@ -6,21 +6,10 @@ import numpy as np
 import pytest
 
 from brightpath.effective import BrightTrajectory
-from brightpath.errors import (
-    DerivativeInconsistent,
-    DimensionMismatch,
-    NonHermitianSample,
-    NonMonotoneMap,
-    NotOrthonormal,
-)
+from brightpath.errors import DerivativeInconsistent, DimensionMismatch, NonMonotoneMap, NotOrthonormal
 from brightpath.gates import GateSpec, gate_coupling_schedule, simulate_gate, stage_trajectory, stirap_trajectory
 from brightpath.lambda_system import CouplingSet, bright_state
-from brightpath.linalg import (
-    HermitianOperator,
-    expm_hermitian,
-    matrix_distance,
-    projector_from_frame,
-)
+from brightpath.linalg import expm_hermitian, matrix_distance, projector_from_frame
 from brightpath.propagators import (
     FULL_BLOCK,
     MAX_STEPS,
@@ -38,9 +27,9 @@ from brightpath.propagators import (
     reparametrize,
 )
 from brightpath.ramps import ramp_value
+from conftest import midpoint_reference
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def rotating_sampler(times):
@@ -53,8 +42,21 @@ def rotating_trajectory(t_end=np.pi / 2):
     return BrightTrajectory(2, 1, 0.0, t_end, rotating_sampler)
 
 
-def smooth_noncommuting(t):
-    return HermitianOperator(np.sin(t) * SIGMA_X + (0.5 + 0.3 * np.cos(2 * t)) * SIGMA_Z)
+def planes_trajectory(t_end):
+    """Two bright states turning at rates 1 and 0.6 in the planes (1, 2) and
+    (3, 4): a constant generator, sigma_y on the first plane plus 0.6 sigma_y
+    on the second, on the k >= 2 route."""
+
+    def sampler(times):
+        values = np.zeros((times.size, 2, 4), dtype=complex)
+        derivatives = np.zeros_like(values)
+        for row, (rate, lo) in enumerate(((1.0, 0), (0.6, 2))):
+            angle = rate * times
+            values[:, row, lo], values[:, row, lo + 1] = np.cos(angle), np.sin(angle)
+            derivatives[:, row, lo], derivatives[:, row, lo + 1] = -rate * np.sin(angle), rate * np.cos(angle)
+        return values, derivatives
+
+    return BrightTrajectory(4, 2, 0.0, t_end, sampler)
 
 
 def twisted_sampler(times):
@@ -74,6 +76,30 @@ def twisted_sampler(times):
         axis=-1,
     )
     return values[:, None, :].astype(complex), derivatives[:, None, :]
+
+
+# K for spun_sampler: a Hermitian 4 x 4 matrix with no special structure.
+SPIN = np.array(
+    [[0.3, 1.0, 0.5j, 0.0], [1.0, -0.2, 0.4, 0.7j], [-0.5j, 0.4, 0.1, 0.6], [0.0, -0.7j, 0.6, -0.4]],
+    dtype=complex,
+)
+SPIN_EVALS, SPIN_EVECS = np.linalg.eigh(SPIN)
+
+
+def spun_sampler(times):
+    """The frame (e_1, e_2) turned by exp(-i K s) with s = t + 0.4 t^2, so
+    Bdot_i = -i s' K B_i: a two-bright path on four levels whose generators
+    s' U (K P_0 + P_0 K) U^dag do not commute."""
+    s, rate = times + 0.4 * times**2, 1.0 + 0.8 * times
+    turn = (SPIN_EVECS * np.exp(-1j * np.multiply.outer(s, SPIN_EVALS))[:, None, :]) @ SPIN_EVECS.conj().T
+    values = turn[:, :, :2].transpose(0, 2, 1)
+    return values, -1j * rate[:, None, None] * (values @ SPIN.T)
+
+
+def noncommuting_trajectories():
+    """The twisted one-bright path (closed-form steps) and the spun
+    two-bright frame (H_eff and eigh), both on [0, 1.5]."""
+    return BrightTrajectory(3, 1, 0.0, 1.5, twisted_sampler), BrightTrajectory(4, 2, 0.0, 1.5, spun_sampler)
 
 
 def halving_ratios(propagate):
@@ -100,16 +126,24 @@ CONSTANT_LAMBDA = CouplingSet(omega=1.0, r=np.array([0.6, 0.8, 0.0]), phi=np.arr
 
 class TestEvolveTimeOrdered:
     def test_zero_hamiltonian(self):
-        res = evolve_time_ordered(lambda t: np.zeros((3, 3)), 0.0, 1.0, 17)
-        np.testing.assert_allclose(res.unitary.matrix, np.eye(3), atol=1e-14)
+        # A frame at rest carries the zero generator, on both routes.
+        for k in (1, 2):
+            frame = np.eye(3, dtype=complex)[:k]
 
-    def test_constant_hamiltonian_any_steps(self, rng):
-        z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        h = HermitianOperator(z + z.conj().T)
-        exact = expm_hermitian(h, 0.8).matrix
-        for steps in (1, 7, 64):
-            res = evolve_time_ordered(lambda t: h, 0.0, 0.8, steps)
-            assert np.linalg.norm(res.unitary.matrix - exact) < 1e-10
+            def at_rest(times, frame=frame):
+                return np.broadcast_to(frame, (times.size, *frame.shape)), np.zeros((times.size, *frame.shape))
+
+            res = evolve_time_ordered(BrightTrajectory(3, k, 0.0, 1.0, at_rest), 0.0, 1.0, 17)
+            np.testing.assert_allclose(res.unitary.matrix, np.eye(3), atol=1e-14)
+
+    def test_constant_hamiltonian_any_steps(self):
+        # Frames turning at constant rates in fixed planes carry a constant
+        # generator, which the midpoint rule integrates exactly.
+        for traj in (rotating_trajectory(0.8), planes_trajectory(0.8)):
+            exact = expm_hermitian(traj.h_eff(0.0), 0.8).matrix
+            for steps in (1, 7, 64):
+                res = evolve_time_ordered(traj, 0.0, 0.8, steps)
+                assert np.linalg.norm(res.unitary.matrix - exact) < 1e-10
 
     def test_rotating_bright_state_closed_form(self):
         # The generator of the planar rotation is constant (sigma_y), so the
@@ -120,41 +154,29 @@ class TestEvolveTimeOrdered:
         exact = expm_hermitian(sigma_y, np.pi / 2).matrix
         assert np.linalg.norm(res.unitary.matrix - exact) < 1e-10
 
-    def test_rejects_nonhermitian_sample(self):
-        # The error names the first failing midpoint of the 4-step grid.
-        for sample, first_bad in (
-            (lambda t: np.array([[0, 1], [0, 0]]), "0.125"),
-            (lambda t: np.full((2, 2), np.nan), "0.125"),
-            (lambda t: np.full((2, 2), np.nan) if t > 0.5 else np.zeros((2, 2)), "0.625"),
+    def test_rejects_a_callable(self):
+        # A generator t -> H(t) is not a bright trajectory: the type error
+        # names what was passed, instead of an AttributeError on ``k``.
+        for propagate in (
+            lambda: evolve_time_ordered(lambda t: SIGMA_X, 0.0, 1.0, 4),
+            lambda: evolve_state_time_ordered(lambda t: SIGMA_X, 0.0, 1.0, 4, np.array([1.0, 0.0])),
         ):
-            with pytest.raises(NonHermitianSample, match=rf"H\({first_bad}\)"):
-                evolve_time_ordered(sample, 0.0, 1.0, 4)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_rejects_huge_nonhermitian_sample_without_overflow(self):
-        # Entries of 1e200: the check must neither overflow nor let the
-        # skew part that appears after t = 0.5 through.
-        hermitian = 1e200 * SIGMA_X
-        skew = 1e193 * np.array([[0.0, 1.0], [-1.0, 0.0]])
-        evolve_time_ordered(lambda t: hermitian, 0.0, 1e-200, 4)
-        with pytest.raises(NonHermitianSample, match=r"H\(0\.625\)"):
-            evolve_time_ordered(lambda t: hermitian + skew if t > 0.5 else hermitian, 0.0, 1.0, 4)
-
-    def test_rejects_nonsquare_sample(self):
-        with pytest.raises(DimensionMismatch):
-            evolve_time_ordered(lambda t: np.zeros((2, 3)), 0.0, 1.0, 4)
+            with pytest.raises(TypeError, match="propagates a BrightTrajectory, got function"):
+                propagate()
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 7, 257])
     def test_matches_left_multiplied_loop(self, steps):
         # Pins the factor order (later steps to the left) and the odd-length
-        # tail of the tree product against the plain sequential product.
-        t0, t1 = 0.0, 2.0
-        dt = (t1 - t0) / steps
-        u = np.eye(2, dtype=complex)
-        for j in range(steps):
-            u = expm_hermitian(smooth_noncommuting(t0 + (j + 0.5) * dt), dt).matrix @ u
-        res = evolve_time_ordered(smooth_noncommuting, t0, t1, steps)
-        assert np.linalg.norm(res.unitary.matrix - u) < 1e-12
+        # tail of the tree product against the plain sequential product of
+        # one h_eff exponential per midpoint, on both routes.
+        for traj in noncommuting_trajectories():
+            t0, t1 = traj.t_start, traj.t_end
+            dt = (t1 - t0) / steps
+            u = np.eye(traj.dim, dtype=complex)
+            for j in range(steps):
+                u = expm_hermitian(traj.h_eff(t0 + (j + 0.5) * dt), dt).matrix @ u
+            res = evolve_time_ordered(traj, t0, t1, steps)
+            assert np.linalg.norm(res.unitary.matrix - u) < 1e-12
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 7, 257, 10_000])
     def test_trajectory_matches_its_scalar_generator(self, steps):
@@ -164,7 +186,7 @@ class TestEvolveTimeOrdered:
         spec = GateSpec(n=3, psi=psi, phase_twist=0.9, t1=0.3137, t2=0.5711, theta_schedule="smooth")
         traj = stage_trajectory(spec)
         batched = evolve_time_ordered(traj, 0.0, spec.t3, steps).unitary.matrix
-        scalar = evolve_time_ordered(traj.h_eff, 0.0, spec.t3, steps).unitary.matrix
+        scalar = midpoint_reference(traj.h_eff, 0.0, spec.t3, steps)
         assert np.linalg.norm(batched - scalar) < 1e-12
 
     def test_rejects_broken_trajectory_sample(self):
@@ -209,8 +231,8 @@ class TestEvolveTimeOrdered:
     def test_rejects_misshapen_trajectory_sample(self, values_shape, derivatives_shape, vectorized):
         # Declared k = 1, dim = 2; an orthonormal sample of another shape
         # would otherwise be propagated as if it were declared.  The block
-        # route samples 4 midpoints at once; the scalar route (through
-        # ``h_eff``) samples one at a time and meets the same check.
+        # route samples 4 midpoints at once; ``h_eff`` samples one time and
+        # meets the same check.
         frame = np.eye(*values_shape, dtype=complex)
 
         def sampler(times):
@@ -222,26 +244,34 @@ class TestEvolveTimeOrdered:
             *(re.escape(str((m, *shape))) for shape in (values_shape, derivatives_shape, (1, 2)))
         )
         with pytest.raises(DimensionMismatch, match=named):
-            evolve_time_ordered(traj if vectorized else traj.h_eff, 0.0, 1.0, 4)
+            if vectorized:
+                evolve_time_ordered(traj, 0.0, 1.0, 4)
+            else:
+                traj.h_eff(0.125)
 
     def test_composition(self):
-        full = evolve_time_ordered(smooth_noncommuting, 0.0, 2.0, 4096)
-        first = evolve_time_ordered(smooth_noncommuting, 0.0, 1.0, 2048)
-        second = evolve_time_ordered(smooth_noncommuting, 1.0, 2.0, 2048)
-        glued = second.unitary.matrix @ first.unitary.matrix
-        assert np.linalg.norm(full.unitary.matrix - glued) < 1e-9
+        for traj in noncommuting_trajectories():
+            full = evolve_time_ordered(traj, 0.0, 1.5, 4096)
+            first = evolve_time_ordered(traj, 0.0, 0.75, 2048)
+            second = evolve_time_ordered(traj, 0.75, 1.5, 2048)
+            glued = second.unitary.matrix @ first.unitary.matrix
+            assert np.linalg.norm(full.unitary.matrix - glued) < 1e-9
 
     def test_second_order_convergence(self):
-        # Halving dt should reduce the error by ~4x for the midpoint rule.
+        # Halving dt should reduce the error by ~4x for the midpoint rule;
+        # the two-bright frame takes the H_eff + eigh step (the one-bright
+        # closed form is checked below).
+        spun = noncommuting_trajectories()[1]
+
         def unitary(steps):
-            return evolve_time_ordered(smooth_noncommuting, 0.0, 2.0, steps).unitary.matrix
+            return evolve_time_ordered(spun, 0.0, 1.5, steps).unitary.matrix
 
         for ratio in halving_ratios(unitary):
             assert 3.0 < ratio < 5.0
 
     @pytest.mark.parametrize(
         "trajectory",
-        [stirap_trajectory(1.3, "smooth"), BrightTrajectory(3, 1, 0.0, 1.5, twisted_sampler)],
+        [stirap_trajectory(1.3, "smooth"), noncommuting_trajectories()[0]],
         ids=["stirap-smooth", "twisted"],
     )
     def test_second_order_convergence_of_the_trajectory_route(self, trajectory):
@@ -269,8 +299,8 @@ class TestEvolveTimeOrdered:
         assert matrix_distance(backward.matrix, forward.matrix.conj().T, "exact") < 1e-8
 
     def test_unitarity_error_reported_small(self):
-        res = evolve_time_ordered(smooth_noncommuting, 0.0, 2.0, 4096)
-        assert res.unitarity_error < 1e-8
+        for traj in noncommuting_trajectories():
+            assert evolve_time_ordered(traj, 0.0, 1.5, 4096).unitarity_error < 1e-8
 
 
 class TestEvolveFullAdiabatic:
@@ -500,9 +530,10 @@ class TestStatePropagation:
         return unitary, start, states, 1e-10
 
     def time_ordered(self):
-        start = np.array([0.6, 0.8j], dtype=complex)
-        unitary = evolve_time_ordered(smooth_noncommuting, 0.0, 2.0, 257).unitary
-        _, states = evolve_state_time_ordered(smooth_noncommuting, 0.0, 2.0, 257, start)
+        twisted = noncommuting_trajectories()[0]
+        start = np.array([0.6, 0.8j, 0.0], dtype=complex)
+        unitary = evolve_time_ordered(twisted, 0.0, 1.5, 257).unitary
+        _, states = evolve_state_time_ordered(twisted, 0.0, 1.5, 257, start)
         return unitary, start, states, 1e-12
 
     @pytest.mark.parametrize("route", ["full", "time_ordered"])
@@ -513,23 +544,24 @@ class TestStatePropagation:
     @pytest.mark.parametrize("steps", [0, -3])
     def test_time_ordered_rejects_empty_grid(self, steps):
         with pytest.raises(ValueError, match="steps"):
-            evolve_state_time_ordered(smooth_noncommuting, 0.0, 1.0, steps, np.array([1.0, 0.0]))
+            evolve_state_time_ordered(noncommuting_trajectories()[0], 0.0, 1.0, steps, np.eye(3)[0])
 
     @pytest.mark.parametrize("t0, t1", [(1.0, 1.0), (1.0, 0.0)])
     def test_time_ordered_rejects_reversed_interval(self, t0, t1):
         with pytest.raises(ValueError, match="t1 > t0"):
-            evolve_state_time_ordered(smooth_noncommuting, t0, t1, 8, np.array([1.0, 0.0]))
+            evolve_state_time_ordered(noncommuting_trajectories()[0], t0, t1, 8, np.eye(3)[0])
 
     def test_record_every_keeps_recorded_steps_and_last(self):
-        start = np.array([1.0, 0.0], dtype=complex)
-        all_times, all_states = evolve_state_time_ordered(smooth_noncommuting, 0.5, 1.5, 10, start)
-        times, states = evolve_state_time_ordered(smooth_noncommuting, 0.5, 1.5, 10, start, record_every=4)
+        twisted = noncommuting_trajectories()[0]
+        start = np.array([1.0, 0.0, 0.0], dtype=complex)
+        all_times, all_states = evolve_state_time_ordered(twisted, 0.5, 1.5, 10, start)
+        times, states = evolve_state_time_ordered(twisted, 0.5, 1.5, 10, start, record_every=4)
         assert len(all_times) == 11
         np.testing.assert_allclose(all_times, 0.5 + 0.1 * np.arange(11), rtol=0, atol=1e-15)
         np.testing.assert_array_equal(times, all_times[[0, 4, 8, 10]])
         np.testing.assert_array_equal(states, all_states[[0, 4, 8, 10]])
         with pytest.raises(ValueError, match="record_every"):
-            evolve_state_time_ordered(smooth_noncommuting, 0.5, 1.5, 10, start, record_every=0)
+            evolve_state_time_ordered(twisted, 0.5, 1.5, 10, start, record_every=0)
 
 
 class TestOnePass:
