@@ -25,6 +25,7 @@ from .gates import (
     compose_gate,
     extract_geometric_phase,
     gate_coupling_schedule,
+    simulate_full_gate,
     simulate_gate,
     stage_trajectory,
     stirap_transfer,
@@ -101,6 +102,7 @@ __all__ = [
     "projector_from_frame",
     "rectangle_loop",
     "reparametrize",
+    "simulate_full_gate",
     "simulate_gate",
     "stage_trajectory",
     "stirap_transfer",

@@ -25,8 +25,8 @@ from .effective import h_eff_couplings, h_eff_multi
 from .gates import (
     GateSpec,
     compose_gate,
-    gate_coupling_schedule,
     logical_block,
+    simulate_full_gate,
     simulate_gate,
     stage_trajectory,
     stirap_transfer,
@@ -43,7 +43,6 @@ from .morris_shore import TwoManifoldSystem, morris_shore_transform
 from .propagators import (
     AdiabaticRunConfig,
     dark_block,
-    evolve_full_sweep,
     evolve_time_ordered,
     leakage,
     reparametrize,
@@ -157,7 +156,6 @@ def criterion_4_connection_oracle(seed: int = DEFAULT_SEED) -> CriterionResult:
 def criterion_5_full_dynamics(seed: int = DEFAULT_SEED) -> CriterionResult:
     """The full Schroedinger oracle converges to the geometric prediction."""
     spec = _reference_gate(theta_schedule="smooth", phi_schedule="smooth")
-    schedule = gate_coupling_schedule(spec)
     geometric = logical_block(compose_gate(spec), spec.n)
     logical = np.zeros((2, 4), dtype=complex)
     logical[0, 0] = logical[1, 1] = 1.0
@@ -169,7 +167,7 @@ def criterion_5_full_dynamics(seed: int = DEFAULT_SEED) -> CriterionResult:
         return distance, leakage(result.unitary, logical, p_logical)
 
     runs = [AdiabaticRunConfig(omega_T=omega_T, steps=65536) for omega_T in (2000, 250, 1000, 4000)]
-    (dist_2000, leak_2000), *rest = map(measure, evolve_full_sweep(schedule, runs))
+    (dist_2000, leak_2000), *rest = map(measure, simulate_full_gate(spec, runs))
     sweep = [distance for distance, _ in rest]
     decreasing = sweep[0] > sweep[1] > sweep[2]
     passed = leak_2000 < 1e-3 and dist_2000 < 1e-2 and decreasing

@@ -40,8 +40,8 @@ from .gates import (
     MIN_GATE_STEPS,
     GateSpec,
     compose_gate,
-    gate_coupling_schedule,
     logical_block,
+    simulate_full_gate,
     simulate_gate,
     stage_trajectory,
     stirap_trajectory,
@@ -54,8 +54,6 @@ from .propagators import (
     AdiabaticRunConfig,
     StateTrace,
     dark_block,
-    evolve_full_adiabatic,
-    evolve_full_sweep,
     leakage,
 )
 
@@ -374,7 +372,7 @@ def _run_gate(config: ScenarioConfig, trace: StateTrace | None = None) -> dict:
         diag["unitarity_error"] = max(diag["unitarity_error"], report.propagation.unitarity_error)
 
     if "full" in config.methods:
-        result = evolve_full_adiabatic(gate_coupling_schedule(spec), config.full_runs[0], trace)
+        (result,) = simulate_full_gate(spec, config.full_runs, trace)
         logical = np.eye(spec.n - 1, spec.n + 1, dtype=complex)
         blk = dark_block(result.unitary, logical, logical)
         unitaries["full"] = result.unitary.matrix
@@ -445,13 +443,12 @@ def _run_loop(config: ScenarioConfig) -> dict:
 
 def _run_compare(config: ScenarioConfig) -> dict:
     spec = config.spec
-    schedule = gate_coupling_schedule(spec)
     geo_block = logical_block(compose_gate(spec), spec.n)
     logical = np.eye(spec.n - 1, spec.n + 1, dtype=complex)
     p_logical = projector_from_frame(logical)
     sweep = []
     worst_unitarity = 0.0
-    for run_config, result in zip(config.full_runs, evolve_full_sweep(schedule, config.full_runs)):
+    for run_config, result in zip(config.full_runs, simulate_full_gate(spec, config.full_runs)):
         blk = dark_block(result.unitary, logical, logical)
         sweep.append(
             {

@@ -5,7 +5,9 @@ closed three-piece path: from the auxiliary level |n> into a chosen logical
 superposition psi and back, with a phase twist in between.  The dark
 (logical) space returns to itself having acquired a relative phase on psi;
 the whole construction needs only the bright trajectory, never a dark
-basis.
+basis.  The drive couples only psi and |n-1> to the excited level, so the
+full Schroedinger oracle (``simulate_full_gate``) runs on those three
+levels and its cost does not grow with n.
 
 Stage boundaries (times t1 < t2 < t3) and ramp profiles are configurable;
 the geometric result depends only on the traced path, not on the schedule,
@@ -15,18 +17,21 @@ which the tests exercise directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
 from .effective import BrightTrajectory
-from .errors import NotNormalized
+from .errors import DimensionMismatch, NotNormalized
 from .lambda_system import CouplingSet
 from .linalg import UnitaryOperator, matrix_distance
 from .propagators import (
     DEFAULT_GEOMETRIC_STEPS,
+    AdiabaticRunConfig,
     PropagationResult,
     StateTrace,
+    evolve_full_adiabatic,
+    evolve_full_sweep,
     evolve_time_ordered,
 )
 from .ramps import check_ramp, ramp_rate, ramp_value
@@ -162,19 +167,16 @@ def compose_gate(spec: GateSpec) -> UnitaryOperator:
     return u3 @ u2 @ u1
 
 
-def gate_coupling_schedule(spec: GateSpec, omega: float = 1.0):
-    """The gate's bright path expressed as Lambda drive couplings.
+def gate_coupling_schedule(spec: GateSpec):
+    """The gate's bright path as a two-level Lambda drive on the ground
+    directions p = psi and a = |n-1> (the first columns of ``_core_frame``):
+    the bright state sin(theta/2) e^{i twist} psi + cos(theta/2) |n-1>.
 
     Returns a callable progress -> CouplingSet whose ``sample`` attribute,
     the form the full-dynamics oracle reads, evaluates whole progress arrays
-    at once as (r, phi, omega).  Amplitude fractions are |psi_i| scaled by
-    the mixing angle (always non-negative); the drive phases carry
-    arg(psi_i) plus the accumulated twist.
+    at once as (r, phi, omega) = ((sin theta/2, cos theta/2), (twist, 0), 1).
     """
-    psi, twist = spec.psi, spec.phase_twist
-    amp = np.abs(psi)
-    arg = np.angle(psi)
-    t3 = spec.t3
+    twist, t3 = spec.phase_twist, spec.t3
 
     def arrays(progress) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t = np.atleast_1d(np.asarray(progress, dtype=float)) * t3
@@ -189,14 +191,9 @@ def gate_coupling_schedule(spec: GateSpec, omega: float = 1.0):
         twist_now[in2] = twist * ramp_value(spec.phi_schedule, (t[in2] - spec.t1) / (spec.t2 - spec.t1))
         theta[in3] = np.pi * (1.0 - ramp_value(spec.theta_schedule, (t[in3] - spec.t2) / (spec.t3 - spec.t2)))
         twist_now[in3] = twist
-        s, cpart = np.sin(theta / 2), np.cos(theta / 2)
-        r = np.empty((t.size, spec.n))
-        phi = np.empty((t.size, spec.n))
-        r[:, : spec.n - 1] = s[:, None] * amp[None, : spec.n - 1]
-        r[:, spec.n - 1] = cpart
-        phi[:, : spec.n - 1] = arg[None, : spec.n - 1] + twist_now[:, None]
-        phi[:, spec.n - 1] = 0.0
-        return r, phi, np.full(t.size, float(omega))
+        r = np.stack([np.sin(theta / 2), np.cos(theta / 2)], axis=-1)
+        phi = np.stack([twist_now, np.zeros_like(twist_now)], axis=-1)
+        return r, phi, np.ones(t.size)
 
     def schedule(progress: float) -> CouplingSet:
         r, phi, om = arrays(progress)
@@ -204,6 +201,72 @@ def gate_coupling_schedule(spec: GateSpec, omega: float = 1.0):
 
     schedule.sample = arrays
     return schedule
+
+
+def _core_frame(spec: GateSpec) -> np.ndarray:
+    """Pi, the (n+1, 3) isometry onto the gate's coupled core: the columns
+    p = psi and a = |n-1> of ``gate_coupling_schedule``, then the excited
+    level |n>."""
+    frame = np.zeros((spec.n + 1, 3), dtype=complex)
+    frame[: spec.n - 1, 0] = spec.psi[: spec.n - 1]
+    frame[spec.n - 1, 1] = 1.0
+    frame[spec.n, 2] = 1.0
+    return frame
+
+
+def _core_trace(trace: StateTrace, frame: np.ndarray) -> StateTrace:
+    """A trace of the core that carries Pi^dag psi0 and hands the trace's
+    sink psi_perp + rows Pi^T: the part of psi0 outside the core never moves."""
+    state = np.asarray(trace.state, dtype=complex)
+    if state.shape != frame.shape[:1]:
+        raise DimensionMismatch(f"trace state has shape {state.shape}, but the gate acts on {frame.shape[:1]}")
+    core = frame.conj().T @ state
+    outside = state - frame @ core
+
+    def sink(times: np.ndarray, rows: np.ndarray) -> None:
+        # Broadcast, not a matmul: BLAS may spread a (rows, 3) @ (3, n+1)
+        # product over threads, which costs more CPU than it saves.
+        states = np.broadcast_to(outside, (len(rows), outside.size)).copy()
+        for column, amplitudes in zip(frame.T, rows.T):
+            states += amplitudes[:, None] * column
+        trace.sink(times, states)
+
+    return StateTrace(core, sink, trace.record_every)
+
+
+def simulate_full_gate(
+    spec: GateSpec,
+    runs: Sequence[AdiabaticRunConfig],
+    trace: StateTrace | None = None,
+) -> list[PropagationResult]:
+    """The full Schroedinger oracle of the gate, once per Omega*T run.
+
+    The drive couples only span{psi, |n-1>} to the excited level (every
+    other ground state is dark at all times), so each run propagates the
+    three-level core of ``gate_coupling_schedule`` (one run through
+    ``evolve_full_adiabatic``, several through ``evolve_full_sweep``) and
+    embeds its polar-projected W as U = 1 - Pi Pi^dag + Pi W Pi^dag on the
+    n+1 levels; ``unitarity_error`` is the polar drift of W.  A ``trace``
+    (one run only) carries an (n+1)-level state, with times in normalized
+    progress units.
+    """
+    schedule = gate_coupling_schedule(spec)
+    frame = _core_frame(spec)
+    if trace is not None:
+        if len(runs) != 1:
+            raise ValueError(f"a trace follows one run, got {len(runs)}")
+        trace = _core_trace(trace, frame)
+    cores = [evolve_full_adiabatic(schedule, runs[0], trace)] if len(runs) == 1 else evolve_full_sweep(schedule, runs)
+    outside = np.eye(spec.n + 1) - frame @ frame.conj().T
+    return [
+        PropagationResult(
+            unitary=UnitaryOperator(outside + frame @ core.unitary.matrix @ frame.conj().T),
+            steps=core.steps,
+            unitarity_error=core.unitarity_error,
+            method="full",
+        )
+        for core in cores
+    ]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Literal, Protocol, Sequence
 import numpy as np
 
 from .effective import BrightTrajectory, _checked_frames, _h_eff_stack
-from .errors import NonMonotoneMap
+from .errors import DimensionMismatch, NonMonotoneMap
 from .lambda_system import _check_drive
 from .linalg import (
     HermitianOperator,
@@ -215,10 +215,14 @@ class StateTrace:
 
 def _traced(blocks: Iterable[np.ndarray], trace: StateTrace, t0: float, t1: float, steps: int) -> Iterator[np.ndarray]:
     """Pass a stream of factor blocks through, applying each factor in order
-    to the trace's state and handing each block's recorded rows to its sink."""
+    to the trace's state and handing each block's recorded rows to its sink.
+    A state whose length is not the factors' dimension raises
+    ``DimensionMismatch`` before the first step."""
     psi = np.asarray(trace.state, dtype=complex)
     marks, rows, j = [0], [psi], 0
     for block in blocks:
+        if psi.shape != block.shape[-1:]:
+            raise DimensionMismatch(f"trace state has shape {psi.shape}, but the step factors are {block.shape[1:]}")
         for factor in block:
             psi = factor.dot(psi)
             j += 1

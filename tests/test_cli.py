@@ -26,8 +26,9 @@ from brightpath.cli import (
     run_scenario,
 )
 from brightpath.errors import ConfigError
-from brightpath.gates import gate_coupling_schedule, stage_trajectory
-from brightpath.propagators import FULL_BLOCK, evolve_state_full, evolve_state_time_ordered
+from brightpath import gates
+from brightpath.gates import gate_coupling_schedule, simulate_full_gate, stage_trajectory
+from brightpath.propagators import FULL_BLOCK, StateTrace, evolve_state_time_ordered
 
 
 def strip_timing(report):
@@ -310,7 +311,7 @@ class TestTimeseries:
 
             return SimpleNamespace(sample=sample)
 
-        monkeypatch.setattr(cli, "gate_coupling_schedule", breaking_schedule)
+        monkeypatch.setattr(gates, "gate_coupling_schedule", breaking_schedule)
         path.write_text("a stale series\n")
         assert main(["gate", "--method", "full", "--timeseries", str(path)]) == EXIT_NUMERICAL
         assert "omega must be positive" in capsys.readouterr().err
@@ -367,8 +368,9 @@ def recorded_states(config, record_every):
     if config.kind == "stirap":
         times, states = evolve_state_time_ordered(config.trajectory, 0.0, 1.0, config.steps, reference, record_every)
     elif "full" in config.methods:
-        schedule = gate_coupling_schedule(config.spec)
-        times, states = evolve_state_full(schedule, config.full_runs[0], reference, record_every)
+        blocks = []
+        simulate_full_gate(config.spec, config.full_runs, StateTrace(reference, lambda *rows: blocks.append(rows), record_every))
+        times, states = map(np.concatenate, zip(*blocks))
     else:
         trajectory = stage_trajectory(config.spec)
         times, states = evolve_state_time_ordered(trajectory, 0.0, config.spec.t3, config.steps, reference, record_every)

@@ -3,19 +3,28 @@ import pytest
 
 from brightpath.gates import (
     GateSpec,
+    _core_frame,
     analytic_stage_unitaries,
     compose_gate,
     extract_geometric_phase,
     gate_coupling_schedule,
     logical_block,
+    simulate_full_gate,
     simulate_gate,
     stage_trajectory,
     stirap_transfer,
 )
-from brightpath.errors import NotNormalized
+from brightpath.errors import DimensionMismatch, NotNormalized
 from brightpath.linalg import matrix_distance
-from brightpath.propagators import evolve_time_ordered
-from conftest import validate_trajectory
+from brightpath.propagators import (
+    FULL_BLOCK,
+    AdiabaticRunConfig,
+    StateTrace,
+    evolve_full_sweep,
+    evolve_state_full,
+    evolve_time_ordered,
+)
+from conftest import random_state, reference_gate_drive, validate_trajectory
 
 
 def spec_pi3(n=3, **kwargs):
@@ -251,9 +260,10 @@ class TestGateCouplingSchedule:
         traj = stage_trajectory(spec)
         from brightpath.lambda_system import bright_state
 
+        span = _core_frame(spec)[: spec.n, :2]
         for progress in (0.05, 0.3, 0.55, 0.8, 0.99):
             c = schedule(progress)
-            b = bright_state(c)
+            b = span @ bright_state(c)
             expected = traj.value(progress * spec.t3)[0]
             # The coupling construction may differ by a global phase only on
             # the all-auxiliary end points; compare ray distance.
@@ -270,6 +280,74 @@ class TestGateCouplingSchedule:
             np.testing.assert_allclose(c.r, r[i], atol=0)
             np.testing.assert_allclose(c.phi, phi[i], atol=0)
             assert c.omega == omega[i]
+
+
+def full_gate_spec(n, psi):
+    state = np.zeros(n, dtype=complex)
+    state[: len(psi)] = psi
+    return GateSpec(n=n, psi=state, phase_twist=0.9, t1=0.3137, t2=0.5711, theta_schedule="smooth", phi_schedule="smooth")
+
+
+FULL_GATES = {
+    "n3": full_gate_spec(3, [0.6, 0.8j]),
+    "n4": full_gate_spec(4, np.array([1.0, 1j, -1.0]) / np.sqrt(3)),
+    "n5": full_gate_spec(5, [0.5, 0.5, 0.5j, 0.5]),
+    "n5-cphase": full_gate_spec(5, [0.0, 0.0, 0.0, 1.0]),
+}
+
+
+class TestSimulateFullGate:
+    """The gate's three-level core, embedded in n+1 levels, against the
+    (n+1)-level oracle on the reference drive."""
+
+    STEPS = 2 * FULL_BLOCK + 5  # the last block is partial
+
+    def runs(self, omega_Ts=(40.0, 7.5, 130.0)):
+        return [AdiabaticRunConfig(omega_T=w, steps=self.STEPS, ramp="smooth") for w in omega_Ts]
+
+    @pytest.mark.parametrize("name", sorted(FULL_GATES))
+    def test_sweep_matches_the_full_oracle(self, name):
+        spec = FULL_GATES[name]
+        runs = self.runs()
+        got = simulate_full_gate(spec, runs)
+        want = evolve_full_sweep(reference_gate_drive(spec), runs)
+        assert len(got) == len(runs)
+        for run, core, full in zip(runs, got, want):
+            assert np.linalg.norm(core.unitary.matrix - full.unitary.matrix) <= 1e-12
+            assert (core.steps, core.method) == (run.steps, "full")
+            assert core.unitarity_error <= 1e-12
+            # A sweep of one run is the single run, bit for bit.
+            (single,) = simulate_full_gate(spec, [run])
+            assert np.array_equal(single.unitary.matrix, core.unitary.matrix)
+            assert single.unitarity_error == core.unitarity_error
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("name", sorted(FULL_GATES))
+    def test_trace_matches_the_full_oracle(self, name, record_every, rng):
+        # A start state with support outside the core, which must stay put.
+        spec = FULL_GATES[name]
+        (run,) = self.runs((40.0,))
+        start = random_state(rng, spec.n + 1)
+        blocks = []
+        (traced,) = simulate_full_gate(spec, [run], StateTrace(start, lambda *rows: blocks.append(rows), record_every))
+        times, states = map(np.concatenate, zip(*blocks))
+        want_times, want_states = evolve_state_full(reference_gate_drive(spec), run, start, record_every)
+        assert np.array_equal(times, want_times)
+        assert np.max(np.linalg.norm(states - want_states, axis=1)) <= 1e-12
+        (untraced,) = simulate_full_gate(spec, [run])
+        assert np.array_equal(traced.unitary.matrix, untraced.unitary.matrix)
+
+    def test_a_trace_follows_one_run(self):
+        start = np.zeros(4, dtype=complex)
+        start[0] = 1.0
+        with pytest.raises(ValueError, match="one run, got 3"):
+            simulate_full_gate(FULL_GATES["n3"], self.runs(), StateTrace(start, lambda *rows: None))
+
+    def test_a_trace_of_the_wrong_length_is_rejected(self):
+        rows = []
+        with pytest.raises(DimensionMismatch, match=r"shape \(3,\), but the gate acts on \(4,\)"):
+            simulate_full_gate(FULL_GATES["n3"], self.runs((40.0,)), StateTrace(np.eye(3)[0], lambda *block: rows.append(block)))
+        assert rows == []
 
 
 class TestStirap:

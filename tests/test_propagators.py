@@ -7,7 +7,7 @@ import pytest
 
 from brightpath.effective import BrightTrajectory
 from brightpath.errors import DerivativeInconsistent, DimensionMismatch, NonMonotoneMap, NotOrthonormal
-from brightpath.gates import GateSpec, gate_coupling_schedule, simulate_gate, stage_trajectory, stirap_trajectory
+from brightpath.gates import GateSpec, simulate_gate, stage_trajectory, stirap_trajectory
 from brightpath.lambda_system import CouplingSet, bright_state
 from brightpath.linalg import expm_hermitian, matrix_distance, projector_from_frame
 from brightpath.propagators import (
@@ -27,7 +27,7 @@ from brightpath.propagators import (
     reparametrize,
 )
 from brightpath.ramps import ramp_value
-from conftest import midpoint_reference
+from conftest import midpoint_reference, reference_gate_drive
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -378,7 +378,7 @@ def off_grid_gate(n=3):
 
 
 def gate_schedule(n=3):
-    return gate_coupling_schedule(off_grid_gate(n))
+    return reference_gate_drive(off_grid_gate(n))
 
 
 class TestBlockedOracle:
@@ -577,7 +577,7 @@ class TestOnePass:
         spec = off_grid_gate()
         if route == "gate-effective":
             return simulate_gate(spec, 10_000, trace).propagation
-        return evolve_full_adiabatic(gate_coupling_schedule(spec), AdiabaticRunConfig(omega_T=2000.0, steps=65536), trace)
+        return evolve_full_adiabatic(reference_gate_drive(spec), AdiabaticRunConfig(omega_T=2000.0, steps=65536), trace)
 
     @pytest.mark.parametrize("route", sorted(DIMS))
     def test_last_state_is_the_unitary_applied_to_the_start(self, route):
@@ -593,6 +593,21 @@ class TestOnePass:
         assert np.array_equal(blocks[0][1][0], start)
         assert np.linalg.norm(blocks[-1][1][-1] - result.unitary.matrix @ start) <= 1e-12
         assert result.unitarity_error <= 1e-12
+
+    @pytest.mark.parametrize("route", ["time_ordered", "full"])
+    def test_a_state_of_the_wrong_length_is_rejected_before_the_first_step(self, route):
+        # The factors act on 2 (time-ordered) or 4 (full) levels; the state has 3.
+        rows = []
+        trace = StateTrace(np.ones(3, dtype=complex) / np.sqrt(3), lambda *block: rows.append(block))
+        if route == "time_ordered":
+            shapes = r"shape \(3,\), but the step factors are \(2, 2\)"
+            run = lambda: evolve_time_ordered(rotating_trajectory(), 0.0, np.pi / 2, 64, trace)
+        else:
+            shapes = r"shape \(3,\), but the step factors are \(4, 4\)"
+            run = lambda: evolve_full_adiabatic(held(CONSTANT_LAMBDA), AdiabaticRunConfig(omega_T=1.9, steps=64), trace)
+        with pytest.raises(DimensionMismatch, match=shapes):
+            run()
+        assert rows == []
 
     def test_a_block_with_no_recorded_step_is_not_handed_on(self):
         blocks = []
