@@ -5,9 +5,11 @@ closed three-piece path: from the auxiliary level |n> into a chosen logical
 superposition psi and back, with a phase twist in between.  The dark
 (logical) space returns to itself having acquired a relative phase on psi;
 the whole construction needs only the bright trajectory, never a dark
-basis.  The drive couples only psi and |n-1> to the excited level, so the
-full Schroedinger oracle (``simulate_full_gate``) runs on those three
-levels and its cost does not grow with n.
+basis.  The stage formulas are written once, in ``stage_trajectory``.  The
+drive couples only psi and |n-1> to the excited level, so the full
+Schroedinger oracle (``simulate_full_gate``) runs the same path on those
+three levels (``gate_coupling_schedule``), and its cost does not grow
+with n.
 
 Stage boundaries (times t1 < t2 < t3) and ramp profiles are configurable;
 the geometric result depends only on the traced path, not on the schedule,
@@ -16,21 +18,19 @@ which the tests exercise directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 import numpy as np
 
 from .effective import BrightTrajectory
 from .errors import DimensionMismatch, NotNormalized
-from .lambda_system import CouplingSet
 from .linalg import UnitaryOperator, matrix_distance
 from .propagators import (
     DEFAULT_GEOMETRIC_STEPS,
     AdiabaticRunConfig,
     PropagationResult,
     StateTrace,
-    evolve_full_adiabatic,
     evolve_full_sweep,
     evolve_time_ordered,
 )
@@ -88,55 +88,46 @@ class GateSpec:
 
 
 def stage_trajectory(spec: GateSpec) -> BrightTrajectory:
-    """The gate's bright path: |n> -> psi -> (phase twist) -> back to |n>.
+    """The gate's bright path on [0, t3]: |n-1> -> psi -> (phase twist) -> back.
 
-    Piece 1 rotates the bright state from the auxiliary level into psi
-    (mixing angle 0 -> pi), piece 2 multiplies it by e^{i phi(t)} up to the
-    twist angle, piece 3 rotates back.  The concatenation is continuous
-    with analytic derivatives inside each piece.
+    B = e^{i phi} sin(theta/2) psi + cos(theta/2) |n-1>, with Bdot by the
+    chain rule.  The mixing angle theta rises 0 -> pi on [0, t1], the phase
+    phi turns 0 -> twist on [t1, t2], and theta falls back to 0 on
+    [t2, t3], each along its schedule's ramp.  B is continuous; Bdot jumps
+    at the breakpoints t1 and t2, each of which belongs to the stage on its
+    right.
     """
-    psi, aux, twist = spec.psi, spec.auxiliary, spec.phase_twist
+    psi, n, twist = spec.psi, spec.n, spec.phase_twist
+    t1, t2, t3 = spec.t1, spec.t2, spec.t3
 
-    def rotation_piece(t_lo: float, t_hi: float, theta_of, theta_rate, phase: complex) -> BrightTrajectory:
-        def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            th, rate = theta_of(times)[:, None], theta_rate(times)[:, None]
-            values = phase * np.sin(th / 2) * psi + np.cos(th / 2) * aux
-            derivatives = (rate / 2) * (phase * np.cos(th / 2) * psi - np.sin(th / 2) * aux)
-            return values[:, None, :], derivatives[:, None, :]
+    def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        theta, phi = np.full(times.shape, np.pi), np.where(times < t2, 0.0, twist)
+        theta_rate, phi_rate = np.zeros(times.shape), np.zeros(times.shape)
+        rise, fall = times < t1, t2 <= times
+        # (stage, profile, its rate, ramp, interval, start value, change)
+        for inside, angle, rate, ramp, lo, hi, start, change in (
+            (rise, theta, theta_rate, spec.theta_schedule, 0.0, t1, 0.0, np.pi),
+            (~(rise | fall), phi, phi_rate, spec.phi_schedule, t1, t2, 0.0, twist),
+            (fall, theta, theta_rate, spec.theta_schedule, t2, t3, np.pi, -np.pi),
+        ):
+            s = (times[inside] - lo) / (hi - lo)
+            angle[inside] = start + change * ramp_value(ramp, s)
+            rate[inside] = change * ramp_rate(ramp, s) / (hi - lo)
+        sin, cos, turned = np.sin(theta / 2), np.cos(theta / 2), np.exp(1j * phi)
+        across = np.empty(times.shape, dtype=complex)
+        across.real, across.imag = 0.5 * theta_rate * cos, phi_rate * sin
+        along, across = turned * sin, turned * across
+        # Column by column: a broadcast (M, 1) x (n,) complex product costs
+        # several times more, and the one-hot |n-1> needs no product at all.
+        values, derivatives = np.empty((2, times.size, 1, n), dtype=complex)
+        for level, amplitude in enumerate(psi):
+            np.multiply(along, amplitude, out=values[:, 0, level])
+            np.multiply(across, amplitude, out=derivatives[:, 0, level])
+        values[:, 0, n - 1] += cos
+        derivatives[:, 0, n - 1] -= 0.5 * theta_rate * sin
+        return values, derivatives
 
-        return BrightTrajectory(spec.n, 1, t_lo, t_hi, sampler)
-
-    span1 = spec.t1
-    stage1 = rotation_piece(
-        0.0,
-        spec.t1,
-        lambda t: np.pi * ramp_value(spec.theta_schedule, t / span1),
-        lambda t: np.pi * ramp_rate(spec.theta_schedule, t / span1) / span1,
-        1.0 + 0.0j,
-    )
-
-    span2 = spec.t2 - spec.t1
-
-    def twist_sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        progress = (times - spec.t1) / span2
-        phi = twist * ramp_value(spec.phi_schedule, progress)
-        rate = twist * ramp_rate(spec.phi_schedule, progress) / span2
-        values = np.exp(1j * phi)[:, None] * psi
-        derivatives = (1j * rate * np.exp(1j * phi))[:, None] * psi
-        return values[:, None, :], derivatives[:, None, :]
-
-    stage2 = BrightTrajectory(spec.n, 1, spec.t1, spec.t2, twist_sampler)
-
-    span3 = spec.t3 - spec.t2
-    stage3 = rotation_piece(
-        spec.t2,
-        spec.t3,
-        lambda t: np.pi * (1.0 - ramp_value(spec.theta_schedule, (t - spec.t2) / span3)),
-        lambda t: -np.pi * ramp_rate(spec.theta_schedule, (t - spec.t2) / span3) / span3,
-        np.exp(1j * twist),
-    )
-
-    return BrightTrajectory.concatenate([stage1, stage2, stage3])
+    return BrightTrajectory(n, 1, 0.0, t3, sampler, (t1, t2))
 
 
 def analytic_stage_unitaries(spec: GateSpec) -> tuple[UnitaryOperator, UnitaryOperator, UnitaryOperator]:
@@ -167,46 +158,19 @@ def compose_gate(spec: GateSpec) -> UnitaryOperator:
     return u3 @ u2 @ u1
 
 
-def gate_coupling_schedule(spec: GateSpec):
-    """The gate's bright path as a two-level Lambda drive on the ground
-    directions p = psi and a = |n-1> (the first columns of ``_core_frame``):
-    the bright state sin(theta/2) e^{i twist} psi + cos(theta/2) |n-1>.
-
-    Returns a callable progress -> CouplingSet whose ``sample`` attribute,
-    the form the full-dynamics oracle reads, evaluates whole progress arrays
-    at once as (r, phi, omega) = ((sin theta/2, cos theta/2), (twist, 0), 1).
-    """
-    twist, t3 = spec.phase_twist, spec.t3
-
-    def arrays(progress) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        t = np.atleast_1d(np.asarray(progress, dtype=float)) * t3
-        theta = np.empty_like(t)
-        twist_now = np.empty_like(t)
-        in1 = t <= spec.t1
-        in2 = (t > spec.t1) & (t <= spec.t2)
-        in3 = t > spec.t2
-        theta[in1] = np.pi * ramp_value(spec.theta_schedule, t[in1] / spec.t1)
-        twist_now[in1] = 0.0
-        theta[in2] = np.pi
-        twist_now[in2] = twist * ramp_value(spec.phi_schedule, (t[in2] - spec.t1) / (spec.t2 - spec.t1))
-        theta[in3] = np.pi * (1.0 - ramp_value(spec.theta_schedule, (t[in3] - spec.t2) / (spec.t3 - spec.t2)))
-        twist_now[in3] = twist
-        r = np.stack([np.sin(theta / 2), np.cos(theta / 2)], axis=-1)
-        phi = np.stack([twist_now, np.zeros_like(twist_now)], axis=-1)
-        return r, phi, np.ones(t.size)
-
-    def schedule(progress: float) -> CouplingSet:
-        r, phi, om = arrays(progress)
-        return CouplingSet(omega=float(om[0]), r=r[0], phi=phi[0])
-
-    schedule.sample = arrays
-    return schedule
+def gate_coupling_schedule(spec: GateSpec) -> BrightTrajectory:
+    """The bright trajectory of the gate's core on progress [0, 1]: the
+    ``stage_trajectory`` of the same schedules on the ground directions
+    p = psi and a = |n-1> (the first columns of ``_core_frame``), with the
+    stage times divided by t3.  The full oracle reads it at Omega = 1."""
+    t1, t2, t3 = spec.t1, spec.t2, spec.t3
+    return stage_trajectory(replace(spec, n=2, psi=np.array([1.0, 0.0]), t1=t1 / t3, t2=t2 / t3, t3=1.0))
 
 
 def _core_frame(spec: GateSpec) -> np.ndarray:
-    """Pi, the (n+1, 3) isometry onto the gate's coupled core: the columns
-    p = psi and a = |n-1> of ``gate_coupling_schedule``, then the excited
-    level |n>."""
+    """Pi, the (n+1, 3) isometry onto the gate's coupled core: the ground
+    directions p = psi and a = |n-1> of ``gate_coupling_schedule``, then the
+    excited level |n>."""
     frame = np.zeros((spec.n + 1, 3), dtype=complex)
     frame[: spec.n - 1, 0] = spec.psi[: spec.n - 1]
     frame[spec.n - 1, 1] = 1.0
@@ -242,31 +206,18 @@ def simulate_full_gate(
     """The full Schroedinger oracle of the gate, once per Omega*T run.
 
     The drive couples only span{psi, |n-1>} to the excited level (every
-    other ground state is dark at all times), so each run propagates the
-    three-level core of ``gate_coupling_schedule`` (one run through
-    ``evolve_full_adiabatic``, several through ``evolve_full_sweep``) and
-    embeds its polar-projected W as U = 1 - Pi Pi^dag + Pi W Pi^dag on the
-    n+1 levels; ``unitarity_error`` is the polar drift of W.  A ``trace``
-    (one run only) carries an (n+1)-level state, with times in normalized
-    progress units.
+    other ground state is dark at all times), so ``evolve_full_sweep``
+    propagates the three-level core driven by ``gate_coupling_schedule``
+    and each run's polar-projected W is embedded as
+    U = 1 - Pi Pi^dag + Pi W Pi^dag on the n+1 levels; ``unitarity_error``
+    is the polar drift of W.  A ``trace`` (one run only) carries an
+    (n+1)-level state, with times in normalized progress units.
     """
-    schedule = gate_coupling_schedule(spec)
     frame = _core_frame(spec)
-    if trace is not None:
-        if len(runs) != 1:
-            raise ValueError(f"a trace follows one run, got {len(runs)}")
-        trace = _core_trace(trace, frame)
-    cores = [evolve_full_adiabatic(schedule, runs[0], trace)] if len(runs) == 1 else evolve_full_sweep(schedule, runs)
+    trace = None if trace is None else _core_trace(trace, frame)
+    cores = evolve_full_sweep(gate_coupling_schedule(spec), runs, trace)
     outside = np.eye(spec.n + 1) - frame @ frame.conj().T
-    return [
-        PropagationResult(
-            unitary=UnitaryOperator(outside + frame @ core.unitary.matrix @ frame.conj().T),
-            steps=core.steps,
-            unitarity_error=core.unitarity_error,
-            method="full",
-        )
-        for core in cores
-    ]
+    return [replace(core, unitary=UnitaryOperator(outside + frame @ core.unitary.matrix @ frame.conj().T)) for core in cores]
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ class CouplingSet:
 
 def _check_drive(omega, r: np.ndarray) -> None:
     """The coupling-set invariants Omega > 0, r_i >= 0 and sum(r_i^2) = 1,
-    for one set (``r`` of shape (n,)) or per step (``omega`` (M,), ``r``
+    for one set (``r`` of shape (n,)) or a stack of amplitudes (``r``
     (M, n)).  Written so that non-finite values fail."""
     omega = np.asarray(omega, dtype=float)
     if not (omega > 0).all():

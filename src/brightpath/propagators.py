@@ -7,29 +7,29 @@ samples and checks each block and turns it into an (m, d, d) array of
 one-step exponentials: the exponential midpoint rule (second order, unitary
 by construction) for the generator H_eff of a bright trajectory, in closed
 form from the Gram matrix of (B, dt Bdot) for one bright state (no d x d
-H_eff is formed), or the closed-form Lambda step of the full (n+1)-level
-drive, the brute-force oracle the geometric methods are checked against.  A
-reducer consumes the blocks in order: it forms the ordered product (each
-block by a pairwise tree, then the block products by the same tree) and,
-given a ``StateTrace``, applies the same factors to one state and hands
-each block's recorded rows to the trace's sink, so a run's unitary and its
-state trajectory come from one pass.  No array longer than one block is
-built, so memory stays flat in the step count.  A sweep of full runs that
-differ only in Omega*T shares one step grid, so one sampled and checked
-drive per block feeds every run's factors; a single full run carries the
-bits of the sweep of one.
+H_eff is formed), or the closed-form step of the full (n+1)-level Lambda
+Hamiltonian Omega (|B><e| + h.c.), the brute-force oracle the geometric
+methods are checked against.  Its drive is one bright trajectory B on
+progress [0, 1] at Omega = 1, so B and Omega*T fix a run.  A reducer
+consumes the blocks in order: it forms the ordered product (each block by
+a pairwise tree, then the block products by the same tree) and, given a
+``StateTrace``, applies the same factors to one state and hands each
+block's recorded rows to the trace's sink, so a run's unitary and its state
+trajectory come from one pass.  No array longer than one block is built, so
+memory stays flat in the step count.  The full runs of a sweep over
+Omega*T share one step grid and one sampled, checked drive per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Literal, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
 from .effective import BrightTrajectory, _checked_frames, _h_eff_stack
-from .errors import DimensionMismatch, NonMonotoneMap
-from .lambda_system import _check_drive
+from .errors import DimensionMismatch, NonMonotoneMap, NotNormalized
+from .lambda_system import COUPLING_NORM_TOL
 from .linalg import (
     HermitianOperator,
     UnitaryOperator,
@@ -39,7 +39,6 @@ from .linalg import (
     as_frame,
     expm_hermitian,  # noqa: F401 -- kept importable as brightpath.propagators.expm_hermitian
 )
-from .ramps import check_ramp, ramp_value
 
 DEFAULT_GEOMETRIC_STEPS = 4096
 DEFAULT_FULL_STEPS = 65536
@@ -52,14 +51,6 @@ MAX_STEPS = 2**24
 
 # Points of [t0, t1] at which reparametrize checks that a time map increases.
 MONOTONICITY_CHECK_POINTS = 65
-
-
-class DriveSchedule(Protocol):
-    """A Lambda drive over normalized progress: ``sample(progress)`` returns
-    the amplitude fractions r (M, n), phases phi (M, n) and Rabi frequencies
-    omega (M,) at a 1-D array of progress values in [0, 1]."""
-
-    def sample(self, progress: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
 
 @dataclass(frozen=True)
@@ -77,20 +68,19 @@ class AdiabaticRunConfig:
     """Settings for a full-dynamics adiabatic run.
 
     ``omega_T`` is the dimensionless product of the Rabi frequency and the
-    total duration; the schedule itself is expressed over normalized
-    progress s in [0, 1], optionally reshaped by the ramp profile.
+    total duration; the drive itself is a bright trajectory over normalized
+    progress s in [0, 1].  A run on another clock propagates
+    ``reparametrize(drive, f, fprime, 0, 1)``.
     """
 
     omega_T: float
     steps: int = DEFAULT_FULL_STEPS
-    ramp: Literal["linear", "smooth"] = "linear"
 
     def __post_init__(self):
         if not (self.omega_T > 0 and np.isfinite(self.omega_T)):
             raise ValueError(f"omega_T must be positive and finite, got {self.omega_T}")
         if not 10 <= self.steps <= MAX_STEPS:
             raise ValueError(f"steps must be in [10, {MAX_STEPS}], got {self.steps}")
-        check_ramp(self.ramp)
 
 
 def _step_grid(t0: float, t1: float, steps: int) -> tuple[Iterator[np.ndarray], float]:
@@ -125,43 +115,28 @@ def _midpoint_factors(trajectory: BrightTrajectory, t0: float, t1: float, steps:
             yield _expm_hermitian_stack(_h_eff_stack(*trajectory.sample(mids), times=mids), dt)
 
 
-def _sample_drive(schedule: DriveSchedule, ramp: str, mids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bright states (M, n) and Rabi frequencies (M,) of a drive read at the
-    ramped progress midpoints of one block, through ``schedule.sample``.
-    Every step must satisfy the ``CouplingSet`` invariants."""
-    r, phi, omega = schedule.sample(ramp_value(ramp, mids))
-    r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
-    omega = np.broadcast_to(np.asarray(omega, dtype=float), mids.shape)
-    _check_drive(omega, r)
-    return r * np.exp(1j * phi), omega
+def _bright_states(values, progress: np.ndarray) -> np.ndarray:
+    """The (M, n) bright states of a drive sampled at ``progress``: one per
+    sample (else ``DimensionMismatch``), each normalized within
+    ``COUPLING_NORM_TOL`` (else ``NotNormalized`` names the first failing
+    progress; non-finite entries fail too)."""
+    values = np.asarray(values, dtype=complex)
+    if values.ndim != 3 or values.shape[:2] != (progress.size, 1):
+        raise DimensionMismatch(f"the full oracle needs one bright state per sample, (M, 1, n); got {values.shape}")
+    b = values[:, 0]
+    deviation = abs((b.real**2 + b.imag**2).sum(axis=1) - 1.0)
+    passed = deviation < COUPLING_NORM_TOL
+    if not passed.all():
+        j = int(np.argmin(passed))
+        raise NotNormalized(f"|<B|B> - 1| = {deviation[j]:.3e} exceeds {COUPLING_NORM_TOL:.1e} at progress={progress[j]:.6g}")
+    return b
 
 
-def _drive_phases(schedule: DriveSchedule, runs: Sequence[AdiabaticRunConfig]) -> Iterator[tuple[np.ndarray, list]]:
-    """The full drive of runs that share one step grid and ramp, sampled and
-    checked once per block: the block's bright states (M, n) and each run's
-    step phases Omega * dt (M,), with the run's duration omega_T / Omega
-    fixed by the first sample."""
-    steps, ramp = runs[0].steps, runs[0].ramp
-    blocks, _ = _step_grid(0.0, 1.0, steps)
-    dts = None
-    for mids in blocks:
-        b, omega = _sample_drive(schedule, ramp, mids)
-        if dts is None:
-            dts = [run.omega_T / omega[0] / steps for run in runs]
-        yield b, [omega * dt for dt in dts]
-
-
-def _drive_factors(schedule: DriveSchedule, config: AdiabaticRunConfig) -> Iterator[np.ndarray]:
-    """Exact step factors of one full run, one block at a time."""
-    for b, (phase,) in _drive_phases(schedule, [config]):
-        yield _lambda_step_factors(b, phase)
-
-
-def _lambda_step_factors(b: np.ndarray, phase: np.ndarray) -> np.ndarray:
+def _lambda_step_factors(b: np.ndarray, phase: float) -> np.ndarray:
     """Exact one-step propagators exp(-i H dt) for Lambda Hamiltonians.
 
-    ``b``: (M, n) bright states per step, ``phase``: (M,) values of
-    Omega * dt.  Each factor acts on n+1 levels and is the closed form
+    ``b``: (M, n) bright states per step, ``phase``: the step's Omega * dt.
+    Each factor acts on n+1 levels and is the closed form
     1 + (cos p - 1)(P_B + P_e) - i sin p (|B><e| + |e><B|), written block by
     block into one uninitialized stack.
     """
@@ -169,10 +144,10 @@ def _lambda_step_factors(b: np.ndarray, phase: np.ndarray) -> np.ndarray:
     factors = np.empty((m, n + 1, n + 1), dtype=complex)
     cosem = np.cos(phase) - 1.0
     sine = -1j * np.sin(phase)
-    np.multiply((cosem[:, None] * b)[:, :, None], b.conj()[:, None, :], out=factors[:, :n, :n])
+    np.multiply((cosem * b)[:, :, None], b.conj()[:, None, :], out=factors[:, :n, :n])
     factors.reshape(m, -1)[:, : n * (n + 2) : n + 2] += 1.0  # the diagonal of the ground block
-    np.multiply(sine[:, None], b, out=factors[:, :n, n])
-    np.multiply(sine[:, None], b.conj(), out=factors[:, n, :n])
+    np.multiply(sine, b, out=factors[:, :n, n])
+    np.multiply(sine, b.conj(), out=factors[:, n, :n])
     factors[:, n, n] = cosem + 1.0
     return factors
 
@@ -213,14 +188,16 @@ class StateTrace:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
 
-def _traced(blocks: Iterable[np.ndarray], trace: StateTrace, t0: float, t1: float, steps: int) -> Iterator[np.ndarray]:
-    """Pass a stream of factor blocks through, applying each factor in order
-    to the trace's state and handing each block's recorded rows to its sink.
-    A state whose length is not the factors' dimension raises
-    ``DimensionMismatch`` before the first step."""
+def _traced(trace: StateTrace, t0: float, t1: float, steps: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A per-block step: it applies each factor of a block in order to the
+    trace's state, hands the block's recorded rows to the trace's sink and
+    returns the block.  A state whose length is not the factors' dimension
+    raises ``DimensionMismatch`` before the first step."""
     psi = np.asarray(trace.state, dtype=complex)
     marks, rows, j = [0], [psi], 0
-    for block in blocks:
+
+    def step(block: np.ndarray) -> np.ndarray:
+        nonlocal psi, marks, rows, j
         if psi.shape != block.shape[-1:]:
             raise DimensionMismatch(f"trace state has shape {psi.shape}, but the step factors are {block.shape[1:]}")
         for factor in block:
@@ -233,7 +210,9 @@ def _traced(blocks: Iterable[np.ndarray], trace: StateTrace, t0: float, t1: floa
             # The last mark is t1 itself; the grid formula can round one ulp past it.
             trace.sink(np.minimum(t0 + (t1 - t0) * np.array(marks) / steps, t1), np.array(rows))
             marks, rows = [], []
-        yield block
+        return block
+
+    return step
 
 
 def _recorded(propagate, state: np.ndarray, record_every: int) -> tuple[np.ndarray, np.ndarray]:
@@ -261,58 +240,58 @@ def evolve_time_ordered(
     factors, with times in [t0, t1].
     """
     blocks = _midpoint_factors(trajectory, t0, t1, steps)
-    unitary, drift = _unitary_product(blocks if trace is None else _traced(blocks, trace, t0, t1, steps))
+    unitary, drift = _unitary_product(blocks if trace is None else map(_traced(trace, t0, t1, steps), blocks))
     return PropagationResult(unitary=unitary, steps=steps, unitarity_error=drift, method="effective")
 
 
-def evolve_full_sweep(schedule: DriveSchedule, configs: Sequence[AdiabaticRunConfig]) -> list[PropagationResult]:
-    """Integrate the full (n+1)-level Schroedinger equation for a drive, once
-    per run of a sweep over Omega*T.
+def evolve_full_sweep(
+    drive: BrightTrajectory,
+    configs: Sequence[AdiabaticRunConfig],
+    trace: StateTrace | None = None,
+) -> list[PropagationResult]:
+    """Integrate the full (n+1)-level Schroedinger equation, once per run of
+    a sweep over Omega*T: the ground-truth oracle of the geometric methods.
 
-    The runs must share ``steps`` and ``ramp`` (else ``ValueError``), so the
-    drive is sampled and checked once per block for all of them; each run
-    builds that block's exact Lambda step factors at its own Omega * dt and
-    reduces them at once to its block product.  Every run carries the same
-    bits as its own :func:`evolve_full_adiabatic`.
+    The drive is one bright state B on progress [0, 1] at Omega = 1, and
+    only the values of ``drive.sample`` are read.  The runs must share
+    ``steps`` (else ``ValueError``), so B is sampled and checked once per
+    block for all of them; each run reduces that block's exact Lambda steps,
+    of phase omega_T / steps, at once, so memory does not grow with the
+    number of runs.  A ``trace`` (one run only) carries its state along the
+    same factors, with times in progress units.
     """
     if not configs:
         raise ValueError("a sweep needs at least one run")
-    grids = sorted({(run.steps, run.ramp) for run in configs})
-    if len(grids) > 1:
-        raise ValueError(f"the runs of a sweep must share steps and ramp, got (steps, ramp) = {grids}")
+    steps = configs[0].steps
+    if any(run.steps != steps for run in configs):
+        raise ValueError(f"the runs of a sweep must share steps, got {sorted({run.steps for run in configs})}")
+    if trace is not None and len(configs) != 1:
+        raise ValueError(f"a trace follows one run, got {len(configs)}")
+    step = (lambda factors: factors) if trace is None else _traced(trace, 0.0, 1.0, steps)
+    blocks, _ = _step_grid(0.0, 1.0, steps)
     products = [[] for _ in configs]
-    for b, phases in _drive_phases(schedule, configs):
-        for run_products, phase in zip(products, phases):
-            run_products.append(_ordered_product(_lambda_step_factors(b, phase)))
+    for mids in blocks:
+        b = _bright_states(drive.sample(mids)[0], mids)
+        for run, run_products in zip(configs, products):
+            run_products.append(_ordered_product(step(_lambda_step_factors(b, run.omega_T / steps))))
     results = []
-    for run, run_products in zip(configs, products):
+    for run_products in products:
         unitary, drift = _polar(_ordered_product(np.array(run_products)))
-        results.append(PropagationResult(unitary=unitary, steps=run.steps, unitarity_error=drift, method="full"))
+        results.append(PropagationResult(unitary=unitary, steps=steps, unitarity_error=drift, method="full"))
     return results
 
 
 def evolve_full_adiabatic(
-    schedule: DriveSchedule,
+    drive: BrightTrajectory,
     config: AdiabaticRunConfig,
     trace: StateTrace | None = None,
 ) -> PropagationResult:
-    """Integrate the full (n+1)-level Schroedinger equation for a drive.
-
-    The coupling schedule is sampled at subinterval midpoints of the
-    normalized progress axis (reshaped by ``config.ramp``) and each step is
-    the exact exponential of the sampled Lambda Hamiltonian, built and
-    multiplied ``FULL_BLOCK`` steps at a time.  This is the ground-truth
-    oracle the geometric methods are compared against, with the bits of the
-    one-run :func:`evolve_full_sweep`.  A ``trace`` carries its state along
-    the same factors, with times in normalized progress units.
-    """
-    blocks = _drive_factors(schedule, config)
-    unitary, drift = _unitary_product(blocks if trace is None else _traced(blocks, trace, 0.0, 1.0, config.steps))
-    return PropagationResult(unitary=unitary, steps=config.steps, unitarity_error=drift, method="full")
+    """One run of :func:`evolve_full_sweep`."""
+    return evolve_full_sweep(drive, [config], trace)[0]
 
 
 def evolve_state_full(
-    schedule: DriveSchedule,
+    drive: BrightTrajectory,
     config: AdiabaticRunConfig,
     state: np.ndarray,
     record_every: int = 1,
@@ -323,7 +302,7 @@ def evolve_state_full(
     ``states`` of shape (len(times), n+1); row 0 is the initial state.  The
     rows a :class:`StateTrace` of :func:`evolve_full_adiabatic` receives.
     """
-    return _recorded(lambda trace: evolve_full_adiabatic(schedule, config, trace), state, record_every)
+    return _recorded(lambda trace: evolve_full_adiabatic(drive, config, trace), state, record_every)
 
 
 def evolve_state_time_ordered(

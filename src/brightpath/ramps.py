@@ -1,4 +1,4 @@
-"""Monotone ramp profiles shared by gate schedules and adiabatic runs.
+"""Monotone ramp profiles shared by gate schedules, STIRAP paths and clocks.
 
 A ramp maps normalized progress s in [0, 1] to [0, 1].  The smooth profile
 sin^2(pi s / 2) starts and ends with zero velocity, which suppresses

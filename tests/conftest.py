@@ -1,11 +1,9 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
+from brightpath.gates import stage_trajectory
 from brightpath.linalg import HermitianOperator, _expm_hermitian_stack, check_orthonormal
-from brightpath.propagators import _step_grid, _unitary_product
-from brightpath.ramps import ramp_value
+from brightpath.propagators import _step_grid, _unitary_product, reparametrize
 
 
 @pytest.fixture
@@ -75,32 +73,8 @@ def validate_trajectory(trajectory, times=None):
 
 
 def reference_gate_drive(spec):
-    """The gate's bright path as a drive on all n ground levels, for the
-    (n+1)-level oracle: r_i = sin(theta/2) |psi_i| on the logical levels and
-    cos(theta/2) on |n-1>, phi_i = arg(psi_i) + twist and 0, Omega = 1.  The
-    reference that the gate's three-level core is checked against."""
-    psi, twist, n = spec.psi, spec.phase_twist, spec.n
-    amp, arg = np.abs(psi), np.angle(psi)
-
-    def sample(progress):
-        t = np.atleast_1d(np.asarray(progress, dtype=float)) * spec.t3
-        theta = np.empty_like(t)
-        twist_now = np.empty_like(t)
-        in1 = t <= spec.t1
-        in2 = (t > spec.t1) & (t <= spec.t2)
-        in3 = t > spec.t2
-        theta[in1] = np.pi * ramp_value(spec.theta_schedule, t[in1] / spec.t1)
-        twist_now[in1] = 0.0
-        theta[in2] = np.pi
-        twist_now[in2] = twist * ramp_value(spec.phi_schedule, (t[in2] - spec.t1) / (spec.t2 - spec.t1))
-        theta[in3] = np.pi * (1.0 - ramp_value(spec.theta_schedule, (t[in3] - spec.t2) / (spec.t3 - spec.t2)))
-        twist_now[in3] = twist
-        r = np.empty((t.size, n))
-        phi = np.empty((t.size, n))
-        r[:, : n - 1] = np.sin(theta / 2)[:, None] * amp[None, : n - 1]
-        r[:, n - 1] = np.cos(theta / 2)
-        phi[:, : n - 1] = arg[None, : n - 1] + twist_now[:, None]
-        phi[:, n - 1] = 0.0
-        return r, phi, np.ones(t.size)
-
-    return SimpleNamespace(sample=sample)
+    """The gate's bright path on all n ground levels, on the progress clock
+    [0, 1] (``stage_trajectory`` reparametrized by t = t3 s): the drive of
+    the (n+1)-level oracle that the gate's three-level core is checked
+    against."""
+    return reparametrize(stage_trajectory(spec), lambda s: spec.t3 * s, lambda s: spec.t3, 0.0, 1.0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,15 @@ class TestBrightTrajectory:
         np.testing.assert_allclose(traj.value(0.0), np.atleast_2d(rotating_pair(np.pi)[0]), atol=1e-15)
         np.testing.assert_allclose(traj.derivative(0.0), -np.atleast_2d(rotating_pair(np.pi)[1]), atol=1e-15)
         validate_trajectory(traj)
+
+    def test_reversed_reflects_its_breakpoints(self):
+        traj = replace(rotating(0.5, 2.0), breakpoints=(0.75, 1.25))
+        assert traj.reversed().breakpoints == (1.25, 1.75)
+
+    def test_concatenate_keeps_the_breakpoints_of_its_pieces(self):
+        first = replace(rotating(0.0, 0.5), breakpoints=(0.2,))
+        second = replace(rotating(0.5, 1.5), breakpoints=(0.9, 1.1))
+        assert BrightTrajectory.concatenate([first, second]).breakpoints == (0.2, 0.5, 0.9, 1.1)
 
     def test_concatenate_rejects_discontinuity(self):
         first = self.make_rotating()

@@ -254,32 +254,22 @@ class TestSimulateGate:
 
 
 class TestGateCouplingSchedule:
+    def test_stage_trajectory_declares_its_breakpoints(self):
+        spec = spec_pi3(t1=0.4, t2=0.9, t3=1.7)
+        assert stage_trajectory(spec).breakpoints == (0.4, 0.9)
+        assert gate_coupling_schedule(spec).breakpoints == (0.4 / 1.7, 0.9 / 1.7)
+
     def test_schedule_reproduces_trajectory_bright_state(self):
-        spec = spec_pi3(theta_schedule="smooth", phi_schedule="smooth")
-        schedule = gate_coupling_schedule(spec)
-        traj = stage_trajectory(spec)
-        from brightpath.lambda_system import bright_state
-
+        # The core trajectory on progress s, embedded by the ground columns
+        # of the core frame, is the n-level path at t = t3 s, and its rate
+        # is t3 times the n-level one.
+        spec = spec_pi3(t1=0.4, t2=0.9, t3=1.7, theta_schedule="smooth", phi_schedule="smooth")
         span = _core_frame(spec)[: spec.n, :2]
-        for progress in (0.05, 0.3, 0.55, 0.8, 0.99):
-            c = schedule(progress)
-            b = span @ bright_state(c)
-            expected = traj.value(progress * spec.t3)[0]
-            # The coupling construction may differ by a global phase only on
-            # the all-auxiliary end points; compare ray distance.
-            overlap = abs(np.vdot(b, expected))
-            assert abs(overlap - 1.0) < 1e-12
-
-    def test_batch_sampling_matches_pointwise(self):
-        spec = spec_pi3()
-        schedule = gate_coupling_schedule(spec)
-        grid = np.array([0.1, 0.4, 0.7])
-        r, phi, omega = schedule.sample(grid)
-        for i, s in enumerate(grid):
-            c = schedule(float(s))
-            np.testing.assert_allclose(c.r, r[i], atol=0)
-            np.testing.assert_allclose(c.phi, phi[i], atol=0)
-            assert c.omega == omega[i]
+        progress = np.array([0.0, 0.05, 0.3, 0.55, 0.8, 0.99, 1.0])
+        core_values, core_rates = gate_coupling_schedule(spec).sample(progress)
+        values, rates = stage_trajectory(spec).sample(progress * spec.t3)
+        np.testing.assert_allclose(core_values[:, 0] @ span.T, values[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(core_rates[:, 0] @ span.T, spec.t3 * rates[:, 0], rtol=0, atol=1e-12)
 
 
 def full_gate_spec(n, psi):
@@ -303,7 +293,7 @@ class TestSimulateFullGate:
     STEPS = 2 * FULL_BLOCK + 5  # the last block is partial
 
     def runs(self, omega_Ts=(40.0, 7.5, 130.0)):
-        return [AdiabaticRunConfig(omega_T=w, steps=self.STEPS, ramp="smooth") for w in omega_Ts]
+        return [AdiabaticRunConfig(omega_T=w, steps=self.STEPS) for w in omega_Ts]
 
     @pytest.mark.parametrize("name", sorted(FULL_GATES))
     def test_sweep_matches_the_full_oracle(self, name):
@@ -320,6 +310,23 @@ class TestSimulateFullGate:
             (single,) = simulate_full_gate(spec, [run])
             assert np.array_equal(single.unitary.matrix, core.unitary.matrix)
             assert single.unitarity_error == core.unitarity_error
+
+    def test_core_clock_rescales_the_stage_times(self):
+        # t3 != 1: the core runs on progress s = t / t3, the n-level oracle on
+        # the reference drive's own rescaled clock.
+        spec = GateSpec(
+            n=4,
+            psi=np.array([1.0, 1j, -1.0, 0.0]) / np.sqrt(3),
+            phase_twist=0.9,
+            t1=0.4,
+            t2=0.9,
+            t3=1.7,
+            theta_schedule="smooth",
+            phi_schedule="smooth",
+        )
+        runs = self.runs((40.0, 130.0))
+        for core, full in zip(simulate_full_gate(spec, runs), evolve_full_sweep(reference_gate_drive(spec), runs)):
+            assert np.linalg.norm(core.unitary.matrix - full.unitary.matrix) <= 1e-12
 
     @pytest.mark.parametrize("record_every", [1, 7])
     @pytest.mark.parametrize("name", sorted(FULL_GATES))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from brightpath.effective import BrightTrajectory
-from brightpath.errors import DerivativeInconsistent, DimensionMismatch, NonMonotoneMap, NotOrthonormal
+from brightpath.errors import DerivativeInconsistent, DimensionMismatch, NonMonotoneMap, NotNormalized, NotOrthonormal
 from brightpath.gates import GateSpec, simulate_gate, stage_trajectory, stirap_trajectory
 from brightpath.lambda_system import CouplingSet, bright_state
 from brightpath.linalg import expm_hermitian, matrix_distance, projector_from_frame
@@ -15,8 +15,8 @@ from brightpath.propagators import (
     MAX_STEPS,
     AdiabaticRunConfig,
     StateTrace,
-    _drive_factors,
     _lambda_step_factors,
+    _step_grid,
     dark_block,
     evolve_full_adiabatic,
     evolve_full_sweep,
@@ -26,7 +26,7 @@ from brightpath.propagators import (
     leakage,
     reparametrize,
 )
-from brightpath.ramps import ramp_value
+from brightpath.ramps import ramp_rate, ramp_value
 from conftest import midpoint_reference, reference_gate_drive
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -112,13 +112,20 @@ def halving_ratios(propagate):
 
 
 def drive(sample):
-    """A drive schedule given by its sampler progress -> (r, phi, omega)."""
+    """A drive that carries nothing but its sampler progress -> (values,
+    derivatives), as the full oracle may be handed one."""
     return SimpleNamespace(sample=sample)
 
 
-def held(c):
-    """The drive that holds the coupling set ``c`` at every progress value."""
-    return drive(lambda s: (np.tile(c.r, (s.size, 1)), np.tile(c.phi, (s.size, 1)), np.full(s.size, c.omega)))
+def held(b):
+    """The drive that holds the bright state ``b`` at every progress value:
+    a constant one-state trajectory, Bdot = 0."""
+    return BrightTrajectory(b.size, 1, 0.0, 1.0, lambda s: (np.tile(b, (s.size, 1, 1)), np.zeros((s.size, 1, b.size))))
+
+
+def smoothly(drive):
+    """The drive on the smooth progress clock sin^2(pi s / 2)."""
+    return reparametrize(drive, lambda s: ramp_value("smooth", s), lambda s: ramp_rate("smooth", s), 0.0, 1.0)
 
 
 CONSTANT_LAMBDA = CouplingSet(omega=1.0, r=np.array([0.6, 0.8, 0.0]), phi=np.array([0.0, 0.7, 0.0]))
@@ -307,7 +314,7 @@ class TestEvolveFullAdiabatic:
     def test_constant_drive_matches_rabi_closed_form(self):
         c = CONSTANT_LAMBDA
         omega_T = 2.3
-        res = evolve_full_adiabatic(held(c), AdiabaticRunConfig(omega_T=omega_T, steps=64))
+        res = evolve_full_adiabatic(held(bright_state(c)), AdiabaticRunConfig(omega_T=omega_T, steps=64))
         b = np.zeros(4, dtype=complex)
         b[:3] = bright_state(c)
         e = np.zeros(4, dtype=complex)
@@ -318,13 +325,13 @@ class TestEvolveFullAdiabatic:
         assert np.linalg.norm(res.unitary.matrix - exact) < 1e-8
 
     def test_dark_state_is_stationary(self):
-        res = evolve_full_adiabatic(held(CONSTANT_LAMBDA), AdiabaticRunConfig(omega_T=5.0, steps=256))
+        res = evolve_full_adiabatic(held(bright_state(CONSTANT_LAMBDA)), AdiabaticRunConfig(omega_T=5.0, steps=256))
         b = bright_state(CONSTANT_LAMBDA)
         d = np.array([b[1].conj(), -b[0].conj(), 0.0, 0.0])
         np.testing.assert_allclose(res.unitary.matrix @ d, d, atol=1e-12)
 
     def test_bright_state_rabi_flops_to_excited(self):
-        res = evolve_full_adiabatic(held(CONSTANT_LAMBDA), AdiabaticRunConfig(omega_T=np.pi / 2, steps=64))
+        res = evolve_full_adiabatic(held(bright_state(CONSTANT_LAMBDA)), AdiabaticRunConfig(omega_T=np.pi / 2, steps=64))
         start = np.zeros(4, dtype=complex)
         start[:3] = bright_state(CONSTANT_LAMBDA)
         final = res.unitary.matrix @ start
@@ -339,23 +346,22 @@ class TestEvolveFullAdiabatic:
         for steps in (5, MAX_STEPS + 1):
             with pytest.raises(ValueError, match="^steps"):
                 AdiabaticRunConfig(omega_T=1.0, steps=steps)
-        with pytest.raises(ValueError, match="^ramp"):
-            AdiabaticRunConfig(omega_T=1.0, ramp="bogus")
 
     def test_smooth_ramp_suppresses_diabatic_leakage(self):
         # A bright sweep |3> -> |1> driven at constant speed starts and
-        # stops abruptly; the sin^2 progress shaping removes the endpoint
+        # stops abruptly; the sin^2 progress clock removes the endpoint
         # velocity kinks and cuts the dark-block unitarity defect by orders
         # of magnitude at the same Omega*T.
         from brightpath.lambda_system import SphericalAngles, dark_basis_parametrized
 
-        def sample(s):
+        def sampler(s):
             # The angle couplings at theta1 = (pi/2) s, theta2 = phi2 = phi3 = 0.
-            theta1 = (np.pi / 2) * s
-            r = np.stack([np.sin(theta1), np.zeros_like(s), np.cos(theta1)], axis=1)
-            return r, np.zeros_like(r), np.ones_like(s)
+            theta1, zero = (np.pi / 2) * s, np.zeros_like(s)
+            values = np.stack([np.sin(theta1), zero, np.cos(theta1)], axis=1)
+            derivatives = (np.pi / 2) * np.stack([np.cos(theta1), zero, -np.sin(theta1)], axis=1)
+            return values[:, None].astype(complex), derivatives[:, None].astype(complex)
 
-        schedule = drive(sample)
+        sweep = BrightTrajectory(3, 1, 0.0, 1.0, sampler)
 
         start = np.zeros((2, 4), dtype=complex)
         start[0, 0] = start[1, 1] = 1.0
@@ -363,8 +369,8 @@ class TestEvolveFullAdiabatic:
         end = np.zeros((2, 4), dtype=complex)
         end[0, :3], end[1, :3] = d1, d2
         defects = {}
-        for ramp in ("linear", "smooth"):
-            res = evolve_full_adiabatic(schedule, AdiabaticRunConfig(omega_T=200.0, steps=16384, ramp=ramp))
+        for ramp, schedule in (("linear", sweep), ("smooth", smoothly(sweep))):
+            res = evolve_full_adiabatic(schedule, AdiabaticRunConfig(omega_T=200.0, steps=16384))
             blk = dark_block(res.unitary, start, end)
             defects[ramp] = np.linalg.norm(blk.conj().T @ blk - np.eye(2))
         assert defects["smooth"] < 1e-6
@@ -387,11 +393,10 @@ class TestBlockedOracle:
     def test_matches_whole_grid_sequential_product(self):
         # Two full blocks and a ragged tail, against every factor of the run
         # built at once and multiplied one by one, later steps to the left.
-        schedule = gate_schedule()
-        config = AdiabaticRunConfig(omega_T=40.0, steps=2 * FULL_BLOCK + 37, ramp="smooth")
+        schedule = smoothly(gate_schedule())
+        config = AdiabaticRunConfig(omega_T=40.0, steps=2 * FULL_BLOCK + 37)
         mids = (np.arange(config.steps) + 0.5) / config.steps
-        r, phi, omega = schedule.sample(ramp_value(config.ramp, mids))
-        factors = _lambda_step_factors(r * np.exp(1j * phi), omega * (config.omega_T / omega[0] / config.steps))
+        factors = _lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / config.steps)
         u = np.eye(4, dtype=complex)
         for factor in factors:
             u = factor @ u
@@ -406,13 +411,14 @@ class TestBlockedOracle:
     def test_snapshots_match_a_matmul_loop_bit_for_bit(self, record_every):
         # The snapshot reducer against the same factor stream applied one
         # `factor @ psi` at a time: equal bits, not a tolerance.
-        schedule = gate_schedule()
-        config = AdiabaticRunConfig(omega_T=40.0, steps=2 * FULL_BLOCK + 5, ramp="smooth")
+        schedule = smoothly(gate_schedule())
+        config = AdiabaticRunConfig(omega_T=40.0, steps=2 * FULL_BLOCK + 5)
         psi = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
         rows = [psi]
         j = 0
-        for block in _drive_factors(schedule, config):
-            for factor in block:
+        blocks, _ = _step_grid(0.0, 1.0, config.steps)
+        for mids in blocks:
+            for factor in _lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / config.steps):
                 psi = factor @ psi
                 j += 1
                 if j % record_every == 0 or j == config.steps:
@@ -421,48 +427,42 @@ class TestBlockedOracle:
         assert len(times) == len(rows)
         assert np.array_equal(states, np.array(rows))
 
-    def test_duration_comes_from_the_run_first_sample(self):
-        # A schedule whose Rabi frequency doubles at the block boundary:
-        # with the duration omega_T / Omega(first sample), the second block
-        # turns the bright state twice as fast as the first.
-        c = CouplingSet(omega=1.0, r=np.array([0.6, 0.8]), phi=np.array([0.0, 0.7]))
-        schedule = drive(lambda s: (np.tile(c.r, (s.size, 1)), np.tile(c.phi, (s.size, 1)), np.where(s < 0.5, 1.0, 2.0)))
-
-        omega_T = 2.1
-        res = evolve_full_adiabatic(schedule, AdiabaticRunConfig(omega_T=omega_T, steps=2 * FULL_BLOCK))
-        b = np.zeros(3, dtype=complex)
-        b[:2] = bright_state(c)
-        e = np.eye(3)[2]
-        angle = 1.5 * omega_T
-        p_bright = np.outer(b, b.conj()) + np.outer(e, e)
-        cross = np.outer(b, e) + np.outer(e, b.conj())
-        exact = np.eye(3) + (np.cos(angle) - 1.0) * p_bright - 1j * np.sin(angle) * cross
-        assert np.linalg.norm(res.unitary.matrix - exact) < 1e-10
-
-    @pytest.mark.parametrize("rule, message", [("norm", r"sum\(r_i\^2\)"), ("omega", "omega must be positive")])
-    def test_a_bad_step_in_a_later_block_is_rejected(self, rule, message):
-        # One step of the second block breaks a drive invariant.
+    def test_a_bad_step_in_a_later_block_is_rejected(self):
+        # One step of the second block leaves the unit sphere.
         base = gate_schedule()
         config = AdiabaticRunConfig(omega_T=10.0, steps=2 * FULL_BLOCK)
-        bad = (FULL_BLOCK + 100 + 0.5) / config.steps  # a midpoint; the linear ramp keeps it
+        bad = (FULL_BLOCK + 100 + 0.5) / config.steps  # a midpoint
         blocks = []
 
-        class Broken:
-            def sample(self, progress):
-                blocks.append(progress.size)
-                r, phi, omega = base.sample(progress)
-                hit = progress == bad
-                if rule == "norm":
-                    r[hit] *= 1.001
-                else:
-                    omega[hit] = 0.0
-                return r, phi, omega
+        def broken(progress):
+            blocks.append(progress.size)
+            values, derivatives = base.sample(progress)
+            values[progress == bad] *= 1.001
+            return values, derivatives
 
         for run in (evolve_full_adiabatic, lambda sch, cfg: evolve_state_full(sch, cfg, np.eye(4)[0])):
             blocks.clear()
-            with pytest.raises(ValueError, match=message):
-                run(Broken(), config)
+            with pytest.raises(NotNormalized, match=rf"<B\|B> - 1\| = 2\.001e-03 exceeds 1\.0e-10 at progress={bad:.6g}$"):
+                run(drive(broken), config)
             assert blocks == [FULL_BLOCK, FULL_BLOCK]
+
+    @pytest.mark.parametrize("excess, rejected", [(1e-9, True), (5e-11, False)])
+    def test_normalization_is_checked_at_the_coupling_tolerance(self, excess, rejected):
+        # |B|^2 - 1 = 1e-9 passes the 1e-8 frame check of the trajectory
+        # routes; the full oracle keeps the coupling tolerance 1e-10.
+        b = np.sqrt(1.0 + excess) * bright_state(CONSTANT_LAMBDA)
+        run = lambda: evolve_full_adiabatic(held(b), AdiabaticRunConfig(omega_T=1.0, steps=64))
+        if rejected:
+            with pytest.raises(NotNormalized, match=r"= 1\.000e-09 exceeds 1\.0e-10 at progress=0\.0078125$"):
+                run()
+        else:
+            run()
+
+    def test_a_drive_of_two_bright_states_is_rejected(self):
+        # The Lambda step has one bright state; a two-bright frame on four
+        # levels is not silently cut to its first state.
+        with pytest.raises(DimensionMismatch, match=r"one bright state per sample, \(M, 1, n\); got \(64, 2, 4\)"):
+            evolve_full_adiabatic(planes_trajectory(1.0), AdiabaticRunConfig(omega_T=1.0, steps=64))
 
     def test_memory_stays_flat_in_the_step_count(self):
         # 2^18 steps on 6 levels would need 144 MiB for the factors alone.
@@ -484,8 +484,8 @@ class TestFullSweep:
 
     @pytest.mark.parametrize("omega_Ts", [(40.0,), (40.0, 7.5, 130.0)], ids=["K1", "K3"])
     def test_equals_separate_runs_bit_for_bit(self, omega_Ts):
-        schedule = gate_schedule()
-        configs = [AdiabaticRunConfig(omega_T=w, steps=self.STEPS, ramp="smooth") for w in omega_Ts]
+        schedule = smoothly(gate_schedule())
+        configs = [AdiabaticRunConfig(omega_T=w, steps=self.STEPS) for w in omega_Ts]
         results = evolve_full_sweep(schedule, configs)
         assert len(results) == len(configs)
         for config, got in zip(configs, results):
@@ -506,14 +506,26 @@ class TestFullSweep:
         evolve_full_sweep(drive(counting), configs)
         assert sizes == [FULL_BLOCK, FULL_BLOCK, 5]
 
-    @pytest.mark.parametrize("second", [{"steps": STEPS + 1}, {"ramp": "smooth"}], ids=["steps", "ramp"])
-    def test_runs_on_different_grids_rejected(self, second):
-        configs = [
-            AdiabaticRunConfig(omega_T=40.0, steps=self.STEPS),
-            AdiabaticRunConfig(omega_T=7.5, **{"steps": self.STEPS, **second}),
-        ]
-        with pytest.raises(ValueError, match="must share steps and ramp"):
+    def test_runs_on_different_grids_rejected(self):
+        configs = [AdiabaticRunConfig(omega_T=40.0, steps=self.STEPS), AdiabaticRunConfig(omega_T=7.5, steps=self.STEPS + 1)]
+        with pytest.raises(ValueError, match=rf"must share steps, got \[{self.STEPS}, {self.STEPS + 1}\]"):
             evolve_full_sweep(gate_schedule(), configs)
+
+    def test_memory_does_not_grow_with_the_run_count(self):
+        # Each run reduces its factors block by block, so eight runs hold
+        # one block of 6 x 6 factors at a time, as one run does.
+        schedule = gate_schedule(n=5)
+
+        def peak(runs):
+            configs = [AdiabaticRunConfig(omega_T=40.0 + run, steps=4 * FULL_BLOCK) for run in range(runs)]
+            tracemalloc.start()
+            try:
+                evolve_full_sweep(schedule, configs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) < 1.25 * peak(1)
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError, match="at least one run"):
@@ -522,7 +534,7 @@ class TestFullSweep:
 
 class TestStatePropagation:
     def full(self):
-        schedule = held(CONSTANT_LAMBDA)
+        schedule = held(bright_state(CONSTANT_LAMBDA))
         config = AdiabaticRunConfig(omega_T=1.9, steps=128)
         start = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
         unitary = evolve_full_adiabatic(schedule, config).unitary
@@ -604,7 +616,7 @@ class TestOnePass:
             run = lambda: evolve_time_ordered(rotating_trajectory(), 0.0, np.pi / 2, 64, trace)
         else:
             shapes = r"shape \(3,\), but the step factors are \(4, 4\)"
-            run = lambda: evolve_full_adiabatic(held(CONSTANT_LAMBDA), AdiabaticRunConfig(omega_T=1.9, steps=64), trace)
+            run = lambda: evolve_full_adiabatic(held(bright_state(CONSTANT_LAMBDA)), AdiabaticRunConfig(omega_T=1.9, steps=64), trace)
         with pytest.raises(DimensionMismatch, match=shapes):
             run()
         assert rows == []
@@ -654,9 +666,19 @@ class TestDarkBlockAndLeakage:
         p_end = projector_from_frame([end])
         assert leakage(res.unitary, dark_start, p_end) < 1e-10
 
+    def test_leakage_is_the_worst_dark_input(self):
+        # Dark inputs |0> and |1> leak 0.3 and 0.1 of their population into
+        # |2> and |3>: the worst case is 0.3, not the best or the mean.
+        u = np.eye(4, dtype=complex)
+        for dark, bright, lost in ((0, 2, 0.3), (1, 3, 0.1)):
+            keep, leak = np.sqrt(1.0 - lost), np.sqrt(lost)
+            u[[dark, bright, dark, bright], [dark, bright, bright, dark]] = keep, keep, -leak, leak
+        frame = np.eye(4)[:2]
+        assert leakage(u, frame, projector_from_frame(frame)) == pytest.approx(0.3, abs=1e-15)
+
     def test_leakage_constant_full_hamiltonian(self):
         c = CouplingSet(omega=1.0, r=np.array([0.6, 0.8]), phi=np.zeros(2))
-        res = evolve_full_adiabatic(held(c), AdiabaticRunConfig(omega_T=7.7, steps=512))
+        res = evolve_full_adiabatic(held(bright_state(c)), AdiabaticRunConfig(omega_T=7.7, steps=512))
         d = np.array([0.8, -0.6, 0.0], dtype=complex)
         p_end = projector_from_frame([d])
         assert leakage(res.unitary, [d], p_end) < 1e-12
