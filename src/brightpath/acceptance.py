@@ -24,8 +24,8 @@ from .berry import (
 from .effective import h_eff_couplings, h_eff_multi
 from .gates import (
     GateSpec,
-    compose_gate,
     logical_block,
+    measure_full_gate,
     simulate_full_gate,
     simulate_gate,
     stage_trajectory,
@@ -38,15 +38,9 @@ from .lambda_system import (
     dark_basis_parametrized,
     lambda_hamiltonian,
 )
-from .linalg import expm_hermitian, matrix_distance, projector_from_frame
+from .linalg import expm_hermitian
 from .morris_shore import TwoManifoldSystem, morris_shore_transform
-from .propagators import (
-    AdiabaticRunConfig,
-    dark_block,
-    evolve_time_ordered,
-    leakage,
-    reparametrize,
-)
+from .propagators import AdiabaticRunConfig, evolve_time_ordered, reparametrize
 
 DEFAULT_SEED = 7
 
@@ -156,19 +150,9 @@ def criterion_4_connection_oracle(seed: int = DEFAULT_SEED) -> CriterionResult:
 def criterion_5_full_dynamics(seed: int = DEFAULT_SEED) -> CriterionResult:
     """The full Schroedinger oracle converges to the geometric prediction."""
     spec = _reference_gate(theta_schedule="smooth", phi_schedule="smooth")
-    geometric = logical_block(compose_gate(spec), spec.n)
-    logical = np.zeros((2, 4), dtype=complex)
-    logical[0, 0] = logical[1, 1] = 1.0
-    p_logical = projector_from_frame(logical)
-
-    def measure(result):
-        block = dark_block(result.unitary, logical, logical)
-        distance = matrix_distance(block, geometric, "up_to_global_phase")
-        return distance, leakage(result.unitary, logical, p_logical)
-
     runs = [AdiabaticRunConfig(omega_T=omega_T, steps=65536) for omega_T in (2000, 250, 1000, 4000)]
-    (dist_2000, leak_2000), *rest = map(measure, simulate_full_gate(spec, runs))
-    sweep = [distance for distance, _ in rest]
+    (_, dist_2000, leak_2000), *rest = measure_full_gate(spec, simulate_full_gate(spec, runs))
+    sweep = [distance for _, distance, _ in rest]
     decreasing = sweep[0] > sweep[1] > sweep[2]
     passed = leak_2000 < 1e-3 and dist_2000 < 1e-2 and decreasing
     return CriterionResult(

@@ -41,21 +41,16 @@ from .gates import (
     GateSpec,
     compose_gate,
     logical_block,
+    measure_full_gate,
     simulate_full_gate,
     simulate_gate,
     stage_trajectory,
     stirap_trajectory,
     stirap_transfer,
 )
-from .linalg import matrix_distance, projector_from_frame
+from .linalg import matrix_distance
 from .morris_shore import TwoManifoldSystem, morris_shore_transform
-from .propagators import (
-    MAX_STEPS,
-    AdiabaticRunConfig,
-    StateTrace,
-    dark_block,
-    leakage,
-)
+from .propagators import MAX_STEPS, AdiabaticRunConfig, StateTrace
 
 KINDS = ("gate", "loop", "compare", "morris-shore", "stirap", "selftest")
 # The kinds whose runs have a state trajectory to write with --timeseries.
@@ -373,12 +368,8 @@ def _run_gate(config: ScenarioConfig, trace: StateTrace | None = None) -> dict:
 
     if "full" in config.methods:
         (result,) = simulate_full_gate(spec, config.full_runs, trace)
-        logical = np.eye(spec.n - 1, spec.n + 1, dtype=complex)
-        blk = dark_block(result.unitary, logical, logical)
+        ((blocks["full"], comparisons["full_vs_analytic_phase"], diag["leakage"]),) = measure_full_gate(spec, (result,))
         unitaries["full"] = result.unitary.matrix
-        blocks["full"] = blk
-        comparisons["full_vs_analytic_phase"] = matrix_distance(blk, geo_block, "up_to_global_phase")
-        diag["leakage"] = leakage(result.unitary, logical, projector_from_frame(logical))
         diag["unitarity_error"] = max(diag["unitarity_error"], result.unitarity_error)
 
     primary_exact = comparisons.get("effective_vs_analytic_exact", 0.0)
@@ -444,20 +435,12 @@ def _run_loop(config: ScenarioConfig) -> dict:
 def _run_compare(config: ScenarioConfig) -> dict:
     spec = config.spec
     geo_block = logical_block(compose_gate(spec), spec.n)
-    logical = np.eye(spec.n - 1, spec.n + 1, dtype=complex)
-    p_logical = projector_from_frame(logical)
-    sweep = []
-    worst_unitarity = 0.0
-    for run_config, result in zip(config.full_runs, simulate_full_gate(spec, config.full_runs)):
-        blk = dark_block(result.unitary, logical, logical)
-        sweep.append(
-            {
-                "omega_T": run_config.omega_T,
-                "distance_phase": matrix_distance(blk, geo_block, "up_to_global_phase"),
-                "leakage": leakage(result.unitary, logical, p_logical),
-            }
-        )
-        worst_unitarity = max(worst_unitarity, result.unitarity_error)
+    results = simulate_full_gate(spec, config.full_runs)
+    sweep = [
+        {"omega_T": run_config.omega_T, "distance_phase": distance, "leakage": leak}
+        for run_config, (_, distance, leak) in zip(config.full_runs, measure_full_gate(spec, results))
+    ]
+    worst_unitarity = max(result.unitarity_error for result in results)
     distances = [entry["distance_phase"] for entry in sweep]
     decreasing = all(a > b for a, b in zip(distances, distances[1:]))
     tolerance = config.tolerance

@@ -6,10 +6,12 @@ superposition psi and back, with a phase twist in between.  The dark
 (logical) space returns to itself having acquired a relative phase on psi;
 the whole construction needs only the bright trajectory, never a dark
 basis.  The stage formulas are written once, in ``stage_trajectory``.  The
-drive couples only psi and |n-1> to the excited level, so the full
-Schroedinger oracle (``simulate_full_gate``) runs the same path on those
-three levels (``gate_coupling_schedule``), and its cost does not grow
-with n.
+path stays in span{psi, |n-1>}, so both routes run on the gate's core:
+the effective route propagates the two-level path on the ground directions
+psi and |n-1> (``simulate_gate``), the full Schroedinger oracle the same
+path with the excited level on three levels (``simulate_full_gate``).
+Each embeds its core unitary with the identity on the dark complement
+through one frame (``_core_frame``), so neither's cost grows with n.
 
 Stage boundaries (times t1 < t2 < t3) and ramp profiles are configurable;
 the geometric result depends only on the traced path, not on the schedule,
@@ -25,14 +27,16 @@ import numpy as np
 
 from .effective import BrightTrajectory
 from .errors import DimensionMismatch, NotNormalized
-from .linalg import UnitaryOperator, matrix_distance
+from .linalg import UnitaryOperator, matrix_distance, projector_from_frame
 from .propagators import (
     DEFAULT_GEOMETRIC_STEPS,
     AdiabaticRunConfig,
     PropagationResult,
     StateTrace,
+    dark_block,
     evolve_full_sweep,
     evolve_time_ordered,
+    leakage,
 )
 from .ramps import check_ramp, ramp_rate, ramp_value
 
@@ -158,19 +162,26 @@ def compose_gate(spec: GateSpec) -> UnitaryOperator:
     return u3 @ u2 @ u1
 
 
+def _core_spec(spec: GateSpec, scale: float = 1.0) -> GateSpec:
+    """The gate on its two ground directions p = psi and a = |n-1> (the
+    first columns of ``_core_frame``), with the stage times divided by
+    ``scale``."""
+    t1, t2, t3 = spec.t1 / scale, spec.t2 / scale, spec.t3 / scale
+    return replace(spec, n=2, psi=np.array([1.0, 0.0]), t1=t1, t2=t2, t3=t3)
+
+
 def gate_coupling_schedule(spec: GateSpec) -> BrightTrajectory:
     """The bright trajectory of the gate's core on progress [0, 1]: the
-    ``stage_trajectory`` of the same schedules on the ground directions
-    p = psi and a = |n-1> (the first columns of ``_core_frame``), with the
-    stage times divided by t3.  The full oracle reads it at Omega = 1."""
-    t1, t2, t3 = spec.t1, spec.t2, spec.t3
-    return stage_trajectory(replace(spec, n=2, psi=np.array([1.0, 0.0]), t1=t1 / t3, t2=t2 / t3, t3=1.0))
+    ``stage_trajectory`` of ``_core_spec`` with the stage times divided by
+    t3.  The full oracle reads it at Omega = 1."""
+    return stage_trajectory(_core_spec(spec, spec.t3))
 
 
 def _core_frame(spec: GateSpec) -> np.ndarray:
     """Pi, the (n+1, 3) isometry onto the gate's coupled core: the ground
-    directions p = psi and a = |n-1> of ``gate_coupling_schedule``, then the
-    excited level |n>."""
+    directions p = psi and a = |n-1> of ``_core_spec``, then the excited
+    level |n>.  Its first n rows and two columns span the effective
+    route's core."""
     frame = np.zeros((spec.n + 1, 3), dtype=complex)
     frame[: spec.n - 1, 0] = spec.psi[: spec.n - 1]
     frame[spec.n - 1, 1] = 1.0
@@ -188,7 +199,7 @@ def _core_trace(trace: StateTrace, frame: np.ndarray) -> StateTrace:
     outside = state - frame @ core
 
     def sink(times: np.ndarray, rows: np.ndarray) -> None:
-        # Broadcast, not a matmul: BLAS may spread a (rows, 3) @ (3, n+1)
+        # Broadcast, not a matmul: BLAS may spread a (rows, k) @ (k, dim)
         # product over threads, which costs more CPU than it saves.
         states = np.broadcast_to(outside, (len(rows), outside.size)).copy()
         for column, amplitudes in zip(frame.T, rows.T):
@@ -196,6 +207,13 @@ def _core_trace(trace: StateTrace, frame: np.ndarray) -> StateTrace:
         trace.sink(times, states)
 
     return StateTrace(core, sink, trace.record_every)
+
+
+def _embedded(core: PropagationResult, frame: np.ndarray) -> PropagationResult:
+    """The core run with its polar-projected W embedded through the frame Pi
+    as U = 1 - Pi Pi^dag + Pi W Pi^dag; ``unitarity_error`` stays W's drift."""
+    outside = np.eye(len(frame)) - frame @ frame.conj().T
+    return replace(core, unitary=UnitaryOperator(outside + frame @ core.unitary.matrix @ frame.conj().T))
 
 
 def simulate_full_gate(
@@ -207,17 +225,29 @@ def simulate_full_gate(
 
     The drive couples only span{psi, |n-1>} to the excited level (every
     other ground state is dark at all times), so ``evolve_full_sweep``
-    propagates the three-level core driven by ``gate_coupling_schedule``
-    and each run's polar-projected W is embedded as
-    U = 1 - Pi Pi^dag + Pi W Pi^dag on the n+1 levels; ``unitarity_error``
-    is the polar drift of W.  A ``trace`` (one run only) carries an
-    (n+1)-level state, with times in normalized progress units.
+    propagates the three-level core driven by ``gate_coupling_schedule``,
+    and each run's W is embedded on the n+1 levels through the whole
+    ``_core_frame``.  A ``trace`` (one run only) carries an (n+1)-level
+    state, with times in normalized progress units.
     """
     frame = _core_frame(spec)
     trace = None if trace is None else _core_trace(trace, frame)
-    cores = evolve_full_sweep(gate_coupling_schedule(spec), runs, trace)
-    outside = np.eye(spec.n + 1) - frame @ frame.conj().T
-    return [replace(core, unitary=UnitaryOperator(outside + frame @ core.unitary.matrix @ frame.conj().T)) for core in cores]
+    return [_embedded(core, frame) for core in evolve_full_sweep(gate_coupling_schedule(spec), runs, trace)]
+
+
+def measure_full_gate(spec: GateSpec, results: Sequence[PropagationResult]) -> list[tuple[np.ndarray, float, float]]:
+    """Each full-oracle gate result on the logical levels 0..n-2 of the n+1:
+    its dark block, that block's phase-mode distance from the logical block
+    of ``compose_gate``, and its ``leakage``."""
+    logical = np.eye(spec.n - 1, spec.n + 1, dtype=complex)
+    p_logical = projector_from_frame(logical)
+    geometric = logical_block(compose_gate(spec), spec.n)
+    measures = []
+    for result in results:
+        block = dark_block(result.unitary, logical, logical)
+        distance = matrix_distance(block, geometric, "up_to_global_phase")
+        measures.append((block, distance, leakage(result.unitary, logical, p_logical)))
+    return measures
 
 
 @dataclass(frozen=True)
@@ -254,12 +284,19 @@ def extract_geometric_phase(u: UnitaryOperator | np.ndarray, psi: np.ndarray) ->
 
 def simulate_gate(spec: GateSpec, steps: int = 10_000, trace: StateTrace | None = None) -> GateReport:
     """Propagate the gate's effective generator and compare to the analytic
-    composed gate on the logical dark block (exact-mode distance).  A
-    ``trace`` carries its state along the same steps, over [0, t3]."""
+    composed gate on the logical dark block (exact-mode distance).
+
+    H_eff acts only on span{psi, |n-1>}, so the two-level ``_core_spec``
+    path is propagated on the same clock [0, t3] and steps, and its W is
+    embedded on the n levels through the ground columns of ``_core_frame``;
+    ``unitarity_error`` is W's drift.  A ``trace`` carries an n-level
+    state along the same steps, over [0, t3].
+    """
     if steps < MIN_GATE_STEPS:
         raise ValueError(f"steps must be >= {MIN_GATE_STEPS}, got {steps}")
-    trajectory = stage_trajectory(spec)
-    propagation = evolve_time_ordered(trajectory, 0.0, spec.t3, steps, trace)
+    frame = _core_frame(spec)[: spec.n, :2]
+    trace = None if trace is None else _core_trace(trace, frame)
+    propagation = _embedded(evolve_time_ordered(stage_trajectory(_core_spec(spec)), 0.0, spec.t3, steps, trace), frame)
     analytic = compose_gate(spec)
     sim_block = logical_block(propagation.unitary, spec.n)
     ana_block = logical_block(analytic, spec.n)

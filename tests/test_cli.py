@@ -27,7 +27,7 @@ from brightpath.cli import (
 )
 from brightpath.errors import ConfigError
 from brightpath import gates
-from brightpath.gates import gate_coupling_schedule, simulate_full_gate, stage_trajectory
+from brightpath.gates import gate_coupling_schedule, simulate_full_gate, simulate_gate
 from brightpath.propagators import FULL_BLOCK, StateTrace, evolve_state_time_ordered
 
 
@@ -362,18 +362,20 @@ FIVE_LEVEL_GATE = {
 
 
 def recorded_states(config, record_every):
-    """The rows of a scenario's time series from the state-route wrappers, a
-    run of their own, with the start state and bright states of its CSV."""
+    """The rows of a scenario's time series from a run of their own (the
+    state-route wrapper for stirap, a traced gate route for a gate), with
+    the start state and bright states of its CSV."""
     reference, bright_at = cli._timeseries_frame(config)
     if config.kind == "stirap":
         times, states = evolve_state_time_ordered(config.trajectory, 0.0, 1.0, config.steps, reference, record_every)
-    elif "full" in config.methods:
-        blocks = []
-        simulate_full_gate(config.spec, config.full_runs, StateTrace(reference, lambda *rows: blocks.append(rows), record_every))
-        times, states = map(np.concatenate, zip(*blocks))
     else:
-        trajectory = stage_trajectory(config.spec)
-        times, states = evolve_state_time_ordered(trajectory, 0.0, config.spec.t3, config.steps, reference, record_every)
+        blocks = []
+        trace = StateTrace(reference, lambda *rows: blocks.append(rows), record_every)
+        if "full" in config.methods:
+            simulate_full_gate(config.spec, config.full_runs, trace)
+        else:
+            simulate_gate(config.spec, config.steps, trace)
+        times, states = map(np.concatenate, zip(*blocks))
     return times, states, reference, bright_at
 
 

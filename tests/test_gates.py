@@ -22,6 +22,7 @@ from brightpath.propagators import (
     StateTrace,
     evolve_full_sweep,
     evolve_state_full,
+    evolve_state_time_ordered,
     evolve_time_ordered,
 )
 from conftest import random_state, reference_gate_drive, validate_trajectory
@@ -354,6 +355,59 @@ class TestSimulateFullGate:
         rows = []
         with pytest.raises(DimensionMismatch, match=r"shape \(3,\), but the gate acts on \(4,\)"):
             simulate_full_gate(FULL_GATES["n3"], self.runs((40.0,)), StateTrace(np.eye(3)[0], lambda *block: rows.append(block)))
+        assert rows == []
+
+
+CORE_GATES = {
+    **FULL_GATES,
+    "n16": full_gate_spec(16, np.exp(0.4j * np.arange(15)) / np.sqrt(15)),
+    "off-grid": GateSpec(
+        n=4,
+        psi=np.array([1.0, 1j, -1.0, 0.0]) / np.sqrt(3),
+        phase_twist=0.9,
+        t1=0.4,
+        t2=0.9,
+        t3=1.7,
+        theta_schedule="smooth",
+        phi_schedule="smooth",
+    ),
+}
+
+
+class TestSimulateGateCore:
+    """The gate's two-level core, embedded in n levels, against the n-level
+    effective route on the same clock and steps."""
+
+    STEPS = 2 * FULL_BLOCK + 5  # the last block is partial
+
+    @pytest.mark.parametrize("name", sorted(CORE_GATES))
+    def test_unitary_matches_the_n_level_route(self, name):
+        spec = CORE_GATES[name]
+        report = simulate_gate(spec, self.STEPS)
+        want = evolve_time_ordered(stage_trajectory(spec), 0.0, spec.t3, self.STEPS)
+        assert np.linalg.norm(report.simulated_unitary.matrix - want.unitary.matrix) <= 1e-12
+        assert (report.propagation.steps, report.propagation.method) == (self.STEPS, "effective")
+        assert report.propagation.unitarity_error <= 1e-12
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("name", sorted(CORE_GATES))
+    def test_trace_matches_the_n_level_route(self, name, record_every, rng):
+        # A start state with support outside the core, which must stay put.
+        spec = CORE_GATES[name]
+        start = random_state(rng, spec.n)
+        blocks = []
+        traced = simulate_gate(spec, self.STEPS, StateTrace(start, lambda *rows: blocks.append(rows), record_every))
+        times, states = map(np.concatenate, zip(*blocks))
+        want_times, want_states = evolve_state_time_ordered(stage_trajectory(spec), 0.0, spec.t3, self.STEPS, start, record_every)
+        assert np.array_equal(times, want_times)
+        assert np.max(np.linalg.norm(states - want_states, axis=1)) <= 1e-12
+        untraced = simulate_gate(spec, self.STEPS)
+        assert np.array_equal(traced.simulated_unitary.matrix, untraced.simulated_unitary.matrix)
+
+    def test_a_trace_of_the_wrong_length_is_rejected(self):
+        rows = []
+        with pytest.raises(DimensionMismatch, match=r"shape \(4,\), but the gate acts on \(3,\)"):
+            simulate_gate(FULL_GATES["n3"], self.STEPS, StateTrace(np.eye(4)[0], lambda *block: rows.append(block)))
         assert rows == []
 
 
