@@ -24,6 +24,7 @@ from .berry import (
 from .effective import h_eff_couplings, h_eff_multi
 from .gates import (
     GateSpec,
+    compose_gate,
     logical_block,
     measure_full_gate,
     simulate_full_gate,
@@ -151,7 +152,7 @@ def criterion_5_full_dynamics(seed: int = DEFAULT_SEED) -> CriterionResult:
     """The full Schroedinger oracle converges to the geometric prediction."""
     spec = _reference_gate(theta_schedule="smooth", phi_schedule="smooth")
     runs = [AdiabaticRunConfig(omega_T=omega_T, steps=65536) for omega_T in (2000, 250, 1000, 4000)]
-    (_, dist_2000, leak_2000), *rest = measure_full_gate(spec, simulate_full_gate(spec, runs))
+    (_, dist_2000, leak_2000), *rest = measure_full_gate(logical_block(compose_gate(spec), spec.n), simulate_full_gate(spec, runs))
     sweep = [distance for _, distance, _ in rest]
     decreasing = sweep[0] > sweep[1] > sweep[2]
     passed = leak_2000 < 1e-3 and dist_2000 < 1e-2 and decreasing

@@ -368,7 +368,7 @@ def _run_gate(config: ScenarioConfig, trace: StateTrace | None = None) -> dict:
 
     if "full" in config.methods:
         (result,) = simulate_full_gate(spec, config.full_runs, trace)
-        ((blocks["full"], comparisons["full_vs_analytic_phase"], diag["leakage"]),) = measure_full_gate(spec, (result,))
+        ((blocks["full"], comparisons["full_vs_analytic_phase"], diag["leakage"]),) = measure_full_gate(geo_block, (result,))
         unitaries["full"] = result.unitary.matrix
         diag["unitarity_error"] = max(diag["unitarity_error"], result.unitarity_error)
 
@@ -438,7 +438,7 @@ def _run_compare(config: ScenarioConfig) -> dict:
     results = simulate_full_gate(spec, config.full_runs)
     sweep = [
         {"omega_T": run_config.omega_T, "distance_phase": distance, "leakage": leak}
-        for run_config, (_, distance, leak) in zip(config.full_runs, measure_full_gate(spec, results))
+        for run_config, (_, distance, leak) in zip(config.full_runs, measure_full_gate(geo_block, results))
     ]
     worst_unitarity = max(result.unitarity_error for result in results)
     distances = [entry["distance_phase"] for entry in sweep]

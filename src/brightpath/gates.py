@@ -179,11 +179,11 @@ def gate_coupling_schedule(spec: GateSpec) -> BrightTrajectory:
 
 def _core_frame(spec: GateSpec) -> np.ndarray:
     """Pi, the (n+1, 3) isometry onto the gate's coupled core: the ground
-    directions p = psi and a = |n-1> of ``_core_spec``, then the excited
-    level |n>.  Its first n rows and two columns span the effective
-    route's core."""
+    directions p = psi (renormalized, so the embed keeps W's unitarity) and
+    a = |n-1> of ``_core_spec``, then the excited level |n>.  Its first n
+    rows and two columns span the effective route's core."""
     frame = np.zeros((spec.n + 1, 3), dtype=complex)
-    frame[: spec.n - 1, 0] = spec.psi[: spec.n - 1]
+    frame[: spec.n - 1, 0] = spec.psi[: spec.n - 1] / np.linalg.norm(spec.psi[: spec.n - 1])
     frame[spec.n - 1, 1] = 1.0
     frame[spec.n, 2] = 1.0
     return frame
@@ -235,13 +235,12 @@ def simulate_full_gate(
     return [_embedded(core, frame) for core in evolve_full_sweep(gate_coupling_schedule(spec), runs, trace)]
 
 
-def measure_full_gate(spec: GateSpec, results: Sequence[PropagationResult]) -> list[tuple[np.ndarray, float, float]]:
+def measure_full_gate(geometric: np.ndarray, results: Sequence[PropagationResult]) -> list[tuple[np.ndarray, float, float]]:
     """Each full-oracle gate result on the logical levels 0..n-2 of the n+1:
-    its dark block, that block's phase-mode distance from the logical block
-    of ``compose_gate``, and its ``leakage``."""
-    logical = np.eye(spec.n - 1, spec.n + 1, dtype=complex)
+    its dark block, that block's phase-mode distance from ``geometric`` (the
+    caller's ``logical_block`` of ``compose_gate``), and its ``leakage``."""
+    logical = np.eye(len(geometric), len(geometric) + 2, dtype=complex)
     p_logical = projector_from_frame(logical)
-    geometric = logical_block(compose_gate(spec), spec.n)
     measures = []
     for result in results:
         block = dark_block(result.unitary, logical, logical)

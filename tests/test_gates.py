@@ -410,6 +410,16 @@ class TestSimulateGateCore:
             simulate_gate(FULL_GATES["n3"], self.STEPS, StateTrace(np.eye(4)[0], lambda *block: rows.append(block)))
         assert rows == []
 
+    def test_embeds_keep_w_unitary_for_psi_at_the_norm_tolerance(self):
+        # |psi|^2 - 1 = 5e-11 passes GateSpec; the frame renormalizes psi's
+        # logical part, so each route's embedded U is as unitary as its W.
+        psi = np.array([1.0, 1j, -1.0, 0.0]) * np.sqrt((1.0 + 5e-11) / 3.0)
+        spec = GateSpec(n=4, psi=psi, phase_twist=0.9)
+        (full,) = simulate_full_gate(spec, [AdiabaticRunConfig(omega_T=40.0, steps=self.STEPS)])
+        for result in (simulate_gate(spec, self.STEPS).propagation, full):
+            u = result.unitary.matrix
+            assert np.linalg.norm(u.conj().T @ u - np.eye(len(u))) <= 1e-13
+
 
 class TestStirap:
     def test_full_transfer(self):

@@ -10,13 +10,11 @@ exactly once in its module (the list has gone stale), or if the unmutated
 copy fails; else 0.  An equivalent mark carries the reason no test can tell
 the mutant apart.
 
-Run from the repository root:  python tools/mutants.py [NAME ...]
-(no names: every mutant; ``--list`` prints the names).
+Run from the repository root:  python tools/mutants.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -236,19 +234,8 @@ def run(mutants) -> int:
     return failures
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Run each listed mutant through tier-1 and fail on a survivor.")
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    parser.add_argument("--list", action="store_true", help="print the mutant names and exit")
-    args = parser.parse_args(argv)
-    if args.list:
-        for mutant in MUTANTS:
-            print(f"{mutant.name}: {mutant.module}: {mutant.why}")
-        return 0
-    unknown = sorted(set(args.names) - {mutant.name for mutant in MUTANTS})
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    failures = run([mutant for mutant in MUTANTS if not args.names or mutant.name in args.names])
+def main() -> int:
+    failures = run(MUTANTS)
     print(f"{failures} failing mutant(s)" if failures else "every mutant killed or marked equivalent")
     return 1 if failures else 0
 
