@@ -175,7 +175,7 @@ def holonomy(path: ParameterPath) -> UnitaryOperator:
     )
     exponents = 0.5 * (e1 + e2) - (np.sqrt(3.0) / 12.0) * (e2 @ e1 - e1 @ e2)
     # exp(-exponent) with anti-Hermitian exponent == exp(-i (-i exponent))
-    return UnitaryOperator(_ordered_product(_expm_hermitian_stack(-1j * exponents, 1.0)))
+    return UnitaryOperator(_ordered_product(_expm_hermitian_stack(-1j * exponents, 1.0).transpose(1, 2, 0)))
 
 
 def _require_constant(path: ParameterPath, coords: Sequence[str]) -> None:

@@ -157,7 +157,8 @@ def _expm_hermitian_stack(stack: np.ndarray, t: float) -> np.ndarray:
 def _expm_bright_stack(b: np.ndarray, bdot: np.ndarray, t: float) -> np.ndarray:
     """exp(-i t H_j) for the one-bright-state generator
     H_j = i(|Bdot_j><B_j| - |B_j><Bdot_j|) of every row of (m, d) stacks of
-    bright states and their derivatives, in closed form, without forming H.
+    bright states and their derivatives, in closed form, without forming H,
+    as (d, d, m) entry planes: entry (i, j) of every step in one row.
 
     With e = t Bdot and X = [B, e], t H = X J X^dag for J = [[0, -i], [i, 0]],
     so t H is fixed by the Gram entries g = <B|B>, beta = <B|e> and
@@ -183,28 +184,31 @@ def _expm_bright_stack(b: np.ndarray, bdot: np.ndarray, t: float) -> np.ndarray:
     split = root > 0
     c2 = np.where(split, (phi1 - phi2) / np.where(split, 2.0 * root, 1.0), -0.5)
     c1 = phi1 - c2 * lam1
-    y1 = (c2 * gamma)[:, None] * b + (1j * c1 - c2 * beta)[:, None] * e
-    y2 = (-1j * c1 - c2 * beta.conj())[:, None] * b + (c2 * g)[:, None] * e
-    out = np.multiply(y1[:, :, None], b.conj()[:, None, :], out=np.empty((m, d, d), dtype=complex))
-    out += y2[:, :, None] * e.conj()[:, None, :]
-    out.reshape(m, -1)[:, :: d + 1] += 1.0
-    return out
+    b, e = np.ascontiguousarray(b.T), np.ascontiguousarray(e.T)
+    y1 = (c2 * gamma) * b + (1j * c1 - c2 * beta) * e
+    y2 = (-1j * c1 - c2 * beta.conj()) * b + (c2 * g) * e
+    b_bra, e_bra = b.conj(), e.conj()
+    planes = np.empty((d, d, m), dtype=complex)
+    for i, row in enumerate(planes):
+        np.multiply(y1[i], b_bra, out=row)
+        row += y2[i] * e_bra
+        row[i] += 1.0
+    return planes
 
 
-def _ordered_product(factors: np.ndarray) -> np.ndarray:
-    """Product F_{k-1} @ ... @ F_0 of a (k, d, d) stack (later factors to the
-    left) via pairwise tree reduction; the identity for an empty stack."""
-    if factors.shape[0] == 0:
-        return np.eye(factors.shape[-1], dtype=complex)
-    while factors.shape[0] > 1:
-        m = factors.shape[0]
-        even = factors[0 : m - m % 2 : 2]
-        odd = factors[1 : m : 2]
-        merged = odd @ even
+def _ordered_product(planes: np.ndarray) -> np.ndarray:
+    """Product F_{m-1} @ ... @ F_0 of (d, d, m) entry planes (later factors to
+    the left; the identity for m = 0) by a pairwise tree: each level is one
+    batched contraction, and an odd tail is carried up unchanged."""
+    if planes.shape[-1] == 0:
+        return np.eye(planes.shape[0], dtype=complex)
+    while planes.shape[-1] > 1:
+        m = planes.shape[-1]
+        merged = np.einsum("ilk,ljk->ijk", planes[:, :, 1:m:2], planes[:, :, 0 : m - m % 2 : 2])
         if m % 2:
-            merged = np.concatenate([merged, factors[-1:]], axis=0)
-        factors = merged
-    return factors[0]
+            merged = np.concatenate([merged, planes[:, :, -1:]], axis=2)
+        planes = merged
+    return planes[:, :, 0]
 
 
 DistanceMode = Literal["exact", "up_to_global_phase"]

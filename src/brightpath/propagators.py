@@ -3,8 +3,9 @@
 Every propagator is one pipeline: step grid -> factors -> reducer, streamed
 in blocks of ``FULL_BLOCK`` steps.  The grid splits [t0, t1] into equal
 steps and hands out their midpoints one block at a time.  A factor builder
-samples and checks each block and turns it into an (m, d, d) array of
-one-step exponentials: the exponential midpoint rule (second order, unitary
+samples and checks each block and turns it into the one-step exponentials
+of its m steps, as (d, d, m) entry planes (entry (i, j) of every step in
+one contiguous row): the exponential midpoint rule (second order, unitary
 by construction) for the generator H_eff of a bright trajectory, in closed
 form from the Gram matrix of (B, dt Bdot) for one bright state (no d x d
 H_eff is formed), or the closed-form step of the full (n+1)-level Lambda
@@ -112,7 +113,7 @@ def _midpoint_factors(trajectory: BrightTrajectory, t0: float, t1: float, steps:
             values, derivatives = _checked_frames(*trajectory.sample(mids), times=mids)
             yield _expm_bright_stack(values[:, 0], derivatives[:, 0], dt)
         else:
-            yield _expm_hermitian_stack(_h_eff_stack(*trajectory.sample(mids), times=mids), dt)
+            yield _expm_hermitian_stack(_h_eff_stack(*trajectory.sample(mids), times=mids), dt).transpose(1, 2, 0)
 
 
 def _bright_states(values, progress: np.ndarray) -> np.ndarray:
@@ -137,19 +138,22 @@ def _lambda_step_factors(b: np.ndarray, phase: float) -> np.ndarray:
 
     ``b``: (M, n) bright states per step, ``phase``: the step's Omega * dt.
     Each factor acts on n+1 levels and is the closed form
-    1 + (cos p - 1)(P_B + P_e) - i sin p (|B><e| + |e><B|), written block by
-    block into one uninitialized stack.
+    1 + (cos p - 1)(P_B + P_e) - i sin p (|B><e| + |e><B|), written row by
+    row into uninitialized (n+1, n+1, M) entry planes.
     """
     m, n = b.shape
-    factors = np.empty((m, n + 1, n + 1), dtype=complex)
+    planes = np.empty((n + 1, n + 1, m), dtype=complex)
     cosem = np.cos(phase) - 1.0
     sine = -1j * np.sin(phase)
-    np.multiply((cosem * b)[:, :, None], b.conj()[:, None, :], out=factors[:, :n, :n])
-    factors.reshape(m, -1)[:, : n * (n + 2) : n + 2] += 1.0  # the diagonal of the ground block
-    np.multiply(sine, b, out=factors[:, :n, n])
-    np.multiply(sine, b.conj(), out=factors[:, n, :n])
-    factors[:, n, n] = cosem + 1.0
-    return factors
+    ket = np.ascontiguousarray(b.T)
+    bra = ket.conj()
+    for i in range(n):
+        np.multiply(cosem * ket[i], bra, out=planes[i, :n])
+        planes[i, i] += 1.0
+    np.multiply(sine, ket, out=planes[:n, n])
+    np.multiply(sine, bra, out=planes[n, :n])
+    planes[n, n] = cosem + 1.0
+    return planes
 
 
 def _polar(u: np.ndarray) -> tuple[UnitaryOperator, float]:
@@ -165,7 +169,7 @@ def _unitary_product(blocks: Iterable[np.ndarray]) -> tuple[UnitaryOperator, flo
     """Ordered product of a stream of factor blocks (each block by the tree
     product, then the block products the same way), through ``_polar``."""
     # map() holds no block, so each is released before the next is built.
-    return _polar(_ordered_product(np.array(list(map(_ordered_product, blocks)))))
+    return _polar(_ordered_product(np.stack(list(map(_ordered_product, blocks)), axis=-1)))
 
 
 @dataclass(frozen=True)
@@ -198,9 +202,11 @@ def _traced(trace: StateTrace, t0: float, t1: float, steps: int) -> Callable[[np
 
     def step(block: np.ndarray) -> np.ndarray:
         nonlocal psi, marks, rows, j
-        if psi.shape != block.shape[-1:]:
-            raise DimensionMismatch(f"trace state has shape {psi.shape}, but the step factors are {block.shape[1:]}")
-        for factor in block:
+        if psi.shape != block.shape[:1]:
+            raise DimensionMismatch(f"trace state has shape {psi.shape}, but the step factors are {block.shape[:2]}")
+        # ndarray.dot copies each strided view for BLAS, so a step keeps the
+        # bits of a contiguous factor; `@` would round differently.
+        for factor in block.transpose(2, 0, 1):
             psi = factor.dot(psi)
             j += 1
             if j % trace.record_every == 0 or j == steps:
@@ -276,7 +282,7 @@ def evolve_full_sweep(
             run_products.append(_ordered_product(step(_lambda_step_factors(b, run.omega_T / steps))))
     results = []
     for run_products in products:
-        unitary, drift = _polar(_ordered_product(np.array(run_products)))
+        unitary, drift = _polar(_ordered_product(np.stack(run_products, axis=-1)))
         results.append(PropagationResult(unitary=unitary, steps=steps, unitarity_error=drift, method="full"))
     return results
 

@@ -35,7 +35,7 @@ def midpoint_reference(generator, t0, t1, steps):
     def factors(mids):
         samples = [generator(float(t)) for t in mids]
         stack = np.array([h.matrix if isinstance(h, HermitianOperator) else h for h in samples], dtype=complex)
-        return _expm_hermitian_stack(stack, dt)
+        return _expm_hermitian_stack(stack, dt).transpose(1, 2, 0)
 
     return _unitary_product(map(factors, blocks))[0].matrix
 

@@ -58,7 +58,7 @@ def per_point_holonomy(path: ParameterPath) -> np.ndarray:
 
     e1, e2 = (exponents_at(node) for node in GAUSS_NODES)
     exponents = 0.5 * (e1 + e2) - (np.sqrt(3.0) / 12.0) * (e2 @ e1 - e1 @ e2)
-    return _ordered_product(_expm_hermitian_stack(-1j * exponents, 1.0))
+    return _ordered_product(_expm_hermitian_stack(-1j * exponents, 1.0).transpose(1, 2, 0))
 
 
 def per_segment_dark_block(path: ParameterPath, steps_per_segment: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -356,6 +358,18 @@ class TestSimulateFullGate:
         with pytest.raises(DimensionMismatch, match=r"shape \(3,\), but the gate acts on \(4,\)"):
             simulate_full_gate(FULL_GATES["n3"], self.runs((40.0,)), StateTrace(np.eye(3)[0], lambda *block: rows.append(block)))
         assert rows == []
+
+    def test_memory_stays_within_three_blocks_of_planes(self):
+        # Each block of steps is built as (3, 3, FULL_BLOCK) entry planes and
+        # reduced as it is; a copy of every block into another layout would
+        # hold one block more.
+        tracemalloc.start()
+        try:
+            simulate_full_gate(FULL_GATES["n3"], [AdiabaticRunConfig(omega_T=2000.0, steps=16 * FULL_BLOCK)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (3 * 3 * FULL_BLOCK * 16)
 
 
 CORE_GATES = {

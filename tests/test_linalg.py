@@ -9,6 +9,7 @@ from brightpath.linalg import (
     UnitaryOperator,
     _expm_bright_stack,
     _expm_hermitian_stack,
+    _ordered_product,
     expm_hermitian,
     matrix_distance,
     projector_from_frame,
@@ -147,13 +148,13 @@ class TestExpmRank2:
     @pytest.mark.parametrize("t", [1e-3, 0.25, 1.0])
     def test_matches_eigh(self, rng, dim, pure_gauge, t):
         b, bdot = one_bright_pairs(rng, dim, np.logspace(-10, 1, 400), pure_gauge)
-        u = _expm_bright_stack(b, bdot, t)
+        u = _expm_bright_stack(b, bdot, t).transpose(2, 0, 1)
         assert np.abs(u - _expm_hermitian_stack(dense_generators(b, bdot), t)).max() <= 1e-13
         assert unitarity_defect(u) <= 1e-13
 
     def test_zero_generator_is_identity(self, rng):
         b, _ = one_bright_pairs(rng, 4, np.ones(3))
-        u = _expm_bright_stack(b, np.zeros_like(b), 0.7)
+        u = _expm_bright_stack(b, np.zeros_like(b), 0.7).transpose(2, 0, 1)
         np.testing.assert_array_equal(u, np.broadcast_to(np.eye(4), (3, 4, 4)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -161,9 +162,38 @@ class TestExpmRank2:
     def test_only_the_scaled_exponent_is_squared(self, rng, speed, t):
         # ||Bdot||^2 overflows (or underflows) here; ||t Bdot||^2 is of order one.
         b, bdot = one_bright_pairs(rng, 3, np.full(50, speed))
-        u = _expm_bright_stack(b, bdot, t)
+        u = _expm_bright_stack(b, bdot, t).transpose(2, 0, 1)
         assert np.abs(u - _expm_hermitian_stack(dense_generators(b, bdot) * t, 1.0)).max() <= 1e-13
         assert unitarity_defect(u) <= 1e-13
+
+
+def sequential_product(stack):
+    """F_{m-1} @ ... @ F_0 of an (m, d, d) stack, one factor at a time."""
+    u = np.eye(stack.shape[-1], dtype=complex)
+    for factor in stack:
+        u = factor @ u
+    return u
+
+
+class TestOrderedProduct:
+    """The tree product of (d, d, m) entry planes against a loop that
+    multiplies each later factor on the left."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 5, 64, 65, 4096])
+    def test_matches_a_sequential_loop(self, rng, dim, length):
+        stack = np.array([random_unitary(rng, dim) for _ in range(length)]).reshape(length, dim, dim)
+        got = _ordered_product(np.ascontiguousarray(stack.transpose(1, 2, 0)))
+        assert got.shape == (dim, dim)
+        assert np.abs(got - sequential_product(stack)).max() <= 1e-12
+
+    def test_takes_a_strided_view(self, rng):
+        # The k >= 2 midpoint route and berry.holonomy hand it a transposed
+        # (m, d, d) stack, not a copy.
+        stack = np.array([random_unitary(rng, 3) for _ in range(65)])
+        planes = stack.transpose(1, 2, 0)
+        assert not planes.flags.c_contiguous
+        assert np.abs(_ordered_product(planes) - sequential_product(stack)).max() <= 1e-12
 
 
 class TestUnitaryDistance:

@@ -390,6 +390,17 @@ def gate_schedule(n=3):
 class TestBlockedOracle:
     """The full oracle streams its steps in blocks of FULL_BLOCK."""
 
+    @pytest.mark.parametrize("trajectory", noncommuting_trajectories(), ids=["k1", "k2"])
+    def test_a_ragged_midpoint_run_matches_a_sequential_loop(self, trajectory):
+        # One full block and a tail of 3, each reduced as entry planes and
+        # then the two block products, against every step's exponential
+        # multiplied on the left one at a time.
+        steps = FULL_BLOCK + 3
+        u = np.eye(trajectory.dim, dtype=complex)
+        for t in 1.5 * (np.arange(steps) + 0.5) / steps:
+            u = expm_hermitian(trajectory.h_eff(t), 1.5 / steps).matrix @ u
+        assert np.linalg.norm(evolve_time_ordered(trajectory, 0.0, 1.5, steps).unitary.matrix - u) < 1e-12
+
     def test_matches_whole_grid_sequential_product(self):
         # Two full blocks and a ragged tail, against every factor of the run
         # built at once and multiplied one by one, later steps to the left.
@@ -398,7 +409,7 @@ class TestBlockedOracle:
         mids = (np.arange(config.steps) + 0.5) / config.steps
         factors = _lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / config.steps)
         u = np.eye(4, dtype=complex)
-        for factor in factors:
+        for factor in factors.transpose(2, 0, 1):
             u = factor @ u
         assert np.linalg.norm(evolve_full_adiabatic(schedule, config).unitary.matrix - u) < 1e-12
         start = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
@@ -418,7 +429,8 @@ class TestBlockedOracle:
         j = 0
         blocks, _ = _step_grid(0.0, 1.0, config.steps)
         for mids in blocks:
-            for factor in _lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / config.steps):
+            planes = _lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / config.steps)
+            for factor in planes.transpose(2, 0, 1).copy():
                 psi = factor @ psi
                 j += 1
                 if j % record_every == 0 or j == config.steps:

@@ -51,9 +51,16 @@ MUTANTS = (
     Mutant(
         "swapped-tree-product",
         "linalg",
-        "merged = odd @ even",
-        "merged = even @ odd",
+        "planes[:, :, 1:m:2], planes[:, :, 0 : m - m % 2 : 2])",
+        "planes[:, :, 0 : m - m % 2 : 2], planes[:, :, 1:m:2])",
         "the ordered product puts earlier factors on the left",
+    ),
+    Mutant(
+        "plane-index-transposed",
+        "linalg",
+        '"ilk,ljk->ijk"',
+        '"lik,ljk->ijk"',
+        "the tree contraction reads the later factor's entry planes transposed",
     ),
     Mutant(
         "flipped-magnus-commutator",
@@ -82,6 +89,13 @@ MUTANTS = (
         "sine = -1j * np.sin(phase)",
         "sine = 1j * np.sin(phase)",
         "the full oracle steps with exp(+i H dt)",
+    ),
+    Mutant(
+        "lambda-bra-without-conj",
+        "propagators",
+        "np.multiply(sine, bra, out=planes[n, :n])",
+        "np.multiply(sine, ket, out=planes[n, :n])",
+        "the full oracle writes its <B| row as B^T: the step is not unitary for a complex B",
     ),
     Mutant(
         "reparametrize-keeps-unmapped-breakpoints",
