@@ -79,7 +79,7 @@ def criterion_2_cphase(seed: int = DEFAULT_SEED) -> CriterionResult:
     psi[3] = 1.0
     spec = GateSpec(n=5, psi=psi, phase_twist=np.pi)
     report = simulate_gate(spec, steps=10_000)
-    block = logical_block(report.simulated_unitary, 5)
+    block = logical_block(report.propagation.unitary, 5)
     distance = float(np.linalg.norm(block - np.diag([1.0, 1.0, 1.0, -1.0])))
     return CriterionResult(
         2,

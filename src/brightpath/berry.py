@@ -60,20 +60,12 @@ class ParameterPath:
             if not gap < CLOSURE_TOL:
                 raise ValueError(f"closed path endpoints differ by {gap:.3e}")
 
-    @property
-    def segment_count(self) -> int:
-        return self.samples.shape[0] - 1
-
-    def check_resolution(self, bound: float = SEGMENT_BOUND) -> None:
-        if self.segment_count == 0:
+    def check_resolution(self) -> None:
+        if len(self.samples) == 1:
             return
-        jumps = np.max(np.abs(np.diff(self.samples, axis=0)), axis=1)
-        worst = float(np.max(jumps))
-        if worst >= bound:
-            raise SegmentTooCoarse(f"a segment moves {worst:.3f} rad; bound is {bound} rad")
-
-    def reversed(self) -> "ParameterPath":
-        return ParameterPath(self.samples[::-1].copy(), closed=self.closed)
+        worst = float(np.max(np.abs(np.diff(self.samples, axis=0))))
+        if worst >= SEGMENT_BOUND:
+            raise SegmentTooCoarse(f"a segment moves {worst:.3f} rad; bound is {SEGMENT_BOUND} rad")
 
 
 def rectangle_loop(coord_a: str, coord_b: str, side_a: float, side_b: float, points_per_edge: int = 32) -> ParameterPath:

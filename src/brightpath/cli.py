@@ -359,8 +359,8 @@ def _run_gate(config: ScenarioConfig, trace: StateTrace | None = None) -> dict:
     if "effective" in config.methods:
         # A time series follows the full method when it runs.
         report = simulate_gate(spec, steps=config.steps, trace=None if "full" in config.methods else trace)
-        unitaries["effective"] = report.simulated_unitary.matrix
-        blocks["effective"] = logical_block(report.simulated_unitary, spec.n)
+        unitaries["effective"] = report.propagation.unitary.matrix
+        blocks["effective"] = logical_block(report.propagation.unitary, spec.n)
         comparisons["effective_vs_analytic_exact"] = report.distance_exact
         comparisons["effective_vs_analytic_phase"] = report.distance_phase
         diag["geometric_phase"] = report.geometric_phase
@@ -560,13 +560,7 @@ def run_scenario(config: ScenarioConfig, trace: StateTrace | None = None) -> dic
 # time series
 
 
-def check_timeseries_kind(kind: str) -> None:
-    """Reject a scenario kind that has no time series to write."""
-    if kind not in TIMESERIES_KINDS:
-        raise ConfigError(f"kind: scenario {kind!r} does not support time series; expected one of {TIMESERIES_KINDS}")
-
-
-def emit_timeseries(config: ScenarioConfig, path: str, record_every: int = 1) -> dict:
+def emit_timeseries(config: ScenarioConfig, path: str) -> dict:
     """Run one scenario and write its ``t,leakage,pop_1..pop_N,phase_psi``
     CSV in the same pass; return the report.
 
@@ -576,7 +570,8 @@ def emit_timeseries(config: ScenarioConfig, path: str, record_every: int = 1) ->
     next block is built.  A path that cannot be opened is a ``ConfigError``
     before the run; a run that fails leaves no CSV behind.
     """
-    check_timeseries_kind(config.kind)
+    if config.kind not in TIMESERIES_KINDS:
+        raise ConfigError(f"kind: scenario {config.kind!r} does not support time series; expected one of {TIMESERIES_KINDS}")
     reference, bright_at = _timeseries_frame(config)
     try:
         handle = open(path, "w", encoding="utf-8", newline="\n")
@@ -584,7 +579,7 @@ def emit_timeseries(config: ScenarioConfig, path: str, record_every: int = 1) ->
         raise ConfigError(f"timeseries: cannot write {path}: {exc}") from exc
     with handle:
         try:
-            return run_scenario(config, StateTrace(reference, TimeseriesWriter(handle, reference, bright_at), record_every))
+            return run_scenario(config, StateTrace(reference, TimeseriesWriter(handle, reference, bright_at)))
         except BaseException as exc:
             handle.close()
             if os.path.isfile(path):

@@ -105,10 +105,9 @@ class BrightTrajectory:
 
     ``sampler(times)`` evaluates a 1-D array of times at once as (values,
     derivatives), each (M, k, dim): the bright states and their time
-    derivatives.  ``value(t)`` and ``derivative(t)`` are its one-element
-    case.  ``breakpoints`` lists interior times where the derivative may
-    jump (piecewise schedules); value stays continuous there.  Evaluation
-    must be pure: the same t always yields the same output.
+    derivatives.  ``breakpoints`` lists interior times where the derivative
+    may jump (piecewise schedules); value stays continuous there.
+    Evaluation must be pure: the same t always yields the same output.
     """
 
     dim: int
@@ -137,61 +136,7 @@ class BrightTrajectory:
             )
         return values, derivatives
 
-    def value(self, t: float) -> np.ndarray:
-        """The (k, dim) bright frame at time ``t``."""
-        return self.sample(np.array([t], dtype=float))[0][0]
-
-    def derivative(self, t: float) -> np.ndarray:
-        """The (k, dim) time derivative of the bright frame at ``t``."""
-        return self.sample(np.array([t], dtype=float))[1][0]
-
     def h_eff(self, t: float) -> HermitianOperator:
         """The geometric generator carried by this trajectory at time ``t``."""
         values, derivatives = self.sample(np.array([t], dtype=float))
         return h_eff_multi(values[0], derivatives[0])
-
-    def reversed(self) -> "BrightTrajectory":
-        """The same bright path traversed backwards in time."""
-        t0, t1 = self.t_start, self.t_end
-
-        def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # t0 + t1 - t can round one ulp past an end; the clip keeps it in.
-            values, derivatives = self.sample(np.clip(t0 + t1 - times, t0, t1))
-            return values, -derivatives
-
-        return BrightTrajectory(self.dim, self.k, t0, t1, sampler, tuple(sorted(t0 + t1 - b for b in self.breakpoints)))
-
-    @staticmethod
-    def concatenate(pieces: Sequence["BrightTrajectory"], continuity_tol: float = 1e-12) -> "BrightTrajectory":
-        """Join consecutive trajectory pieces into one piecewise trajectory.
-
-        Adjacent pieces must agree in dimensions and meet continuously
-        (values at the shared boundary equal within ``continuity_tol``).
-        """
-        if not pieces:
-            raise ValueError("need at least one piece")
-        dim, k = pieces[0].dim, pieces[0].k
-        for left, right in zip(pieces, pieces[1:]):
-            if (right.dim, right.k) != (dim, k):
-                raise DimensionMismatch("pieces act on different spaces")
-            if abs(right.t_start - left.t_end) > 1e-12:
-                raise ValueError("pieces must tile the time axis contiguously")
-            mismatch = float(np.linalg.norm(left.value(left.t_end) - right.value(right.t_start)))
-            if mismatch > continuity_tol:
-                raise ValueError(f"discontinuity {mismatch:.3e} at t={left.t_end!r}")
-        edges = [p.t_start for p in pieces[1:]]
-        interior = tuple(sorted(set(edges).union(b for p in pieces for b in p.breakpoints)))
-
-        def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # A time on a shared edge belongs to the piece on its right.
-            which = np.searchsorted(edges, times, side="right")
-            values = np.empty((times.size, k, dim), dtype=complex)
-            derivatives = np.empty_like(values)
-            for i, piece in enumerate(pieces):
-                mine = which == i
-                if mine.any():
-                    values[mine], derivatives[mine] = piece.sample(times[mine])
-            return values, derivatives
-
-        return BrightTrajectory(dim, k, pieces[0].t_start, pieces[-1].t_end, sampler, interior)
-

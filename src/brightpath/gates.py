@@ -206,7 +206,7 @@ def _core_trace(trace: StateTrace, frame: np.ndarray) -> StateTrace:
             states += amplitudes[:, None] * column
         trace.sink(times, states)
 
-    return StateTrace(core, sink, trace.record_every)
+    return StateTrace(core, sink)
 
 
 def _embedded(core: PropagationResult, frame: np.ndarray) -> PropagationResult:
@@ -253,8 +253,6 @@ def measure_full_gate(geometric: np.ndarray, results: Sequence[PropagationResult
 class GateReport:
     """Analytic vs simulated gate, compared on the logical dark block."""
 
-    analytic_unitary: UnitaryOperator
-    simulated_unitary: UnitaryOperator
     distance_exact: float
     distance_phase: float
     geometric_phase: float
@@ -296,12 +294,9 @@ def simulate_gate(spec: GateSpec, steps: int = 10_000, trace: StateTrace | None 
     frame = _core_frame(spec)[: spec.n, :2]
     trace = None if trace is None else _core_trace(trace, frame)
     propagation = _embedded(evolve_time_ordered(stage_trajectory(_core_spec(spec)), 0.0, spec.t3, steps, trace), frame)
-    analytic = compose_gate(spec)
     sim_block = logical_block(propagation.unitary, spec.n)
-    ana_block = logical_block(analytic, spec.n)
+    ana_block = logical_block(compose_gate(spec), spec.n)
     return GateReport(
-        analytic_unitary=analytic,
-        simulated_unitary=propagation.unitary,
         distance_exact=matrix_distance(sim_block, ana_block, "exact"),
         distance_phase=matrix_distance(sim_block, ana_block, "up_to_global_phase"),
         geometric_phase=extract_geometric_phase(propagation.unitary, spec.psi),
@@ -345,17 +340,10 @@ def stirap_transfer(
     and follows cos(theta)|1> - sin(theta)|2> as theta ramps up; at
     theta = pi/2 the population has moved entirely to level 2 (with the
     transported state equal to -|2>).  A ``trace`` carries its state along
-    the same steps; it runs even for theta_end = 0, whose report needs no
-    propagation.
+    the same steps.
     """
-    start = np.array([1.0, 0.0], dtype=complex)
-    if theta_end == 0.0:
-        if trace is not None:
-            evolve_time_ordered(stirap_trajectory(theta_end, ramp), 0.0, 1.0, steps, trace)
-        return StirapReport(start, start.copy(), 0.0, 0.0)
-    trajectory = stirap_trajectory(theta_end, ramp)
-    result = evolve_time_ordered(trajectory, 0.0, 1.0, steps, trace)
-    final = result.unitary.matrix @ start
+    result = evolve_time_ordered(stirap_trajectory(theta_end, ramp), 0.0, 1.0, steps, trace)
+    final = result.unitary.matrix @ np.array([1.0, 0.0], dtype=complex)
     expected = np.array([np.cos(theta_end), -np.sin(theta_end)], dtype=complex)
     return StirapReport(
         final_state=final,

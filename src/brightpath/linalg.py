@@ -14,19 +14,23 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotOrthonormal, NotUnitary
 
-# Input frames may come out of finite-difference pipelines, so they get a
-# looser tolerance than anything this package produces itself.
+# Input frames come from callers: a trajectory's sampler, or the dark frames
+# handed to dark_block and leakage.  The check catches a frame that is wrong,
+# not one whose formulas round: every midpoint step is unitary for any frame
+# (H_eff is Hermitian by construction), and a drift this small moves a result
+# by about as much.  So input frames get a looser tolerance than anything
+# this package produces itself.
 INPUT_ORTHONORMALITY_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-9
 
 
-def as_frame(vectors, *, tol: float = INPUT_ORTHONORMALITY_TOL) -> np.ndarray:
+def as_frame(vectors) -> np.ndarray:
     """Stack vectors into a (k, n) array and check pairwise orthonormality."""
     frame = np.atleast_2d(np.asarray(vectors, dtype=complex))
     if frame.size and frame.ndim != 2:
         raise DimensionMismatch(f"expected a set of vectors, got shape {frame.shape}")
-    check_orthonormal(frame, tol=tol)
+    check_orthonormal(frame)
     return frame
 
 
@@ -53,13 +57,14 @@ def _orthonormality_failure(frames: np.ndarray, tol: float = INPUT_ORTHONORMALIT
 class HermitianOperator:
     """A square complex matrix verified to be Hermitian at construction.
 
-    The hermiticity check is relative: ||M - M^dag||_F < tol * max(1, ||M||_F).
+    The hermiticity check is relative:
+    ||M - M^dag||_F < HERMITICITY_TOL * max(1, ||M||_F).
     Entries are frozen (read-only view) after construction.
     """
 
     __slots__ = ("_matrix",)
 
-    def __init__(self, matrix, *, tol: float = HERMITICITY_TOL):
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
@@ -68,8 +73,8 @@ class HermitianOperator:
         # Written so that non-finite entries fail.
         deviation = np.hypot.reduce(np.abs(m - m.conj().T), axis=(0, 1))
         scale = np.maximum(1.0, np.hypot.reduce(np.abs(m), axis=(0, 1)))
-        if not deviation < tol * scale:
-            raise NotHermitian(f"||M - M^dag||_F = {deviation:.3e} exceeds {tol:.1e} * {scale:.3e}")
+        if not deviation < HERMITICITY_TOL * scale:
+            raise NotHermitian(f"||M - M^dag||_F = {deviation:.3e} exceeds {HERMITICITY_TOL:.1e} * {scale:.3e}")
         m.setflags(write=False)
         self._matrix = m
 
@@ -86,17 +91,18 @@ class HermitianOperator:
 
 
 class UnitaryOperator:
-    """A square complex matrix verified to be unitary at construction."""
+    """A square complex matrix verified to be unitary at construction,
+    ||U^dag U - 1||_F < UNITARITY_TOL."""
 
     __slots__ = ("_matrix",)
 
-    def __init__(self, matrix, *, tol: float = UNITARITY_TOL):
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         deviation = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
-        if not deviation < tol:
-            raise NotUnitary(f"||U^dag U - 1||_F = {deviation:.3e} exceeds {tol:.1e}")
+        if not deviation < UNITARITY_TOL:
+            raise NotUnitary(f"||U^dag U - 1||_F = {deviation:.3e} exceeds {UNITARITY_TOL:.1e}")
         m.setflags(write=False)
         self._matrix = m
 
@@ -117,19 +123,9 @@ class UnitaryOperator:
         return f"UnitaryOperator(dim={self.dim})"
 
 
-def projector_from_frame(vectors: Iterable[np.ndarray], dim: int | None = None) -> HermitianOperator:
-    """Projector sum_i |v_i><v_i| onto the span of an orthonormal frame.
-
-    ``dim`` is required when ``vectors`` is empty (zero projector).
-    """
-    frame = list(vectors)
-    if not frame:
-        if dim is None:
-            raise DimensionMismatch("dim is required for an empty frame")
-        return HermitianOperator(np.zeros((dim, dim), dtype=complex))
-    stacked = as_frame(frame)
-    if dim is not None and stacked.shape[1] != dim:
-        raise DimensionMismatch(f"frame dimension {stacked.shape[1]} != requested {dim}")
+def projector_from_frame(vectors: Iterable[np.ndarray]) -> HermitianOperator:
+    """Projector sum_i |v_i><v_i| onto the span of an orthonormal frame."""
+    stacked = as_frame(list(vectors))
     proj = stacked.T @ stacked.conj()
     # Symmetrize away the last bits of rounding noise.
     return HermitianOperator((proj + proj.conj().T) / 2.0)

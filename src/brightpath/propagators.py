@@ -15,7 +15,7 @@ progress [0, 1] at Omega = 1, so B and Omega*T fix a run.  A reducer
 consumes the blocks in order: it forms the ordered product (each block by
 a pairwise tree, then the block products by the same tree) and, given a
 ``StateTrace``, applies the same factors to one state and hands each
-block's recorded rows to the trace's sink, so a run's unitary and its state
+block's states to the trace's sink, so a run's unitary and its state
 trajectory come from one pass.  No array longer than one block is built, so
 memory stays flat in the step count.  The full runs of a sweep over
 Omega*T share one step grid and one sampled, checked drive per block.
@@ -176,56 +176,48 @@ def _unitary_product(blocks: Iterable[np.ndarray]) -> tuple[UnitaryOperator, flo
 class StateTrace:
     """A start state for a propagation to carry along its factor stream.
 
-    ``sink(times, states)`` receives each block's recorded rows before the
-    next block is built: the start state (with the first block), every
-    ``record_every``-th step and the last, at their grid times.  So one pass
-    gives both the unitary and the state trajectory, and at most one block
-    of states is held.
+    ``sink(times, states)`` receives each block's rows before the next block
+    is built: the start state (with the first block), then the state after
+    every step, at its grid time.  So one pass gives both the unitary and
+    the state trajectory, and at most one block of states is held.
     """
 
     state: np.ndarray
     sink: Callable[[np.ndarray, np.ndarray], None]
-    record_every: int = 1
-
-    def __post_init__(self):
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
 
 def _traced(trace: StateTrace, t0: float, t1: float, steps: int) -> Callable[[np.ndarray], np.ndarray]:
     """A per-block step: it applies each factor of a block in order to the
-    trace's state, hands the block's recorded rows to the trace's sink and
-    returns the block.  A state whose length is not the factors' dimension
-    raises ``DimensionMismatch`` before the first step."""
+    trace's state, hands the block's rows to the trace's sink and returns
+    the block.  A state whose length is not the factors' dimension raises
+    ``DimensionMismatch`` before the first step."""
     psi = np.asarray(trace.state, dtype=complex)
-    marks, rows, j = [0], [psi], 0
+    rows, j = [psi], 0
 
     def step(block: np.ndarray) -> np.ndarray:
-        nonlocal psi, marks, rows, j
+        nonlocal psi, rows, j
         if psi.shape != block.shape[:1]:
             raise DimensionMismatch(f"trace state has shape {psi.shape}, but the step factors are {block.shape[:2]}")
         # ndarray.dot copies each strided view for BLAS, so a step keeps the
         # bits of a contiguous factor; `@` would round differently.
         for factor in block.transpose(2, 0, 1):
             psi = factor.dot(psi)
-            j += 1
-            if j % trace.record_every == 0 or j == steps:
-                marks.append(j)
-                rows.append(psi)
-        if marks:
-            # The last mark is t1 itself; the grid formula can round one ulp past it.
-            trace.sink(np.minimum(t0 + (t1 - t0) * np.array(marks) / steps, t1), np.array(rows))
-            marks, rows = [], []
+            rows.append(psi)
+        j += block.shape[-1]
+        marks = np.arange(j + 1 - len(rows), j + 1)
+        # The last mark is t1 itself; the grid formula can round one ulp past it.
+        trace.sink(np.minimum(t0 + (t1 - t0) * marks / steps, t1), np.array(rows))
+        rows = []
         return block
 
     return step
 
 
-def _recorded(propagate, state: np.ndarray, record_every: int) -> tuple[np.ndarray, np.ndarray]:
+def _recorded(propagate, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All rows that ``propagate(trace)`` hands a trace of ``state``, as
     (times, states)."""
     blocks = []
-    propagate(StateTrace(state, lambda *rows: blocks.append(rows), record_every))
+    propagate(StateTrace(state, lambda *rows: blocks.append(rows)))
     times, states = zip(*blocks)
     return np.concatenate(times), np.concatenate(states)
 
@@ -300,7 +292,6 @@ def evolve_state_full(
     drive: BrightTrajectory,
     config: AdiabaticRunConfig,
     state: np.ndarray,
-    record_every: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagate one state through the full dynamics, recording snapshots.
 
@@ -308,7 +299,7 @@ def evolve_state_full(
     ``states`` of shape (len(times), n+1); row 0 is the initial state.  The
     rows a :class:`StateTrace` of :func:`evolve_full_adiabatic` receives.
     """
-    return _recorded(lambda trace: evolve_full_adiabatic(drive, config, trace), state, record_every)
+    return _recorded(lambda trace: evolve_full_adiabatic(drive, config, trace), state)
 
 
 def evolve_state_time_ordered(
@@ -317,7 +308,6 @@ def evolve_state_time_ordered(
     t1: float,
     steps: int,
     state: np.ndarray,
-    record_every: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint-rule propagation of one state along a bright ``trajectory``,
     with snapshots.
@@ -325,7 +315,7 @@ def evolve_state_time_ordered(
     Returns (times, states); row 0 is the initial state at t0.  The rows a
     :class:`StateTrace` of :func:`evolve_time_ordered` receives.
     """
-    return _recorded(lambda trace: evolve_time_ordered(trajectory, t0, t1, steps, trace), state, record_every)
+    return _recorded(lambda trace: evolve_time_ordered(trajectory, t0, t1, steps, trace), state)
 
 
 def dark_block(u: UnitaryOperator | np.ndarray, frame_start, frame_end) -> np.ndarray:

@@ -19,17 +19,13 @@ def check_ramp(name, argument: str = "ramp") -> None:
         raise ValueError(f"{argument} must be one of {RAMP_NAMES}, got {name!r}")
 
 
-def ramp_value(name: str, s):
-    """Ramp profile, elementwise; scalars in, scalars out."""
+def ramp_value(name: str, s: np.ndarray) -> np.ndarray:
+    """Ramp profile, elementwise on an array of progress values."""
     check_ramp(name)
-    s = np.asarray(s, dtype=float)
-    out = s if name == "linear" else np.sin(np.pi * s / 2.0) ** 2
-    return out if out.ndim else float(out)
+    return s if name == "linear" else np.sin(np.pi * s / 2.0) ** 2
 
 
-def ramp_rate(name: str, s):
-    """Derivative of the ramp profile with respect to s."""
+def ramp_rate(name: str, s: np.ndarray) -> np.ndarray:
+    """Derivative of the ramp profile with respect to s, elementwise."""
     check_ramp(name)
-    s = np.asarray(s, dtype=float)
-    out = np.ones_like(s) if name == "linear" else (np.pi / 2.0) * np.sin(np.pi * s)
-    return out if out.ndim else float(out)
+    return np.ones_like(s) if name == "linear" else (np.pi / 2.0) * np.sin(np.pi * s)

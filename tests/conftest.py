@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from brightpath.berry import ParameterPath
+from brightpath.effective import BrightTrajectory
 from brightpath.gates import stage_trajectory
 from brightpath.linalg import HermitianOperator, _expm_hermitian_stack, check_orthonormal
 from brightpath.propagators import _step_grid, _unitary_product, reparametrize
@@ -40,6 +42,43 @@ def midpoint_reference(generator, t0, t1, steps):
     return _unitary_product(map(factors, blocks))[0].matrix
 
 
+def frame_at(trajectory, t):
+    """The (k, dim) bright frame of a trajectory at one time ``t``, and its
+    derivative: the one-sample case of ``sample``."""
+    values, derivatives = trajectory.sample(np.array([t], dtype=float))
+    return values[0], derivatives[0]
+
+
+def reversed_trajectory(trajectory):
+    """The same bright path traversed backwards on the same interval:
+    (B(t0 + t1 - t), -Bdot(t0 + t1 - t)).  Its breakpoints are not
+    carried over; no propagator reads them."""
+    t0, t1 = trajectory.t_start, trajectory.t_end
+
+    def sampler(times):
+        values, derivatives = trajectory.sample(t0 + t1 - times)
+        return values, -derivatives
+
+    return BrightTrajectory(trajectory.dim, trajectory.k, t0, t1, sampler)
+
+
+def reversed_path(path):
+    """The same polyline of drive parameters traversed backwards."""
+    return ParameterPath(path.samples[::-1], closed=path.closed)
+
+
+def matmul_snapshots(blocks, state):
+    """The start state and the state after every step of a stream of
+    (d, d, m) factor planes, each factor applied on its own as a contiguous
+    ``factor @ psi``: the reference the trace reducer must match bit for
+    bit."""
+    rows = [np.asarray(state, dtype=complex)]
+    for planes in blocks:
+        for factor in planes.transpose(2, 0, 1).copy():
+            rows.append(factor @ rows[-1])
+    return np.array(rows)
+
+
 def validate_trajectory(trajectory, times=None):
     """Check a trajectory's frames for orthonormality at probe times and
     assert that its analytic derivative is the one its values have: the
@@ -54,16 +93,14 @@ def validate_trajectory(trajectory, times=None):
         times = [t + 1e-3 * span if any(abs(t - b) < 1e-6 * span for b in trajectory.breakpoints) else t for t in raw]
     h_big, h_small = 1e-4, 1e-5
     for t in times:
-        check_orthonormal(trajectory.value(t))
+        value, derivative = frame_at(trajectory, t)
+        check_orthonormal(value)
         if t - h_big < trajectory.t_start or t + h_big > trajectory.t_end:
             continue
         if any(abs(t - b) < 2 * h_big for b in trajectory.breakpoints):
             continue
-        derivative = trajectory.derivative(t)
-        err = [
-            float(np.linalg.norm((trajectory.value(t + h) - trajectory.value(t - h)) / (2 * h) - derivative))
-            for h in (h_big, h_small)
-        ]
+        value_at = lambda s: frame_at(trajectory, s)[0]
+        err = [float(np.linalg.norm((value_at(t + h) - value_at(t - h)) / (2 * h) - derivative)) for h in (h_big, h_small)]
         # Second-order decrease, with an absolute floor for trajectories
         # whose finite-difference error already sits at roundoff.
         assert err[1] <= 1e-9 or err[1] <= 0.05 * err[0], (

@@ -25,7 +25,7 @@ from brightpath.lambda_system import (
 )
 from brightpath.linalg import _expm_hermitian_stack, _ordered_product, expm_hermitian
 from brightpath.propagators import FULL_BLOCK, dark_block
-from conftest import midpoint_reference
+from conftest import midpoint_reference, reversed_path
 
 
 def finite_difference_connection(angles: np.ndarray, h: float = 1e-5) -> list[np.ndarray]:
@@ -238,7 +238,7 @@ class TestHolonomy:
     def test_reversed_loop_is_inverse(self):
         path = rectangle_loop("theta1", "theta2", 1.0, 0.8)
         u = holonomy(path).matrix
-        u_back = holonomy(path.reversed()).matrix
+        u_back = holonomy(reversed_path(path)).matrix
         np.testing.assert_allclose(u_back @ u, np.eye(2), atol=1e-12)
 
 

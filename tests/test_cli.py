@@ -247,8 +247,9 @@ class TestTimeseries:
                 "phi_schedule": "smooth",
             },
         )
-        emit_timeseries(config, str(path), record_every=64)
+        emit_timeseries(config, str(path))
         rows = path.read_text().strip().splitlines()
+        assert len(rows) == 16385 + 1
         assert rows[0] == "t,leakage,pop_1,pop_2,pop_3,pop_4,phase_psi"
         leak = [float(row.split(",")[1]) for row in rows[1:]]
         assert max(leak) < 1e-3
@@ -361,16 +362,16 @@ FIVE_LEVEL_GATE = {
 }
 
 
-def recorded_states(config, record_every):
+def recorded_states(config):
     """The rows of a scenario's time series from a run of their own (the
     state-route wrapper for stirap, a traced gate route for a gate), with
     the start state and bright states of its CSV."""
     reference, bright_at = cli._timeseries_frame(config)
     if config.kind == "stirap":
-        times, states = evolve_state_time_ordered(config.trajectory, 0.0, 1.0, config.steps, reference, record_every)
+        times, states = evolve_state_time_ordered(config.trajectory, 0.0, 1.0, config.steps, reference)
     else:
         blocks = []
-        trace = StateTrace(reference, lambda *rows: blocks.append(rows), record_every)
+        trace = StateTrace(reference, lambda *rows: blocks.append(rows))
         if "full" in config.methods:
             simulate_full_gate(config.spec, config.full_runs, trace)
         else:
@@ -397,24 +398,23 @@ class TestChunkedTimeseriesBytes:
                 sink(times[lo : lo + FULL_BLOCK], states[lo : lo + FULL_BLOCK])
 
     @pytest.mark.parametrize(
-        "kind, parameters, record_every",
+        "kind, parameters",
         [
-            ("stirap", {"steps": FULL_BLOCK + 37}, 1),
-            ("stirap", {"steps": 4096, "ramp": "smooth"}, 64),
-            ("gate", {"methods": ["effective"], "steps": FULL_BLOCK + 37}, 1),
-            ("gate", {"methods": ["effective"], "steps": 4096}, 64),
-            ("gate", FIVE_LEVEL_GATE, 1),
-            ("gate", FIVE_LEVEL_GATE, 64),
+            ("stirap", {"steps": FULL_BLOCK + 37}),
+            ("stirap", {"steps": 4096, "ramp": "smooth"}),
+            ("gate", {"methods": ["effective"], "steps": FULL_BLOCK + 37}),
+            ("gate", {"methods": ["effective"], "steps": 4096}),
+            ("gate", FIVE_LEVEL_GATE),
         ],
     )
-    def test_scenarios(self, tmp_path, kind, parameters, record_every):
+    def test_scenarios(self, tmp_path, kind, parameters):
         config = ScenarioConfig(kind, parameters)
         streamed = tmp_path / "streamed.csv"
-        emit_timeseries(config, str(streamed), record_every)
-        self.assert_same_bytes(tmp_path, streamed, *recorded_states(config, record_every))
+        emit_timeseries(config, str(streamed))
+        self.assert_same_bytes(tmp_path, streamed, *recorded_states(config))
 
     def test_zero_overlap_and_zero_populations(self, tmp_path):
-        times, states, reference, bright_at = recorded_states(ScenarioConfig("stirap", {"steps": FULL_BLOCK + 37}), 1)
+        times, states, reference, bright_at = recorded_states(ScenarioConfig("stirap", {"steps": FULL_BLOCK + 37}))
         states = states.copy()
         states[FULL_BLOCK - 1] = [0.0, 1.0]  # overlap exactly 0: phase 0.0, pop_1 0.0
         states[FULL_BLOCK] = [0.0, -1j]

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,7 @@ from brightpath.effective import BrightTrajectory, _h_eff_stack, h_eff_couplings
 from brightpath.errors import DerivativeInconsistent, NormalizationDriftError, NotOrthonormal
 from brightpath.gates import GateSpec, stage_trajectory, stirap_trajectory
 from brightpath.lambda_system import CouplingSet, bright_state
-from conftest import midpoint_reference, validate_trajectory
+from conftest import frame_at, midpoint_reference, reversed_trajectory, validate_trajectory
 
 
 def rotating_pair(t):
@@ -18,14 +16,13 @@ def rotating_pair(t):
     return value, rate
 
 
-def rotating(t_start, t_end, shift=0.0, rate_factor=1.0):
-    """B(t) = (cos, sin)(t + shift) on [t_start, t_end], with its derivative
-    scaled by ``rate_factor`` (1 is the exact derivative)."""
+def rotating(t_start, t_end, rate_factor=1.0):
+    """B(t) = (cos, sin)(t) on [t_start, t_end], with its derivative scaled
+    by ``rate_factor`` (1 is the exact derivative)."""
 
     def sampler(times):
-        angle = times + shift
-        values = np.stack([np.cos(angle), np.sin(angle)], axis=-1)[:, None, :].astype(complex)
-        rates = rate_factor * np.stack([-np.sin(angle), np.cos(angle)], axis=-1)[:, None, :]
+        values = np.stack([np.cos(times), np.sin(times)], axis=-1)[:, None, :].astype(complex)
+        rates = rate_factor * np.stack([-np.sin(times), np.cos(times)], axis=-1)[:, None, :]
         return values, rates.astype(complex)
 
     return BrightTrajectory(2, 1, t_start, t_end, sampler)
@@ -228,33 +225,9 @@ class TestBrightTrajectory:
         with pytest.raises(AssertionError, match="expected second-order decrease"):
             validate_trajectory(jumpy, times=[1.5 - 5e-6])
 
-    def test_reversed_swaps_endpoints_and_flips_rates(self):
-        traj = self.make_rotating().reversed()
-        np.testing.assert_allclose(traj.value(0.0), np.atleast_2d(rotating_pair(np.pi)[0]), atol=1e-15)
-        np.testing.assert_allclose(traj.derivative(0.0), -np.atleast_2d(rotating_pair(np.pi)[1]), atol=1e-15)
-        validate_trajectory(traj)
-
-    def test_reversed_reflects_its_breakpoints(self):
-        traj = replace(rotating(0.5, 2.0), breakpoints=(0.75, 1.25))
-        assert traj.reversed().breakpoints == (1.25, 1.75)
-
-    def test_concatenate_keeps_the_breakpoints_of_its_pieces(self):
-        first = replace(rotating(0.0, 0.5), breakpoints=(0.2,))
-        second = replace(rotating(0.5, 1.5), breakpoints=(0.9, 1.1))
-        assert BrightTrajectory.concatenate([first, second]).breakpoints == (0.2, 0.5, 0.9, 1.1)
-
-    def test_concatenate_rejects_discontinuity(self):
-        first = self.make_rotating()
-        second = rotating(np.pi, 2 * np.pi, shift=0.2)
-        with pytest.raises(ValueError):
-            BrightTrajectory.concatenate([first, second])
-
 
 def stacked_scalar_calls(traj, times):
-    return (
-        np.array([traj.value(float(t)) for t in times]),
-        np.array([traj.derivative(float(t)) for t in times]),
-    )
+    return tuple(map(np.array, zip(*(frame_at(traj, float(t)) for t in times))))
 
 
 def off_grid_gate(theta_schedule="smooth"):
@@ -263,7 +236,7 @@ def off_grid_gate(theta_schedule="smooth"):
 
 
 class TestSample:
-    """``sample(times)`` against one ``value``/``derivative`` call per time."""
+    """``sample(times)`` against one one-sample call per time."""
 
     # The 8-step midpoints put no time on the default stage edges 0.25 and
     # 0.5 or on the off-grid ones; the edges themselves are appended.
@@ -292,11 +265,11 @@ class TestSample:
     @pytest.mark.parametrize("ramp", ["linear", "smooth"])
     def test_stirap_and_reversed(self, ramp):
         times = np.linspace(0.0, 1.0, 33)
-        for traj in (stirap_trajectory(1.3, ramp), stirap_trajectory(1.3, ramp).reversed()):
+        for traj in (stirap_trajectory(1.3, ramp), reversed_trajectory(stirap_trajectory(1.3, ramp))):
             for got, want in zip(traj.sample(times), stacked_scalar_calls(traj, times)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
         forward = stirap_trajectory(1.3, ramp).sample(times)
-        backward = stirap_trajectory(1.3, ramp).reversed().sample(times[::-1])
+        backward = reversed_trajectory(stirap_trajectory(1.3, ramp)).sample(times[::-1])
         np.testing.assert_array_equal(backward[0], forward[0])
         np.testing.assert_array_equal(backward[1], -forward[1])
 
@@ -309,27 +282,6 @@ class TestSample:
         # The stage formulas would otherwise extrapolate (-|aux> at t = -0.5).
         with pytest.raises(ValueError, match=span + r".*outside the trajectory's \[0, 1\]"):
             stage_trajectory(off_grid_gate()).sample(times)
-
-    def test_reversed_accepts_its_own_endpoints(self):
-        # On [0.1, 0.7] the reflection 0.1 + 0.7 - 0.7 rounds below 0.1.
-        traj = rotating(0.1, 0.7)
-        assert 0.1 + 0.7 - 0.7 < 0.1
-        values, derivatives = traj.reversed().sample(np.array([0.1, 0.7]))
-        np.testing.assert_array_equal(values, [traj.value(0.7), traj.value(0.1)])
-        np.testing.assert_array_equal(derivatives, [-traj.derivative(0.7), -traj.derivative(0.1)])
-
-    def test_concatenate_of_scalar_pieces(self):
-        pieces = [rotating(lo, hi, rate_factor=w) for lo, hi, w in ((0.0, 0.5, 1.0), (0.5, 1.0, 2.0), (1.0, 1.5, 3.0))]
-        traj = BrightTrajectory.concatenate(pieces)
-        times = np.array([0.0, 0.2, 0.5, 0.7, 1.0, 1.3, 1.5])
-        values, derivatives = traj.sample(times)
-        for got, want in zip((values, derivatives), stacked_scalar_calls(traj, times)):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-        # bisect_right: a time on an edge belongs to the piece that starts there.
-        owner = [pieces[min(int(t // 0.5), 2)] for t in times]
-        np.testing.assert_array_equal(derivatives, [p.derivative(t) for p, t in zip(owner, times)])
-        reversed_values, _ = traj.reversed().sample(1.5 - times)
-        np.testing.assert_allclose(reversed_values, values, rtol=0, atol=1e-15)
 
 
 class TestMultiBrightTransport:

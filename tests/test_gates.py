@@ -27,7 +27,7 @@ from brightpath.propagators import (
     evolve_state_time_ordered,
     evolve_time_ordered,
 )
-from conftest import random_state, reference_gate_drive, validate_trajectory
+from conftest import frame_at, random_state, reference_gate_drive, validate_trajectory
 
 
 def spec_pi3(n=3, **kwargs):
@@ -78,23 +78,23 @@ class TestStageTrajectory:
         spec = spec_pi3(theta_schedule=ramps[0], phi_schedule=ramps[1])
         traj = stage_trajectory(spec)
         aux = np.array([0, 0, 1], dtype=complex)
-        np.testing.assert_allclose(traj.value(0.0)[0], aux, atol=1e-12)
-        np.testing.assert_allclose(traj.value(spec.t1)[0], spec.psi, atol=1e-12)
-        np.testing.assert_allclose(traj.value(spec.t3)[0], aux, atol=1e-12)
+        np.testing.assert_allclose(frame_at(traj, 0.0)[0][0], aux, atol=1e-12)
+        np.testing.assert_allclose(frame_at(traj, spec.t1)[0][0], spec.psi, atol=1e-12)
+        np.testing.assert_allclose(frame_at(traj, spec.t3)[0][0], aux, atol=1e-12)
 
     def test_continuity_at_stage_boundaries(self):
         spec = spec_pi3()
         traj = stage_trajectory(spec)
         for boundary in (spec.t1, spec.t2):
-            left = traj.value(boundary - 1e-9)
-            right = traj.value(boundary + 1e-9)
+            left = frame_at(traj, boundary - 1e-9)[0]
+            right = frame_at(traj, boundary + 1e-9)[0]
             assert np.linalg.norm(left - right) < 1e-7
 
     def test_normalized_everywhere_and_derivatives_consistent(self):
         spec = spec_pi3(theta_schedule="smooth", phi_schedule="smooth")
         traj = stage_trajectory(spec)
         for t in np.linspace(0.001, 0.999, 23):
-            assert abs(np.linalg.norm(traj.value(t)) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(frame_at(traj, t)[0]) - 1.0) < 1e-12
         validate_trajectory(traj)
 
 
@@ -194,7 +194,7 @@ class TestSimulateGate:
     def test_zero_twist_dark_block_is_identity(self):
         psi = np.array([1, 0, 0], dtype=complex)
         report = simulate_gate(GateSpec(n=3, psi=psi, phase_twist=0.0), steps=2000)
-        block = logical_block(report.simulated_unitary, 3)
+        block = logical_block(report.propagation.unitary, 3)
         assert np.linalg.norm(block - np.eye(2)) < 1e-8
 
     def test_fast_middle_stage_changes_nothing(self):
@@ -202,21 +202,21 @@ class TestSimulateGate:
         # duration 100x must leave the gate unchanged.
         slow = simulate_gate(spec_pi3(), steps=10_000)
         fast = simulate_gate(spec_pi3(t1=0.25, t2=0.2525, t3=1.0), steps=10_000)
-        block_slow = logical_block(slow.simulated_unitary, 3)
-        block_fast = logical_block(fast.simulated_unitary, 3)
+        block_slow = logical_block(slow.propagation.unitary, 3)
+        block_fast = logical_block(fast.propagation.unitary, 3)
         assert matrix_distance(block_slow, block_fast, "exact") < 1e-8
 
     def test_schedule_independence_linear_vs_smooth(self):
         linear = simulate_gate(spec_pi3(), steps=10_000)
         smooth = simulate_gate(spec_pi3(theta_schedule="smooth", phi_schedule="smooth"), steps=10_000)
-        block_l = logical_block(linear.simulated_unitary, 3)
-        block_s = logical_block(smooth.simulated_unitary, 3)
+        block_l = logical_block(linear.propagation.unitary, 3)
+        block_s = logical_block(smooth.propagation.unitary, 3)
         assert matrix_distance(block_l, block_s, "exact") < 1e-7
 
     def test_identity_on_dark_complement(self):
         report = simulate_gate(spec_pi3(), steps=10_000)
         d = np.array([1, -1, 0], dtype=complex) / np.sqrt(2)
-        assert np.linalg.norm(report.simulated_unitary.matrix @ d - d) < 1e-6
+        assert np.linalg.norm(report.propagation.unitary.matrix @ d - d) < 1e-6
 
     def test_solid_angle_relation(self):
         # The traced lune between the two meridians subtends solid angle
@@ -229,7 +229,7 @@ class TestSimulateGate:
         psi, aux = spec.psi, spec.auxiliary
 
         def azimuth(t):
-            b = traj.value(t)[0]
+            b = frame_at(traj, t)[0][0]
             amp_psi = np.vdot(psi, b)
             amp_aux = np.vdot(aux, b)
             return np.angle(amp_psi / amp_aux) if abs(amp_aux) > 1e-9 else None
@@ -331,17 +331,16 @@ class TestSimulateFullGate:
         for core, full in zip(simulate_full_gate(spec, runs), evolve_full_sweep(reference_gate_drive(spec), runs)):
             assert np.linalg.norm(core.unitary.matrix - full.unitary.matrix) <= 1e-12
 
-    @pytest.mark.parametrize("record_every", [1, 7])
     @pytest.mark.parametrize("name", sorted(FULL_GATES))
-    def test_trace_matches_the_full_oracle(self, name, record_every, rng):
+    def test_trace_matches_the_full_oracle(self, name, rng):
         # A start state with support outside the core, which must stay put.
         spec = FULL_GATES[name]
         (run,) = self.runs((40.0,))
         start = random_state(rng, spec.n + 1)
         blocks = []
-        (traced,) = simulate_full_gate(spec, [run], StateTrace(start, lambda *rows: blocks.append(rows), record_every))
+        (traced,) = simulate_full_gate(spec, [run], StateTrace(start, lambda *rows: blocks.append(rows)))
         times, states = map(np.concatenate, zip(*blocks))
-        want_times, want_states = evolve_state_full(reference_gate_drive(spec), run, start, record_every)
+        want_times, want_states = evolve_state_full(reference_gate_drive(spec), run, start)
         assert np.array_equal(times, want_times)
         assert np.max(np.linalg.norm(states - want_states, axis=1)) <= 1e-12
         (untraced,) = simulate_full_gate(spec, [run])
@@ -399,24 +398,23 @@ class TestSimulateGateCore:
         spec = CORE_GATES[name]
         report = simulate_gate(spec, self.STEPS)
         want = evolve_time_ordered(stage_trajectory(spec), 0.0, spec.t3, self.STEPS)
-        assert np.linalg.norm(report.simulated_unitary.matrix - want.unitary.matrix) <= 1e-12
+        assert np.linalg.norm(report.propagation.unitary.matrix - want.unitary.matrix) <= 1e-12
         assert (report.propagation.steps, report.propagation.method) == (self.STEPS, "effective")
         assert report.propagation.unitarity_error <= 1e-12
 
-    @pytest.mark.parametrize("record_every", [1, 7])
     @pytest.mark.parametrize("name", sorted(CORE_GATES))
-    def test_trace_matches_the_n_level_route(self, name, record_every, rng):
+    def test_trace_matches_the_n_level_route(self, name, rng):
         # A start state with support outside the core, which must stay put.
         spec = CORE_GATES[name]
         start = random_state(rng, spec.n)
         blocks = []
-        traced = simulate_gate(spec, self.STEPS, StateTrace(start, lambda *rows: blocks.append(rows), record_every))
+        traced = simulate_gate(spec, self.STEPS, StateTrace(start, lambda *rows: blocks.append(rows)))
         times, states = map(np.concatenate, zip(*blocks))
-        want_times, want_states = evolve_state_time_ordered(stage_trajectory(spec), 0.0, spec.t3, self.STEPS, start, record_every)
+        want_times, want_states = evolve_state_time_ordered(stage_trajectory(spec), 0.0, spec.t3, self.STEPS, start)
         assert np.array_equal(times, want_times)
         assert np.max(np.linalg.norm(states - want_states, axis=1)) <= 1e-12
         untraced = simulate_gate(spec, self.STEPS)
-        assert np.array_equal(traced.simulated_unitary.matrix, untraced.simulated_unitary.matrix)
+        assert np.array_equal(traced.propagation.unitary.matrix, untraced.propagation.unitary.matrix)
 
     def test_a_trace_of_the_wrong_length_is_rejected(self):
         rows = []

@@ -69,12 +69,6 @@ class TestProjectorFromFrame:
         p = projector_from_frame([np.array([1.0, 0.0, 0.0])])
         np.testing.assert_allclose(p.matrix, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
 
-    def test_empty_frame_needs_dim(self):
-        p = projector_from_frame([], dim=4)
-        np.testing.assert_allclose(p.matrix, np.zeros((4, 4)), atol=0)
-        with pytest.raises(DimensionMismatch):
-            projector_from_frame([])
-
     def test_idempotent_hermitian_trace(self, rng):
         u = random_unitary(rng, 6)
         frame = list(u.T[:3])

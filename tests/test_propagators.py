@@ -16,6 +16,7 @@ from brightpath.propagators import (
     AdiabaticRunConfig,
     StateTrace,
     _lambda_step_factors,
+    _midpoint_factors,
     _step_grid,
     dark_block,
     evolve_full_adiabatic,
@@ -27,7 +28,7 @@ from brightpath.propagators import (
     reparametrize,
 )
 from brightpath.ramps import ramp_rate, ramp_value
-from conftest import midpoint_reference, reference_gate_drive
+from conftest import matmul_snapshots, midpoint_reference, reference_gate_drive, reversed_trajectory
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -293,7 +294,7 @@ class TestEvolveTimeOrdered:
 
         def columns(steps):
             basis = np.eye(trajectory.dim, dtype=complex)
-            return np.array([evolve_state_time_ordered(trajectory, t0, t1, steps, e, steps)[1][-1] for e in basis])
+            return np.array([evolve_state_time_ordered(trajectory, t0, t1, steps, e)[1][-1] for e in basis])
 
         for propagate in (unitary, columns):
             for ratio in halving_ratios(propagate):
@@ -302,7 +303,7 @@ class TestEvolveTimeOrdered:
     def test_time_reversal_gives_inverse(self):
         traj = rotating_trajectory(1.3)
         forward = evolve_time_ordered(traj, traj.t_start, traj.t_end, 2048).unitary
-        backward = evolve_time_ordered(traj.reversed(), traj.t_start, traj.t_end, 2048).unitary
+        backward = evolve_time_ordered(reversed_trajectory(traj), traj.t_start, traj.t_end, 2048).unitary
         assert matrix_distance(backward.matrix, forward.matrix.conj().T, "exact") < 1e-8
 
     def test_unitarity_error_reported_small(self):
@@ -413,31 +414,9 @@ class TestBlockedOracle:
             u = factor @ u
         assert np.linalg.norm(evolve_full_adiabatic(schedule, config).unitary.matrix - u) < 1e-12
         start = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
-        times, states = evolve_state_full(schedule, config, start, record_every=FULL_BLOCK - 1)
-        marks = np.array([0, FULL_BLOCK - 1, 2 * FULL_BLOCK - 2, config.steps])
-        np.testing.assert_array_equal(times, marks / config.steps)
+        times, states = evolve_state_full(schedule, config, start)
+        np.testing.assert_array_equal(times, np.arange(config.steps + 1) / config.steps)
         assert np.linalg.norm(states[-1] - u @ start) < 1e-12
-
-    @pytest.mark.parametrize("record_every", [1, 7])
-    def test_snapshots_match_a_matmul_loop_bit_for_bit(self, record_every):
-        # The snapshot reducer against the same factor stream applied one
-        # `factor @ psi` at a time: equal bits, not a tolerance.
-        schedule = smoothly(gate_schedule())
-        config = AdiabaticRunConfig(omega_T=40.0, steps=2 * FULL_BLOCK + 5)
-        psi = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
-        rows = [psi]
-        j = 0
-        blocks, _ = _step_grid(0.0, 1.0, config.steps)
-        for mids in blocks:
-            planes = _lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / config.steps)
-            for factor in planes.transpose(2, 0, 1).copy():
-                psi = factor @ psi
-                j += 1
-                if j % record_every == 0 or j == config.steps:
-                    rows.append(psi)
-        times, states = evolve_state_full(schedule, config, rows[0], record_every)
-        assert len(times) == len(rows)
-        assert np.array_equal(states, np.array(rows))
 
     def test_a_bad_step_in_a_later_block_is_rejected(self):
         # One step of the second block leaves the unit sphere.
@@ -575,18 +554,6 @@ class TestStatePropagation:
         with pytest.raises(ValueError, match="t1 > t0"):
             evolve_state_time_ordered(noncommuting_trajectories()[0], t0, t1, 8, np.eye(3)[0])
 
-    def test_record_every_keeps_recorded_steps_and_last(self):
-        twisted = noncommuting_trajectories()[0]
-        start = np.array([1.0, 0.0, 0.0], dtype=complex)
-        all_times, all_states = evolve_state_time_ordered(twisted, 0.5, 1.5, 10, start)
-        times, states = evolve_state_time_ordered(twisted, 0.5, 1.5, 10, start, record_every=4)
-        assert len(all_times) == 11
-        np.testing.assert_allclose(all_times, 0.5 + 0.1 * np.arange(11), rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(times, all_times[[0, 4, 8, 10]])
-        np.testing.assert_array_equal(states, all_states[[0, 4, 8, 10]])
-        with pytest.raises(ValueError, match="record_every"):
-            evolve_state_time_ordered(twisted, 0.5, 1.5, 10, start, record_every=0)
-
 
 class TestOnePass:
     """One pass over the factor stream gives the unitary and the states."""
@@ -633,13 +600,32 @@ class TestOnePass:
             run()
         assert rows == []
 
-    def test_a_block_with_no_recorded_step_is_not_handed_on(self):
+    @pytest.mark.parametrize("route", ["time_ordered", "full"])
+    def test_a_ragged_run_hands_the_sink_every_step_once(self, route):
+        # Two full blocks and a tail of 3: the sink gets the start row with
+        # the first block, then each step's state once and in order, at its
+        # grid time, ending on t1; the states are those of a `factor @ psi`
+        # loop over the same factor stream, bit for bit.
+        steps = 2 * FULL_BLOCK + 3
+        if route == "time_ordered":
+            trajectory, (t0, t1) = noncommuting_trajectories()[0], (0.2, 1.5)
+            start = np.array([0.6, 0.8j, 0.0], dtype=complex)
+            propagate = lambda trace: evolve_time_ordered(trajectory, t0, t1, steps, trace)
+            factors = _midpoint_factors(trajectory, t0, t1, steps)
+        else:
+            schedule, (t0, t1) = smoothly(gate_schedule()), (0.0, 1.0)
+            config = AdiabaticRunConfig(omega_T=40.0, steps=steps)
+            start = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
+            propagate = lambda trace: evolve_full_adiabatic(schedule, config, trace)
+            mids_blocks, _ = _step_grid(t0, t1, steps)
+            factors = (_lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / steps) for mids in mids_blocks)
         blocks = []
-        start = np.array([1.0, 0.0], dtype=complex)
-        trace = StateTrace(start, lambda times, states: blocks.append(times), record_every=2 * FULL_BLOCK + 1)
-        evolve_time_ordered(rotating_trajectory(), 0.0, np.pi / 2, 3 * FULL_BLOCK, trace)
-        marks = [np.rint(times / (np.pi / 2) * 3 * FULL_BLOCK).astype(int).tolist() for times in blocks]
-        assert marks == [[0], [2 * FULL_BLOCK + 1, 3 * FULL_BLOCK]]
+        propagate(StateTrace(start, lambda times, states: blocks.append((times, states))))
+        assert [len(times) for times, _ in blocks] == [FULL_BLOCK + 1, FULL_BLOCK, 3]
+        times, states = map(np.concatenate, zip(*blocks))
+        np.testing.assert_allclose(times, t0 + (t1 - t0) * np.arange(steps + 1) / steps, rtol=0, atol=1e-15)
+        assert times[0] == t0 and times[-1] == t1
+        assert np.array_equal(states, matmul_snapshots(factors, start))
 
 
 class TestDarkBlockAndLeakage:

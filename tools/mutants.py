@@ -3,12 +3,15 @@
 A mutant replaces one exact text in one module of ``src/brightpath/``.  The
 script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
 directory, checks that tier-1 passes there unmutated, and then applies one
-mutant at a time and runs tier-1 on it with ``-x`` and no bytecode written.
-A mutant that tier-1 passes survives.  The exit code is 1 if a mutant
-survives that is not marked equivalent, if a mutant's old text is not found
-exactly once in its module (the list has gone stale), or if the unmutated
-copy fails; else 0.  An equivalent mark carries the reason no test can tell
-the mutant apart.
+mutant at a time and runs tests on it with ``-x`` and no bytecode written:
+first its module's own test file, ``tests/test_<module>.py``, where most
+mutants fail within seconds, and the whole tier-1 only if that file passes.
+A failure in one tier-1 file is a tier-1 failure, so the order changes no
+verdict, only how soon it comes.  A mutant that tier-1 passes survives.
+The exit code is 1 if a mutant survives that is not marked equivalent, if
+a mutant's old text is not found exactly once in its module (the list has
+gone stale), or if the unmutated copy fails; else 0.  An equivalent mark
+carries the reason no test can tell the mutant apart.
 
 Run from the repository root:  python tools/mutants.py
 """
@@ -141,18 +144,25 @@ MUTANTS = (
         "leakage reports the dark input that leaks least",
     ),
     Mutant(
-        "reversed-keeps-breakpoints",
-        "effective",
-        "sampler, tuple(sorted(t0 + t1 - b for b in self.breakpoints)))",
-        "sampler, self.breakpoints)",
-        "a reversed trajectory does not reflect its breakpoints",
+        "trace-drops-the-start-row",
+        "propagators",
+        "rows, j = [psi], 0",
+        "rows, j = [], 0",
+        "a trace's first block hands its sink no start state",
     ),
     Mutant(
-        "concatenate-drops-piece-breakpoints",
-        "effective",
-        "interior = tuple(sorted(set(edges).union(b for p in pieces for b in p.breakpoints)))",
-        "interior = tuple(edges)",
-        "a joined trajectory keeps only the edges between its pieces",
+        "trace-records-before-the-step",
+        "propagators",
+        "            psi = factor.dot(psi)\n            rows.append(psi)",
+        "            rows.append(psi)\n            psi = factor.dot(psi)",
+        "a trace records each state before its step: the start state twice, the last state never",
+    ),
+    Mutant(
+        "trace-times-one-step-early",
+        "propagators",
+        "marks = np.arange(j + 1 - len(rows), j + 1)",
+        "marks = np.arange(j - len(rows), j)",
+        "a trace stamps each row with the grid time of the step before",
     ),
     Mutant(
         "u-z-left-rule",
@@ -235,8 +245,13 @@ def run(mutants) -> int:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(original.replace(mutant.old, mutant.new))
             start = time.perf_counter()
+            own = os.path.join("tests", f"test_{mutant.module}.py")
+            stages = ([TIER1 + (own,)] if os.path.isfile(os.path.join(tree, own)) else []) + [TIER1]
             try:
-                survived, summary = _tier1(tree)
+                for command in stages:
+                    survived, summary = _tier1(tree, command)
+                    if not survived:
+                        break
             finally:
                 with open(path, "w", encoding="utf-8") as handle:
                     handle.write(original)
