@@ -619,11 +619,14 @@ class TimeseriesWriter:
     Columns: the time; the leakage, 1 minus the population outside
     ``bright_at(times)``; each level's population; and the phase of the
     overlap with ``reference`` (0.0 when |overlap| <= ``PHASE_OVERLAP_FLOOR``).
-    Every field is the shortest round-trip ``repr`` of the float that the
-    scalar formulas give: a population is libm ``hypot`` then ``pow``
-    (``np.float_power`` with the scalar exponent 2.0 calls that ``pow``),
-    and each overlap is one ``np.vdot``, because ``np.abs``, ``np.square``,
-    ``einsum`` and ``@`` can differ in the last bit.
+    A block takes a handful of whole-column numpy calls and no loop over
+    its rows: the overlaps are one ``einsum``, and a population is libm
+    ``hypot`` then ``pow`` (``np.float_power`` with the scalar exponent 2.0
+    calls that ``pow``), which keeps the bits of the scalar
+    ``abs(amp) ** 2`` where ``np.abs`` or ``np.square`` can differ in the
+    last bit.  Every field is the shortest round-trip ``repr`` of its
+    float.  The states come from the trace's blocked scan, so a field
+    differs from one of a step-by-step product by rounding only.
     """
 
     def __init__(self, handle, reference: np.ndarray, bright_at):
@@ -636,7 +639,7 @@ class TimeseriesWriter:
         # Population outside the bright (and excited) states: the dark subspace.
         amplitudes = np.einsum("rkd,rd->rk", self.bright_at(times).conj(), states)
         dark = (states.conj() * states).real.sum(axis=1) - (np.abs(amplitudes) ** 2).sum(axis=1)
-        overlap = np.array([np.vdot(self.reference, row) for row in states])
+        overlap = np.einsum("rd,d->r", states, self.reference.conj())
         table = np.empty((len(times), states.shape[1] + 3))
         table[:, 0] = times
         table[:, 1] = np.maximum(0.0, 1.0 - dark)

@@ -26,10 +26,14 @@ UNITARITY_TOL = 1e-9
 
 
 def as_frame(vectors) -> np.ndarray:
-    """Stack vectors into a (k, n) array and check pairwise orthonormality."""
+    """Stack vectors into a (k, n) array and check pairwise orthonormality.
+    A frame of no vectors is a (0, n) array; an empty list, which has no n,
+    raises ``DimensionMismatch``."""
     frame = np.atleast_2d(np.asarray(vectors, dtype=complex))
-    if frame.size and frame.ndim != 2:
+    if frame.ndim != 2:
         raise DimensionMismatch(f"expected a set of vectors, got shape {frame.shape}")
+    if frame.shape[1] == 0:
+        raise DimensionMismatch(f"vectors need at least one component, got shape {frame.shape}; pass an empty frame as a (0, n) array")
     check_orthonormal(frame)
     return frame
 

@@ -70,8 +70,8 @@ def reversed_path(path):
 def matmul_snapshots(blocks, state):
     """The start state and the state after every step of a stream of
     (d, d, m) factor planes, each factor applied on its own as a contiguous
-    ``factor @ psi``: the reference the trace reducer must match bit for
-    bit."""
+    ``factor @ psi``: the reference the trace reducer's blocked scan must
+    match to rounding."""
     rows = [np.asarray(state, dtype=complex)]
     for planes in blocks:
         for factor in planes.transpose(2, 0, 1).copy():

@@ -344,7 +344,7 @@ def per_row_csv(path, times, states, reference, bright):
     for t, state, dark_t in zip(times, states, dark):
         leak = max(0.0, 1.0 - float(dark_t))
         pops = ",".join(repr(float(abs(amp) ** 2)) for amp in state)
-        overlap = complex(np.vdot(reference, state))
+        overlap = complex(np.einsum("d,d->", state, reference.conj()))
         phase = float(np.angle(overlap)) if abs(overlap) > PHASE_OVERLAP_FLOOR else 0.0
         lines.append(f"{float(t)!r},{leak!r},{pops},{phase!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:

@@ -10,6 +10,7 @@ from brightpath.linalg import (
     _expm_bright_stack,
     _expm_hermitian_stack,
     _ordered_product,
+    as_frame,
     expm_hermitian,
     matrix_distance,
     projector_from_frame,
@@ -62,6 +63,21 @@ class TestOperatorTypes:
     def test_rectangular_rejected(self):
         with pytest.raises(DimensionMismatch):
             HermitianOperator(np.zeros((2, 3)))
+
+
+class TestAsFrame:
+    def test_an_empty_list_is_a_dimension_mismatch(self):
+        # [] has no vector length, so it is not read as a frame of one
+        # zero-length vector that fails the orthonormality check.
+        for empty in ([], np.zeros(0)):
+            with pytest.raises(DimensionMismatch, match=r"got shape \(1, 0\); pass an empty frame as a \(0, n\) array$"):
+                as_frame(empty)
+        with pytest.raises(DimensionMismatch, match="vectors need at least one component"):
+            projector_from_frame([])
+
+    def test_a_0_by_n_array_is_an_empty_frame(self):
+        frame = as_frame(np.zeros((0, 3)))
+        assert frame.shape == (0, 3) and frame.dtype == complex
 
 
 class TestProjectorFromFrame:

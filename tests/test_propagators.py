@@ -18,6 +18,7 @@ from brightpath.propagators import (
     _lambda_step_factors,
     _midpoint_factors,
     _step_grid,
+    _traced,
     dark_block,
     evolve_full_adiabatic,
     evolve_full_sweep,
@@ -605,7 +606,8 @@ class TestOnePass:
         # Two full blocks and a tail of 3: the sink gets the start row with
         # the first block, then each step's state once and in order, at its
         # grid time, ending on t1; the states are those of a `factor @ psi`
-        # loop over the same factor stream, bit for bit.
+        # loop over the same factor stream, to rounding: the scan
+        # reassociates the products (under 1e-14 apart here).
         steps = 2 * FULL_BLOCK + 3
         if route == "time_ordered":
             trajectory, (t0, t1) = noncommuting_trajectories()[0], (0.2, 1.5)
@@ -625,7 +627,34 @@ class TestOnePass:
         times, states = map(np.concatenate, zip(*blocks))
         np.testing.assert_allclose(times, t0 + (t1 - t0) * np.arange(steps + 1) / steps, rtol=0, atol=1e-15)
         assert times[0] == t0 and times[-1] == t1
-        assert np.array_equal(states, matmul_snapshots(factors, start))
+        assert np.abs(states - matmul_snapshots(factors, start)).max() <= 1e-13
+
+
+class TestBlockedScan:
+    """The trace's blocked scan over blocks of every chunk shape."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, FULL_BLOCK, FULL_BLOCK + 3])
+    def test_rows_are_the_step_by_step_states(self, rng, m, dim):
+        # Two blocks of m random unitary steps.  m = 65 and FULL_BLOCK + 3
+        # leave a ragged last chunk; d = 4 hands the scan the strided view
+        # of an (m, d, d) stack that the k >= 2 route makes.
+        def block():
+            z = rng.normal(size=(m, dim, dim)) + 1j * rng.normal(size=(m, dim, dim))
+            stack = np.linalg.qr(z)[0]
+            return stack.transpose(1, 2, 0) if dim == 4 else np.ascontiguousarray(stack.transpose(1, 2, 0))
+
+        blocks = [block(), block()]
+        start = np.exp(0.3j * np.arange(dim)) / np.sqrt(dim)
+        handed = []
+        step = _traced(StateTrace(start, lambda *rows: handed.append(rows)), 0.5, 2.0, 2 * m)
+        for planes in blocks:
+            assert step(planes) is planes
+        assert [len(times) for times, _ in handed] == [m + 1, m]
+        times, states = map(np.concatenate, zip(*handed))
+        assert np.array_equal(times, np.minimum(0.5 + 1.5 * np.arange(2 * m + 1) / (2 * m), 2.0))
+        assert np.array_equal(states[0], start)
+        assert np.abs(states - matmul_snapshots(blocks, start)).max() <= 1e-13
 
 
 class TestDarkBlockAndLeakage:

@@ -146,23 +146,37 @@ MUTANTS = (
     Mutant(
         "trace-drops-the-start-row",
         "propagators",
-        "rows, j = [psi], 0",
-        "rows, j = [], 0",
+        "first = int(done == 0)",
+        "first = 0",
         "a trace's first block hands its sink no start state",
     ),
     Mutant(
         "trace-records-before-the-step",
         "propagators",
-        "            psi = factor.dot(psi)\n            rows.append(psi)",
-        "            rows.append(psi)\n            psi = factor.dot(psi)",
-        "a trace records each state before its step: the start state twice, the last state never",
+        '        state = np.einsum("ijc,jc->ic", at, state[:, : at.shape[-1]])\n        out[p::width] = state.T',
+        '        out[p::width] = state[:, : at.shape[-1]].T\n        state = np.einsum("ijc,jc->ic", at, state[:, : at.shape[-1]])',
+        "the scan records each state before its step: every chunk's start state, never its last",
     ),
     Mutant(
         "trace-times-one-step-early",
         "propagators",
-        "marks = np.arange(j + 1 - len(rows), j + 1)",
-        "marks = np.arange(j - len(rows), j)",
+        "marks = np.arange(done + 1 - len(rows), done + 1)",
+        "marks = np.arange(done - len(rows), done)",
         "a trace stamps each row with the grid time of the step before",
+    ),
+    Mutant(
+        "scan-starts-one-chunk-late",
+        "propagators",
+        "    state = starts\n",
+        "    state = np.roll(starts, -1, axis=1)\n",
+        "the scan steps each chunk from the next chunk's start state",
+    ),
+    Mutant(
+        "scan-product-on-the-wrong-side",
+        "propagators",
+        'np.einsum("ilc,ljc->ijc", at, total[:, :, :n])',
+        'np.einsum("ilc,ljc->ijc", total[:, :, :n], at)',
+        "the in-chunk running product puts each later factor on the right, so the chunk start states are wrong",
     ),
     Mutant(
         "u-z-left-rule",
