@@ -213,25 +213,17 @@ def u_z_analytic(path: ParameterPath) -> UnitaryOperator:
     return expm_hermitian(np.diag([0.0, integral]), 1.0)
 
 
-def effective_dark_block(path: ParameterPath, steps_per_segment: int = 64) -> np.ndarray:
-    """Dark-space action of the effective Hamiltonian along a polyline.
-
-    The path's bright state B = r e^{i phi} (the angle-parametrized drive)
-    runs through segment i, traversed linearly, in local time [i, i+1];
-    segments of zero length are skipped.  Its generator
-    i(|Bdot><B| - |B><Bdot|), which equals h_eff_couplings entry by entry,
-    is propagated by the midpoint rule with ``steps_per_segment`` steps per
-    segment (aligned to the corners), one streamed run over the whole path.
-    Every sampled block must satisfy the coupling-set rules (r_i >= 0).  The
-    propagated unitary is restricted to the parametrized dark frames at the
-    path's ends, d(end)^* U d(start)^T: the frame :func:`holonomy` is
-    written in.
-    """
-    path.check_resolution()
+def _loop_trajectory(path: ParameterPath) -> BrightTrajectory | None:
+    """The path's bright state B = r e^{i phi} (the angle-parametrized
+    drive), segment i traversed linearly in local time [i, i+1], with
+    segments of zero length skipped; None when no segment moves.  Every
+    sampled block must satisfy the coupling-set rules (r_i >= 0)."""
     deltas = np.diff(path.samples, axis=0)
     moving = np.max(np.abs(deltas), axis=1) > 0.0
     starts, deltas = path.samples[:-1][moving], deltas[moving]
     segments = deltas.shape[0]
+    if not segments:
+        return None
 
     def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         segment = times.astype(int)  # midpoints lie strictly inside [0, segments)
@@ -241,11 +233,26 @@ def effective_dark_block(path: ParameterPath, steps_per_segment: int = 64) -> np
         phase = np.exp(1j * phi)
         return (r * phase)[:, None], ((rdot + 1j * r * phidot) * phase)[:, None]
 
+    return BrightTrajectory(3, 1, 0.0, float(segments), sampler, tuple(map(float, range(1, segments))))
+
+
+def effective_dark_block(path: ParameterPath, steps_per_segment: int = 64) -> np.ndarray:
+    """Dark-space action of the effective Hamiltonian along a polyline.
+
+    The path's bright state (``_loop_trajectory``) has the generator
+    i(|Bdot><B| - |B><Bdot|), which equals h_eff_couplings entry by entry;
+    it is propagated by the midpoint rule with ``steps_per_segment`` steps
+    per moving segment (aligned to the corners), one streamed run over the
+    whole path.  The propagated unitary is restricted to the parametrized
+    dark frames at the path's ends, d(end)^* U d(start)^T: the frame
+    :func:`holonomy` is written in.
+    """
+    path.check_resolution()
+    trajectory = _loop_trajectory(path)
     u = np.eye(3, dtype=complex)
-    if segments:
-        corners = tuple(map(float, range(1, segments)))
-        trajectory = BrightTrajectory(3, 1, 0.0, float(segments), sampler, corners)
-        unitary, _ = _unitary_product(_midpoint_factors(trajectory, 0.0, float(segments), segments * steps_per_segment))
+    if trajectory is not None:
+        t_end = trajectory.t_end
+        unitary, _ = _unitary_product(_midpoint_factors(trajectory, 0.0, t_end, int(t_end) * steps_per_segment))
         u = unitary.matrix
     start, end = (dark_basis_parametrized(SphericalAngles(*path.samples[i])) for i in (0, -1))
     return dark_block(u, start, end)

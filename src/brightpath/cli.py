@@ -193,8 +193,9 @@ class ScenarioConfig:
     Parsing checks JSON types, finiteness and the CLI's own minima; each
     domain rule is checked by the constructor that owns it (``GateSpec``,
     ``AdiabaticRunConfig``, ``rectangle_loop``, ``ParameterPath``,
-    ``TwoManifoldSystem``, ``stirap_trajectory``).  Nothing proportional to
-    a step count is built here.
+    ``TwoManifoldSystem``, ``stirap_trajectory``).  A scenario's total
+    steps are bounded here too (``_check_budget``).  Nothing proportional
+    to a step count is built here.
     """
 
     def __init__(self, kind: str, parameters: dict[str, Any] | None = None, seed: int = 7):
@@ -320,6 +321,25 @@ class ScenarioConfig:
             self.steps = _number(p["steps"], "steps", lo=10, hi=MAX_STEPS, integer=True)
             self.ramp = p["ramp"]
             self.trajectory = self._build({"ramp": "ramp"}, stirap_trajectory, theta_end=self.theta_end, ramp=self.ramp)
+        self._check_budget()
+
+    def _check_budget(self) -> None:
+        """Bound the steps of a whole scenario, not only of each run: the
+        full oracle's steps summed over its runs, plus the effective route's
+        ``steps``, or segments x ``steps`` for a loop, must be at most
+        ``MAX_STEPS``.  A route the scenario does not run counts nothing.
+        The error names the field that holds most of the work."""
+        work = {}
+        if self.kind == "compare" or (self.kind == "gate" and "full" in self.methods):
+            work["full_steps"] = sum(run.steps for run in self.full_runs)
+        if self.kind == "stirap" or (self.kind == "gate" and "effective" in self.methods):
+            work["steps"] = self.steps
+        if self.kind == "loop":
+            work["steps"] = (len(self.path.samples) - 1) * (self.steps if "effective" in self.methods else 1)
+        total = sum(work.values())
+        if total > MAX_STEPS:
+            field = max(work, key=work.get)
+            raise ConfigError(f"{field}: the scenario takes {total} steps over all its runs; the budget is {MAX_STEPS}")
 
 
 def _jsonable(value):

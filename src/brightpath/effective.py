@@ -106,8 +106,10 @@ class BrightTrajectory:
     ``sampler(times)`` evaluates a 1-D array of times at once as (values,
     derivatives), each (M, k, dim): the bright states and their time
     derivatives.  ``breakpoints`` lists interior times where the derivative
-    may jump (piecewise schedules); value stays continuous there.
-    Evaluation must be pure: the same t always yields the same output.
+    may jump (piecewise schedules); value stays continuous there.  An
+    optional ``value_sampler(times)`` gives the values alone, for callers
+    that read no derivative (``values``).  Evaluation must be pure: the
+    same t always yields the same output.
     """
 
     dim: int
@@ -116,18 +118,26 @@ class BrightTrajectory:
     t_end: float
     sampler: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
     breakpoints: tuple[float, ...] = ()
+    value_sampler: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
-    def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """Values and derivatives at every time of a 1-D array, each (M, k, dim);
-        ``DimensionMismatch`` names both shapes when either is not.  Every
-        time must lie in [t_start, t_end] (else ``ValueError`` naming both
-        intervals): a sampler's formulas do not hold off the domain."""
+    def _times(self, times) -> np.ndarray:
+        """``times`` as a float array, once every time lies in [t_start,
+        t_end] (else ``ValueError`` naming both intervals): a sampler's
+        formulas do not hold off the domain."""
         times = np.asarray(times, dtype=float)
         if times.size and not (self.t_start <= times.min() and times.max() <= self.t_end):  # NaN fails too
             raise ValueError(
                 f"sample times span [{times.min():.6g}, {times.max():.6g}], "
                 f"outside the trajectory's [{self.t_start:.6g}, {self.t_end:.6g}]"
             )
+        return times
+
+    def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """Values and derivatives at every time of a 1-D array, each (M, k, dim);
+        ``DimensionMismatch`` names both shapes when either is not.  Every
+        time must lie in [t_start, t_end] (else ``ValueError`` naming both
+        intervals)."""
+        times = self._times(times)
         values, derivatives = self.sampler(times)
         expected = (times.size, self.k, self.dim)
         if np.shape(values) != expected or np.shape(derivatives) != expected:
@@ -135,6 +145,20 @@ class BrightTrajectory:
                 f"sampled values {np.shape(values)} and derivatives {np.shape(derivatives)} must both be {expected}"
             )
         return values, derivatives
+
+    def values(self, times) -> np.ndarray:
+        """The values of ``sample`` alone, (M, k, dim), under the same domain
+        and shape checks: ``sample(times)[0]``, or the ``value_sampler`` when
+        the trajectory has one, which skips the derivatives and must return
+        the same bits as ``sampler``'s values."""
+        if self.value_sampler is None:
+            return self.sample(times)[0]
+        times = self._times(times)
+        values = self.value_sampler(times)
+        expected = (times.size, self.k, self.dim)
+        if np.shape(values) != expected:
+            raise DimensionMismatch(f"sampled values {np.shape(values)} must be {expected}")
+        return values
 
     def h_eff(self, t: float) -> HermitianOperator:
         """The geometric generator carried by this trajectory at time ``t``."""

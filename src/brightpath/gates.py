@@ -99,12 +99,14 @@ def stage_trajectory(spec: GateSpec) -> BrightTrajectory:
     phi turns 0 -> twist on [t1, t2], and theta falls back to 0 on
     [t2, t3], each along its schedule's ramp.  B is continuous; Bdot jumps
     at the breakpoints t1 and t2, each of which belongs to the stage on its
-    right.
+    right.  Its ``values`` take the same formulas without the rates and
+    Bdot, so they are the bits of ``sample``'s values.
     """
     psi, n, twist = spec.psi, spec.n, spec.phase_twist
     t1, t2, t3 = spec.t1, spec.t2, spec.t3
 
-    def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def angles(times: np.ndarray, rates: bool) -> tuple[np.ndarray, ...]:
+        """theta and phi at every time, then their rates when ``rates``."""
         theta, phi = np.full(times.shape, np.pi), np.where(times < t2, 0.0, twist)
         theta_rate, phi_rate = np.zeros(times.shape), np.zeros(times.shape)
         rise, fall = times < t1, t2 <= times
@@ -116,22 +118,40 @@ def stage_trajectory(spec: GateSpec) -> BrightTrajectory:
         ):
             s = (times[inside] - lo) / (hi - lo)
             angle[inside] = start + change * ramp_value(ramp, s)
-            rate[inside] = change * ramp_rate(ramp, s) / (hi - lo)
+            if rates:
+                rate[inside] = change * ramp_rate(ramp, s) / (hi - lo)
+        return (theta, phi, theta_rate, phi_rate) if rates else (theta, phi)
+
+    def bright(theta: np.ndarray, phi: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Write B into the (M, n) ``out``; return sin(theta/2), cos(theta/2)
+        and e^{i phi}.  Column by column: a broadcast (M, 1) x (n,) complex
+        product costs several times more, and the one-hot |n-1> needs no
+        product at all."""
         sin, cos, turned = np.sin(theta / 2), np.cos(theta / 2), np.exp(1j * phi)
+        along = turned * sin
+        for level, amplitude in enumerate(psi):
+            np.multiply(along, amplitude, out=out[:, level])
+        out[:, n - 1] += cos
+        return sin, cos, turned
+
+    def value_sampler(times: np.ndarray) -> np.ndarray:
+        values = np.empty((times.size, 1, n), dtype=complex)
+        bright(*angles(times, False), values[:, 0])
+        return values
+
+    def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        theta, phi, theta_rate, phi_rate = angles(times, True)
+        values, derivatives = np.empty((2, times.size, 1, n), dtype=complex)
+        sin, cos, turned = bright(theta, phi, values[:, 0])
         across = np.empty(times.shape, dtype=complex)
         across.real, across.imag = 0.5 * theta_rate * cos, phi_rate * sin
-        along, across = turned * sin, turned * across
-        # Column by column: a broadcast (M, 1) x (n,) complex product costs
-        # several times more, and the one-hot |n-1> needs no product at all.
-        values, derivatives = np.empty((2, times.size, 1, n), dtype=complex)
+        across = turned * across
         for level, amplitude in enumerate(psi):
-            np.multiply(along, amplitude, out=values[:, 0, level])
             np.multiply(across, amplitude, out=derivatives[:, 0, level])
-        values[:, 0, n - 1] += cos
         derivatives[:, 0, n - 1] -= 0.5 * theta_rate * sin
         return values, derivatives
 
-    return BrightTrajectory(n, 1, 0.0, t3, sampler, (t1, t2))
+    return BrightTrajectory(n, 1, 0.0, t3, sampler, (t1, t2), value_sampler)
 
 
 def analytic_stage_unitaries(spec: GateSpec) -> tuple[UnitaryOperator, UnitaryOperator, UnitaryOperator]:
@@ -173,7 +193,7 @@ def _core_spec(spec: GateSpec, scale: float = 1.0) -> GateSpec:
 def gate_coupling_schedule(spec: GateSpec) -> BrightTrajectory:
     """The bright trajectory of the gate's core on progress [0, 1]: the
     ``stage_trajectory`` of ``_core_spec`` with the stage times divided by
-    t3.  The full oracle reads it at Omega = 1."""
+    t3, the drive ``simulate_full_gate`` builds and reads at Omega = 1."""
     return stage_trajectory(_core_spec(spec, spec.t3))
 
 
@@ -225,14 +245,16 @@ def simulate_full_gate(
 
     The drive couples only span{psi, |n-1>} to the excited level (every
     other ground state is dark at all times), so ``evolve_full_sweep``
-    propagates the three-level core driven by ``gate_coupling_schedule``,
-    and each run's W is embedded on the n+1 levels through the whole
-    ``_core_frame``.  A ``trace`` (one run only) carries an (n+1)-level
-    state, with times in normalized progress units.
+    propagates the three-level core driven by the ``stage_trajectory`` of
+    ``_core_spec`` on progress [0, 1] (``gate_coupling_schedule``), whose
+    values alone it reads, and each run's W is embedded on the n+1 levels
+    through the whole ``_core_frame``.  A ``trace`` (one run only) carries
+    an (n+1)-level state, with times in normalized progress units.
     """
     frame = _core_frame(spec)
     trace = None if trace is None else _core_trace(trace, frame)
-    return [_embedded(core, frame) for core in evolve_full_sweep(gate_coupling_schedule(spec), runs, trace)]
+    drive = stage_trajectory(_core_spec(spec, spec.t3))
+    return [_embedded(core, frame) for core in evolve_full_sweep(drive, runs, trace)]
 
 
 def measure_full_gate(geometric: np.ndarray, results: Sequence[PropagationResult]) -> list[tuple[np.ndarray, float, float]]:

@@ -11,15 +11,20 @@ form from the Gram matrix of (B, dt Bdot) for one bright state (no d x d
 H_eff is formed), or the closed-form step of the full (n+1)-level Lambda
 Hamiltonian Omega (|B><e| + h.c.), the brute-force oracle the geometric
 methods are checked against.  Its drive is one bright trajectory B on
-progress [0, 1] at Omega = 1, so B and Omega*T fix a run.  A reducer
-consumes the blocks in order: it forms the ordered product (each block by
-a pairwise tree, then the block products by the same tree) and, given a
+progress [0, 1] at Omega = 1, so B and Omega*T fix a run, and the oracle
+reads only its values (``BrightTrajectory.values``: no Bdot is computed
+for a trajectory that has a value sampler).  A reducer consumes the
+blocks in order: it forms the ordered product (each block by a pairwise
+tree, then the block products by the same tree) and, given a
 ``StateTrace``, applies the same factors to one state by a blocked scan
 and hands each block's states to the trace's sink, so a run's unitary and
 its state trajectory come from one pass.  No array longer than one block
 is built, so memory stays flat in the step count.  The full runs of a
-sweep over Omega*T share one step grid and one sampled, checked drive per
-block.
+sweep over Omega*T share one step grid, one sampled, checked drive per
+block, and the run-independent planes of the block's step pairs; each run
+hands the tree the closed-form products of two consecutive Lambda steps
+(``_LambdaPairs``), so its tree starts at half the steps.  A trace scans
+the single steps, and the unitary comes from the pairs either way.
 """
 
 from __future__ import annotations
@@ -122,12 +127,14 @@ def _bright_states(values, progress: np.ndarray) -> np.ndarray:
     """The (M, n) bright states of a drive sampled at ``progress``: one per
     sample (else ``DimensionMismatch``), each normalized within
     ``COUPLING_NORM_TOL`` (else ``NotNormalized`` names the first failing
-    progress; non-finite entries fail too)."""
+    progress; non-finite entries fail too).  The norms are one pass over
+    the float view of the states."""
     values = np.asarray(values, dtype=complex)
     if values.ndim != 3 or values.shape[:2] != (progress.size, 1):
         raise DimensionMismatch(f"the full oracle needs one bright state per sample, (M, 1, n); got {values.shape}")
-    b = values[:, 0]
-    deviation = abs((b.real**2 + b.imag**2).sum(axis=1) - 1.0)
+    b = np.ascontiguousarray(values[:, 0])
+    parts = b.view(float)
+    deviation = abs(np.einsum("mi,mi->m", parts, parts) - 1.0)
     passed = deviation < COUPLING_NORM_TOL
     if not passed.all():
         j = int(np.argmin(passed))
@@ -135,18 +142,23 @@ def _bright_states(values, progress: np.ndarray) -> np.ndarray:
     return b
 
 
-def _lambda_step_factors(b: np.ndarray, phase: float) -> np.ndarray:
+def _lambda_rotation(phase: float) -> tuple[float, complex]:
+    """c = cos p - 1 and s = -i sin p, the coefficients of the Lambda step
+    exp(-i p (|B><e| + |e><B|)) = 1 + c (P_B + P_e) + s (|B><e| + |e><B|)."""
+    return np.cos(phase) - 1.0, -1j * np.sin(phase)
+
+
+def _lambda_step_factors(b: np.ndarray, phase: float, out: np.ndarray | None = None) -> np.ndarray:
     """Exact one-step propagators exp(-i H dt) for Lambda Hamiltonians.
 
     ``b``: (M, n) bright states per step, ``phase``: the step's Omega * dt.
     Each factor acts on n+1 levels and is the closed form
     1 + (cos p - 1)(P_B + P_e) - i sin p (|B><e| + |e><B|), written row by
-    row into uninitialized (n+1, n+1, M) entry planes.
+    row into uninitialized (n+1, n+1, M) entry planes: ``out`` when given.
     """
     m, n = b.shape
-    planes = np.empty((n + 1, n + 1, m), dtype=complex)
-    cosem = np.cos(phase) - 1.0
-    sine = -1j * np.sin(phase)
+    planes = np.empty((n + 1, n + 1, m), dtype=complex) if out is None else out
+    cosem, sine = _lambda_rotation(phase)
     ket = np.ascontiguousarray(b.T)
     bra = ket.conj()
     for i in range(n):
@@ -156,6 +168,80 @@ def _lambda_step_factors(b: np.ndarray, phase: float) -> np.ndarray:
     np.multiply(sine, bra, out=planes[n, :n])
     planes[n, n] = cosem + 1.0
     return planes
+
+
+class _LambdaPairs:
+    """The products F_{2j+1} F_{2j} of consecutive Lambda steps of a block
+    of bright states, in closed form, for any step phase.
+
+    With b0 = B_{2j}, b1 = B_{2j+1}, omega = <b1|b0>, c = cos p - 1 and
+    s = -i sin p, the pair is
+    [[1 + c S + kappa X, s (|b0> + mu |b1>)], [s (<b1| + mu <b0|), s^2 omega + cos^2 p]]
+    with S = |b1><b1| + |b0><b0|, X = |b1><b0|, kappa = c^2 omega + s^2 and
+    mu = c omega + cos p.  omega, S and X do not depend on the phase, so
+    ``load`` builds them once per block for every run of a sweep; a run's
+    ``factors`` writes only its pair planes, half as many as its steps, and
+    an odd last step is its own ``_lambda_step_factors`` plane.
+
+    The shared planes (kets and bras of the first and second steps, omega,
+    S and X) are rows of one buffer, made for ``size`` steps once per sweep
+    and refilled by each ``load``; a trace's single steps of a block
+    (``steps``) are written into the same buffer before ``load`` refills
+    it.  Built afresh per block, these arrays were freed at every block's
+    end, the heap top went back to the system and the next block
+    page-faulted it in again: 54 000 minor faults, a fifth of the time of
+    a two-run 2^20-step sweep, in some heap layouts.
+    """
+
+    def __init__(self, n: int, size: int):
+        self.buffer = np.empty(max((2 * n * n + 4 * n + 1) * (size // 2), (n + 1) ** 2 * size), dtype=complex)
+
+    def steps(self, b: np.ndarray, phase: float) -> np.ndarray:
+        """The single-step planes of ``b`` (``_lambda_step_factors``), in the
+        buffer: valid until the next ``load``."""
+        m, n = b.shape
+        return _lambda_step_factors(b, phase, self.buffer[: (n + 1) ** 2 * m].reshape(n + 1, n + 1, m))
+
+    def load(self, b: np.ndarray) -> None:
+        """Build the shared planes of the (m, n) bright states ``b``."""
+        m, n = b.shape
+        half = m // 2
+        self.tail = b[2 * half :]
+        count = 2 * n * n + 4 * n + 1
+        rows = self.buffer[: count * half].reshape(count, half)
+        kets, bras = rows[: 2 * n].reshape(2, n, half), rows[2 * n : 4 * n].reshape(2, n, half)
+        np.copyto(kets, b[: 2 * half].reshape(half, 2, n).transpose(1, 2, 0))
+        np.conjugate(kets, out=bras)
+        self.ket0, self.ket1 = kets
+        self.bra0, self.bra1 = bras
+        self.omega = np.einsum("ih,ih->h", self.bra1, self.ket0, out=rows[4 * n])
+        self.both, self.cross = rows[4 * n + 1 :].reshape(2, n, n, half)
+        for i in range(n):
+            np.multiply(self.ket1[i], self.bra1, out=self.both[i])
+            self.both[i] += self.ket0[i] * self.bra0
+            np.multiply(self.ket1[i], self.bra0, out=self.cross[i])
+
+    def factors(self, phase: float) -> np.ndarray:
+        """(n+1, n+1, ceil(m/2)) entry planes: every pair's product at step
+        phase ``phase``, then the odd last step if there is one."""
+        n, _, half = self.both.shape
+        c, s = _lambda_rotation(phase)
+        cos = c + 1.0
+        kappa = c * c * self.omega + s * s
+        mu = c * self.omega + cos
+        planes = np.empty((n + 1, n + 1, half + len(self.tail)), dtype=complex)
+        pairs = planes[:, :, :half]
+        for i in range(n):
+            np.multiply(kappa, self.cross[i], out=pairs[i, :n])
+            pairs[i, :n] += c * self.both[i]
+            pairs[i, i] += 1.0
+        np.multiply(s, self.ket0 + mu * self.ket1, out=pairs[:n, n])
+        np.multiply(s, self.bra1 + mu * self.bra0, out=pairs[n, :n])
+        np.multiply(s * s, self.omega, out=pairs[n, n])
+        pairs[n, n] += cos * cos
+        if len(self.tail):
+            _lambda_step_factors(self.tail, phase, planes[:, :, half:])
+        return planes
 
 
 def _polar(u: np.ndarray) -> tuple[UnitaryOperator, float]:
@@ -290,12 +376,15 @@ def evolve_full_sweep(
     a sweep over Omega*T: the ground-truth oracle of the geometric methods.
 
     The drive is one bright state B on progress [0, 1] at Omega = 1, and
-    only the values of ``drive.sample`` are read.  The runs must share
-    ``steps`` (else ``ValueError``), so B is sampled and checked once per
-    block for all of them; each run reduces that block's exact Lambda steps,
-    of phase omega_T / steps, at once, so memory does not grow with the
-    number of runs.  A ``trace`` (one run only) carries its state along the
-    same factors, with times in progress units.
+    only ``drive.values`` is read.  The runs must share ``steps`` (else
+    ``ValueError``), so B is sampled and checked once per block for all of
+    them, and the run-independent parts of the block's step pairs
+    (``_LambdaPairs``) are built once; each run then reduces its closed-form
+    pair products of phase omega_T / steps, half as many factors as steps,
+    so memory does not grow with the number of runs.  A ``trace`` (one run
+    only) carries its state along the single steps of the same run, with
+    times in progress units; the unitary comes from the pairs either way,
+    so a traced run's unitary is the untraced one, bit for bit.
     """
     if not configs:
         raise ValueError("a sweep needs at least one run")
@@ -304,13 +393,19 @@ def evolve_full_sweep(
         raise ValueError(f"the runs of a sweep must share steps, got {sorted({run.steps for run in configs})}")
     if trace is not None and len(configs) != 1:
         raise ValueError(f"a trace follows one run, got {len(configs)}")
-    step = (lambda factors: factors) if trace is None else _traced(trace, 0.0, 1.0, steps)
+    scan = None if trace is None else _traced(trace, 0.0, 1.0, steps)
     blocks, _ = _step_grid(0.0, 1.0, steps)
     products = [[] for _ in configs]
+    pairs = None
     for mids in blocks:
-        b = _bright_states(drive.sample(mids)[0], mids)
+        b = _bright_states(drive.values(mids), mids)
+        if pairs is None:
+            pairs = _LambdaPairs(b.shape[1], min(steps, FULL_BLOCK))
+        if scan is not None:
+            scan(pairs.steps(b, configs[0].omega_T / steps))
+        pairs.load(b)
         for run, run_products in zip(configs, products):
-            run_products.append(_ordered_product(step(_lambda_step_factors(b, run.omega_T / steps))))
+            run_products.append(_ordered_product(pairs.factors(run.omega_T / steps)))
     results = []
     for run_products in products:
         unitary, drift = _polar(_ordered_product(np.stack(run_products, axis=-1)))
@@ -370,17 +465,17 @@ def dark_block(u: UnitaryOperator | np.ndarray, frame_start, frame_end) -> np.nd
 def leakage(u: UnitaryOperator | np.ndarray, dark_start, p_dark_end: HermitianOperator) -> float:
     """Worst-case population lost from the dark subspace.
 
-    max over input dark basis states d of 1 - <Ud| P_dark_end |Ud>.
+    The maximum of 1 - <Ud| P_dark_end |Ud> over unit vectors d in the span
+    of the ``dark_start`` frame D: 1 - lambda_min of the retained Gram
+    matrix D U^dag P U D^dag (k x k for k frame vectors), so the value does
+    not depend on which basis of the span D lists.  0 for an empty frame.
     """
     matrix = u.matrix if isinstance(u, UnitaryOperator) else np.asarray(u, dtype=complex)
     start = as_frame(dark_start)
     proj = p_dark_end.matrix
-    worst = 0.0
-    for d in start:
-        image = matrix @ d
-        retained = float((image.conj() @ proj @ image).real)
-        worst = max(worst, 1.0 - retained)
-    return worst
+    images = start @ matrix.T
+    retained = np.linalg.eigvalsh(images.conj() @ proj @ images.T)
+    return float(1.0 - retained[0]) if retained.size else 0.0
 
 
 def reparametrize(
@@ -424,4 +519,7 @@ def reparametrize(
             break
         below = np.asarray(f(mid), dtype=float) < targets
         lo, hi = np.where(wide & below, mid, lo), np.where(wide & ~below, mid, hi)
-    return BrightTrajectory(trajectory.dim, trajectory.k, t0, t1, sampler, tuple(map(float, hi)))
+    def value_sampler(times: np.ndarray) -> np.ndarray:
+        return trajectory.values(f(times))
+
+    return BrightTrajectory(trajectory.dim, trajectory.k, t0, t1, sampler, tuple(map(float, hi)), value_sampler)

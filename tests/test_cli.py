@@ -27,8 +27,8 @@ from brightpath.cli import (
 )
 from brightpath.errors import ConfigError
 from brightpath import gates
-from brightpath.gates import gate_coupling_schedule, simulate_full_gate, simulate_gate
-from brightpath.propagators import FULL_BLOCK, StateTrace, evolve_state_time_ordered
+from brightpath.gates import simulate_full_gate, simulate_gate, stage_trajectory
+from brightpath.propagators import FULL_BLOCK, MAX_STEPS, StateTrace, evolve_state_time_ordered
 
 
 def strip_timing(report):
@@ -301,18 +301,19 @@ class TestTimeseries:
         path = tmp_path / "gate.csv"
         written = []
 
-        def breaking_schedule(spec):
-            schedule = gate_coupling_schedule(spec)
+        def breaking_drive(spec):
+            # The full gate's drive is the stage trajectory of its core spec.
+            drive = stage_trajectory(spec)
 
-            def sample(progress):
+            def values(progress):
                 if progress[0] > 0.05:
                     written.append(path.stat().st_size)
                     raise ValueError("the drive breaks")
-                return schedule.sample(progress)
+                return drive.values(progress)
 
-            return SimpleNamespace(sample=sample)
+            return SimpleNamespace(values=values)
 
-        monkeypatch.setattr(gates, "gate_coupling_schedule", breaking_schedule)
+        monkeypatch.setattr(gates, "stage_trajectory", breaking_drive)
         path.write_text("a stale series\n")
         assert main(["gate", "--method", "full", "--timeseries", str(path)]) == EXIT_NUMERICAL
         assert "the drive breaks" in capsys.readouterr().err
@@ -585,6 +586,29 @@ class TestMainExitCodes:
         assert time.perf_counter() - started < 1.0
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
+    @pytest.mark.parametrize(
+        "kind, parameters, field",
+        [
+            ("compare", {"full_steps": 2**23, "omega_T_list": [250.0, 1000.0, 4000.0]}, "full_steps"),
+            ("gate", {"methods": ["effective", "full"], "steps": MAX_STEPS, "full_steps": 10}, "steps"),
+            ("loop", {"steps": 2**18, "points_per_edge": 32}, "steps"),
+        ],
+    )
+    def test_a_scenario_over_its_step_budget_is_three_and_quick(self, kind, parameters, field, tmp_path, capsys):
+        # Every run is within MAX_STEPS, but the scenario's runs together
+        # are not: 3 x 2^23 full steps; 2^24 + 10; 128 segments x 2^18.
+        cfg = tmp_path / "over.json"
+        cfg.write_text(json.dumps({"kind": kind, "parameters": parameters}))
+        started = time.perf_counter()
+        assert main([kind, "--config", str(cfg)]) == EXIT_CONFIG
+        assert time.perf_counter() - started < 1.0
+        assert capsys.readouterr().err.startswith(f"config error: {field}: the scenario takes ")
+
+    def test_a_route_that_does_not_run_takes_no_budget(self):
+        # An effective-only gate at MAX_STEPS: its full_steps never run.
+        assert ScenarioConfig("gate", {"steps": MAX_STEPS}).steps == MAX_STEPS
+        assert ScenarioConfig("loop", {"steps": MAX_STEPS, "methods": ["berry"]}).steps == MAX_STEPS
+
     @pytest.mark.parametrize("kind, field", [("gate", "steps"), ("compare", "full_steps")])
     def test_oversized_steps_override_is_three(self, kind, field, capsys):
         assert main([kind, "--steps", str(10**12)]) == EXIT_CONFIG
@@ -634,3 +658,65 @@ def test_config_loader_raises_only_config_errors(kind, data):
         ScenarioConfig(kind, data.draw(parameters_of(kind)))
     except ConfigError:
         pass
+
+
+def scenario_steps(kind: str, p: dict) -> int:
+    """Every step a scenario of these parameters would take: the full
+    runs' steps summed, plus the effective route's, or segments x steps
+    for a loop (an edge of the default rectangle has one segment per point
+    once ``points_per_edge`` >= 21)."""
+    if kind == "loop":
+        return 4 * p["points_per_edge"] * (p["steps"] if "effective" in p["methods"] else 1)
+    total = p["steps"] if kind == "stirap" or "effective" in p.get("methods", ()) else 0
+    if kind == "compare" or "full" in p.get("methods", ()):
+        total += p["full_steps"] * (len(p["omega_T_list"]) if kind == "compare" else 1)
+    return total
+
+
+@st.composite
+def sized_parameters(draw, kind):
+    """Well-formed parameters of ``kind`` whose step counts, run counts and
+    segment counts each lie anywhere in their own bounds, up to MAX_STEPS."""
+    steps = st.integers(1, MAX_STEPS) | st.sampled_from([1, 2**12, 2**21, 2**23, MAX_STEPS - 1, MAX_STEPS])
+    if kind == "loop":
+        methods = draw(st.sampled_from([["effective"], ["berry"], ["effective", "berry"]]))
+        return {"steps": draw(steps), "points_per_edge": draw(st.integers(21, 10_000)), "methods": methods}
+    if kind == "stirap":
+        return {"steps": max(10, draw(steps))}
+    parameters = {"full_steps": max(10, draw(steps))}
+    if kind == "gate":
+        parameters["steps"] = max(100, draw(steps))
+        parameters["methods"] = draw(st.sampled_from([["effective"], ["full"], ["effective", "full"]]))
+    else:
+        parameters["omega_T_list"] = [100.0 + i for i in range(draw(st.integers(2, 5000) | st.sampled_from([2, 3, 2**12])))]
+    return parameters
+
+
+@pytest.mark.parametrize("kind", ["gate", "compare", "loop", "stirap"])
+# The patched runners are the same for every example, so one monkeypatch
+# per test serves them all.
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_a_scenario_parses_only_within_its_step_budget(kind, data, monkeypatch):
+    """Extreme but well-formed sizes parse into a scenario exactly when the
+    scenario's total steps are within MAX_STEPS, and a ConfigError names a
+    step field otherwise.  Nothing runs."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a scenario ran while its config was parsed")
+
+    for name in ("simulate_gate", "simulate_full_gate", "holonomy", "effective_dark_block", "stirap_transfer"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    parameters = data.draw(sized_parameters(kind))
+    steps = scenario_steps(kind, {**DEFAULT_PARAMETERS[kind], **parameters})
+    try:
+        ScenarioConfig(kind, parameters)
+    except ConfigError as exc:
+        assert steps > MAX_STEPS, exc
+        assert str(exc).startswith(("steps: the scenario takes", "full_steps: the scenario takes")), exc
+    else:
+        assert steps <= MAX_STEPS

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brightpath.berry import _loop_trajectory, rectangle_loop
 from brightpath.effective import BrightTrajectory, _h_eff_stack, h_eff_couplings, h_eff_multi
-from brightpath.errors import DerivativeInconsistent, NormalizationDriftError, NotOrthonormal
-from brightpath.gates import GateSpec, stage_trajectory, stirap_trajectory
+from brightpath.errors import DerivativeInconsistent, DimensionMismatch, NormalizationDriftError, NotOrthonormal
+from brightpath.gates import GateSpec, _core_spec, stage_trajectory, stirap_trajectory
 from brightpath.lambda_system import CouplingSet, bright_state
+from brightpath.propagators import reparametrize
+from brightpath.ramps import ramp_rate, ramp_value
 from conftest import frame_at, midpoint_reference, reversed_trajectory, validate_trajectory
 
 
@@ -282,6 +285,64 @@ class TestSample:
         # The stage formulas would otherwise extrapolate (-|aux> at t = -0.5).
         with pytest.raises(ValueError, match=span + r".*outside the trajectory's \[0, 1\]"):
             stage_trajectory(off_grid_gate()).sample(times)
+
+
+def values_trajectories():
+    """One trajectory of every kind that a pipeline reads ``values`` of, or
+    may: the stage path (own value sampler) on each schedule pair, its core
+    on the progress clock, a smooth remap of it, the stirap path and a loop
+    path (both through ``sample``)."""
+    gate = off_grid_gate()
+    linear = GateSpec(n=4, psi=np.array([0.6, 0.0, 0.8j, 0.0]), phase_twist=2.1, t1=0.4, t2=0.9, t3=1.7)
+    core = stage_trajectory(_core_spec(linear, linear.t3))
+    smooth = lambda s: ramp_value("smooth", s)
+    return {
+        "stage-smooth": stage_trajectory(gate),
+        "stage-linear": stage_trajectory(linear),
+        "core": core,
+        "reparametrized": reparametrize(core, smooth, lambda s: ramp_rate("smooth", s), 0.0, 1.0),
+        "stirap": stirap_trajectory(1.3, "smooth"),
+        "loop": _loop_trajectory(rectangle_loop("theta1", "theta2", 1.0, 0.8)),
+    }
+
+
+class TestValues:
+    """``values(times)`` is ``sample(times)[0]``, bit for bit, under the
+    same checks."""
+
+    @pytest.mark.parametrize("name", sorted(values_trajectories()))
+    def test_values_are_the_sampled_values(self, name):
+        traj = values_trajectories()[name]
+        span = traj.t_end - traj.t_start
+        # Midpoints of a ragged grid, the start and every breakpoint (the
+        # loop path's sampler does not reach its end).
+        times = np.concatenate([traj.t_start + span * (np.arange(1037) + 0.5) / 1037, [traj.t_start], traj.breakpoints])
+        got = traj.values(times)
+        assert got.shape == (times.size, traj.k, traj.dim)
+        np.testing.assert_array_equal(got, traj.sample(times)[0])
+
+    @pytest.mark.parametrize("name", sorted(values_trajectories()))
+    @pytest.mark.parametrize("times", [[-0.5, 0.5], [0.5, 1e9], [np.nan]], ids=["before", "after", "nan"])
+    def test_times_off_the_domain_raise_as_sample_does(self, name, times):
+        traj = values_trajectories()[name]
+        with pytest.raises(ValueError) as from_sample:
+            traj.sample(times)
+        with pytest.raises(ValueError) as from_values:
+            traj.values(times)
+        assert str(from_values.value) == str(from_sample.value)
+        assert "outside the trajectory's" in str(from_values.value)
+
+    @pytest.mark.parametrize("own", [False, True], ids=["through_sample", "value_sampler"])
+    def test_a_sampler_of_the_wrong_shape_raises_as_sample_does(self, own):
+        # Two states per time where the trajectory declares one.
+        def wrong(times):
+            return np.zeros((times.size, 2, 2), dtype=complex)
+
+        traj = BrightTrajectory(2, 1, 0.0, 1.0, lambda times: (wrong(times), wrong(times)), (), wrong if own else None)
+        with pytest.raises(DimensionMismatch, match=r"sampled values \(3, 2, 2\)"):
+            traj.sample(np.linspace(0.0, 1.0, 3))
+        with pytest.raises(DimensionMismatch, match=r"sampled values \(3, 2, 2\).* must (both )?be \(3, 1, 2\)"):
+            traj.values(np.linspace(0.0, 1.0, 3))
 
 
 class TestMultiBrightTransport:

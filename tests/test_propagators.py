@@ -15,6 +15,7 @@ from brightpath.propagators import (
     MAX_STEPS,
     AdiabaticRunConfig,
     StateTrace,
+    _LambdaPairs,
     _lambda_step_factors,
     _midpoint_factors,
     _step_grid,
@@ -114,9 +115,9 @@ def halving_ratios(propagate):
 
 
 def drive(sample):
-    """A drive that carries nothing but its sampler progress -> (values,
-    derivatives), as the full oracle may be handed one."""
-    return SimpleNamespace(sample=sample)
+    """A drive that carries nothing but the values of its sampler progress
+    -> (values, derivatives), the one method the full oracle reads."""
+    return SimpleNamespace(values=lambda progress: sample(progress)[0])
 
 
 def held(b):
@@ -469,6 +470,67 @@ class TestBlockedOracle:
         assert peak < 64 * 2**20
 
 
+class TestLambdaPairs:
+    """Closed-form products of two Lambda steps from run-shared planes."""
+
+    @pytest.mark.parametrize("phase", [0.0, 1e-7, 0.37, np.pi / 2 - 1e-9], ids=["zero", "small", "mid", "near_half_pi"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 7, 64, 65])
+    def test_pairs_are_products_of_single_steps(self, rng, m, n, phase):
+        # Complex bright states, so a transposed X, a dropped conj or a
+        # wrong coefficient all show; an odd m ends on one single step.
+        b = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        b /= np.linalg.norm(b, axis=1)[:, None]
+        single = _lambda_step_factors(b, phase)
+        half = m // 2
+        want = np.einsum("ilk,ljk->ijk", single[:, :, 1 : 2 * half : 2], single[:, :, 0 : 2 * half : 2])
+        want = np.concatenate([want, single[:, :, 2 * half :]], axis=2)
+        # A buffer made for a longer block, as for a sweep's partial last block.
+        pairs = _LambdaPairs(n, 2 * m + 3)
+        pairs.load(b)
+        got = pairs.factors(phase)
+        assert got.shape == (n + 1, n + 1, half + m % 2)
+        assert np.abs(got - want).max() <= 1e-15
+
+    def test_one_buffer_serves_every_phase_block_and_trace(self, rng):
+        # A run does not change the shared planes, and a block of another
+        # length or a trace's single steps in between leave no trace: each
+        # result equals the one of a buffer made for it alone, bit for bit.
+        blocks = [rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3)) for m in (64, 33, 64)]
+        blocks = [b / np.linalg.norm(b, axis=1)[:, None] for b in blocks]
+        pairs = _LambdaPairs(3, 64)
+        for b in blocks:
+            np.testing.assert_array_equal(pairs.steps(b, 0.3), _lambda_step_factors(b, 0.3))
+            pairs.load(b)
+            alone = _LambdaPairs(3, len(b))
+            alone.load(b)
+            for phase in (0.3, 0.01, 1.2, 0.3):
+                np.testing.assert_array_equal(pairs.factors(phase), alone.factors(phase))
+
+    @pytest.mark.parametrize("steps", [FULL_BLOCK + 1, 2 * FULL_BLOCK + 37], ids=["one_step_tail", "odd_tail"])
+    def test_a_traced_unitary_is_the_untraced_one(self, steps):
+        # The trace scans single steps; the unitary always comes from the
+        # pairs, so the trace does not move it by a bit.
+        schedule = smoothly(gate_schedule())
+        config = AdiabaticRunConfig(omega_T=40.0, steps=steps)
+        traced = evolve_full_adiabatic(schedule, config, StateTrace(np.eye(4)[2], lambda *rows: None))
+        untraced = evolve_full_adiabatic(schedule, config)
+        assert np.array_equal(traced.unitary.matrix, untraced.unitary.matrix)
+        assert traced.unitarity_error == untraced.unitarity_error
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_bright_state_is_not_normalized(self, bad):
+        base = gate_schedule()
+
+        def broken(progress):
+            values, derivatives = base.sample(progress)
+            values[5, 0, 1] = bad
+            return values, derivatives
+
+        with pytest.raises(NotNormalized, match=r"at progress=0\.171875$"):
+            evolve_full_adiabatic(drive(broken), AdiabaticRunConfig(omega_T=1.0, steps=32))
+
+
 class TestFullSweep:
     """One sampled drive per block feeds every Omega*T run of a sweep."""
 
@@ -702,6 +764,19 @@ class TestDarkBlockAndLeakage:
             u[[dark, bright, dark, bright], [dark, bright, bright, dark]] = keep, keep, -leak, leak
         frame = np.eye(4)[:2]
         assert leakage(u, frame, projector_from_frame(frame)) == pytest.approx(0.3, abs=1e-15)
+
+    def test_leakage_does_not_depend_on_the_dark_basis(self):
+        # A rotation by 0.4 between v = (|0> + |1>)/sqrt 2 and |2> leaks
+        # sin^2 0.4 of v and half that of |0> and of |1>.  The worst dark
+        # input is v, whichever basis of span{|0>, |1>} the frame lists:
+        # (|0>, |1>) and its 45-degree rotation (v, w) read the same.
+        v, w = np.array([1.0, 1.0, 0.0]) / np.sqrt(2), np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
+        coupling = np.outer(v, np.eye(3)[2])
+        u = expm_hermitian(coupling + coupling.T, 0.4).matrix
+        frame = np.eye(3)[:2]
+        p_dark = projector_from_frame(frame)
+        for listed in (frame, np.array([v, w])):
+            assert leakage(u, listed, p_dark) == pytest.approx(np.sin(0.4) ** 2, abs=1e-15)
 
     def test_leakage_constant_full_hamiltonian(self):
         c = CouplingSet(omega=1.0, r=np.array([0.6, 0.8]), phi=np.zeros(2))

@@ -89,9 +89,9 @@ MUTANTS = (
     Mutant(
         "flipped-lambda-sine",
         "propagators",
-        "sine = -1j * np.sin(phase)",
-        "sine = 1j * np.sin(phase)",
-        "the full oracle steps with exp(+i H dt)",
+        "-1j * np.sin(phase)",
+        "1j * np.sin(phase)",
+        "the full oracle steps with exp(+i H dt), in its single steps and its step pairs",
     ),
     Mutant(
         "lambda-bra-without-conj",
@@ -101,10 +101,31 @@ MUTANTS = (
         "the full oracle writes its <B| row as B^T: the step is not unitary for a complex B",
     ),
     Mutant(
+        "lambda-pair-cross-transposed",
+        "propagators",
+        "np.multiply(self.ket1[i], self.bra0, out=self.cross[i])",
+        "np.multiply(self.ket0[i], self.bra1, out=self.cross[i])",
+        "a step pair's X term is built as |b0><b1| for |b1><b0|",
+    ),
+    Mutant(
+        "lambda-pair-kappa-without-s2",
+        "propagators",
+        "kappa = c * c * self.omega + s * s",
+        "kappa = c * c * self.omega",
+        "a step pair's X coefficient drops the s^2 of the two couplings through |e>",
+    ),
+    Mutant(
+        "lambda-pair-mu-without-cos",
+        "propagators",
+        "mu = c * self.omega + cos",
+        "mu = c * self.omega",
+        "a step pair's excited-level coupling drops the cos p of the first step's |e><e| entry",
+    ),
+    Mutant(
         "reparametrize-keeps-unmapped-breakpoints",
         "propagators",
-        "t0, t1, sampler, tuple(map(float, hi)))",
-        "t0, t1, sampler, tuple(map(float, targets)))",
+        "t0, t1, sampler, tuple(map(float, hi)), value_sampler)",
+        "t0, t1, sampler, tuple(map(float, targets)), value_sampler)",
         "a remapped trajectory declares its base's breakpoints, not their preimages",
     ),
     Mutant(
@@ -131,17 +152,9 @@ MUTANTS = (
     Mutant(
         "leakage-takes-the-best-input",
         "propagators",
-        "    worst = 0.0\n"
-        "    for d in start:\n"
-        "        image = matrix @ d\n"
-        "        retained = float((image.conj() @ proj @ image).real)\n"
-        "        worst = max(worst, 1.0 - retained)",
-        "    worst = 1.0\n"
-        "    for d in start:\n"
-        "        image = matrix @ d\n"
-        "        retained = float((image.conj() @ proj @ image).real)\n"
-        "        worst = min(worst, 1.0 - retained)",
-        "leakage reports the dark input that leaks least",
+        "return float(1.0 - retained[0]) if retained.size else 0.0",
+        "return float(1.0 - retained[-1]) if retained.size else 0.0",
+        "leakage reports the dark input that leaks least: 1 - lambda_max of the retained Gram matrix",
     ),
     Mutant(
         "trace-drops-the-start-row",
