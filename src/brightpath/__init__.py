@@ -18,13 +18,13 @@ from .berry import (
     u_z_analytic,
 )
 from .gates import (
-    GateReport,
     GateSpec,
     StirapReport,
     analytic_stage_unitaries,
     compose_gate,
     extract_geometric_phase,
     gate_coupling_schedule,
+    measure_gate,
     simulate_full_gate,
     simulate_gate,
     stage_trajectory,
@@ -68,7 +68,6 @@ __all__ = [
     "BrightTrajectory",
     "ConnectionMatrices",
     "CouplingSet",
-    "GateReport",
     "GateSpec",
     "HermitianOperator",
     "MorrisShoreDecomposition",
@@ -98,6 +97,7 @@ __all__ = [
     "lambda_hamiltonian",
     "leakage",
     "matrix_distance",
+    "measure_gate",
     "morris_shore_transform",
     "projector_from_frame",
     "rectangle_loop",

@@ -40,8 +40,9 @@ from .gates import (
     MIN_GATE_STEPS,
     GateSpec,
     compose_gate,
+    extract_geometric_phase,
     logical_block,
-    measure_full_gate,
+    measure_gate,
     simulate_full_gate,
     simulate_gate,
     stage_trajectory,
@@ -206,8 +207,8 @@ class ScenarioConfig:
         unknown = sorted(map(str, set(parameters or {}) - known))
         if unknown:
             raise ConfigError(f"{', '.join(unknown)}: unknown parameter for kind {kind!r}; expected {sorted(known)}")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("seed: must be an integer")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigError("seed: must be a non-negative integer")
         self.kind = kind
         self.parameters = {**DEFAULT_PARAMETERS[kind], **(parameters or {})}
         self.seed = seed
@@ -370,45 +371,38 @@ def _diagnostics(**fields) -> dict:
 def _run_gate(config: ScenarioConfig, trace: StateTrace | None = None) -> dict:
     spec = config.spec
     analytic = compose_gate(spec)
-    geo_block = logical_block(analytic, spec.n)
-    unitaries = {"analytic": analytic.matrix}
-    blocks = {"analytic": geo_block}
-    comparisons: dict[str, float] = {}
-    diag = _diagnostics(steps=config.steps)
-
+    results = {}
     if "effective" in config.methods:
         # A time series follows the full method when it runs.
-        report = simulate_gate(spec, steps=config.steps, trace=None if "full" in config.methods else trace)
-        unitaries["effective"] = report.propagation.unitary.matrix
-        blocks["effective"] = logical_block(report.propagation.unitary, spec.n)
-        comparisons["effective_vs_analytic_exact"] = report.distance_exact
-        comparisons["effective_vs_analytic_phase"] = report.distance_phase
-        diag["geometric_phase"] = report.geometric_phase
-        diag["unitarity_error"] = max(diag["unitarity_error"], report.propagation.unitarity_error)
-
+        results["effective"] = simulate_gate(spec, config.steps, None if "full" in config.methods else trace)
     if "full" in config.methods:
-        (result,) = simulate_full_gate(spec, config.full_runs, trace)
-        ((blocks["full"], comparisons["full_vs_analytic_phase"], diag["leakage"]),) = measure_full_gate(geo_block, (result,))
-        unitaries["full"] = result.unitary.matrix
-        diag["unitarity_error"] = max(diag["unitarity_error"], result.unitarity_error)
-
-    primary_exact = comparisons.get("effective_vs_analytic_exact", 0.0)
-    primary_phase = comparisons.get(
+        (results["full"],) = simulate_full_gate(spec, config.full_runs, trace)
+    unitaries = {"analytic": analytic.matrix}
+    blocks = {"analytic": logical_block(analytic, spec.n)}
+    comparisons: dict[str, float] = {}
+    diag = _diagnostics(steps=config.steps, unitarity_error=max([0.0] + [r.unitarity_error for r in results.values()]))
+    measures = measure_gate(blocks["analytic"], list(results.values()))
+    for (name, result), (block, exact, phase, leak) in zip(results.items(), measures):
+        unitaries[name], blocks[name] = result.unitary.matrix, block
+        comparisons[f"{name}_vs_analytic_phase"] = phase
+        if name == "effective":
+            comparisons["effective_vs_analytic_exact"] = exact
+            diag["geometric_phase"] = extract_geometric_phase(result.unitary, spec.psi)
+        else:
+            diag["leakage"] = leak
+    diag["dark_block_distance_exact"] = comparisons.get("effective_vs_analytic_exact", 0.0)
+    diag["dark_block_distance_phase"] = comparisons.get(
         "effective_vs_analytic_phase", comparisons.get("full_vs_analytic_phase", 0.0)
     )
-    diag["dark_block_distance_exact"] = primary_exact
-    diag["dark_block_distance_phase"] = primary_phase
-    tolerance = config.tolerance
-    checks = [primary_exact <= tolerance]
-    if "full" in config.methods:
-        checks.append(comparisons["full_vs_analytic_phase"] <= max(tolerance, 1e-2))
+    checks = [diag["dark_block_distance_exact"] <= config.tolerance]
+    if "full" in results:
+        checks.append(comparisons["full_vs_analytic_phase"] <= max(config.tolerance, 1e-2))
     return {
         "unitaries": unitaries,
         "dark_blocks": blocks,
         "comparisons": comparisons,
         "diagnostics": diag,
         "passed": bool(all(checks)),
-        "tolerance": tolerance,
     }
 
 
@@ -432,7 +426,6 @@ def _run_loop(config: ScenarioConfig) -> dict:
         comparisons["berry_vs_effective_exact"] = matrix_distance(
             blocks["berry"], blocks["effective"], "exact"
         )
-    tolerance = config.tolerance
     primary = max(comparisons.values()) if comparisons else 0.0
     diag = _diagnostics(
         dark_block_distance_exact=primary,
@@ -447,8 +440,7 @@ def _run_loop(config: ScenarioConfig) -> dict:
         "dark_blocks": blocks,
         "comparisons": comparisons,
         "diagnostics": diag,
-        "passed": bool(primary <= tolerance),
-        "tolerance": tolerance,
+        "passed": bool(primary <= config.tolerance),
     }
 
 
@@ -458,13 +450,12 @@ def _run_compare(config: ScenarioConfig) -> dict:
     results = simulate_full_gate(spec, config.full_runs)
     sweep = [
         {"omega_T": run_config.omega_T, "distance_phase": distance, "leakage": leak}
-        for run_config, (_, distance, leak) in zip(config.full_runs, measure_full_gate(geo_block, results))
+        for run_config, (_, _, distance, leak) in zip(config.full_runs, measure_gate(geo_block, results))
     ]
     worst_unitarity = max(result.unitarity_error for result in results)
     distances = [entry["distance_phase"] for entry in sweep]
     decreasing = all(a > b for a, b in zip(distances, distances[1:]))
-    tolerance = config.tolerance
-    passed = distances[-1] <= tolerance and (decreasing or not config.require_decreasing)
+    passed = distances[-1] <= config.tolerance and (decreasing or not config.require_decreasing)
     diag = _diagnostics(
         unitarity_error=worst_unitarity,
         leakage=max(entry["leakage"] for entry in sweep),
@@ -472,12 +463,10 @@ def _run_compare(config: ScenarioConfig) -> dict:
         steps=config.full_runs[0].steps,
     )
     return {
-        "unitaries": {},
         "dark_blocks": {"analytic": geo_block},
         "comparisons": {"sweep": sweep, "strictly_decreasing": decreasing},
         "diagnostics": diag,
         "passed": bool(passed),
-        "tolerance": tolerance,
     }
 
 
@@ -491,11 +480,8 @@ def _run_morris_shore(config: ScenarioConfig) -> dict:
     recon = float(np.linalg.norm(decomposition.reconstruct() - sys_.v)) / scale
     rebuilt = TwoManifoldSystem(decomposition.reconstruct()).drive_hamiltonian()
     drive_err = float(np.max(np.abs(rebuilt - sys_.drive_hamiltonian()))) / scale
-    tolerance = config.tolerance
     diag = _diagnostics(dark_block_distance_exact=recon, dark_block_distance_phase=drive_err)
     return {
-        "unitaries": {},
-        "dark_blocks": {},
         "comparisons": {
             "pairs": decomposition.rank,
             "dark_states": int(decomposition.dark_ground.shape[0]),
@@ -504,22 +490,18 @@ def _run_morris_shore(config: ScenarioConfig) -> dict:
             "drive_rebuild_error": drive_err,
         },
         "diagnostics": diag,
-        "passed": bool(recon <= tolerance and drive_err <= max(tolerance, 1e-10)),
-        "tolerance": tolerance,
+        "passed": bool(recon <= config.tolerance and drive_err <= max(config.tolerance, 1e-10)),
     }
 
 
 def _run_stirap(config: ScenarioConfig, trace: StateTrace | None = None) -> dict:
     report = stirap_transfer(config.theta_end, steps=config.steps, ramp=config.ramp, trace=trace)
-    tolerance = config.tolerance
     diag = _diagnostics(
         dark_block_distance_exact=report.deviation,
         dark_block_distance_phase=report.deviation,
         steps=config.steps,
     )
     return {
-        "unitaries": {},
-        "dark_blocks": {},
         "comparisons": {
             "final_state": complex_to_pairs(report.final_state)[0],
             "expected_state": complex_to_pairs(report.expected_state)[0],
@@ -527,8 +509,7 @@ def _run_stirap(config: ScenarioConfig, trace: StateTrace | None = None) -> dict
             "transfer_population": report.transfer_population,
         },
         "diagnostics": diag,
-        "passed": bool(report.deviation <= tolerance),
-        "tolerance": tolerance,
+        "passed": bool(report.deviation <= config.tolerance),
     }
 
 
@@ -536,12 +517,9 @@ def _run_selftest(config: ScenarioConfig) -> dict:
     results = acceptance.run_all(config.seed)
     lines = [{"criterion": r.number, "name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
     return {
-        "unitaries": {},
-        "dark_blocks": {},
         "comparisons": {"criteria": lines},
         "diagnostics": _diagnostics(),
         "passed": bool(all(r.passed for r in results)),
-        "tolerance": 0.0,
     }
 
 
@@ -556,11 +534,13 @@ _RUNNERS = {
 
 
 def run_scenario(config: ScenarioConfig, trace: StateTrace | None = None) -> dict:
-    """Execute one scenario and assemble the report dictionary.  A ``trace``
-    (``TIMESERIES_KINDS`` only) rides along the scenario's propagation."""
+    """Execute one scenario and assemble the report dictionary: the config's
+    ``tolerance``, and empty ``unitaries`` and ``dark_blocks`` unless the
+    runner fills them.  A ``trace`` (``TIMESERIES_KINDS`` only) rides along
+    the scenario's propagation."""
     started = time.perf_counter()
     runner = _RUNNERS[config.kind]
-    body = runner(config) if trace is None else runner(config, trace)
+    body = {"unitaries": {}, "dark_blocks": {}, **(runner(config) if trace is None else runner(config, trace))}
     wall_ms = (time.perf_counter() - started) * 1000.0
     report = {
         "schema": "brightpath.report.v1",
@@ -571,7 +551,7 @@ def run_scenario(config: ScenarioConfig, trace: StateTrace | None = None) -> dic
         "comparisons": _jsonable(body["comparisons"]),
         "diagnostics": {**_jsonable(body["diagnostics"]), "wall_time_ms": wall_ms},
         "passed": body["passed"],
-        "tolerance": body["tolerance"],
+        "tolerance": config.tolerance,
     }
     return report
 
@@ -614,18 +594,18 @@ def _timeseries_frame(config: ScenarioConfig):
     measured against, and a function giving the bright (and excited) states
     at an array of times, shape (M, k, dim)."""
     if config.kind == "stirap":
-        return np.array([1.0, 0.0], dtype=complex), lambda t: config.trajectory.sample(t)[0]
+        return np.array([1.0, 0.0], dtype=complex), config.trajectory.values
     spec = config.spec
     trajectory = stage_trajectory(spec)
     if "full" not in config.methods:
-        return spec.psi, lambda t: trajectory.sample(t)[0]
+        return spec.psi, trajectory.values
     reference = np.zeros(spec.n + 1, dtype=complex)
     reference[: spec.n] = spec.psi
 
     def bright_at(t: np.ndarray) -> np.ndarray:
         # The bright state embedded in n+1 levels, and the excited level.
         bright = np.zeros((len(t), 2, spec.n + 1), dtype=complex)
-        bright[:, 0, : spec.n] = trajectory.sample(t * spec.t3)[0][:, 0]
+        bright[:, 0, : spec.n] = trajectory.values(t * spec.t3)[:, 0]
         bright[:, 1, spec.n] = 1.0
         return bright
 

@@ -11,7 +11,8 @@ the effective route propagates the two-level path on the ground directions
 psi and |n-1> (``simulate_gate``), the full Schroedinger oracle the same
 path with the excited level on three levels (``simulate_full_gate``).
 Each embeds its core unitary with the identity on the dark complement
-through one frame (``_core_frame``), so neither's cost grows with n.
+through one frame (``_core_frame``), so neither's cost grows with n, and
+``measure_gate`` compares a result of either route with the composed gate.
 
 Stage boundaries (times t1 < t2 < t3) and ramp profiles are configurable;
 the geometric result depends only on the traced path, not on the schedule,
@@ -257,28 +258,18 @@ def simulate_full_gate(
     return [_embedded(core, frame) for core in evolve_full_sweep(drive, runs, trace)]
 
 
-def measure_full_gate(geometric: np.ndarray, results: Sequence[PropagationResult]) -> list[tuple[np.ndarray, float, float]]:
-    """Each full-oracle gate result on the logical levels 0..n-2 of the n+1:
-    its dark block, that block's phase-mode distance from ``geometric`` (the
-    caller's ``logical_block`` of ``compose_gate``), and its ``leakage``."""
-    logical = np.eye(len(geometric), len(geometric) + 2, dtype=complex)
-    p_logical = projector_from_frame(logical)
+def measure_gate(geometric: np.ndarray, results: Sequence[PropagationResult]) -> list[tuple[np.ndarray, float, float, float]]:
+    """Each gate result of either route (``simulate_gate`` on n levels,
+    ``simulate_full_gate`` on n+1) on its logical levels 0..n-2: the dark
+    block, that block's exact and phase-mode distances from ``geometric``
+    (the caller's ``logical_block`` of ``compose_gate``), and its ``leakage``."""
     measures = []
     for result in results:
+        logical = np.eye(len(geometric), len(result.unitary.matrix), dtype=complex)
         block = dark_block(result.unitary, logical, logical)
-        distance = matrix_distance(block, geometric, "up_to_global_phase")
-        measures.append((block, distance, leakage(result.unitary, logical, p_logical)))
+        exact, phase = (matrix_distance(block, geometric, mode) for mode in ("exact", "up_to_global_phase"))
+        measures.append((block, exact, phase, leakage(result.unitary, logical, projector_from_frame(logical))))
     return measures
-
-
-@dataclass(frozen=True)
-class GateReport:
-    """Analytic vs simulated gate, compared on the logical dark block."""
-
-    distance_exact: float
-    distance_phase: float
-    geometric_phase: float
-    propagation: PropagationResult
 
 
 def logical_block(u: UnitaryOperator | np.ndarray, n: int) -> np.ndarray:
@@ -301,9 +292,9 @@ def extract_geometric_phase(u: UnitaryOperator | np.ndarray, psi: np.ndarray) ->
     return float(-np.angle(element))
 
 
-def simulate_gate(spec: GateSpec, steps: int = 10_000, trace: StateTrace | None = None) -> GateReport:
-    """Propagate the gate's effective generator and compare to the analytic
-    composed gate on the logical dark block (exact-mode distance).
+def simulate_gate(spec: GateSpec, steps: int = 10_000, trace: StateTrace | None = None) -> PropagationResult:
+    """Propagate the gate's effective generator; ``measure_gate`` compares
+    the result with the composed gate.
 
     H_eff acts only on span{psi, |n-1>}, so the two-level ``_core_spec``
     path is propagated on the same clock [0, t3] and steps, and its W is
@@ -315,15 +306,7 @@ def simulate_gate(spec: GateSpec, steps: int = 10_000, trace: StateTrace | None 
         raise ValueError(f"steps must be >= {MIN_GATE_STEPS}, got {steps}")
     frame = _core_frame(spec)[: spec.n, :2]
     trace = None if trace is None else _core_trace(trace, frame)
-    propagation = _embedded(evolve_time_ordered(stage_trajectory(_core_spec(spec)), 0.0, spec.t3, steps, trace), frame)
-    sim_block = logical_block(propagation.unitary, spec.n)
-    ana_block = logical_block(compose_gate(spec), spec.n)
-    return GateReport(
-        distance_exact=matrix_distance(sim_block, ana_block, "exact"),
-        distance_phase=matrix_distance(sim_block, ana_block, "up_to_global_phase"),
-        geometric_phase=extract_geometric_phase(propagation.unitary, spec.psi),
-        propagation=propagation,
-    )
+    return _embedded(evolve_time_ordered(stage_trajectory(_core_spec(spec)), 0.0, spec.t3, steps, trace), frame)
 
 
 @dataclass(frozen=True)

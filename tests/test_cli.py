@@ -27,7 +27,7 @@ from brightpath.cli import (
 )
 from brightpath.errors import ConfigError
 from brightpath import gates
-from brightpath.gates import simulate_full_gate, simulate_gate, stage_trajectory
+from brightpath.gates import compose_gate, simulate_full_gate, simulate_gate, stage_trajectory
 from brightpath.propagators import FULL_BLOCK, MAX_STEPS, StateTrace, evolve_state_time_ordered
 
 
@@ -206,6 +206,19 @@ class TestRunScenario:
         two = run_scenario(ScenarioConfig("gate", config, seed=11))
         assert json.dumps(strip_timing(one), sort_keys=True) == json.dumps(strip_timing(two), sort_keys=True)
 
+    def test_a_two_method_gate_composes_the_gate_once(self, monkeypatch):
+        composed = []
+
+        def counted(spec):
+            composed.append(spec)
+            return compose_gate(spec)
+
+        monkeypatch.setattr(cli, "compose_gate", counted)
+        monkeypatch.setattr(gates, "compose_gate", counted)
+        report = run_scenario(ScenarioConfig("gate", {"methods": ["effective", "full"], "full_steps": 4096}))
+        assert {"effective", "full"} <= set(report["unitaries"])
+        assert len(composed) == 1
+
     def test_morris_shore_seed_determinism(self):
         one = run_scenario(ScenarioConfig("morris-shore", seed=3))
         two = run_scenario(ScenarioConfig("morris-shore", seed=3))
@@ -265,6 +278,16 @@ class TestTimeseries:
         rows = path.read_text().splitlines()
         assert len(rows) == 122
         assert rows[-1].startswith("0.79," if methods == ["effective"] else "1.0,")
+
+    @pytest.mark.parametrize("methods", [["effective"], ["full"]])
+    def test_a_gate_frame_reads_values_only(self, tmp_path, monkeypatch, methods):
+        # The CSV's bright states come from the trajectory's values; its
+        # derivative sampler is never called to build them.
+        config = ScenarioConfig("gate", {"methods": methods, "steps": 300, "full_steps": 300})
+        emit_timeseries(config, str(tmp_path / "sampled.csv"))
+        monkeypatch.setattr(cli, "stage_trajectory", lambda spec: SimpleNamespace(values=stage_trajectory(spec).values))
+        emit_timeseries(config, str(tmp_path / "values.csv"))
+        assert (tmp_path / "values.csv").read_bytes() == (tmp_path / "sampled.csv").read_bytes()
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -464,6 +487,19 @@ class TestMainExitCodes:
         bad.write_text('{"kind": "gate", "parameters": {"steps": -5}}')
         assert main(["gate", "--config", str(bad)]) == EXIT_CONFIG
         assert main(["gate", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("kind", DEFAULT_PARAMETERS)
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_a_negative_seed_is_three(self, kind, source, tmp_path, monkeypatch, capsys):
+        def must_not_run(config, trace=None):
+            raise AssertionError(f"{config.kind} ran with a negative seed")
+
+        monkeypatch.setattr(cli, "run_scenario", must_not_run)
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({"kind": kind, "seed": -3}))
+        argv = [kind, "--seed", "-3"] if source == "flag" else [kind, "--config", str(cfg)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: seed: must be a non-negative integer\n"
 
     def test_kind_mismatch_is_three(self, tmp_path, capsys):
         cfg = tmp_path / "loop.json"

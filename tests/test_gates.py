@@ -11,16 +11,18 @@ from brightpath.gates import (
     extract_geometric_phase,
     gate_coupling_schedule,
     logical_block,
+    measure_gate,
     simulate_full_gate,
     simulate_gate,
     stage_trajectory,
     stirap_transfer,
 )
 from brightpath.errors import DimensionMismatch, NotNormalized
-from brightpath.linalg import matrix_distance
+from brightpath.linalg import UnitaryOperator, matrix_distance
 from brightpath.propagators import (
     FULL_BLOCK,
     AdiabaticRunConfig,
+    PropagationResult,
     StateTrace,
     evolve_full_sweep,
     evolve_state_full,
@@ -187,14 +189,16 @@ class TestComposeGate:
 
 class TestSimulateGate:
     def test_reference_gate_reproduction(self):
-        report = simulate_gate(spec_pi3(), steps=10_000)
-        assert report.distance_exact < 1e-6
-        assert abs(report.geometric_phase - (-np.pi / 3)) < 1e-7
+        spec = spec_pi3()
+        result = simulate_gate(spec, steps=10_000)
+        ((_, distance_exact, _, _),) = measure_gate(logical_block(compose_gate(spec), 3), [result])
+        assert distance_exact < 1e-6
+        assert abs(extract_geometric_phase(result.unitary, spec.psi) - (-np.pi / 3)) < 1e-7
 
     def test_zero_twist_dark_block_is_identity(self):
         psi = np.array([1, 0, 0], dtype=complex)
-        report = simulate_gate(GateSpec(n=3, psi=psi, phase_twist=0.0), steps=2000)
-        block = logical_block(report.propagation.unitary, 3)
+        result = simulate_gate(GateSpec(n=3, psi=psi, phase_twist=0.0), steps=2000)
+        block = logical_block(result.unitary, 3)
         assert np.linalg.norm(block - np.eye(2)) < 1e-8
 
     def test_fast_middle_stage_changes_nothing(self):
@@ -202,21 +206,21 @@ class TestSimulateGate:
         # duration 100x must leave the gate unchanged.
         slow = simulate_gate(spec_pi3(), steps=10_000)
         fast = simulate_gate(spec_pi3(t1=0.25, t2=0.2525, t3=1.0), steps=10_000)
-        block_slow = logical_block(slow.propagation.unitary, 3)
-        block_fast = logical_block(fast.propagation.unitary, 3)
+        block_slow = logical_block(slow.unitary, 3)
+        block_fast = logical_block(fast.unitary, 3)
         assert matrix_distance(block_slow, block_fast, "exact") < 1e-8
 
     def test_schedule_independence_linear_vs_smooth(self):
         linear = simulate_gate(spec_pi3(), steps=10_000)
         smooth = simulate_gate(spec_pi3(theta_schedule="smooth", phi_schedule="smooth"), steps=10_000)
-        block_l = logical_block(linear.propagation.unitary, 3)
-        block_s = logical_block(smooth.propagation.unitary, 3)
+        block_l = logical_block(linear.unitary, 3)
+        block_s = logical_block(smooth.unitary, 3)
         assert matrix_distance(block_l, block_s, "exact") < 1e-7
 
     def test_identity_on_dark_complement(self):
-        report = simulate_gate(spec_pi3(), steps=10_000)
+        result = simulate_gate(spec_pi3(), steps=10_000)
         d = np.array([1, -1, 0], dtype=complex) / np.sqrt(2)
-        assert np.linalg.norm(report.propagation.unitary.matrix @ d - d) < 1e-6
+        assert np.linalg.norm(result.unitary.matrix @ d - d) < 1e-6
 
     def test_solid_angle_relation(self):
         # The traced lune between the two meridians subtends solid angle
@@ -238,22 +242,43 @@ class TestSimulateGate:
         az_down = azimuth(0.9)  # stage 3 meridian
         lune_angle = abs(az_down - az_up)
         solid_angle = 2.0 * lune_angle
-        report = simulate_gate(spec, steps=4000)
-        assert abs(abs(report.geometric_phase) - solid_angle / 2.0) < 1e-6
+        phase = extract_geometric_phase(simulate_gate(spec, steps=4000).unitary, spec.psi)
+        assert abs(abs(phase) - solid_angle / 2.0) < 1e-6
 
     @pytest.mark.parametrize("steps", [100, 10_000])
     def test_linear_schedule_on_grid_is_exact(self, steps):
         # Each stage's generator is constant under linear ramps, and the
         # stage times 0.25, 0.5, 1 fall on the step grid, so the midpoint
         # rule is exact up to rounding at any step count.
-        report = simulate_gate(spec_pi3(t1=0.25, t2=0.5, t3=1.0), steps=steps)
-        assert report.distance_exact <= 1e-12
-        assert report.distance_phase <= 1e-12
+        spec = spec_pi3(t1=0.25, t2=0.5, t3=1.0)
+        result = simulate_gate(spec, steps=steps)
+        ((_, distance_exact, distance_phase, _),) = measure_gate(logical_block(compose_gate(spec), 3), [result])
+        assert distance_exact <= 1e-12
+        assert distance_phase <= 1e-12
 
     def test_phase_extraction_floor(self):
         low_modulus = np.array([[0.3, 0.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError):
             extract_geometric_phase(low_modulus, np.array([1.0, 0.0]))
+
+
+class TestMeasureGate:
+    @pytest.mark.parametrize("alpha", [0.3, -2.0, np.pi])
+    @pytest.mark.parametrize("levels", ["effective", "full"])
+    def test_a_global_phase_moves_only_the_exact_distance(self, alpha, levels):
+        # e^{i alpha} times the composed gate, on the n levels of the
+        # effective route or with the excited level of the full oracle.
+        spec = spec_pi3(n=4)
+        gate = compose_gate(spec).matrix
+        if levels == "full":
+            gate = np.block([[gate, np.zeros((4, 1))], [np.zeros((1, 4)), np.eye(1)]])
+        result = PropagationResult(UnitaryOperator(np.exp(1j * alpha) * gate), 1, 0.0, levels)
+        geometric = logical_block(compose_gate(spec), spec.n)
+        ((block, exact, phase, leak),) = measure_gate(geometric, [result])
+        np.testing.assert_allclose(block, np.exp(1j * alpha) * geometric, atol=1e-15)
+        assert exact == pytest.approx(abs(np.exp(1j * alpha) - 1.0) * np.linalg.norm(geometric), rel=1e-14)
+        assert phase <= 1e-14
+        assert leak <= 1e-14
 
 
 class TestGateCouplingSchedule:
@@ -396,11 +421,11 @@ class TestSimulateGateCore:
     @pytest.mark.parametrize("name", sorted(CORE_GATES))
     def test_unitary_matches_the_n_level_route(self, name):
         spec = CORE_GATES[name]
-        report = simulate_gate(spec, self.STEPS)
+        result = simulate_gate(spec, self.STEPS)
         want = evolve_time_ordered(stage_trajectory(spec), 0.0, spec.t3, self.STEPS)
-        assert np.linalg.norm(report.propagation.unitary.matrix - want.unitary.matrix) <= 1e-12
-        assert (report.propagation.steps, report.propagation.method) == (self.STEPS, "effective")
-        assert report.propagation.unitarity_error <= 1e-12
+        assert np.linalg.norm(result.unitary.matrix - want.unitary.matrix) <= 1e-12
+        assert (result.steps, result.method) == (self.STEPS, "effective")
+        assert result.unitarity_error <= 1e-12
 
     @pytest.mark.parametrize("name", sorted(CORE_GATES))
     def test_trace_matches_the_n_level_route(self, name, rng):
@@ -414,7 +439,7 @@ class TestSimulateGateCore:
         assert np.array_equal(times, want_times)
         assert np.max(np.linalg.norm(states - want_states, axis=1)) <= 1e-12
         untraced = simulate_gate(spec, self.STEPS)
-        assert np.array_equal(traced.propagation.unitary.matrix, untraced.propagation.unitary.matrix)
+        assert np.array_equal(traced.unitary.matrix, untraced.unitary.matrix)
 
     def test_a_trace_of_the_wrong_length_is_rejected(self):
         rows = []
@@ -428,7 +453,7 @@ class TestSimulateGateCore:
         psi = np.array([1.0, 1j, -1.0, 0.0]) * np.sqrt((1.0 + 5e-11) / 3.0)
         spec = GateSpec(n=4, psi=psi, phase_twist=0.9)
         (full,) = simulate_full_gate(spec, [AdiabaticRunConfig(omega_T=40.0, steps=self.STEPS)])
-        for result in (simulate_gate(spec, self.STEPS).propagation, full):
+        for result in (simulate_gate(spec, self.STEPS), full):
             u = result.unitary.matrix
             assert np.linalg.norm(u.conj().T @ u - np.eye(len(u))) <= 1e-13
 

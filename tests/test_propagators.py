@@ -630,7 +630,7 @@ class TestOnePass:
             return evolve_time_ordered(trajectory, 0.0, 1.0, 4096, trace)
         spec = off_grid_gate()
         if route == "gate-effective":
-            return simulate_gate(spec, 10_000, trace).propagation
+            return simulate_gate(spec, 10_000, trace)
         return evolve_full_adiabatic(reference_gate_drive(spec), AdiabaticRunConfig(omega_T=2000.0, steps=65536), trace)
 
     @pytest.mark.parametrize("route", sorted(DIMS))

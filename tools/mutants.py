@@ -219,6 +219,13 @@ MUTANTS = (
         "a gate's core unitary is embedded with Pi^T for Pi^dag: wrong for every complex psi",
     ),
     Mutant(
+        "measure-gate-swaps-distance-modes",
+        "gates",
+        'for mode in ("exact", "up_to_global_phase"))',
+        'for mode in ("up_to_global_phase", "exact"))',
+        "measure_gate reports the phase-mode distance as the exact one and the exact as the phase-mode one",
+    ),
+    Mutant(
         "core-trace-sink-drops-psi-perp",
         "gates",
         "states = np.broadcast_to(outside, (len(rows), outside.size)).copy()",
