@@ -220,18 +220,36 @@ def _loop_trajectory(path: ParameterPath) -> BrightTrajectory | None:
     sampled block must satisfy the coupling-set rules (r_i >= 0)."""
     deltas = np.diff(path.samples, axis=0)
     moving = np.max(np.abs(deltas), axis=1) > 0.0
-    starts, deltas = path.samples[:-1][moving], deltas[moving]
-    segments = deltas.shape[0]
+    # One row per coordinate, so that a block gathers each as a length-M row.
+    starts, deltas = path.samples[:-1][moving].T.copy(), deltas[moving].T.copy()
+    segments = deltas.shape[1]
     if not segments:
         return None
 
+    def couplings(times: np.ndarray) -> tuple[np.ndarray, ...]:
+        # Its own function, so that the (4, M) angle rows are freed before the
+        # sampler fills its outputs.  t_end closes the last segment; every
+        # other time lies inside its own.
+        segment = np.minimum(times.astype(int), segments - 1)
+        rates = np.take(deltas, segment, axis=1)
+        angles = np.take(starts, segment, axis=1)
+        angles += (times - segment) * rates
+        return _angle_couplings(angles, rates)
+
     def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        segment = times.astype(int)  # midpoints lie strictly inside [0, segments)
-        rates = deltas[segment]
-        r, phi, rdot, phidot = _angle_couplings(starts[segment] + (times - segment)[:, None] * rates, rates)
-        _check_drive(1.0, r)
-        phase = np.exp(1j * phi)
-        return (r * phase)[:, None], ((rdot + 1j * r * phidot) * phase)[:, None]
+        r, phi, rdot, phidot = couplings(times)
+        _check_drive(1.0, r.T)
+        values = np.empty((times.size, 1, 3), dtype=complex)
+        derivatives = np.empty_like(values)
+        # phi and phidot vanish on level 0, where e^{i phi} = 1 and
+        # Bdot = rdot; + 0.0 turns -0 into +0, as the complex product does.
+        values[:, 0, 0] = r[0]
+        derivatives[:, 0, 0] = rdot[0] + 0.0
+        for level in (1, 2):
+            phase = np.exp(1j * phi[level])
+            values[:, 0, level] = r[level] * phase
+            derivatives[:, 0, level] = (rdot[level] + 1j * r[level] * phidot[level]) * phase
+        return values, derivatives
 
     return BrightTrajectory(3, 1, 0.0, float(segments), sampler, tuple(map(float, range(1, segments))))
 

@@ -323,14 +323,20 @@ def stirap_trajectory(theta_end: float, ramp: str = "linear") -> BrightTrajector
     """Two-level bright path B = sin(theta)|1> + cos(theta)|2>, theta 0 -> end."""
     check_ramp(ramp)
 
+    def pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        return np.stack([first, second], axis=-1)[:, None, :].astype(complex)
+
+    def value_sampler(times: np.ndarray) -> np.ndarray:
+        theta = theta_end * ramp_value(ramp, times)
+        return pairs(np.sin(theta), np.cos(theta))
+
     def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta = theta_end * ramp_value(ramp, times)
         rate = theta_end * ramp_rate(ramp, times)
-        values = np.stack([np.sin(theta), np.cos(theta)], axis=-1)
-        derivatives = np.stack([rate * np.cos(theta), -rate * np.sin(theta)], axis=-1)
-        return values[:, None, :].astype(complex), derivatives[:, None, :].astype(complex)
+        sin, cos = np.sin(theta), np.cos(theta)
+        return pairs(sin, cos), pairs(rate * cos, -rate * sin)
 
-    return BrightTrajectory(2, 1, 0.0, 1.0, sampler)
+    return BrightTrajectory(2, 1, 0.0, 1.0, sampler, value_sampler=value_sampler)
 
 
 def stirap_transfer(

@@ -106,20 +106,20 @@ def lambda_hamiltonian(c: CouplingSet) -> HermitianOperator:
 
 def _angle_couplings(angles: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Amplitudes, phases and their chain-rule rates (r, phi, rdot, phidot),
-    each (M, 3), for (M, 4) stacks of angles (theta1, theta2, phi2, phi3)
-    and of their time derivatives.
+    each (3, M) with one row per level, for (4, M) rows of angles (theta1,
+    theta2, phi2, phi3) and of their time derivatives.
 
     r = (sin(theta1), cos(theta1) sin(theta2), cos(theta1) cos(theta2)) and
     phi = (0, phi2, phi3); rdot and phidot follow by the chain rule.
     """
-    t1d, t2d, p2d, p3d = rates.T
-    s1, c1 = np.sin(angles[:, 0]), np.cos(angles[:, 0])
-    s2, c2 = np.sin(angles[:, 1]), np.cos(angles[:, 1])
+    t1d, t2d, p2d, p3d = rates
+    s1, c1 = np.sin(angles[0]), np.cos(angles[0])
+    s2, c2 = np.sin(angles[1]), np.cos(angles[1])
     zero = np.zeros_like(s1)
-    r = np.stack([s1, c1 * s2, c1 * c2], axis=1)
-    phi = np.stack([zero, angles[:, 2], angles[:, 3]], axis=1)
-    rdot = np.stack([c1 * t1d, -s1 * s2 * t1d + c1 * c2 * t2d, -s1 * c2 * t1d - c1 * s2 * t2d], axis=1)
-    phidot = np.stack([zero, p2d, p3d], axis=1)
+    r = np.array([s1, c1 * s2, c1 * c2])
+    phi = np.array([zero, angles[2], angles[3]])
+    rdot = np.array([c1 * t1d, -s1 * s2 * t1d + c1 * c2 * t2d, -s1 * c2 * t1d - c1 * s2 * t2d])
+    phidot = np.array([zero, p2d, p3d])
     return r, phi, rdot, phidot
 
 
@@ -137,8 +137,8 @@ def couplings_from_angles(a: SphericalAngles, omega: float = 1.0) -> CouplingSet
     parametrization carries no phi1, and the global phase of the bright
     state does not affect the dark subspace.
     """
-    r, phi, _, _ = _angle_couplings(_angle_row(a), np.zeros((1, 4)))
-    return CouplingSet(omega=omega, r=r[0], phi=phi[0])
+    r, phi, _, _ = _angle_couplings(_angle_row(a).T, np.zeros((4, 1)))
+    return CouplingSet(omega=omega, r=r[:, 0], phi=phi[:, 0])
 
 
 def coupling_rates_from_angles(a: SphericalAngles, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,8 +146,8 @@ def coupling_rates_from_angles(a: SphericalAngles, rates: np.ndarray) -> tuple[n
 
     ``rates`` holds (theta1_dot, theta2_dot, phi2_dot, phi3_dot).
     """
-    _, _, rdot, phidot = _angle_couplings(_angle_row(a), np.asarray(rates, dtype=float).reshape(1, 4))
-    return rdot[0], phidot[0]
+    _, _, rdot, phidot = _angle_couplings(_angle_row(a).T, np.asarray(rates, dtype=float).reshape(4, 1))
+    return rdot[:, 0], phidot[:, 0]
 
 
 def dark_basis_parametrized(a: SphericalAngles) -> tuple[np.ndarray, np.ndarray]:

@@ -49,7 +49,7 @@ def _orthonormality_failure(frames: np.ndarray, tol: float = INPUT_ORTHONORMALIT
     """Index and description of the first (k, n) frame of an (M, k, n) stack
     whose rows fail max |<v_i|v_j> - delta_ij| < tol, or None if all pass.
     Written so that non-finite entries fail."""
-    gram = frames.conj() @ frames.transpose(0, 2, 1)
+    gram = np.einsum("mki,mli->mkl", frames.conj(), frames)
     deviation = np.abs(gram - np.eye(frames.shape[1])).max(axis=(1, 2), initial=0.0)
     passed = deviation < tol
     if passed.all():
@@ -174,9 +174,28 @@ def _expm_bright_stack(b: np.ndarray, bdot: np.ndarray, t: float) -> np.ndarray:
     """
     m, d = b.shape
     e = bdot * t
-    g = np.einsum("mi,mi->m", b.conj(), b).real
-    beta = np.einsum("mi,mi->m", b.conj(), e)
-    gamma = np.einsum("mi,mi->m", e.conj(), e).real
+    y1_b, y1_e, y2_b, y2_e = _bright_step_kets(
+        np.einsum("mi,mi->m", b.conj(), b).real,
+        np.einsum("mi,mi->m", b.conj(), e),
+        np.einsum("mi,mi->m", e.conj(), e).real,
+    )
+    planes = np.empty((d, d, m), dtype=complex)
+    for i, row in enumerate(planes):
+        y1 = y1_b * b[:, i] + y1_e * e[:, i]
+        y2 = y2_b * b[:, i] + y2_e * e[:, i]
+        for j, entry in enumerate(row):
+            np.multiply(y1, b[:, j].conj(), out=entry)
+            entry += y2 * e[:, j].conj()
+        row[i] += 1.0
+    return planes
+
+
+def _bright_step_kets(g: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The coefficients of y1 = c2 gamma B + (i c1 - c2 beta) e and
+    y2 = (-i c1 - c2 conj(beta)) B + c2 g e (see ``_expm_bright_stack``) from
+    length-m rows of the Gram entries, as (c2 gamma, i c1 - c2 beta,
+    -i c1 - c2 conj(beta), c2 g).  Its own function, so that the rows it
+    passes through are freed before the planes are filled."""
     root = np.sqrt(np.maximum(0.0, gamma * g - beta.real * beta.real))
     lam1, lam2 = root - beta.imag, -root - beta.imag
     # phi(x) = -i e^{-ix/2} sinc(x/2), finite at x = 0; np.sinc(y) = sin(pi y) / (pi y).
@@ -184,16 +203,7 @@ def _expm_bright_stack(b: np.ndarray, bdot: np.ndarray, t: float) -> np.ndarray:
     split = root > 0
     c2 = np.where(split, (phi1 - phi2) / np.where(split, 2.0 * root, 1.0), -0.5)
     c1 = phi1 - c2 * lam1
-    b, e = np.ascontiguousarray(b.T), np.ascontiguousarray(e.T)
-    y1 = (c2 * gamma) * b + (1j * c1 - c2 * beta) * e
-    y2 = (-1j * c1 - c2 * beta.conj()) * b + (c2 * g) * e
-    b_bra, e_bra = b.conj(), e.conj()
-    planes = np.empty((d, d, m), dtype=complex)
-    for i, row in enumerate(planes):
-        np.multiply(y1[i], b_bra, out=row)
-        row += y2[i] * e_bra
-        row[i] += 1.0
-    return planes
+    return c2 * gamma, 1j * c1 - c2 * beta, -1j * c1 - c2 * beta.conj(), c2 * g
 
 
 def _ordered_product(planes: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brightpath.berry import (
     GAUSS_NODES,
@@ -8,6 +10,7 @@ from brightpath.berry import (
     ConnectionMatrices,
     ParameterPath,
     _connections,
+    _loop_trajectory,
     connection_at,
     effective_dark_block,
     holonomy,
@@ -19,6 +22,8 @@ from brightpath.effective import h_eff_couplings
 from brightpath.errors import PathVariesFixedCoordinates, SegmentTooCoarse
 from brightpath.lambda_system import (
     SphericalAngles,
+    _angle_couplings,
+    bright_state,
     coupling_rates_from_angles,
     couplings_from_angles,
     dark_basis_parametrized,
@@ -93,6 +98,26 @@ def repeated_samples() -> ParameterPath:
     segments of zero length (its first and last samples among them)."""
     rows = circle_path(0.6, 0.7, 0.15, 30).samples
     return ParameterPath(np.repeat(rows, np.where(np.arange(len(rows)) % 5 == 0, 3, 1), axis=0), closed=True)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The raw 64-bit words of a float or complex array, so that -0 and +0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def stacked_loop_sample(path: ParameterPath, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The loop path's bright states and their derivatives, (M, 3) each, by
+    the stacked formulas B = r e^{i phi} and Bdot = (rdot + i r phidot)
+    e^{i phi} on all three levels at once: the sampler's reference."""
+    deltas = np.diff(path.samples, axis=0)
+    moving = np.max(np.abs(deltas), axis=1) > 0.0
+    starts, deltas = path.samples[:-1][moving], deltas[moving]
+    segment = np.minimum(times.astype(int), len(deltas) - 1)
+    rates = deltas[segment]
+    angles = starts[segment] + (times - segment)[:, None] * rates
+    r, phi, rdot, phidot = (x.T for x in _angle_couplings(angles.T, rates.T))
+    phase = np.exp(1j * phi)
+    return r * phase, (rdot + 1j * r * phidot) * phase
 
 
 class TestParameterPath:
@@ -366,3 +391,57 @@ class TestBatchedEffectiveRoute:
     def test_negative_amplitudes_rejected(self, centre):
         with pytest.raises(ValueError, match="amplitude fractions r_i must be non-negative"):
             effective_dark_block(circle_path(*centre, 0.15, 64))
+
+
+class TestLoopSampler:
+    """The loop path's sampler writes the formulas of the angle-parametrized
+    drive column by column; it must give their stacked values bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        segments=st.integers(1, 200),
+        repeats=st.floats(0.0, 0.5),
+        steps=st.sampled_from([1, 7, 64]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_stacked_formulas_bit_for_bit(self, seed, segments, repeats, steps):
+        # A random walk off the origin, some of whose steps hold some
+        # coordinates fixed, with (theta1, theta2) kept in a box where every
+        # r_i >= 0: [0, pi/2]^2, or [pi/2, pi] x [pi, 3 pi/2], where
+        # cos(theta1) < 0.  phi2 and phi3 are free (the last step moves phi2,
+        # so some segment moves), and some samples are repeated, so that the
+        # path has segments of zero length.
+        rng = np.random.default_rng(seed)
+        moves = rng.uniform(-0.09, 0.09, size=(segments + 1, 4))
+        moves[rng.uniform(size=moves.shape) < 0.3] = 0.0
+        moves[-1, 2] = 0.05
+        corner = np.array([0.0, 0.0]) if rng.uniform() < 0.5 else np.array([np.pi / 2, np.pi])
+        walk = np.cumsum(moves, axis=0) + np.concatenate([corner + rng.uniform(0.1, 1.4, 2), rng.uniform(-3.0, 3.0, 2)])
+        walk[:, :2] = np.clip(walk[:, :2], corner, corner + np.pi / 2)
+        samples = np.repeat(walk, np.where(rng.uniform(size=len(walk)) < repeats, 2, 1), axis=0)
+        path = ParameterPath(samples)
+        traj = _loop_trajectory(path)
+        total = int(traj.t_end) * steps
+        # The midpoint grid, in blocks as the propagator samples it, then the
+        # ends of the domain and every corner.
+        grid = traj.t_end * (np.arange(total) + 0.5) / total
+        blocks = [grid[lo : lo + FULL_BLOCK] for lo in range(0, total, FULL_BLOCK)]
+        for times in blocks + [np.array([traj.t_start, traj.t_end]), np.asarray(traj.breakpoints)]:
+            values, derivatives = traj.sample(times)
+            want_values, want_derivatives = stacked_loop_sample(path, times)
+            assert np.array_equal(bits(values[:, 0]), bits(want_values))
+            assert np.array_equal(bits(derivatives[:, 0]), bits(want_derivatives))
+
+    @pytest.mark.parametrize(
+        "path",
+        [rectangle_loop("theta2", "phi3", 0.25, 0.4), circle_path(0.7, 0.6, 0.15, 24), repeated_samples()],
+        ids=["phi3-rectangle", "polyline", "repeated-samples"],
+    )
+    def test_ends_at_the_last_sample(self, path):
+        # t_end lies on the domain's closed end; it closes the last moving
+        # segment, whose end is the path's last sample.
+        traj = _loop_trajectory(path)
+        values, _ = traj.sample([traj.t_start, traj.t_end])
+        for got, sample in zip(values[:, 0], path.samples[[0, -1]]):
+            want = bright_state(couplings_from_angles(SphericalAngles(*sample)))
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)

@@ -82,6 +82,18 @@ class TestHEffSingle:
         h = _h_eff_stack(b, np.array([[[0.0, size]]]))
         np.testing.assert_array_equal(h, np.array([[[0.0, -1j * size], [1j * size, 0.0]]]))
 
+    @pytest.mark.parametrize("radial, accepted", [(1e-3, True), (1e-1, False)])
+    def test_tangency_bound_scales_with_the_derivative(self, radial, accepted):
+        # |Re <Bdot|B>| is held to 1e-8 * max(1, ||Bdot||): on a Bdot of norm
+        # ~1e6 the bound is ~1e-2, so a radial part of 1e-3 passes, though it
+        # exceeds 1e-8, and one of 1e-1 does not.
+        b, bdot = np.array([[[1.0, 0.0]]]), np.array([[[radial, 1e6]]])
+        if accepted:
+            _h_eff_stack(b, bdot)
+        else:
+            with pytest.raises(DerivativeInconsistent, match=r"Re <Bdot_i\|B_i> = 1\.000e-01 is not ~0$"):
+                _h_eff_stack(b, bdot)
+
     def test_hermitian_and_dark_sandwich(self, rng):
         b = rng.normal(size=5) + 1j * rng.normal(size=5)
         b /= np.linalg.norm(b)
@@ -289,9 +301,9 @@ class TestSample:
 
 def values_trajectories():
     """One trajectory of every kind that a pipeline reads ``values`` of, or
-    may: the stage path (own value sampler) on each schedule pair, its core
-    on the progress clock, a smooth remap of it, the stirap path and a loop
-    path (both through ``sample``)."""
+    may: the stage path and the stirap path (own value samplers), the stage
+    path's core on the progress clock, a smooth remap of it, and a loop path
+    (through ``sample``)."""
     gate = off_grid_gate()
     linear = GateSpec(n=4, psi=np.array([0.6, 0.0, 0.8j, 0.0]), phase_twist=2.1, t1=0.4, t2=0.9, t3=1.7)
     core = stage_trajectory(_core_spec(linear, linear.t3))
@@ -314,9 +326,10 @@ class TestValues:
     def test_values_are_the_sampled_values(self, name):
         traj = values_trajectories()[name]
         span = traj.t_end - traj.t_start
-        # Midpoints of a ragged grid, the start and every breakpoint (the
-        # loop path's sampler does not reach its end).
-        times = np.concatenate([traj.t_start + span * (np.arange(1037) + 0.5) / 1037, [traj.t_start], traj.breakpoints])
+        # Midpoints of a ragged grid, both ends and every breakpoint.
+        times = np.concatenate(
+            [traj.t_start + span * (np.arange(1037) + 0.5) / 1037, [traj.t_start, traj.t_end], traj.breakpoints]
+        )
         got = traj.values(times)
         assert got.shape == (times.size, traj.k, traj.dim)
         np.testing.assert_array_equal(got, traj.sample(times)[0])

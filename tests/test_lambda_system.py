@@ -118,12 +118,12 @@ class TestAngleParametrization:
         angles[:, :2] = rng.uniform(0.0, np.pi / 2, size=(63, 2))
         angles[-2:] = [[0.0, 0.0, 0.0, 0.0], [np.pi / 2, np.pi / 2, 1.0, -1.0]]
         rates = rng.normal(size=angles.shape)
-        r, phi, rdot, phidot = _angle_couplings(angles, rates)
+        r, phi, rdot, phidot = _angle_couplings(angles.T, rates.T)
         for j, row in enumerate(angles):
             c = couplings_from_angles(SphericalAngles(*row))
             row_rdot, row_phidot = coupling_rates_from_angles(SphericalAngles(*row), rates[j])
             for scalar, stacked in ((c.r, r), (c.phi, phi), (row_rdot, rdot), (row_phidot, phidot)):
-                assert np.array_equal(scalar, stacked[j])
+                assert np.array_equal(scalar, stacked[:, j])
 
     def test_rates_match_finite_differences(self, rng):
         h = 1e-6

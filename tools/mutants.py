@@ -138,9 +138,30 @@ MUTANTS = (
     Mutant(
         "no-tangency-check",
         "effective",
-        "passed = (tangency < DERIVATIVE_TANGENCY_TOL * scale).all(axis=1)",
-        "passed = (tangency < np.inf).all(axis=1)",
+        "passed = tangency < DERIVATIVE_TANGENCY_TOL\n",
+        "passed = tangency < np.inf\n",
         "a derivative with Re <Bdot|B> != 0 is accepted",
+    ),
+    Mutant(
+        "tangency-bound-not-relative",
+        "effective",
+        "passed = tangency < DERIVATIVE_TANGENCY_TOL * scale\n",
+        "passed = tangency < DERIVATIVE_TANGENCY_TOL + 0 * scale\n",
+        "the tangency bound stays 1e-8 for a large Bdot, where it is 1e-8 * ||Bdot||",
+    ),
+    Mutant(
+        "tangency-from-the-derivative-norm",
+        "effective",
+        'np.einsum("mkx,mkx->mk", _floats(derivatives), _floats(values))',
+        'np.einsum("mkx,mkx->mk", _floats(derivatives), _floats(derivatives))',
+        "the tangency check takes <Bdot|Bdot> for Re <Bdot|B>: every moving frame is refused",
+    ),
+    Mutant(
+        "loop-derivative-without-phase",
+        "berry",
+        "(rdot[level] + 1j * r[level] * phidot[level]) * phase\n",
+        "(rdot[level] + 1j * r[level] * phidot[level]) * (phase if level == 1 else 1.0)\n",
+        "the loop sampler's Bdot drops the factor e^{i phi3} from its last column",
     ),
     Mutant(
         "no-phase-floor",
