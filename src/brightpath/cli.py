@@ -36,6 +36,7 @@ from .berry import (
     u_z_analytic,
 )
 from .errors import BrightpathError, ConfigError
+from .floatrepr import format_rows
 from .gates import (
     MIN_GATE_STEPS,
     GateSpec,
@@ -59,9 +60,6 @@ TIMESERIES_KINDS = ("stirap", "gate")
 # A time series writes arg<psi|state> as 0.0 at or below this overlap, on
 # the scale of the amplitude error, where the angle carries no digits.
 PHASE_OVERLAP_FLOOR = 1e-6
-# The most CSV rows formatted by one string operation: bounds the row
-# format and the tuple of floats it takes.
-ROWS_PER_WRITE = 1024
 # The most levels (rows + cols) of a seeded random Morris-Shore matrix: this
 # bounds both the rows x cols draw and the (rows + cols)^2 drive Hamiltonian
 # before anything is allocated.
@@ -625,7 +623,7 @@ class TimeseriesWriter:
     calls that ``pow``), which keeps the bits of the scalar
     ``abs(amp) ** 2`` where ``np.abs`` or ``np.square`` can differ in the
     last bit.  Every field is the shortest round-trip ``repr`` of its
-    float.  The states come from the trace's blocked scan, so a field
+    float, the block's text from one ``format_rows`` call.  The states come from the trace's blocked scan, so a field
     differs from one of a step-by-step product by rounding only.
     """
 
@@ -633,7 +631,6 @@ class TimeseriesWriter:
         self.handle, self.reference, self.bright_at = handle, reference, bright_at
         dim = len(reference)
         handle.write("t,leakage," + ",".join(f"pop_{i + 1}" for i in range(dim)) + ",phase_psi\n")
-        self.row = ",".join(["%r"] * (dim + 3)) + "\n"
 
     def __call__(self, times: np.ndarray, states: np.ndarray) -> None:
         # Population outside the bright (and excited) states: the dark subspace.
@@ -645,9 +642,7 @@ class TimeseriesWriter:
         table[:, 1] = np.maximum(0.0, 1.0 - dark)
         table[:, 2:-1] = np.float_power(np.hypot(states.real, states.imag), 2.0)
         table[:, -1] = np.where(np.hypot(overlap.real, overlap.imag) > PHASE_OVERLAP_FLOOR, np.angle(overlap), 0.0)
-        for lo in range(0, len(table), ROWS_PER_WRITE):
-            piece = table[lo : lo + ROWS_PER_WRITE]
-            self.handle.write(self.row * len(piece) % tuple(piece.ravel().tolist()))
+        self.handle.write(format_rows(table))
 
 
 # ---------------------------------------------------------------------------

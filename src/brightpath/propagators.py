@@ -117,8 +117,9 @@ def _midpoint_factors(trajectory: BrightTrajectory, t0: float, t1: float, steps:
     blocks, dt = _step_grid(t0, t1, steps)
     for mids in blocks:
         if trajectory.k == 1:
-            values, derivatives = _checked_frames(*trajectory.sample(mids), times=mids)
-            yield _expm_bright_stack(values[:, 0], derivatives[:, 0], dt)
+            # One expression: the block's samples are freed before the yield,
+            # not held while the consumer reduces the block.
+            yield _expm_bright_stack(*(side[:, 0] for side in _checked_frames(*trajectory.sample(mids), times=mids)), dt)
         else:
             yield _expm_hermitian_stack(_h_eff_stack(*trajectory.sample(mids), times=mids), dt).transpose(1, 2, 0)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -449,6 +450,43 @@ class TestChunkedTimeseriesBytes:
         rows = chunked.read_text().splitlines()
         assert rows[FULL_BLOCK].split(",")[2:] == ["0.0", "1.0", "0.0"]
         assert rows[-1].endswith(",1.0,0.0")
+
+    def test_every_field_layout(self, tmp_path):
+        # Fields in fixed notation (before and after the point, integral,
+        # 16 digits before the point), scientific with negative, positive
+        # and three-digit exponents, subnormal, zero and negative.
+        times = np.array([0.0, 1.0, 1e-4, 123456.789, 9999999999999998.0, 1e16, 2.5e17, 7.5e-7])
+        states = np.array(
+            [
+                [1.0, 0.0],
+                [0.3 - 0.4j, 0.5j],
+                [1e-100, 1.0],
+                [1e-160, 3e-3],
+                [1e10, 1e-9j],
+                [-0.6, 0.8],
+                [1e-3 - 1e-3j, 2.0**-537],
+                [0.0, -1j],
+            ]
+        )
+        reference = np.array([1.0, 0.0], dtype=complex)
+        bright_at = lambda t: np.zeros((len(t), 1, 2))
+        path = tmp_path / "rows.csv"
+        self.write_blocks(path, times, states, reference, bright_at)
+        self.assert_same_bytes(tmp_path, path, times, states, reference, bright_at)
+        fields = ",".join(path.read_text().splitlines()[1:]).split(",")
+        layouts = {
+            r"-?0\.0*[1-9]\d*": "below 1",
+            r"-?[1-9]\d*\.\d+": "after the point",
+            r"[1-9]\d*\.0": "integral",
+            r"\d{16}\.0": "16 digits before the point",
+            r"[1-9](\.\d+)?e-\d\d": "negative exponent",
+            r"[1-9](\.\d+)?e\+\d\d": "positive exponent",
+            r"[1-9](\.\d+)?e-\d\d\d": "three-digit exponent",
+            r"-\d.*": "negative",
+            r"0\.0": "zero",
+        }
+        assert [name for pattern, name in layouts.items() if not any(re.fullmatch(pattern, f) for f in fields)] == []
+        assert "5e-324" in fields and any(0.0 < float(f) < 2.2250738585072014e-308 for f in fields if f != "5e-324")
 
     def test_phase_floor(self, tmp_path):
         # |<psi|state>| = 1e-8 has an angle with no digits and writes 0.0;

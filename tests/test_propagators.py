@@ -404,6 +404,19 @@ class TestBlockedOracle:
             u = expm_hermitian(trajectory.h_eff(t), 1.5 / steps).matrix @ u
         assert np.linalg.norm(evolve_time_ordered(trajectory, 0.0, 1.5, steps).unitary.matrix - u) < 1e-12
 
+    def test_a_yielded_block_holds_no_samples(self):
+        # While the consumer reduces a block of closed-form steps, the
+        # factor stream keeps its midpoints only, not the block's (M, 1, 3)
+        # values and derivatives (196 KB each).
+        factors = _midpoint_factors(noncommuting_trajectories()[0], 0.0, 1.5, 2 * FULL_BLOCK)
+        tracemalloc.start()
+        try:
+            block = next(factors)
+            held = tracemalloc.get_traced_memory()[0] - block.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held < FULL_BLOCK * 3 * 16
+
     def test_matches_whole_grid_sequential_product(self):
         # Two full blocks and a ragged tail, against every factor of the run
         # built at once and multiplied one by one, later steps to the left.

@@ -253,6 +253,27 @@ MUTANTS = (
         "states = np.zeros((len(rows), outside.size), dtype=complex)",
         "the core trace hands its sink the core rows only: both gate routes lose psi_perp",
     ),
+    Mutant(
+        "repr-fixed-notation-ends-at-15",
+        "floatrepr",
+        "fixed = (decpt > -4) & (decpt <= 16)",
+        "fixed = (decpt > -4) & (decpt <= 15)",
+        "a value with 16 digits before the point is written in scientific notation, where repr writes it fixed",
+    ),
+    Mutant(
+        "repr-odd-interval-closed",
+        "floatrepr",
+        "out = c & U(1)",
+        "out = U(0)",
+        "an odd significand's rounding interval keeps its ends, so a shorter decimal at an end is taken",
+    ),
+    Mutant(
+        "repr-ties-to-odd",
+        "floatrepr",
+        "round_up = vb + (s & U(1))",
+        "round_up = vb + (~s & U(1))",
+        "a value exactly between two shortest candidates takes the odd one",
+    ),
 )
 
 
