@@ -105,45 +105,56 @@ def stage_trajectory(spec: GateSpec) -> BrightTrajectory:
     """
     psi, n, twist = spec.psi, spec.n, spec.phase_twist
     t1, t2, t3 = spec.t1, spec.t2, spec.t3
+    # The still angle of each stage: theta/2 = pi/2 on the twist, phi = 0
+    # on the rise and twist on the fall.  Each constant comes from the numpy
+    # call a whole array of that angle makes, so every sample keeps the bits
+    # its own angles would give.
+    top = np.array([np.pi]) / 2
+    (sin_top,), (cos_top,) = np.sin(top), np.cos(top)
+    turned_rise, turned_fall = np.exp(1j * np.array([0.0, twist]))
 
-    def angles(times: np.ndarray, rates: bool) -> tuple[np.ndarray, ...]:
-        """theta and phi at every time, then their rates when ``rates``."""
-        theta, phi = np.full(times.shape, np.pi), np.where(times < t2, 0.0, twist)
-        theta_rate, phi_rate = np.zeros(times.shape), np.zeros(times.shape)
+    def stages(times: np.ndarray, rates: bool) -> tuple[np.ndarray, ...]:
+        """sin(theta/2), cos(theta/2) and e^{i phi} at every time, then the
+        rates of theta and phi when ``rates``.  Each stage evaluates only
+        the angle it moves: theta on the rise and the fall, phi on the
+        twist; the other angle keeps its stage's constant."""
         rise, fall = times < t1, t2 <= times
-        # (stage, profile, its rate, ramp, interval, start value, change)
-        for inside, angle, rate, ramp, lo, hi, start, change in (
-            (rise, theta, theta_rate, spec.theta_schedule, 0.0, t1, 0.0, np.pi),
-            (~(rise | fall), phi, phi_rate, spec.phi_schedule, t1, t2, 0.0, twist),
-            (fall, theta, theta_rate, spec.theta_schedule, t2, t3, np.pi, -np.pi),
-        ):
+        turn = ~(rise | fall)
+        sin, cos = np.full(times.shape, sin_top), np.full(times.shape, cos_top)
+        turned = np.where(rise, turned_rise, turned_fall)
+        theta_rate, phi_rate = np.zeros(times.shape), np.zeros(times.shape)
+        # (stage, interval, start value, change) of theta
+        for inside, lo, hi, start, change in ((rise, 0.0, t1, 0.0, np.pi), (fall, t2, t3, np.pi, -np.pi)):
             s = (times[inside] - lo) / (hi - lo)
-            angle[inside] = start + change * ramp_value(ramp, s)
+            half = (start + change * ramp_value(spec.theta_schedule, s)) / 2
+            sin[inside], cos[inside] = np.sin(half), np.cos(half)
             if rates:
-                rate[inside] = change * ramp_rate(ramp, s) / (hi - lo)
-        return (theta, phi, theta_rate, phi_rate) if rates else (theta, phi)
+                theta_rate[inside] = change * ramp_rate(spec.theta_schedule, s) / (hi - lo)
+        s = (times[turn] - t1) / (t2 - t1)
+        # phi starts from 0.0, which turns a -0.0 product into 0.0
+        turned[turn] = np.exp(1j * (0.0 + twist * ramp_value(spec.phi_schedule, s)))
+        if rates:
+            phi_rate[turn] = twist * ramp_rate(spec.phi_schedule, s) / (t2 - t1)
+        return (sin, cos, turned, theta_rate, phi_rate) if rates else (sin, cos, turned)
 
-    def bright(theta: np.ndarray, phi: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Write B into the (M, n) ``out``; return sin(theta/2), cos(theta/2)
-        and e^{i phi}.  Column by column: a broadcast (M, 1) x (n,) complex
-        product costs several times more, and the one-hot |n-1> needs no
-        product at all."""
-        sin, cos, turned = np.sin(theta / 2), np.cos(theta / 2), np.exp(1j * phi)
+    def bright(sin: np.ndarray, cos: np.ndarray, turned: np.ndarray, out: np.ndarray) -> None:
+        """Write B into the (M, n) ``out``.  Column by column: a broadcast
+        (M, 1) x (n,) complex product costs several times more, and the
+        one-hot |n-1> needs no product at all."""
         along = turned * sin
         for level, amplitude in enumerate(psi):
             np.multiply(along, amplitude, out=out[:, level])
         out[:, n - 1] += cos
-        return sin, cos, turned
 
     def value_sampler(times: np.ndarray) -> np.ndarray:
         values = np.empty((times.size, 1, n), dtype=complex)
-        bright(*angles(times, False), values[:, 0])
+        bright(*stages(times, False), values[:, 0])
         return values
 
     def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        theta, phi, theta_rate, phi_rate = angles(times, True)
+        sin, cos, turned, theta_rate, phi_rate = stages(times, True)
         values, derivatives = np.empty((2, times.size, 1, n), dtype=complex)
-        sin, cos, turned = bright(theta, phi, values[:, 0])
+        bright(sin, cos, turned, values[:, 0])
         across = np.empty(times.shape, dtype=complex)
         across.real, across.imag = 0.5 * theta_rate * cos, phi_rate * sin
         across = turned * across

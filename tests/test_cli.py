@@ -29,6 +29,7 @@ from brightpath.cli import (
 from brightpath.errors import ConfigError
 from brightpath import gates
 from brightpath.gates import compose_gate, simulate_full_gate, simulate_gate, stage_trajectory
+from brightpath.morris_shore import TwoManifoldSystem, morris_shore_transform
 from brightpath.propagators import FULL_BLOCK, MAX_STEPS, StateTrace, evolve_state_time_ordered
 
 
@@ -195,6 +196,23 @@ class TestRunScenario:
         assert report["comparisons"]["pairs"] == 2
         assert report["comparisons"]["dark_states"] == 3
         assert report["comparisons"]["reconstruction_error"] < 1e-12
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), cols=st.integers(1, 6), rank=st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_morris_shore_drive_rebuild_error_is_that_of_the_rebuilt_drive(self, seed, rows, cols, rank):
+        # The field is taken from the residual of V alone; it must be the
+        # same float as max|H(rebuilt) - H(V)| / ||V|| over the two
+        # (rows + cols)-level drive Hamiltonians, on random, rank-deficient
+        # and wide (rows < cols) matrices.
+        rng = np.random.default_rng(seed)
+        rank = min(rank, rows, cols)
+        factors = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in ((rows, rank), (rank, cols))]
+        config = ScenarioConfig("morris-shore", {"matrix": complex_to_pairs(factors[0] @ factors[1])})
+        system = config.system
+        rebuilt = TwoManifoldSystem(morris_shore_transform(system, rank_tol=config.rank_tol).reconstruct())
+        drive_difference = np.max(np.abs(rebuilt.drive_hamiltonian() - system.drive_hamiltonian()))
+        report = run_scenario(config)
+        assert report["comparisons"]["drive_rebuild_error"] == float(drive_difference) / float(np.linalg.norm(system.v))
 
     def test_stirap_defaults(self):
         report = run_scenario(ScenarioConfig("stirap", {"steps": 512}))

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brightpath.gates import (
     GateSpec,
@@ -29,6 +31,7 @@ from brightpath.propagators import (
     evolve_state_time_ordered,
     evolve_time_ordered,
 )
+from brightpath.ramps import ramp_rate, ramp_value
 from conftest import frame_at, random_state, reference_gate_drive, validate_trajectory
 
 
@@ -36,6 +39,38 @@ def spec_pi3(n=3, **kwargs):
     psi = np.zeros(n, dtype=complex)
     psi[0] = psi[1] = 1 / np.sqrt(2)
     return GateSpec(n=n, psi=psi, phase_twist=np.pi / 3, **kwargs)
+
+
+def whole_array_bright_path(spec, times):
+    """The gate's bright path and its derivative by whole-array formulas:
+    theta, phi and their rates at every time, then sin(theta/2),
+    cos(theta/2) and e^{i phi} over every sample.  ``stage_trajectory``
+    evaluates each angle only on the stages that move it, and must keep
+    these bits."""
+    psi, n, twist, t1, t2, t3 = spec.psi, spec.n, spec.phase_twist, spec.t1, spec.t2, spec.t3
+    theta, phi = np.full(times.shape, np.pi), np.where(times < t2, 0.0, twist)
+    theta_rate, phi_rate = np.zeros(times.shape), np.zeros(times.shape)
+    rise, fall = times < t1, t2 <= times
+    for inside, angle, rate, ramp, lo, hi, start, change in (
+        (rise, theta, theta_rate, spec.theta_schedule, 0.0, t1, 0.0, np.pi),
+        (~(rise | fall), phi, phi_rate, spec.phi_schedule, t1, t2, 0.0, twist),
+        (fall, theta, theta_rate, spec.theta_schedule, t2, t3, np.pi, -np.pi),
+    ):
+        s = (times[inside] - lo) / (hi - lo)
+        angle[inside] = start + change * ramp_value(ramp, s)
+        rate[inside] = change * ramp_rate(ramp, s) / (hi - lo)
+    sin, cos, turned = np.sin(theta / 2), np.cos(theta / 2), np.exp(1j * phi)
+    values, derivatives = np.empty((2, times.size, 1, n), dtype=complex)
+    along = turned * sin
+    across = np.empty(times.shape, dtype=complex)
+    across.real, across.imag = 0.5 * theta_rate * cos, phi_rate * sin
+    across = turned * across
+    for level, amplitude in enumerate(psi):
+        np.multiply(along, amplitude, out=values[:, 0, level])
+        np.multiply(across, amplitude, out=derivatives[:, 0, level])
+    values[:, 0, n - 1] += cos
+    derivatives[:, 0, n - 1] -= 0.5 * theta_rate * sin
+    return values, derivatives
 
 
 class TestGateSpec:
@@ -91,6 +126,40 @@ class TestStageTrajectory:
             left = frame_at(traj, boundary - 1e-9)[0]
             right = frame_at(traj, boundary + 1e-9)[0]
             assert np.linalg.norm(left - right) < 1e-7
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        core=st.booleans(),
+        twist=st.sampled_from([0.0, np.pi, -np.pi]) | st.floats(-10.0, 10.0),
+        schedules=st.sampled_from([(a, b) for a in ("linear", "smooth") for b in ("linear", "smooth")]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_samplers_keep_the_bits_of_the_whole_array_formulas(self, seed, n, core, twist, schedules):
+        # Raw 64-bit words, so a constant off in its last bit fails as well:
+        # the rise's and the fall's phase factors, cos(pi/2) ~ 6.1e-17 on
+        # the twist.  Times are unsorted and repeat, and include each stage
+        # boundary and its neighbouring floats.
+        rng = np.random.default_rng(seed)
+        if core:
+            n, psi = 2, np.array([1.0, 0.0])
+        else:
+            psi = np.zeros(n, dtype=complex)
+            psi[: n - 1] = random_state(rng, n - 1)
+        t1 = rng.uniform(0.05, 0.5)
+        t2 = t1 + rng.uniform(0.01, 0.5)
+        t3 = t2 + rng.uniform(0.01, 0.5)
+        spec = GateSpec(n, psi, twist, t1, t2, t3, *schedules)
+        marks = np.array([0.0, t1, t2, t3])
+        marks = np.concatenate([marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf)])
+        marks = marks[(0.0 <= marks) & (marks <= t3)]
+        times = np.concatenate([rng.uniform(0.0, t3, rng.integers(0, 40)), marks, rng.choice(marks, 4)])
+        rng.shuffle(times)
+        trajectory = stage_trajectory(spec)
+        expected = whole_array_bright_path(spec, times)
+        for got, want in zip((*trajectory.sample(times), trajectory.values(times)), (*expected, expected[0])):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_normalized_everywhere_and_derivatives_consistent(self):
         spec = spec_pi3(theta_schedule="smooth", phi_schedule="smooth")

@@ -254,6 +254,20 @@ MUTANTS = (
         "the core trace hands its sink the core rows only: both gate routes lose psi_perp",
     ),
     Mutant(
+        "gate-fall-keeps-the-rise-phase",
+        "gates",
+        "turned = np.where(rise, turned_rise, turned_fall)",
+        "turned = np.where(rise | fall, turned_rise, turned_fall)",
+        "the fall stage takes the rise's phase factor e^{i 0} for e^{i twist}",
+    ),
+    Mutant(
+        "gate-twist-drops-the-auxiliary-rounding",
+        "gates",
+        "(sin_top,), (cos_top,) = np.sin(top), np.cos(top)",
+        "(sin_top,), (cos_top,) = np.sin(top), 0.0 * np.cos(top)",
+        "the twist stage writes 0.0 for the auxiliary amplitude cos(pi/2) ~ 6.1e-17, which no physics test sees",
+    ),
+    Mutant(
         "repr-fixed-notation-ends-at-15",
         "floatrepr",
         "fixed = (decpt > -4) & (decpt <= 16)",

@@ -1,0 +1,282 @@
+"""Same-bytes check: do two revisions write the same reports and CSVs?
+
+Run from the repository root:
+
+    python tools/samebytes.py REV [--head REV2] [--seeds 1-3] [--expect FIELD ...]
+
+REV is checked out with ``git worktree`` into a temporary directory (no
+network is needed); the other side is the working tree this script runs
+from, or a second worktree of ``--head``.  Both trees run the same jobs,
+each tree in one process through its own ``brightpath.cli.main``:
+
+- every seeded scenario of the four workloads of this tree's
+  ``perfbench/workloads.py`` (read only), for each seed, with the argv that
+  ``perfbench/run.py`` gives it;
+- each kind's default run, with the method and ``--timeseries`` variants
+  that CI runs.
+
+Reports are compared field by field without ``diagnostics.wall_time_ms``,
+CSVs byte for byte, and exit codes as they are.  A field is the dotted path
+of dict keys to a value, with list indices dropped (``unitaries.full``,
+``comparisons.sweep.leakage``); a CSV that differs names its moved columns
+(``csv.pop_1``).  Each moved field is printed with the number of runs it
+moved in and its largest absolute and relative change; then every run whose
+exit code is not 0 in either tree.  The exit code is 1 on any difference
+that no ``--expect FIELD`` names (an exit code counts as the field
+``exit_code``), or if a tree's runs do not import its own ``src``; else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("gates", "adiabatic_sweep", "timeseries", "loops")
+# Each kind's default run, as CI runs it: (name, argv, writes a CSV).
+DEFAULT_RUNS = (
+    ("default-selftest", ["selftest"], False),
+    ("default-gate", ["gate", "--method", "effective", "--method", "full"], False),
+    ("default-compare", ["compare"], False),
+    ("default-stirap-timeseries", ["stirap"], True),
+    ("default-gate-full-timeseries", ["gate", "--method", "full"], True),
+    ("default-gate-effective-timeseries", ["gate", "--method", "effective"], True),
+    ("default-morris-shore", ["morris-shore"], False),
+    ("default-loop", ["loop"], False),
+)
+# Runs in a tree's own interpreter: argv[1] holds [name, argv] jobs, and
+# argv[2] receives the exit codes and the path brightpath was imported from.
+RUNNER = """
+import contextlib, io, json, sys
+import brightpath.cli
+codes = {}
+for name, argv in json.load(open(sys.argv[1])):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes[name] = brightpath.cli.main(argv)
+        except Exception as exc:
+            codes[name] = f"{type(exc).__name__}: {exc}"
+json.dump({"module": brightpath.cli.__file__, "codes": codes}, open(sys.argv[2], "w"))
+"""
+
+
+def _seeds(text: str) -> list[int]:
+    """'1-3' or '1,4,7' (or a mix) as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def _workloads():
+    """This tree's ``perfbench/workloads.py``, imported without writing bytecode."""
+    sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location("workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _jobs(seeds: list[int], configs: str) -> list[tuple[str, list[str], bool]]:
+    """Every (name, argv without --out/--timeseries, writes a CSV) to run."""
+    workloads, jobs = _workloads(), []
+    for workload in WORKLOADS:
+        for seed in seeds:
+            for scenario in workloads.generate(workload, seed):
+                name = f"{workload}-s{seed}-{scenario.name}"
+                path = os.path.join(configs, name + ".json")
+                with open(path, "wb") as handle:
+                    handle.write(scenario.config_bytes())
+                jobs.append((name, [scenario.kind, "--config", path], scenario.timeseries))
+    return jobs + [(name, list(argv), csv) for name, argv, csv in DEFAULT_RUNS]
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(("git", "-C", ROOT) + args, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def _run_tree(tree: str, jobs, out: str) -> subprocess.Popen:
+    """Start one process that runs every job on ``tree``'s ``src``, writing
+    into ``out``."""
+    os.makedirs(out)
+    argvs = [
+        (name, argv + ["--out", os.path.join(out, name + ".json")] + (["--timeseries", os.path.join(out, name + ".csv")] if csv else []))
+        for name, argv, csv in jobs
+    ]
+    with open(os.path.join(out, "jobs.json"), "w") as handle:
+        json.dump(argvs, handle)
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = (sys.executable, "-c", RUNNER, os.path.join(out, "jobs.json"), os.path.join(out, "codes.json"))
+    return subprocess.Popen(command, cwd=out, env=env)
+
+
+def _fields(value, path: str = "", out=None) -> dict[str, list]:
+    """A report's leaves by field: dict keys joined by dots, list indices
+    dropped, so a field holds its leaves in order."""
+    out = {} if out is None else out
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _fields(item, f"{path}.{key}" if path else key, out)
+    elif isinstance(value, list):
+        for item in value:
+            _fields(item, path, out)
+    else:
+        out.setdefault(path, []).append(value)
+    return out
+
+
+def _report(path: str):
+    try:
+        with open(path, encoding="utf-8") as handle:
+            report = json.load(handle)
+    except FileNotFoundError:
+        return None
+    report.get("diagnostics", {}).pop("wall_time_ms", None)
+    return report
+
+
+def _csv(path: str):
+    """A CSV's bytes, or None if it is missing."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        return None
+
+
+def _columns(text: bytes | None):
+    """The header and the float columns of a CSV, or None if it is missing
+    or a field is not a float."""
+    try:
+        header, *rows = [line.split(",") for line in text.decode().splitlines()]
+        return header, [[float(field) for field in column] for column in zip(*rows)]
+    except (AttributeError, ValueError):
+        return None
+
+
+class Moves:
+    """Each moved field: the runs it moved in, and its largest absolute and
+    relative changes over the moves between two numbers (None if none)."""
+
+    def __init__(self):
+        self.fields: dict[str, list] = {}
+
+    def add(self, field: str, run: str, old, new) -> None:
+        entry = self.fields.setdefault(field, [set(), None, None])
+        entry[0].add(run)
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in (old, new)):
+            change = abs(new - old)
+            relative = change / abs(old) if old else math.inf
+            entry[1], entry[2] = max(entry[1] or 0.0, change), max(entry[2] or 0.0, relative)
+
+    def compare_reports(self, run: str, old, new) -> None:
+        """Add each field of two reports (None: missing) whose leaves differ
+        in their ``repr``; a field with a different number of leaves moves
+        as a whole."""
+        if old is None or new is None:
+            if (old is None) != (new is None):
+                self.add("report", run, None, None)
+            return
+        old, new = _fields(old), _fields(new)
+        for field in sorted(old.keys() | new.keys()):
+            a, b = old.get(field, []), new.get(field, [])
+            if len(a) != len(b):
+                self.add(field, run, None, None)
+                continue
+            for x, y in zip(a, b):
+                if repr(x) != repr(y):
+                    self.add(field, run, x, y)
+
+    def compare_csv(self, run: str, old_path: str, new_path: str) -> None:
+        """Add each column of two CSVs whose fields differ in their ``repr``;
+        a missing CSV, or a header or length that differs, moves ``csv``."""
+        old, new = _csv(old_path), _csv(new_path)
+        if old == new:
+            return
+        old, new = _columns(old), _columns(new)
+        if old is None or new is None or old[0] != new[0] or [len(c) for c in old[1]] != [len(c) for c in new[1]]:
+            self.add("csv", run, None, None)
+            return
+        for name, a, b in zip(old[0], old[1], new[1]):
+            for x, y in zip(a, b):
+                if repr(x) != repr(y):
+                    self.add(f"csv.{name}", run, x, y)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="the base revision")
+    parser.add_argument("--head", help="a revision to compare with REV (default: this working tree)")
+    parser.add_argument("--seeds", default="1-3", help="workload seeds, e.g. 1-3 or 1,4 (default 1-3)")
+    parser.add_argument("--expect", action="append", default=[], metavar="FIELD", help="a field allowed to move (repeatable)")
+    args = parser.parse_args(argv)
+    started = time.perf_counter()
+    sides = {"base": _git("rev-parse", "--verify", args.rev + "^{commit}")}
+    if args.head:
+        sides["head"] = _git("rev-parse", "--verify", args.head + "^{commit}")
+    with tempfile.TemporaryDirectory(prefix="samebytes-") as work:
+        trees, made, running = {"head": ROOT}, [], {}
+        try:
+            for side, commit in sides.items():
+                trees[side] = os.path.join(work, side)
+                _git("worktree", "add", "--detach", "--quiet", trees[side], commit)
+                made.append(trees[side])
+            configs = os.path.join(work, "configs")
+            os.makedirs(configs)
+            jobs = _jobs(_seeds(args.seeds), configs)
+            # One process per tree, both at once: a tree's runs are serial.
+            running = {side: _run_tree(trees[side], jobs, os.path.join(work, "out-" + side)) for side in ("base", "head")}
+            failed = [side for side, process in running.items() if process.wait() != 0]
+        finally:
+            for process in running.values():
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
+            for tree in made:
+                _git("worktree", "remove", "--force", tree)
+        if failed:
+            print(f"the runner of {', '.join(failed)} failed")
+            return 1
+        codes = {}
+        for side in ("base", "head"):
+            with open(os.path.join(work, "out-" + side, "codes.json")) as handle:
+                done = json.load(handle)
+            if not done["module"].startswith(os.path.join(trees[side], "src") + os.sep):
+                print(f"the {side} runs imported brightpath from {done['module']}, not from {trees[side]}")
+                return 1
+            codes[side] = done["codes"]
+        moves = Moves()
+        for name, _, csv in jobs:
+            old, new = (os.path.join(work, "out-" + side, name) for side in ("base", "head"))
+            if codes["base"][name] != codes["head"][name]:
+                moves.add("exit_code", name, codes["base"][name], codes["head"][name])
+            moves.compare_reports(name, _report(old + ".json"), _report(new + ".json"))
+            if csv:
+                moves.compare_csv(name, old + ".csv", new + ".csv")
+    head = sides["head"][:12] if "head" in sides else "the working tree"
+    print(f"samebytes: {head} against {sides['base'][:12]} ({args.rev}), seeds {args.seeds}: {len(jobs)} runs per tree, {time.perf_counter() - started:.1f} s")
+    unexpected = 0
+    for field, (runs, change, relative) in sorted(moves.fields.items()):
+        allowed = field in args.expect
+        unexpected += not allowed
+        size = f"max |change| {change:.3g}, max relative {relative:.3g}" if change is not None else "not numbers"
+        print(f"  {'expected' if allowed else 'MOVED':<9}{field}: {len(runs)} run(s), {size}")
+    for name, _, _ in jobs:
+        if codes["base"][name] != 0 or codes["head"][name] != 0:
+            print(f"  exit code {codes['base'][name]} -> {codes['head'][name]}: {name}")
+    for field in sorted(set(args.expect) - set(moves.fields)):
+        print(f"  expected {field} did not move")
+    print(f"{unexpected} unexpected moved field(s)" if unexpected else "no unexpected difference")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
