@@ -46,7 +46,6 @@ from .gates import (
     measure_gate,
     simulate_full_gate,
     simulate_gate,
-    stage_trajectory,
     stirap_trajectory,
     stirap_transfer,
 )
@@ -365,15 +364,20 @@ def _diagnostics(**fields) -> dict:
     return {**zero, "steps": 0, **fields}
 
 
-def _run_gate(config: ScenarioConfig, trace: StateTrace | None = None) -> dict:
+def _trace(start: np.ndarray, writer) -> StateTrace | None:
+    """A trace of ``start`` into the sink ``writer(start)``, or None with no writer."""
+    return None if writer is None else StateTrace(start, writer(start))
+
+
+def _run_gate(config: ScenarioConfig, writer=None) -> dict:
     spec = config.spec
     analytic = compose_gate(spec)
     results = {}
     if "effective" in config.methods:
-        # A time series follows the full method when it runs.
-        results["effective"] = simulate_gate(spec, config.steps, None if "full" in config.methods else trace)
+        # A time series follows the full method, from psi on n+1 levels, when it runs.
+        results["effective"] = simulate_gate(spec, config.steps, None if "full" in config.methods else _trace(spec.psi, writer))
     if "full" in config.methods:
-        (results["full"],) = simulate_full_gate(spec, config.full_runs, trace)
+        (results["full"],) = simulate_full_gate(spec, config.full_runs, _trace(np.append(spec.psi, 0.0), writer))
     unitaries = {"analytic": analytic.matrix}
     blocks = {"analytic": logical_block(analytic, spec.n)}
     comparisons: dict[str, float] = {}
@@ -494,7 +498,8 @@ def _run_morris_shore(config: ScenarioConfig) -> dict:
     }
 
 
-def _run_stirap(config: ScenarioConfig, trace: StateTrace | None = None) -> dict:
+def _run_stirap(config: ScenarioConfig, writer=None) -> dict:
+    trace = _trace(np.array([1.0, 0.0], dtype=complex), writer)
     report = stirap_transfer(config.theta_end, steps=config.steps, ramp=config.ramp, trace=trace)
     diag = _diagnostics(
         dark_block_distance_exact=report.deviation,
@@ -533,14 +538,14 @@ _RUNNERS = {
 }
 
 
-def run_scenario(config: ScenarioConfig, trace: StateTrace | None = None) -> dict:
+def run_scenario(config: ScenarioConfig, writer=None) -> dict:
     """Execute one scenario and assemble the report dictionary: the config's
     ``tolerance``, and empty ``unitaries`` and ``dark_blocks`` unless the
-    runner fills them.  A ``trace`` (``TIMESERIES_KINDS`` only) rides along
-    the scenario's propagation."""
+    runner fills them.  Given a ``writer`` (``TIMESERIES_KINDS`` only), the
+    runner traces its route from the route's start state into ``writer(start)``."""
     started = time.perf_counter()
     runner = _RUNNERS[config.kind]
-    body = {"unitaries": {}, "dark_blocks": {}, **(runner(config) if trace is None else runner(config, trace))}
+    body = {"unitaries": {}, "dark_blocks": {}, **(runner(config) if writer is None else runner(config, writer))}
     wall_ms = (time.perf_counter() - started) * 1000.0
     report = {
         "schema": "brightpath.report.v1",
@@ -572,14 +577,13 @@ def emit_timeseries(config: ScenarioConfig, path: str) -> dict:
     """
     if config.kind not in TIMESERIES_KINDS:
         raise ConfigError(f"kind: scenario {config.kind!r} does not support time series; expected one of {TIMESERIES_KINDS}")
-    reference, bright_at = _timeseries_frame(config)
     try:
         handle = open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ConfigError(f"timeseries: cannot write {path}: {exc}") from exc
     with handle:
         try:
-            return run_scenario(config, StateTrace(reference, TimeseriesWriter(handle, reference, bright_at)))
+            return run_scenario(config, functools.partial(TimeseriesWriter, handle))
         except BaseException as exc:
             handle.close()
             if os.path.isfile(path):
@@ -589,35 +593,13 @@ def emit_timeseries(config: ScenarioConfig, path: str) -> dict:
             raise
 
 
-def _timeseries_frame(config: ScenarioConfig):
-    """The state a scenario's time series starts in, which its phase is
-    measured against, and a function giving the bright (and excited) states
-    at an array of times, shape (M, k, dim)."""
-    if config.kind == "stirap":
-        return np.array([1.0, 0.0], dtype=complex), config.trajectory.values
-    spec = config.spec
-    trajectory = stage_trajectory(spec)
-    if "full" not in config.methods:
-        return spec.psi, trajectory.values
-    reference = np.zeros(spec.n + 1, dtype=complex)
-    reference[: spec.n] = spec.psi
-
-    def bright_at(t: np.ndarray) -> np.ndarray:
-        # The bright state embedded in n+1 levels, and the excited level.
-        bright = np.zeros((len(t), 2, spec.n + 1), dtype=complex)
-        bright[:, 0, : spec.n] = trajectory.values(t * spec.t3)[:, 0]
-        bright[:, 1, spec.n] = 1.0
-        return bright
-
-    return reference, bright_at
-
-
 class TimeseriesWriter:
     """A ``StateTrace`` sink that writes CSV: the header when made, then one
-    row per recorded state of each ``(times, states)`` block it is given.
+    row per recorded state of each ``(times, states, coupled)`` block it is
+    given.
 
-    Columns: the time; the leakage, 1 minus the population outside
-    ``bright_at(times)``; each level's population; and the phase of the
+    Columns: the time; the leakage, 1 minus the population outside the
+    ``coupled`` states; each level's population; and the phase of the
     overlap with ``reference`` (0.0 when |overlap| <= ``PHASE_OVERLAP_FLOOR``).
     A block takes a handful of whole-column numpy calls and no loop over
     its rows: the overlaps are one ``einsum``, and a population is libm
@@ -629,14 +611,14 @@ class TimeseriesWriter:
     differs from one of a step-by-step product by rounding only.
     """
 
-    def __init__(self, handle, reference: np.ndarray, bright_at):
-        self.handle, self.reference, self.bright_at = handle, reference, bright_at
+    def __init__(self, handle, reference: np.ndarray):
+        self.handle, self.reference = handle, reference
         dim = len(reference)
         handle.write("t,leakage," + ",".join(f"pop_{i + 1}" for i in range(dim)) + ",phase_psi\n")
 
-    def __call__(self, times: np.ndarray, states: np.ndarray) -> None:
-        # Population outside the bright (and excited) states: the dark subspace.
-        amplitudes = np.einsum("rkd,rd->rk", self.bright_at(times).conj(), states)
+    def __call__(self, times: np.ndarray, states: np.ndarray, coupled: np.ndarray) -> None:
+        # Population outside the coupled states: the dark subspace.
+        amplitudes = np.einsum("rkd,rd->rk", coupled.conj(), states)
         dark = (states.conj() * states).real.sum(axis=1) - (np.abs(amplitudes) ** 2).sum(axis=1)
         overlap = np.einsum("rd,d->r", states, self.reference.conj())
         table = np.empty((len(times), states.shape[1] + 3))

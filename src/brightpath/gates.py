@@ -223,20 +223,21 @@ def _core_frame(spec: GateSpec) -> np.ndarray:
 
 def _core_trace(trace: StateTrace, frame: np.ndarray) -> StateTrace:
     """A trace of the core that carries Pi^dag psi0 and hands the trace's
-    sink psi_perp + rows Pi^T: the part of psi0 outside the core never moves."""
+    sink psi_perp + rows Pi^T, the part of psi0 outside the core never
+    moving, and the core's coupled states lifted through the same Pi."""
     state = np.asarray(trace.state, dtype=complex)
     if state.shape != frame.shape[:1]:
         raise DimensionMismatch(f"trace state has shape {state.shape}, but the gate acts on {frame.shape[:1]}")
     core = frame.conj().T @ state
     outside = state - frame @ core
 
-    def sink(times: np.ndarray, rows: np.ndarray) -> None:
+    def sink(times: np.ndarray, rows: np.ndarray, coupled: np.ndarray) -> None:
         # Broadcast, not a matmul: BLAS may spread a (rows, k) @ (k, dim)
         # product over threads, which costs more CPU than it saves.
         states = np.broadcast_to(outside, (len(rows), outside.size)).copy()
         for column, amplitudes in zip(frame.T, rows.T):
             states += amplitudes[:, None] * column
-        trace.sink(times, states)
+        trace.sink(times, states, np.einsum("mkc,dc->mkd", coupled, frame))
 
     return StateTrace(core, sink)
 

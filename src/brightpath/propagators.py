@@ -17,14 +17,15 @@ for a trajectory that has a value sampler).  A reducer consumes the
 blocks in order: it forms the ordered product (each block by a pairwise
 tree, then the block products by the same tree) and, given a
 ``StateTrace``, applies the same factors to one state by a blocked scan
-and hands each block's states to the trace's sink, so a run's unitary and
-its state trajectory come from one pass.  No array longer than one block
-is built, so memory stays flat in the step count.  The full runs of a
-sweep over Omega*T share one step grid, one sampled, checked drive per
-block, and the run-independent planes of the block's step pairs; each run
-hands the tree the closed-form products of two consecutive Lambda steps
-(``_LambdaPairs``), so its tree starts at half the steps.  A trace scans
-the single steps, and the unitary comes from the pairs either way.
+and hands each block's states, and the states its drive couples then, to
+the trace's sink, so a run's unitary and its state trajectory come from
+one pass.  No array longer than one block is built, so memory stays flat
+in the step count.  The full runs of a sweep over Omega*T share one step
+grid, one sampled, checked drive per block, and the run-independent
+planes of the block's step pairs; each run hands the tree the closed-form
+products of two consecutive Lambda steps (``_LambdaPairs``), so its tree
+starts at half the steps.  A trace scans the single steps, and the
+unitary comes from the pairs either way.
 """
 
 from __future__ import annotations
@@ -141,6 +142,15 @@ def _bright_states(values, progress: np.ndarray) -> np.ndarray:
         j = int(np.argmin(passed))
         raise NotNormalized(f"|<B|B> - 1| = {deviation[j]:.3e} exceeds {COUPLING_NORM_TOL:.1e} at progress={progress[j]:.6g}")
     return b
+
+
+def _with_excited(values: np.ndarray) -> np.ndarray:
+    """The (M, k+1, n+1) states a Lambda drive couples: (M, k, n) bright states, then |n>."""
+    m, k, n = values.shape
+    coupled = np.zeros((m, k + 1, n + 1), dtype=complex)
+    coupled[:, :k, :n] = values
+    coupled[:, k, n] = 1.0
+    return coupled
 
 
 def _lambda_rotation(phase: float) -> tuple[float, complex]:
@@ -265,14 +275,15 @@ def _unitary_product(blocks: Iterable[np.ndarray]) -> tuple[UnitaryOperator, flo
 class StateTrace:
     """A start state for a propagation to carry along its factor stream.
 
-    ``sink(times, states)`` receives each block's rows before the next block
-    is built: the start state (with the first block), then the state after
-    every step, at its grid time.  So one pass gives both the unitary and
-    the state trajectory, and at most one block of states is held.
+    ``sink(times, states, coupled)`` receives each block's rows before the
+    next block is built: the start state (with the first block), then the
+    state after every step, at its grid time, and the (rows, k, d) states
+    the drive couples then.  So one pass gives both the unitary and the
+    state trajectory, and at most one block of states is held.
     """
 
     state: np.ndarray
-    sink: Callable[[np.ndarray, np.ndarray], None]
+    sink: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
 def _scanned_states(planes: np.ndarray, psi: np.ndarray, out: np.ndarray) -> None:
@@ -309,15 +320,16 @@ def _scanned_states(planes: np.ndarray, psi: np.ndarray, out: np.ndarray) -> Non
         out[p::width] = state.T
 
 
-def _traced(trace: StateTrace, t0: float, t1: float, steps: int) -> Callable[[np.ndarray], np.ndarray]:
+def _traced(trace: StateTrace, t0: float, t1: float, steps: int, coupled) -> Callable[[np.ndarray], np.ndarray]:
     """A per-block step: it carries the trace's state through the block's
     factors, hands the block's rows to the trace's sink as one (rows, d)
-    array and returns the block.  The rows come from the blocked scan of
-    ``_scanned_states`` (64 chunks of 64 steps for a ``FULL_BLOCK``), with
-    no loop over steps; they differ from those of a step-by-step
-    ``factor @ psi`` loop by rounding only, under 1e-14 over 8 195 steps
-    on the suite's drives.  A state whose length is not the factors'
-    dimension raises ``DimensionMismatch`` before the first step."""
+    array, with ``coupled(times)`` of their times, and returns the block.
+    The rows come from the blocked scan of ``_scanned_states`` (64 chunks
+    of 64 steps for a ``FULL_BLOCK``), with no loop over steps; they differ
+    from those of a step-by-step ``factor @ psi`` loop by rounding only,
+    under 1e-14 over 8 195 steps on the suite's drives.  A state whose
+    length is not the factors' dimension raises ``DimensionMismatch``
+    before the first step."""
     psi = np.asarray(trace.state, dtype=complex)
     done = 0
 
@@ -333,7 +345,8 @@ def _traced(trace: StateTrace, t0: float, t1: float, steps: int) -> Callable[[np
         done += block.shape[-1]
         marks = np.arange(done + 1 - len(rows), done + 1)
         # The last mark is t1 itself; the grid formula can round one ulp past it.
-        trace.sink(np.minimum(t0 + (t1 - t0) * marks / steps, t1), rows)
+        times = np.minimum(t0 + (t1 - t0) * marks / steps, t1)
+        trace.sink(times, rows, coupled(times))
         return block
 
     return step
@@ -343,7 +356,7 @@ def _recorded(propagate, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All rows that ``propagate(trace)`` hands a trace of ``state``, as
     (times, states)."""
     blocks = []
-    propagate(StateTrace(state, lambda *rows: blocks.append(rows)))
+    propagate(StateTrace(state, lambda times, states, coupled: blocks.append((times, states))))
     times, states = zip(*blocks)
     return np.concatenate(times), np.concatenate(states)
 
@@ -361,10 +374,12 @@ def evolve_time_ordered(
     j-th subinterval; later factors multiply from the left, and H is the
     generator H_eff of the bright ``trajectory``, sampled a whole block of
     midpoints at once.  A ``trace`` carries its state along the same
-    factors, with times in [t0, t1].
+    factors, with times in [t0, t1], and the bright states at those times.
     """
     blocks = _midpoint_factors(trajectory, t0, t1, steps)
-    unitary, drift = _unitary_product(blocks if trace is None else map(_traced(trace, t0, t1, steps), blocks))
+    # A lambda: a trajectory of the wrong type is refused by _midpoint_factors.
+    scan = None if trace is None else _traced(trace, t0, t1, steps, lambda times: trajectory.values(times))
+    unitary, drift = _unitary_product(blocks if scan is None else map(scan, blocks))
     return PropagationResult(unitary=unitary, steps=steps, unitarity_error=drift, method="effective")
 
 
@@ -384,8 +399,9 @@ def evolve_full_sweep(
     pair products of phase omega_T / steps, half as many factors as steps,
     so memory does not grow with the number of runs.  A ``trace`` (one run
     only) carries its state along the single steps of the same run, with
-    times in progress units; the unitary comes from the pairs either way,
-    so a traced run's unitary is the untraced one, bit for bit.
+    times in progress units, and its sink is handed the bright state and
+    the excited level at those times; the unitary comes from the pairs
+    either way, so a traced run's unitary is the untraced one, bit for bit.
     """
     if not configs:
         raise ValueError("a sweep needs at least one run")
@@ -394,7 +410,7 @@ def evolve_full_sweep(
         raise ValueError(f"the runs of a sweep must share steps, got {sorted({run.steps for run in configs})}")
     if trace is not None and len(configs) != 1:
         raise ValueError(f"a trace follows one run, got {len(configs)}")
-    scan = None if trace is None else _traced(trace, 0.0, 1.0, steps)
+    scan = None if trace is None else _traced(trace, 0.0, 1.0, steps, lambda times: _with_excited(drive.values(times)))
     blocks, _ = _step_grid(0.0, 1.0, steps)
     products = [[] for _ in configs]
     pairs = None

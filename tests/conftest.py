@@ -109,6 +109,16 @@ def validate_trajectory(trajectory, times=None):
         )
 
 
+def excited_and(bright):
+    """(M, 1, n) bright states embedded in n+1 levels, then the excited
+    level: the states the full oracle's drive couples."""
+    m, _, n = bright.shape
+    coupled = np.zeros((m, 2, n + 1), dtype=complex)
+    coupled[:, 0, :n] = bright[:, 0]
+    coupled[:, 1, n] = 1.0
+    return coupled
+
+
 def reference_gate_drive(spec):
     """The gate's bright path on all n ground levels, on the progress clock
     [0, 1] (``stage_trajectory`` reparametrized by t = t3 s): the drive of

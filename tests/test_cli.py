@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -30,7 +31,7 @@ from brightpath.errors import ConfigError
 from brightpath import gates
 from brightpath.gates import compose_gate, simulate_full_gate, simulate_gate, stage_trajectory
 from brightpath.morris_shore import TwoManifoldSystem, morris_shore_transform
-from brightpath.propagators import FULL_BLOCK, MAX_STEPS, StateTrace, evolve_state_time_ordered
+from brightpath.propagators import FULL_BLOCK, MAX_STEPS, StateTrace, evolve_time_ordered
 
 
 def strip_timing(report):
@@ -225,6 +226,14 @@ class TestRunScenario:
         two = run_scenario(ScenarioConfig("gate", config, seed=11))
         assert json.dumps(strip_timing(one), sort_keys=True) == json.dumps(strip_timing(two), sort_keys=True)
 
+    def test_wall_time_is_the_run_in_milliseconds(self, monkeypatch):
+        # perf_counter reads 10.0 when the run starts and 10.25 when it ends.
+        clock = iter([10.0, 10.25])
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: next(clock))
+        report = run_scenario(ScenarioConfig("morris-shore"))
+        assert report["diagnostics"]["wall_time_ms"] == 250.0
+        assert next(clock, None) is None
+
     def test_a_two_method_gate_composes_the_gate_once(self, monkeypatch):
         composed = []
 
@@ -267,24 +276,44 @@ class TestTimeseries:
         stripped = {row.split(",", 1)[1] for row in rows}
         assert len(stripped) == 1
 
-    def test_full_gate_leakage_column_small(self, tmp_path):
+    @staticmethod
+    def leakage_column(tmp_path, methods, stage_times):
+        """The CSV rows and the largest leakage of a smooth three-level gate
+        whose time series follows ``methods``."""
         path = tmp_path / "gate.csv"
         config = ScenarioConfig(
             "gate",
             {
-                "methods": ["full"],
+                "methods": methods,
+                "steps": 16384,
                 "full_steps": 16384,
                 "omega_T": 2000.0,
+                "stage_times": stage_times,
                 "theta_schedule": "smooth",
                 "phi_schedule": "smooth",
             },
         )
         emit_timeseries(config, str(path))
         rows = path.read_text().strip().splitlines()
+        return rows, max(float(row.split(",")[1]) for row in rows[1:])
+
+    def test_full_gate_leakage_column_small(self, tmp_path):
+        # On stage times that end at 1 and at 1.7: the CSV's coupled states
+        # follow the full route's progress clock, whatever t3 is.
+        for stage_times in ([0.25, 0.5, 1.0], [0.4, 0.9, 1.7]):
+            rows, leak = self.leakage_column(tmp_path, ["full"], stage_times)
+            assert len(rows) == 16385 + 1
+            assert rows[0] == "t,leakage,pop_1,pop_2,pop_3,pop_4,phase_psi"
+            assert leak < 1e-3, stage_times
+
+    @pytest.mark.parametrize("stage_times", [[0.25, 0.5, 1.0], [0.4, 0.9, 1.7]])
+    def test_effective_gate_leakage_column_small(self, tmp_path, stage_times):
+        # The effective route transports the dark state psi exactly, so the
+        # leakage column stays at the discretization error on its own clock.
+        rows, leak = self.leakage_column(tmp_path, ["effective"], stage_times)
         assert len(rows) == 16385 + 1
-        assert rows[0] == "t,leakage,pop_1,pop_2,pop_3,pop_4,phase_psi"
-        leak = [float(row.split(",")[1]) for row in rows[1:]]
-        assert max(leak) < 1e-3
+        assert rows[0] == "t,leakage,pop_1,pop_2,pop_3,phase_psi"
+        assert leak < 1e-12
 
     @pytest.mark.parametrize("methods", [["effective"], ["full"]])
     def test_grid_ends_on_the_last_stage_time(self, tmp_path, methods):
@@ -300,13 +329,24 @@ class TestTimeseries:
 
     @pytest.mark.parametrize("methods", [["effective"], ["full"]])
     def test_a_gate_frame_reads_values_only(self, tmp_path, monkeypatch, methods):
-        # The CSV's bright states come from the trajectory's values; its
-        # derivative sampler is never called to build them.
+        # The CSV's coupled states come from the trajectory's values: a time
+        # series calls the derivative sampler no more often than the run
+        # without one (once per block on the effective route, never on the
+        # full one), and writes the same bytes.
         config = ScenarioConfig("gate", {"methods": methods, "steps": 300, "full_steps": 300})
-        emit_timeseries(config, str(tmp_path / "sampled.csv"))
-        monkeypatch.setattr(cli, "stage_trajectory", lambda spec: SimpleNamespace(values=stage_trajectory(spec).values))
-        emit_timeseries(config, str(tmp_path / "values.csv"))
-        assert (tmp_path / "values.csv").read_bytes() == (tmp_path / "sampled.csv").read_bytes()
+        emit_timeseries(config, str(tmp_path / "plain.csv"))
+        calls = []
+
+        def counted(spec):
+            trajectory = stage_trajectory(spec)
+            return dataclasses.replace(trajectory, sampler=lambda times: calls.append(times) or trajectory.sampler(times))
+
+        monkeypatch.setattr(gates, "stage_trajectory", counted)
+        run_scenario(config)
+        assert len(calls) == (methods == ["effective"])
+        emit_timeseries(config, str(tmp_path / "counted.csv"))
+        assert len(calls) == 2 * (methods == ["effective"])
+        assert (tmp_path / "counted.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -330,7 +370,7 @@ class TestTimeseries:
         assert not path.exists()
 
     def test_unwritable_path_rejected_before_the_run(self, tmp_path, monkeypatch, capsys):
-        def must_not_run(config, trace=None):
+        def must_not_run(config, writer=None):
             raise AssertionError("the scenario ran before its CSV path was opened")
 
         monkeypatch.setattr(cli, "run_scenario", must_not_run)
@@ -406,39 +446,40 @@ FIVE_LEVEL_GATE = {
 
 
 def recorded_states(config):
-    """The rows of a scenario's time series from a run of their own (the
-    state-route wrapper for stirap, a traced gate route for a gate), with
-    the start state and bright states of its CSV."""
-    reference, bright_at = cli._timeseries_frame(config)
+    """The rows and coupled states of a scenario's time series from a traced
+    run of their own (the midpoint route for stirap, the gate route its CSV
+    follows for a gate), with the start state of its CSV."""
     if config.kind == "stirap":
-        times, states = evolve_state_time_ordered(config.trajectory, 0.0, 1.0, config.steps, reference)
+        reference = np.array([1.0, 0.0], dtype=complex)
+        run = lambda trace: evolve_time_ordered(config.trajectory, 0.0, 1.0, config.steps, trace)
+    elif "full" in config.methods:
+        reference = np.append(config.spec.psi, 0.0)
+        run = lambda trace: simulate_full_gate(config.spec, config.full_runs, trace)
     else:
-        blocks = []
-        trace = StateTrace(reference, lambda *rows: blocks.append(rows))
-        if "full" in config.methods:
-            simulate_full_gate(config.spec, config.full_runs, trace)
-        else:
-            simulate_gate(config.spec, config.steps, trace)
-        times, states = map(np.concatenate, zip(*blocks))
-    return times, states, reference, bright_at
+        reference = config.spec.psi
+        run = lambda trace: simulate_gate(config.spec, config.steps, trace)
+    blocks = []
+    run(StateTrace(reference, lambda *block: blocks.append(block)))
+    times, states, coupled = map(np.concatenate, zip(*blocks))
+    return times, states, coupled, reference
 
 
 class TestChunkedTimeseriesBytes:
     """The streamed CSV, formatted block by block, is byte-identical to per_row_csv."""
 
-    def assert_same_bytes(self, tmp_path, written, times, states, reference, bright_at):
+    def assert_same_bytes(self, tmp_path, written, times, states, coupled, reference):
         per_row = tmp_path / "per_row.csv"
-        per_row_csv(str(per_row), times, states, reference, bright_at(times))
+        per_row_csv(str(per_row), times, states, reference, coupled)
         text = written.read_text()
         assert written.read_bytes() == per_row.read_bytes()
         assert text.endswith("\n") and "\n\n" not in text
         assert text.count("\n") == len(times) + 1
 
-    def write_blocks(self, path, times, states, reference, bright_at):
+    def write_blocks(self, path, times, states, coupled, reference):
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            sink = TimeseriesWriter(handle, reference, bright_at)
+            sink = TimeseriesWriter(handle, reference)
             for lo in range(0, len(times), FULL_BLOCK):
-                sink(times[lo : lo + FULL_BLOCK], states[lo : lo + FULL_BLOCK])
+                sink(times[lo : lo + FULL_BLOCK], states[lo : lo + FULL_BLOCK], coupled[lo : lo + FULL_BLOCK])
 
     @pytest.mark.parametrize(
         "kind, parameters",
@@ -457,14 +498,14 @@ class TestChunkedTimeseriesBytes:
         self.assert_same_bytes(tmp_path, streamed, *recorded_states(config))
 
     def test_zero_overlap_and_zero_populations(self, tmp_path):
-        times, states, reference, bright_at = recorded_states(ScenarioConfig("stirap", {"steps": FULL_BLOCK + 37}))
+        times, states, coupled, reference = recorded_states(ScenarioConfig("stirap", {"steps": FULL_BLOCK + 37}))
         states = states.copy()
         states[FULL_BLOCK - 1] = [0.0, 1.0]  # overlap exactly 0: phase 0.0, pop_1 0.0
         states[FULL_BLOCK] = [0.0, -1j]
         states[-1] = [1e-13, 1.0]  # overlap below the phase threshold
         chunked = tmp_path / "chunked.csv"
-        self.write_blocks(chunked, times, states, reference, bright_at)
-        self.assert_same_bytes(tmp_path, chunked, times, states, reference, bright_at)
+        self.write_blocks(chunked, times, states, coupled, reference)
+        self.assert_same_bytes(tmp_path, chunked, times, states, coupled, reference)
         rows = chunked.read_text().splitlines()
         assert rows[FULL_BLOCK].split(",")[2:] == ["0.0", "1.0", "0.0"]
         assert rows[-1].endswith(",1.0,0.0")
@@ -487,10 +528,10 @@ class TestChunkedTimeseriesBytes:
             ]
         )
         reference = np.array([1.0, 0.0], dtype=complex)
-        bright_at = lambda t: np.zeros((len(t), 1, 2))
+        coupled = np.zeros((len(times), 1, 2))
         path = tmp_path / "rows.csv"
-        self.write_blocks(path, times, states, reference, bright_at)
-        self.assert_same_bytes(tmp_path, path, times, states, reference, bright_at)
+        self.write_blocks(path, times, states, coupled, reference)
+        self.assert_same_bytes(tmp_path, path, times, states, coupled, reference)
         fields = ",".join(path.read_text().splitlines()[1:]).split(",")
         layouts = {
             r"-?0\.0*[1-9]\d*": "below 1",
@@ -512,7 +553,7 @@ class TestChunkedTimeseriesBytes:
         reference = np.array([1.0, 0.0], dtype=complex)
         states = np.array([[1e-8 * np.exp(0.5j), 1.0], [1e-3 * np.exp(0.5j), 1.0]])
         path = tmp_path / "rows.csv"
-        self.write_blocks(path, np.array([0.0, 1.0]), states, reference, lambda t: np.zeros((len(t), 1, 2)))
+        self.write_blocks(path, np.array([0.0, 1.0]), states, np.zeros((2, 1, 2)), reference)
         phases = [float(row.rsplit(",", 1)[1]) for row in path.read_text().splitlines()[1:]]
         assert phases == [0.0, float(np.angle(np.vdot(reference, states[1])))]
         assert abs(phases[1] - 0.5) < 1e-12
@@ -547,7 +588,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("kind", DEFAULT_PARAMETERS)
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_a_negative_seed_is_three(self, kind, source, tmp_path, monkeypatch, capsys):
-        def must_not_run(config, trace=None):
+        def must_not_run(config, writer=None):
             raise AssertionError(f"{config.kind} ran with a negative seed")
 
         monkeypatch.setattr(cli, "run_scenario", must_not_run)

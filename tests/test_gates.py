@@ -32,7 +32,7 @@ from brightpath.propagators import (
     evolve_time_ordered,
 )
 from brightpath.ramps import ramp_rate, ramp_value
-from conftest import frame_at, random_state, reference_gate_drive, validate_trajectory
+from conftest import excited_and, frame_at, random_state, reference_gate_drive, validate_trajectory
 
 
 def spec_pi3(n=3, **kwargs):
@@ -380,6 +380,17 @@ FULL_GATES = {
     "n4": full_gate_spec(4, np.array([1.0, 1j, -1.0]) / np.sqrt(3)),
     "n5": full_gate_spec(5, [0.5, 0.5, 0.5j, 0.5]),
     "n5-cphase": full_gate_spec(5, [0.0, 0.0, 0.0, 1.0]),
+    # t3 != 1: the full route's progress clock rescales the stage times.
+    "off-grid": GateSpec(
+        n=4,
+        psi=np.array([1.0, 1j, -1.0, 0.0]) / np.sqrt(3),
+        phase_twist=0.9,
+        t1=0.4,
+        t2=0.9,
+        t3=1.7,
+        theta_schedule="smooth",
+        phi_schedule="smooth",
+    ),
 }
 
 
@@ -428,15 +439,20 @@ class TestSimulateFullGate:
     @pytest.mark.parametrize("name", sorted(FULL_GATES))
     def test_trace_matches_the_full_oracle(self, name, rng):
         # A start state with support outside the core, which must stay put.
+        # The sink's coupled states are the n-level bright state on the
+        # progress clock and the excited level, lifted out of the core.
         spec = FULL_GATES[name]
         (run,) = self.runs((40.0,))
         start = random_state(rng, spec.n + 1)
         blocks = []
         (traced,) = simulate_full_gate(spec, [run], StateTrace(start, lambda *rows: blocks.append(rows)))
-        times, states = map(np.concatenate, zip(*blocks))
+        times, states, coupled = map(np.concatenate, zip(*blocks))
         want_times, want_states = evolve_state_full(reference_gate_drive(spec), run, start)
         assert np.array_equal(times, want_times)
         assert np.max(np.linalg.norm(states - want_states, axis=1)) <= 1e-12
+        want_coupled = excited_and(stage_trajectory(spec).values(np.minimum(spec.t3 * times, spec.t3)))
+        assert coupled.shape == want_coupled.shape
+        assert np.abs(coupled - want_coupled).max() <= 1e-14
         (untraced,) = simulate_full_gate(spec, [run])
         assert np.array_equal(traced.unitary.matrix, untraced.unitary.matrix)
 
@@ -465,20 +481,7 @@ class TestSimulateFullGate:
         assert peak <= 3 * (3 * 3 * FULL_BLOCK * 16)
 
 
-CORE_GATES = {
-    **FULL_GATES,
-    "n16": full_gate_spec(16, np.exp(0.4j * np.arange(15)) / np.sqrt(15)),
-    "off-grid": GateSpec(
-        n=4,
-        psi=np.array([1.0, 1j, -1.0, 0.0]) / np.sqrt(3),
-        phase_twist=0.9,
-        t1=0.4,
-        t2=0.9,
-        t3=1.7,
-        theta_schedule="smooth",
-        phi_schedule="smooth",
-    ),
-}
+CORE_GATES = {**FULL_GATES, "n16": full_gate_spec(16, np.exp(0.4j * np.arange(15)) / np.sqrt(15))}
 
 
 class TestSimulateGateCore:
@@ -499,14 +502,19 @@ class TestSimulateGateCore:
     @pytest.mark.parametrize("name", sorted(CORE_GATES))
     def test_trace_matches_the_n_level_route(self, name, rng):
         # A start state with support outside the core, which must stay put.
+        # The sink's coupled states are the n-level bright states, lifted
+        # out of the core.
         spec = CORE_GATES[name]
         start = random_state(rng, spec.n)
         blocks = []
         traced = simulate_gate(spec, self.STEPS, StateTrace(start, lambda *rows: blocks.append(rows)))
-        times, states = map(np.concatenate, zip(*blocks))
+        times, states, coupled = map(np.concatenate, zip(*blocks))
         want_times, want_states = evolve_state_time_ordered(stage_trajectory(spec), 0.0, spec.t3, self.STEPS, start)
         assert np.array_equal(times, want_times)
         assert np.max(np.linalg.norm(states - want_states, axis=1)) <= 1e-12
+        want_coupled = stage_trajectory(spec).values(times)
+        assert coupled.shape == want_coupled.shape
+        assert np.abs(coupled - want_coupled).max() <= 1e-14
         untraced = simulate_gate(spec, self.STEPS)
         assert np.array_equal(traced.unitary.matrix, untraced.unitary.matrix)
 

@@ -77,6 +77,17 @@ class TestMorrisShoreTransform:
         with pytest.raises(ZeroCoupling):
             morris_shore_transform(TwoManifoldSystem(np.zeros((3, 2))))
 
+    @pytest.mark.parametrize("split, ground", [(1e-14, [[0, 1, 0], [1, 0, 0]]), (1e-6, [[1, 0, 0], [0, 1, 0]])])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_degeneracy_is_relative_to_the_largest_coupling(self, split, ground, scale):
+        # Couplings 1 + split and 1 on |0> and |1>, at any scale: a pair
+        # split by 1e-14 is degenerate (within 1e-10 of the largest) and is
+        # ordered lexicographically, |1> first; one split by 1e-6 is not,
+        # and keeps the order of its couplings.
+        v = scale * np.array([[1.0 + split, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        d = morris_shore_transform(TwoManifoldSystem(v))
+        np.testing.assert_array_equal(d.ground_bright, ground)
+
     def test_deterministic_and_phase_convention(self, rng):
         v = random_coupling_matrix(rng, 5, 2)
         d1 = morris_shore_transform(TwoManifoldSystem(v))

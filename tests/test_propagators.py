@@ -30,7 +30,7 @@ from brightpath.propagators import (
     reparametrize,
 )
 from brightpath.ramps import ramp_rate, ramp_value
-from conftest import matmul_snapshots, midpoint_reference, reference_gate_drive, reversed_trajectory
+from conftest import excited_and, matmul_snapshots, midpoint_reference, reference_gate_drive, reversed_trajectory
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -446,11 +446,16 @@ class TestBlockedOracle:
             values[progress == bad] *= 1.001
             return values, derivatives
 
-        for run in (evolve_full_adiabatic, lambda sch, cfg: evolve_state_full(sch, cfg, np.eye(4)[0])):
+        # A trace also samples the drive at the first block's FULL_BLOCK + 1
+        # row times, for its coupled states.
+        for run, sampled in (
+            (evolve_full_adiabatic, [FULL_BLOCK, FULL_BLOCK]),
+            (lambda sch, cfg: evolve_state_full(sch, cfg, np.eye(4)[0]), [FULL_BLOCK, FULL_BLOCK + 1, FULL_BLOCK]),
+        ):
             blocks.clear()
             with pytest.raises(NotNormalized, match=rf"<B\|B> - 1\| = 2\.001e-03 exceeds 1\.0e-10 at progress={bad:.6g}$"):
                 run(drive(broken), config)
-            assert blocks == [FULL_BLOCK, FULL_BLOCK]
+            assert blocks == sampled
 
     @pytest.mark.parametrize("excess, rejected", [(1e-9, True), (5e-11, False)])
     def test_normalization_is_checked_at_the_coupling_tolerance(self, excess, rejected):
@@ -654,7 +659,7 @@ class TestOnePass:
         start = np.zeros(self.DIMS[route], dtype=complex)
         start[:2] = 0.6, 0.8j
         blocks = []
-        result = self.run(route, lambda times, states: blocks.append((times, states)), start)
+        result = self.run(route, lambda times, states, coupled: blocks.append((times, states)), start)
         steps = result.steps
         assert [len(times) for times, _ in blocks] == [min(FULL_BLOCK, steps - lo) + (lo == 0) for lo in range(0, steps, FULL_BLOCK)]
         assert np.array_equal(blocks[0][1][0], start)
@@ -677,6 +682,30 @@ class TestOnePass:
         assert rows == []
 
     @pytest.mark.parametrize("route", ["time_ordered", "full"])
+    def test_the_sink_gets_the_states_the_drive_couples(self, route):
+        # At every row's time: the bright states of the midpoint route's
+        # trajectory; the bright state in n+1 levels, then the excited
+        # level, for the full oracle.  Bit for bit, on a ragged run.
+        steps = FULL_BLOCK + 3
+        if route == "time_ordered":
+            trajectory = noncommuting_trajectories()[1]
+            start = np.array([0.6, 0.8j, 0.0, 0.0], dtype=complex)
+            propagate = lambda trace: evolve_time_ordered(trajectory, 0.2, 1.5, steps, trace)
+            want = trajectory.values
+        else:
+            schedule = smoothly(gate_schedule())
+            start = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
+            propagate = lambda trace: evolve_full_adiabatic(schedule, AdiabaticRunConfig(omega_T=40.0, steps=steps), trace)
+            want = lambda times: excited_and(schedule.values(times))
+
+        blocks = []
+        propagate(StateTrace(start, lambda *block: blocks.append(block)))
+        assert len(blocks) == 2
+        for times, states, coupled in blocks:
+            assert coupled.shape == (len(times),) + want(times).shape[1:]
+            assert np.array_equal(coupled, want(times))
+
+    @pytest.mark.parametrize("route", ["time_ordered", "full"])
     def test_a_ragged_run_hands_the_sink_every_step_once(self, route):
         # Two full blocks and a tail of 3: the sink gets the start row with
         # the first block, then each step's state once and in order, at its
@@ -697,9 +726,9 @@ class TestOnePass:
             mids_blocks, _ = _step_grid(t0, t1, steps)
             factors = (_lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / steps) for mids in mids_blocks)
         blocks = []
-        propagate(StateTrace(start, lambda times, states: blocks.append((times, states))))
-        assert [len(times) for times, _ in blocks] == [FULL_BLOCK + 1, FULL_BLOCK, 3]
-        times, states = map(np.concatenate, zip(*blocks))
+        propagate(StateTrace(start, lambda *block: blocks.append(block)))
+        assert [len(times) for times, _, _ in blocks] == [FULL_BLOCK + 1, FULL_BLOCK, 3]
+        times, states, _ = map(np.concatenate, zip(*blocks))
         np.testing.assert_allclose(times, t0 + (t1 - t0) * np.arange(steps + 1) / steps, rtol=0, atol=1e-15)
         assert times[0] == t0 and times[-1] == t1
         assert np.abs(states - matmul_snapshots(factors, start)).max() <= 1e-13
@@ -722,11 +751,13 @@ class TestBlockedScan:
         blocks = [block(), block()]
         start = np.exp(0.3j * np.arange(dim)) / np.sqrt(dim)
         handed = []
-        step = _traced(StateTrace(start, lambda *rows: handed.append(rows)), 0.5, 2.0, 2 * m)
+        clock = lambda times: times[:, None, None]  # coupled states that name their own times
+        step = _traced(StateTrace(start, lambda *rows: handed.append(rows)), 0.5, 2.0, 2 * m, clock)
         for planes in blocks:
             assert step(planes) is planes
-        assert [len(times) for times, _ in handed] == [m + 1, m]
-        times, states = map(np.concatenate, zip(*handed))
+        assert [len(times) for times, _, _ in handed] == [m + 1, m]
+        times, states, coupled = map(np.concatenate, zip(*handed))
+        assert np.array_equal(coupled, clock(times))
         assert np.array_equal(times, np.minimum(0.5 + 1.5 * np.arange(2 * m + 1) / (2 * m), 2.0))
         assert np.array_equal(states[0], start)
         assert np.abs(states - matmul_snapshots(blocks, start)).max() <= 1e-13
@@ -846,6 +877,13 @@ class TestReparametrize:
     def test_orientation_reversal_rejected(self):
         with pytest.raises(NonMonotoneMap):
             reparametrize(rotating_trajectory(1.0), lambda t: 1.0 - t, lambda t: -1.0, 0.0, 1.0)
+
+    def test_map_leaving_the_base_domain_names_both_intervals(self):
+        # f = 2t on [0, 1]: the message gives the image's two ends, f(0) and f(1).
+        traj = stage_trajectory(off_grid_gate())
+        with pytest.raises(ValueError) as caught:
+            reparametrize(traj, lambda t: 2.0 * t, lambda t: 2.0 + 0.0 * t, 0.0, 1.0)
+        assert str(caught.value) == "f maps [0, 1] onto [0, 2], outside the trajectory's [0, 1]"
 
     @pytest.mark.parametrize(
         "f, fprime, t0, t1",

@@ -268,6 +268,48 @@ MUTANTS = (
         "the twist stage writes 0.0 for the auxiliary amplitude cos(pi/2) ~ 6.1e-17, which no physics test sees",
     ),
     Mutant(
+        "full-trace-couples-no-excited-level",
+        "propagators",
+        "    return coupled\n",
+        "    return coupled[:, :k]\n",
+        "the full oracle's trace hands its sink the bright states without the excited level",
+    ),
+    Mutant(
+        "core-lift-of-coupled-skips-a-column",
+        "gates",
+        'np.einsum("mkc,dc->mkd", coupled, frame)',
+        'np.einsum("mkc,dc->mkd", coupled[:, :, :-1], frame[:, :-1])',
+        "a gate trace lifts its coupled states through all but the last column of the core frame",
+    ),
+    Mutant(
+        "wall-time-in-kiloseconds",
+        "cli",
+        "(time.perf_counter() - started) * 1000.0",
+        "(time.perf_counter() - started) / 1000.0",
+        "a report's wall_time_ms is the run's seconds divided by 1000",
+    ),
+    Mutant(
+        "criterion-10-anticommutator",
+        "acceptance",
+        "u_y @ u_z - u_z @ u_y",
+        "u_y @ u_z + u_z @ u_y",
+        "the universality witness measures the anticommutator, whose norm 2.72 also exceeds 0.1",
+    ),
+    Mutant(
+        "morris-shore-degeneracy-threshold-inverted",
+        "morris_shore",
+        "<= 1e-10 * strengths[0]",
+        "<= 1e-10 / strengths[0]",
+        "the degeneracy threshold shrinks as the couplings grow: a pair's order depends on the drive's scale",
+    ),
+    Mutant(
+        "reparametrize-message-second-sample",
+        "propagators",
+        "onto [{mapped[0]:.6g}, {mapped[-1]:.6g}]",
+        "onto [{mapped[0]:.6g}, {mapped[1]:.6g}]",
+        "reparametrize's error gives the map's second check point as the end of its image",
+    ),
+    Mutant(
         "repr-fixed-notation-ends-at-15",
         "floatrepr",
         "fixed = (decpt > -4) & (decpt <= 16)",

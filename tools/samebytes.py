@@ -13,7 +13,10 @@ each tree in one process through its own ``brightpath.cli.main``:
   ``perfbench/workloads.py`` (read only), for each seed, with the argv that
   ``perfbench/run.py`` gives it;
 - each kind's default run, with the method and ``--timeseries`` variants
-  that CI runs.
+  that CI runs;
+- CI's hand-written five-, four- and twelve-level gate and compare
+  configs, and a ``--timeseries`` run of the four-level full gate, whose
+  stage times end at t3 = 1.7.
 
 Reports are compared field by field without ``diagnostics.wall_time_ms``,
 CSVs byte for byte, and exit codes as they are.  A field is the dotted path
@@ -50,6 +53,29 @@ DEFAULT_RUNS = (
     ("default-gate-effective-timeseries", ["gate", "--method", "effective"], True),
     ("default-morris-shore", ["morris-shore"], False),
     ("default-loop", ["loop"], False),
+)
+# CI's hand-written gates: five levels; four and twelve on stage times that
+# end at t3 = 1.7, so the full route's progress clock rescales them.
+_SMOOTH = {"phase": 0.9, "theta_schedule": "smooth", "phi_schedule": "smooth", "full_steps": 16384}
+_GATE5 = {**_SMOOTH, "n": 5, "psi": [[0.5, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [0.0, 0.0]], "stage_times": [0.3, 0.55, 1.0]}
+_GATE4 = {**_SMOOTH, "n": 4, "psi": [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0], [0.0, 0.0]], "stage_times": [0.4, 0.9, 1.7]}
+_GATE12 = {
+    **_SMOOTH,
+    "n": 12,
+    "psi": [[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]] + [[0.0, 0.0]] * 8,
+    "stage_times": [0.4, 0.9, 1.7],
+    "omega_T": 2000.0,
+}
+_SWEEP = {"omega_T_list": [250.0, 1000.0, 4000.0]}
+_BOTH = ["--method", "effective", "--method", "full"]
+# CI's config runs: (name, kind, parameters, argv after the config, writes a CSV).
+CONFIG_RUNS = (
+    ("ci-gate5", "gate", {**_GATE5, "methods": ["full"], "omega_T": 2000.0}, [], False),
+    ("ci-compare5", "compare", {**_GATE5, **_SWEEP}, [], False),
+    ("ci-gate4", "gate", {**_GATE4, "omega_T": 2000.0}, _BOTH, False),
+    ("ci-compare4", "compare", {**_GATE4, **_SWEEP}, [], False),
+    ("ci-gate4-full-timeseries", "gate", {**_GATE4, "omega_T": 2000.0}, ["--method", "full"], True),
+    ("ci-gate12", "gate", _GATE12, _BOTH, False),
 )
 # Runs in a tree's own interpreter: argv[1] holds [name, argv] jobs, and
 # argv[2] receives the exit codes and the path brightpath was imported from.
@@ -96,6 +122,11 @@ def _jobs(seeds: list[int], configs: str) -> list[tuple[str, list[str], bool]]:
                 with open(path, "wb") as handle:
                     handle.write(scenario.config_bytes())
                 jobs.append((name, [scenario.kind, "--config", path], scenario.timeseries))
+    for name, kind, parameters, argv, csv in CONFIG_RUNS:
+        path = os.path.join(configs, name + ".json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"kind": kind, "parameters": parameters}, handle)
+        jobs.append((name, [kind, "--config", path] + argv, csv))
     return jobs + [(name, list(argv), csv) for name, argv, csv in DEFAULT_RUNS]
 
 
