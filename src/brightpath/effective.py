@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,6 +111,19 @@ def h_eff_couplings(c: CouplingSet, rdot, phidot) -> HermitianOperator:
     return HermitianOperator((gauge + twist) * phase)
 
 
+class Piece(NamedTuple):
+    """One piece of a bright trajectory, on [t_start, t_end]: its bright
+    states are ``phases * v``, one unit phase per level (None: all 1), for
+    the coordinates v that ``sampler`` (values and derivatives) and
+    ``values`` give.  v may be real, and then so is a route's arithmetic."""
+
+    t_start: float
+    t_end: float
+    phases: np.ndarray | None
+    sampler: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    values: Callable[[np.ndarray], np.ndarray]
+
+
 @dataclass(frozen=True)
 class BrightTrajectory:
     """Time-dependent orthonormal bright frame with analytic derivatives.
@@ -131,6 +144,39 @@ class BrightTrajectory:
     sampler: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
     breakpoints: tuple[float, ...] = ()
     value_sampler: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    pieces: tuple[Piece, ...] = field(default=(), repr=False)
+
+    @classmethod
+    def from_pieces(cls, dim: int, k: int, pieces: Sequence[Piece]) -> BrightTrajectory:
+        """The trajectory through ``pieces``, each starting where the last
+        ends; their inner edges are its breakpoints, and a time on an edge
+        belongs to the piece on its right.  Its samplers take each time from
+        its piece, times the piece's phases, as complex arrays."""
+        pieces = tuple(pieces)
+        edges = tuple(piece.t_start for piece in pieces[1:])
+
+        def gathered(times: np.ndarray, read) -> tuple[np.ndarray, ...]:
+            if not np.all(times[:-1] <= times[1:]):  # sampled in order, put back
+                order = np.argsort(times, kind="stable")
+                return tuple(array[np.argsort(order)] for array in gathered(times[order], read))
+            cuts = (0, *np.searchsorted(times, edges), times.size)
+            spans = [(piece, times[lo:hi]) for piece, lo, hi in zip(pieces, cuts, cuts[1:]) if hi > lo or not times.size]
+            parts = [tuple(np.asarray(a, complex) if p.phases is None else a * p.phases for a in read(p, part)) for p, part in spans]
+            return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+        sampler = lambda times: gathered(times, lambda piece, part: piece.sampler(part))
+        value_sampler = lambda times: gathered(times, lambda piece, part: (piece.values(part),))[0]
+        return cls(dim, k, pieces[0].t_start, pieces[-1].t_end, sampler, edges, value_sampler, pieces)
+
+    def split(self, times: np.ndarray) -> list[tuple[Piece, np.ndarray]]:
+        """Each piece with its part of the sorted ``times`` (an edge goes to
+        the piece on its right; empty parts are dropped), under the domain
+        check of ``sample``.  A trajectory without pieces is one piece, with
+        no phases, that reads ``sample`` and ``values``."""
+        times = self._times(times)
+        pieces = self.pieces or (Piece(self.t_start, self.t_end, None, self.sample, self.values),)
+        cuts = np.searchsorted(times, [piece.t_start for piece in pieces[1:]])
+        return [(piece, part) for piece, part in zip(pieces, np.split(times, cuts)) if part.size]
 
     def _times(self, times) -> np.ndarray:
         """``times`` as a float array, once every time lies in [t_start,

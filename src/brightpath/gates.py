@@ -26,7 +26,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .effective import BrightTrajectory
+from .effective import BrightTrajectory, Piece
 from .errors import DimensionMismatch, NotNormalized
 from .linalg import UnitaryOperator, matrix_distance, projector_from_frame
 from .propagators import (
@@ -96,74 +96,61 @@ def stage_trajectory(spec: GateSpec) -> BrightTrajectory:
     """The gate's bright path on [0, t3]: |n-1> -> psi -> (phase twist) -> back.
 
     B = e^{i phi} sin(theta/2) psi + cos(theta/2) |n-1>, with Bdot by the
-    chain rule.  The mixing angle theta rises 0 -> pi on [0, t1], the phase
-    phi turns 0 -> twist on [t1, t2], and theta falls back to 0 on
-    [t2, t3], each along its schedule's ramp.  B is continuous; Bdot jumps
-    at the breakpoints t1 and t2, each of which belongs to the stage on its
-    right.  Its ``values`` take the same formulas without the rates and
-    Bdot, so they are the bits of ``sample``'s values.
+    chain rule, in three pieces that each evaluate only the angle they move
+    along its ramp: the rise turns theta 0 -> pi on [0, t1], the twist phi
+    0 -> twist on [t1, t2], the fall theta back to 0 on [t2, t3].  Rise and
+    fall sample sin(theta/2) psi + cos(theta/2) |n-1>, real for a real psi,
+    the fall with the phases e^{i twist} on the levels of psi.  B is
+    continuous; Bdot jumps at t1 and t2, each in the piece on its right.
+    ``values`` keep the bits of ``sample``'s values without the rates.
     """
     psi, n, twist = spec.psi, spec.n, spec.phase_twist
     t1, t2, t3 = spec.t1, spec.t2, spec.t3
-    # The still angle of each stage: theta/2 = pi/2 on the twist, phi = 0
-    # on the rise and twist on the fall.  Each constant comes from the numpy
-    # call a whole array of that angle makes, so every sample keeps the bits
-    # its own angles would give.
+    ground = psi if psi.imag.any() else psi.real
+    # The still angles: theta/2 = pi/2 on the twist, phi = twist on the
+    # fall.  Each constant comes from the numpy call a whole array of that
+    # angle makes, so every sample keeps the bits its own angles would give.
     top = np.array([np.pi]) / 2
     (sin_top,), (cos_top,) = np.sin(top), np.cos(top)
-    turned_rise, turned_fall = np.exp(1j * np.array([0.0, twist]))
 
-    def stages(times: np.ndarray, rates: bool) -> tuple[np.ndarray, ...]:
-        """sin(theta/2), cos(theta/2) and e^{i phi} at every time, then the
-        rates of theta and phi when ``rates``.  Each stage evaluates only
-        the angle it moves: theta on the rise and the fall, phi on the
-        twist; the other angle keeps its stage's constant."""
-        rise, fall = times < t1, t2 <= times
-        turn = ~(rise | fall)
-        sin, cos = np.full(times.shape, sin_top), np.full(times.shape, cos_top)
-        turned = np.where(rise, turned_rise, turned_fall)
-        theta_rate, phi_rate = np.zeros(times.shape), np.zeros(times.shape)
-        # (stage, interval, start value, change) of theta
-        for inside, lo, hi, start, change in ((rise, 0.0, t1, 0.0, np.pi), (fall, t2, t3, np.pi, -np.pi)):
-            s = (times[inside] - lo) / (hi - lo)
+    def bright(along: np.ndarray, cos) -> np.ndarray:
+        """along psi + cos |n-1> as (M, 1, n), column by column: a broadcast
+        product costs several times more, and |n-1> needs none."""
+        out = np.empty((along.size, 1, n), dtype=np.result_type(along, ground))
+        for level, amplitude in enumerate(ground):
+            np.multiply(along, amplitude, out=out[:, 0, level])
+        out[:, 0, n - 1] += cos
+        return out
+
+    def theta_piece(lo: float, hi: float, start: float, change: float, phases) -> Piece:
+        def angles(times: np.ndarray) -> tuple[np.ndarray, ...]:
+            s = (times - lo) / (hi - lo)
             half = (start + change * ramp_value(spec.theta_schedule, s)) / 2
-            sin[inside], cos[inside] = np.sin(half), np.cos(half)
-            if rates:
-                theta_rate[inside] = change * ramp_rate(spec.theta_schedule, s) / (hi - lo)
-        s = (times[turn] - t1) / (t2 - t1)
+            return s, np.sin(half), np.cos(half)
+
+        def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            s, sin, cos = angles(times)
+            rate = change * ramp_rate(spec.theta_schedule, s) / (hi - lo)
+            return bright(sin, cos), bright(0.5 * rate * cos, -(0.5 * rate * sin))
+
+        return Piece(lo, hi, phases, sampler, lambda times: bright(*angles(times)[1:]))
+
+    def turned(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s = (times - t1) / (t2 - t1)
         # phi starts from 0.0, which turns a -0.0 product into 0.0
-        turned[turn] = np.exp(1j * (0.0 + twist * ramp_value(spec.phi_schedule, s)))
-        if rates:
-            phi_rate[turn] = twist * ramp_rate(spec.phi_schedule, s) / (t2 - t1)
-        return (sin, cos, turned, theta_rate, phi_rate) if rates else (sin, cos, turned)
+        return s, np.exp(1j * (0.0 + twist * ramp_value(spec.phi_schedule, s)))
 
-    def bright(sin: np.ndarray, cos: np.ndarray, turned: np.ndarray, out: np.ndarray) -> None:
-        """Write B into the (M, n) ``out``.  Column by column: a broadcast
-        (M, 1) x (n,) complex product costs several times more, and the
-        one-hot |n-1> needs no product at all."""
-        along = turned * sin
-        for level, amplitude in enumerate(psi):
-            np.multiply(along, amplitude, out=out[:, level])
-        out[:, n - 1] += cos
+    def twist_sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s, turn = turned(times)
+        across = np.zeros(times.shape, dtype=complex)
+        across.imag = twist * ramp_rate(spec.phi_schedule, s) / (t2 - t1) * sin_top
+        # Adding -0j (both parts -0.0) to the auxiliary rate changes no bit.
+        return bright(turn * sin_top, cos_top), bright(turn * across, -0j)
 
-    def value_sampler(times: np.ndarray) -> np.ndarray:
-        values = np.empty((times.size, 1, n), dtype=complex)
-        bright(*stages(times, False), values[:, 0])
-        return values
-
-    def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sin, cos, turned, theta_rate, phi_rate = stages(times, True)
-        values, derivatives = np.empty((2, times.size, 1, n), dtype=complex)
-        bright(sin, cos, turned, values[:, 0])
-        across = np.empty(times.shape, dtype=complex)
-        across.real, across.imag = 0.5 * theta_rate * cos, phi_rate * sin
-        across = turned * across
-        for level, amplitude in enumerate(psi):
-            np.multiply(across, amplitude, out=derivatives[:, 0, level])
-        derivatives[:, 0, n - 1] -= 0.5 * theta_rate * sin
-        return values, derivatives
-
-    return BrightTrajectory(n, 1, 0.0, t3, sampler, (t1, t2), value_sampler)
+    rise = theta_piece(0.0, t1, 0.0, np.pi, None)
+    middle = Piece(t1, t2, None, twist_sampler, lambda times: bright(turned(times)[1] * sin_top, cos_top))
+    fall = theta_piece(t2, t3, np.pi, -np.pi, np.where(np.arange(n) < n - 1, np.exp(1j * np.array([twist])), 1.0))
+    return BrightTrajectory.from_pieces(n, 1, (rise, middle, fall))
 
 
 def analytic_stage_unitaries(spec: GateSpec) -> tuple[UnitaryOperator, UnitaryOperator, UnitaryOperator]:

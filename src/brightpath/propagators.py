@@ -12,8 +12,10 @@ H_eff is formed), or the closed-form step of the full (n+1)-level Lambda
 Hamiltonian Omega (|B><e| + h.c.), the brute-force oracle the geometric
 methods are checked against.  Its drive is one bright trajectory B on
 progress [0, 1] at Omega = 1, so B and Omega*T fix a run, and the oracle
-reads only its values (``BrightTrajectory.values``: no Bdot is computed
-for a trajectory that has a value sampler).  A reducer consumes the
+reads only the values of its pieces (no Bdot), each part of a block in
+its piece's coordinates: the Lambda steps are built and multiplied in the
+real form D^-1 F D, D = diag(1, ..., 1, i), real for real coordinates,
+and each product is mapped back (``_lift``).  A reducer consumes the
 blocks in order: it forms the ordered product (each block by a pairwise
 tree, then the block products by the same tree) and, given a
 ``StateTrace``, applies the same factors to one state by a blocked scan
@@ -126,12 +128,12 @@ def _midpoint_factors(trajectory: BrightTrajectory, t0: float, t1: float, steps:
 
 
 def _bright_states(values, progress: np.ndarray) -> np.ndarray:
-    """The (M, n) bright states of a drive sampled at ``progress``: one per
-    sample (else ``DimensionMismatch``), each normalized within
-    ``COUPLING_NORM_TOL`` (else ``NotNormalized`` names the first failing
-    progress; non-finite entries fail too).  The norms are one pass over
-    the float view of the states."""
-    values = np.asarray(values, dtype=complex)
+    """The (M, n) bright states of a drive sampled at ``progress``, real or
+    complex as sampled: one per sample (else ``DimensionMismatch``), each
+    normalized within ``COUPLING_NORM_TOL`` (else ``NotNormalized`` names
+    the first failing progress; non-finite entries fail too).  The norms
+    are one pass over the float view of the states."""
+    values = np.asarray(values, dtype=float if np.isrealobj(values) else complex)
     if values.ndim != 3 or values.shape[:2] != (progress.size, 1):
         raise DimensionMismatch(f"the full oracle needs one bright state per sample, (M, 1, n); got {values.shape}")
     b = np.ascontiguousarray(values[:, 0])
@@ -153,22 +155,24 @@ def _with_excited(values: np.ndarray) -> np.ndarray:
     return coupled
 
 
-def _lambda_rotation(phase: float) -> tuple[float, complex]:
-    """c = cos p - 1 and s = -i sin p, the coefficients of the Lambda step
-    exp(-i p (|B><e| + |e><B|)) = 1 + c (P_B + P_e) + s (|B><e| + |e><B|)."""
-    return np.cos(phase) - 1.0, -1j * np.sin(phase)
+def _lambda_rotation(phase: float) -> tuple[float, float]:
+    """c = cos p - 1 and s = sin p, the coefficients of the Lambda step
+    exp(-i p (|B><e| + |e><B|)) in real form: 1 + c (P_B + P_e) + s (|B><e| - |e><B|)."""
+    return np.cos(phase) - 1.0, np.sin(phase)
 
 
 def _lambda_step_factors(b: np.ndarray, phase: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Exact one-step propagators exp(-i H dt) for Lambda Hamiltonians.
+    """Exact one-step propagators exp(-i H dt) for Lambda Hamiltonians, in
+    the real form G = D^-1 F D, D = diag(1, ..., 1, i).
 
     ``b``: (M, n) bright states per step, ``phase``: the step's Omega * dt.
     Each factor acts on n+1 levels and is the closed form
-    1 + (cos p - 1)(P_B + P_e) - i sin p (|B><e| + |e><B|), written row by
-    row into uninitialized (n+1, n+1, M) entry planes: ``out`` when given.
+    1 + (cos p - 1)(P_B + P_e) + sin p (|B><e| - |e><B|), written row by row
+    into uninitialized (n+1, n+1, M) entry planes of b's dtype (``out`` when
+    given): real for a real B.  ``_lift`` maps a product of them back.
     """
     m, n = b.shape
-    planes = np.empty((n + 1, n + 1, m), dtype=complex) if out is None else out
+    planes = np.empty((n + 1, n + 1, m), dtype=b.dtype) if out is None else out
     cosem, sine = _lambda_rotation(phase)
     ket = np.ascontiguousarray(b.T)
     bra = ket.conj()
@@ -176,42 +180,55 @@ def _lambda_step_factors(b: np.ndarray, phase: float, out: np.ndarray | None = N
         np.multiply(cosem * ket[i], bra, out=planes[i, :n])
         planes[i, i] += 1.0
     np.multiply(sine, ket, out=planes[:n, n])
-    np.multiply(sine, bra, out=planes[n, :n])
+    np.multiply(-sine, bra, out=planes[n, :n])
     planes[n, n] = cosem + 1.0
     return planes
 
 
+def _lift(phases: np.ndarray | None, n: int) -> np.ndarray:
+    """The entrywise factors of W = Phi G Phi^dag, Phi = diag(phases, i),
+    which map a real-form product G of a piece's Lambda steps back to the
+    propagator W of its bright states ``phases * b``: with no phases, the
+    excited row times i and its column times -i, bit for bit."""
+    phi = np.append(np.ones(n) if phases is None else phases, 1j)
+    return np.outer(phi, phi.conj())
+
+
 class _LambdaPairs:
-    """The products F_{2j+1} F_{2j} of consecutive Lambda steps of a block
-    of bright states, in closed form, for any step phase.
+    """The products G_{2j+1} G_{2j} of consecutive Lambda steps of a block
+    of bright states, in the real form of ``_lambda_step_factors`` and of
+    its dtype, in closed form, for any step phase.
 
     With b0 = B_{2j}, b1 = B_{2j+1}, omega = <b1|b0>, c = cos p - 1 and
-    s = -i sin p, the pair is
-    [[1 + c S + kappa X, s (|b0> + mu |b1>)], [s (<b1| + mu <b0|), s^2 omega + cos^2 p]]
-    with S = |b1><b1| + |b0><b0|, X = |b1><b0|, kappa = c^2 omega + s^2 and
+    s = sin p, the pair is
+    [[1 + c S + kappa X, s (|b0> + mu |b1>)], [-s (<b1| + mu <b0|), cos^2 p - s^2 omega]]
+    with S = |b1><b1| + |b0><b0|, X = |b1><b0|, kappa = c^2 omega - s^2 and
     mu = c omega + cos p.  omega, S and X do not depend on the phase, so
     ``load`` builds them once per block for every run of a sweep; a run's
     ``factors`` writes only its pair planes, half as many as its steps, and
     an odd last step is its own ``_lambda_step_factors`` plane.
 
     The shared planes (kets and bras of the first and second steps, omega,
-    S and X) are rows of one buffer, made for ``size`` steps once per sweep
-    and refilled by each ``load``; a trace's single steps of a block
-    (``steps``) are written into the same buffer before ``load`` refills
-    it.  Built afresh per block, these arrays were freed at every block's
-    end, the heap top went back to the system and the next block
-    page-faulted it in again: 54 000 minor faults, a fifth of the time of
-    a two-run 2^20-step sweep, in some heap layouts.
+    S and X) are rows of one complex buffer (or of its float view), made
+    for ``size`` steps once per sweep and refilled by each ``load``; a
+    trace's single steps of a block (``steps``) are written into the same
+    buffer before ``load`` refills it.  Built afresh per block, they cost
+    54 000 minor faults, a fifth of a two-run 2^20-step sweep, in some heap
+    layouts: the heap top went back to the system at every block's end.
     """
 
     def __init__(self, n: int, size: int):
         self.buffer = np.empty(max((2 * n * n + 4 * n + 1) * (size // 2), (n + 1) ** 2 * size), dtype=complex)
 
     def steps(self, b: np.ndarray, phase: float) -> np.ndarray:
-        """The single-step planes of ``b`` (``_lambda_step_factors``), in the
-        buffer: valid until the next ``load``."""
+        """The single steps exp(-i H dt) of ``b``: its real-form planes
+        (``_lambda_step_factors``) mapped back in place, the excited row
+        times i and its column times -i, in the buffer until ``load``."""
         m, n = b.shape
-        return _lambda_step_factors(b, phase, self.buffer[: (n + 1) ** 2 * m].reshape(n + 1, n + 1, m))
+        planes = _lambda_step_factors(b, phase, self.buffer[: (n + 1) ** 2 * m].reshape(n + 1, n + 1, m))
+        planes[:n, n] *= -1j
+        planes[n, :n] *= 1j
+        return planes
 
     def load(self, b: np.ndarray) -> None:
         """Build the shared planes of the (m, n) bright states ``b``."""
@@ -219,7 +236,7 @@ class _LambdaPairs:
         half = m // 2
         self.tail = b[2 * half :]
         count = 2 * n * n + 4 * n + 1
-        rows = self.buffer[: count * half].reshape(count, half)
+        rows = self.buffer.view(b.dtype)[: count * half].reshape(count, half)
         kets, bras = rows[: 2 * n].reshape(2, n, half), rows[2 * n : 4 * n].reshape(2, n, half)
         np.copyto(kets, b[: 2 * half].reshape(half, 2, n).transpose(1, 2, 0))
         np.conjugate(kets, out=bras)
@@ -238,17 +255,17 @@ class _LambdaPairs:
         n, _, half = self.both.shape
         c, s = _lambda_rotation(phase)
         cos = c + 1.0
-        kappa = c * c * self.omega + s * s
+        kappa = c * c * self.omega - s * s
         mu = c * self.omega + cos
-        planes = np.empty((n + 1, n + 1, half + len(self.tail)), dtype=complex)
+        planes = np.empty((n + 1, n + 1, half + len(self.tail)), dtype=self.omega.dtype)
         pairs = planes[:, :, :half]
         for i in range(n):
             np.multiply(kappa, self.cross[i], out=pairs[i, :n])
             pairs[i, :n] += c * self.both[i]
             pairs[i, i] += 1.0
         np.multiply(s, self.ket0 + mu * self.ket1, out=pairs[:n, n])
-        np.multiply(s, self.bra1 + mu * self.bra0, out=pairs[n, :n])
-        np.multiply(s * s, self.omega, out=pairs[n, n])
+        np.multiply(-s, self.bra1 + mu * self.bra0, out=pairs[n, :n])
+        np.multiply(-s * s, self.omega, out=pairs[n, n])
         pairs[n, n] += cos * cos
         if len(self.tail):
             _lambda_step_factors(self.tail, phase, planes[:, :, half:])
@@ -392,16 +409,19 @@ def evolve_full_sweep(
     a sweep over Omega*T: the ground-truth oracle of the geometric methods.
 
     The drive is one bright state B on progress [0, 1] at Omega = 1, and
-    only ``drive.values`` is read.  The runs must share ``steps`` (else
-    ``ValueError``), so B is sampled and checked once per block for all of
-    them, and the run-independent parts of the block's step pairs
+    only values are read.  Each block is split at the drive's piece edges
+    (``BrightTrajectory.split``), and each part runs in its piece's
+    coordinates and dtype.  The runs must share ``steps`` (else
+    ``ValueError``), so each part is sampled and checked once for all of
+    them, and the run-independent parts of its step pairs
     (``_LambdaPairs``) are built once; each run then reduces its closed-form
     pair products of phase omega_T / steps, half as many factors as steps,
-    so memory does not grow with the number of runs.  A ``trace`` (one run
-    only) carries its state along the single steps of the same run, with
-    times in progress units, and its sink is handed the bright state and
-    the excited level at those times; the unitary comes from the pairs
-    either way, so a traced run's unitary is the untraced one, bit for bit.
+    and maps the product back (``_lift``), so memory does not grow with
+    the number of runs.  A ``trace`` (one run only) carries its state
+    along the single steps of the same run, with times in progress units,
+    and its sink is handed the bright state and the excited level at those
+    times; the unitary comes from the pairs either way, so a traced run's
+    unitary is the untraced one, bit for bit.
     """
     if not configs:
         raise ValueError("a sweep needs at least one run")
@@ -415,14 +435,19 @@ def evolve_full_sweep(
     products = [[] for _ in configs]
     pairs = None
     for mids in blocks:
-        b = _bright_states(drive.values(mids), mids)
+        parts = [(piece, _bright_states(piece.values(part), part)) for piece, part in drive.split(mids)]
         if pairs is None:
-            pairs = _LambdaPairs(b.shape[1], min(steps, FULL_BLOCK))
+            pairs = _LambdaPairs(parts[0][1].shape[1], min(steps, FULL_BLOCK))
         if scan is not None:
-            scan(pairs.steps(b, configs[0].omega_T / steps))
-        pairs.load(b)
-        for run, run_products in zip(configs, products):
-            run_products.append(_ordered_product(pairs.factors(run.omega_T / steps)))
+            # The steps of the bright states themselves: a trace's rows do
+            # not depend on how a path is cut into pieces.
+            bright = np.concatenate([b if piece.phases is None else b * piece.phases for piece, b in parts])
+            scan(pairs.steps(bright, configs[0].omega_T / steps))
+        for piece, b in parts:
+            pairs.load(b)
+            lift = _lift(piece.phases, b.shape[1])
+            for run, run_products in zip(configs, products):
+                run_products.append(lift * _ordered_product(pairs.factors(run.omega_T / steps)))
     results = []
     for run_products in products:
         unitary, drift = _polar(_ordered_product(np.stack(run_products, axis=-1)))

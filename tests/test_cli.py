@@ -4,7 +4,6 @@ import math
 import re
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -393,7 +392,8 @@ class TestTimeseries:
                     raise ValueError("the drive breaks")
                 return drive.values(progress)
 
-            return SimpleNamespace(values=values)
+            # Without its pieces, the drive is one piece that reads ``values``.
+            return dataclasses.replace(drive, value_sampler=values, pieces=())
 
         monkeypatch.setattr(gates, "stage_trajectory", breaking_drive)
         path.write_text("a stale series\n")

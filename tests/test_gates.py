@@ -44,9 +44,10 @@ def spec_pi3(n=3, **kwargs):
 def whole_array_bright_path(spec, times):
     """The gate's bright path and its derivative by whole-array formulas:
     theta, phi and their rates at every time, then sin(theta/2),
-    cos(theta/2) and e^{i phi} over every sample.  ``stage_trajectory``
-    evaluates each angle only on the stages that move it, and must keep
-    these bits."""
+    cos(theta/2) and e^{i phi} over every sample; on the fall, the phase
+    e^{i twist} multiplies each level of sin(theta/2) psi + cos(theta/2)
+    |n-1> (real for a real psi) instead.  ``stage_trajectory`` evaluates
+    each angle only on the stages that move it, and must keep these bits."""
     psi, n, twist, t1, t2, t3 = spec.psi, spec.n, spec.phase_twist, spec.t1, spec.t2, spec.t3
     theta, phi = np.full(times.shape, np.pi), np.where(times < t2, 0.0, twist)
     theta_rate, phi_rate = np.zeros(times.shape), np.zeros(times.shape)
@@ -70,6 +71,12 @@ def whole_array_bright_path(spec, times):
         np.multiply(across, amplitude, out=derivatives[:, 0, level])
     values[:, 0, n - 1] += cos
     derivatives[:, 0, n - 1] -= 0.5 * theta_rate * sin
+    ground = psi if psi.imag.any() else psi.real
+    phases = np.where(np.arange(n) < n - 1, np.exp(1j * np.array([twist]))[0], 1.0)
+    for out, along, aux in ((values, sin, cos), (derivatives, 0.5 * theta_rate * cos, -(0.5 * theta_rate * sin))):
+        rows = along[fall, None] * ground
+        rows[:, n - 1] += aux[fall]
+        out[fall, 0] = rows * phases
     return values, derivatives
 
 
@@ -156,10 +163,12 @@ class TestStageTrajectory:
         times = np.concatenate([rng.uniform(0.0, t3, rng.integers(0, 40)), marks, rng.choice(marks, 4)])
         rng.shuffle(times)
         trajectory = stage_trajectory(spec)
-        expected = whole_array_bright_path(spec, times)
-        for got, want in zip((*trajectory.sample(times), trajectory.values(times)), (*expected, expected[0])):
-            assert got.shape == want.shape
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        # Unsorted times, and sorted ones as a route's grid hands them over.
+        for times in (times, np.sort(times)):
+            expected = whole_array_bright_path(spec, times)
+            for got, want in zip((*trajectory.sample(times), trajectory.values(times)), (*expected, expected[0])):
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_normalized_everywhere_and_derivatives_consistent(self):
         spec = spec_pi3(theta_schedule="smooth", phi_schedule="smooth")

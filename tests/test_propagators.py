@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from brightpath.effective import BrightTrajectory
+from brightpath import propagators
+from brightpath.effective import BrightTrajectory, Piece
 from brightpath.errors import DerivativeInconsistent, DimensionMismatch, NonMonotoneMap, NotNormalized, NotOrthonormal
 from brightpath.gates import GateSpec, simulate_gate, stage_trajectory, stirap_trajectory
 from brightpath.lambda_system import CouplingSet, bright_state
@@ -17,9 +18,11 @@ from brightpath.propagators import (
     StateTrace,
     _LambdaPairs,
     _lambda_step_factors,
+    _lift,
     _midpoint_factors,
     _step_grid,
     _traced,
+    _unitary_product,
     dark_block,
     evolve_full_adiabatic,
     evolve_full_sweep,
@@ -116,8 +119,10 @@ def halving_ratios(propagate):
 
 def drive(sample):
     """A drive that carries nothing but the values of its sampler progress
-    -> (values, derivatives), the one method the full oracle reads."""
-    return SimpleNamespace(values=lambda progress: sample(progress)[0])
+    -> (values, derivatives), as ``values`` and as one piece with no phases
+    (``split``): all that the full oracle reads."""
+    piece = Piece(0.0, 1.0, None, sample, lambda progress: sample(progress)[0])
+    return SimpleNamespace(values=piece.values, split=lambda progress: [(piece, progress)])
 
 
 def held(b):
@@ -423,7 +428,8 @@ class TestBlockedOracle:
         schedule = smoothly(gate_schedule())
         config = AdiabaticRunConfig(omega_T=40.0, steps=2 * FULL_BLOCK + 37)
         mids = (np.arange(config.steps) + 0.5) / config.steps
-        factors = _lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / config.steps)
+        # The real-form steps, each mapped back to exp(-i H dt).
+        factors = _lift(None, 3)[:, :, None] * _lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / config.steps)
         u = np.eye(4, dtype=complex)
         for factor in factors.transpose(2, 0, 1):
             u = factor @ u
@@ -512,13 +518,15 @@ class TestLambdaPairs:
 
     def test_one_buffer_serves_every_phase_block_and_trace(self, rng):
         # A run does not change the shared planes, and a block of another
-        # length or a trace's single steps in between leave no trace: each
-        # result equals the one of a buffer made for it alone, bit for bit.
+        # length, of real states (the buffer's float view) or a trace's
+        # single steps in between leave no trace: each result equals the
+        # one of a buffer made for it alone, bit for bit.
         blocks = [rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3)) for m in (64, 33, 64)]
+        blocks = [rng.normal(size=(64, 3)), *blocks[:2], rng.normal(size=(33, 3)), blocks[2]]
         blocks = [b / np.linalg.norm(b, axis=1)[:, None] for b in blocks]
         pairs = _LambdaPairs(3, 64)
         for b in blocks:
-            np.testing.assert_array_equal(pairs.steps(b, 0.3), _lambda_step_factors(b, 0.3))
+            np.testing.assert_array_equal(pairs.steps(b, 0.3), _lift(None, 3)[:, :, None] * _lambda_step_factors(b, 0.3))
             pairs.load(b)
             alone = _LambdaPairs(3, len(b))
             alone.load(b)
@@ -602,6 +610,128 @@ class TestFullSweep:
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError, match="at least one run"):
             evolve_full_sweep(gate_schedule(), [])
+
+
+def lambda_steps(b, phase):
+    """exp(-i H dt) of the Lambda Hamiltonian |B><e| + h.c. for every row of
+    the (M, n) bright states ``b``, one dense ``expm_hermitian`` each."""
+    m, n = b.shape
+    h = np.zeros((m, n + 1, n + 1), dtype=complex)
+    h[:, :n, n], h[:, n, :n] = b, b.conj()
+    return [expm_hermitian(each, phase).matrix for each in h]
+
+
+def random_drive(rng, n):
+    """The values of a random smooth complex bright path on [0, 1]: the
+    normalized quadratic a + s b + s^2 c in C^n."""
+    a, b, c = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3))
+
+    def values(times):
+        v = a + times[:, None] * b + times[:, None] ** 2 * c
+        return (v / np.linalg.norm(v, axis=1)[:, None])[:, None, :]
+
+    return values
+
+
+class TestRealForm:
+    """The full oracle builds and multiplies its steps in the real form
+    D^-1 F D, D = diag(1, ..., 1, i), in each piece's coordinates, and maps
+    each product back."""
+
+    def test_a_real_piece_runs_as_its_complex_copy_bit_for_bit(self):
+        # The gate's rise and fall are real pieces, the fall with phases;
+        # cast to complex128 they take the complex path, whose unitaries and
+        # trace rows are the same bits after the map back.
+        spec = GateSpec(n=3, psi=np.array([0.6, 0.8, 0.0]), phase_twist=0.7, t1=0.3, t2=0.55, t3=1.0)
+        real = stage_trajectory(spec)
+        assert real.pieces[0].values(np.array([0.1])).dtype == float
+        cast = BrightTrajectory.from_pieces(
+            3, 1, [Piece(p.t_start, p.t_end, p.phases, p.sampler, lambda t, p=p: p.values(t).astype(complex)) for p in real.pieces]
+        )
+        configs = [AdiabaticRunConfig(omega_T=w, steps=2 * FULL_BLOCK + 5) for w in (40.0, 7.5)]
+        for got, want in zip(evolve_full_sweep(real, configs), evolve_full_sweep(cast, configs)):
+            assert np.array_equal(got.unitary.matrix, want.unitary.matrix)
+            assert got.unitarity_error == want.unitarity_error
+        start = np.array([0.6, 0.0, 0.8j, 0.0])
+        for got, want in zip(evolve_state_full(real, configs[0], start), evolve_state_full(cast, configs[0], start)):
+            assert np.array_equal(got, want)
+        # The same path as one complex piece, with no phases, moves by
+        # rounding only.
+        whole = reparametrize(real, lambda s: s, lambda s: np.ones_like(s), 0.0, 1.0)
+        for got, want in zip(evolve_full_sweep(real, configs), evolve_full_sweep(whole, configs)):
+            assert np.abs(got.unitary.matrix - want.unitary.matrix).max() <= 1e-13
+
+    @pytest.mark.parametrize("pieces", [False, True], ids=["complex", "straddled_edge"])
+    def test_matches_dense_lambda_steps(self, rng, pieces):
+        # An odd step count; with pieces, the edge at 0.3 lies inside the
+        # first block, so that block runs as a complex and a real part.
+        steps = 2 * FULL_BLOCK + 37
+        full = random_drive(rng, 3)
+        if pieces:
+            complex_part = full
+
+            def real_part(times):
+                angle = 0.3 + 2.0 * times
+                return np.stack([np.sin(angle), 0 * angle, np.cos(angle)], axis=1)[:, None, :]
+
+            drive = BrightTrajectory.from_pieces(3, 1, [Piece(0.0, 0.3, None, None, complex_part), Piece(0.3, 1.0, None, None, real_part)])
+            full = lambda times: np.where((times < 0.3)[:, None, None], complex_part(times), real_part(times))
+        else:
+            drive = BrightTrajectory(3, 1, 0.0, 1.0, None, value_sampler=full)
+        # The dense steps go through the same ordered product (a pairwise
+        # tree, then the polar projection); a product taken one step at a
+        # time drifts by ~steps * eps.
+        mids = (np.arange(steps) + 0.5) / steps
+        for omega_T in (40.0, 3.0):
+            config = AdiabaticRunConfig(omega_T=omega_T, steps=steps)
+            dense = np.stack(lambda_steps(full(mids)[:, 0], omega_T / steps), axis=-1)
+            u = _unitary_product([dense])[0].matrix
+            assert np.abs(evolve_full_adiabatic(drive, config).unitary.matrix - u).max() <= 1e-13
+            start = np.array([0.0, 0.6, 0.0, 0.8j])
+            _, states = evolve_state_full(drive, config, start)
+            assert np.abs(states - matmul_snapshots([dense], start)).max() <= 1e-12
+
+    def test_a_midpoint_on_an_edge_is_sampled_by_the_piece_on_its_right(self):
+        # Ten steps put midpoints exactly on the edges 0.25 and 0.45.
+        seen = [[], [], []]
+
+        def recorded(index, values):
+            return lambda times: seen[index].append(times.copy()) or values(times)
+
+        b = bright_state(CONSTANT_LAMBDA)
+        constant = lambda times: np.tile(b, (times.size, 1, 1))
+        edges = (0.0, 0.25, 0.45, 1.0)
+        pieces = [Piece(lo, hi, None, None, recorded(i, constant)) for i, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+        drive = BrightTrajectory.from_pieces(3, 1, pieces)
+        evolve_full_adiabatic(drive, AdiabaticRunConfig(omega_T=1.0, steps=10))
+        got = [np.concatenate(times) for times in seen]
+        np.testing.assert_array_equal(got[0], [0.05, 0.15])
+        np.testing.assert_array_equal(got[1], [0.25, 0.35])
+        np.testing.assert_array_equal(got[2], [0.45, 0.55, 0.65, 0.75, 0.85, 0.95])
+        # ``values`` assigns a time on an edge the same way, in any order.
+        for lists in seen:
+            lists.clear()
+        drive.values(np.array([0.45, 0.25, 0.1]))
+        assert [np.concatenate(times).tolist() if times else [] for times in seen] == [[0.1], [0.25], [0.45]]
+        # So does the gate: t1 and t2 are in the twist and the fall.
+        spec = GateSpec(n=3, psi=np.array([0.6, 0.8, 0.0]), phase_twist=0.7, t1=0.25, t2=0.45, t3=1.0)
+        gate = stage_trajectory(spec)
+        parts = gate.split(np.array([0.05, 0.25, 0.35, 0.45]))
+        assert [(piece.t_start, part.tolist()) for piece, part in parts] == [(0.0, [0.05]), (0.25, [0.25, 0.35]), (0.45, [0.45])]
+
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    def test_the_norm_check_rejects_a_deviation_at_the_bound(self, monkeypatch, dtype):
+        # No float s near 1 has |s - 1| = 1e-10 exactly (every such s - 1 is
+        # a multiple of 2^-53), so the bound moves to a deviation a state
+        # reaches: |1 + 2^-34|^2 rounds to 1 + 2^-33.
+        b = np.zeros((1, 1, 3), dtype=dtype)
+        b[0, 0, 1] = (1.0 + 2.0**-34) * (1j if dtype is complex else 1.0)
+        deviation, progress = 2.0**-33, np.array([0.5])
+        monkeypatch.setattr(propagators, "COUPLING_NORM_TOL", deviation)
+        with pytest.raises(NotNormalized, match=r"= 1\.164e-10 exceeds 1\.2e-10 at progress=0\.5$"):
+            propagators._bright_states(b, progress)
+        monkeypatch.setattr(propagators, "COUPLING_NORM_TOL", np.nextafter(deviation, 1.0))
+        assert propagators._bright_states(b, progress).dtype == dtype
 
 
 class TestStatePropagation:
@@ -724,7 +854,8 @@ class TestOnePass:
             start = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
             propagate = lambda trace: evolve_full_adiabatic(schedule, config, trace)
             mids_blocks, _ = _step_grid(t0, t1, steps)
-            factors = (_lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / steps) for mids in mids_blocks)
+            lift = _lift(None, 3)[:, :, None]
+            factors = (lift * _lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / steps) for mids in mids_blocks)
         blocks = []
         propagate(StateTrace(start, lambda *block: blocks.append(block)))
         assert [len(times) for times, _, _ in blocks] == [FULL_BLOCK + 1, FULL_BLOCK, 3]

@@ -89,16 +89,16 @@ MUTANTS = (
     Mutant(
         "flipped-lambda-sine",
         "propagators",
-        "-1j * np.sin(phase)",
-        "1j * np.sin(phase)",
-        "the full oracle steps with exp(+i H dt), in its single steps and its step pairs",
+        "np.cos(phase) - 1.0, np.sin(phase)",
+        "np.cos(phase) - 1.0, -np.sin(phase)",
+        "the full oracle's real-form steps are those of exp(+i H dt), in its single steps and its step pairs",
     ),
     Mutant(
         "lambda-bra-without-conj",
         "propagators",
-        "np.multiply(sine, bra, out=planes[n, :n])",
-        "np.multiply(sine, ket, out=planes[n, :n])",
-        "the full oracle writes its <B| row as B^T: the step is not unitary for a complex B",
+        "np.multiply(-sine, bra, out=planes[n, :n])",
+        "np.multiply(-sine, ket, out=planes[n, :n])",
+        "the full oracle's real-form step writes its <B| row as B^T: the step is not unitary for a complex B",
     ),
     Mutant(
         "lambda-pair-cross-transposed",
@@ -110,7 +110,7 @@ MUTANTS = (
     Mutant(
         "lambda-pair-kappa-without-s2",
         "propagators",
-        "kappa = c * c * self.omega + s * s",
+        "kappa = c * c * self.omega - s * s",
         "kappa = c * c * self.omega",
         "a step pair's X coefficient drops the s^2 of the two couplings through |e>",
     ),
@@ -256,9 +256,37 @@ MUTANTS = (
     Mutant(
         "gate-fall-keeps-the-rise-phase",
         "gates",
-        "turned = np.where(rise, turned_rise, turned_fall)",
-        "turned = np.where(rise | fall, turned_rise, turned_fall)",
-        "the fall stage takes the rise's phase factor e^{i 0} for e^{i twist}",
+        "theta_piece(t2, t3, np.pi, -np.pi, np.where(np.arange(n) < n - 1, np.exp(1j * np.array([twist])), 1.0))",
+        "theta_piece(t2, t3, np.pi, -np.pi, None)",
+        "the fall piece takes the rise's phases (none) for e^{i twist} on the levels of psi",
+    ),
+    Mutant(
+        "gate-fall-phases-one",
+        "gates",
+        "np.exp(1j * np.array([twist]))",
+        "np.exp(0j * np.array([twist]))",
+        "the fall piece is built with phases (1, 1): its bright state loses e^{i twist}",
+    ),
+    Mutant(
+        "lift-swaps-d-and-its-inverse",
+        "propagators",
+        "return np.outer(phi, phi.conj())",
+        "return np.outer(phi.conj(), phi)",
+        "a real-form product G is mapped back as D^-1 G D for D G D^-1 (Phi^dag G Phi for Phi G Phi^dag)",
+    ),
+    Mutant(
+        "trace-lift-swaps-d-and-its-inverse",
+        "propagators",
+        "        planes[:n, n] *= -1j\n        planes[n, :n] *= 1j\n",
+        "        planes[:n, n] *= 1j\n        planes[n, :n] *= -1j\n",
+        "a trace maps its real-form single steps back as D^-1 G D for D G D^-1",
+    ),
+    Mutant(
+        "full-oracle-norm-bound-inclusive",
+        "propagators",
+        "passed = deviation < COUPLING_NORM_TOL",
+        "passed = deviation <= COUPLING_NORM_TOL",
+        "the full oracle accepts a bright state whose |<B|B> - 1| equals the coupling tolerance",
     ),
     Mutant(
         "gate-twist-drops-the-auxiliary-rounding",

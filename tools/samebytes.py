@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python tools/samebytes.py REV [--head REV2] [--seeds 1-3] [--expect FIELD ...]
+    python tools/samebytes.py REV [--head REV2] [--seeds 1-3] [--expect FIELD[:X] ...]
 
 REV is checked out with ``git worktree`` into a temporary directory (no
 network is needed); the other side is the working tree this script runs
@@ -27,6 +27,9 @@ moved in and its largest absolute and relative change; then every run whose
 exit code is not 0 in either tree.  The exit code is 1 on any difference
 that no ``--expect FIELD`` names (an exit code counts as the field
 ``exit_code``), or if a tree's runs do not import its own ``src``; else 0.
+``--expect FIELD:X`` names a field that may move by at most X in absolute
+value: a larger change, or a change between values that are not both
+numbers, counts as unexpected.
 """
 
 from __future__ import annotations
@@ -194,19 +197,22 @@ def _columns(text: bytes | None):
 
 
 class Moves:
-    """Each moved field: the runs it moved in, and its largest absolute and
-    relative changes over the moves between two numbers (None if none)."""
+    """Each moved field: the runs it moved in, its largest absolute and
+    relative changes over the moves between two numbers (None if none),
+    and whether any move was not between two numbers."""
 
     def __init__(self):
         self.fields: dict[str, list] = {}
 
     def add(self, field: str, run: str, old, new) -> None:
-        entry = self.fields.setdefault(field, [set(), None, None])
+        entry = self.fields.setdefault(field, [set(), None, None, False])
         entry[0].add(run)
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in (old, new)):
             change = abs(new - old)
             relative = change / abs(old) if old else math.inf
             entry[1], entry[2] = max(entry[1] or 0.0, change), max(entry[2] or 0.0, relative)
+        else:
+            entry[3] = True
 
     def compare_reports(self, run: str, old, new) -> None:
         """Add each field of two reports (None: missing) whose leaves differ
@@ -242,12 +248,25 @@ class Moves:
                     self.add(f"csv.{name}", run, x, y)
 
 
+def _expectation(text: str) -> tuple[str, float | None]:
+    """``FIELD`` as (FIELD, None): any move; ``FIELD:X`` as (FIELD, X)."""
+    field, colon, bound = text.rpartition(":")
+    return (field, float(bound)) if colon else (text, None)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="the base revision")
     parser.add_argument("--head", help="a revision to compare with REV (default: this working tree)")
     parser.add_argument("--seeds", default="1-3", help="workload seeds, e.g. 1-3 or 1,4 (default 1-3)")
-    parser.add_argument("--expect", action="append", default=[], metavar="FIELD", help="a field allowed to move (repeatable)")
+    parser.add_argument(
+        "--expect",
+        action="append",
+        default=[],
+        type=_expectation,
+        metavar="FIELD[:X]",
+        help="a field allowed to move, by at most X in absolute value when X is given (repeatable)",
+    )
     args = parser.parse_args(argv)
     started = time.perf_counter()
     sides = {"base": _git("rev-parse", "--verify", args.rev + "^{commit}")}
@@ -294,16 +313,19 @@ def main(argv: list[str] | None = None) -> int:
                 moves.compare_csv(name, old + ".csv", new + ".csv")
     head = sides["head"][:12] if "head" in sides else "the working tree"
     print(f"samebytes: {head} against {sides['base'][:12]} ({args.rev}), seeds {args.seeds}: {len(jobs)} runs per tree, {time.perf_counter() - started:.1f} s")
-    unexpected = 0
-    for field, (runs, change, relative) in sorted(moves.fields.items()):
-        allowed = field in args.expect
+    unexpected, bounds = 0, dict(args.expect)
+    for field, (runs, change, relative, opaque) in sorted(moves.fields.items()):
+        bound = bounds.get(field)
+        allowed = field in bounds and (bound is None or (not opaque and change <= bound))
         unexpected += not allowed
         size = f"max |change| {change:.3g}, max relative {relative:.3g}" if change is not None else "not numbers"
-        print(f"  {'expected' if allowed else 'MOVED':<9}{field}: {len(runs)} run(s), {size}")
+        size += ", and moves that are not numbers" if opaque and change is not None else ""
+        within = "" if bound is None else f" (bound {bound:.3g})"
+        print(f"  {'expected' if allowed else 'MOVED':<9}{field}: {len(runs)} run(s), {size}{within}")
     for name, _, _ in jobs:
         if codes["base"][name] != 0 or codes["head"][name] != 0:
             print(f"  exit code {codes['base'][name]} -> {codes['head'][name]}: {name}")
-    for field in sorted(set(args.expect) - set(moves.fields)):
+    for field in sorted(set(bounds) - set(moves.fields)):
         print(f"  expected {field} did not move")
     print(f"{unexpected} unexpected moved field(s)" if unexpected else "no unexpected difference")
     return 1 if unexpected else 0
