@@ -6,7 +6,7 @@ cross-checking routes: effective-Hamiltonian propagation, Berry-connection
 holonomy, and full Schroedinger integration.
 """
 
-from .effective import BrightTrajectory, h_eff_couplings, h_eff_multi
+from .effective import BrightTrajectory, Piece, h_eff_couplings, h_eff_multi
 from .berry import (
     ConnectionMatrices,
     ParameterPath,
@@ -72,6 +72,7 @@ __all__ = [
     "HermitianOperator",
     "MorrisShoreDecomposition",
     "ParameterPath",
+    "Piece",
     "PropagationResult",
     "SphericalAngles",
     "StirapReport",

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .effective import BrightTrajectory
+from .effective import BrightTrajectory, Piece
 from .errors import PathVariesFixedCoordinates, SegmentTooCoarse
 from .lambda_system import SphericalAngles, _angle_couplings, _angle_row, _check_drive, dark_basis_parametrized
 from .linalg import UnitaryOperator, _expm_hermitian_stack, _ordered_product, expm_hermitian
@@ -216,8 +216,10 @@ def u_z_analytic(path: ParameterPath) -> UnitaryOperator:
 def _loop_trajectory(path: ParameterPath) -> BrightTrajectory | None:
     """The path's bright state B = r e^{i phi} (the angle-parametrized
     drive), segment i traversed linearly in local time [i, i+1], with
-    segments of zero length skipped; None when no segment moves.  Every
-    sampled block must satisfy the coupling-set rules (r_i >= 0)."""
+    segments of zero length skipped; None when no segment moves.  One
+    piece: the step grid of ``effective_dark_block`` already puts a step
+    edge on every corner.  Every sampled block must satisfy the
+    coupling-set rules (r_i >= 0)."""
     deltas = np.diff(path.samples, axis=0)
     moving = np.max(np.abs(deltas), axis=1) > 0.0
     # One row per coordinate, so that a block gathers each as a length-M row.
@@ -251,7 +253,7 @@ def _loop_trajectory(path: ParameterPath) -> BrightTrajectory | None:
             derivatives[:, 0, level] = (rdot[level] + 1j * r[level] * phidot[level]) * phase
         return values, derivatives
 
-    return BrightTrajectory(3, 1, 0.0, float(segments), sampler, tuple(map(float, range(1, segments))))
+    return BrightTrajectory(3, 1, (Piece(0.0, float(segments), None, sampler),))
 
 
 def effective_dark_block(path: ParameterPath, steps_per_segment: int = 64) -> np.ndarray:

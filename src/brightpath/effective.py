@@ -115,108 +115,93 @@ class Piece(NamedTuple):
     """One piece of a bright trajectory, on [t_start, t_end]: its bright
     states are ``phases * v``, one unit phase per level (None: all 1), for
     the coordinates v that ``sampler`` (values and derivatives) and
-    ``values`` give.  v may be real, and then so is a route's arithmetic."""
+    ``values`` give (None: ``sampler``'s values, see ``values_at``).  v may
+    be real, and then so is a route's arithmetic."""
 
     t_start: float
     t_end: float
     phases: np.ndarray | None
     sampler: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    values: Callable[[np.ndarray], np.ndarray]
+    values: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def values_at(self, times: np.ndarray) -> np.ndarray:
+        """v alone at ``times``: ``values``, or else the values of ``sampler``."""
+        return self.sampler(times)[0] if self.values is None else self.values(times)
 
 
 @dataclass(frozen=True)
 class BrightTrajectory:
     """Time-dependent orthonormal bright frame with analytic derivatives.
 
-    ``sampler(times)`` evaluates a 1-D array of times at once as (values,
-    derivatives), each (M, k, dim): the bright states and their time
-    derivatives.  ``breakpoints`` lists interior times where the derivative
-    may jump (piecewise schedules); value stays continuous there.  An
-    optional ``value_sampler(times)`` gives the values alone, for callers
-    that read no derivative (``values``).  Evaluation must be pure: the
-    same t always yields the same output.
+    The frame runs through ``pieces``, each starting where the last ends;
+    their inner edges are its ``breakpoints``, where the derivative may
+    jump (the value stays continuous), and a time on an edge belongs to
+    the piece on its right.  ``sample(times)`` evaluates a 1-D array of
+    times at once as (values, derivatives), each (M, k, dim), taking each
+    time from its piece, times the piece's phases, as complex arrays.
+    Evaluation must be pure: the same t always yields the same output.
     """
 
     dim: int
     k: int
-    t_start: float
-    t_end: float
-    sampler: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
-    breakpoints: tuple[float, ...] = ()
-    value_sampler: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
-    pieces: tuple[Piece, ...] = field(default=(), repr=False)
+    pieces: tuple[Piece, ...] = field(repr=False)
 
-    @classmethod
-    def from_pieces(cls, dim: int, k: int, pieces: Sequence[Piece]) -> BrightTrajectory:
-        """The trajectory through ``pieces``, each starting where the last
-        ends; their inner edges are its breakpoints, and a time on an edge
-        belongs to the piece on its right.  Its samplers take each time from
-        its piece, times the piece's phases, as complex arrays."""
-        pieces = tuple(pieces)
-        edges = tuple(piece.t_start for piece in pieces[1:])
+    @property
+    def t_start(self) -> float:
+        return self.pieces[0].t_start
 
-        def gathered(times: np.ndarray, read) -> tuple[np.ndarray, ...]:
-            if not np.all(times[:-1] <= times[1:]):  # sampled in order, put back
-                order = np.argsort(times, kind="stable")
-                return tuple(array[np.argsort(order)] for array in gathered(times[order], read))
-            cuts = (0, *np.searchsorted(times, edges), times.size)
-            spans = [(piece, times[lo:hi]) for piece, lo, hi in zip(pieces, cuts, cuts[1:]) if hi > lo or not times.size]
-            parts = [tuple(np.asarray(a, complex) if p.phases is None else a * p.phases for a in read(p, part)) for p, part in spans]
-            return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+    @property
+    def t_end(self) -> float:
+        return self.pieces[-1].t_end
 
-        sampler = lambda times: gathered(times, lambda piece, part: piece.sampler(part))
-        value_sampler = lambda times: gathered(times, lambda piece, part: (piece.values(part),))[0]
-        return cls(dim, k, pieces[0].t_start, pieces[-1].t_end, sampler, edges, value_sampler, pieces)
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        return tuple(piece.t_start for piece in self.pieces[1:])
 
     def split(self, times: np.ndarray) -> list[tuple[Piece, np.ndarray]]:
         """Each piece with its part of the sorted ``times`` (an edge goes to
-        the piece on its right; empty parts are dropped), under the domain
-        check of ``sample``.  A trajectory without pieces is one piece, with
-        no phases, that reads ``sample`` and ``values``."""
-        times = self._times(times)
-        pieces = self.pieces or (Piece(self.t_start, self.t_end, None, self.sample, self.values),)
-        cuts = np.searchsorted(times, [piece.t_start for piece in pieces[1:]])
-        return [(piece, part) for piece, part in zip(pieces, np.split(times, cuts)) if part.size]
-
-    def _times(self, times) -> np.ndarray:
-        """``times`` as a float array, once every time lies in [t_start,
-        t_end] (else ``ValueError`` naming both intervals): a sampler's
-        formulas do not hold off the domain."""
+        the piece on its right; empty parts are dropped), once every time
+        lies in [t_start, t_end] (else ``ValueError`` naming both intervals):
+        a sampler's formulas do not hold off the domain."""
         times = np.asarray(times, dtype=float)
         if times.size and not (self.t_start <= times.min() and times.max() <= self.t_end):  # NaN fails too
             raise ValueError(
                 f"sample times span [{times.min():.6g}, {times.max():.6g}], "
                 f"outside the trajectory's [{self.t_start:.6g}, {self.t_end:.6g}]"
             )
-        return times
+        bounds = (0, *times.searchsorted(self.breakpoints), times.size)
+        return [(piece, times[lo:hi]) for piece, lo, hi in zip(self.pieces, bounds, bounds[1:]) if hi > lo]
+
+    def _read(self, times, read) -> tuple[np.ndarray, ...]:
+        """``read(piece, part)`` on each piece's part of ``times`` (cut by
+        ``split``, under its domain check; other orders are sorted and put
+        back), times the piece's phases, as complex arrays that must each be
+        (M, k, dim) (else ``DimensionMismatch`` naming each shape)."""
+        times = np.asarray(times, dtype=float)
+        if len(self.pieces) > 1 and (times[:-1] > times[1:]).any():  # NaN is left to split's check
+            order = np.argsort(times, kind="stable")
+            return tuple(array[np.argsort(order)] for array in self._read(times[order], read))
+        spans = self.split(times) or [(self.pieces[0], times)]
+        parts = [tuple(np.asarray(a, complex) if p.phases is None else a * p.phases for a in read(p, part)) for p, part in spans]
+        arrays = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+        expected = (times.size, self.k, self.dim)
+        if any(np.shape(array) != expected for array in arrays):
+            shapes = " and ".join(f"{name} {np.shape(array)}" for name, array in zip(("values", "derivatives"), arrays))
+            raise DimensionMismatch(f"sampled {shapes} must {'both ' * (len(arrays) > 1)}be {expected}")
+        return arrays
 
     def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
         """Values and derivatives at every time of a 1-D array, each (M, k, dim);
         ``DimensionMismatch`` names both shapes when either is not.  Every
         time must lie in [t_start, t_end] (else ``ValueError`` naming both
         intervals)."""
-        times = self._times(times)
-        values, derivatives = self.sampler(times)
-        expected = (times.size, self.k, self.dim)
-        if np.shape(values) != expected or np.shape(derivatives) != expected:
-            raise DimensionMismatch(
-                f"sampled values {np.shape(values)} and derivatives {np.shape(derivatives)} must both be {expected}"
-            )
-        return values, derivatives
+        return self._read(times, lambda piece, part: piece.sampler(part))
 
     def values(self, times) -> np.ndarray:
-        """The values of ``sample`` alone, (M, k, dim), under the same domain
-        and shape checks: ``sample(times)[0]``, or the ``value_sampler`` when
-        the trajectory has one, which skips the derivatives and must return
-        the same bits as ``sampler``'s values."""
-        if self.value_sampler is None:
-            return self.sample(times)[0]
-        times = self._times(times)
-        values = self.value_sampler(times)
-        expected = (times.size, self.k, self.dim)
-        if np.shape(values) != expected:
-            raise DimensionMismatch(f"sampled values {np.shape(values)} must be {expected}")
-        return values
+        """The values of ``sample`` alone, (M, k, dim), bit for bit, under the
+        same domain and shape checks: each piece's ``values_at``, which
+        reads its ``values`` when it has them and skips the derivatives."""
+        return self._read(times, lambda piece, part: (piece.values_at(part),))[0]
 
     def h_eff(self, t: float) -> HermitianOperator:
         """The geometric generator carried by this trajectory at time ``t``."""

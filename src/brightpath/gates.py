@@ -150,7 +150,7 @@ def stage_trajectory(spec: GateSpec) -> BrightTrajectory:
     rise = theta_piece(0.0, t1, 0.0, np.pi, None)
     middle = Piece(t1, t2, None, twist_sampler, lambda times: bright(turned(times)[1] * sin_top, cos_top))
     fall = theta_piece(t2, t3, np.pi, -np.pi, np.where(np.arange(n) < n - 1, np.exp(1j * np.array([twist])), 1.0))
-    return BrightTrajectory.from_pieces(n, 1, (rise, middle, fall))
+    return BrightTrajectory(n, 1, (rise, middle, fall))
 
 
 def analytic_stage_unitaries(spec: GateSpec) -> tuple[UnitaryOperator, UnitaryOperator, UnitaryOperator]:
@@ -319,13 +319,14 @@ class StirapReport:
 
 
 def stirap_trajectory(theta_end: float, ramp: str = "linear") -> BrightTrajectory:
-    """Two-level bright path B = sin(theta)|1> + cos(theta)|2>, theta 0 -> end."""
+    """Two-level bright path B = sin(theta)|1> + cos(theta)|2>, theta 0 -> end:
+    one real piece."""
     check_ramp(ramp)
 
     def pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        return np.stack([first, second], axis=-1)[:, None, :].astype(complex)
+        return np.stack([first, second], axis=-1)[:, None, :]
 
-    def value_sampler(times: np.ndarray) -> np.ndarray:
+    def values(times: np.ndarray) -> np.ndarray:
         theta = theta_end * ramp_value(ramp, times)
         return pairs(np.sin(theta), np.cos(theta))
 
@@ -335,7 +336,7 @@ def stirap_trajectory(theta_end: float, ramp: str = "linear") -> BrightTrajector
         sin, cos = np.sin(theta), np.cos(theta)
         return pairs(sin, cos), pairs(rate * cos, -rate * sin)
 
-    return BrightTrajectory(2, 1, 0.0, 1.0, sampler, value_sampler=value_sampler)
+    return BrightTrajectory(2, 1, (Piece(0.0, 1.0, None, sampler, values),))
 
 
 def stirap_transfer(

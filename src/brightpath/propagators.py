@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from .effective import BrightTrajectory, _checked_frames, _h_eff_stack
+from .effective import BrightTrajectory, Piece, _checked_frames, _h_eff_stack
 from .errors import DimensionMismatch, NonMonotoneMap, NotNormalized
 from .lambda_system import COUPLING_NORM_TOL
 from .linalg import (
@@ -435,7 +435,7 @@ def evolve_full_sweep(
     products = [[] for _ in configs]
     pairs = None
     for mids in blocks:
-        parts = [(piece, _bright_states(piece.values(part), part)) for piece, part in drive.split(mids)]
+        parts = [(piece, _bright_states(piece.values_at(part), part)) for piece, part in drive.split(mids)]
         if pairs is None:
             pairs = _LambdaPairs(parts[0][1].shape[1], min(steps, FULL_BLOCK))
         if scan is not None:
@@ -535,8 +535,9 @@ def reparametrize(
     parametrization).  ``f`` and ``fprime`` act on arrays of times; ``f``
     must be strictly increasing (else ``NonMonotoneMap``) and map [t0, t1]
     into the base's [t_start, t_end] (else ``ValueError`` naming both
-    intervals).  The base breakpoints inside (f(t0), f(t1)) move to their
-    preimages, found by bisection.
+    intervals).  The pieces that f's image meets keep their phases and
+    coordinates (a real piece stays real), and the base's piece edges
+    inside (f(t0), f(t1)) move to their preimages, found by bisection.
     """
     mapped = np.asarray(f(np.linspace(t0, t1, MONOTONICITY_CHECK_POINTS)), dtype=float)
     if np.any(np.diff(mapped) <= 0):
@@ -547,12 +548,10 @@ def reparametrize(
             f"outside the trajectory's [{trajectory.t_start:.6g}, {trajectory.t_end:.6g}]"
         )
 
-    def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values, derivatives = trajectory.sample(f(times))
-        rate = np.broadcast_to(np.asarray(fprime(times), dtype=float), times.shape)
-        return values, rate[:, None, None] * derivatives
-
-    targets = np.array([b for b in trajectory.breakpoints if mapped[0] < b < mapped[-1]])
+    # The pieces that f's image meets, as sampling assigns an edge, and the
+    # edges inside the image.
+    kept = [piece for piece in trajectory.pieces if piece.t_end > mapped[0] and piece.t_start < mapped[-1]]
+    targets = np.array([piece.t_start for piece in kept[1:]])
     lo, hi = np.full(targets.shape, float(t0)), np.full(targets.shape, float(t1))
     while True:  # each pass halves every bracket until it is one float wide
         mid = 0.5 * (lo + hi)
@@ -561,7 +560,14 @@ def reparametrize(
             break
         below = np.asarray(f(mid), dtype=float) < targets
         lo, hi = np.where(wide & below, mid, lo), np.where(wide & ~below, mid, hi)
-    def value_sampler(times: np.ndarray) -> np.ndarray:
-        return trajectory.values(f(times))
 
-    return BrightTrajectory(trajectory.dim, trajectory.k, t0, t1, sampler, tuple(map(float, hi)), value_sampler)
+    def remapped(piece: Piece, start: float, end: float) -> Piece:
+        def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            values, derivatives = piece.sampler(f(times))
+            rate = np.broadcast_to(np.asarray(fprime(times), dtype=float), times.shape)
+            return values, rate[:, None, None] * derivatives
+
+        return Piece(start, end, piece.phases, sampler, lambda times: piece.values_at(f(times)))
+
+    edges = (float(t0), *map(float, hi), float(t1))
+    return BrightTrajectory(trajectory.dim, trajectory.k, tuple(map(remapped, kept, edges, edges[1:])))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from brightpath.berry import ParameterPath
-from brightpath.effective import BrightTrajectory
+from brightpath.effective import BrightTrajectory, Piece
 from brightpath.gates import stage_trajectory
 from brightpath.linalg import HermitianOperator, _expm_hermitian_stack, check_orthonormal
 from brightpath.propagators import _step_grid, _unitary_product, reparametrize
@@ -51,15 +51,15 @@ def frame_at(trajectory, t):
 
 def reversed_trajectory(trajectory):
     """The same bright path traversed backwards on the same interval:
-    (B(t0 + t1 - t), -Bdot(t0 + t1 - t)).  Its breakpoints are not
-    carried over; no propagator reads them."""
+    (B(t0 + t1 - t), -Bdot(t0 + t1 - t)), as one piece: the base's piece
+    edges are not carried over."""
     t0, t1 = trajectory.t_start, trajectory.t_end
 
     def sampler(times):
         values, derivatives = trajectory.sample(t0 + t1 - times)
         return values, -derivatives
 
-    return BrightTrajectory(trajectory.dim, trajectory.k, t0, t1, sampler)
+    return BrightTrajectory(trajectory.dim, trajectory.k, (Piece(t0, t1, None, sampler),))
 
 
 def reversed_path(path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brightpath.berry import (
+    CLOSURE_TOL,
     GAUSS_NODES,
     MAX_EDGE_POINTS,
     SIGMA_Y,
@@ -124,6 +125,16 @@ class TestParameterPath:
     def test_closure_enforced(self):
         with pytest.raises(ValueError):
             ParameterPath(np.array([[0.0, 0, 0, 0], [0.05, 0, 0, 0]]), closed=True)
+
+    def test_closure_tolerance_is_exclusive(self):
+        # Ends that differ by exactly CLOSURE_TOL are refused; by one float
+        # less, the path is closed.
+        def loop(last_theta1):
+            return ParameterPath(np.array([[0.0, 0.3, 0, 0], [0.05, 0.3, 0, 0], [last_theta1, 0.3, 0, 0]]), closed=True)
+
+        with pytest.raises(ValueError, match="closed path endpoints differ by 1.000e-12"):
+            loop(1e-12)
+        assert loop(np.nextafter(CLOSURE_TOL, 0)).closed
 
     def test_coarse_segment_flagged_by_integrators(self):
         path = ParameterPath(np.array([[0.0, 0, 0, 0], [0.5, 0, 0, 0], [0.0, 0, 0, 0]]), closed=True)
@@ -426,7 +437,7 @@ class TestLoopSampler:
         # ends of the domain and every corner.
         grid = traj.t_end * (np.arange(total) + 0.5) / total
         blocks = [grid[lo : lo + FULL_BLOCK] for lo in range(0, total, FULL_BLOCK)]
-        for times in blocks + [np.array([traj.t_start, traj.t_end]), np.asarray(traj.breakpoints)]:
+        for times in blocks + [np.array([traj.t_start, traj.t_end]), np.arange(1, traj.t_end)]:
             values, derivatives = traj.sample(times)
             want_values, want_derivatives = stacked_loop_sample(path, times)
             assert np.array_equal(bits(values[:, 0]), bits(want_values))

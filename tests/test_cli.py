@@ -329,22 +329,23 @@ class TestTimeseries:
     @pytest.mark.parametrize("methods", [["effective"], ["full"]])
     def test_a_gate_frame_reads_values_only(self, tmp_path, monkeypatch, methods):
         # The CSV's coupled states come from the trajectory's values: a time
-        # series calls the derivative sampler no more often than the run
-        # without one (once per block on the effective route, never on the
-        # full one), and writes the same bytes.
+        # series calls the pieces' derivative samplers no more often than the
+        # run without one (once per piece of the one block on the effective
+        # route, never on the full one), and writes the same bytes.
         config = ScenarioConfig("gate", {"methods": methods, "steps": 300, "full_steps": 300})
         emit_timeseries(config, str(tmp_path / "plain.csv"))
         calls = []
 
         def counted(spec):
             trajectory = stage_trajectory(spec)
-            return dataclasses.replace(trajectory, sampler=lambda times: calls.append(times) or trajectory.sampler(times))
+            pieces = [p._replace(sampler=lambda times, p=p: calls.append(times) or p.sampler(times)) for p in trajectory.pieces]
+            return dataclasses.replace(trajectory, pieces=tuple(pieces))
 
         monkeypatch.setattr(gates, "stage_trajectory", counted)
         run_scenario(config)
-        assert len(calls) == (methods == ["effective"])
+        assert len(calls) == 3 * (methods == ["effective"])
         emit_timeseries(config, str(tmp_path / "counted.csv"))
-        assert len(calls) == 2 * (methods == ["effective"])
+        assert len(calls) == 6 * (methods == ["effective"])
         assert (tmp_path / "counted.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_deterministic_bytes(self, tmp_path):
@@ -383,17 +384,18 @@ class TestTimeseries:
         written = []
 
         def breaking_drive(spec):
-            # The full gate's drive is the stage trajectory of its core spec.
+            # The full gate's drive is the stage trajectory of its core spec;
+            # its rise holds the first two blocks.
             drive = stage_trajectory(spec)
+            rise = drive.pieces[0]
 
             def values(progress):
                 if progress[0] > 0.05:
                     written.append(path.stat().st_size)
                     raise ValueError("the drive breaks")
-                return drive.values(progress)
+                return rise.values(progress)
 
-            # Without its pieces, the drive is one piece that reads ``values``.
-            return dataclasses.replace(drive, value_sampler=values, pieces=())
+            return dataclasses.replace(drive, pieces=(rise._replace(values=values), *drive.pieces[1:]))
 
         monkeypatch.setattr(gates, "stage_trajectory", breaking_drive)
         path.write_text("a stale series\n")
@@ -718,6 +720,12 @@ class TestMainExitCodes:
         assert main([kind, "--config", str(cfg)]) == EXIT_CONFIG
         assert time.perf_counter() - started < 1.0
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+    def test_morris_shore_level_limit_is_inclusive(self):
+        # rows + cols may reach MAX_MORRIS_SHORE_LEVELS = 1024, not pass it.
+        assert ScenarioConfig("morris-shore", {"rows": 1023, "cols": 1}).shape == (1023, 1)
+        with pytest.raises(ConfigError, match=r"^rows: rows \+ cols must be <= 1024, got 1025$"):
+            ScenarioConfig("morris-shore", {"rows": 1024, "cols": 1})
 
     @pytest.mark.parametrize(
         "kind, parameters, field",

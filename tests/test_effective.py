@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brightpath.berry import _loop_trajectory, rectangle_loop
-from brightpath.effective import BrightTrajectory, _h_eff_stack, h_eff_couplings, h_eff_multi
+from brightpath.effective import BrightTrajectory, Piece, _h_eff_stack, h_eff_couplings, h_eff_multi
 from brightpath.errors import DerivativeInconsistent, DimensionMismatch, NormalizationDriftError, NotOrthonormal
 from brightpath.gates import GateSpec, _core_spec, stage_trajectory, stirap_trajectory
 from brightpath.lambda_system import CouplingSet, bright_state
@@ -28,7 +30,7 @@ def rotating(t_start, t_end, rate_factor=1.0):
         rates = rate_factor * np.stack([-np.sin(times), np.cos(times)], axis=-1)[:, None, :]
         return values, rates.astype(complex)
 
-    return BrightTrajectory(2, 1, t_start, t_end, sampler)
+    return BrightTrajectory(2, 1, (Piece(t_start, t_end, None, sampler),))
 
 
 class TestHEffSingle:
@@ -236,7 +238,7 @@ class TestBrightTrajectory:
             return np.where((times < 1.5)[:, None, None], values, jumped), derivatives
 
         smooth = self.make_rotating()
-        jumpy = BrightTrajectory(2, 1, 0.0, np.pi, sampler)
+        jumpy = BrightTrajectory(2, 1, (Piece(0.0, np.pi, None, sampler),))
         with pytest.raises(AssertionError, match="expected second-order decrease"):
             validate_trajectory(jumpy, times=[1.5 - 5e-6])
 
@@ -301,9 +303,9 @@ class TestSample:
 
 def values_trajectories():
     """One trajectory of every kind that a pipeline reads ``values`` of, or
-    may: the stage path and the stirap path (own value samplers), the stage
-    path's core on the progress clock, a smooth remap of it, and a loop path
-    (through ``sample``)."""
+    may: the stage path and the stirap path (pieces with their own
+    ``values``), the stage path's core on the progress clock, a smooth remap
+    of it, and a loop path (one piece that reads its sampler's values)."""
     gate = off_grid_gate()
     linear = GateSpec(n=4, psi=np.array([0.6, 0.0, 0.8j, 0.0]), phase_twist=2.1, t1=0.4, t2=0.9, t3=1.7)
     core = stage_trajectory(_core_spec(linear, linear.t3))
@@ -326,10 +328,11 @@ class TestValues:
     def test_values_are_the_sampled_values(self, name):
         traj = values_trajectories()[name]
         span = traj.t_end - traj.t_start
-        # Midpoints of a ragged grid, both ends and every breakpoint.
-        times = np.concatenate(
-            [traj.t_start + span * (np.arange(1037) + 0.5) / 1037, [traj.t_start, traj.t_end], traj.breakpoints]
-        )
+        # Midpoints of a ragged grid, both ends and every kink: the piece
+        # edges, and the corners of the loop path, whose one piece spans
+        # every segment.
+        kinks = np.arange(1, traj.t_end) if name == "loop" else traj.breakpoints
+        times = np.concatenate([traj.t_start + span * (np.arange(1037) + 0.5) / 1037, [traj.t_start, traj.t_end], kinks])
         got = traj.values(times)
         assert got.shape == (times.size, traj.k, traj.dim)
         np.testing.assert_array_equal(got, traj.sample(times)[0])
@@ -345,17 +348,37 @@ class TestValues:
         assert str(from_values.value) == str(from_sample.value)
         assert "outside the trajectory's" in str(from_values.value)
 
-    @pytest.mark.parametrize("own", [False, True], ids=["through_sample", "value_sampler"])
+    @pytest.mark.parametrize("own", [False, True], ids=["through_sample", "own_values"])
     def test_a_sampler_of_the_wrong_shape_raises_as_sample_does(self, own):
         # Two states per time where the trajectory declares one.
         def wrong(times):
             return np.zeros((times.size, 2, 2), dtype=complex)
 
-        traj = BrightTrajectory(2, 1, 0.0, 1.0, lambda times: (wrong(times), wrong(times)), (), wrong if own else None)
+        traj = BrightTrajectory(2, 1, (Piece(0.0, 1.0, None, lambda times: (wrong(times), wrong(times)), wrong if own else None),))
         with pytest.raises(DimensionMismatch, match=r"sampled values \(3, 2, 2\)"):
             traj.sample(np.linspace(0.0, 1.0, 3))
         with pytest.raises(DimensionMismatch, match=r"sampled values \(3, 2, 2\).* must (both )?be \(3, 1, 2\)"):
             traj.values(np.linspace(0.0, 1.0, 3))
+
+    def test_replacing_the_pieces_moves_sample_values_and_split_together(self):
+        # The first two stage pieces with their bright states negated: the
+        # trajectory ends at t2, and every reader takes the new pieces.
+        spec = off_grid_gate()
+        traj = stage_trajectory(spec)
+        negated = tuple(
+            piece._replace(sampler=lambda t, p=piece: tuple(-a for a in p.sampler(t)), values=lambda t, p=piece: -p.values(t))
+            for piece in traj.pieces[:2]
+        )
+        short = dataclasses.replace(traj, pieces=negated)
+        assert (short.t_end, short.breakpoints) == (spec.t2, (spec.t1,))
+        # t2 now belongs to the twist, where the derivative differs.
+        times = np.concatenate([np.linspace(0.0, spec.t2, 41)[:-1], [spec.t1]])
+        for got, want in zip(short.sample(times), traj.sample(times)):
+            assert np.array_equal(got, -want)
+        assert np.array_equal(short.values(times), -traj.values(times))
+        assert [piece for piece, _ in short.split(np.sort(times))] == list(negated)
+        with pytest.raises(ValueError, match="outside the trajectory's"):
+            short.values([spec.t3])
 
 
 class TestMultiBrightTransport:
@@ -406,7 +429,7 @@ class TestMultiBrightTransport:
                 rate[:2, : self.R_DIM] = (self.angle_rate(t) * (self.gen @ self.u_ground(t)) @ self.u0.T).T
             return values, derivatives
 
-        return BrightTrajectory(self.DIM, 4, 0.0, 1.0, sampler)
+        return BrightTrajectory(self.DIM, 4, (Piece(0.0, 1.0, None, sampler),))
 
     def full_drive(self, omega):
         def h(t):

@@ -8,7 +8,7 @@ import pytest
 from brightpath import propagators
 from brightpath.effective import BrightTrajectory, Piece
 from brightpath.errors import DerivativeInconsistent, DimensionMismatch, NonMonotoneMap, NotNormalized, NotOrthonormal
-from brightpath.gates import GateSpec, simulate_gate, stage_trajectory, stirap_trajectory
+from brightpath.gates import GateSpec, gate_coupling_schedule, simulate_gate, stage_trajectory, stirap_trajectory
 from brightpath.lambda_system import CouplingSet, bright_state
 from brightpath.linalg import expm_hermitian, matrix_distance, projector_from_frame
 from brightpath.propagators import (
@@ -45,7 +45,7 @@ def rotating_sampler(times):
 
 
 def rotating_trajectory(t_end=np.pi / 2):
-    return BrightTrajectory(2, 1, 0.0, t_end, rotating_sampler)
+    return BrightTrajectory(2, 1, (Piece(0.0, t_end, None, rotating_sampler),))
 
 
 def planes_trajectory(t_end):
@@ -62,7 +62,7 @@ def planes_trajectory(t_end):
             derivatives[:, row, lo], derivatives[:, row, lo + 1] = -rate * np.sin(angle), rate * np.cos(angle)
         return values, derivatives
 
-    return BrightTrajectory(4, 2, 0.0, t_end, sampler)
+    return BrightTrajectory(4, 2, (Piece(0.0, t_end, None, sampler),))
 
 
 def twisted_sampler(times):
@@ -105,7 +105,7 @@ def spun_sampler(times):
 def noncommuting_trajectories():
     """The twisted one-bright path (closed-form steps) and the spun
     two-bright frame (H_eff and eigh), both on [0, 1.5]."""
-    return BrightTrajectory(3, 1, 0.0, 1.5, twisted_sampler), BrightTrajectory(4, 2, 0.0, 1.5, spun_sampler)
+    return BrightTrajectory(3, 1, (Piece(0.0, 1.5, None, twisted_sampler),)), BrightTrajectory(4, 2, (Piece(0.0, 1.5, None, spun_sampler),))
 
 
 def halving_ratios(propagate):
@@ -121,14 +121,14 @@ def drive(sample):
     """A drive that carries nothing but the values of its sampler progress
     -> (values, derivatives), as ``values`` and as one piece with no phases
     (``split``): all that the full oracle reads."""
-    piece = Piece(0.0, 1.0, None, sample, lambda progress: sample(progress)[0])
-    return SimpleNamespace(values=piece.values, split=lambda progress: [(piece, progress)])
+    piece = Piece(0.0, 1.0, None, sample)
+    return SimpleNamespace(values=piece.values_at, split=lambda progress: [(piece, progress)])
 
 
 def held(b):
     """The drive that holds the bright state ``b`` at every progress value:
     a constant one-state trajectory, Bdot = 0."""
-    return BrightTrajectory(b.size, 1, 0.0, 1.0, lambda s: (np.tile(b, (s.size, 1, 1)), np.zeros((s.size, 1, b.size))))
+    return BrightTrajectory(b.size, 1, (Piece(0.0, 1.0, None, lambda s: (np.tile(b, (s.size, 1, 1)), np.zeros((s.size, 1, b.size)))),))
 
 
 def smoothly(drive):
@@ -148,7 +148,7 @@ class TestEvolveTimeOrdered:
             def at_rest(times, frame=frame):
                 return np.broadcast_to(frame, (times.size, *frame.shape)), np.zeros((times.size, *frame.shape))
 
-            res = evolve_time_ordered(BrightTrajectory(3, k, 0.0, 1.0, at_rest), 0.0, 1.0, 17)
+            res = evolve_time_ordered(BrightTrajectory(3, k, (Piece(0.0, 1.0, None, at_rest),)), 0.0, 1.0, 17)
             np.testing.assert_allclose(res.unitary.matrix, np.eye(3), atol=1e-14)
 
     def test_constant_hamiltonian_any_steps(self):
@@ -221,7 +221,7 @@ class TestEvolveTimeOrdered:
                     (values if target == "value" else derivatives)[hit] = bad
                 return values, derivatives
 
-            return BrightTrajectory(2, 1, 0.0, 1.0, sampler)
+            return BrightTrajectory(2, 1, (Piece(0.0, 1.0, None, sampler),))
 
         # The generator is Hermitian by construction, so these two checks
         # are all that stands between a non-finite sample and the kernel.
@@ -253,7 +253,7 @@ class TestEvolveTimeOrdered:
         def sampler(times):
             return np.broadcast_to(frame, (times.size, *values_shape)), np.zeros((times.size, *derivatives_shape))
 
-        traj = BrightTrajectory(2, 1, 0.0, 1.0, sampler)
+        traj = BrightTrajectory(2, 1, (Piece(0.0, 1.0, None, sampler),))
         m = 4 if vectorized else 1
         named = "values {} and derivatives {} must both be {}".format(
             *(re.escape(str((m, *shape))) for shape in (values_shape, derivatives_shape, (1, 2)))
@@ -369,7 +369,7 @@ class TestEvolveFullAdiabatic:
             derivatives = (np.pi / 2) * np.stack([np.cos(theta1), zero, -np.sin(theta1)], axis=1)
             return values[:, None].astype(complex), derivatives[:, None].astype(complex)
 
-        sweep = BrightTrajectory(3, 1, 0.0, 1.0, sampler)
+        sweep = BrightTrajectory(3, 1, (Piece(0.0, 1.0, None, sampler),))
 
         start = np.zeros((2, 4), dtype=complex)
         start[0, 0] = start[1, 1] = 1.0
@@ -645,7 +645,7 @@ class TestRealForm:
         spec = GateSpec(n=3, psi=np.array([0.6, 0.8, 0.0]), phase_twist=0.7, t1=0.3, t2=0.55, t3=1.0)
         real = stage_trajectory(spec)
         assert real.pieces[0].values(np.array([0.1])).dtype == float
-        cast = BrightTrajectory.from_pieces(
+        cast = BrightTrajectory(
             3, 1, [Piece(p.t_start, p.t_end, p.phases, p.sampler, lambda t, p=p: p.values(t).astype(complex)) for p in real.pieces]
         )
         configs = [AdiabaticRunConfig(omega_T=w, steps=2 * FULL_BLOCK + 5) for w in (40.0, 7.5)]
@@ -657,7 +657,7 @@ class TestRealForm:
             assert np.array_equal(got, want)
         # The same path as one complex piece, with no phases, moves by
         # rounding only.
-        whole = reparametrize(real, lambda s: s, lambda s: np.ones_like(s), 0.0, 1.0)
+        whole = BrightTrajectory(3, 1, (Piece(0.0, 1.0, None, real.sample, real.values),))
         for got, want in zip(evolve_full_sweep(real, configs), evolve_full_sweep(whole, configs)):
             assert np.abs(got.unitary.matrix - want.unitary.matrix).max() <= 1e-13
 
@@ -674,10 +674,10 @@ class TestRealForm:
                 angle = 0.3 + 2.0 * times
                 return np.stack([np.sin(angle), 0 * angle, np.cos(angle)], axis=1)[:, None, :]
 
-            drive = BrightTrajectory.from_pieces(3, 1, [Piece(0.0, 0.3, None, None, complex_part), Piece(0.3, 1.0, None, None, real_part)])
+            drive = BrightTrajectory(3, 1, (Piece(0.0, 0.3, None, None, complex_part), Piece(0.3, 1.0, None, None, real_part)))
             full = lambda times: np.where((times < 0.3)[:, None, None], complex_part(times), real_part(times))
         else:
-            drive = BrightTrajectory(3, 1, 0.0, 1.0, None, value_sampler=full)
+            drive = BrightTrajectory(3, 1, (Piece(0.0, 1.0, None, None, full),))
         # The dense steps go through the same ordered product (a pairwise
         # tree, then the polar projection); a product taken one step at a
         # time drifts by ~steps * eps.
@@ -702,7 +702,7 @@ class TestRealForm:
         constant = lambda times: np.tile(b, (times.size, 1, 1))
         edges = (0.0, 0.25, 0.45, 1.0)
         pieces = [Piece(lo, hi, None, None, recorded(i, constant)) for i, (lo, hi) in enumerate(zip(edges, edges[1:]))]
-        drive = BrightTrajectory.from_pieces(3, 1, pieces)
+        drive = BrightTrajectory(3, 1, pieces)
         evolve_full_adiabatic(drive, AdiabaticRunConfig(omega_T=1.0, steps=10))
         got = [np.concatenate(times) for times in seen]
         np.testing.assert_array_equal(got[0], [0.05, 0.15])
@@ -979,7 +979,32 @@ class TestReparametrize:
         values, derivatives = remapped.sample(times)
         base_values, base_derivatives = traj.sample(times * times)
         assert np.array_equal(values, base_values)
-        assert np.array_equal(derivatives, (2.0 * times)[:, None, None] * base_derivatives)
+        # Each piece scales its own derivatives by f' before its phases are
+        # applied: bit for bit where it has none, and within a rounding of
+        # each entry on the fall, whose phases are e^{i twist}.
+        want = (2.0 * times)[:, None, None] * base_derivatives
+        fall = times >= remapped.breakpoints[-1]
+        assert np.array_equal(derivatives[~fall], want[~fall])
+        assert np.all(np.abs(derivatives - want) <= 1e-15 * np.abs(want))
+
+    def test_pieces_keep_their_phases_and_real_coordinates(self):
+        # The gate's core path: a real rise, a complex twist and a real fall
+        # with phases, remapped onto the smooth clock.
+        spec = GateSpec(n=4, psi=np.array([0.6, 0.0, 0.8j, 0.0]), phase_twist=2.1, t1=0.4, t2=0.9, t3=1.7)
+        core = gate_coupling_schedule(spec)
+        smooth = lambda s: ramp_value("smooth", s)
+        remapped = reparametrize(core, smooth, lambda s: ramp_rate("smooth", s), 0.0, 1.0)
+        assert len(remapped.pieces) == 3
+        for index in (0, 2):
+            piece, base = remapped.pieces[index], core.pieces[index]
+            assert piece.phases is base.phases
+            part = np.linspace(piece.t_start, piece.t_end, 9)
+            assert piece.values(part).dtype == np.float64
+            assert piece.sampler(part)[1].dtype == np.float64
+        assert remapped.pieces[2].phases is not None
+        # Midpoints of a ragged grid, both ends and the moved edges.
+        times = np.concatenate([(np.arange(1037) + 0.5) / 1037, [0.0, 1.0], remapped.breakpoints])
+        assert np.array_equal(remapped.values(times), core.values(smooth(times)))
 
     def test_breakpoints_move_to_their_preimages(self):
         spec = off_grid_gate()

@@ -1,9 +1,10 @@
 """Mutation gate: every listed mutant must make the tier-1 suite fail.
 
 A mutant replaces one exact text in one module of ``src/brightpath/``.  The
-script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory, checks that tier-1 passes there unmutated, and then applies one
-mutant at a time and runs tests on it with ``-x`` and no bytecode written:
+script copies ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md``
+(whose examples a test runs) to a temporary directory, checks that tier-1
+passes there unmutated, and then applies one mutant at a time and runs
+tests on it with ``-x`` and no bytecode written:
 first its module's own test file, ``tests/test_<module>.py``, where most
 mutants fail within seconds, and the whole tier-1 only if that file passes.
 A failure in one tier-1 file is a tier-1 failure, so the order changes no
@@ -124,9 +125,37 @@ MUTANTS = (
     Mutant(
         "reparametrize-keeps-unmapped-breakpoints",
         "propagators",
-        "t0, t1, sampler, tuple(map(float, hi)), value_sampler)",
-        "t0, t1, sampler, tuple(map(float, targets)), value_sampler)",
-        "a remapped trajectory declares its base's breakpoints, not their preimages",
+        "edges = (float(t0), *map(float, hi), float(t1))",
+        "edges = (float(t0), *map(float, targets), float(t1))",
+        "a remapped trajectory's pieces keep their base's edges, not their preimages",
+    ),
+    Mutant(
+        "reparametrize-drops-phases",
+        "propagators",
+        "return Piece(start, end, piece.phases, sampler,",
+        "return Piece(start, end, None, sampler,",
+        "a remapped piece forgets its phases: the gate's fall loses e^{i twist} on the levels of psi",
+    ),
+    Mutant(
+        "piece-values-fallback-reads-derivatives",
+        "effective",
+        "return self.sampler(times)[0] if self.values is None else self.values(times)",
+        "return self.sampler(times)[1] if self.values is None else self.values(times)",
+        "a piece without its own values reads its sampler's derivatives as its values",
+    ),
+    Mutant(
+        "morris-shore-level-limit-exclusive",
+        "cli",
+        "_require(levels <= MAX_MORRIS_SHORE_LEVELS,",
+        "_require(levels < MAX_MORRIS_SHORE_LEVELS,",
+        "a random Morris-Shore system of exactly MAX_MORRIS_SHORE_LEVELS levels is refused",
+    ),
+    Mutant(
+        "closure-tolerance-inclusive",
+        "berry",
+        "if not gap < CLOSURE_TOL:",
+        "if not gap <= CLOSURE_TOL:",
+        "a closed path whose ends differ by exactly CLOSURE_TOL is accepted",
     ),
     Mutant(
         "gate-trace-drops-psi-perp",
@@ -375,7 +404,8 @@ def _tier1(tree: str, command=TIER1) -> tuple[bool, str]:
 def _copy(tree: str) -> None:
     for part in ("src", "tests"):
         shutil.copytree(os.path.join(ROOT, part), os.path.join(tree, part), ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copy(os.path.join(ROOT, "pyproject.toml"), tree)
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy(os.path.join(ROOT, name), tree)
 
 
 def run(mutants) -> int:
