@@ -113,38 +113,62 @@ def h_eff_couplings(c: CouplingSet, rdot, phidot) -> HermitianOperator:
 
 class Piece(NamedTuple):
     """One piece of a bright trajectory, on [t_start, t_end]: its bright
-    states are ``phases * v``, one unit phase per level (None: all 1), for
-    the coordinates v that ``sampler`` (values and derivatives) and
-    ``values`` give (None: ``sampler``'s values, see ``values_at``).  v may
-    be real, and then so is a route's arithmetic."""
+    states are ``frame @ v``, for a (dim, r) isometry ``frame`` (None: the
+    identity, r = dim) and the r coordinates v that ``sampler`` (values and
+    derivatives) and ``values`` give (None: ``sampler``'s values).  v may be
+    real, and then so is a route's arithmetic on the piece's r levels."""
 
     t_start: float
     t_end: float
-    phases: np.ndarray | None
+    frame: np.ndarray | None
     sampler: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     values: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def values_at(self, times: np.ndarray) -> np.ndarray:
-        """v alone at ``times``: ``values``, or else the values of ``sampler``."""
-        return self.sampler(times)[0] if self.values is None else self.values(times)
+
+def _lifted(frame: np.ndarray | None, coordinates) -> np.ndarray:
+    """(..., r) coordinates v as the complex states ``frame @ v``, by one
+    broadcast product per column: BLAS may spread a matmul over rows across
+    threads, at more CPU than it saves."""
+    if frame is None:
+        return np.asarray(coordinates, dtype=complex)
+    states = np.multiply(coordinates[..., 0, None], frame[:, 0], dtype=complex)
+    for j in range(1, frame.shape[1]):
+        states += coordinates[..., j, None] * frame[:, j]
+    return states
 
 
 @dataclass(frozen=True)
 class BrightTrajectory:
     """Time-dependent orthonormal bright frame with analytic derivatives.
 
-    The frame runs through ``pieces``, each starting where the last ends;
-    their inner edges are its ``breakpoints``, where the derivative may
-    jump (the value stays continuous), and a time on an edge belongs to
-    the piece on its right.  ``sample(times)`` evaluates a 1-D array of
-    times at once as (values, derivatives), each (M, k, dim), taking each
-    time from its piece, times the piece's phases, as complex arrays.
-    Evaluation must be pure: the same t always yields the same output.
+    The frame runs through ``pieces``, each with t_start < t_end and
+    starting where the last ends, and each frame a (dim, r) isometry within
+    ``INPUT_ORTHONORMALITY_TOL``, all checked when the trajectory is built.
+    The inner edges are its ``breakpoints``, where the derivative may jump
+    (the value stays continuous); a time on an edge belongs to the piece on
+    its right.  ``sample(times)`` evaluates a 1-D array of times at once as
+    complex (values, derivatives), each (M, k, dim).  Evaluation must be
+    pure: the same t always yields the same output.
     """
 
     dim: int
     k: int
     pieces: tuple[Piece, ...] = field(repr=False)
+
+    def __post_init__(self):
+        for before, piece in zip((None, *self.pieces), self.pieces):
+            if not piece.t_start < piece.t_end:  # NaN fails too
+                raise ValueError(f"a piece needs t_start < t_end, got [{piece.t_start:.6g}, {piece.t_end:.6g}]")
+            if before is not None and piece.t_start != before.t_end:
+                raise ValueError(f"pieces must be contiguous: one ends at {before.t_end:.6g}, the next starts at {piece.t_start:.6g}")
+            if piece.frame is None:
+                continue
+            shape = np.shape(piece.frame)
+            if not isinstance(piece.frame, np.ndarray) or len(shape) != 2 or shape[0] != self.dim or shape[1] < self.k:
+                raise DimensionMismatch(f"a piece's frame must be a (dim={self.dim}, r) array with r >= k={self.k}, got {shape}")
+            failure = _orthonormality_failure(np.asarray(piece.frame, dtype=complex).T[None])
+            if failure is not None:
+                raise NotOrthonormal(f"a piece's frame is not an isometry: {failure[1]}")
 
     @property
     def t_start(self) -> float:
@@ -172,36 +196,42 @@ class BrightTrajectory:
         bounds = (0, *times.searchsorted(self.breakpoints), times.size)
         return [(piece, times[lo:hi]) for piece, lo, hi in zip(self.pieces, bounds, bounds[1:]) if hi > lo]
 
-    def _read(self, times, read) -> tuple[np.ndarray, ...]:
-        """``read(piece, part)`` on each piece's part of ``times`` (cut by
-        ``split``, under its domain check; other orders are sorted and put
-        back), times the piece's phases, as complex arrays that must each be
-        (M, k, dim) (else ``DimensionMismatch`` naming each shape)."""
-        times = np.asarray(times, dtype=float)
-        if len(self.pieces) > 1 and (times[:-1] > times[1:]).any():  # NaN is left to split's check
-            order = np.argsort(times, kind="stable")
-            return tuple(array[np.argsort(order)] for array in self._read(times[order], read))
-        spans = self.split(times) or [(self.pieces[0], times)]
-        parts = [tuple(np.asarray(a, complex) if p.phases is None else a * p.phases for a in read(p, part)) for p, part in spans]
-        arrays = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-        expected = (times.size, self.k, self.dim)
+    def coordinates(self, piece: Piece, times: np.ndarray, rates: bool = True) -> tuple[np.ndarray, ...]:
+        """``piece``'s sampled values and derivatives at ``times`` (its values
+        alone with no ``rates``), each (M, k, r) for the r columns of its
+        frame (dim with none), else ``DimensionMismatch`` names each shape:
+        the one reader of a piece, for ``sample``, ``values`` and the routes."""
+        if rates:
+            arrays = piece.sampler(times)
+        else:
+            arrays = (piece.sampler(times)[0] if piece.values is None else piece.values(times),)
+        expected = (times.size, self.k, self.dim if piece.frame is None else piece.frame.shape[1])
         if any(np.shape(array) != expected for array in arrays):
             shapes = " and ".join(f"{name} {np.shape(array)}" for name, array in zip(("values", "derivatives"), arrays))
             raise DimensionMismatch(f"sampled {shapes} must {'both ' * (len(arrays) > 1)}be {expected}")
         return arrays
 
+    def _states(self, times, rates: bool) -> tuple[np.ndarray, ...]:
+        """Each piece's ``coordinates`` on its part of ``times`` (cut by
+        ``split``; other orders are sorted and put back), through its frame."""
+        times = np.asarray(times, dtype=float)
+        if len(self.pieces) > 1 and (times[:-1] > times[1:]).any():  # NaN is left to split's check
+            order = np.argsort(times, kind="stable")
+            return tuple(array[np.argsort(order)] for array in self._states(times[order], rates))
+        spans = self.split(times) or [(self.pieces[0], times)]
+        parts = [tuple(_lifted(piece.frame, a) for a in self.coordinates(piece, part, rates)) for piece, part in spans]
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
     def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """Values and derivatives at every time of a 1-D array, each (M, k, dim);
-        ``DimensionMismatch`` names both shapes when either is not.  Every
-        time must lie in [t_start, t_end] (else ``ValueError`` naming both
-        intervals)."""
-        return self._read(times, lambda piece, part: piece.sampler(part))
+        """Values and derivatives at every time of a 1-D array, each (M, k, dim).
+        Every time must lie in [t_start, t_end] (else ``ValueError`` naming
+        both intervals)."""
+        return self._states(times, True)
 
     def values(self, times) -> np.ndarray:
         """The values of ``sample`` alone, (M, k, dim), bit for bit, under the
-        same domain and shape checks: each piece's ``values_at``, which
-        reads its ``values`` when it has them and skips the derivatives."""
-        return self._read(times, lambda piece, part: (piece.values_at(part),))[0]
+        same checks, without the derivatives of a piece with ``values``."""
+        return self._states(times, False)[0]
 
     def h_eff(self, t: float) -> HermitianOperator:
         """The geometric generator carried by this trajectory at time ``t``."""

@@ -5,14 +5,11 @@ closed three-piece path: from the auxiliary level |n> into a chosen logical
 superposition psi and back, with a phase twist in between.  The dark
 (logical) space returns to itself having acquired a relative phase on psi;
 the whole construction needs only the bright trajectory, never a dark
-basis.  The stage formulas are written once, in ``stage_trajectory``.  The
-path stays in span{psi, |n-1>}, so both routes run on the gate's core:
-the effective route propagates the two-level path on the ground directions
-psi and |n-1> (``simulate_gate``), the full Schroedinger oracle the same
-path with the excited level on three levels (``simulate_full_gate``).
-Each embeds its core unitary with the identity on the dark complement
-through one frame (``_core_frame``), so neither's cost grows with n, and
-``measure_gate`` compares a result of either route with the composed gate.
+basis.  The stage formulas are written once, in ``stage_trajectory``,
+whose pieces move in span{psi, |n-1>}: both routes (``simulate_gate``,
+``simulate_full_gate``) run each piece on its two coordinates, so neither's
+cost grows with n, and ``measure_gate`` compares a result with the
+composed gate.
 
 Stage boundaries (times t1 < t2 < t3) and ramp profiles are configurable;
 the geometric result depends only on the traced path, not on the schedule,
@@ -27,7 +24,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .effective import BrightTrajectory, Piece
-from .errors import DimensionMismatch, NotNormalized
+from .errors import NotNormalized
 from .linalg import UnitaryOperator, matrix_distance, projector_from_frame
 from .propagators import (
     DEFAULT_GEOMETRIC_STEPS,
@@ -95,34 +92,33 @@ class GateSpec:
 def stage_trajectory(spec: GateSpec) -> BrightTrajectory:
     """The gate's bright path on [0, t3]: |n-1> -> psi -> (phase twist) -> back.
 
-    B = e^{i phi} sin(theta/2) psi + cos(theta/2) |n-1>, with Bdot by the
-    chain rule, in three pieces that each evaluate only the angle they move
-    along its ramp: the rise turns theta 0 -> pi on [0, t1], the twist phi
-    0 -> twist on [t1, t2], the fall theta back to 0 on [t2, t3].  Rise and
-    fall sample sin(theta/2) psi + cos(theta/2) |n-1>, real for a real psi,
-    the fall with the phases e^{i twist} on the levels of psi.  B is
-    continuous; Bdot jumps at t1 and t2, each in the piece on its right.
-    ``values`` keep the bits of ``sample``'s values without the rates.
+    B = e^{i phi} sin(theta/2) p + cos(theta/2) a on p = psi (renormalized
+    on the logical levels) and a = |n-1>, with Bdot by the chain rule, in
+    three pieces that each evaluate only the angle they move: the rise
+    turns theta 0 -> pi on [0, t1], the twist phi 0 -> twist on [t1, t2],
+    the fall theta back to 0 on [t2, t3].  Each samples its coordinates on
+    (p, a) through the frame Q = [p, a]; rise and fall sample the real
+    (sin(theta/2), cos(theta/2)), the fall through Q diag(e^{i twist}, 1).
+    Bdot jumps at t1 and t2, each in the piece on its right.
     """
     psi, n, twist = spec.psi, spec.n, spec.phase_twist
     t1, t2, t3 = spec.t1, spec.t2, spec.t3
-    ground = psi if psi.imag.any() else psi.real
+    frame = np.zeros((n, 2), dtype=complex)
+    frame[: n - 1, 0] = psi[: n - 1] / np.linalg.norm(psi[: n - 1])
+    frame[n - 1, 1] = 1.0
     # The still angles: theta/2 = pi/2 on the twist, phi = twist on the
     # fall.  Each constant comes from the numpy call a whole array of that
     # angle makes, so every sample keeps the bits its own angles would give.
     top = np.array([np.pi]) / 2
     (sin_top,), (cos_top,) = np.sin(top), np.cos(top)
 
-    def bright(along: np.ndarray, cos) -> np.ndarray:
-        """along psi + cos |n-1> as (M, 1, n), column by column: a broadcast
-        product costs several times more, and |n-1> needs none."""
-        out = np.empty((along.size, 1, n), dtype=np.result_type(along, ground))
-        for level, amplitude in enumerate(ground):
-            np.multiply(along, amplitude, out=out[:, 0, level])
-        out[:, 0, n - 1] += cos
+    def coordinates(along, across) -> np.ndarray:
+        """(along, across) as (M, 1, 2), either one a scalar or an array."""
+        out = np.empty((len(along), 1, 2), dtype=np.result_type(along, across))
+        out[:, 0, 0], out[:, 0, 1] = along, across
         return out
 
-    def theta_piece(lo: float, hi: float, start: float, change: float, phases) -> Piece:
+    def theta_piece(lo: float, hi: float, start: float, change: float, frame: np.ndarray) -> Piece:
         def angles(times: np.ndarray) -> tuple[np.ndarray, ...]:
             s = (times - lo) / (hi - lo)
             half = (start + change * ramp_value(spec.theta_schedule, s)) / 2
@@ -131,9 +127,9 @@ def stage_trajectory(spec: GateSpec) -> BrightTrajectory:
         def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             s, sin, cos = angles(times)
             rate = change * ramp_rate(spec.theta_schedule, s) / (hi - lo)
-            return bright(sin, cos), bright(0.5 * rate * cos, -(0.5 * rate * sin))
+            return coordinates(sin, cos), coordinates(0.5 * rate * cos, -(0.5 * rate * sin))
 
-        return Piece(lo, hi, phases, sampler, lambda times: bright(*angles(times)[1:]))
+        return Piece(lo, hi, frame, sampler, lambda times: coordinates(*angles(times)[1:]))
 
     def turned(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s = (times - t1) / (t2 - t1)
@@ -144,12 +140,11 @@ def stage_trajectory(spec: GateSpec) -> BrightTrajectory:
         s, turn = turned(times)
         across = np.zeros(times.shape, dtype=complex)
         across.imag = twist * ramp_rate(spec.phi_schedule, s) / (t2 - t1) * sin_top
-        # Adding -0j (both parts -0.0) to the auxiliary rate changes no bit.
-        return bright(turn * sin_top, cos_top), bright(turn * across, -0j)
+        return coordinates(turn * sin_top, cos_top), coordinates(turn * across, 0.0)
 
-    rise = theta_piece(0.0, t1, 0.0, np.pi, None)
-    middle = Piece(t1, t2, None, twist_sampler, lambda times: bright(turned(times)[1] * sin_top, cos_top))
-    fall = theta_piece(t2, t3, np.pi, -np.pi, np.where(np.arange(n) < n - 1, np.exp(1j * np.array([twist])), 1.0))
+    rise = theta_piece(0.0, t1, 0.0, np.pi, frame)
+    middle = Piece(t1, t2, frame, twist_sampler, lambda times: coordinates(turned(times)[1] * sin_top, cos_top))
+    fall = theta_piece(t2, t3, np.pi, -np.pi, frame * np.exp(1j * np.array([twist, 0.0])))
     return BrightTrajectory(n, 1, (rise, middle, fall))
 
 
@@ -181,59 +176,11 @@ def compose_gate(spec: GateSpec) -> UnitaryOperator:
     return u3 @ u2 @ u1
 
 
-def _core_spec(spec: GateSpec, scale: float = 1.0) -> GateSpec:
-    """The gate on its two ground directions p = psi and a = |n-1> (the
-    first columns of ``_core_frame``), with the stage times divided by
-    ``scale``."""
-    t1, t2, t3 = spec.t1 / scale, spec.t2 / scale, spec.t3 / scale
-    return replace(spec, n=2, psi=np.array([1.0, 0.0]), t1=t1, t2=t2, t3=t3)
-
-
 def gate_coupling_schedule(spec: GateSpec) -> BrightTrajectory:
-    """The bright trajectory of the gate's core on progress [0, 1]: the
-    ``stage_trajectory`` of ``_core_spec`` with the stage times divided by
-    t3, the drive ``simulate_full_gate`` builds and reads at Omega = 1."""
-    return stage_trajectory(_core_spec(spec, spec.t3))
-
-
-def _core_frame(spec: GateSpec) -> np.ndarray:
-    """Pi, the (n+1, 3) isometry onto the gate's coupled core: the ground
-    directions p = psi (renormalized, so the embed keeps W's unitarity) and
-    a = |n-1> of ``_core_spec``, then the excited level |n>.  Its first n
-    rows and two columns span the effective route's core."""
-    frame = np.zeros((spec.n + 1, 3), dtype=complex)
-    frame[: spec.n - 1, 0] = spec.psi[: spec.n - 1] / np.linalg.norm(spec.psi[: spec.n - 1])
-    frame[spec.n - 1, 1] = 1.0
-    frame[spec.n, 2] = 1.0
-    return frame
-
-
-def _core_trace(trace: StateTrace, frame: np.ndarray) -> StateTrace:
-    """A trace of the core that carries Pi^dag psi0 and hands the trace's
-    sink psi_perp + rows Pi^T, the part of psi0 outside the core never
-    moving, and the core's coupled states lifted through the same Pi."""
-    state = np.asarray(trace.state, dtype=complex)
-    if state.shape != frame.shape[:1]:
-        raise DimensionMismatch(f"trace state has shape {state.shape}, but the gate acts on {frame.shape[:1]}")
-    core = frame.conj().T @ state
-    outside = state - frame @ core
-
-    def sink(times: np.ndarray, rows: np.ndarray, coupled: np.ndarray) -> None:
-        # Broadcast, not a matmul: BLAS may spread a (rows, k) @ (k, dim)
-        # product over threads, which costs more CPU than it saves.
-        states = np.broadcast_to(outside, (len(rows), outside.size)).copy()
-        for column, amplitudes in zip(frame.T, rows.T):
-            states += amplitudes[:, None] * column
-        trace.sink(times, states, np.einsum("mkc,dc->mkd", coupled, frame))
-
-    return StateTrace(core, sink)
-
-
-def _embedded(core: PropagationResult, frame: np.ndarray) -> PropagationResult:
-    """The core run with its polar-projected W embedded through the frame Pi
-    as U = 1 - Pi Pi^dag + Pi W Pi^dag; ``unitarity_error`` stays W's drift."""
-    outside = np.eye(len(frame)) - frame @ frame.conj().T
-    return replace(core, unitary=UnitaryOperator(outside + frame @ core.unitary.matrix @ frame.conj().T))
+    """The gate's bright trajectory on progress [0, 1]: the
+    ``stage_trajectory`` with the stage times divided by t3, the drive
+    ``simulate_full_gate`` builds and reads at Omega = 1."""
+    return stage_trajectory(replace(spec, t1=spec.t1 / spec.t3, t2=spec.t2 / spec.t3, t3=1.0))
 
 
 def simulate_full_gate(
@@ -241,20 +188,15 @@ def simulate_full_gate(
     runs: Sequence[AdiabaticRunConfig],
     trace: StateTrace | None = None,
 ) -> list[PropagationResult]:
-    """The full Schroedinger oracle of the gate, once per Omega*T run.
-
-    The drive couples only span{psi, |n-1>} to the excited level (every
-    other ground state is dark at all times), so ``evolve_full_sweep``
-    propagates the three-level core driven by the ``stage_trajectory`` of
-    ``_core_spec`` on progress [0, 1] (``gate_coupling_schedule``), whose
-    values alone it reads, and each run's W is embedded on the n+1 levels
-    through the whole ``_core_frame``.  A ``trace`` (one run only) carries
-    an (n+1)-level state, with times in normalized progress units.
+    """The full Schroedinger oracle of the gate, once per Omega*T run:
+    ``evolve_full_sweep`` of the ``gate_coupling_schedule`` drive, each piece
+    on its three levels (every ground state outside span{psi, |n-1>} is
+    dark at all times).  A ``trace`` (one run only) carries an (n+1)-level
+    state, with times in normalized progress units.
     """
-    frame = _core_frame(spec)
-    trace = None if trace is None else _core_trace(trace, frame)
-    drive = stage_trajectory(_core_spec(spec, spec.t3))
-    return [_embedded(core, frame) for core in evolve_full_sweep(drive, runs, trace)]
+    # Built here, not through gate_coupling_schedule, a name a tracer may wrap.
+    drive = stage_trajectory(replace(spec, t1=spec.t1 / spec.t3, t2=spec.t2 / spec.t3, t3=1.0))
+    return evolve_full_sweep(drive, runs, trace)
 
 
 def measure_gate(geometric: np.ndarray, results: Sequence[PropagationResult]) -> list[tuple[np.ndarray, float, float, float]]:
@@ -295,17 +237,12 @@ def simulate_gate(spec: GateSpec, steps: int = 10_000, trace: StateTrace | None 
     """Propagate the gate's effective generator; ``measure_gate`` compares
     the result with the composed gate.
 
-    H_eff acts only on span{psi, |n-1>}, so the two-level ``_core_spec``
-    path is propagated on the same clock [0, t3] and steps, and its W is
-    embedded on the n levels through the ground columns of ``_core_frame``;
-    ``unitarity_error`` is W's drift.  A ``trace`` carries an n-level
-    state along the same steps, over [0, t3].
+    ``evolve_time_ordered`` of the ``stage_trajectory`` over [0, t3], each
+    piece on its two coordinates.  A ``trace`` carries an n-level state.
     """
     if steps < MIN_GATE_STEPS:
         raise ValueError(f"steps must be >= {MIN_GATE_STEPS}, got {steps}")
-    frame = _core_frame(spec)[: spec.n, :2]
-    trace = None if trace is None else _core_trace(trace, frame)
-    return _embedded(evolve_time_ordered(stage_trajectory(_core_spec(spec)), 0.0, spec.t3, steps, trace), frame)
+    return evolve_time_ordered(stage_trajectory(spec), 0.0, spec.t3, steps, trace)
 
 
 @dataclass(frozen=True)

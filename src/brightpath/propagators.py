@@ -3,31 +3,32 @@
 Every propagator is one pipeline: step grid -> factors -> reducer, streamed
 in blocks of ``FULL_BLOCK`` steps.  The grid splits [t0, t1] into equal
 steps and hands out their midpoints one block at a time.  A factor builder
-samples and checks each block and turns it into the one-step exponentials
-of its m steps, as (d, d, m) entry planes (entry (i, j) of every step in
-one contiguous row): the exponential midpoint rule (second order, unitary
-by construction) for the generator H_eff of a bright trajectory, in closed
-form from the Gram matrix of (B, dt Bdot) for one bright state (no d x d
-H_eff is formed), or the closed-form step of the full (n+1)-level Lambda
-Hamiltonian Omega (|B><e| + h.c.), the brute-force oracle the geometric
-methods are checked against.  Its drive is one bright trajectory B on
-progress [0, 1] at Omega = 1, so B and Omega*T fix a run, and the oracle
-reads only the values of its pieces (no Bdot), each part of a block in
-its piece's coordinates: the Lambda steps are built and multiplied in the
-real form D^-1 F D, D = diag(1, ..., 1, i), real for real coordinates,
-and each product is mapped back (``_lift``).  A reducer consumes the
-blocks in order: it forms the ordered product (each block by a pairwise
-tree, then the block products by the same tree) and, given a
-``StateTrace``, applies the same factors to one state by a blocked scan
-and hands each block's states, and the states its drive couples then, to
-the trace's sink, so a run's unitary and its state trajectory come from
-one pass.  No array longer than one block is built, so memory stays flat
-in the step count.  The full runs of a sweep over Omega*T share one step
-grid, one sampled, checked drive per block, and the run-independent
-planes of the block's step pairs; each run hands the tree the closed-form
-products of two consecutive Lambda steps (``_LambdaPairs``), so its tree
-starts at half the steps.  A trace scans the single steps, and the
-unitary comes from the pairs either way.
+cuts each block at the trajectory's piece edges (``BrightTrajectory.split``)
+and turns each part, sampled and checked in its piece's r coordinates,
+into the one-step exponentials of its m steps on the piece's r levels, as
+(r, r, m) entry planes (entry (i, j) of every step in one contiguous row):
+the exponential midpoint rule (second order, unitary by construction) for
+the generator H_eff of a bright trajectory, in closed form from the Gram
+matrix of (B, dt Bdot) for one bright state, or the closed-form step of
+the full (n+1)-level Lambda Hamiltonian Omega (|B><e| + h.c.), the
+brute-force oracle the geometric methods are checked against.  Its drive
+is one bright trajectory B on progress [0, 1] at Omega = 1, so B and
+Omega*T fix a run; it reads only values, and builds and multiplies its
+steps in the real form D^-1 F D, D = diag(1, ..., 1, i), real for real
+coordinates.  Each part's product W is embedded once, as 1 + F (W - 1)
+F^dag for its piece's frame F (the oracle's frame F (+) i also undoes D).
+A reducer consumes the blocks in order: it forms the ordered product (each
+part by a pairwise tree, then the embedded part products by the same
+tree) and, given a ``StateTrace``, applies the same factors to one state
+by a blocked scan in each part's coordinates and hands each block's
+states, and the states its drive couples then, to the trace's sink, so a
+run's unitary and its state trajectory come from one pass.  No array
+longer than one block is built, so memory stays flat in the step count.
+The full runs of a sweep over Omega*T share one sampled, checked drive per
+part and the run-independent planes of its step pairs; each run hands the
+tree the closed-form products of two consecutive Lambda steps
+(``_LambdaPairs``), so its tree starts at half the steps.  A trace scans
+the single steps, and the unitary comes from the pairs either way.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from .effective import BrightTrajectory, Piece, _checked_frames, _h_eff_stack
+from .effective import BrightTrajectory, Piece, _checked_frames, _h_eff_stack, _lifted
 from .errors import DimensionMismatch, NonMonotoneMap, NotNormalized
 from .lambda_system import COUPLING_NORM_TOL
 from .linalg import (
@@ -109,22 +110,34 @@ def _step_grid(t0: float, t1: float, steps: int) -> tuple[Iterator[np.ndarray], 
     return blocks, span / steps
 
 
-def _midpoint_factors(trajectory: BrightTrajectory, t0: float, t1: float, steps: int) -> Iterator[np.ndarray]:
-    """exp(-i H_eff(m_j) dt) for every midpoint m_j of the grid, one block at
-    a time.  The trajectory is sampled once per block and its frames checked
-    (``_checked_frames``); one bright state takes the closed-form step of
-    ``_expm_bright_stack``, k >= 2 the ``eigh`` of the H_eff stack.  Any
-    other input raises ``TypeError`` naming its type."""
+def _midpoint_factors(trajectory: BrightTrajectory, t0: float, t1: float, steps: int) -> Iterator[list[tuple[np.ndarray | None, np.ndarray]]]:
+    """exp(-i h(m_j) dt) for every midpoint m_j of the grid, one block at a
+    time, as its parts: (frame, planes) for each piece's part of the block,
+    h the generator of the piece's coordinates, on its r levels.  Each part
+    is sampled once (``BrightTrajectory.coordinates``) and its frames
+    checked (``_checked_frames``); one bright state takes the closed-form
+    step of ``_expm_bright_stack``, k >= 2 the ``eigh`` of the h stack, and
+    no sample outlives its part.  Any input but a ``BrightTrajectory``
+    raises ``TypeError`` naming its type, before the first block."""
     if not isinstance(trajectory, BrightTrajectory):
         raise TypeError(f"the midpoint route propagates a BrightTrajectory, got {type(trajectory).__name__}")
     blocks, dt = _step_grid(t0, t1, steps)
-    for mids in blocks:
+
+    def steps_of(piece: Piece, part: np.ndarray) -> np.ndarray:
         if trajectory.k == 1:
-            # One expression: the block's samples are freed before the yield,
-            # not held while the consumer reduces the block.
-            yield _expm_bright_stack(*(side[:, 0] for side in _checked_frames(*trajectory.sample(mids), times=mids)), dt)
-        else:
-            yield _expm_hermitian_stack(_h_eff_stack(*trajectory.sample(mids), times=mids), dt).transpose(1, 2, 0)
+            return _expm_bright_stack(*(side[:, 0] for side in _checked_frames(*trajectory.coordinates(piece, part), times=part)), dt)
+        return _expm_hermitian_stack(_h_eff_stack(*trajectory.coordinates(piece, part), times=part), dt).transpose(1, 2, 0)
+
+    return ([(piece.frame, steps_of(piece, part)) for piece, part in trajectory.split(mids)] for mids in blocks)
+
+
+def _embedded(frame: np.ndarray | None, product: np.ndarray) -> np.ndarray:
+    """A part's product W on the r levels of its ``frame`` F as 1 + F (W - 1)
+    F^dag on all levels (W itself with no frame)."""
+    if frame is None:
+        return product
+    change = product - np.eye(len(product))
+    return np.eye(len(frame)) + frame @ change @ frame.conj().T
 
 
 def _bright_states(values, progress: np.ndarray) -> np.ndarray:
@@ -169,7 +182,7 @@ def _lambda_step_factors(b: np.ndarray, phase: float, out: np.ndarray | None = N
     Each factor acts on n+1 levels and is the closed form
     1 + (cos p - 1)(P_B + P_e) + sin p (|B><e| - |e><B|), written row by row
     into uninitialized (n+1, n+1, M) entry planes of b's dtype (``out`` when
-    given): real for a real B.  ``_lift`` maps a product of them back.
+    given): real for a real B.  ``_excited_frame`` maps a product of them back.
     """
     m, n = b.shape
     planes = np.empty((n + 1, n + 1, m), dtype=b.dtype) if out is None else out
@@ -185,13 +198,14 @@ def _lambda_step_factors(b: np.ndarray, phase: float, out: np.ndarray | None = N
     return planes
 
 
-def _lift(phases: np.ndarray | None, n: int) -> np.ndarray:
-    """The entrywise factors of W = Phi G Phi^dag, Phi = diag(phases, i),
-    which map a real-form product G of a piece's Lambda steps back to the
-    propagator W of its bright states ``phases * b``: with no phases, the
-    excited row times i and its column times -i, bit for bit."""
-    phi = np.append(np.ones(n) if phases is None else phases, 1j)
-    return np.outer(phi, phi.conj())
+def _excited_frame(frame: np.ndarray | None, n: int) -> np.ndarray:
+    """Pi = F (+) i for a piece's frame F on n ground levels (the identity
+    with none): the excited column's i maps a real-form product G back."""
+    r = n if frame is None else frame.shape[1]
+    pi = np.zeros((n + 1, r + 1), dtype=complex)
+    pi[:n, :r] = np.eye(n) if frame is None else frame
+    pi[n, r] = 1j
+    return pi
 
 
 class _LambdaPairs:
@@ -208,27 +222,15 @@ class _LambdaPairs:
     ``factors`` writes only its pair planes, half as many as its steps, and
     an odd last step is its own ``_lambda_step_factors`` plane.
 
-    The shared planes (kets and bras of the first and second steps, omega,
-    S and X) are rows of one complex buffer (or of its float view), made
-    for ``size`` steps once per sweep and refilled by each ``load``; a
-    trace's single steps of a block (``steps``) are written into the same
-    buffer before ``load`` refills it.  Built afresh per block, they cost
-    54 000 minor faults, a fifth of a two-run 2^20-step sweep, in some heap
-    layouts: the heap top went back to the system at every block's end.
+    The shared planes (kets and bras of both steps, omega, S and X) are
+    rows of one complex buffer (or its float view) for ``size`` steps of at
+    most ``n`` levels, made once per sweep: built afresh per block, they
+    cost 54 000 minor faults, a fifth of a two-run 2^20-step sweep, in some
+    heap layouts.
     """
 
     def __init__(self, n: int, size: int):
-        self.buffer = np.empty(max((2 * n * n + 4 * n + 1) * (size // 2), (n + 1) ** 2 * size), dtype=complex)
-
-    def steps(self, b: np.ndarray, phase: float) -> np.ndarray:
-        """The single steps exp(-i H dt) of ``b``: its real-form planes
-        (``_lambda_step_factors``) mapped back in place, the excited row
-        times i and its column times -i, in the buffer until ``load``."""
-        m, n = b.shape
-        planes = _lambda_step_factors(b, phase, self.buffer[: (n + 1) ** 2 * m].reshape(n + 1, n + 1, m))
-        planes[:n, n] *= -1j
-        planes[n, :n] *= 1j
-        return planes
+        self.buffer = np.empty((2 * n * n + 4 * n + 1) * (size // 2), dtype=complex)
 
     def load(self, b: np.ndarray) -> None:
         """Build the shared planes of the (m, n) bright states ``b``."""
@@ -281,11 +283,17 @@ def _polar(u: np.ndarray) -> tuple[UnitaryOperator, float]:
     return UnitaryOperator(clean), drift
 
 
-def _unitary_product(blocks: Iterable[np.ndarray]) -> tuple[UnitaryOperator, float]:
-    """Ordered product of a stream of factor blocks (each block by the tree
-    product, then the block products the same way), through ``_polar``."""
+def _part_products(parts: list[tuple[np.ndarray | None, np.ndarray]]) -> np.ndarray:
+    """The tree product of each (frame, planes) part of a block, embedded
+    through its frame (``_embedded``), as (d, d, parts) planes."""
+    return np.stack([_embedded(frame, _ordered_product(planes)) for frame, planes in parts], axis=-1)
+
+
+def _unitary_product(blocks: Iterable[list[tuple[np.ndarray | None, np.ndarray]]]) -> tuple[UnitaryOperator, float]:
+    """Ordered product of a stream of blocks of parts (each block's part
+    products, then all of them by the same tree), through ``_polar``."""
     # map() holds no block, so each is released before the next is built.
-    return _polar(_ordered_product(np.stack(list(map(_ordered_product, blocks)), axis=-1)))
+    return _polar(_ordered_product(np.concatenate(list(map(_part_products, blocks)), axis=-1)))
 
 
 @dataclass(frozen=True)
@@ -337,34 +345,47 @@ def _scanned_states(planes: np.ndarray, psi: np.ndarray, out: np.ndarray) -> Non
         out[p::width] = state.T
 
 
-def _traced(trace: StateTrace, t0: float, t1: float, steps: int, coupled) -> Callable[[np.ndarray], np.ndarray]:
+def _traced(trace: StateTrace, t0: float, t1: float, steps: int, dim: int, coupled) -> Callable[[list], list]:
     """A per-block step: it carries the trace's state through the block's
-    factors, hands the block's rows to the trace's sink as one (rows, d)
-    array, with ``coupled(times)`` of their times, and returns the block.
-    The rows come from the blocked scan of ``_scanned_states`` (64 chunks
-    of 64 steps for a ``FULL_BLOCK``), with no loop over steps; they differ
-    from those of a step-by-step ``factor @ psi`` loop by rounding only,
-    under 1e-14 over 8 195 steps on the suite's drives.  A state whose
-    length is not the factors' dimension raises ``DimensionMismatch``
-    before the first step."""
+    (frame, planes) parts by the blocked scan of ``_scanned_states``, hands
+    the block's rows to the trace's sink as one (rows, dim) array, with
+    ``coupled(times)`` of their times, and returns the parts.  A part with
+    a frame F scans c = F^dag psi and lifts each row to F c + psi_perp,
+    psi_perp = psi - F c the part it never moves (``_lifted``, no BLAS
+    matmul over rows).  The rows differ from those of a step-by-step
+    ``factor @ psi`` loop by rounding only, under 1e-14 over 8 195 steps on
+    the suite's drives.  A state whose length is not ``dim`` raises
+    ``DimensionMismatch`` before the first step."""
     psi = np.asarray(trace.state, dtype=complex)
+    if psi.shape != (dim,):
+        raise DimensionMismatch(f"trace state has shape {psi.shape}, but the propagation acts on ({dim},)")
     done = 0
 
-    def step(block: np.ndarray) -> np.ndarray:
+    def step(parts: list[tuple[np.ndarray | None, np.ndarray]]) -> list[tuple[np.ndarray | None, np.ndarray]]:
         nonlocal psi, done
-        if psi.shape != block.shape[:1]:
-            raise DimensionMismatch(f"trace state has shape {psi.shape}, but the step factors are {block.shape[:2]}")
         first = int(done == 0)
-        rows = np.empty((first + block.shape[-1], psi.size), dtype=complex)
+        count = sum(planes.shape[-1] for _, planes in parts)
+        rows = np.empty((first + count, dim), dtype=complex)
         rows[:first] = psi
-        _scanned_states(block, psi, rows[first:])
-        psi = rows[-1].copy()
-        done += block.shape[-1]
+        at = first
+        for frame, planes in parts:
+            out = rows[at : at + planes.shape[-1]]
+            if frame is None:
+                _scanned_states(planes, psi, out)
+            else:
+                core = frame.conj().T @ psi
+                scanned = np.empty((len(out), len(core)), dtype=complex)
+                _scanned_states(planes, core, scanned)
+                out[:] = _lifted(frame, scanned)
+                out += psi - frame @ core
+            psi = out[-1].copy()
+            at += len(out)
+        done += count
         marks = np.arange(done + 1 - len(rows), done + 1)
         # The last mark is t1 itself; the grid formula can round one ulp past it.
         times = np.minimum(t0 + (t1 - t0) * marks / steps, t1)
         trace.sink(times, rows, coupled(times))
-        return block
+        return parts
 
     return step
 
@@ -389,14 +410,14 @@ def evolve_time_ordered(
 
     U = exp(-i H(m_M) dt) ... exp(-i H(m_1) dt) with m_j the midpoint of the
     j-th subinterval; later factors multiply from the left, and H is the
-    generator H_eff of the bright ``trajectory``, sampled a whole block of
-    midpoints at once.  A ``trace`` carries its state along the same
+    generator H_eff of the bright ``trajectory``, stepped part by part on
+    each piece's r levels.  A ``trace`` carries its state along the same
     factors, with times in [t0, t1], and the bright states at those times.
     """
     blocks = _midpoint_factors(trajectory, t0, t1, steps)
-    # A lambda: a trajectory of the wrong type is refused by _midpoint_factors.
-    scan = None if trace is None else _traced(trace, t0, t1, steps, lambda times: trajectory.values(times))
-    unitary, drift = _unitary_product(blocks if scan is None else map(scan, blocks))
+    if trace is not None:
+        blocks = map(_traced(trace, t0, t1, steps, trajectory.dim, trajectory.values), blocks)
+    unitary, drift = _unitary_product(blocks)
     return PropagationResult(unitary=unitary, steps=steps, unitarity_error=drift, method="effective")
 
 
@@ -409,18 +430,16 @@ def evolve_full_sweep(
     a sweep over Omega*T: the ground-truth oracle of the geometric methods.
 
     The drive is one bright state B on progress [0, 1] at Omega = 1, and
-    only values are read.  Each block is split at the drive's piece edges
-    (``BrightTrajectory.split``), and each part runs in its piece's
-    coordinates and dtype.  The runs must share ``steps`` (else
-    ``ValueError``), so each part is sampled and checked once for all of
-    them, and the run-independent parts of its step pairs
-    (``_LambdaPairs``) are built once; each run then reduces its closed-form
-    pair products of phase omega_T / steps, half as many factors as steps,
-    and maps the product back (``_lift``), so memory does not grow with
-    the number of runs.  A ``trace`` (one run only) carries its state
-    along the single steps of the same run, with times in progress units,
-    and its sink is handed the bright state and the excited level at those
-    times; the unitary comes from the pairs either way, so a traced run's
+    only values are read.  Each part of a block runs on its piece's r + 1
+    levels, in its coordinates and dtype.  The runs must share ``steps``
+    (else ``ValueError``), so each part is sampled and checked once for all
+    of them, and the run-independent parts of its step pairs
+    (``_LambdaPairs``) are built once; each run reduces its closed-form
+    pair products of phase omega_T / steps and embeds the product through
+    the part's ``_excited_frame``, so memory does not grow with the number
+    of runs.  A ``trace`` (one run only) carries its state along the single
+    steps of the same run, with times in progress units, and its sink is
+    handed the bright state and the excited level then; a traced run's
     unitary is the untraced one, bit for bit.
     """
     if not configs:
@@ -430,24 +449,19 @@ def evolve_full_sweep(
         raise ValueError(f"the runs of a sweep must share steps, got {sorted({run.steps for run in configs})}")
     if trace is not None and len(configs) != 1:
         raise ValueError(f"a trace follows one run, got {len(configs)}")
-    scan = None if trace is None else _traced(trace, 0.0, 1.0, steps, lambda times: _with_excited(drive.values(times)))
+    n = drive.dim
+    scan = None if trace is None else _traced(trace, 0.0, 1.0, steps, n + 1, lambda times: _with_excited(drive.values(times)))
     blocks, _ = _step_grid(0.0, 1.0, steps)
     products = [[] for _ in configs]
-    pairs = None
+    pairs = _LambdaPairs(max(n if piece.frame is None else piece.frame.shape[1] for piece in drive.pieces), min(steps, FULL_BLOCK))
     for mids in blocks:
-        parts = [(piece, _bright_states(piece.values_at(part), part)) for piece, part in drive.split(mids)]
-        if pairs is None:
-            pairs = _LambdaPairs(parts[0][1].shape[1], min(steps, FULL_BLOCK))
+        parts = [(_excited_frame(piece.frame, n), _bright_states(drive.coordinates(piece, part, rates=False)[0], part)) for piece, part in drive.split(mids)]
         if scan is not None:
-            # The steps of the bright states themselves: a trace's rows do
-            # not depend on how a path is cut into pieces.
-            bright = np.concatenate([b if piece.phases is None else b * piece.phases for piece, b in parts])
-            scan(pairs.steps(bright, configs[0].omega_T / steps))
-        for piece, b in parts:
+            scan([(frame, _lambda_step_factors(b, configs[0].omega_T / steps)) for frame, b in parts])
+        for frame, b in parts:
             pairs.load(b)
-            lift = _lift(piece.phases, b.shape[1])
             for run, run_products in zip(configs, products):
-                run_products.append(lift * _ordered_product(pairs.factors(run.omega_T / steps)))
+                run_products.append(_embedded(frame, _ordered_product(pairs.factors(run.omega_T / steps))))
     results = []
     for run_products in products:
         unitary, drift = _polar(_ordered_product(np.stack(run_products, axis=-1)))
@@ -535,7 +549,7 @@ def reparametrize(
     parametrization).  ``f`` and ``fprime`` act on arrays of times; ``f``
     must be strictly increasing (else ``NonMonotoneMap``) and map [t0, t1]
     into the base's [t_start, t_end] (else ``ValueError`` naming both
-    intervals).  The pieces that f's image meets keep their phases and
+    intervals).  The pieces that f's image meets keep their frames and
     coordinates (a real piece stays real), and the base's piece edges
     inside (f(t0), f(t1)) move to their preimages, found by bisection.
     """
@@ -567,7 +581,8 @@ def reparametrize(
             rate = np.broadcast_to(np.asarray(fprime(times), dtype=float), times.shape)
             return values, rate[:, None, None] * derivatives
 
-        return Piece(start, end, piece.phases, sampler, lambda times: piece.values_at(f(times)))
+        values = None if piece.values is None else lambda times: piece.values(f(times))
+        return Piece(start, end, piece.frame, sampler, values)
 
     edges = (float(t0), *map(float, hi), float(t1))
     return BrightTrajectory(trajectory.dim, trajectory.k, tuple(map(remapped, kept, edges, edges[1:])))

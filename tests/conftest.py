@@ -37,7 +37,7 @@ def midpoint_reference(generator, t0, t1, steps):
     def factors(mids):
         samples = [generator(float(t)) for t in mids]
         stack = np.array([h.matrix if isinstance(h, HermitianOperator) else h for h in samples], dtype=complex)
-        return _expm_hermitian_stack(stack, dt).transpose(1, 2, 0)
+        return [(None, _expm_hermitian_stack(stack, dt).transpose(1, 2, 0))]
 
     return _unitary_product(map(factors, blocks))[0].matrix
 
@@ -86,11 +86,13 @@ def validate_trajectory(trajectory, times=None):
     1e-5 (a jump in the frame shows up as a stagnating error).  Probes
     within a step of an end or two of a breakpoint skip the
     derivative check; the default probes are nine interior times, nudged
-    off the breakpoints."""
+    off the breakpoints and off the integer times, where a loop path's
+    one piece has its corners."""
     span = trajectory.t_end - trajectory.t_start
     if times is None:
         raw = [trajectory.t_start + span * (i + 0.5) / 9 for i in range(9)]
-        times = [t + 1e-3 * span if any(abs(t - b) < 1e-6 * span for b in trajectory.breakpoints) else t for t in raw]
+        kinks = (*trajectory.breakpoints, *range(int(np.ceil(trajectory.t_start)), int(trajectory.t_end) + 1))
+        times = [t + 1e-3 * span if any(abs(t - b) < 1e-6 * span for b in kinks) else t for t in raw]
     h_big, h_small = 1e-4, 1e-5
     for t in times:
         value, derivative = frame_at(trajectory, t)
@@ -119,9 +121,17 @@ def excited_and(bright):
     return coupled
 
 
+def frameless(trajectory):
+    """The same path as one piece with no frame, read through the
+    trajectory's own ``sample`` and ``values``: a route steps it on all
+    ``dim`` levels, whatever frames the trajectory's pieces carry."""
+    piece = Piece(trajectory.t_start, trajectory.t_end, None, trajectory.sample, trajectory.values)
+    return BrightTrajectory(trajectory.dim, trajectory.k, (piece,))
+
+
 def reference_gate_drive(spec):
-    """The gate's bright path on all n ground levels, on the progress clock
-    [0, 1] (``stage_trajectory`` reparametrized by t = t3 s): the drive of
-    the (n+1)-level oracle that the gate's three-level core is checked
-    against."""
-    return reparametrize(stage_trajectory(spec), lambda s: spec.t3 * s, lambda s: spec.t3, 0.0, 1.0)
+    """The gate's bright path on all n ground levels, frameless, on the
+    progress clock [0, 1] (``stage_trajectory`` reparametrized by
+    t = t3 s): the (n+1)-level drive that the oracle's three-level pieces
+    are checked against."""
+    return reparametrize(frameless(stage_trajectory(spec)), lambda s: spec.t3 * s, lambda s: spec.t3, 0.0, 1.0)

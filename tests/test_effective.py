@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from brightpath.berry import _loop_trajectory, rectangle_loop
 from brightpath.effective import BrightTrajectory, Piece, _h_eff_stack, h_eff_couplings, h_eff_multi
 from brightpath.errors import DerivativeInconsistent, DimensionMismatch, NormalizationDriftError, NotOrthonormal
-from brightpath.gates import GateSpec, _core_spec, stage_trajectory, stirap_trajectory
+from brightpath.gates import GateSpec, gate_coupling_schedule, stage_trajectory, stirap_trajectory
 from brightpath.lambda_system import CouplingSet, bright_state
 from brightpath.propagators import reparametrize
 from brightpath.ramps import ramp_rate, ramp_value
@@ -227,6 +227,13 @@ class TestBrightTrajectory:
     def test_validate_accepts_consistent_trajectory(self):
         validate_trajectory(self.make_rotating())
 
+    def test_validate_probes_miss_the_corners_of_a_loop_path(self):
+        # One piece spans all 128 segments, so t = 64, the middle default
+        # probe, is a corner where Bdot jumps.
+        traj = _loop_trajectory(rectangle_loop("theta1", "theta2", 1.0, 0.8))
+        assert (traj.t_end, traj.breakpoints) == (128.0, ())
+        validate_trajectory(traj)
+
     def test_validate_flags_wrong_derivative(self):
         with pytest.raises(AssertionError, match="expected second-order decrease"):
             validate_trajectory(rotating(0.0, np.pi, rate_factor=1.05))
@@ -241,6 +248,56 @@ class TestBrightTrajectory:
         jumpy = BrightTrajectory(2, 1, (Piece(0.0, np.pi, None, sampler),))
         with pytest.raises(AssertionError, match="expected second-order decrease"):
             validate_trajectory(jumpy, times=[1.5 - 5e-6])
+
+
+class TestPieces:
+    """A trajectory checks its pieces once, when it is built: contiguous,
+    each with t_start < t_end, each frame a (dim, r) isometry."""
+
+    @staticmethod
+    def piece(t_start, t_end, frame=None):
+        return rotating(t_start, t_end).pieces[0]._replace(frame=frame)
+
+    @pytest.mark.parametrize(
+        "edges, why",
+        [
+            (((0.0, 0.4), (0.6, 1.0)), r"contiguous: one ends at 0\.4, the next starts at 0\.6"),
+            (((0.0, 0.6), (0.4, 1.0)), r"contiguous: one ends at 0\.6, the next starts at 0\.4"),
+            (((0.0, 0.5), (0.5, 0.5)), r"t_start < t_end, got \[0\.5, 0\.5\]"),
+            (((0.0, np.nan),), r"t_start < t_end, got \[0, nan\]"),
+        ],
+        ids=["gap", "overlap", "empty", "nan"],
+    )
+    def test_pieces_that_do_not_tile_an_interval_raise(self, edges, why):
+        with pytest.raises(ValueError, match=why):
+            BrightTrajectory(2, 1, tuple(self.piece(lo, hi) for lo, hi in edges))
+
+    @pytest.mark.parametrize(
+        "frame, error, why",
+        [
+            (np.array([[1.0, 1e-7], [0.0, 1.0], [0.0, 0.0]]), NotOrthonormal, "not an isometry: max"),
+            (np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]), NotOrthonormal, "not an isometry: max"),
+            (np.array([[np.nan, 0.0], [0.0, 1.0], [0.0, 0.0]]), NotOrthonormal, "not an isometry: max"),
+            (np.eye(2), DimensionMismatch, r"\(dim=3, r\) array with r >= k=1, got \(2, 2\)"),
+            (np.zeros((3, 0)), DimensionMismatch, r"got \(3, 0\)"),
+            (np.ones(3), DimensionMismatch, r"got \(3,\)"),
+            ([[1.0], [0.0], [0.0]], DimensionMismatch, r"\(dim=3, r\) array with r >= k=1, got \(3, 1\)"),
+        ],
+        ids=["skewed", "stretched", "nan", "wrong_rows", "no_columns", "a_vector", "a_list"],
+    )
+    def test_a_frame_that_is_not_a_dim_row_isometry_raises(self, frame, error, why):
+        with pytest.raises(error, match=why):
+            BrightTrajectory(3, 1, (self.piece(0.0, 1.0, frame),))
+
+    def test_replacing_the_pieces_checks_them_again(self):
+        traj = BrightTrajectory(2, 1, (self.piece(0.0, 0.5), self.piece(0.5, 1.0)))
+        with pytest.raises(ValueError, match="contiguous"):
+            dataclasses.replace(traj, pieces=(self.piece(0.0, 0.5), self.piece(0.6, 1.0)))
+        isometry = np.array([[0.6, 0.0], [0.0, 1j], [0.8, 0.0]])
+        framed = BrightTrajectory(3, 1, (self.piece(0.0, 1.0, isometry),))
+        values, derivatives = framed.sample(np.array([0.3]))
+        np.testing.assert_allclose(values[0, 0], isometry @ [np.cos(0.3), np.sin(0.3)], rtol=0, atol=1e-16)
+        np.testing.assert_allclose(derivatives[0, 0], isometry @ [-np.sin(0.3), np.cos(0.3)], rtol=0, atol=1e-16)
 
 
 def stacked_scalar_calls(traj, times):
@@ -304,11 +361,11 @@ class TestSample:
 def values_trajectories():
     """One trajectory of every kind that a pipeline reads ``values`` of, or
     may: the stage path and the stirap path (pieces with their own
-    ``values``), the stage path's core on the progress clock, a smooth remap
-    of it, and a loop path (one piece that reads its sampler's values)."""
+    ``values``), the stage path on the progress clock, a smooth remap of
+    it, and a loop path (one piece that reads its sampler's values)."""
     gate = off_grid_gate()
     linear = GateSpec(n=4, psi=np.array([0.6, 0.0, 0.8j, 0.0]), phase_twist=2.1, t1=0.4, t2=0.9, t3=1.7)
-    core = stage_trajectory(_core_spec(linear, linear.t3))
+    core = gate_coupling_schedule(linear)
     smooth = lambda s: ramp_value("smooth", s)
     return {
         "stage-smooth": stage_trajectory(gate),

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from brightpath.gates import (
     GateSpec,
-    _core_frame,
     analytic_stage_unitaries,
     compose_gate,
     extract_geometric_phase,
@@ -32,7 +31,7 @@ from brightpath.propagators import (
     evolve_time_ordered,
 )
 from brightpath.ramps import ramp_rate, ramp_value
-from conftest import excited_and, frame_at, random_state, reference_gate_drive, validate_trajectory
+from conftest import excited_and, frame_at, frameless, random_state, reference_gate_drive, validate_trajectory
 
 
 def spec_pi3(n=3, **kwargs):
@@ -41,43 +40,37 @@ def spec_pi3(n=3, **kwargs):
     return GateSpec(n=n, psi=psi, phase_twist=np.pi / 3, **kwargs)
 
 
-def whole_array_bright_path(spec, times):
-    """The gate's bright path and its derivative by whole-array formulas:
-    theta, phi and their rates at every time, then sin(theta/2),
-    cos(theta/2) and e^{i phi} over every sample; on the fall, the phase
-    e^{i twist} multiplies each level of sin(theta/2) psi + cos(theta/2)
-    |n-1> (real for a real psi) instead.  ``stage_trajectory`` evaluates
-    each angle only on the stages that move it, and must keep these bits."""
-    psi, n, twist, t1, t2, t3 = spec.psi, spec.n, spec.phase_twist, spec.t1, spec.t2, spec.t3
-    theta, phi = np.full(times.shape, np.pi), np.where(times < t2, 0.0, twist)
+def whole_array_coordinates(spec, times):
+    """The gate's bright path in its coordinates (along p, along a), and
+    their rates, by whole-array formulas: theta, phi and their rates at
+    every time, then sin(theta/2), cos(theta/2) and e^{i phi} over every
+    sample.  The rise and the fall are (sin(theta/2), cos(theta/2)), real
+    (the fall's frame carries e^{i twist}); the twist is
+    (e^{i phi} sin(theta/2), cos(theta/2)), with no rate along a.
+    ``stage_trajectory``'s pieces evaluate each angle only on the stages
+    that move it, and must keep these bits."""
+    t1, t2, t3 = spec.t1, spec.t2, spec.t3
+    theta, phi = np.full(times.shape, np.pi), np.zeros(times.shape)
     theta_rate, phi_rate = np.zeros(times.shape), np.zeros(times.shape)
     rise, fall = times < t1, t2 <= times
+    twist = ~(rise | fall)
     for inside, angle, rate, ramp, lo, hi, start, change in (
         (rise, theta, theta_rate, spec.theta_schedule, 0.0, t1, 0.0, np.pi),
-        (~(rise | fall), phi, phi_rate, spec.phi_schedule, t1, t2, 0.0, twist),
+        (twist, phi, phi_rate, spec.phi_schedule, t1, t2, 0.0, spec.phase_twist),
         (fall, theta, theta_rate, spec.theta_schedule, t2, t3, np.pi, -np.pi),
     ):
         s = (times[inside] - lo) / (hi - lo)
         angle[inside] = start + change * ramp_value(ramp, s)
         rate[inside] = change * ramp_rate(ramp, s) / (hi - lo)
     sin, cos, turned = np.sin(theta / 2), np.cos(theta / 2), np.exp(1j * phi)
-    values, derivatives = np.empty((2, times.size, 1, n), dtype=complex)
-    along = turned * sin
+    values, derivatives = np.zeros((2, times.size, 1, 2), dtype=complex)
+    values[:, 0, 0] = np.where(twist, turned * sin, sin)
+    values[:, 0, 1] = cos
     across = np.empty(times.shape, dtype=complex)
     across.real, across.imag = 0.5 * theta_rate * cos, phi_rate * sin
-    across = turned * across
-    for level, amplitude in enumerate(psi):
-        np.multiply(along, amplitude, out=values[:, 0, level])
-        np.multiply(across, amplitude, out=derivatives[:, 0, level])
-    values[:, 0, n - 1] += cos
-    derivatives[:, 0, n - 1] -= 0.5 * theta_rate * sin
-    ground = psi if psi.imag.any() else psi.real
-    phases = np.where(np.arange(n) < n - 1, np.exp(1j * np.array([twist]))[0], 1.0)
-    for out, along, aux in ((values, sin, cos), (derivatives, 0.5 * theta_rate * cos, -(0.5 * theta_rate * sin))):
-        rows = along[fall, None] * ground
-        rows[:, n - 1] += aux[fall]
-        out[fall, 0] = rows * phases
-    return values, derivatives
+    derivatives[:, 0, 0] = np.where(twist, turned * across, 0.5 * theta_rate * cos)
+    derivatives[~twist, 0, 1] = -(0.5 * theta_rate * sin)[~twist]
+    return values, derivatives, twist
 
 
 class TestGateSpec:
@@ -163,12 +156,35 @@ class TestStageTrajectory:
         times = np.concatenate([rng.uniform(0.0, t3, rng.integers(0, 40)), marks, rng.choice(marks, 4)])
         rng.shuffle(times)
         trajectory = stage_trajectory(spec)
-        # Unsorted times, and sorted ones as a route's grid hands them over.
-        for times in (times, np.sort(times)):
-            expected = whole_array_bright_path(spec, times)
-            for got, want in zip((*trajectory.sample(times), trajectory.values(times)), (*expected, expected[0])):
+        # Each piece's coordinates, on its part of the sorted times as a
+        # route's grid hands them over: real on the rise and the fall.
+        times = np.sort(times)
+        values, derivatives, twist = whole_array_coordinates(spec, times)
+        at = 0
+        for piece, part in trajectory.split(times):
+            inside = slice(at, at + part.size)
+            at += part.size
+            for got, want in zip((*piece.sampler(part), piece.values(part)), (values[inside], derivatives[inside], values[inside])):
+                assert got.dtype == (complex if twist[inside].all() else float)
                 assert got.shape == want.shape
-                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+                np.testing.assert_array_equal(np.asarray(got, dtype=complex).view(np.uint64), want.view(np.uint64))
+        assert at == times.size
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_pieces_map_their_coordinates_to_the_bright_path(self, rng, n):
+        # B = e^{i phi} sin(theta/2) psi + cos(theta/2) |n-1>, Bdot by the
+        # chain rule, on unsorted times with every stage edge: the frames of
+        # the three pieces, with e^{i twist} on the fall.
+        psi = np.zeros(n, dtype=complex)
+        psi[: n - 1] = random_state(rng, n - 1)
+        spec = GateSpec(n, psi, 0.7, 0.3, 0.55, 1.1, "smooth", "smooth")
+        times = np.concatenate([rng.uniform(0.0, spec.t3, 50), [0.0, spec.t1, spec.t2, spec.t3]])
+        values, derivatives, _ = whole_array_coordinates(spec, times)
+        phase = np.where(times < spec.t2, 1.0, np.exp(1j * spec.phase_twist))
+        aux = spec.auxiliary
+        for got, want in zip(stage_trajectory(spec).sample(times), (values, derivatives)):
+            want = (phase * want[:, 0, 0])[:, None, None] * psi + want[:, 0, 1, None, None] * aux
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_normalized_everywhere_and_derivatives_consistent(self):
         spec = spec_pi3(theta_schedule="smooth", phi_schedule="smooth")
@@ -366,16 +382,14 @@ class TestGateCouplingSchedule:
         assert gate_coupling_schedule(spec).breakpoints == (0.4 / 1.7, 0.9 / 1.7)
 
     def test_schedule_reproduces_trajectory_bright_state(self):
-        # The core trajectory on progress s, embedded by the ground columns
-        # of the core frame, is the n-level path at t = t3 s, and its rate
-        # is t3 times the n-level one.
+        # The trajectory on progress s is the path at t = t3 s, and its rate
+        # is t3 times the one on [0, t3].
         spec = spec_pi3(t1=0.4, t2=0.9, t3=1.7, theta_schedule="smooth", phi_schedule="smooth")
-        span = _core_frame(spec)[: spec.n, :2]
         progress = np.array([0.0, 0.05, 0.3, 0.55, 0.8, 0.99, 1.0])
-        core_values, core_rates = gate_coupling_schedule(spec).sample(progress)
+        schedule_values, schedule_rates = gate_coupling_schedule(spec).sample(progress)
         values, rates = stage_trajectory(spec).sample(progress * spec.t3)
-        np.testing.assert_allclose(core_values[:, 0] @ span.T, values[:, 0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(core_rates[:, 0] @ span.T, spec.t3 * rates[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(schedule_values, values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(schedule_rates, spec.t3 * rates, rtol=0, atol=1e-12)
 
 
 def full_gate_spec(n, psi):
@@ -473,7 +487,7 @@ class TestSimulateFullGate:
 
     def test_a_trace_of_the_wrong_length_is_rejected(self):
         rows = []
-        with pytest.raises(DimensionMismatch, match=r"shape \(3,\), but the gate acts on \(4,\)"):
+        with pytest.raises(DimensionMismatch, match=r"shape \(3,\), but the propagation acts on \(4,\)"):
             simulate_full_gate(FULL_GATES["n3"], self.runs((40.0,)), StateTrace(np.eye(3)[0], lambda *block: rows.append(block)))
         assert rows == []
 
@@ -503,7 +517,7 @@ class TestSimulateGateCore:
     def test_unitary_matches_the_n_level_route(self, name):
         spec = CORE_GATES[name]
         result = simulate_gate(spec, self.STEPS)
-        want = evolve_time_ordered(stage_trajectory(spec), 0.0, spec.t3, self.STEPS)
+        want = evolve_time_ordered(frameless(stage_trajectory(spec)), 0.0, spec.t3, self.STEPS)
         assert np.linalg.norm(result.unitary.matrix - want.unitary.matrix) <= 1e-12
         assert (result.steps, result.method) == (self.STEPS, "effective")
         assert result.unitarity_error <= 1e-12
@@ -518,7 +532,7 @@ class TestSimulateGateCore:
         blocks = []
         traced = simulate_gate(spec, self.STEPS, StateTrace(start, lambda *rows: blocks.append(rows)))
         times, states, coupled = map(np.concatenate, zip(*blocks))
-        want_times, want_states = evolve_state_time_ordered(stage_trajectory(spec), 0.0, spec.t3, self.STEPS, start)
+        want_times, want_states = evolve_state_time_ordered(frameless(stage_trajectory(spec)), 0.0, spec.t3, self.STEPS, start)
         assert np.array_equal(times, want_times)
         assert np.max(np.linalg.norm(states - want_states, axis=1)) <= 1e-12
         want_coupled = stage_trajectory(spec).values(times)
@@ -529,7 +543,7 @@ class TestSimulateGateCore:
 
     def test_a_trace_of_the_wrong_length_is_rejected(self):
         rows = []
-        with pytest.raises(DimensionMismatch, match=r"shape \(4,\), but the gate acts on \(3,\)"):
+        with pytest.raises(DimensionMismatch, match=r"shape \(4,\), but the propagation acts on \(3,\)"):
             simulate_gate(FULL_GATES["n3"], self.STEPS, StateTrace(np.eye(4)[0], lambda *block: rows.append(block)))
         assert rows == []
 

@@ -1,6 +1,5 @@
 import re
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from brightpath.propagators import (
     StateTrace,
     _LambdaPairs,
     _lambda_step_factors,
-    _lift,
     _midpoint_factors,
     _step_grid,
     _traced,
@@ -117,12 +115,18 @@ def halving_ratios(propagate):
     return [coarse / halved for coarse, halved in zip(errors, errors[1:])]
 
 
-def drive(sample):
+def drive(sample, dim=3):
     """A drive that carries nothing but the values of its sampler progress
-    -> (values, derivatives), as ``values`` and as one piece with no phases
-    (``split``): all that the full oracle reads."""
-    piece = Piece(0.0, 1.0, None, sample)
-    return SimpleNamespace(values=piece.values_at, split=lambda progress: [(piece, progress)])
+    -> (values, derivatives): one piece on [0, 1] with no frame and no
+    derivative sampler, all that the full oracle reads."""
+    return BrightTrajectory(dim, 1, (Piece(0.0, 1.0, None, None, lambda progress: sample(progress)[0]),))
+
+
+def mapped_back(planes):
+    """Real-form Lambda steps G as exp(-i H dt) = D G D^-1, D = diag(1, ...,
+    1, i): the excited row times i and its column times -i."""
+    d = np.append(np.ones(len(planes) - 1), 1j)
+    return np.outer(d, d.conj())[:, :, None] * planes
 
 
 def held(b):
@@ -237,6 +241,29 @@ class TestEvolveTimeOrdered:
             # inf * 0 = nan inside the checks is expected here, not a warning.
             with pytest.raises(error, match=rf"at t={at}$"), np.errstate(invalid="ignore"):
                 evolve_time_ordered(broken(rule, at), 0.0, 1.0, 4)
+
+    def test_both_routes_read_a_piece_through_its_shape_check(self):
+        # Declared dim = 2, but the piece gives 3 coordinates with no frame:
+        # the full oracle would run it as a 4 x 4 drive.  Each route raises
+        # as the trajectory's own reader does on the same midpoints: the
+        # effective route as ``sample``, the oracle, which reads values
+        # only, as ``values``.
+        def sampler(times):
+            values = np.zeros((times.size, 1, 3))
+            values[:, 0, 0] = 1.0
+            return values, np.zeros_like(values)
+
+        traj = BrightTrajectory(2, 1, (Piece(0.0, 1.0, None, sampler),))
+        mids = (np.arange(64) + 0.5) / 64
+        for run, read in (
+            (lambda: evolve_time_ordered(traj, 0.0, 1.0, 64), traj.sample),
+            (lambda: evolve_full_adiabatic(traj, AdiabaticRunConfig(omega_T=1.0, steps=64)), traj.values),
+        ):
+            with pytest.raises(DimensionMismatch, match=r"sampled values \(64, 1, 3\).* be \(64, 1, 2\)$") as expected:
+                read(mids)
+            with pytest.raises(DimensionMismatch) as got:
+                run()
+            assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize(
         "values_shape, derivatives_shape",
@@ -417,7 +444,7 @@ class TestBlockedOracle:
         tracemalloc.start()
         try:
             block = next(factors)
-            held = tracemalloc.get_traced_memory()[0] - block.nbytes
+            held = tracemalloc.get_traced_memory()[0] - sum(planes.nbytes for _, planes in block)
         finally:
             tracemalloc.stop()
         assert held < FULL_BLOCK * 3 * 16
@@ -429,7 +456,7 @@ class TestBlockedOracle:
         config = AdiabaticRunConfig(omega_T=40.0, steps=2 * FULL_BLOCK + 37)
         mids = (np.arange(config.steps) + 0.5) / config.steps
         # The real-form steps, each mapped back to exp(-i H dt).
-        factors = _lift(None, 3)[:, :, None] * _lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / config.steps)
+        factors = mapped_back(_lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / config.steps))
         u = np.eye(4, dtype=complex)
         for factor in factors.transpose(2, 0, 1):
             u = factor @ u
@@ -516,17 +543,16 @@ class TestLambdaPairs:
         assert got.shape == (n + 1, n + 1, half + m % 2)
         assert np.abs(got - want).max() <= 1e-15
 
-    def test_one_buffer_serves_every_phase_block_and_trace(self, rng):
+    def test_one_buffer_serves_every_phase_and_block(self, rng):
         # A run does not change the shared planes, and a block of another
-        # length, of real states (the buffer's float view) or a trace's
-        # single steps in between leave no trace: each result equals the
-        # one of a buffer made for it alone, bit for bit.
+        # length or of real states (the buffer's float view) in between
+        # leaves no trace: each result equals the one of a buffer made for
+        # it alone, bit for bit.
         blocks = [rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3)) for m in (64, 33, 64)]
         blocks = [rng.normal(size=(64, 3)), *blocks[:2], rng.normal(size=(33, 3)), blocks[2]]
         blocks = [b / np.linalg.norm(b, axis=1)[:, None] for b in blocks]
         pairs = _LambdaPairs(3, 64)
         for b in blocks:
-            np.testing.assert_array_equal(pairs.steps(b, 0.3), _lift(None, 3)[:, :, None] * _lambda_step_factors(b, 0.3))
             pairs.load(b)
             alone = _LambdaPairs(3, len(b))
             alone.load(b)
@@ -639,14 +665,14 @@ class TestRealForm:
     each product back."""
 
     def test_a_real_piece_runs_as_its_complex_copy_bit_for_bit(self):
-        # The gate's rise and fall are real pieces, the fall with phases;
-        # cast to complex128 they take the complex path, whose unitaries and
-        # trace rows are the same bits after the map back.
+        # The gate's rise and fall are real pieces, the fall's frame with
+        # e^{i twist}; cast to complex128 they take the complex path, whose
+        # unitaries and trace rows are the same bits after the embedding.
         spec = GateSpec(n=3, psi=np.array([0.6, 0.8, 0.0]), phase_twist=0.7, t1=0.3, t2=0.55, t3=1.0)
         real = stage_trajectory(spec)
         assert real.pieces[0].values(np.array([0.1])).dtype == float
         cast = BrightTrajectory(
-            3, 1, [Piece(p.t_start, p.t_end, p.phases, p.sampler, lambda t, p=p: p.values(t).astype(complex)) for p in real.pieces]
+            3, 1, [Piece(p.t_start, p.t_end, p.frame, p.sampler, lambda t, p=p: p.values(t).astype(complex)) for p in real.pieces]
         )
         configs = [AdiabaticRunConfig(omega_T=w, steps=2 * FULL_BLOCK + 5) for w in (40.0, 7.5)]
         for got, want in zip(evolve_full_sweep(real, configs), evolve_full_sweep(cast, configs)):
@@ -655,8 +681,8 @@ class TestRealForm:
         start = np.array([0.6, 0.0, 0.8j, 0.0])
         for got, want in zip(evolve_state_full(real, configs[0], start), evolve_state_full(cast, configs[0], start)):
             assert np.array_equal(got, want)
-        # The same path as one complex piece, with no phases, moves by
-        # rounding only.
+        # The same path as one complex piece on all levels, with no frame,
+        # moves by rounding only.
         whole = BrightTrajectory(3, 1, (Piece(0.0, 1.0, None, real.sample, real.values),))
         for got, want in zip(evolve_full_sweep(real, configs), evolve_full_sweep(whole, configs)):
             assert np.abs(got.unitary.matrix - want.unitary.matrix).max() <= 1e-13
@@ -685,7 +711,7 @@ class TestRealForm:
         for omega_T in (40.0, 3.0):
             config = AdiabaticRunConfig(omega_T=omega_T, steps=steps)
             dense = np.stack(lambda_steps(full(mids)[:, 0], omega_T / steps), axis=-1)
-            u = _unitary_product([dense])[0].matrix
+            u = _unitary_product([[(None, dense)]])[0].matrix
             assert np.abs(evolve_full_adiabatic(drive, config).unitary.matrix - u).max() <= 1e-13
             start = np.array([0.0, 0.6, 0.0, 0.8j])
             _, states = evolve_state_full(drive, config, start)
@@ -798,14 +824,14 @@ class TestOnePass:
 
     @pytest.mark.parametrize("route", ["time_ordered", "full"])
     def test_a_state_of_the_wrong_length_is_rejected_before_the_first_step(self, route):
-        # The factors act on 2 (time-ordered) or 4 (full) levels; the state has 3.
+        # The routes act on 2 (time-ordered) or 4 (full) levels; the state has 3.
         rows = []
         trace = StateTrace(np.ones(3, dtype=complex) / np.sqrt(3), lambda *block: rows.append(block))
         if route == "time_ordered":
-            shapes = r"shape \(3,\), but the step factors are \(2, 2\)"
+            shapes = r"shape \(3,\), but the propagation acts on \(2,\)"
             run = lambda: evolve_time_ordered(rotating_trajectory(), 0.0, np.pi / 2, 64, trace)
         else:
-            shapes = r"shape \(3,\), but the step factors are \(4, 4\)"
+            shapes = r"shape \(3,\), but the propagation acts on \(4,\)"
             run = lambda: evolve_full_adiabatic(held(bright_state(CONSTANT_LAMBDA)), AdiabaticRunConfig(omega_T=1.9, steps=64), trace)
         with pytest.raises(DimensionMismatch, match=shapes):
             run()
@@ -847,15 +873,14 @@ class TestOnePass:
             trajectory, (t0, t1) = noncommuting_trajectories()[0], (0.2, 1.5)
             start = np.array([0.6, 0.8j, 0.0], dtype=complex)
             propagate = lambda trace: evolve_time_ordered(trajectory, t0, t1, steps, trace)
-            factors = _midpoint_factors(trajectory, t0, t1, steps)
+            factors = (planes for parts in _midpoint_factors(trajectory, t0, t1, steps) for _, planes in parts)
         else:
             schedule, (t0, t1) = smoothly(gate_schedule()), (0.0, 1.0)
             config = AdiabaticRunConfig(omega_T=40.0, steps=steps)
             start = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
             propagate = lambda trace: evolve_full_adiabatic(schedule, config, trace)
             mids_blocks, _ = _step_grid(t0, t1, steps)
-            lift = _lift(None, 3)[:, :, None]
-            factors = (lift * _lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / steps) for mids in mids_blocks)
+            factors = (mapped_back(_lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / steps)) for mids in mids_blocks)
         blocks = []
         propagate(StateTrace(start, lambda *block: blocks.append(block)))
         assert [len(times) for times, _, _ in blocks] == [FULL_BLOCK + 1, FULL_BLOCK, 3]
@@ -883,9 +908,10 @@ class TestBlockedScan:
         start = np.exp(0.3j * np.arange(dim)) / np.sqrt(dim)
         handed = []
         clock = lambda times: times[:, None, None]  # coupled states that name their own times
-        step = _traced(StateTrace(start, lambda *rows: handed.append(rows)), 0.5, 2.0, 2 * m, clock)
+        step = _traced(StateTrace(start, lambda *rows: handed.append(rows)), 0.5, 2.0, 2 * m, dim, clock)
         for planes in blocks:
-            assert step(planes) is planes
+            parts = [(None, planes)]
+            assert step(parts) is parts
         assert [len(times) for times, _, _ in handed] == [m + 1, m]
         times, states, coupled = map(np.concatenate, zip(*handed))
         assert np.array_equal(coupled, clock(times))
@@ -979,29 +1005,31 @@ class TestReparametrize:
         values, derivatives = remapped.sample(times)
         base_values, base_derivatives = traj.sample(times * times)
         assert np.array_equal(values, base_values)
-        # Each piece scales its own derivatives by f' before its phases are
-        # applied: bit for bit where it has none, and within a rounding of
-        # each entry on the fall, whose phases are e^{i twist}.
+        # Each piece scales its own coordinates' derivatives by f', bit for
+        # bit, before its frame maps them: within a rounding of each entry.
+        for (piece, part), base in zip(remapped.split(times), traj.pieces):
+            got, want = piece.sampler(part)[1], base.sampler(part * part)[1]
+            assert np.array_equal(got, (2.0 * part)[:, None, None] * want)
         want = (2.0 * times)[:, None, None] * base_derivatives
-        fall = times >= remapped.breakpoints[-1]
-        assert np.array_equal(derivatives[~fall], want[~fall])
         assert np.all(np.abs(derivatives - want) <= 1e-15 * np.abs(want))
 
-    def test_pieces_keep_their_phases_and_real_coordinates(self):
-        # The gate's core path: a real rise, a complex twist and a real fall
-        # with phases, remapped onto the smooth clock.
+    def test_pieces_keep_their_frames_and_real_coordinates(self):
+        # The gate's path on the progress clock: a real rise, a complex
+        # twist and a real fall whose frame carries e^{i twist}, remapped
+        # onto the smooth clock.
         spec = GateSpec(n=4, psi=np.array([0.6, 0.0, 0.8j, 0.0]), phase_twist=2.1, t1=0.4, t2=0.9, t3=1.7)
         core = gate_coupling_schedule(spec)
         smooth = lambda s: ramp_value("smooth", s)
         remapped = reparametrize(core, smooth, lambda s: ramp_rate("smooth", s), 0.0, 1.0)
         assert len(remapped.pieces) == 3
+        for piece, base in zip(remapped.pieces, core.pieces):
+            assert piece.frame is base.frame
         for index in (0, 2):
-            piece, base = remapped.pieces[index], core.pieces[index]
-            assert piece.phases is base.phases
+            piece = remapped.pieces[index]
             part = np.linspace(piece.t_start, piece.t_end, 9)
             assert piece.values(part).dtype == np.float64
             assert piece.sampler(part)[1].dtype == np.float64
-        assert remapped.pieces[2].phases is not None
+        assert not np.array_equal(remapped.pieces[2].frame, remapped.pieces[0].frame)
         # Midpoints of a ragged grid, both ends and the moved edges.
         times = np.concatenate([(np.arange(1037) + 0.5) / 1037, [0.0, 1.0], remapped.breakpoints])
         assert np.array_equal(remapped.values(times), core.values(smooth(times)))

@@ -130,18 +130,32 @@ MUTANTS = (
         "a remapped trajectory's pieces keep their base's edges, not their preimages",
     ),
     Mutant(
-        "reparametrize-drops-phases",
+        "reparametrize-drops-frames",
         "propagators",
-        "return Piece(start, end, piece.phases, sampler,",
-        "return Piece(start, end, None, sampler,",
-        "a remapped piece forgets its phases: the gate's fall loses e^{i twist} on the levels of psi",
+        "return Piece(start, end, piece.frame, sampler, values)",
+        "return Piece(start, end, None, sampler, values)",
+        "a remapped piece forgets its frame: its coordinates are read as the bright states themselves",
     ),
     Mutant(
         "piece-values-fallback-reads-derivatives",
         "effective",
-        "return self.sampler(times)[0] if self.values is None else self.values(times)",
-        "return self.sampler(times)[1] if self.values is None else self.values(times)",
+        "(piece.sampler(times)[0] if piece.values is None else piece.values(times),)",
+        "(piece.sampler(times)[1] if piece.values is None else piece.values(times),)",
         "a piece without its own values reads its sampler's derivatives as its values",
+    ),
+    Mutant(
+        "contiguity-lets-a-gap-through",
+        "effective",
+        "if before is not None and piece.t_start != before.t_end:",
+        "if before is not None and piece.t_start < before.t_end:",
+        "a trajectory accepts a piece that starts after the last one ends, and extrapolates the gap from the piece on its left",
+    ),
+    Mutant(
+        "lift-of-coordinates-skips-a-column",
+        "effective",
+        "for j in range(1, frame.shape[1]):",
+        "for j in range(1, frame.shape[1] - 1):",
+        "a piece's coordinates are mapped to states through all but the last column of its frame",
     ),
     Mutant(
         "morris-shore-level-limit-exclusive",
@@ -158,11 +172,25 @@ MUTANTS = (
         "a closed path whose ends differ by exactly CLOSURE_TOL is accepted",
     ),
     Mutant(
-        "gate-trace-drops-psi-perp",
-        "gates",
-        "outside = state - frame @ core",
-        "outside = 0 * state",
-        "a gate trace loses the part of its start state outside the core",
+        "trace-lift-keeps-the-frame-part",
+        "propagators",
+        "out += psi - frame @ core",
+        "out += psi",
+        "a trace lifts each row of a framed part onto all of psi, not onto the part of psi outside the frame",
+    ),
+    Mutant(
+        "trace-lift-drops-psi-perp",
+        "propagators",
+        "out += psi - frame @ core",
+        "out += 0.0",
+        "a trace lifts each row of a framed part without the part of its state outside the frame",
+    ),
+    Mutant(
+        "trace-projects-with-the-transposed-frame",
+        "propagators",
+        "core = frame.conj().T @ psi",
+        "core = frame.T @ psi",
+        "a trace takes a framed part's coordinates as F^T psi for F^dag psi: wrong for every complex frame",
     ),
     Mutant(
         "no-tangency-check",
@@ -263,10 +291,17 @@ MUTANTS = (
     ),
     Mutant(
         "embed-transposes-the-frame",
-        "gates",
-        "outside + frame @ core.unitary.matrix @ frame.conj().T",
-        "outside + frame @ core.unitary.matrix @ frame.T",
-        "a gate's core unitary is embedded with Pi^T for Pi^dag: wrong for every complex psi",
+        "propagators",
+        "frame @ change @ frame.conj().T",
+        "frame @ change @ frame.T",
+        "a part's product is embedded with F^T for F^dag: wrong for every complex frame",
+    ),
+    Mutant(
+        "embed-conjugates-the-frame",
+        "propagators",
+        "frame @ change @ frame.conj().T",
+        "frame.conj() @ change @ frame.T",
+        "a part's product is embedded through conj(F): wrong for every complex frame",
     ),
     Mutant(
         "measure-gate-swaps-distance-modes",
@@ -276,39 +311,39 @@ MUTANTS = (
         "measure_gate reports the phase-mode distance as the exact one and the exact as the phase-mode one",
     ),
     Mutant(
-        "core-trace-sink-drops-psi-perp",
+        "gate-fall-keeps-the-rise-frame",
         "gates",
-        "states = np.broadcast_to(outside, (len(rows), outside.size)).copy()",
-        "states = np.zeros((len(rows), outside.size), dtype=complex)",
-        "the core trace hands its sink the core rows only: both gate routes lose psi_perp",
-    ),
-    Mutant(
-        "gate-fall-keeps-the-rise-phase",
-        "gates",
-        "theta_piece(t2, t3, np.pi, -np.pi, np.where(np.arange(n) < n - 1, np.exp(1j * np.array([twist])), 1.0))",
-        "theta_piece(t2, t3, np.pi, -np.pi, None)",
-        "the fall piece takes the rise's phases (none) for e^{i twist} on the levels of psi",
+        "theta_piece(t2, t3, np.pi, -np.pi, frame * np.exp(1j * np.array([twist, 0.0])))",
+        "theta_piece(t2, t3, np.pi, -np.pi, frame)",
+        "the fall piece takes the rise's frame Q for Q diag(e^{i twist}, 1)",
     ),
     Mutant(
         "gate-fall-phases-one",
         "gates",
-        "np.exp(1j * np.array([twist]))",
-        "np.exp(0j * np.array([twist]))",
-        "the fall piece is built with phases (1, 1): its bright state loses e^{i twist}",
+        "np.exp(1j * np.array([twist, 0.0]))",
+        "np.exp(0j * np.array([twist, 0.0]))",
+        "the fall piece's frame is built with phases (1, 1): its bright state loses e^{i twist}",
     ),
     Mutant(
         "lift-swaps-d-and-its-inverse",
         "propagators",
-        "return np.outer(phi, phi.conj())",
-        "return np.outer(phi.conj(), phi)",
-        "a real-form product G is mapped back as D^-1 G D for D G D^-1 (Phi^dag G Phi for Phi G Phi^dag)",
+        "pi[n, r] = 1j",
+        "pi[n, r] = -1j",
+        "the oracle's frame takes -i on the excited level: a real-form product G is mapped back as D^-1 G D for D G D^-1",
+    ),
+    Mutant(
+        "oracle-frame-excited-level-one",
+        "propagators",
+        "pi[n, r] = 1j",
+        "pi[n, r] = 1.0",
+        "the oracle's frame takes 1 for i on the excited level: a real-form product G is never mapped back",
     ),
     Mutant(
         "trace-lift-swaps-d-and-its-inverse",
         "propagators",
-        "        planes[:n, n] *= -1j\n        planes[n, :n] *= 1j\n",
-        "        planes[:n, n] *= 1j\n        planes[n, :n] *= -1j\n",
-        "a trace maps its real-form single steps back as D^-1 G D for D G D^-1",
+        "scan([(frame, _lambda_step_factors(",
+        "scan([(frame.conj(), _lambda_step_factors(",
+        "a trace maps its real-form single steps back through conj(Pi): D^-1 for D, and conj(F) for F",
     ),
     Mutant(
         "full-oracle-norm-bound-inclusive",
@@ -330,13 +365,6 @@ MUTANTS = (
         "    return coupled\n",
         "    return coupled[:, :k]\n",
         "the full oracle's trace hands its sink the bright states without the excited level",
-    ),
-    Mutant(
-        "core-lift-of-coupled-skips-a-column",
-        "gates",
-        'np.einsum("mkc,dc->mkd", coupled, frame)',
-        'np.einsum("mkc,dc->mkd", coupled[:, :, :-1], frame[:, :-1])',
-        "a gate trace lifts its coupled states through all but the last column of the core frame",
     ),
     Mutant(
         "wall-time-in-kiloseconds",

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python tools/samebytes.py REV [--head REV2] [--seeds 1-3] [--expect FIELD[:X] ...]
+    python tools/samebytes.py REV [--head REV2] [--seeds 1-3] [--expect FIELD[:X] ...] [--expect-file PATH]
 
 REV is checked out with ``git worktree`` into a temporary directory (no
 network is needed); the other side is the working tree this script runs
@@ -26,10 +26,15 @@ of dict keys to a value, with list indices dropped (``unitaries.full``,
 moved in and its largest absolute and relative change; then every run whose
 exit code is not 0 in either tree.  The exit code is 1 on any difference
 that no ``--expect FIELD`` names (an exit code counts as the field
-``exit_code``), or if a tree's runs do not import its own ``src``; else 0.
-``--expect FIELD:X`` names a field that may move by at most X in absolute
-value: a larger change, or a change between values that are not both
-numbers, counts as unexpected.
+``exit_code``), on an expected field that did not move, or if a tree's
+runs do not import its own ``src``; else 0.  ``--expect FIELD:X`` names a
+field that may move by at most X in absolute value: a larger change, or a
+change between values that are not both numbers, counts as unexpected.
+``--expect-file PATH`` reads more expectations, one ``FIELD[:X]`` a line
+(blank lines and ``#`` comments skipped).  CI passes
+``tools/expected_moves.txt``, where a change that moves report bytes
+declares its moves; as an expectation that matches no move fails, the
+file holds exactly one change's moves, and the next change empties it.
 """
 
 from __future__ import annotations
@@ -254,6 +259,14 @@ def _expectation(text: str) -> tuple[str, float | None]:
     return (field, float(bound)) if colon else (text, None)
 
 
+def _expectation_file(path: str) -> list[tuple[str, float | None]]:
+    """The expectations of a file: one ``FIELD[:X]`` per line that is neither
+    blank nor a ``#`` comment."""
+    with open(path, encoding="utf-8") as handle:
+        lines = [line.split("#", 1)[0].strip() for line in handle]
+    return [_expectation(line) for line in lines if line]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="the base revision")
@@ -267,7 +280,10 @@ def main(argv: list[str] | None = None) -> int:
         metavar="FIELD[:X]",
         help="a field allowed to move, by at most X in absolute value when X is given (repeatable)",
     )
+    parser.add_argument("--expect-file", metavar="PATH", help="a file of expectations, one FIELD[:X] a line")
     args = parser.parse_args(argv)
+    if args.expect_file:
+        args.expect += _expectation_file(args.expect_file)
     started = time.perf_counter()
     sides = {"base": _git("rev-parse", "--verify", args.rev + "^{commit}")}
     if args.head:
@@ -326,8 +342,9 @@ def main(argv: list[str] | None = None) -> int:
         if codes["base"][name] != 0 or codes["head"][name] != 0:
             print(f"  exit code {codes['base'][name]} -> {codes['head'][name]}: {name}")
     for field in sorted(set(bounds) - set(moves.fields)):
-        print(f"  expected {field} did not move")
-    print(f"{unexpected} unexpected moved field(s)" if unexpected else "no unexpected difference")
+        unexpected += 1
+        print(f"  {'STILL':<9}{field}: expected to move, did not")
+    print(f"{unexpected} unexpected moved or unmoved field(s)" if unexpected else "no unexpected difference")
     return 1 if unexpected else 0
 
 
