@@ -183,10 +183,10 @@ class BrightTrajectory:
         return tuple(piece.t_start for piece in self.pieces[1:])
 
     def split(self, times: np.ndarray) -> list[tuple[Piece, np.ndarray]]:
-        """Each piece with its part of the sorted ``times`` (an edge goes to
-        the piece on its right; empty parts are dropped), once every time
-        lies in [t_start, t_end] (else ``ValueError`` naming both intervals):
-        a sampler's formulas do not hold off the domain."""
+        """Each piece with its part of the sorted ``times``, for ``sample``
+        and ``values`` (an edge goes to the piece on its right; empty parts
+        are dropped), once every time lies in [t_start, t_end] (else
+        ``ValueError`` naming both intervals): no formula holds off it."""
         times = np.asarray(times, dtype=float)
         if times.size and not (self.t_start <= times.min() and times.max() <= self.t_end):  # NaN fails too
             raise ValueError(

@@ -1,34 +1,35 @@
 """Unitary propagation of time-dependent Hamiltonians.
 
 Every propagator is one pipeline: step grid -> factors -> reducer, streamed
-in blocks of ``FULL_BLOCK`` steps.  The grid splits [t0, t1] into equal
-steps and hands out their midpoints one block at a time.  A factor builder
-cuts each block at the trajectory's piece edges (``BrightTrajectory.split``)
-and turns each part, sampled and checked in its piece's r coordinates,
-into the one-step exponentials of its m steps on the piece's r levels, as
-(r, r, m) entry planes (entry (i, j) of every step in one contiguous row):
-the exponential midpoint rule (second order, unitary by construction) for
-the generator H_eff of a bright trajectory, in closed form from the Gram
-matrix of (B, dt Bdot) for one bright state, or the closed-form step of
-the full (n+1)-level Lambda Hamiltonian Omega (|B><e| + h.c.), the
-brute-force oracle the geometric methods are checked against.  Its drive
-is one bright trajectory B on progress [0, 1] at Omega = 1, so B and
-Omega*T fix a run; it reads only values, and builds and multiplies its
-steps in the real form D^-1 F D, D = diag(1, ..., 1, i), real for real
-coordinates.  Each part's product W is embedded once, as 1 + F (W - 1)
-F^dag for its piece's frame F (the oracle's frame F (+) i also undoes D).
-A reducer consumes the blocks in order: it forms the ordered product (each
-part by a pairwise tree, then the embedded part products by the same
-tree) and, given a ``StateTrace``, applies the same factors to one state
-by a blocked scan in each part's coordinates and hands each block's
-states, and the states its drive couples then, to the trace's sink, so a
-run's unitary and its state trajectory come from one pass.  No array
-longer than one block is built, so memory stays flat in the step count.
-The full runs of a sweep over Omega*T share one sampled, checked drive per
-part and the run-independent planes of its step pairs; each run hands the
-tree the closed-form products of two consecutive Lambda steps
-(``_LambdaPairs``), so its tree starts at half the steps.  A trace scans
-the single steps, and the unitary comes from the pairs either way.
+in blocks of at most ``FULL_BLOCK`` steps.  The grid (``_step_grid``) gives
+each piece of the trajectory its own equal steps, so no step crosses a
+piece edge, and hands out one block of one piece at a time.  A factor
+builder turns each block, sampled and checked in its piece's r
+coordinates, into the one-step exponentials of its m steps on the piece's
+r levels, as (r, r, m) entry planes (entry (i, j) of every step in one
+contiguous row): the exponential midpoint rule (second order, unitary by
+construction) for the generator H_eff of a bright trajectory, in closed
+form from the Gram matrix of (B, dt Bdot) for one bright state, or the
+closed-form step of the full (n+1)-level Lambda Hamiltonian
+Omega (|B><e| + h.c.), the brute-force oracle the geometric methods are
+checked against.  Its drive is one bright trajectory B on progress [0, 1]
+at Omega = 1, so B and Omega*T fix a run; it reads only values, and builds
+and multiplies its steps in the real form D^-1 F D, D = diag(1, ..., 1, i),
+real for real coordinates.  Each block's product W is embedded once, as
+1 + F (W - 1) F^dag for its piece's frame F (the oracle's frame F (+) i
+also undoes D).  A reducer consumes the blocks in order: it forms the
+ordered product (each block by a pairwise tree, then the embedded block
+products by the same tree) and, given a ``StateTrace``, applies the same
+factors to one state by a blocked scan in each block's coordinates and
+hands the states at the block's step ends, and the states its drive
+couples then, to the trace's sink, so a run's unitary and its state
+trajectory come from one pass.  No array longer than one block is built,
+so memory stays flat in the step count.  The full runs of a sweep over
+Omega*T share one sampled, checked drive per block and the run-independent
+planes of its step pairs; each run hands the tree the closed-form products
+of two consecutive Lambda steps (``_LambdaPairs``), so its tree starts at
+half the steps.  A trace scans the single steps, and the unitary comes
+from the pairs either way.
 """
 
 from __future__ import annotations
@@ -95,44 +96,55 @@ class AdiabaticRunConfig:
             raise ValueError(f"steps must be in [10, {MAX_STEPS}], got {self.steps}")
 
 
-def _step_grid(t0: float, t1: float, steps: int) -> tuple[Iterator[np.ndarray], float]:
-    """Midpoints of ``steps`` equal subintervals of [t0, t1], as a stream of
-    blocks of at most ``FULL_BLOCK``, and the subinterval width."""
+def _step_grid(trajectory: BrightTrajectory, t0: float, t1: float, steps: int) -> Iterator[tuple[Piece, np.ndarray, np.ndarray, float]]:
+    """The steps of [t0, t1] as blocks (piece, midpoints, step ends, width)
+    of at most ``FULL_BLOCK`` steps of one piece, so no step crosses an edge
+    where Bdot may jump.  Each piece met gets one step, the others go by
+    length, by largest remainder; c steps on [lo, hi] have midpoints
+    lo + (hi - lo)(j + 1/2)/c and ends lo + (hi - lo)(j + 1)/c, the last hi.
+    [t0, t1] outside the trajectory, or fewer steps than pieces met, raise
+    ``ValueError`` naming both intervals or both counts, before any block."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    span = t1 - t0
-    blocks = (
-        t0 + span * (np.arange(lo, min(lo + FULL_BLOCK, steps)) + 0.5) / steps
-        for lo in range(0, steps, FULL_BLOCK)
+    if not (trajectory.t_start <= t0 and t1 <= trajectory.t_end):  # NaN fails too
+        raise ValueError(f"the grid spans [{t0:.6g}, {t1:.6g}], outside the trajectory's [{trajectory.t_start:.6g}, {trajectory.t_end:.6g}]")
+    parts = [(piece, max(t0, piece.t_start), min(t1, piece.t_end)) for piece in trajectory.pieces if piece.t_end > t0 and piece.t_start < t1]
+    if steps < len(parts):
+        raise ValueError(f"{steps} steps cannot give each of the {len(parts)} pieces in [{t0:.6g}, {t1:.6g}] a step")
+    quotas = (steps - len(parts)) * np.array([hi - lo for _, lo, hi in parts]) / (t1 - t0)
+    counts = 1 + quotas.astype(int)
+    counts[np.argsort(counts - quotas, kind="stable")[: steps - counts.sum()]] += 1
+    return (
+        (piece, lo + (hi - lo) * (j + 0.5) / count, np.where(j + 1 == count, hi, lo + (hi - lo) * (j + 1) / count), (hi - lo) / count)
+        for (piece, lo, hi), count in zip(parts, counts.tolist())
+        for j in (np.arange(start, min(start + FULL_BLOCK, count)) for start in range(0, count, FULL_BLOCK))
     )
-    return blocks, span / steps
 
 
-def _midpoint_factors(trajectory: BrightTrajectory, t0: float, t1: float, steps: int) -> Iterator[list[tuple[np.ndarray | None, np.ndarray]]]:
+def _midpoint_factors(trajectory: BrightTrajectory, t0: float, t1: float, steps: int) -> Iterator[tuple[np.ndarray | None, np.ndarray, np.ndarray]]:
     """exp(-i h(m_j) dt) for every midpoint m_j of the grid, one block at a
-    time, as its parts: (frame, planes) for each piece's part of the block,
-    h the generator of the piece's coordinates, on its r levels.  Each part
-    is sampled once (``BrightTrajectory.coordinates``) and its frames
+    time, as (frame, planes, step ends): h the generator of the block's
+    piece's coordinates, on its r levels, dt the piece's step width.  Each
+    block is sampled once (``BrightTrajectory.coordinates``) and its frames
     checked (``_checked_frames``); one bright state takes the closed-form
     step of ``_expm_bright_stack``, k >= 2 the ``eigh`` of the h stack, and
-    no sample outlives its part.  Any input but a ``BrightTrajectory``
+    no sample outlives its block.  Any input but a ``BrightTrajectory``
     raises ``TypeError`` naming its type, before the first block."""
     if not isinstance(trajectory, BrightTrajectory):
         raise TypeError(f"the midpoint route propagates a BrightTrajectory, got {type(trajectory).__name__}")
-    blocks, dt = _step_grid(t0, t1, steps)
 
-    def steps_of(piece: Piece, part: np.ndarray) -> np.ndarray:
+    def steps_of(piece: Piece, mids: np.ndarray, dt: float) -> np.ndarray:
         if trajectory.k == 1:
-            return _expm_bright_stack(*(side[:, 0] for side in _checked_frames(*trajectory.coordinates(piece, part), times=part)), dt)
-        return _expm_hermitian_stack(_h_eff_stack(*trajectory.coordinates(piece, part), times=part), dt).transpose(1, 2, 0)
+            return _expm_bright_stack(*(side[:, 0] for side in _checked_frames(*trajectory.coordinates(piece, mids), times=mids)), dt)
+        return _expm_hermitian_stack(_h_eff_stack(*trajectory.coordinates(piece, mids), times=mids), dt).transpose(1, 2, 0)
 
-    return ([(piece.frame, steps_of(piece, part)) for piece, part in trajectory.split(mids)] for mids in blocks)
+    return ((piece.frame, steps_of(piece, mids, width), ends) for piece, mids, ends, width in _step_grid(trajectory, t0, t1, steps))
 
 
 def _embedded(frame: np.ndarray | None, product: np.ndarray) -> np.ndarray:
-    """A part's product W on the r levels of its ``frame`` F as 1 + F (W - 1)
+    """A block's product W on the r levels of its ``frame`` F as 1 + F (W - 1)
     F^dag on all levels (W itself with no frame)."""
     if frame is None:
         return product
@@ -283,17 +295,12 @@ def _polar(u: np.ndarray) -> tuple[UnitaryOperator, float]:
     return UnitaryOperator(clean), drift
 
 
-def _part_products(parts: list[tuple[np.ndarray | None, np.ndarray]]) -> np.ndarray:
-    """The tree product of each (frame, planes) part of a block, embedded
-    through its frame (``_embedded``), as (d, d, parts) planes."""
-    return np.stack([_embedded(frame, _ordered_product(planes)) for frame, planes in parts], axis=-1)
-
-
-def _unitary_product(blocks: Iterable[list[tuple[np.ndarray | None, np.ndarray]]]) -> tuple[UnitaryOperator, float]:
-    """Ordered product of a stream of blocks of parts (each block's part
-    products, then all of them by the same tree), through ``_polar``."""
-    # map() holds no block, so each is released before the next is built.
-    return _polar(_ordered_product(np.concatenate(list(map(_part_products, blocks)), axis=-1)))
+def _unitary_product(blocks: Iterable[tuple[np.ndarray | None, np.ndarray, np.ndarray]]) -> tuple[UnitaryOperator, float]:
+    """Ordered product of a stream of (frame, planes, ends) blocks: each
+    block's tree product, embedded through its frame (``_embedded``), then
+    all of them by the same tree, through ``_polar``."""
+    # The comprehension holds one block at a time.
+    return _polar(_ordered_product(np.stack([_embedded(frame, _ordered_product(planes)) for frame, planes, _ in blocks], axis=-1)))
 
 
 @dataclass(frozen=True)
@@ -302,7 +309,7 @@ class StateTrace:
 
     ``sink(times, states, coupled)`` receives each block's rows before the
     next block is built: the start state (with the first block), then the
-    state after every step, at its grid time, and the (rows, k, d) states
+    state after every step, at the step's end, and the (rows, k, d) states
     the drive couples then.  So one pass gives both the unitary and the
     state trajectory, and at most one block of states is held.
     """
@@ -345,47 +352,41 @@ def _scanned_states(planes: np.ndarray, psi: np.ndarray, out: np.ndarray) -> Non
         out[p::width] = state.T
 
 
-def _traced(trace: StateTrace, t0: float, t1: float, steps: int, dim: int, coupled) -> Callable[[list], list]:
-    """A per-block step: it carries the trace's state through the block's
-    (frame, planes) parts by the blocked scan of ``_scanned_states``, hands
-    the block's rows to the trace's sink as one (rows, dim) array, with
-    ``coupled(times)`` of their times, and returns the parts.  A part with
-    a frame F scans c = F^dag psi and lifts each row to F c + psi_perp,
-    psi_perp = psi - F c the part it never moves (``_lifted``, no BLAS
-    matmul over rows).  The rows differ from those of a step-by-step
-    ``factor @ psi`` loop by rounding only, under 1e-14 over 8 195 steps on
-    the suite's drives.  A state whose length is not ``dim`` raises
-    ``DimensionMismatch`` before the first step."""
+def _traced(trace: StateTrace, t0: float, dim: int, coupled) -> Callable[[tuple], tuple]:
+    """A per-block step: it carries the trace's state through a (frame,
+    planes, ends) block by the blocked scan of ``_scanned_states``, hands
+    the rows (the start row at t0 first) to the trace's sink as one
+    (rows, dim) array at their step ends, with ``coupled(times)``, and
+    returns the block.  A frame F scans c = F^dag psi and lifts each row to
+    F c + psi_perp, psi_perp = psi - F c the part it never moves
+    (``_lifted``, no BLAS matmul over rows).  The rows differ from those of
+    a step-by-step ``factor @ psi`` loop by rounding only, under 1e-14 over
+    8 195 steps on the suite's drives.  A state whose length is not ``dim``
+    raises ``DimensionMismatch`` before the first step."""
     psi = np.asarray(trace.state, dtype=complex)
     if psi.shape != (dim,):
         raise DimensionMismatch(f"trace state has shape {psi.shape}, but the propagation acts on ({dim},)")
-    done = 0
+    start = [t0]  # the start row's time, handed with the first block only
 
-    def step(parts: list[tuple[np.ndarray | None, np.ndarray]]) -> list[tuple[np.ndarray | None, np.ndarray]]:
-        nonlocal psi, done
-        first = int(done == 0)
-        count = sum(planes.shape[-1] for _, planes in parts)
-        rows = np.empty((first + count, dim), dtype=complex)
-        rows[:first] = psi
-        at = first
-        for frame, planes in parts:
-            out = rows[at : at + planes.shape[-1]]
-            if frame is None:
-                _scanned_states(planes, psi, out)
-            else:
-                core = frame.conj().T @ psi
-                scanned = np.empty((len(out), len(core)), dtype=complex)
-                _scanned_states(planes, core, scanned)
-                out[:] = _lifted(frame, scanned)
-                out += psi - frame @ core
-            psi = out[-1].copy()
-            at += len(out)
-        done += count
-        marks = np.arange(done + 1 - len(rows), done + 1)
-        # The last mark is t1 itself; the grid formula can round one ulp past it.
-        times = np.minimum(t0 + (t1 - t0) * marks / steps, t1)
+    def step(block: tuple[np.ndarray | None, np.ndarray, np.ndarray]) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        nonlocal psi, start
+        frame, planes, ends = block
+        times = np.concatenate((start, ends))
+        rows = np.empty((len(times), dim), dtype=complex)
+        rows[: len(start)] = psi
+        out = rows[len(start) :]
+        if frame is None:
+            _scanned_states(planes, psi, out)
+        else:
+            core = frame.conj().T @ psi
+            scanned = np.empty((len(out), len(core)), dtype=complex)
+            _scanned_states(planes, core, scanned)
+            out[:] = _lifted(frame, scanned)
+            out += psi - frame @ core
+        psi = rows[-1].copy()
+        start = []
         trace.sink(times, rows, coupled(times))
-        return parts
+        return block
 
     return step
 
@@ -408,15 +409,16 @@ def evolve_time_ordered(
 ) -> PropagationResult:
     """Time-ordered product of midpoint-rule exponentials.
 
-    U = exp(-i H(m_M) dt) ... exp(-i H(m_1) dt) with m_j the midpoint of the
-    j-th subinterval; later factors multiply from the left, and H is the
-    generator H_eff of the bright ``trajectory``, stepped part by part on
-    each piece's r levels.  A ``trace`` carries its state along the same
-    factors, with times in [t0, t1], and the bright states at those times.
+    U = exp(-i H(m_M) dt_M) ... exp(-i H(m_1) dt_1) with m_j the midpoint of
+    the j-th step of the grid, which gives each piece its own equal steps
+    (``_step_grid``); later factors multiply from the left, and H is the
+    generator H_eff of the bright ``trajectory``, on each piece's r levels.
+    A ``trace`` carries its state along the same factors, with the grid's
+    step ends in [t0, t1] as times, and the bright states at those times.
     """
     blocks = _midpoint_factors(trajectory, t0, t1, steps)
     if trace is not None:
-        blocks = map(_traced(trace, t0, t1, steps, trajectory.dim, trajectory.values), blocks)
+        blocks = map(_traced(trace, t0, trajectory.dim, trajectory.values), blocks)
     unitary, drift = _unitary_product(blocks)
     return PropagationResult(unitary=unitary, steps=steps, unitarity_error=drift, method="effective")
 
@@ -430,15 +432,15 @@ def evolve_full_sweep(
     a sweep over Omega*T: the ground-truth oracle of the geometric methods.
 
     The drive is one bright state B on progress [0, 1] at Omega = 1, and
-    only values are read.  Each part of a block runs on its piece's r + 1
-    levels, in its coordinates and dtype.  The runs must share ``steps``
-    (else ``ValueError``), so each part is sampled and checked once for all
-    of them, and the run-independent parts of its step pairs
-    (``_LambdaPairs``) are built once; each run reduces its closed-form
-    pair products of phase omega_T / steps and embeds the product through
-    the part's ``_excited_frame``, so memory does not grow with the number
-    of runs.  A ``trace`` (one run only) carries its state along the single
-    steps of the same run, with times in progress units, and its sink is
+    only values are read, on the grid of ``_step_grid`` over [0, 1].  Each
+    block runs on its piece's r + 1 levels, in its coordinates and dtype.
+    The runs must share ``steps`` (else ``ValueError``), so each block is
+    sampled and checked once for all of them, and the run-independent parts
+    of its step pairs (``_LambdaPairs``) are built once; each run reduces
+    its closed-form pair products of phase omega_T times the piece's step
+    width and embeds the product through the piece's ``_excited_frame``, so
+    memory does not grow with the number of runs.  A ``trace`` (one run
+    only) carries its state along the single steps of the same run, with times in progress units, and its sink is
     handed the bright state and the excited level then; a traced run's
     unitary is the untraced one, bit for bit.
     """
@@ -450,23 +452,18 @@ def evolve_full_sweep(
     if trace is not None and len(configs) != 1:
         raise ValueError(f"a trace follows one run, got {len(configs)}")
     n = drive.dim
-    scan = None if trace is None else _traced(trace, 0.0, 1.0, steps, n + 1, lambda times: _with_excited(drive.values(times)))
-    blocks, _ = _step_grid(0.0, 1.0, steps)
+    scan = None if trace is None else _traced(trace, 0.0, n + 1, lambda times: _with_excited(drive.values(times)))
     products = [[] for _ in configs]
     pairs = _LambdaPairs(max(n if piece.frame is None else piece.frame.shape[1] for piece in drive.pieces), min(steps, FULL_BLOCK))
-    for mids in blocks:
-        parts = [(_excited_frame(piece.frame, n), _bright_states(drive.coordinates(piece, part, rates=False)[0], part)) for piece, part in drive.split(mids)]
+    for piece, mids, ends, width in _step_grid(drive, 0.0, 1.0, steps):
+        frame, b = _excited_frame(piece.frame, n), _bright_states(drive.coordinates(piece, mids, rates=False)[0], mids)
         if scan is not None:
-            scan([(frame, _lambda_step_factors(b, configs[0].omega_T / steps)) for frame, b in parts])
-        for frame, b in parts:
-            pairs.load(b)
-            for run, run_products in zip(configs, products):
-                run_products.append(_embedded(frame, _ordered_product(pairs.factors(run.omega_T / steps))))
-    results = []
-    for run_products in products:
-        unitary, drift = _polar(_ordered_product(np.stack(run_products, axis=-1)))
-        results.append(PropagationResult(unitary=unitary, steps=steps, unitarity_error=drift, method="full"))
-    return results
+            scan((frame, _lambda_step_factors(b, configs[0].omega_T * width), ends))
+        pairs.load(b)
+        for run, run_products in zip(configs, products):
+            run_products.append(_embedded(frame, _ordered_product(pairs.factors(run.omega_T * width))))
+    polars = (_polar(_ordered_product(np.stack(run_products, axis=-1))) for run_products in products)
+    return [PropagationResult(unitary=unitary, steps=steps, unitarity_error=drift, method="full") for unitary, drift in polars]
 
 
 def evolve_full_adiabatic(

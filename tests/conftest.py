@@ -25,21 +25,24 @@ def random_state(rng, dim):
     return v / np.linalg.norm(v)
 
 
-def midpoint_reference(generator, t0, t1, steps):
+def midpoint_reference(generator, t0, t1, steps, breakpoints=()):
     """Exponential-midpoint unitary of a scalar generator t -> H(t), as a
     matrix: H (a matrix or a ``HermitianOperator``) is called once at every
-    midpoint of the propagators' step grid, each block of samples is
-    exponentiated as one stack, and the blocks go through the propagators'
-    ordered product.  A reference for the trajectory routes, which never
-    call a scalar H."""
-    blocks, dt = _step_grid(t0, t1, steps)
+    midpoint of the propagators' step grid on the pieces that
+    ``breakpoints`` (inside (t0, t1)) cut [t0, t1] into, each block of
+    samples is exponentiated as one stack at its piece's step width, and the
+    blocks go through the propagators' ordered product.  A reference for
+    the trajectory routes, which never call a scalar H."""
+    edges = (t0, *breakpoints, t1)
+    pieces = tuple(Piece(lo, hi, None, None) for lo, hi in zip(edges, edges[1:]))
 
-    def factors(mids):
+    def factors(block):
+        _, mids, ends, dt = block
         samples = [generator(float(t)) for t in mids]
         stack = np.array([h.matrix if isinstance(h, HermitianOperator) else h for h in samples], dtype=complex)
-        return [(None, _expm_hermitian_stack(stack, dt).transpose(1, 2, 0))]
+        return None, _expm_hermitian_stack(stack, dt).transpose(1, 2, 0), ends
 
-    return _unitary_product(map(factors, blocks))[0].matrix
+    return _unitary_product(map(factors, _step_grid(BrightTrajectory(1, 1, pieces), t0, t1, steps)))[0].matrix
 
 
 def frame_at(trajectory, t):
@@ -122,11 +125,12 @@ def excited_and(bright):
 
 
 def frameless(trajectory):
-    """The same path as one piece with no frame, read through the
-    trajectory's own ``sample`` and ``values``: a route steps it on all
-    ``dim`` levels, whatever frames the trajectory's pieces carry."""
-    piece = Piece(trajectory.t_start, trajectory.t_end, None, trajectory.sample, trajectory.values)
-    return BrightTrajectory(trajectory.dim, trajectory.k, (piece,))
+    """The same path, piece for piece (the same edges, so the same step
+    grid), with no frames, read through the trajectory's own ``sample`` and
+    ``values``: a route steps it on all ``dim`` levels, whatever frames the
+    trajectory's pieces carry."""
+    pieces = tuple(Piece(piece.t_start, piece.t_end, None, trajectory.sample, trajectory.values) for piece in trajectory.pieces)
+    return BrightTrajectory(trajectory.dim, trajectory.k, pieces)
 
 
 def reference_gate_drive(spec):

@@ -289,6 +289,16 @@ class TestSimulateGate:
         assert distance_exact < 1e-6
         assert abs(extract_geometric_phase(result.unitary, spec.psi) - (-np.pi / 3)) < 1e-7
 
+    @pytest.mark.parametrize("steps", [1007, 3007])
+    def test_off_grid_linear_gate_is_exact_to_rounding(self, steps):
+        # Stage times 0.3 and 0.55 fall off any equal grid of 1007 or 3007
+        # steps.  Each linear piece keeps one direction of H_eff, so its
+        # midpoint steps are exact once no step crosses a stage edge: the
+        # whole matrix, bright ray included, is compose_gate to rounding.
+        psi = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
+        spec = GateSpec(n=3, psi=psi, phase_twist=np.pi / 3, t1=0.3, t2=0.55, t3=1.0)
+        assert np.linalg.norm(simulate_gate(spec, steps).unitary.matrix - compose_gate(spec).matrix) <= 1e-13
+
     def test_zero_twist_dark_block_is_identity(self):
         psi = np.array([1, 0, 0], dtype=complex)
         result = simulate_gate(GateSpec(n=3, psi=psi, phase_twist=0.0), steps=2000)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brightpath import propagators
 from brightpath.effective import BrightTrajectory, Piece
@@ -31,7 +33,7 @@ from brightpath.propagators import (
     reparametrize,
 )
 from brightpath.ramps import ramp_rate, ramp_value
-from conftest import excited_and, matmul_snapshots, midpoint_reference, reference_gate_drive, reversed_trajectory
+from conftest import excited_and, frameless, matmul_snapshots, midpoint_reference, reference_gate_drive, reversed_trajectory
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -200,12 +202,17 @@ class TestEvolveTimeOrdered:
     @pytest.mark.parametrize("steps", [1, 2, 3, 7, 257, 10_000])
     def test_trajectory_matches_its_scalar_generator(self, steps):
         # The batched build from one sample of all midpoints against one
-        # h_eff call per midpoint, on a piecewise gate path.
+        # h_eff call per midpoint of the same per-piece grid, on a piecewise
+        # gate path.  Fewer steps than its three pieces are refused.
         psi = np.array([0.6, 0.8j, 0.0])
         spec = GateSpec(n=3, psi=psi, phase_twist=0.9, t1=0.3137, t2=0.5711, theta_schedule="smooth")
         traj = stage_trajectory(spec)
+        if steps < 3:
+            with pytest.raises(ValueError, match=rf"^{steps} steps cannot give each of the 3 pieces in \[0, 1\] a step$"):
+                evolve_time_ordered(traj, 0.0, spec.t3, steps)
+            return
         batched = evolve_time_ordered(traj, 0.0, spec.t3, steps).unitary.matrix
-        scalar = midpoint_reference(traj.h_eff, 0.0, spec.t3, steps)
+        scalar = midpoint_reference(traj.h_eff, 0.0, spec.t3, steps, traj.breakpoints)
         assert np.linalg.norm(batched - scalar) < 1e-12
 
     def test_rejects_broken_trajectory_sample(self):
@@ -345,6 +352,84 @@ class TestEvolveTimeOrdered:
             assert evolve_time_ordered(traj, 0.0, 1.5, 4096).unitarity_error < 1e-8
 
 
+def pieces_on(*edges):
+    """A one-level trajectory whose pieces have the given edges; the grid
+    reads only the edges, so no piece is ever sampled."""
+    return BrightTrajectory(1, 1, tuple(Piece(lo, hi, None, None) for lo, hi in zip(edges, edges[1:])))
+
+
+class TestStepGrid:
+    """One grid for every route: equal steps on each piece."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=5),
+        cut=st.tuples(st.floats(0.0, 0.45), st.floats(0.55, 1.0)) | st.just((0.0, 1.0)),
+        extra=st.integers(0, 3 * FULL_BLOCK),
+    )
+    def test_each_piece_gets_its_share_of_equal_steps(self, gaps, cut, extra):
+        edges = np.concatenate([[0.0], np.cumsum(gaps)])
+        trajectory = pieces_on(*edges.tolist())
+        t0, t1 = (edges[-1] * c for c in cut)
+        met = [(max(t0, lo), min(t1, hi)) for lo, hi in zip(edges, edges[1:]) if hi > t0 and lo < t1]
+        steps = len(met) + extra
+        blocks = list(_step_grid(trajectory, t0, t1, steps))
+        counts, widths = {}, {}
+        for piece, mids, ends, width in blocks:
+            lo, hi = max(t0, piece.t_start), min(t1, piece.t_end)
+            assert 1 <= len(mids) == len(ends) <= FULL_BLOCK
+            assert ((lo < mids) & (mids < hi)).all()
+            counts[piece.t_start] = counts.get(piece.t_start, 0) + len(mids)
+            widths.setdefault(piece.t_start, set()).add(width)
+        # Every piece met gets one step, and the rest go by length, by
+        # largest remainder: within one step of its exact share.  A piece's
+        # steps are equal.
+        assert sum(counts.values()) == steps
+        assert [widths[lo_edge] for lo_edge in counts] == [{(hi - lo) / count} for (lo, hi), count in zip(met, counts.values())]
+        quotas = [extra * (hi - lo) / (t1 - t0) for lo, hi in met]
+        assert all(abs(count - 1 - quota) < 1 for count, quota in zip(counts.values(), quotas))
+        assert len(counts) == len(met)
+        times = np.concatenate([[t0], *(ends for _, _, ends, _ in blocks)])
+        assert (np.diff(times) > 0).all() and times[-1] == t1
+        assert set(lo for lo, _ in met[1:]) <= set(times.tolist())
+
+    def test_one_piece_keeps_the_equal_grid_bit_for_bit(self):
+        # The midpoints and ends of an equal grid over [t0, t1], the same
+        # expressions as a grid that ignores the pieces.
+        ((_, mids, ends, width),) = _step_grid(pieces_on(0.0, 2.0), 0.3, 1.7, 1001)
+        assert np.array_equal(mids, 0.3 + 1.4 * (np.arange(1001) + 0.5) / 1001)
+        assert np.array_equal(ends[:-1], 0.3 + 1.4 * np.arange(1, 1001) / 1001)
+        assert ends[-1] == 1.7 and width == 1.4 / 1001
+
+    @pytest.mark.parametrize("route", ["effective", "full"])
+    def test_a_grid_past_the_trajectory_names_both_intervals(self, route):
+        # The grid's formulas would sample each piece off its domain.
+        if route == "effective":
+            run = lambda: evolve_time_ordered(stirap_trajectory(1.0), 0.0, 2.0, 100)
+            message = r"^the grid spans \[0, 2\], outside the trajectory's \[0, 1\]$"
+        else:
+            short = BrightTrajectory(3, 1, (Piece(0.0, 0.5, None, None, held(bright_state(CONSTANT_LAMBDA)).values),))
+            run = lambda: evolve_full_adiabatic(short, AdiabaticRunConfig(omega_T=1.0, steps=64))
+            message = r"^the grid spans \[0, 1\], outside the trajectory's \[0, 0\.5\]$"
+        with pytest.raises(ValueError, match=message):
+            run()
+
+    @pytest.mark.parametrize("route", ["effective", "full"])
+    def test_fewer_steps_than_pieces_names_both_counts(self, route):
+        # Twelve pieces on [0, 1]; the oracle takes at least 10 steps.
+        edges = np.linspace(0.0, 1.0, 13).tolist()
+        b = bright_state(CONSTANT_LAMBDA)
+        turning = lambda times: (np.tile(b, (times.size, 1, 1)), np.zeros((times.size, 1, 3)))
+        trajectory = BrightTrajectory(3, 1, tuple(Piece(lo, hi, None, turning) for lo, hi in zip(edges, edges[1:])))
+        if route == "effective":
+            run = lambda: evolve_time_ordered(trajectory, 0.0, 1.0, 11)
+        else:
+            run = lambda: evolve_full_adiabatic(trajectory, AdiabaticRunConfig(omega_T=1.0, steps=11))
+        with pytest.raises(ValueError, match=r"^11 steps cannot give each of the 12 pieces in \[0, 1\] a step$"):
+            run()
+        evolve_time_ordered(trajectory, 0.0, 1.0, 12)
+
+
 class TestEvolveFullAdiabatic:
     def test_constant_drive_matches_rabi_closed_form(self):
         c = CONSTANT_LAMBDA
@@ -444,26 +529,31 @@ class TestBlockedOracle:
         tracemalloc.start()
         try:
             block = next(factors)
-            held = tracemalloc.get_traced_memory()[0] - sum(planes.nbytes for _, planes in block)
+            held = tracemalloc.get_traced_memory()[0] - block[1].nbytes
         finally:
             tracemalloc.stop()
         assert held < FULL_BLOCK * 3 * 16
 
     def test_matches_whole_grid_sequential_product(self):
-        # Two full blocks and a ragged tail, against every factor of the run
-        # built at once and multiplied one by one, later steps to the left.
+        # Blocks of three pieces, one of them ragged, against every factor
+        # of the run's grid built at once and multiplied one by one, later
+        # steps to the left.
         schedule = smoothly(gate_schedule())
         config = AdiabaticRunConfig(omega_T=40.0, steps=2 * FULL_BLOCK + 37)
-        mids = (np.arange(config.steps) + 0.5) / config.steps
-        # The real-form steps, each mapped back to exp(-i H dt).
-        factors = mapped_back(_lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / config.steps))
+        grid = list(_step_grid(schedule, 0.0, 1.0, config.steps))
+        # The real-form steps at each piece's step width, each mapped back
+        # to exp(-i H dt).
+        factors = np.concatenate(
+            [mapped_back(_lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T * width)) for _, mids, _, width in grid], axis=-1
+        )
+        assert factors.shape[-1] == config.steps
         u = np.eye(4, dtype=complex)
         for factor in factors.transpose(2, 0, 1):
             u = factor @ u
         assert np.linalg.norm(evolve_full_adiabatic(schedule, config).unitary.matrix - u) < 1e-12
         start = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
         times, states = evolve_state_full(schedule, config, start)
-        np.testing.assert_array_equal(times, np.arange(config.steps + 1) / config.steps)
+        np.testing.assert_array_equal(times, np.concatenate([[0.0], *(ends for _, _, ends, _ in grid)]))
         assert np.linalg.norm(states[-1] - u @ start) < 1e-12
 
     def test_a_bad_step_in_a_later_block_is_rejected(self):
@@ -681,16 +771,17 @@ class TestRealForm:
         start = np.array([0.6, 0.0, 0.8j, 0.0])
         for got, want in zip(evolve_state_full(real, configs[0], start), evolve_state_full(cast, configs[0], start)):
             assert np.array_equal(got, want)
-        # The same path as one complex piece on all levels, with no frame,
-        # moves by rounding only.
-        whole = BrightTrajectory(3, 1, (Piece(0.0, 1.0, None, real.sample, real.values),))
+        # The same path as complex pieces on all levels, with no frames and
+        # the same edges, moves by rounding only.
+        whole = frameless(real)
         for got, want in zip(evolve_full_sweep(real, configs), evolve_full_sweep(whole, configs)):
             assert np.abs(got.unitary.matrix - want.unitary.matrix).max() <= 1e-13
 
     @pytest.mark.parametrize("pieces", [False, True], ids=["complex", "straddled_edge"])
     def test_matches_dense_lambda_steps(self, rng, pieces):
-        # An odd step count; with pieces, the edge at 0.3 lies inside the
-        # first block, so that block runs as a complex and a real part.
+        # An odd step count; with pieces, the edge at 0.3 lies off an equal
+        # grid of [0, 1], so the grid gives the complex and the real piece
+        # each its own steps.
         steps = 2 * FULL_BLOCK + 37
         full = random_drive(rng, 3)
         if pieces:
@@ -704,21 +795,24 @@ class TestRealForm:
             full = lambda times: np.where((times < 0.3)[:, None, None], complex_part(times), real_part(times))
         else:
             drive = BrightTrajectory(3, 1, (Piece(0.0, 1.0, None, None, full),))
-        # The dense steps go through the same ordered product (a pairwise
-        # tree, then the polar projection); a product taken one step at a
-        # time drifts by ~steps * eps.
-        mids = (np.arange(steps) + 0.5) / steps
+        # The dense steps, at each piece's step width, go through the same
+        # ordered product (a pairwise tree, then the polar projection); a
+        # product taken one step at a time drifts by ~steps * eps.
+        grid = list(_step_grid(drive, 0.0, 1.0, steps))
         for omega_T in (40.0, 3.0):
             config = AdiabaticRunConfig(omega_T=omega_T, steps=steps)
-            dense = np.stack(lambda_steps(full(mids)[:, 0], omega_T / steps), axis=-1)
-            u = _unitary_product([[(None, dense)]])[0].matrix
+            dense = np.concatenate([np.stack(lambda_steps(full(mids)[:, 0], omega_T * width), axis=-1) for _, mids, _, width in grid], axis=-1)
+            u = _unitary_product([(None, dense, None)])[0].matrix
             assert np.abs(evolve_full_adiabatic(drive, config).unitary.matrix - u).max() <= 1e-13
             start = np.array([0.0, 0.6, 0.0, 0.8j])
             _, states = evolve_state_full(drive, config, start)
             assert np.abs(states - matmul_snapshots([dense], start)).max() <= 1e-12
 
     def test_a_midpoint_on_an_edge_is_sampled_by_the_piece_on_its_right(self):
-        # Ten steps put midpoints exactly on the edges 0.25 and 0.45.
+        # Ten steps on the edges 0.25 and 0.45 go 3, 2 and 5 to the pieces,
+        # so no midpoint lies on an edge; each piece samples its own
+        # midpoints.  A trace's rows end each piece's steps on its right
+        # edge, and the coupled states there are the next piece's.
         seen = [[], [], []]
 
         def recorded(index, values):
@@ -729,11 +823,19 @@ class TestRealForm:
         edges = (0.0, 0.25, 0.45, 1.0)
         pieces = [Piece(lo, hi, None, None, recorded(i, constant)) for i, (lo, hi) in enumerate(zip(edges, edges[1:]))]
         drive = BrightTrajectory(3, 1, pieces)
-        evolve_full_adiabatic(drive, AdiabaticRunConfig(omega_T=1.0, steps=10))
+        config = AdiabaticRunConfig(omega_T=1.0, steps=10)
+        evolve_full_adiabatic(drive, config)
         got = [np.concatenate(times) for times in seen]
-        np.testing.assert_array_equal(got[0], [0.05, 0.15])
-        np.testing.assert_array_equal(got[1], [0.25, 0.35])
-        np.testing.assert_array_equal(got[2], [0.45, 0.55, 0.65, 0.75, 0.85, 0.95])
+        np.testing.assert_allclose(got[0], 0.25 * (np.arange(3) + 0.5) / 3, rtol=0, atol=1e-16)
+        np.testing.assert_allclose(got[1], 0.25 + 0.2 * (np.arange(2) + 0.5) / 2, rtol=0, atol=1e-16)
+        np.testing.assert_allclose(got[2], 0.45 + 0.55 * (np.arange(5) + 0.5) / 5, rtol=0, atol=1e-16)
+        for lists in seen:
+            lists.clear()
+        times, _ = evolve_state_full(drive, config, np.eye(4)[0])
+        assert 0.25 in times and 0.45 in times
+        for (lo, hi), lists in zip(zip(edges, edges[1:]), seen):
+            sampled = np.concatenate(lists)
+            assert lo == sampled.min() and (sampled.max() < hi or hi == edges[-1])
         # ``values`` assigns a time on an edge the same way, in any order.
         for lists in seen:
             lists.clear()
@@ -807,6 +909,16 @@ class TestOnePass:
             return simulate_gate(spec, 10_000, trace)
         return evolve_full_adiabatic(reference_gate_drive(spec), AdiabaticRunConfig(omega_T=2000.0, steps=65536), trace)
 
+    def grid(self, route):
+        """The step grid ``run`` lays for a route: the three-piece gates get
+        blocks of one piece each."""
+        if route.startswith("stirap"):
+            return _step_grid(stirap_trajectory(np.pi / 2, route.split("-")[1]), 0.0, 1.0, 4096)
+        spec = off_grid_gate()
+        if route == "gate-effective":
+            return _step_grid(stage_trajectory(spec), 0.0, spec.t3, 10_000)
+        return _step_grid(reference_gate_drive(spec), 0.0, 1.0, 65536)
+
     @pytest.mark.parametrize("route", sorted(DIMS))
     def test_last_state_is_the_unitary_applied_to_the_start(self, route):
         # The state is never projected; the unitary is, through _polar, whose
@@ -817,7 +929,8 @@ class TestOnePass:
         blocks = []
         result = self.run(route, lambda times, states, coupled: blocks.append((times, states)), start)
         steps = result.steps
-        assert [len(times) for times, _ in blocks] == [min(FULL_BLOCK, steps - lo) + (lo == 0) for lo in range(0, steps, FULL_BLOCK)]
+        assert [len(times) for times, _ in blocks] == [len(ends) + (i == 0) for i, (_, _, ends, _) in enumerate(self.grid(route))]
+        assert sum(len(times) for times, _ in blocks) == steps + 1
         assert np.array_equal(blocks[0][1][0], start)
         assert np.linalg.norm(blocks[-1][1][-1] - result.unitary.matrix @ start) <= 1e-12
         assert result.unitarity_error <= 1e-12
@@ -841,52 +954,61 @@ class TestOnePass:
     def test_the_sink_gets_the_states_the_drive_couples(self, route):
         # At every row's time: the bright states of the midpoint route's
         # trajectory; the bright state in n+1 levels, then the excited
-        # level, for the full oracle.  Bit for bit, on a ragged run.
+        # level, for the full oracle.  Bit for bit, on a ragged run (a
+        # ragged one-piece run, and three pieces for the oracle).
         steps = FULL_BLOCK + 3
         if route == "time_ordered":
-            trajectory = noncommuting_trajectories()[1]
+            trajectory, (t0, t1) = noncommuting_trajectories()[1], (0.2, 1.5)
             start = np.array([0.6, 0.8j, 0.0, 0.0], dtype=complex)
-            propagate = lambda trace: evolve_time_ordered(trajectory, 0.2, 1.5, steps, trace)
+            propagate = lambda trace: evolve_time_ordered(trajectory, t0, t1, steps, trace)
             want = trajectory.values
         else:
-            schedule = smoothly(gate_schedule())
+            trajectory, (t0, t1) = smoothly(gate_schedule()), (0.0, 1.0)
             start = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
-            propagate = lambda trace: evolve_full_adiabatic(schedule, AdiabaticRunConfig(omega_T=40.0, steps=steps), trace)
-            want = lambda times: excited_and(schedule.values(times))
+            propagate = lambda trace: evolve_full_adiabatic(trajectory, AdiabaticRunConfig(omega_T=40.0, steps=steps), trace)
+            want = lambda times: excited_and(trajectory.values(times))
 
         blocks = []
         propagate(StateTrace(start, lambda *block: blocks.append(block)))
-        assert len(blocks) == 2
+        assert len(blocks) == len(list(_step_grid(trajectory, t0, t1, steps))) == (2 if route == "time_ordered" else 3)
         for times, states, coupled in blocks:
             assert coupled.shape == (len(times),) + want(times).shape[1:]
             assert np.array_equal(coupled, want(times))
 
     @pytest.mark.parametrize("route", ["time_ordered", "full"])
     def test_a_ragged_run_hands_the_sink_every_step_once(self, route):
-        # Two full blocks and a tail of 3: the sink gets the start row with
-        # the first block, then each step's state once and in order, at its
-        # grid time, ending on t1; the states are those of a `factor @ psi`
-        # loop over the same factor stream, to rounding: the scan
-        # reassociates the products (under 1e-14 apart here).
+        # One piece in two full blocks and a tail of 3, or the oracle's
+        # three pieces: the sink gets the start row with the first block,
+        # then each step's state once and in order, at its step's end on
+        # the grid, ending on t1 and on every piece edge; the states are
+        # those of a `factor @ psi` loop over the same factor stream, to
+        # rounding: the scan reassociates the products (under 1e-14 apart
+        # here).
         steps = 2 * FULL_BLOCK + 3
         if route == "time_ordered":
             trajectory, (t0, t1) = noncommuting_trajectories()[0], (0.2, 1.5)
             start = np.array([0.6, 0.8j, 0.0], dtype=complex)
             propagate = lambda trace: evolve_time_ordered(trajectory, t0, t1, steps, trace)
-            factors = (planes for parts in _midpoint_factors(trajectory, t0, t1, steps) for _, planes in parts)
+            factors = (planes for _, planes, _ in _midpoint_factors(trajectory, t0, t1, steps))
         else:
-            schedule, (t0, t1) = smoothly(gate_schedule()), (0.0, 1.0)
+            trajectory, (t0, t1) = smoothly(gate_schedule()), (0.0, 1.0)
             config = AdiabaticRunConfig(omega_T=40.0, steps=steps)
             start = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
-            propagate = lambda trace: evolve_full_adiabatic(schedule, config, trace)
-            mids_blocks, _ = _step_grid(t0, t1, steps)
-            factors = (mapped_back(_lambda_step_factors(schedule.sample(mids)[0][:, 0], config.omega_T / steps)) for mids in mids_blocks)
+            propagate = lambda trace: evolve_full_adiabatic(trajectory, config, trace)
+            factors = (
+                mapped_back(_lambda_step_factors(trajectory.sample(mids)[0][:, 0], config.omega_T * width))
+                for _, mids, _, width in _step_grid(trajectory, t0, t1, steps)
+            )
+        grid = list(_step_grid(trajectory, t0, t1, steps))
         blocks = []
         propagate(StateTrace(start, lambda *block: blocks.append(block)))
-        assert [len(times) for times, _, _ in blocks] == [FULL_BLOCK + 1, FULL_BLOCK, 3]
+        assert [len(times) for times, _, _ in blocks] == [len(ends) + (i == 0) for i, (_, _, ends, _) in enumerate(grid)]
+        if route == "time_ordered":
+            assert [len(times) for times, _, _ in blocks] == [FULL_BLOCK + 1, FULL_BLOCK, 3]
         times, states, _ = map(np.concatenate, zip(*blocks))
-        np.testing.assert_allclose(times, t0 + (t1 - t0) * np.arange(steps + 1) / steps, rtol=0, atol=1e-15)
-        assert times[0] == t0 and times[-1] == t1
+        np.testing.assert_array_equal(times, np.concatenate([[t0], *(ends for _, _, ends, _ in grid)]))
+        assert times[0] == t0 and times[-1] == t1 and (np.diff(times) > 0).all()
+        assert set(trajectory.breakpoints) <= set(times.tolist())
         assert np.abs(states - matmul_snapshots(factors, start)).max() <= 1e-13
 
 
@@ -908,14 +1030,15 @@ class TestBlockedScan:
         start = np.exp(0.3j * np.arange(dim)) / np.sqrt(dim)
         handed = []
         clock = lambda times: times[:, None, None]  # coupled states that name their own times
-        step = _traced(StateTrace(start, lambda *rows: handed.append(rows)), 0.5, 2.0, 2 * m, dim, clock)
-        for planes in blocks:
-            parts = [(None, planes)]
-            assert step(parts) is parts
+        step = _traced(StateTrace(start, lambda *rows: handed.append(rows)), 0.5, dim, clock)
+        ends = 0.5 + 1.5 * np.arange(1, 2 * m + 1) / (2 * m)
+        for planes, block_ends in zip(blocks, (ends[:m], ends[m:])):
+            block = (None, planes, block_ends)
+            assert step(block) is block
         assert [len(times) for times, _, _ in handed] == [m + 1, m]
         times, states, coupled = map(np.concatenate, zip(*handed))
         assert np.array_equal(coupled, clock(times))
-        assert np.array_equal(times, np.minimum(0.5 + 1.5 * np.arange(2 * m + 1) / (2 * m), 2.0))
+        assert np.array_equal(times, np.append(0.5, ends))
         assert np.array_equal(states[0], start)
         assert np.abs(states - matmul_snapshots(blocks, start)).max() <= 1e-13
 

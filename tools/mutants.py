@@ -48,9 +48,30 @@ MUTANTS = (
     Mutant(
         "left-endpoint-grid",
         "propagators",
-        "t0 + span * (np.arange(lo, min(lo + FULL_BLOCK, steps)) + 0.5) / steps",
-        "t0 + span * (np.arange(lo, min(lo + FULL_BLOCK, steps)) + 0.0) / steps",
+        "lo + (hi - lo) * (j + 0.5) / count",
+        "lo + (hi - lo) * (j + 0.0) / count",
         "the step grid samples left endpoints: the midpoint rule drops to first order",
+    ),
+    Mutant(
+        "grid-drops-a-pieces-last-step",
+        "propagators",
+        "np.arange(start, min(start + FULL_BLOCK, count))",
+        "np.arange(start, min(start + FULL_BLOCK, count - 1))",
+        "the grid gives each piece one step fewer than its share: the steps no longer sum to the count asked for",
+    ),
+    Mutant(
+        "grid-shares-by-floor",
+        "propagators",
+        '[: steps - counts.sum()]] += 1',
+        '[: steps - counts.sum()]] += 0',
+        "the grid shares the steps by floor with no remainder: a run takes fewer steps than it asks for",
+    ),
+    Mutant(
+        "grid-clips-to-the-trajectory",
+        "propagators",
+        "if not (trajectory.t_start <= t0 and t1 <= trajectory.t_end):",
+        "if False:",
+        "a grid past the trajectory is clipped to its domain without a word, and propagates only part of [t0, t1]",
     ),
     Mutant(
         "swapped-tree-product",
@@ -237,8 +258,8 @@ MUTANTS = (
     Mutant(
         "trace-drops-the-start-row",
         "propagators",
-        "first = int(done == 0)",
-        "first = 0",
+        "start = [t0]",
+        "start = []",
         "a trace's first block hands its sink no start state",
     ),
     Mutant(
@@ -251,9 +272,9 @@ MUTANTS = (
     Mutant(
         "trace-times-one-step-early",
         "propagators",
-        "marks = np.arange(done + 1 - len(rows), done + 1)",
-        "marks = np.arange(done - len(rows), done)",
-        "a trace stamps each row with the grid time of the step before",
+        "lo + (hi - lo) * (j + 1) / count",
+        "lo + (hi - lo) * j / count",
+        "the grid's step ends, and so a trace's row times, are those of the step before (but for a piece's last)",
     ),
     Mutant(
         "scan-starts-one-chunk-late",
@@ -341,9 +362,16 @@ MUTANTS = (
     Mutant(
         "trace-lift-swaps-d-and-its-inverse",
         "propagators",
-        "scan([(frame, _lambda_step_factors(",
-        "scan([(frame.conj(), _lambda_step_factors(",
+        "scan((frame, _lambda_step_factors(",
+        "scan((frame.conj(), _lambda_step_factors(",
         "a trace maps its real-form single steps back through conj(Pi): D^-1 for D, and conj(F) for F",
+    ),
+    Mutant(
+        "oracle-phase-per-grid-step",
+        "propagators",
+        "pairs.factors(run.omega_T * width)",
+        "pairs.factors(run.omega_T / steps)",
+        "the oracle's step pairs take the phase of an equal grid's step, not of their piece's step width",
     ),
     Mutant(
         "full-oracle-norm-bound-inclusive",
