@@ -113,10 +113,10 @@ def h_eff_couplings(c: CouplingSet, rdot, phidot) -> HermitianOperator:
 
 class Piece(NamedTuple):
     """One piece of a bright trajectory, on [t_start, t_end]: its bright
-    states are ``frame @ v``, for a (dim, r) isometry ``frame`` (None: the
-    identity, r = dim) and the r coordinates v that ``sampler`` (values and
-    derivatives) and ``values`` give (None: ``sampler``'s values).  v may be
-    real, and then so is a route's arithmetic on the piece's r levels."""
+    states are ``frame @ v``, for a (dim, r) isometry ``frame`` and the r
+    coordinates v that ``sampler`` (values and derivatives) and ``values``
+    give (None: ``sampler``'s values).  v may be real, and then so is a
+    route's arithmetic on the piece's r levels."""
 
     t_start: float
     t_end: float
@@ -125,12 +125,10 @@ class Piece(NamedTuple):
     values: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def _lifted(frame: np.ndarray | None, coordinates) -> np.ndarray:
+def _lifted(frame: np.ndarray, coordinates) -> np.ndarray:
     """(..., r) coordinates v as the complex states ``frame @ v``, by one
     broadcast product per column: BLAS may spread a matmul over rows across
     threads, at more CPU than it saves."""
-    if frame is None:
-        return np.asarray(coordinates, dtype=complex)
     states = np.multiply(coordinates[..., 0, None], frame[:, 0], dtype=complex)
     for j in range(1, frame.shape[1]):
         states += coordinates[..., j, None] * frame[:, j]
@@ -143,7 +141,8 @@ class BrightTrajectory:
 
     The frame runs through ``pieces``, each with t_start < t_end and
     starting where the last ends, and each frame a (dim, r) isometry within
-    ``INPUT_ORTHONORMALITY_TOL``, all checked when the trajectory is built.
+    ``INPUT_ORTHONORMALITY_TOL``, all checked when the trajectory is built;
+    a piece given no frame is stored with the identity, r = dim.
     The inner edges are its ``breakpoints``, where the derivative may jump
     (the value stays continuous); a time on an edge belongs to the piece on
     its right.  ``sample(times)`` evaluates a 1-D array of times at once as
@@ -156,13 +155,12 @@ class BrightTrajectory:
     pieces: tuple[Piece, ...] = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "pieces", tuple(piece._replace(frame=np.eye(self.dim)) if piece.frame is None else piece for piece in self.pieces))
         for before, piece in zip((None, *self.pieces), self.pieces):
             if not piece.t_start < piece.t_end:  # NaN fails too
                 raise ValueError(f"a piece needs t_start < t_end, got [{piece.t_start:.6g}, {piece.t_end:.6g}]")
             if before is not None and piece.t_start != before.t_end:
                 raise ValueError(f"pieces must be contiguous: one ends at {before.t_end:.6g}, the next starts at {piece.t_start:.6g}")
-            if piece.frame is None:
-                continue
             shape = np.shape(piece.frame)
             if not isinstance(piece.frame, np.ndarray) or len(shape) != 2 or shape[0] != self.dim or shape[1] < self.k:
                 raise DimensionMismatch(f"a piece's frame must be a (dim={self.dim}, r) array with r >= k={self.k}, got {shape}")
@@ -182,30 +180,35 @@ class BrightTrajectory:
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(piece.t_start for piece in self.pieces[1:])
 
+    def cover(self, lo: float, hi: float, lead: str) -> list[tuple[Piece, float, float]]:
+        """Each piece that (lo, hi) meets, with its part [max(lo, t_start),
+        min(hi, t_end)], once [lo, hi] lies in [t_start, t_end] (else
+        ``ValueError``, led by ``lead``; NaN fails too): no formula holds off
+        it.  The one domain rule of the step grid, ``split`` and ``reparametrize``."""
+        if not (self.t_start <= lo and hi <= self.t_end):
+            raise ValueError(f"{lead} [{lo:.6g}, {hi:.6g}], outside the trajectory's [{self.t_start:.6g}, {self.t_end:.6g}]")
+        return [(piece, max(lo, piece.t_start), min(hi, piece.t_end)) for piece in self.pieces if piece.t_end > lo and piece.t_start < hi]
+
     def split(self, times: np.ndarray) -> list[tuple[Piece, np.ndarray]]:
         """Each piece with its part of the sorted ``times``, for ``sample``
         and ``values`` (an edge goes to the piece on its right; empty parts
-        are dropped), once every time lies in [t_start, t_end] (else
-        ``ValueError`` naming both intervals): no formula holds off it."""
+        are dropped), once ``cover`` takes their span."""
         times = np.asarray(times, dtype=float)
-        if times.size and not (self.t_start <= times.min() and times.max() <= self.t_end):  # NaN fails too
-            raise ValueError(
-                f"sample times span [{times.min():.6g}, {times.max():.6g}], "
-                f"outside the trajectory's [{self.t_start:.6g}, {self.t_end:.6g}]"
-            )
+        if times.size:
+            self.cover(times.min(), times.max(), "sample times span")
         bounds = (0, *times.searchsorted(self.breakpoints), times.size)
         return [(piece, times[lo:hi]) for piece, lo, hi in zip(self.pieces, bounds, bounds[1:]) if hi > lo]
 
     def coordinates(self, piece: Piece, times: np.ndarray, rates: bool = True) -> tuple[np.ndarray, ...]:
         """``piece``'s sampled values and derivatives at ``times`` (its values
         alone with no ``rates``), each (M, k, r) for the r columns of its
-        frame (dim with none), else ``DimensionMismatch`` names each shape:
+        frame, else ``DimensionMismatch`` names each shape:
         the one reader of a piece, for ``sample``, ``values`` and the routes."""
         if rates:
             arrays = piece.sampler(times)
         else:
             arrays = (piece.sampler(times)[0] if piece.values is None else piece.values(times),)
-        expected = (times.size, self.k, self.dim if piece.frame is None else piece.frame.shape[1])
+        expected = (times.size, self.k, piece.frame.shape[1])
         if any(np.shape(array) != expected for array in arrays):
             shapes = " and ".join(f"{name} {np.shape(array)}" for name, array in zip(("values", "derivatives"), arrays))
             raise DimensionMismatch(f"sampled {shapes} must {'both ' * (len(arrays) > 1)}be {expected}")

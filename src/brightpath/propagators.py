@@ -96,21 +96,24 @@ class AdiabaticRunConfig:
             raise ValueError(f"steps must be in [10, {MAX_STEPS}], got {self.steps}")
 
 
+def _forward(t0: float, t1: float) -> None:
+    """``ValueError`` unless t1 > t0 (NaN fails too)."""
+    if not t1 > t0:
+        raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
+
+
 def _step_grid(trajectory: BrightTrajectory, t0: float, t1: float, steps: int) -> Iterator[tuple[Piece, np.ndarray, np.ndarray, float]]:
     """The steps of [t0, t1] as blocks (piece, midpoints, step ends, width)
     of at most ``FULL_BLOCK`` steps of one piece, so no step crosses an edge
     where Bdot may jump.  Each piece met gets one step, the others go by
     length, by largest remainder; c steps on [lo, hi] have midpoints
     lo + (hi - lo)(j + 1/2)/c and ends lo + (hi - lo)(j + 1)/c, the last hi.
-    [t0, t1] outside the trajectory, or fewer steps than pieces met, raise
-    ``ValueError`` naming both intervals or both counts, before any block."""
+    [t0, t1] outside the trajectory (``BrightTrajectory.cover``), or fewer
+    steps than pieces met, raise ``ValueError``, before any block."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if not t1 > t0:
-        raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    if not (trajectory.t_start <= t0 and t1 <= trajectory.t_end):  # NaN fails too
-        raise ValueError(f"the grid spans [{t0:.6g}, {t1:.6g}], outside the trajectory's [{trajectory.t_start:.6g}, {trajectory.t_end:.6g}]")
-    parts = [(piece, max(t0, piece.t_start), min(t1, piece.t_end)) for piece in trajectory.pieces if piece.t_end > t0 and piece.t_start < t1]
+    _forward(t0, t1)
+    parts = trajectory.cover(t0, t1, "the grid spans")
     if steps < len(parts):
         raise ValueError(f"{steps} steps cannot give each of the {len(parts)} pieces in [{t0:.6g}, {t1:.6g}] a step")
     quotas = (steps - len(parts)) * np.array([hi - lo for _, lo, hi in parts]) / (t1 - t0)
@@ -123,7 +126,7 @@ def _step_grid(trajectory: BrightTrajectory, t0: float, t1: float, steps: int) -
     )
 
 
-def _midpoint_factors(trajectory: BrightTrajectory, t0: float, t1: float, steps: int) -> Iterator[tuple[np.ndarray | None, np.ndarray, np.ndarray]]:
+def _midpoint_factors(trajectory: BrightTrajectory, t0: float, t1: float, steps: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """exp(-i h(m_j) dt) for every midpoint m_j of the grid, one block at a
     time, as (frame, planes, step ends): h the generator of the block's
     piece's coordinates, on its r levels, dt the piece's step width.  Each
@@ -143,11 +146,9 @@ def _midpoint_factors(trajectory: BrightTrajectory, t0: float, t1: float, steps:
     return ((piece.frame, steps_of(piece, mids, width), ends) for piece, mids, ends, width in _step_grid(trajectory, t0, t1, steps))
 
 
-def _embedded(frame: np.ndarray | None, product: np.ndarray) -> np.ndarray:
+def _embedded(frame: np.ndarray, product: np.ndarray) -> np.ndarray:
     """A block's product W on the r levels of its ``frame`` F as 1 + F (W - 1)
-    F^dag on all levels (W itself with no frame)."""
-    if frame is None:
-        return product
+    F^dag on all levels."""
     change = product - np.eye(len(product))
     return np.eye(len(frame)) + frame @ change @ frame.conj().T
 
@@ -210,12 +211,12 @@ def _lambda_step_factors(b: np.ndarray, phase: float, out: np.ndarray | None = N
     return planes
 
 
-def _excited_frame(frame: np.ndarray | None, n: int) -> np.ndarray:
-    """Pi = F (+) i for a piece's frame F on n ground levels (the identity
-    with none): the excited column's i maps a real-form product G back."""
-    r = n if frame is None else frame.shape[1]
+def _excited_frame(frame: np.ndarray) -> np.ndarray:
+    """Pi = F (+) i for a piece's (n, r) frame F: the excited column's i maps
+    a real-form product G back."""
+    n, r = frame.shape
     pi = np.zeros((n + 1, r + 1), dtype=complex)
-    pi[:n, :r] = np.eye(n) if frame is None else frame
+    pi[:n, :r] = frame
     pi[n, r] = 1j
     return pi
 
@@ -295,7 +296,7 @@ def _polar(u: np.ndarray) -> tuple[UnitaryOperator, float]:
     return UnitaryOperator(clean), drift
 
 
-def _unitary_product(blocks: Iterable[tuple[np.ndarray | None, np.ndarray, np.ndarray]]) -> tuple[UnitaryOperator, float]:
+def _unitary_product(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[UnitaryOperator, float]:
     """Ordered product of a stream of (frame, planes, ends) blocks: each
     block's tree product, embedded through its frame (``_embedded``), then
     all of them by the same tree, through ``_polar``."""
@@ -357,7 +358,7 @@ def _traced(trace: StateTrace, t0: float, dim: int, coupled) -> Callable[[tuple]
     planes, ends) block by the blocked scan of ``_scanned_states``, hands
     the rows (the start row at t0 first) to the trace's sink as one
     (rows, dim) array at their step ends, with ``coupled(times)``, and
-    returns the block.  A frame F scans c = F^dag psi and lifts each row to
+    returns the block.  Its frame F scans c = F^dag psi and lifts each row to
     F c + psi_perp, psi_perp = psi - F c the part it never moves
     (``_lifted``, no BLAS matmul over rows).  The rows differ from those of
     a step-by-step ``factor @ psi`` loop by rounding only, under 1e-14 over
@@ -368,21 +369,14 @@ def _traced(trace: StateTrace, t0: float, dim: int, coupled) -> Callable[[tuple]
         raise DimensionMismatch(f"trace state has shape {psi.shape}, but the propagation acts on ({dim},)")
     start = [t0]  # the start row's time, handed with the first block only
 
-    def step(block: tuple[np.ndarray | None, np.ndarray, np.ndarray]) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    def step(block: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         nonlocal psi, start
         frame, planes, ends = block
         times = np.concatenate((start, ends))
-        rows = np.empty((len(times), dim), dtype=complex)
-        rows[: len(start)] = psi
-        out = rows[len(start) :]
-        if frame is None:
-            _scanned_states(planes, psi, out)
-        else:
-            core = frame.conj().T @ psi
-            scanned = np.empty((len(out), len(core)), dtype=complex)
-            _scanned_states(planes, core, scanned)
-            out[:] = _lifted(frame, scanned)
-            out += psi - frame @ core
+        core = frame.conj().T @ psi
+        scanned = np.empty((len(ends), len(core)), dtype=complex)
+        _scanned_states(planes, core, scanned)
+        rows = np.concatenate((np.tile(psi, (len(start), 1)), _lifted(frame, scanned) + (psi - frame @ core)))
         psi = rows[-1].copy()
         start = []
         trace.sink(times, rows, coupled(times))
@@ -451,12 +445,11 @@ def evolve_full_sweep(
         raise ValueError(f"the runs of a sweep must share steps, got {sorted({run.steps for run in configs})}")
     if trace is not None and len(configs) != 1:
         raise ValueError(f"a trace follows one run, got {len(configs)}")
-    n = drive.dim
-    scan = None if trace is None else _traced(trace, 0.0, n + 1, lambda times: _with_excited(drive.values(times)))
+    scan = None if trace is None else _traced(trace, 0.0, drive.dim + 1, lambda times: _with_excited(drive.values(times)))
     products = [[] for _ in configs]
-    pairs = _LambdaPairs(max(n if piece.frame is None else piece.frame.shape[1] for piece in drive.pieces), min(steps, FULL_BLOCK))
+    pairs = _LambdaPairs(max(piece.frame.shape[1] for piece in drive.pieces), min(steps, FULL_BLOCK))
     for piece, mids, ends, width in _step_grid(drive, 0.0, 1.0, steps):
-        frame, b = _excited_frame(piece.frame, n), _bright_states(drive.coordinates(piece, mids, rates=False)[0], mids)
+        frame, b = _excited_frame(piece.frame), _bright_states(drive.coordinates(piece, mids, rates=False)[0], mids)
         if scan is not None:
             scan((frame, _lambda_step_factors(b, configs[0].omega_T * width), ends))
         pairs.load(b)
@@ -543,25 +536,19 @@ def reparametrize(
     The remapped trajectory samples (B(f(t)), f'(t) Bdot(f(t))); H_eff is
     linear in Bdot, so its generator is f'(t) H_eff(f(t)) and it propagates
     to the same unitary (geometric evolution depends on the path, not on its
-    parametrization).  ``f`` and ``fprime`` act on arrays of times; ``f``
-    must be strictly increasing (else ``NonMonotoneMap``) and map [t0, t1]
-    into the base's [t_start, t_end] (else ``ValueError`` naming both
-    intervals).  The pieces that f's image meets keep their frames and
-    coordinates (a real piece stays real), and the base's piece edges
-    inside (f(t0), f(t1)) move to their preimages, found by bisection.
+    parametrization).  ``f`` and ``fprime`` act on arrays of times.  The new
+    clock needs t1 > t0 (else ``ValueError``, before f is called), and ``f``
+    must increase strictly on it (else ``NonMonotoneMap``) and map it into
+    the base's domain (``BrightTrajectory.cover``).  The pieces f's image
+    meets keep their frames and coordinates (a real piece stays real), and
+    the base's edges inside it move to their preimages, found by bisection.
     """
+    _forward(t0, t1)
     mapped = np.asarray(f(np.linspace(t0, t1, MONOTONICITY_CHECK_POINTS)), dtype=float)
     if np.any(np.diff(mapped) <= 0):
         raise NonMonotoneMap("f must be strictly increasing on the new domain")
-    if not (trajectory.t_start <= mapped[0] and mapped[-1] <= trajectory.t_end):  # NaN fails too
-        raise ValueError(
-            f"f maps [{t0:.6g}, {t1:.6g}] onto [{mapped[0]:.6g}, {mapped[-1]:.6g}], "
-            f"outside the trajectory's [{trajectory.t_start:.6g}, {trajectory.t_end:.6g}]"
-        )
-
-    # The pieces that f's image meets, as sampling assigns an edge, and the
-    # edges inside the image.
-    kept = [piece for piece in trajectory.pieces if piece.t_end > mapped[0] and piece.t_start < mapped[-1]]
+    # The pieces that f's image meets, and the edges inside the image.
+    kept = [piece for piece, _, _ in trajectory.cover(mapped[0], mapped[-1], f"f maps [{t0:.6g}, {t1:.6g}] onto")]
     targets = np.array([piece.t_start for piece in kept[1:]])
     lo, hi = np.full(targets.shape, float(t0)), np.full(targets.shape, float(t1))
     while True:  # each pass halves every bracket until it is one float wide

@@ -40,7 +40,7 @@ def midpoint_reference(generator, t0, t1, steps, breakpoints=()):
         _, mids, ends, dt = block
         samples = [generator(float(t)) for t in mids]
         stack = np.array([h.matrix if isinstance(h, HermitianOperator) else h for h in samples], dtype=complex)
-        return None, _expm_hermitian_stack(stack, dt).transpose(1, 2, 0), ends
+        return np.eye(stack.shape[1]), _expm_hermitian_stack(stack, dt).transpose(1, 2, 0), ends
 
     return _unitary_product(map(factors, _step_grid(BrightTrajectory(1, 1, pieces), t0, t1, steps)))[0].matrix
 

@@ -10,7 +10,7 @@ from brightpath.effective import BrightTrajectory, Piece, _h_eff_stack, h_eff_co
 from brightpath.errors import DerivativeInconsistent, DimensionMismatch, NormalizationDriftError, NotOrthonormal
 from brightpath.gates import GateSpec, gate_coupling_schedule, stage_trajectory, stirap_trajectory
 from brightpath.lambda_system import CouplingSet, bright_state
-from brightpath.propagators import reparametrize
+from brightpath.propagators import AdiabaticRunConfig, evolve_full_adiabatic, evolve_time_ordered, reparametrize
 from brightpath.ramps import ramp_rate, ramp_value
 from conftest import frame_at, midpoint_reference, reversed_trajectory, validate_trajectory
 
@@ -298,6 +298,41 @@ class TestPieces:
         values, derivatives = framed.sample(np.array([0.3]))
         np.testing.assert_allclose(values[0, 0], isometry @ [np.cos(0.3), np.sin(0.3)], rtol=0, atol=1e-16)
         np.testing.assert_allclose(derivatives[0, 0], isometry @ [-np.sin(0.3), np.cos(0.3)], rtol=0, atol=1e-16)
+
+    def test_cover_clips_each_piece_an_interval_meets(self):
+        # (lo, hi) meets a piece that it overlaps, not one it only touches.
+        traj = BrightTrajectory(2, 1, (self.piece(0.0, 0.5), self.piece(0.5, 1.0)))
+        parts = traj.cover(0.2, 0.7, "the span")
+        assert [(lo, hi) for _, lo, hi in parts] == [(0.2, 0.5), (0.5, 0.7)]
+        assert all(piece is own for (piece, _, _), own in zip(parts, traj.pieces))
+        assert [piece is traj.pieces[1] for piece, _, _ in traj.cover(0.5, 1.0, "the span")] == [True]
+        assert traj.cover(0.5, 0.5, "the span") == []
+        for lo, hi in [(0.2, 1.5), (-0.1, 0.5), (0.2, np.nan)]:
+            with pytest.raises(ValueError, match=rf"^the span \[{lo:.6g}, {hi:.6g}\], outside the trajectory's \[0, 1\]$"):
+                traj.cover(lo, hi, "the span")
+
+    def test_a_missing_frame_is_stored_as_the_identity(self):
+        # Built or replaced, a piece given no frame carries np.eye(dim), so a
+        # frameless trajectory and the same one given the identity take the
+        # same arithmetic on both routes.  The parent stepped the frameless
+        # loop's product unembedded: 5e-16 off the identity-framed one.
+        traj = BrightTrajectory(2, 1, (self.piece(0.0, 0.5), self.piece(0.5, 1.0)))
+        assert all(np.array_equal(piece.frame, np.eye(2)) for piece in traj.pieces)
+        assert np.array_equal(dataclasses.replace(traj, pieces=(self.piece(0.0, 1.0),)).pieces[0].frame, np.eye(2))
+
+        def given(trajectory, frame):
+            return BrightTrajectory(trajectory.dim, trajectory.k, tuple(p._replace(frame=frame) for p in trajectory.pieces))
+
+        loop = _loop_trajectory(rectangle_loop("theta2", "phi3", 0.6, 1.2))
+        stirap = stirap_trajectory(np.pi / 2)
+        runs = [
+            (loop, lambda traj: evolve_time_ordered(traj, 0.0, traj.t_end, 64 * int(traj.t_end))),
+            (stirap, lambda traj: evolve_time_ordered(traj, 0.0, 1.0, 1001)),
+            (stirap, lambda traj: evolve_full_adiabatic(traj, AdiabaticRunConfig(omega_T=40.0, steps=1001))),
+        ]
+        for trajectory, route in runs:
+            bare, identity = (route(given(trajectory, frame)).unitary.matrix for frame in (None, np.eye(trajectory.dim)))
+            assert np.array_equal(bare.view(np.uint64), identity.view(np.uint64))
 
 
 def stacked_scalar_calls(traj, times):

@@ -802,7 +802,7 @@ class TestRealForm:
         for omega_T in (40.0, 3.0):
             config = AdiabaticRunConfig(omega_T=omega_T, steps=steps)
             dense = np.concatenate([np.stack(lambda_steps(full(mids)[:, 0], omega_T * width), axis=-1) for _, mids, _, width in grid], axis=-1)
-            u = _unitary_product([(None, dense, None)])[0].matrix
+            u = _unitary_product([(np.eye(4), dense, None)])[0].matrix
             assert np.abs(evolve_full_adiabatic(drive, config).unitary.matrix - u).max() <= 1e-13
             start = np.array([0.0, 0.6, 0.0, 0.8j])
             _, states = evolve_state_full(drive, config, start)
@@ -1033,7 +1033,7 @@ class TestBlockedScan:
         step = _traced(StateTrace(start, lambda *rows: handed.append(rows)), 0.5, dim, clock)
         ends = 0.5 + 1.5 * np.arange(1, 2 * m + 1) / (2 * m)
         for planes, block_ends in zip(blocks, (ends[:m], ends[m:])):
-            block = (None, planes, block_ends)
+            block = (np.eye(dim), planes, block_ends)
             assert step(block) is block
         assert [len(times) for times, _, _ in handed] == [m + 1, m]
         times, states, coupled = map(np.concatenate, zip(*handed))
@@ -1184,6 +1184,17 @@ class TestReparametrize:
     def test_orientation_reversal_rejected(self):
         with pytest.raises(NonMonotoneMap):
             reparametrize(rotating_trajectory(1.0), lambda t: 1.0 - t, lambda t: -1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("t0, t1", [(0.5, 0.5), (0.8, 0.2), (0.0, np.nan)], ids=["empty", "reversed", "nan"])
+    def test_a_new_clock_that_does_not_run_forward_raises_before_f_is_called(self, t0, t1):
+        # The identity map increases; the fault is the clock, which the step
+        # grid's message names.  The parent blamed f with NonMonotoneMap on
+        # the empty and reversed clocks.
+        calls = []
+        identity = lambda t: calls.append(t) or t
+        with pytest.raises(ValueError, match=rf"^need t1 > t0, got \[{t0}, {t1}\]$"):
+            reparametrize(stirap_trajectory(np.pi / 2), identity, lambda t: 1.0 + 0.0 * t, t0, t1)
+        assert calls == []
 
     def test_map_leaving_the_base_domain_names_both_intervals(self):
         # f = 2t on [0, 1]: the message gives the image's two ends, f(0) and f(1).

@@ -68,10 +68,25 @@ MUTANTS = (
     ),
     Mutant(
         "grid-clips-to-the-trajectory",
-        "propagators",
-        "if not (trajectory.t_start <= t0 and t1 <= trajectory.t_end):",
+        "effective",
+        "if not (self.t_start <= lo and hi <= self.t_end):",
         "if False:",
-        "a grid past the trajectory is clipped to its domain without a word, and propagates only part of [t0, t1]",
+        "the one domain rule never fires: a grid past the trajectory is clipped to its domain without a word, "
+        "and sample times or a map's image off it are taken as they come",
+    ),
+    Mutant(
+        "cover-drops-the-clip",
+        "effective",
+        "max(lo, piece.t_start)",
+        "piece.t_start",
+        "the pieces an interval meets keep their own starts: a grid from inside a piece starts at the piece's edge",
+    ),
+    Mutant(
+        "none-frame-is-not-the-identity",
+        "effective",
+        "np.eye(self.dim)",
+        "np.eye(self.dim)[::-1]",
+        "a piece given no frame is stored with the reversed identity, an isometry that swaps its levels",
     ),
     Mutant(
         "swapped-tree-product",
@@ -195,15 +210,15 @@ MUTANTS = (
     Mutant(
         "trace-lift-keeps-the-frame-part",
         "propagators",
-        "out += psi - frame @ core",
-        "out += psi",
+        "_lifted(frame, scanned) + (psi - frame @ core)",
+        "_lifted(frame, scanned) + psi",
         "a trace lifts each row of a framed part onto all of psi, not onto the part of psi outside the frame",
     ),
     Mutant(
         "trace-lift-drops-psi-perp",
         "propagators",
-        "out += psi - frame @ core",
-        "out += 0.0",
+        "_lifted(frame, scanned) + (psi - frame @ core)",
+        "_lifted(frame, scanned) + 0.0",
         "a trace lifts each row of a framed part without the part of its state outside the frame",
     ),
     Mutant(
@@ -418,9 +433,10 @@ MUTANTS = (
     Mutant(
         "reparametrize-message-second-sample",
         "propagators",
-        "onto [{mapped[0]:.6g}, {mapped[-1]:.6g}]",
-        "onto [{mapped[0]:.6g}, {mapped[1]:.6g}]",
-        "reparametrize's error gives the map's second check point as the end of its image",
+        "trajectory.cover(mapped[0], mapped[-1],",
+        "trajectory.cover(mapped[0], mapped[1],",
+        "reparametrize takes the map's second check point as the end of its image: its error names it, "
+        "and the pieces past it are dropped",
     ),
     Mutant(
         "repr-fixed-notation-ends-at-15",

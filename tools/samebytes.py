@@ -4,10 +4,11 @@ Run from the repository root:
 
     python tools/samebytes.py REV [--head REV2] [--seeds 1-3] [--expect FIELD[:X] ...] [--expect-file PATH]
 
-REV is checked out with ``git worktree`` into a temporary directory (no
-network is needed); the other side is the working tree this script runs
-from, or a second worktree of ``--head``.  Both trees run the same jobs,
-each tree in one process through its own ``brightpath.cli.main``:
+REV's files are taken with ``git archive`` and extracted into a temporary
+directory, so nothing is written under ``.git`` and no network is needed;
+the other side is the working tree this script runs from, or the files of
+``--head``, taken the same way.  Both trees run the same jobs, each tree
+in one process through its own ``brightpath.cli.main``:
 
 - every seeded scenario of the four workloads of this tree's
   ``perfbench/workloads.py`` (read only), for each seed, with the argv that
@@ -41,11 +42,13 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 
@@ -140,6 +143,13 @@ def _jobs(seeds: list[int], configs: str) -> list[tuple[str, list[str], bool]]:
 
 def _git(*args: str) -> str:
     return subprocess.run(("git", "-C", ROOT) + args, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def _extract(commit: str, tree: str) -> None:
+    """Write ``commit``'s files into the directory ``tree``, from ``git archive``."""
+    archive = subprocess.run(("git", "-C", ROOT, "archive", "--format=tar", commit), check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as files:
+        files.extractall(tree, filter="data")
 
 
 def _run_tree(tree: str, jobs, out: str) -> subprocess.Popen:
@@ -289,12 +299,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.head:
         sides["head"] = _git("rev-parse", "--verify", args.head + "^{commit}")
     with tempfile.TemporaryDirectory(prefix="samebytes-") as work:
-        trees, made, running = {"head": ROOT}, [], {}
+        trees, running = {"head": ROOT}, {}
         try:
             for side, commit in sides.items():
                 trees[side] = os.path.join(work, side)
-                _git("worktree", "add", "--detach", "--quiet", trees[side], commit)
-                made.append(trees[side])
+                _extract(commit, trees[side])
             configs = os.path.join(work, "configs")
             os.makedirs(configs)
             jobs = _jobs(_seeds(args.seeds), configs)
@@ -306,8 +315,6 @@ def main(argv: list[str] | None = None) -> int:
                 if process.poll() is None:
                     process.kill()
                     process.wait()
-            for tree in made:
-                _git("worktree", "remove", "--force", tree)
         if failed:
             print(f"the runner of {', '.join(failed)} failed")
             return 1
