@@ -33,7 +33,8 @@ field that may move by at most X in absolute value: a larger change, or a
 change between values that are not both numbers, counts as unexpected.
 ``--expect-file PATH`` reads more expectations, one ``FIELD[:X]`` a line
 (blank lines and ``#`` comments skipped).  CI passes
-``tools/expected_moves.txt``, where a change that moves report bytes
+``tools/expected_moves.txt`` with ``--seeds 1-12``, the seeds the file is
+measured on (a field may move in some seeds only), where a change that moves report bytes
 declares its moves; as an expectation that matches no move fails, the
 file holds exactly one change's moves, and the next change empties it.
 """
@@ -149,7 +150,10 @@ def _extract(commit: str, tree: str) -> None:
     """Write ``commit``'s files into the directory ``tree``, from ``git archive``."""
     archive = subprocess.run(("git", "-C", ROOT, "archive", "--format=tar", commit), check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as files:
-        files.extractall(tree, filter="data")
+        if hasattr(tarfile, "data_filter"):  # 3.12, and 3.10.12 / 3.11.4 on
+            files.extractall(tree, filter="data")
+        else:  # older releases take no filter; git archive's own output is trusted
+            files.extractall(tree)
 
 
 def _run_tree(tree: str, jobs, out: str) -> subprocess.Popen:
