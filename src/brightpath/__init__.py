@@ -43,7 +43,6 @@ from .linalg import (
     UnitaryOperator,
     expm_hermitian,
     matrix_distance,
-    projector_from_frame,
 )
 from .morris_shore import (
     MorrisShoreDecomposition,
@@ -100,7 +99,6 @@ __all__ = [
     "matrix_distance",
     "measure_gate",
     "morris_shore_transform",
-    "projector_from_frame",
     "rectangle_loop",
     "reparametrize",
     "simulate_full_gate",

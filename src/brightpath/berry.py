@@ -269,10 +269,10 @@ def effective_dark_block(path: ParameterPath, steps_per_segment: int = 64) -> np
     """
     path.check_resolution()
     trajectory = _loop_trajectory(path)
-    u = np.eye(3, dtype=complex)
-    if trajectory is not None:
+    if trajectory is None:
+        u = UnitaryOperator(np.eye(3))
+    else:
         t_end = trajectory.t_end
-        unitary, _ = _unitary_product(_midpoint_factors(trajectory, 0.0, t_end, int(t_end) * steps_per_segment))
-        u = unitary.matrix
+        u, _ = _unitary_product(_midpoint_factors(trajectory, 0.0, t_end, int(t_end) * steps_per_segment))
     start, end = (dark_basis_parametrized(SphericalAngles(*path.samples[i])) for i in (0, -1))
     return dark_block(u, start, end)

@@ -9,7 +9,8 @@ basis.  The stage formulas are written once, in ``stage_trajectory``,
 whose pieces move in span{psi, |n-1>}: both routes (``simulate_gate``,
 ``simulate_full_gate``) run each piece on its two coordinates, so neither's
 cost grows with n, and ``measure_gate`` compares a result with the
-composed gate.
+composed gate on its logical dark block, off which it also reads the
+leakage.
 
 Stage boundaries (times t1 < t2 < t3) and ramp profiles are configurable;
 the geometric result depends only on the traced path, not on the schedule,
@@ -25,7 +26,7 @@ import numpy as np
 
 from .effective import BrightTrajectory, Piece
 from .errors import NotNormalized
-from .linalg import UnitaryOperator, matrix_distance, projector_from_frame
+from .linalg import UnitaryOperator, matrix_distance
 from .propagators import (
     DEFAULT_GEOMETRIC_STEPS,
     AdiabaticRunConfig,
@@ -203,31 +204,30 @@ def measure_gate(geometric: np.ndarray, results: Sequence[PropagationResult]) ->
     """Each gate result of either route (``simulate_gate`` on n levels,
     ``simulate_full_gate`` on n+1) on its logical levels 0..n-2: the dark
     block, that block's exact and phase-mode distances from ``geometric``
-    (the caller's ``logical_block`` of ``compose_gate``), and its ``leakage``."""
+    (the caller's ``logical_block`` of ``compose_gate``), and its ``leakage``,
+    read off the same block."""
     measures = []
     for result in results:
         logical = np.eye(len(geometric), len(result.unitary.matrix), dtype=complex)
         block = dark_block(result.unitary, logical, logical)
         exact, phase = (matrix_distance(block, geometric, mode) for mode in ("exact", "up_to_global_phase"))
-        measures.append((block, exact, phase, leakage(result.unitary, logical, projector_from_frame(logical))))
+        measures.append((block, exact, phase, leakage(block)))
     return measures
 
 
-def logical_block(u: UnitaryOperator | np.ndarray, n: int) -> np.ndarray:
+def logical_block(u: UnitaryOperator, n: int) -> np.ndarray:
     """Restriction of an n x n gate to the logical levels 0..n-2 (the dark
     space at the start and end of the gate)."""
-    matrix = u.matrix if isinstance(u, UnitaryOperator) else np.asarray(u, dtype=complex)
-    return matrix[: n - 1, : n - 1].copy()
+    return u.matrix[: n - 1, : n - 1].copy()
 
 
-def extract_geometric_phase(u: UnitaryOperator | np.ndarray, psi: np.ndarray) -> float:
+def extract_geometric_phase(u: UnitaryOperator, psi: np.ndarray) -> float:
     """The reported phase, -arg <psi| U |psi>.
 
     For the ideal gate the diagonal element has unit modulus; a modulus
     below 0.5 means the block is too noisy for a meaningful phase.
     """
-    matrix = u.matrix if isinstance(u, UnitaryOperator) else np.asarray(u, dtype=complex)
-    element = complex(psi.conj() @ matrix @ psi)
+    element = complex(psi.conj() @ u.matrix @ psi)
     if abs(element) <= PHASE_EXTRACTION_FLOOR:
         raise ValueError(f"|<psi|U|psi>| = {abs(element):.3f} too small to extract a phase")
     return float(-np.angle(element))

@@ -8,14 +8,14 @@ evolution result in the package is checked the moment it is produced.
 
 from __future__ import annotations
 
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotOrthonormal, NotUnitary
 
 # Input frames come from callers: a trajectory's sampler, or the dark frames
-# handed to dark_block and leakage.  The check catches a frame that is wrong,
+# handed to dark_block.  The check catches a frame that is wrong,
 # not one whose formulas round: every midpoint step is unitary for any frame
 # (H_eff is Hermitian by construction), and a drift this small moves a result
 # by about as much.  So input frames get a looser tolerance than anything
@@ -125,14 +125,6 @@ class UnitaryOperator:
 
     def __repr__(self) -> str:
         return f"UnitaryOperator(dim={self.dim})"
-
-
-def projector_from_frame(vectors: Iterable[np.ndarray]) -> HermitianOperator:
-    """Projector sum_i |v_i><v_i| onto the span of an orthonormal frame."""
-    stacked = as_frame(list(vectors))
-    proj = stacked.T @ stacked.conj()
-    # Symmetrize away the last bits of rounding noise.
-    return HermitianOperator((proj + proj.conj().T) / 2.0)
 
 
 def expm_hermitian(hamiltonian: HermitianOperator | np.ndarray, t: float) -> UnitaryOperator:

@@ -29,7 +29,8 @@ Omega*T share one sampled, checked drive per block and the run-independent
 planes of its step pairs; each run hands the tree the closed-form products
 of two consecutive Lambda steps (``_LambdaPairs``), so its tree starts at
 half the steps.  A trace scans the single steps, and the unitary comes
-from the pairs either way.
+from the pairs either way.  ``leakage`` reads the worst-case loss off a
+run's ``dark_block``, U restricted to two frames, with no n x n projector.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .effective import BrightTrajectory, Piece, _checked_frames, _h_eff_stack, _
 from .errors import DimensionMismatch, NonMonotoneMap, NotNormalized
 from .lambda_system import COUPLING_NORM_TOL
 from .linalg import (
-    HermitianOperator,
     UnitaryOperator,
     _expm_bright_stack,
     _expm_hermitian_stack,
@@ -73,7 +73,7 @@ class PropagationResult:
     unitary: UnitaryOperator
     steps: int
     unitarity_error: float
-    method: Literal["effective", "full", "berry"]
+    method: Literal["effective", "full"]
 
 
 @dataclass(frozen=True)
@@ -498,29 +498,20 @@ def evolve_state_time_ordered(
     return _recorded(lambda trace: evolve_time_ordered(trajectory, t0, t1, steps, trace), state)
 
 
-def dark_block(u: UnitaryOperator | np.ndarray, frame_start, frame_end) -> np.ndarray:
-    """Matrix elements M_ab = <end_a| U |start_b> between dark frames."""
-    matrix = u.matrix if isinstance(u, UnitaryOperator) else np.asarray(u, dtype=complex)
-    start = as_frame(frame_start)
-    end = as_frame(frame_end)
-    if start.shape != end.shape:
-        raise ValueError(f"frames must have matching shapes, got {start.shape} vs {end.shape}")
-    return end.conj() @ matrix @ start.T
+def dark_block(u: UnitaryOperator, frame_start, frame_end) -> np.ndarray:
+    """Matrix elements B_ab = <end_a| U |start_b> between two frames on U's
+    levels, as a (k_end, k_start) block: the frames may differ in size (a
+    frame on other levels raises ``ValueError``)."""
+    return as_frame(frame_end).conj() @ u.matrix @ as_frame(frame_start).T
 
 
-def leakage(u: UnitaryOperator | np.ndarray, dark_start, p_dark_end: HermitianOperator) -> float:
-    """Worst-case population lost from the dark subspace.
-
-    The maximum of 1 - <Ud| P_dark_end |Ud> over unit vectors d in the span
-    of the ``dark_start`` frame D: 1 - lambda_min of the retained Gram
-    matrix D U^dag P U D^dag (k x k for k frame vectors), so the value does
-    not depend on which basis of the span D lists.  0 for an empty frame.
-    """
-    matrix = u.matrix if isinstance(u, UnitaryOperator) else np.asarray(u, dtype=complex)
-    start = as_frame(dark_start)
-    proj = p_dark_end.matrix
-    images = start @ matrix.T
-    retained = np.linalg.eigvalsh(images.conj() @ proj @ images.T)
+def leakage(block: np.ndarray) -> float:
+    """Worst-case population lost from the start frame S, read off its
+    ``dark_block`` B = E U S^dag with the end frame E: the maximum of
+    1 - <Ud| P_E |Ud> = 1 - |B c|^2 over unit vectors d = sum_b c_b S_b,
+    1 - lambda_min(B^dag B), whichever orthonormal bases the frames list.
+    0 for an empty start frame."""
+    retained = np.linalg.eigvalsh(block.conj().T @ block)
     return float(1.0 - retained[0]) if retained.size else 0.0
 
 

@@ -29,7 +29,7 @@ from brightpath.lambda_system import (
     couplings_from_angles,
     dark_basis_parametrized,
 )
-from brightpath.linalg import _expm_hermitian_stack, _ordered_product, expm_hermitian
+from brightpath.linalg import UnitaryOperator, _expm_hermitian_stack, _ordered_product, expm_hermitian
 from brightpath.propagators import FULL_BLOCK, dark_block
 from conftest import midpoint_reference, reversed_path
 
@@ -83,7 +83,7 @@ def per_segment_dark_block(path: ParameterPath, steps_per_segment: int) -> np.nd
 
         u = midpoint_reference(generator, 0.0, 1.0, steps_per_segment) @ u
     start, end = (dark_basis_parametrized(SphericalAngles(*path.samples[i])) for i in (0, -1))
-    return dark_block(u, start, end)
+    return dark_block(UnitaryOperator(u), start, end)
 
 
 def circle_path(c1: float, c2: float, radius: float, segments: int) -> ParameterPath:

@@ -544,7 +544,7 @@ class TestMultiBrightTransport:
         validate_trajectory(self.trajectory())
 
     def test_geometric_transport_matches_full_drive(self):
-        from brightpath.linalg import matrix_distance
+        from brightpath.linalg import UnitaryOperator, matrix_distance
         from brightpath.propagators import dark_block, evolve_time_ordered
 
         traj = self.trajectory()
@@ -557,7 +557,7 @@ class TestMultiBrightTransport:
         assert np.linalg.norm(block_geo.conj().T @ block_geo - np.eye(2)) < 1e-12
         distances = []
         for omega, steps in ((100.0, 16384), (300.0, 32768)):
-            block_full = dark_block(midpoint_reference(self.full_drive(omega), 0.0, 1.0, steps), start, end)
+            block_full = dark_block(UnitaryOperator(midpoint_reference(self.full_drive(omega), 0.0, 1.0, steps)), start, end)
             distances.append(matrix_distance(block_full, block_geo, "up_to_global_phase"))
         assert distances[0] < 2e-4
         assert distances[1] < distances[0] / 3.0

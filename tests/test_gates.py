@@ -361,7 +361,8 @@ class TestSimulateGate:
         assert distance_phase <= 1e-12
 
     def test_phase_extraction_floor(self):
-        low_modulus = np.array([[0.3, 0.0], [0.0, 1.0]], dtype=complex)
+        # A unitary whose <0|U|0> = 0.3 is below the 0.5 floor.
+        low_modulus = UnitaryOperator([[0.3, -np.sqrt(0.91)], [np.sqrt(0.91), 0.3]])
         with pytest.raises(ValueError):
             extract_geometric_phase(low_modulus, np.array([1.0, 0.0]))
 

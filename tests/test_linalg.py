@@ -13,7 +13,6 @@ from brightpath.linalg import (
     as_frame,
     expm_hermitian,
     matrix_distance,
-    projector_from_frame,
 )
 
 from conftest import random_unitary
@@ -72,31 +71,15 @@ class TestAsFrame:
         for empty in ([], np.zeros(0)):
             with pytest.raises(DimensionMismatch, match=r"got shape \(1, 0\); pass an empty frame as a \(0, n\) array$"):
                 as_frame(empty)
-        with pytest.raises(DimensionMismatch, match="vectors need at least one component"):
-            projector_from_frame([])
 
     def test_a_0_by_n_array_is_an_empty_frame(self):
         frame = as_frame(np.zeros((0, 3)))
         assert frame.shape == (0, 3) and frame.dtype == complex
 
-
-class TestProjectorFromFrame:
-    def test_single_basis_vector(self):
-        p = projector_from_frame([np.array([1.0, 0.0, 0.0])])
-        np.testing.assert_allclose(p.matrix, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
-
-    def test_idempotent_hermitian_trace(self, rng):
-        u = random_unitary(rng, 6)
-        frame = list(u.T[:3])
-        p = projector_from_frame(frame).matrix
-        assert np.linalg.norm(p @ p - p) < 1e-10
-        np.testing.assert_allclose(p, p.conj().T, atol=1e-14)
-        assert abs(np.trace(p).real - 3.0) < 1e-12
-
     def test_rejects_non_orthonormal(self):
         for frame in ([np.array([1.0, 0.0]), np.array([0.9, 0.1])], [np.array([np.nan, 0.0])]):
             with pytest.raises(NotOrthonormal):
-                projector_from_frame(frame)
+                as_frame(frame)
 
 
 class TestExpmHermitian:

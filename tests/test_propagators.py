@@ -11,7 +11,7 @@ from brightpath.effective import BrightTrajectory, Piece
 from brightpath.errors import DerivativeInconsistent, DimensionMismatch, NonMonotoneMap, NotNormalized, NotOrthonormal
 from brightpath.gates import GateSpec, gate_coupling_schedule, simulate_gate, stage_trajectory, stirap_trajectory
 from brightpath.lambda_system import CouplingSet, bright_state
-from brightpath.linalg import expm_hermitian, matrix_distance, projector_from_frame
+from brightpath.linalg import UnitaryOperator, expm_hermitian, matrix_distance
 from brightpath.propagators import (
     FULL_BLOCK,
     MAX_STEPS,
@@ -33,7 +33,7 @@ from brightpath.propagators import (
     reparametrize,
 )
 from brightpath.ramps import ramp_rate, ramp_value
-from conftest import excited_and, frameless, matmul_snapshots, midpoint_reference, reference_gate_drive, reversed_trajectory
+from conftest import excited_and, frameless, random_unitary, matmul_snapshots, midpoint_reference, reference_gate_drive, reversed_trajectory
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -1046,14 +1046,12 @@ class TestBlockedScan:
 class TestDarkBlockAndLeakage:
     def test_identity_block(self):
         frame = np.eye(4)[:2]
-        np.testing.assert_allclose(dark_block(np.eye(4), frame, frame), np.eye(2), atol=0)
+        np.testing.assert_allclose(dark_block(UnitaryOperator(np.eye(4)), frame, frame), np.eye(2), atol=0)
 
     def test_block_entries_are_matrix_elements(self, rng):
-        from conftest import random_unitary
-
         u = random_unitary(rng, 4)
         frame = np.eye(4)[:2]
-        blk = dark_block(u, frame, frame)
+        blk = dark_block(UnitaryOperator(u), frame, frame)
         np.testing.assert_allclose(blk, u[:2, :2], atol=1e-15)
 
     def test_subunitarity_measures_leakage(self):
@@ -1064,9 +1062,22 @@ class TestDarkBlockAndLeakage:
         u[1, 1] = u[2, 2] = np.cos(theta)
         u[1, 2], u[2, 1] = -np.sin(theta), np.sin(theta)
         frame = np.eye(3)[:2]
-        blk = dark_block(u, frame, frame)
+        blk = dark_block(UnitaryOperator(u), frame, frame)
         defect = np.linalg.norm(blk.conj().T @ blk - np.eye(2))
         assert abs(defect - np.sin(theta) ** 2) < 1e-12
+
+    def test_a_larger_end_frame_gives_a_rectangular_block(self):
+        # U takes |0> to cos 0.7 |1> + sin 0.7 |2>: it leaks nothing out of
+        # span{|1>, |2>}, and sin^2 0.7 of its population out of span{|1>}.
+        swap = UnitaryOperator(np.eye(3)[[1, 0, 2]])
+        u = expm_hermitian(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1j], [0.0, 1j, 0.0]]), 0.7) @ swap
+        start, end = np.eye(3)[:1], np.eye(3)[1:]
+        block = dark_block(u, start, end)
+        np.testing.assert_allclose(block, [[np.cos(0.7)], [np.sin(0.7)]], atol=1e-15)
+        assert leakage(block) == pytest.approx(0.0, abs=1e-15)
+        assert leakage(dark_block(u, start, end[:1])) == pytest.approx(np.sin(0.7) ** 2, abs=1e-15)
+        with pytest.raises(ValueError):
+            dark_block(u, start, np.eye(4)[:2])
 
     def test_leakage_zero_for_geometric_propagation(self):
         traj = rotating_trajectory(0.9)
@@ -1076,8 +1087,7 @@ class TestDarkBlockAndLeakage:
         # the dark end ray.
         dark_start = np.atleast_2d([0.0, 1.0]).astype(complex)
         end = np.array([-np.sin(0.9), np.cos(0.9)], dtype=complex)
-        p_end = projector_from_frame([end])
-        assert leakage(res.unitary, dark_start, p_end) < 1e-10
+        assert leakage(dark_block(res.unitary, dark_start, [end])) < 1e-10
 
     def test_leakage_is_the_worst_dark_input(self):
         # Dark inputs |0> and |1> leak 0.3 and 0.1 of their population into
@@ -1087,7 +1097,7 @@ class TestDarkBlockAndLeakage:
             keep, leak = np.sqrt(1.0 - lost), np.sqrt(lost)
             u[[dark, bright, dark, bright], [dark, bright, bright, dark]] = keep, keep, -leak, leak
         frame = np.eye(4)[:2]
-        assert leakage(u, frame, projector_from_frame(frame)) == pytest.approx(0.3, abs=1e-15)
+        assert leakage(dark_block(UnitaryOperator(u), frame, frame)) == pytest.approx(0.3, abs=1e-15)
 
     def test_leakage_does_not_depend_on_the_dark_basis(self):
         # A rotation by 0.4 between v = (|0> + |1>)/sqrt 2 and |2> leaks
@@ -1096,18 +1106,51 @@ class TestDarkBlockAndLeakage:
         # (|0>, |1>) and its 45-degree rotation (v, w) read the same.
         v, w = np.array([1.0, 1.0, 0.0]) / np.sqrt(2), np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
         coupling = np.outer(v, np.eye(3)[2])
-        u = expm_hermitian(coupling + coupling.T, 0.4).matrix
+        u = expm_hermitian(coupling + coupling.T, 0.4)
         frame = np.eye(3)[:2]
-        p_dark = projector_from_frame(frame)
         for listed in (frame, np.array([v, w])):
-            assert leakage(u, listed, p_dark) == pytest.approx(np.sin(0.4) ** 2, abs=1e-15)
+            assert leakage(dark_block(u, listed, frame)) == pytest.approx(np.sin(0.4) ** 2, abs=1e-15)
 
     def test_leakage_constant_full_hamiltonian(self):
         c = CouplingSet(omega=1.0, r=np.array([0.6, 0.8]), phi=np.zeros(2))
         res = evolve_full_adiabatic(held(bright_state(c)), AdiabaticRunConfig(omega_T=7.7, steps=512))
         d = np.array([0.8, -0.6, 0.0], dtype=complex)
-        p_end = projector_from_frame([d])
-        assert leakage(res.unitary, [d], p_end) < 1e-12
+        assert leakage(dark_block(res.unitary, [d], [d])) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(3, 6),
+        sizes=st.tuples(st.integers(1, 6), st.integers(0, 5)),
+        same_span=st.booleans(),
+    )
+    def test_leakage_is_the_projector_formula(self, seed, dim, sizes, same_span):
+        # The block's 1 - lambda_min(B^dag B) against the n x n projector
+        # formula it replaces, 1 - lambda_min(S U^dag P_E U S^dag), on a
+        # random unitary, for an end frame that spans the start frame's
+        # span in another basis or a different, at least as large, subspace.
+        rng = np.random.default_rng(seed)
+        u = random_unitary(rng, dim)
+        k_start = min(sizes[0], dim)
+        k_end = k_start if same_span else min(k_start + sizes[1], dim)
+        start = random_unitary(rng, dim)[:k_start]
+        end = random_unitary(rng, k_start) @ start if same_span else random_unitary(rng, dim)[:k_end]
+
+        def projector_formula(start, end):
+            p_end = end.T @ end.conj()
+            p_end = (p_end + p_end.conj().T) / 2.0
+            images = start @ u.T
+            return 1.0 - np.linalg.eigvalsh(images.conj() @ p_end @ images.T)[0]
+
+        value = leakage(dark_block(UnitaryOperator(u), start, end))
+        assert value == pytest.approx(projector_formula(start, end), abs=1e-13)
+        # The gate's logical frame: identity rows.
+        rows = np.eye(dim)[:k_start], np.eye(dim)[:k_end]
+        assert leakage(dark_block(UnitaryOperator(u), *rows)) == pytest.approx(projector_formula(*rows), abs=1e-15)
+        # Any orthonormal basis of either span reads the same value.
+        turned_start, turned_end = random_unitary(rng, k_start) @ start, random_unitary(rng, k_end) @ end
+        for frames in ((turned_start, end), (start, turned_end)):
+            assert leakage(dark_block(UnitaryOperator(u), *frames)) == pytest.approx(value, abs=1e-13)
 
 
 class TestReparametrize:

@@ -271,6 +271,21 @@ MUTANTS = (
         "leakage reports the dark input that leaks least: 1 - lambda_max of the retained Gram matrix",
     ),
     Mutant(
+        "leakage-gram-drops-the-conjugate",
+        "propagators",
+        "np.linalg.eigvalsh(block.conj().T @ block)",
+        "np.linalg.eigvalsh(block.T @ block)",
+        "leakage reads B^T B for B^dag B: a Gram matrix that is not Hermitian for a complex block",
+    ),
+    Mutant(
+        "leakage-gram-on-the-wrong-side",
+        "propagators",
+        "np.linalg.eigvalsh(block.conj().T @ block)",
+        "np.linalg.eigvalsh(block @ block.conj().T)",
+        "leakage reads B B^dag, k_end x k_end, for B^dag B: the same eigenvalues on a square block, "
+        "but a zero one on a block whose end frame is larger than its start frame",
+    ),
+    Mutant(
         "trace-drops-the-start-row",
         "propagators",
         "start = [t0]",
