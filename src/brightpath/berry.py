@@ -2,7 +2,8 @@
 
 Closed-form connection matrices for the angle-parametrized dark frame,
 path-ordered holonomies of polyline parameter loops, and the analytic
-single-axis loop formulas used as oracles.  The companion
+single-axis loop formulas used as oracles (one ``_loop_integral`` checks
+and integrates both).  The companion
 :func:`effective_dark_block` propagates the effective Hamiltonian of the
 angle-parametrized bright state along the same path so both methods can be
 compared directly.
@@ -11,7 +12,6 @@ compared directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -170,46 +170,35 @@ def holonomy(path: ParameterPath) -> UnitaryOperator:
     return UnitaryOperator(_ordered_product(_expm_hermitian_stack(-1j * exponents, 1.0).transpose(1, 2, 0)))
 
 
-def _require_constant(path: ParameterPath, coords: Sequence[str]) -> None:
-    for name in coords:
-        column = path.samples[:, COORDINATES.index(name)]
+def _loop_integral(path: ParameterPath, fixed: dict[str, float | None], weight, moving: str) -> float:
+    """The trapezoid sum of ``weight(samples)`` d(``moving``) around a closed
+    path, for the analytic loop formulas.  ``fixed`` maps each coordinate
+    the loop family holds constant to the value it is pinned to, or None."""
+    if not path.closed:
+        raise ValueError("the analytic loop formula needs a closed path")
+    columns = {name: path.samples[:, COORDINATES.index(name)] for name in fixed}
+    for name, column in columns.items():
         if np.max(np.abs(column - column[0])) >= 1e-12:
             raise PathVariesFixedCoordinates(f"{name} must stay constant along this loop")
+    for name, pin in fixed.items():
+        if pin is not None and np.max(np.abs(columns[name] - pin)) >= 1e-12:
+            raise PathVariesFixedCoordinates(f"{name} must be pinned to {pin:g} for this loop family")
+    path.check_resolution()
+    values = weight(path.samples)
+    return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(path.samples[:, COORDINATES.index(moving)])))
 
 
 def u_y_analytic(path: ParameterPath) -> UnitaryOperator:
     """Closed-form holonomy exp(-i sigma_y * loop integral of sin(theta1) d theta2)
     for closed loops moving only theta1 and theta2."""
-    if not path.closed:
-        raise ValueError("the analytic loop formula needs a closed path")
-    _require_constant(path, ("phi2", "phi3"))
-    path.check_resolution()
-    integral = float(
-        np.sum(
-            0.5
-            * (np.sin(path.samples[1:, 0]) + np.sin(path.samples[:-1, 0]))
-            * np.diff(path.samples[:, 1])
-        )
-    )
+    integral = _loop_integral(path, {"phi2": None, "phi3": None}, lambda samples: np.sin(samples[:, 0]), "theta2")
     return expm_hermitian(SIGMA_Y * integral, 1.0)
 
 
 def u_z_analytic(path: ParameterPath) -> UnitaryOperator:
     """Closed-form holonomy exp(-i diag(0, loop integral of sin^2(theta2) d phi3))
     for closed loops at theta1 = 0 moving only theta2 and phi3."""
-    if not path.closed:
-        raise ValueError("the analytic loop formula needs a closed path")
-    _require_constant(path, ("theta1", "phi2"))
-    if np.max(np.abs(path.samples[:, 0])) >= 1e-12:
-        raise PathVariesFixedCoordinates("theta1 must be pinned to 0 for this loop family")
-    path.check_resolution()
-    integral = float(
-        np.sum(
-            0.5
-            * (np.sin(path.samples[1:, 1]) ** 2 + np.sin(path.samples[:-1, 1]) ** 2)
-            * np.diff(path.samples[:, 3])
-        )
-    )
+    integral = _loop_integral(path, {"theta1": 0.0, "phi2": None}, lambda samples: np.sin(samples[:, 1]) ** 2, "phi3")
     return expm_hermitian(np.diag([0.0, integral]), 1.0)
 
 

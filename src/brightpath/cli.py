@@ -212,21 +212,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ScenarioConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config: top level must be an object")
-        unknown = set(raw) - {"kind", "parameters", "seed"}
-        if unknown:
-            raise ConfigError(f"config: unknown top-level keys {sorted(unknown)}")
-        if "kind" not in raw:
-            raise ConfigError("config: missing required key 'kind'")
-        return cls(raw["kind"], raw.get("parameters"), raw.get("seed", 7))
+        return cls(**_read_config(path))
 
     def echo(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "parameters": _jsonable(self.parameters)}
@@ -659,27 +645,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: str) -> dict[str, Any]:
+    """A config file's top level: ``kind`` and optional ``parameters`` and
+    ``seed``, the arguments of ``ScenarioConfig``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config: top level must be an object")
+    unknown = set(raw) - {"kind", "parameters", "seed"}
+    if unknown:
+        raise ConfigError(f"config: unknown top-level keys {sorted(unknown)}")
+    if "kind" not in raw:
+        raise ConfigError("config: missing required key 'kind'")
+    return raw
+
+
 def _config_from_args(args) -> ScenarioConfig:
-    if args.config:
-        config = ScenarioConfig.from_file(args.config)
-        if config.kind != args.kind:
-            raise ConfigError(
-                f"kind: config file is for {config.kind!r} but the {args.kind!r} subcommand was invoked"
-            )
-    else:
-        config = ScenarioConfig(args.kind)
-    overrides: dict[str, Any] = {}
-    if args.steps is not None:
-        overrides["steps" if args.kind != "compare" else "full_steps"] = args.steps
-    if args.method:
-        overrides["methods"] = list(dict.fromkeys(args.method))
-    if args.tolerance is not None:
-        overrides["tolerance"] = args.tolerance
-    if overrides or args.seed is not None:
-        merged = dict(config.parameters)
-        merged.update(overrides)
-        config = ScenarioConfig(config.kind, merged, args.seed if args.seed is not None else config.seed)
-    return config
+    """The file's (or the defaults') scenario with the command-line overrides
+    merged into its parameters, parsed once."""
+    raw = _read_config(args.config) if args.config else {"kind": args.kind}
+    if raw["kind"] != args.kind:
+        raise ConfigError(f"kind: config file is for {raw['kind']!r} but the {args.kind!r} subcommand was invoked")
+    methods = list(dict.fromkeys(args.method)) if args.method else None
+    fields = {"full_steps" if args.kind == "compare" else "steps": args.steps, "methods": methods, "tolerance": args.tolerance}
+    overrides = {field: value for field, value in fields.items() if value is not None}
+    parameters = raw.get("parameters")
+    # Parameters that are not an object are left for ScenarioConfig to refuse.
+    if overrides and (parameters is None or isinstance(parameters, dict)):
+        raw["parameters"] = {**(parameters or {}), **overrides}
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    return ScenarioConfig(**raw)
 
 
 # One parser per process, built on the first call to main, not at import.

@@ -9,8 +9,9 @@ basis.  The stage formulas are written once, in ``stage_trajectory``,
 whose pieces move in span{psi, |n-1>}: both routes (``simulate_gate``,
 ``simulate_full_gate``) run each piece on its two coordinates, so neither's
 cost grows with n, and ``measure_gate`` compares a result with the
-composed gate on its logical dark block, off which it also reads the
-leakage.
+composed gate on its logical dark block, the corner of its unitary, off
+which it also reads the leakage.  One ``_rotation_piece`` builds the
+gate's rise and fall and all of STIRAP.
 
 Stage boundaries (times t1 < t2 < t3) and ramp profiles are configurable;
 the geometric result depends only on the traced path, not on the schedule,
@@ -32,7 +33,6 @@ from .propagators import (
     AdiabaticRunConfig,
     PropagationResult,
     StateTrace,
-    dark_block,
     evolve_full_sweep,
     evolve_time_ordered,
     leakage,
@@ -90,6 +90,30 @@ class GateSpec:
         return aux
 
 
+def _coordinates(along, across) -> np.ndarray:
+    """(along, across) as (M, 1, 2), either one a scalar or an array."""
+    out = np.empty((len(along), 1, 2), dtype=np.result_type(along, across))
+    out[:, 0, 0], out[:, 0, 1] = along, across
+    return out
+
+
+def _rotation_piece(lo: float, hi: float, start: float, change: float, ramp: str, frame: np.ndarray | None) -> Piece:
+    """The real rotation (sin(theta/2), cos(theta/2)) and its rate on [lo, hi],
+    theta = start + change * ramp(s) at progress s: gate rise, fall, STIRAP."""
+
+    def angles(times: np.ndarray) -> tuple[np.ndarray, ...]:
+        s = (times - lo) / (hi - lo)
+        half = (start + change * ramp_value(ramp, s)) / 2
+        return s, np.sin(half), np.cos(half)
+
+    def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s, sin, cos = angles(times)
+        rate = change * ramp_rate(ramp, s) / (hi - lo)
+        return _coordinates(sin, cos), _coordinates(0.5 * rate * cos, -(0.5 * rate * sin))
+
+    return Piece(lo, hi, frame, sampler, lambda times: _coordinates(*angles(times)[1:]))
+
+
 def stage_trajectory(spec: GateSpec) -> BrightTrajectory:
     """The gate's bright path on [0, t3]: |n-1> -> psi -> (phase twist) -> back.
 
@@ -98,8 +122,8 @@ def stage_trajectory(spec: GateSpec) -> BrightTrajectory:
     three pieces that each evaluate only the angle they move: the rise
     turns theta 0 -> pi on [0, t1], the twist phi 0 -> twist on [t1, t2],
     the fall theta back to 0 on [t2, t3].  Each samples its coordinates on
-    (p, a) through the frame Q = [p, a]; rise and fall sample the real
-    (sin(theta/2), cos(theta/2)), the fall through Q diag(e^{i twist}, 1).
+    (p, a) through the frame Q = [p, a]; rise and fall are
+    ``_rotation_piece``s, the fall through Q diag(e^{i twist}, 1).
     Bdot jumps at t1 and t2, each in the piece on its right.
     """
     psi, n, twist = spec.psi, spec.n, spec.phase_twist
@@ -113,25 +137,6 @@ def stage_trajectory(spec: GateSpec) -> BrightTrajectory:
     top = np.array([np.pi]) / 2
     (sin_top,), (cos_top,) = np.sin(top), np.cos(top)
 
-    def coordinates(along, across) -> np.ndarray:
-        """(along, across) as (M, 1, 2), either one a scalar or an array."""
-        out = np.empty((len(along), 1, 2), dtype=np.result_type(along, across))
-        out[:, 0, 0], out[:, 0, 1] = along, across
-        return out
-
-    def theta_piece(lo: float, hi: float, start: float, change: float, frame: np.ndarray) -> Piece:
-        def angles(times: np.ndarray) -> tuple[np.ndarray, ...]:
-            s = (times - lo) / (hi - lo)
-            half = (start + change * ramp_value(spec.theta_schedule, s)) / 2
-            return s, np.sin(half), np.cos(half)
-
-        def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            s, sin, cos = angles(times)
-            rate = change * ramp_rate(spec.theta_schedule, s) / (hi - lo)
-            return coordinates(sin, cos), coordinates(0.5 * rate * cos, -(0.5 * rate * sin))
-
-        return Piece(lo, hi, frame, sampler, lambda times: coordinates(*angles(times)[1:]))
-
     def turned(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s = (times - t1) / (t2 - t1)
         # phi starts from 0.0, which turns a -0.0 product into 0.0
@@ -141,11 +146,11 @@ def stage_trajectory(spec: GateSpec) -> BrightTrajectory:
         s, turn = turned(times)
         across = np.zeros(times.shape, dtype=complex)
         across.imag = twist * ramp_rate(spec.phi_schedule, s) / (t2 - t1) * sin_top
-        return coordinates(turn * sin_top, cos_top), coordinates(turn * across, 0.0)
+        return _coordinates(turn * sin_top, cos_top), _coordinates(turn * across, 0.0)
 
-    rise = theta_piece(0.0, t1, 0.0, np.pi, frame)
-    middle = Piece(t1, t2, frame, twist_sampler, lambda times: coordinates(turned(times)[1] * sin_top, cos_top))
-    fall = theta_piece(t2, t3, np.pi, -np.pi, frame * np.exp(1j * np.array([twist, 0.0])))
+    rise = _rotation_piece(0.0, t1, 0.0, np.pi, spec.theta_schedule, frame)
+    middle = Piece(t1, t2, frame, twist_sampler, lambda times: _coordinates(turned(times)[1] * sin_top, cos_top))
+    fall = _rotation_piece(t2, t3, np.pi, -np.pi, spec.theta_schedule, frame * np.exp(1j * np.array([twist, 0.0])))
     return BrightTrajectory(n, 1, (rise, middle, fall))
 
 
@@ -208,8 +213,7 @@ def measure_gate(geometric: np.ndarray, results: Sequence[PropagationResult]) ->
     read off the same block."""
     measures = []
     for result in results:
-        logical = np.eye(len(geometric), len(result.unitary.matrix), dtype=complex)
-        block = dark_block(result.unitary, logical, logical)
+        block = logical_block(result.unitary, len(geometric) + 1)
         exact, phase = (matrix_distance(block, geometric, mode) for mode in ("exact", "up_to_global_phase"))
         measures.append((block, exact, phase, leakage(block)))
     return measures
@@ -257,23 +261,9 @@ class StirapReport:
 
 def stirap_trajectory(theta_end: float, ramp: str = "linear") -> BrightTrajectory:
     """Two-level bright path B = sin(theta)|1> + cos(theta)|2>, theta 0 -> end:
-    one real piece."""
+    one real ``_rotation_piece`` of 2 theta, with no frame."""
     check_ramp(ramp)
-
-    def pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        return np.stack([first, second], axis=-1)[:, None, :]
-
-    def values(times: np.ndarray) -> np.ndarray:
-        theta = theta_end * ramp_value(ramp, times)
-        return pairs(np.sin(theta), np.cos(theta))
-
-    def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        theta = theta_end * ramp_value(ramp, times)
-        rate = theta_end * ramp_rate(ramp, times)
-        sin, cos = np.sin(theta), np.cos(theta)
-        return pairs(sin, cos), pairs(rate * cos, -rate * sin)
-
-    return BrightTrajectory(2, 1, (Piece(0.0, 1.0, None, sampler, values),))
+    return BrightTrajectory(2, 1, (_rotation_piece(0.0, 1.0, 0.0, 2 * theta_end, ramp, None),))
 
 
 def stirap_transfer(

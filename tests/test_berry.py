@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from brightpath.berry import (
     CLOSURE_TOL,
+    COORDINATES,
     GAUSS_NODES,
     MAX_EDGE_POINTS,
     SIGMA_Y,
@@ -99,6 +100,17 @@ def repeated_samples() -> ParameterPath:
     segments of zero length (its first and last samples among them)."""
     rows = circle_path(0.6, 0.7, 0.15, 30).samples
     return ParameterPath(np.repeat(rows, np.where(np.arange(len(rows)) % 5 == 0, 3, 1), axis=0), closed=True)
+
+
+def triangle_loop(plane: tuple[str, str], points_per_edge: int) -> ParameterPath:
+    """Closed triangle with corners (0.2, 0.1), (1.1, 0.4), (0.5, 1.2) in the
+    plane of two coordinates: every edge moves both."""
+    corners = np.array([(0.2, 0.1), (1.1, 0.4), (0.5, 1.2)])
+    fracs = np.linspace(0.0, 1.0, points_per_edge + 1)[1:, None]
+    edges = [a + fracs * (b - a) for a, b in zip(corners, np.roll(corners, -1, axis=0))]
+    samples = np.zeros((3 * points_per_edge + 1, 4))
+    samples[:, [COORDINATES.index(name) for name in plane]] = np.concatenate([corners[:1], *edges])
+    return ParameterPath(samples, closed=True)
 
 
 def bits(a: np.ndarray) -> np.ndarray:
@@ -312,6 +324,24 @@ class TestAnalyticLoopFormulas:
     def test_u_z_agrees_with_holonomy(self):
         path = rectangle_loop("theta2", "phi3", 0.8, 1.3)
         assert np.linalg.norm(u_z_analytic(path).matrix - holonomy(path).matrix) < 1e-8
+
+    @pytest.mark.parametrize("analytic, plane", [(u_y_analytic, ("theta1", "theta2")), (u_z_analytic, ("theta2", "phi3"))])
+    def test_second_order_on_a_diagonal_triangle(self, analytic, plane):
+        # On a rectangle the moving coordinate's weight is constant on every
+        # edge that moves it, so any quadrature rule is exact there.  A
+        # triangle's edges move both: the trapezoid's distance from the
+        # holonomy falls fourfold per doubling of the points, a left rule's
+        # only twofold.
+        paths = [triangle_loop(plane, points) for points in (16, 32, 64)]
+        errors = [np.linalg.norm(analytic(path).matrix - holonomy(path).matrix) for path in paths]
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.all(np.abs(orders - 2.0) <= 0.02), (errors, orders)
+
+    def test_u_z_checks_the_pin_before_the_resolution(self):
+        # theta1 constant but not 0, on a loop too coarse for the resolution check.
+        samples = [[0.3, 0.0, 0.0, 0.0], [0.3, 0.5, 0.0, 0.0], [0.3, 0.5, 0.0, 0.5], [0.3, 0.0, 0.0, 0.0]]
+        with pytest.raises(PathVariesFixedCoordinates, match="theta1 must be pinned to 0"):
+            u_z_analytic(ParameterPath(samples, closed=True))
 
     def test_u_z_requires_theta1_pinned(self):
         path = rectangle_loop("theta1", "phi3", 0.5, 0.5)

@@ -166,6 +166,28 @@ class TestRunScenario:
         assert report["comparisons"]["full_vs_analytic_phase"] < 1e-2
         assert report["diagnostics"]["leakage"] < 1e-3
 
+    @pytest.mark.parametrize(
+        "n, psi",
+        [
+            (4, [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0], [0.0, 0.0]]),
+            (12, [[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]] + [[0.0, 0.0]] * 8),
+        ],
+    )
+    def test_dark_blocks_are_the_corners_of_the_unitaries(self, n, psi, tmp_path, capsys):
+        # CI's four- and twelve-level gates: each route's dark block is the
+        # top-left (n-1) x (n-1) corner of its unitary, zero signs included.
+        smooth = {"theta_schedule": "smooth", "phi_schedule": "smooth", "full_steps": 16384, "omega_T": 2000.0}
+        parameters = {"n": n, "psi": psi, "phase": 0.9, "stage_times": [0.4, 0.9, 1.7], **smooth}
+        cfg = tmp_path / "gate.json"
+        cfg.write_text(json.dumps({"kind": "gate", "parameters": parameters}))
+        assert main(["gate", "--config", str(cfg), "--method", "effective", "--method", "full"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        for route in ("effective", "full"):
+            corner = np.array(report["unitaries"][route])[: n - 1, : n - 1]
+            block = np.array(report["dark_blocks"][route])
+            np.testing.assert_array_equal(block, corner)
+            np.testing.assert_array_equal(np.signbit(block), np.signbit(corner))
+
     def test_loop_cross_tabulation(self):
         report = run_scenario(ScenarioConfig("loop"))
         assert report["passed"]
@@ -604,6 +626,19 @@ class TestMainExitCodes:
         cfg = tmp_path / "loop.json"
         cfg.write_text('{"kind": "loop"}')
         assert main(["gate", "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_an_override_replaces_a_bad_field_of_the_file(self, tmp_path, capsys):
+        # The file's parameters and the overrides are one map, parsed once.
+        cfg = tmp_path / "gate.json"
+        cfg.write_text('{"kind": "gate", "parameters": {"steps": 5}}')
+        assert main(["gate", "--config", str(cfg), "--steps", "200"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["scenario"]["parameters"]["steps"] == 200
+
+    def test_an_override_of_parameters_that_are_not_an_object_is_three(self, tmp_path, capsys):
+        cfg = tmp_path / "gate.json"
+        cfg.write_text('{"kind": "gate", "parameters": [1]}')
+        assert main(["gate", "--config", str(cfg), "--steps", "200"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: parameters: must be an object\n"
 
     def test_numerical_failure_is_four(self, tmp_path, capsys):
         coarse = {

@@ -16,6 +16,7 @@ from brightpath.gates import (
     simulate_full_gate,
     simulate_gate,
     stage_trajectory,
+    stirap_trajectory,
     stirap_transfer,
 )
 from brightpath.errors import DimensionMismatch, NotNormalized
@@ -593,6 +594,24 @@ class TestStirap:
         deviations = [stirap_transfer(np.pi / 2, steps=steps, ramp="smooth").deviation for steps in (256, 512, 1024)]
         orders = np.log2(np.array(deviations[:-1]) / deviations[1:])
         assert np.all(np.abs(orders - 2.0) <= 0.05), orders
+
+    @pytest.mark.parametrize("ramp", ["linear", "smooth"])
+    @pytest.mark.parametrize("theta_end", [np.pi / 2, 1.3, 7.9])
+    def test_sampler_keeps_the_bits_of_the_whole_array_formulas(self, ramp, theta_end, rng):
+        # theta = theta_end ramp(t), B = (sin theta, cos theta) and
+        # Bdot = (rate cos theta, -rate sin theta), as raw 64-bit words, on
+        # the midpoints and ends of a step grid and on uniform random times.
+        steps = 4096
+        grid = np.arange(steps, dtype=float)
+        times = np.concatenate([(grid + 0.5) / steps, (grid + 1.0) / steps, rng.uniform(0.0, 1.0, 1000)])
+        theta, rate = theta_end * ramp_value(ramp, times), theta_end * ramp_rate(ramp, times)
+        sin, cos = np.sin(theta), np.cos(theta)
+        values = np.stack([sin, cos], axis=-1)[:, None, :]
+        derivatives = np.stack([rate * cos, -rate * sin], axis=-1)[:, None, :]
+        (piece,) = stirap_trajectory(theta_end, ramp).pieces
+        for got, want in zip((*piece.sampler(times), piece.values(times)), (values, derivatives, values)):
+            assert got.dtype == float and got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("steps", [7, 1024])
     def test_linear_ramp_is_exact(self, steps):

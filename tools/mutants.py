@@ -323,13 +323,10 @@ MUTANTS = (
     Mutant(
         "u-z-left-rule",
         "berry",
-        "            0.5\n"
-        "            * (np.sin(path.samples[1:, 1]) ** 2 + np.sin(path.samples[:-1, 1]) ** 2)",
-        "            1.0\n"
-        "            * (np.sin(path.samples[:-1, 1]) ** 2)",
-        "u_z_analytic integrates sin^2(theta2) d phi3 by the left rule, not the trapezoid",
-        equivalent="only rectangles reach u_z_analytic (the CLI's plane loops and the suite), and theta2 is constant "
-        "on every rectangle edge along which phi3 moves; only a diagonal edge would tell the rules apart",
+        "0.5 * (values[1:] + values[:-1])",
+        "values[:-1]",
+        "the analytic loop formulas integrate their weight by the left rule, not the trapezoid: first order on a loop "
+        "whose edges move both coordinates",
     ),
     Mutant(
         "bright-step-c2-limit",
@@ -364,9 +361,17 @@ MUTANTS = (
     Mutant(
         "gate-fall-keeps-the-rise-frame",
         "gates",
-        "theta_piece(t2, t3, np.pi, -np.pi, frame * np.exp(1j * np.array([twist, 0.0])))",
-        "theta_piece(t2, t3, np.pi, -np.pi, frame)",
+        "spec.theta_schedule, frame * np.exp(1j * np.array([twist, 0.0])))",
+        "spec.theta_schedule, frame)",
         "the fall piece takes the rise's frame Q for Q diag(e^{i twist}, 1)",
+    ),
+    Mutant(
+        "rotation-rate-drops-the-half",
+        "gates",
+        "_coordinates(0.5 * rate * cos, -(0.5 * rate * sin))",
+        "_coordinates(rate * cos, -(rate * sin))",
+        "a rotation piece's coordinates move at the rate of theta, not of theta/2: the rise, the fall and STIRAP "
+        "report twice their derivative",
     ),
     Mutant(
         "gate-fall-phases-one",

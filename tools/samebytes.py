@@ -16,8 +16,9 @@ in one process through its own ``brightpath.cli.main``:
 - each kind's default run, with the method and ``--timeseries`` variants
   that CI runs;
 - CI's hand-written five-, four- and twelve-level gate and compare
-  configs, and a ``--timeseries`` run of the four-level full gate, whose
-  stage times end at t3 = 1.7.
+  configs, a ``--timeseries`` run of the four-level full gate, whose
+  stage times end at t3 = 1.7, the linear gate whose stage times fall off
+  an equal grid of 1 007 steps, and the closed 160-segment polyline loop.
 
 Reports are compared field by field without ``diagnostics.wall_time_ms``,
 CSVs byte for byte, and exit codes as they are.  A field is the dotted path
@@ -79,6 +80,16 @@ _GATE12 = {
     "omega_T": 2000.0,
 }
 _SWEEP = {"omega_T_list": [250.0, 1000.0, 4000.0]}
+# CI's closed 160-segment polyline off the parameter origin.
+_LOOP160 = [
+    [
+        0.8 + 0.3 * math.cos(0.5 + 2 * math.pi * i / 160),
+        0.7 + 0.25 * math.sin(0.5 + 2 * math.pi * i / 160),
+        0.0,
+        0.2 * math.sin(1.0 + 2 * math.pi * i / 160),
+    ]
+    for i in range(160)
+]
 _BOTH = ["--method", "effective", "--method", "full"]
 # CI's config runs: (name, kind, parameters, argv after the config, writes a CSV).
 CONFIG_RUNS = (
@@ -88,6 +99,8 @@ CONFIG_RUNS = (
     ("ci-compare4", "compare", {**_GATE4, **_SWEEP}, [], False),
     ("ci-gate4-full-timeseries", "gate", {**_GATE4, "omega_T": 2000.0}, ["--method", "full"], True),
     ("ci-gate12", "gate", _GATE12, _BOTH, False),
+    ("ci-gate-offgrid", "gate", {"stage_times": [0.3, 0.55, 1.0], "steps": 1007}, [], False),
+    ("ci-loop160", "loop", {"samples": _LOOP160 + _LOOP160[:1]}, [], False),
 )
 # Runs in a tree's own interpreter: argv[1] holds [name, argv] jobs, and
 # argv[2] receives the exit codes and the path brightpath was imported from.
