@@ -208,7 +208,10 @@ def _loop_trajectory(path: ParameterPath) -> BrightTrajectory | None:
     segments of zero length skipped; None when no segment moves.  One
     piece: the step grid of ``effective_dark_block`` already puts a step
     edge on every corner.  Every sampled block must satisfy the
-    coupling-set rules (r_i >= 0)."""
+    coupling-set rules (r_i >= 0).  When no phase angle moves (the
+    theta1-theta2 loops), B = F r for the still frame
+    F = diag(1, e^{i phi2}, e^{i phi3}), and the piece samples the real
+    coordinates (r, rdot)."""
     deltas = np.diff(path.samples, axis=0)
     moving = np.max(np.abs(deltas), axis=1) > 0.0
     # One row per coordinate, so that a block gathers each as a length-M row.
@@ -216,6 +219,7 @@ def _loop_trajectory(path: ParameterPath) -> BrightTrajectory | None:
     segments = deltas.shape[1]
     if not segments:
         return None
+    still = not deltas[2:].any()
 
     def couplings(times: np.ndarray) -> tuple[np.ndarray, ...]:
         # Its own function, so that the (4, M) angle rows are freed before the
@@ -230,6 +234,8 @@ def _loop_trajectory(path: ParameterPath) -> BrightTrajectory | None:
     def sampler(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r, phi, rdot, phidot = couplings(times)
         _check_drive(1.0, r.T)
+        if still:
+            return r.T[:, None].copy(), rdot.T[:, None].copy()
         values = np.empty((times.size, 1, 3), dtype=complex)
         derivatives = np.empty_like(values)
         # phi and phidot vanish on level 0, where e^{i phi} = 1 and
@@ -242,7 +248,8 @@ def _loop_trajectory(path: ParameterPath) -> BrightTrajectory | None:
             derivatives[:, 0, level] = (rdot[level] + 1j * r[level] * phidot[level]) * phase
         return values, derivatives
 
-    return BrightTrajectory(3, 1, (Piece(0.0, float(segments), None, sampler),))
+    frame = np.diag(np.exp(1j * np.concatenate(([0.0], path.samples[0, 2:])))) if still else None
+    return BrightTrajectory(3, 1, (Piece(0.0, float(segments), frame, sampler),))
 
 
 def effective_dark_block(path: ParameterPath, steps_per_segment: int = 64) -> np.ndarray:

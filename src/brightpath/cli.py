@@ -62,6 +62,8 @@ PHASE_OVERLAP_FLOOR = 1e-6
 # The most levels (rows + cols) of a seeded random Morris-Shore matrix: this
 # bounds the rows x cols draw before anything is allocated.
 MAX_MORRIS_SHORE_LEVELS = 1024
+# The largest stirap theta_end: past ~1e154 the Gram entries of a step overflow.
+MAX_THETA_END = 1e150
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 2
@@ -300,7 +302,7 @@ class ScenarioConfig:
                 _require(levels <= MAX_MORRIS_SHORE_LEVELS, "rows", f"rows + cols must be <= {MAX_MORRIS_SHORE_LEVELS}, got {levels}")
             self.rank_tol = _number(p["rank_tol"], "rank_tol", lo=0.0)
         if self.kind == "stirap":
-            self.theta_end = _number(p["theta_end"], "theta_end", lo=0.0)
+            self.theta_end = _number(p["theta_end"], "theta_end", lo=0.0, hi=MAX_THETA_END)
             self.steps = _number(p["steps"], "steps", lo=10, hi=MAX_STEPS, integer=True)
             self.ramp = p["ramp"]
             self.trajectory = self._build({"ramp": "ramp"}, stirap_trajectory, theta_end=self.theta_end, ramp=self.ramp)

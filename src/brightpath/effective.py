@@ -34,14 +34,14 @@ def _floats(a: np.ndarray) -> np.ndarray:
 
 
 def _checked_frames(values, derivatives, *, times: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """An (M, k, dim) stack of bright frames and their derivatives, as complex
-    arrays, once every frame is orthonormal (``INPUT_ORTHONORMALITY_TOL``)
-    and every derivative tangent, |Re <Bdot_i|B_i>| <
-    DERIVATIVE_TANGENCY_TOL * max(1, ||Bdot_i||).  The first failing sample
-    is named, by its time when ``times`` is given.  Written so that
-    non-finite entries fail."""
-    values = np.asarray(values, dtype=complex)
-    derivatives = np.asarray(derivatives, dtype=complex)
+    """An (M, k, dim) stack of bright frames and their derivatives, as float
+    arrays if both are real, else complex, once every frame is orthonormal
+    (``INPUT_ORTHONORMALITY_TOL``) and every derivative tangent,
+    |Re <Bdot_i|B_i>| < DERIVATIVE_TANGENCY_TOL * max(1, ||Bdot_i||).  The
+    first failing sample is named, by its time when ``times`` is given.
+    Written so that non-finite entries fail."""
+    dtype = float if np.isrealobj(values) and np.isrealobj(derivatives) else complex
+    values, derivatives = np.asarray(values, dtype=dtype), np.asarray(derivatives, dtype=dtype)
     if values.shape != derivatives.shape or values.ndim != 3:
         raise DimensionMismatch(f"values {values.shape} and derivatives {derivatives.shape} must share an (M, k, dim) shape")
 
@@ -52,7 +52,7 @@ def _checked_frames(values, derivatives, *, times: np.ndarray | None = None) -> 
     if failure is not None:
         j, why = failure
         raise NotOrthonormal(why + at(j))
-    # Re <Bdot_i|B_i> as a real dot product of the interleaved (re, im) parts.
+    # Re <Bdot_i|B_i> as a real dot product of the real entries, or of the interleaved (re, im) parts.
     tangency = np.abs(np.einsum("mkx,mkx->mk", _floats(derivatives), _floats(values)))
     # The bound is at least DERIVATIVE_TANGENCY_TOL, so ||Bdot_i|| is read
     # only once some sample exceeds that.
@@ -72,8 +72,8 @@ def _checked_frames(values, derivatives, *, times: np.ndarray | None = None) -> 
 
 def _h_eff_stack(values: np.ndarray, derivatives: np.ndarray, *, times: np.ndarray | None = None) -> np.ndarray:
     """H_eff = sum_i i(|Bdot_i><B_i| - |B_i><Bdot_i|) for every sample of an
-    (M, k, dim) stack that passes ``_checked_frames``, as (M, dim, dim)."""
-    values, derivatives = _checked_frames(values, derivatives, times=times)
+    (M, k, dim) stack that passes ``_checked_frames``, as complex (M, dim, dim)."""
+    values, derivatives = (np.asarray(side, dtype=complex) for side in _checked_frames(values, derivatives, times=times))
     cross = np.einsum("mki,mkj->mij", derivatives, values.conj())
     # In place, one (M, dim, dim) temporary fewer: conj() copies, so the
     # subtraction reads no entry it has written, and 1j stays the left

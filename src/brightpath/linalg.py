@@ -164,14 +164,41 @@ def _expm_bright_stack(b: np.ndarray, bdot: np.ndarray, t: float) -> np.ndarray:
     Bdot is scaled by t before any product, so it may be as large as t is small.
     The caller has checked the frames (``effective._checked_frames``).
     """
+    return _bright_planes(b, bdot * t, _bright_step_kets)
+
+
+def _expm_rotation_stack(b: np.ndarray, bdot: np.ndarray, t: float) -> np.ndarray:
+    """The step of ``_expm_bright_stack`` for real (m, d) stacks, in real
+    arithmetic, as float (d, d, m) entry planes.  For real B, -i t H =
+    A = |e><B| - |B><e| is a real antisymmetric rank-2 generator, so
+    exp(A) = 1 + (sin rho / rho) A + ((1 - cos rho) / rho^2) A^2 for
+    rho^2 = g gamma - beta^2 (Rodrigues' formula): 1 + |y1><B| + |y2><e| with
+    y1 = (s + c beta) e - c gamma B, y2 = (c beta - s) B - c g e for the two
+    coefficients s and c."""
+    return _bright_planes(b, bdot * t, _rotation_step_kets)
+
+
+def _rotation_step_kets(g: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(-c gamma, s + c beta, c beta - s, -c g), the coefficients of y1 and
+    y2 of ``_expm_rotation_stack``, from real rows of the Gram entries."""
+    rho = np.sqrt(np.maximum(0.0, g * gamma - beta * beta))
+    # s and c finite at rho = 0: np.sinc(y) = sin(pi y) / (pi y), and 1 - cos rho = 2 sin^2(rho / 2).
+    s, c = np.sinc(rho / np.pi), 0.5 * np.sinc(rho / (2 * np.pi)) ** 2
+    return -c * gamma, s + c * beta, c * beta - s, -c * g
+
+
+def _bright_planes(b: np.ndarray, e: np.ndarray, kets) -> np.ndarray:
+    """1 + |y1><B| + |y2><e| for every row of (m, d) stacks B and e, as (d, d, m)
+    entry planes, with (y1, y2) = (y1_b B + y1_e e, y2_b B + y2_e e) for the
+    rows (y1_b, y1_e, y2_b, y2_e) = kets(g, beta, gamma) of the Gram entries;
+    each plane is filled from length-m rows, real if they all are."""
     m, d = b.shape
-    e = bdot * t
-    y1_b, y1_e, y2_b, y2_e = _bright_step_kets(
+    y1_b, y1_e, y2_b, y2_e = kets(
         np.einsum("mi,mi->m", b.conj(), b).real,
         np.einsum("mi,mi->m", b.conj(), e),
         np.einsum("mi,mi->m", e.conj(), e).real,
     )
-    planes = np.empty((d, d, m), dtype=complex)
+    planes = np.empty((d, d, m), dtype=np.result_type(b, y1_e))
     for i, row in enumerate(planes):
         y1 = y1_b * b[:, i] + y1_e * e[:, i]
         y2 = y2_b * b[:, i] + y2_e * e[:, i]

@@ -14,10 +14,11 @@ closed-form step of the full (n+1)-level Lambda Hamiltonian
 Omega (|B><e| + h.c.), the brute-force oracle the geometric methods are
 checked against.  Its drive is one bright trajectory B on progress [0, 1]
 at Omega = 1, so B and Omega*T fix a run; it reads only values, and builds
-and multiplies its steps in the real form D^-1 F D, D = diag(1, ..., 1, i),
-real for real coordinates.  Each block's product W is embedded once, as
-1 + F (W - 1) F^dag for its piece's frame F (the oracle's frame F (+) i
-also undoes D).  A reducer consumes the blocks in order: it forms the
+and multiplies its steps in the real form D^-1 F D, D = diag(1, ..., 1, i).
+Both routes step a piece with real coordinates in real arithmetic.  Each
+block's product W is embedded once, as 1 + F (W - 1) F^dag for its
+piece's frame F (the oracle's frame F (+) i also undoes D).  A reducer
+consumes the blocks in order: it forms the
 ordered product (each block by a pairwise tree, then the embedded block
 products by the same tree) and, given a ``StateTrace``, applies the same
 factors to one state by a blocked scan in each block's coordinates and
@@ -48,6 +49,7 @@ from .linalg import (
     UnitaryOperator,
     _expm_bright_stack,
     _expm_hermitian_stack,
+    _expm_rotation_stack,
     _ordered_product,
     as_frame,
     expm_hermitian,  # noqa: F401 -- kept importable as brightpath.propagators.expm_hermitian
@@ -132,15 +134,18 @@ def _midpoint_factors(trajectory: BrightTrajectory, t0: float, t1: float, steps:
     piece's coordinates, on its r levels, dt the piece's step width.  Each
     block is sampled once (``BrightTrajectory.coordinates``) and its frames
     checked (``_checked_frames``); one bright state takes the closed-form
-    step of ``_expm_bright_stack``, k >= 2 the ``eigh`` of the h stack, and
-    no sample outlives its block.  Any input but a ``BrightTrajectory``
-    raises ``TypeError`` naming its type, before the first block."""
+    step of ``_expm_bright_stack``, or of ``_expm_rotation_stack`` in float
+    planes when the sampled coordinates are real, k >= 2 the ``eigh`` of
+    the h stack, and no sample outlives its block.  Any input but a
+    ``BrightTrajectory`` raises ``TypeError`` naming its type, before the
+    first block."""
     if not isinstance(trajectory, BrightTrajectory):
         raise TypeError(f"the midpoint route propagates a BrightTrajectory, got {type(trajectory).__name__}")
 
     def steps_of(piece: Piece, mids: np.ndarray, dt: float) -> np.ndarray:
         if trajectory.k == 1:
-            return _expm_bright_stack(*(side[:, 0] for side in _checked_frames(*trajectory.coordinates(piece, mids), times=mids)), dt)
+            b, bdot = (side[:, 0] for side in _checked_frames(*trajectory.coordinates(piece, mids), times=mids))
+            return (_expm_bright_stack if np.iscomplexobj(b) else _expm_rotation_stack)(b, bdot, dt)
         return _expm_hermitian_stack(_h_eff_stack(*trajectory.coordinates(piece, mids), times=mids), dt).transpose(1, 2, 0)
 
     return ((piece.frame, steps_of(piece, mids, width), ends) for piece, mids, ends, width in _step_grid(trajectory, t0, t1, steps))

@@ -478,8 +478,13 @@ class TestLoopSampler:
 
     @pytest.mark.parametrize(
         "path",
-        [rectangle_loop("theta2", "phi3", 0.25, 0.4), circle_path(0.7, 0.6, 0.15, 24), repeated_samples()],
-        ids=["phi3-rectangle", "polyline", "repeated-samples"],
+        [
+            rectangle_loop("theta2", "phi3", 0.25, 0.4),
+            circle_path(0.7, 0.6, 0.15, 24),
+            repeated_samples(),
+            ParameterPath(rectangle_loop("theta1", "theta2", 0.25, 0.4).samples + [0.0, 0.0, 0.3, -0.5], closed=True),
+        ],
+        ids=["phi3-rectangle", "polyline", "repeated-samples", "theta-rectangle-at-still-phases"],
     )
     def test_ends_at_the_last_sample(self, path):
         # t_end lies on the domain's closed end; it closes the last moving

@@ -17,6 +17,7 @@ from brightpath.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_TOLERANCE,
+    MAX_THETA_END,
     PHASE_OVERLAP_FLOOR,
     ScenarioConfig,
     TimeseriesWriter,
@@ -761,6 +762,24 @@ class TestMainExitCodes:
         assert ScenarioConfig("morris-shore", {"rows": 1023, "cols": 1}).shape == (1023, 1)
         with pytest.raises(ConfigError, match=r"^rows: rows \+ cols must be <= 1024, got 1025$"):
             ScenarioConfig("morris-shore", {"rows": 1024, "cols": 1})
+
+    def test_theta_end_at_its_limit_runs(self, tmp_path, capsys):
+        # MAX_THETA_END = 1e150 still runs at 10 steps, far too coarse to
+        # pass (exit 2); past ~1e154 a step's Gram entries overflow.
+        cfg = tmp_path / "theta.json"
+        cfg.write_text(json.dumps({"kind": "stirap", "parameters": {"theta_end": MAX_THETA_END, "steps": 10}}))
+        assert main(["stirap", "--config", str(cfg)]) == EXIT_TOLERANCE
+
+    @pytest.mark.parametrize("theta_end", [np.nextafter(MAX_THETA_END, np.inf), 1e200, 1e308])
+    def test_theta_end_past_its_limit_is_three_and_runs_nothing(self, theta_end, tmp_path, monkeypatch, capsys):
+        def must_not_run(config, writer=None):
+            raise AssertionError(f"stirap ran with theta_end = {theta_end}")
+
+        monkeypatch.setattr(cli, "run_scenario", must_not_run)
+        cfg = tmp_path / "theta.json"
+        cfg.write_text(json.dumps({"kind": "stirap", "parameters": {"theta_end": float(theta_end), "steps": 10}}))
+        assert main(["stirap", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: theta_end: must be <= 1e+150\n"
 
     @pytest.mark.parametrize(
         "kind, parameters, field",

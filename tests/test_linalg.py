@@ -9,6 +9,7 @@ from brightpath.linalg import (
     UnitaryOperator,
     _expm_bright_stack,
     _expm_hermitian_stack,
+    _expm_rotation_stack,
     _ordered_product,
     as_frame,
     expm_hermitian,
@@ -122,6 +123,23 @@ def one_bright_pairs(rng, dim, speeds, pure_gauge=False):
     return b, v * np.asarray(speeds)[:, None]
 
 
+def real_bright_pairs(rng, dim, speeds):
+    """Random real unit B and tangent Bdot with ||Bdot|| = speeds (0 for
+    dim = 1, where no real Bdot is tangent), as (count, dim) stacks."""
+    count = len(speeds)
+    b = rng.normal(size=(count, dim))
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    v = rng.normal(size=(count, dim))
+    v -= (b * v).sum(axis=1)[:, None] * b
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    return b, np.where(norms > 1e-8, v / np.where(norms > 1e-8, norms, 1.0), 0.0) * np.asarray(speeds)[:, None]
+
+
+# The closed-form step of a complex and of a real bright state, each with
+# its random pairs.
+STEPS = {False: (_expm_bright_stack, one_bright_pairs), True: (_expm_rotation_stack, real_bright_pairs)}
+
+
 def dense_generators(b, bdot):
     """i(|Bdot><B| - |B><Bdot|) for every row, as (count, dim, dim)."""
     cross = bdot[:, :, None] * b.conj()[:, None, :]
@@ -134,7 +152,8 @@ def unitarity_defect(stack):
 
 class TestExpmRank2:
     """The closed-form one-bright-state step, from the Gram matrix of
-    (B, t Bdot), against the eigh route on the dense generator."""
+    (B, t Bdot), against the eigh route on the dense generator; for a real
+    B, its real rotation also against the complex step."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("pure_gauge", [False, True])
@@ -145,17 +164,36 @@ class TestExpmRank2:
         assert np.abs(u - _expm_hermitian_stack(dense_generators(b, bdot), t)).max() <= 1e-13
         assert unitarity_defect(u) <= 1e-13
 
-    def test_zero_generator_is_identity(self, rng):
-        b, _ = one_bright_pairs(rng, 4, np.ones(3))
-        u = _expm_bright_stack(b, np.zeros_like(b), 0.7).transpose(2, 0, 1)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("t", [1e-3, 0.25, 1.0])
+    def test_real_rotation_matches_the_complex_step(self, rng, dim, t):
+        b, bdot = real_bright_pairs(rng, dim, np.logspace(-10, 1, 400))
+        planes = _expm_rotation_stack(b, bdot, t)
+        assert planes.dtype == np.float64
+        # Within 1e-15 up to rho = ||t Bdot|| = 1; each form's own rounding
+        # grows with rho beyond it (see test_propagators' TestRealStep).
+        rho = np.linalg.norm(bdot, axis=1) * t
+        gaps = np.abs(planes - _expm_bright_stack(b.astype(complex), bdot.astype(complex), t)).max(axis=(0, 1))
+        assert (gaps <= np.where(rho <= 1.0, 1e-15, 4 * np.finfo(float).eps * (1.0 + rho))).all()
+        u = planes.transpose(2, 0, 1)
+        assert np.abs(u - _expm_hermitian_stack(dense_generators(b, bdot), t)).max() <= 1e-13
+        assert unitarity_defect(u) <= 1e-13
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_zero_generator_is_identity(self, rng, real):
+        step, pairs = STEPS[real]
+        b, _ = pairs(rng, 4, np.ones(3))
+        u = step(b, np.zeros_like(b), 0.7).transpose(2, 0, 1)
         np.testing.assert_array_equal(u, np.broadcast_to(np.eye(4), (3, 4, 4)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize("speed, t", [(1e300, 3e-301), (1e-200, 4e199)])
-    def test_only_the_scaled_exponent_is_squared(self, rng, speed, t):
+    def test_only_the_scaled_exponent_is_squared(self, rng, speed, t, real):
         # ||Bdot||^2 overflows (or underflows) here; ||t Bdot||^2 is of order one.
-        b, bdot = one_bright_pairs(rng, 3, np.full(50, speed))
-        u = _expm_bright_stack(b, bdot, t).transpose(2, 0, 1)
+        step, pairs = STEPS[real]
+        b, bdot = pairs(rng, 3, np.full(50, speed))
+        u = step(b, bdot, t).transpose(2, 0, 1)
         assert np.abs(u - _expm_hermitian_stack(dense_generators(b, bdot) * t, 1.0)).max() <= 1e-13
         assert unitarity_defect(u) <= 1e-13
 

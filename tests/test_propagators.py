@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brightpath import propagators
+from brightpath.berry import ParameterPath, _loop_trajectory, rectangle_loop
 from brightpath.effective import BrightTrajectory, Piece
 from brightpath.errors import DerivativeInconsistent, DimensionMismatch, NonMonotoneMap, NotNormalized, NotOrthonormal
 from brightpath.gates import GateSpec, gate_coupling_schedule, simulate_gate, stage_trajectory, stirap_trajectory
@@ -215,13 +216,15 @@ class TestEvolveTimeOrdered:
         scalar = midpoint_reference(traj.h_eff, 0.0, spec.t3, steps, traj.breakpoints)
         assert np.linalg.norm(batched - scalar) < 1e-12
 
-    def test_rejects_broken_trajectory_sample(self):
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_rejects_broken_trajectory_sample(self, dtype):
         # A vectorized sampler that breaks one rule at exactly one midpoint
-        # of the 4-step grid; the error names that time.
+        # of the 4-step grid; the error names that time.  A real sampler's
+        # values and derivatives reach the same checks as floats.
         def broken(rule, at):
             def sampler(times):
-                values = np.stack([np.cos(times), np.sin(times)], axis=-1)[:, None, :].astype(complex)
-                derivatives = np.stack([-np.sin(times), np.cos(times)], axis=-1)[:, None, :].astype(complex)
+                values = np.stack([np.cos(times), np.sin(times)], axis=-1)[:, None, :].astype(dtype)
+                derivatives = np.stack([-np.sin(times), np.cos(times)], axis=-1)[:, None, :].astype(dtype)
                 hit = times == at
                 if rule == "scale":
                     values[hit] *= 1.1
@@ -350,6 +353,84 @@ class TestEvolveTimeOrdered:
     def test_unitarity_error_reported_small(self):
         for traj in noncommuting_trajectories():
             assert evolve_time_ordered(traj, 0.0, 1.5, 4096).unitarity_error < 1e-8
+
+
+def real_piece(rng, r, dim, complex_frame, speed):
+    """One real piece on [0, 1]: B = F Q x(t), x = (cos at, sin at cos ct,
+    sin at sin ct, 0, ...) for a = speed and c = speed / 2 (x = (cos at,
+    sin at) for r = 2), Q a random r x r rotation and F a random real or
+    complex (dim, r) isometry, so ||Bdot|| is speed to 1.12 speed."""
+    q = np.linalg.qr(rng.normal(size=(r, r)))[0]
+    z = rng.normal(size=(dim, r)) + (1j * rng.normal(size=(dim, r)) if complex_frame else 0.0)
+    frame = np.linalg.qr(z)[0]
+    a, c = speed, 0.5 * speed if r > 2 else 0.0
+
+    def sampler(times):
+        sa, ca, sc, cc = np.sin(a * times), np.cos(a * times), np.sin(c * times), np.cos(c * times)
+        x = np.zeros((times.size, r))
+        dx = np.zeros_like(x)
+        x[:, 0], x[:, 1] = ca, sa * cc
+        dx[:, 0], dx[:, 1] = -a * sa, a * ca * cc - c * sa * sc
+        if r > 2:
+            x[:, 2], dx[:, 2] = sa * sc, a * ca * sc + c * sa * cc
+        return (x @ q.T)[:, None], (dx @ q.T)[:, None]
+
+    return BrightTrajectory(dim, 1, (Piece(0.0, 1.0, frame, sampler),))
+
+
+class TestRealStep:
+    """A piece with real coordinates steps and reduces in real arithmetic,
+    as its complex copy does in complex arithmetic."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        r=st.integers(2, 5),
+        extra=st.integers(0, 2),
+        complex_frame=st.booleans(),
+        log_scale=st.floats(-10.0, 1.0),
+        steps=st.sampled_from([1, 2, 5, 16, 64]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_real_piece_steps_as_its_complex_copy(self, seed, r, extra, complex_frame, log_scale, steps):
+        # ||Bdot|| dt, the angle rho of a step, from 1e-10 to 10 (11.2).
+        real = real_piece(np.random.default_rng(seed), r, r + extra, complex_frame, 10.0**log_scale * steps)
+        piece = real.pieces[0]
+        copy = BrightTrajectory(real.dim, 1, (piece._replace(sampler=lambda times: tuple(a.astype(complex) for a in piece.sampler(times))),))
+        ((_, planes, _),) = _midpoint_factors(real, 0.0, 1.0, steps)
+        ((_, complex_planes, _),) = _midpoint_factors(copy, 0.0, 1.0, steps)
+        assert planes.dtype == np.float64 and complex_planes.dtype == np.complex128
+        # Each closed form rounds its entries by up to ~1.7e-15 at rho in
+        # [5, 10] (against a 30-digit reference): 1e-15 holds up to rho = 1,
+        # and 4 eps (1 + rho) beyond it.
+        rho = np.linalg.norm(piece.sampler((np.arange(steps) + 0.5) / steps)[1][:, 0], axis=1) / steps
+        gaps = np.abs(planes - complex_planes).max(axis=(0, 1))
+        assert (gaps <= np.where(rho <= 1.0, 1e-15, 4 * np.finfo(float).eps * (1.0 + rho))).all()
+        # Products of unitaries differ by at most the sum of their factors'
+        # differences, r times their largest entry gaps: the steps' rounding
+        # adds up over 64 steps of rho ~ 3 to more than 1e-14.
+        u, v = (evolve_time_ordered(trajectory, 0.0, 1.0, steps).unitary.matrix for trajectory in (real, copy))
+        assert np.abs(u - v).max() <= 1e-14 + r * gaps.sum()
+
+    def test_the_real_pieces_of_each_kind_take_the_real_step(self):
+        # The gate's rise and fall, STIRAP and a theta1-theta2 loop (also one
+        # at still phases, on its frame diag(1, e^{i phi2}, e^{i phi3})) step
+        # in float64; the twist and a theta2-phi3 loop in complex128.  Each
+        # unitary is its frameless complex copy's.
+        gate = stage_trajectory(GateSpec(n=3, psi=np.array([0.6, 0.8j, 0.0]), phase_twist=0.9, theta_schedule="smooth"))
+        rectangle = rectangle_loop("theta1", "theta2", 1.0, 0.8)
+        phased = ParameterPath(rectangle.samples + [0.0, 0.0, 0.3, -0.5], closed=True)
+        runs = [
+            (gate, 300, ["float64", "complex128", "float64"]),
+            (stirap_trajectory(1.3, "smooth"), 64, ["float64"]),
+            (_loop_trajectory(rectangle), 128 * 64, ["float64"] * 2),
+            (_loop_trajectory(phased), 128 * 64, ["float64"] * 2),
+            (_loop_trajectory(rectangle_loop("theta2", "phi3", 0.6, 1.2)), 128 * 64, ["complex128"] * 2),
+        ]
+        for trajectory, steps, dtypes in runs:
+            blocks = list(_midpoint_factors(trajectory, 0.0, trajectory.t_end, steps))
+            assert [planes.dtype.name for _, planes, _ in blocks] == dtypes
+            u, v = (_unitary_product(_midpoint_factors(t, 0.0, trajectory.t_end, steps))[0].matrix for t in (trajectory, frameless(trajectory)))
+            assert np.abs(u - v).max() <= 1e-13
 
 
 def pieces_on(*edges):

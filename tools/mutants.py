@@ -338,6 +338,42 @@ MUTANTS = (
         "and every term c2 multiplies (gamma, beta, g e) vanishes",
     ),
     Mutant(
+        "bright-step-flips-the-generator",
+        "linalg",
+        "return c2 * gamma, 1j * c1 - c2 * beta, -1j * c1 - c2 * beta.conj(), c2 * g",
+        "return c2 * gamma, -1j * c1 - c2 * beta, 1j * c1 - c2 * beta.conj(), c2 * g",
+        "the complex closed-form step is exp(+i t H) to first order: only the gate's twist, the phased loops and "
+        "the step's own tests still reach it",
+    ),
+    Mutant(
+        "rotation-step-flips-the-generator",
+        "linalg",
+        "s, c = np.sinc(rho / np.pi), 0.5",
+        "s, c = -np.sinc(rho / np.pi), 0.5",
+        "the real closed-form step's A term has the wrong sign: exp(+i t H) to first order",
+    ),
+    Mutant(
+        "rotation-step-sinh",
+        "linalg",
+        "s, c = np.sinc(rho / np.pi), 0.5",
+        "s, c = np.sinh(rho) / np.where(rho > 0, rho, 1.0) + (rho == 0), 0.5",
+        "the real closed-form step takes sinh(rho) / rho for sin(rho) / rho: right to second order in rho only",
+    ),
+    Mutant(
+        "real-frames-skip-the-tangency-check",
+        "effective",
+        "passed = tangency < DERIVATIVE_TANGENCY_TOL\n",
+        "passed = tangency < (np.inf if np.isrealobj(values) else DERIVATIVE_TANGENCY_TOL)\n",
+        "a real piece's derivative with Re <Bdot|B> != 0 is accepted; a complex one is still refused",
+    ),
+    Mutant(
+        "still-loop-frame-drops-the-phases",
+        "berry",
+        "np.concatenate(([0.0], path.samples[0, 2:]))",
+        "np.zeros(3)",
+        "a theta1-theta2 loop at still phases phi2, phi3 is stepped on the identity frame: its bright state loses e^{i phi}",
+    ),
+    Mutant(
         "embed-transposes-the-frame",
         "propagators",
         "frame @ change @ frame.conj().T",
